@@ -5,10 +5,12 @@ Run from the root of a pwlab checkout:
     python3 bench/run.py --workload resample --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` measures the
-per-layer metrics instead (see bench/README.md).  The last line of standard
-output is one JSON object with the keys ``correct``, ``attempted``,
-``failed`` and ``metrics``; the lines before it repeat the metrics with
-their units, the request counts and the machine facts.
+per-layer metrics instead (see bench/README.md).  A run makes a fixed
+number of rounds, set by ``--seconds`` and the workload, whatever the speed
+of the code under test.  The last line of standard output is one JSON
+object with the keys ``correct``, ``attempted``, ``failed`` and
+``metrics``; the lines before it repeat the metrics with their units, the
+request counts and the machine facts.
 
 The library is imported from ``src/`` of the checkout and nowhere else, so
 the benchmark exits with an error when run outside a checkout.
@@ -26,7 +28,6 @@ import json  # noqa: E402
 import math  # noqa: E402
 import os  # noqa: E402
 import platform  # noqa: E402
-import resource  # noqa: E402
 import shutil  # noqa: E402
 import signal  # noqa: E402
 import statistics  # noqa: E402
@@ -43,7 +44,12 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = Path(__file__).resolve().parent
 SETUP_RUNS = 5  # set-up is timed in this many fresh processes; the median is reported
 MIN_REQUESTS = 100  # per cycle, so that p90 has at least ten samples above it
+TRACE_ROUNDS = 1  # rounds of a traced run; each request runs once untraced and once traced
+REFERENCE_S = 0.25e-3  # typical time of reference_s() on the machine the benchmark was written on
+SPEED_WINDOW = 5  # a request's host speed is read from the reference runs this many either side
 DEADLINE_S = 170.0  # every run, battery included, ends well inside 180 s
+SLOWEST_CHECK = "C12"  # runs first in the battery, with a budget of its own
+OTHER_CHECKS_S = 50.0  # kept back from it for the other eleven (about 37 s at seed state)
 
 sys.path.insert(0, str(BENCH_DIR))
 
@@ -101,6 +107,23 @@ def machine_facts(seed: int, loadavg: tuple[float, float, float]) -> dict:
     }
 
 
+def peak_rss_mb() -> float:
+    """This process's peak RSS (VmHWM), in MB.
+
+    Unlike ru_maxrss, VmHWM starts afresh at exec, so it holds none of the
+    parent's peak.
+    """
+    return _vm_hwm_mb("/proc/self/status")
+
+
+def _vm_hwm_mb(status: str) -> float:
+    with open(status, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError(f"no VmHWM in {status}")
+
+
 # -- running requests --------------------------------------------------------
 
 
@@ -114,6 +137,7 @@ class Outcome:
     latency: float
     ok: bool
     error: str | None
+    scaled: float = math.nan  # latency at the reference host speed, set by closed_loop
 
 
 def execute(req, pwlab_error, tracer: Tracer | None = None) -> Outcome:
@@ -140,42 +164,72 @@ def execute(req, pwlab_error, tracer: Tracer | None = None) -> Outcome:
     return Outcome(req.kind, req.slot, req.edge, latency, ok, name)
 
 
-def closed_loop(workload, pwlab_error, seconds: float, between_rounds=None) -> list[list]:
-    """Rounds of one cycle each, until the timed work reaches ``seconds``.
+def round_count(workload, seconds: float) -> int:
+    """Rounds of a run: odd, at least 3, and fixed by ``seconds`` and the workload alone."""
+    return max(3, 2 * round((seconds / workload.ROUND_S - 1.0) / 2.0) + 1)
 
-    ``between_rounds`` runs after each round, outside the timed work.
-    Returns the rounds; each is the executed requests with their outcomes, in order.
+
+_REFERENCE_X = np.linspace(-50.0, 50.0, 4001)
+
+
+def reference_s() -> float:
+    """Wall time of a fixed kernel that does not touch pwlab: numpy and interpreter work.
+
+    It allocates no objects the garbage collector tracks and starts no BLAS
+    threads, so nothing the code under test does to its own heap or thread
+    pool changes it; only the host's speed does.
     """
-    rounds, busy = [], 0.0
-    while busy < seconds:
-        done = []
+    start = time.perf_counter()
+    for _ in range(3):
+        np.sinc(_REFERENCE_X * 1.0001).sum()
+        sum(i * i for i in range(300))
+    return time.perf_counter() - start
+
+
+def closed_loop(workload, pwlab_error, rounds: int, between_rounds=None) -> list[list[Outcome]]:
+    """``rounds`` rounds of one cycle each.
+
+    After each request, outside its timed span, the reference kernel runs
+    once.  A request's ``scaled`` latency is its wall time times
+    REFERENCE_S over the median reference time of the SPEED_WINDOW requests
+    on either side of it: the time it would have taken at the host's
+    reference speed.  The host this benchmark was written on changes speed
+    by up to 1.8x within seconds, and the reference kernel slows with it.
+    ``between_rounds(i)`` runs after round i, outside the timed work.
+    Returns the rounds; each is the executed requests' outcomes, in order.
+    """
+    done = []
+    for i in range(rounds):
+        outs, refs = [], []
         for req in workload.cycle():
-            outcome = execute(req, pwlab_error)
-            busy += outcome.latency
-            done.append((req, outcome))
-        rounds.append(done)
+            outs.append(execute(req, pwlab_error))
+            refs.append(reference_s())
+        for k, o in enumerate(outs):
+            near = refs[max(0, k - SPEED_WINDOW):k + SPEED_WINDOW + 1]
+            o.scaled = o.latency * REFERENCE_S / statistics.median(near)
+        done.append(outs)
         if between_rounds is not None:
-            between_rounds()
-    return rounds
+            between_rounds(i)
+    return done
 
 
-def best_per_slot(outcomes: list[Outcome]) -> tuple[list[float], list[float]]:
-    """Per cycle slot, the lowest wall time over the rounds in s, and as a latency in ms.
+def slot_timings(outcomes: list[Outcome], attr: str) -> tuple[float, float, float, int]:
+    """ops_per_s, p50 and p90 in ms, and the slot count, from each slot's median of ``attr``.
 
-    The host's speed switches between a fast and a slow mode every few
-    seconds, and the slow mode only adds time.  Each slot runs once per
-    round, so over a run it meets both modes, and its fastest run is the
-    steadiest estimate of what the request costs.  A slot that failed in
-    any round misses every latency target.
+    Every slot runs once per round, with fresh inputs each time, so its
+    median over the rounds is the typical cost of that request.  A slot
+    that failed in any round misses every latency target.
     """
-    wall: dict[int, float] = {}
+    times: dict[int, list[float]] = {}
     failed: set[int] = set()
     for o in outcomes:
-        wall[o.slot] = min(wall.get(o.slot, math.inf), o.latency)
+        times.setdefault(o.slot, []).append(getattr(o, attr))
         if not o.ok:
             failed.add(o.slot)
-    slots = sorted(wall)
-    return [wall[i] for i in slots], [math.inf if i in failed else wall[i] * 1e3 for i in slots]
+    typical = {i: statistics.median(v) for i, v in times.items()}
+    lat_ms = [math.inf if i in failed else t * 1e3 for i, t in typical.items()]
+    ops = len(typical) / sum(typical.values())
+    return ops, percentile(lat_ms, 0.50), percentile(lat_ms, 0.90), len(typical)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -225,24 +279,73 @@ def _run_child(argv: list[str], timeout: float) -> tuple[str, float | None]:
     return first + rest, ready
 
 
-def setup_time(workload: str, seed: int, deadline: float) -> float:
-    """Process start to first timed request, in a fresh process."""
+def setup_time(workload: str, seed: int, deadline: float) -> tuple[float, float]:
+    """Process start to first timed request in a fresh process: at the reference speed, and raw.
+
+    The reference kernel runs SPEED_WINDOW times just before the process
+    starts and as many times just after it ends, while nothing else of the
+    benchmark runs.
+    """
+    refs = [reference_s() for _ in range(SPEED_WINDOW)]
     _, ready = _run_child(["--workload", workload, "--seed", str(seed), "--setup-only"],
                           deadline - time.perf_counter())
+    refs += [reference_s() for _ in range(SPEED_WINDOW)]
     if ready is None:
         raise RuntimeError("set-up child did not report readiness")
-    return ready
+    return ready * REFERENCE_S / statistics.median(refs), ready
 
 
 def battery(pwlab, deadline: float) -> dict[str, dict]:
-    """Each acceptance check once, each in its own process, one after another."""
+    """Each acceptance check once, each in its own process, one after another.
+
+    Check n is the n-th ``check_*`` function of pwlab.verify.  The slowest
+    check runs first, with all the time but OTHER_CHECKS_S; each of the
+    others gets what is left.  A check that runs out of time is stopped and
+    recorded with ``timed_out``: its wall time is then a lower bound, and its
+    peak RSS the one it had reached.  A check left no time at all is not
+    started and is recorded with zeros.
+    """
     names = [n for n, fn in vars(pwlab.verify).items() if n.startswith("check_") and callable(fn)]
+    ids = [f"C{i}" for i in range(1, len(names) + 1)]
+    order = sorted(zip(ids, names), key=lambda pair: pair[0] != SLOWEST_CHECK)
     results = {}
-    for name in names:
-        out, _ = _run_child(["--battery-check", name], deadline - time.perf_counter())
-        rec = json.loads(out.strip().splitlines()[-1])
-        results[rec.pop("check_id")] = rec
+    for check_id, name in order:
+        budget = deadline - time.perf_counter()
+        if check_id == SLOWEST_CHECK:
+            budget -= OTHER_CHECKS_S
+        if budget < 1.0:
+            results[check_id] = {"wall_s": 0.0, "peak_rss_mb": 0.0, "passed": False,
+                                 "timed_out": True}
+            continue
+        results[check_id] = _battery_child(name, budget)
     return results
+
+
+def _battery_child(name: str, budget: float) -> dict:
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--battery-check",
+                             name], stdout=subprocess.PIPE, text=True, cwd=ROOT)
+    try:
+        out, _ = proc.communicate(timeout=budget)
+    except subprocess.TimeoutExpired:
+        try:
+            peak = _vm_hwm_mb(f"/proc/{proc.pid}/status")
+        except (OSError, RuntimeError):  # it ended just now
+            peak = 0.0
+        proc.kill()
+        proc.wait()
+        return {"wall_s": time.perf_counter() - start, "peak_rss_mb": peak, "passed": False,
+                "timed_out": True}
+    finally:
+        if proc.poll() is None:  # this process is being stopped
+            proc.kill()
+            proc.wait()
+    if proc.returncode != 0:
+        raise RuntimeError(f"battery check {name} exited {proc.returncode}")
+    rec = json.loads(out.strip().splitlines()[-1])
+    del rec["check_id"]
+    rec["timed_out"] = False
+    return rec
 
 
 def battery_check(name: str) -> None:
@@ -251,8 +354,7 @@ def battery_check(name: str) -> None:
     start = time.perf_counter()
     result = fn()
     wall = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"check_id": result.check_id, "wall_s": wall, "peak_rss_mb": peak,
+    print(json.dumps({"check_id": result.check_id, "wall_s": wall, "peak_rss_mb": peak_rss_mb(),
                       "passed": result.passed}))
 
 
@@ -267,44 +369,49 @@ def prepare(name: str, seed: int, scratch: Path, tracer: Tracer | None = None):
     probes_s = 0.0
     if tracer is None:
         workload = WORKLOADS[name](pwlab, rng, scratch)
+        warm_up = workload.one_of_each()
     else:
         tracer.install(pwlab)
         tracer.enabled = True
         workload = WORKLOADS[name](pwlab, rng, scratch)
+        warm_up = workload.one_of_each()
         tracer.enabled = False
         tracer.uninstall()
         probes_s = tracer.layer_self()["probes"]
         tracer.reset()
-    warm = [execute(req, pwlab.PwLabError) for req in workload.one_of_each()]
+    warm = [execute(req, pwlab.PwLabError) for req in warm_up]
     return pwlab, workload, warm, probes_s
 
 
 def end_to_end(args, scratch: Path) -> tuple[dict, list[Outcome], list[Outcome]]:
     pwlab, workload, warm, _ = prepare(args.workload, args.seed, scratch)
-    setups: list[float] = []
+    rounds = round_count(workload, args.seconds)
+    setups: list[tuple[float, float]] = []
 
-    def measure_setup():
-        # spread over the run, so that the samples meet different machine load
-        if len(setups) < SETUP_RUNS:
+    def measure_setup(i):
+        # spread evenly over the run, so that the samples meet different machine load
+        while len(setups) < math.ceil((i + 1) * SETUP_RUNS / rounds):
             setups.append(setup_time(args.workload, args.seed, PROCESS_START + DEADLINE_S))
 
-    rounds = closed_loop(workload, pwlab.PwLabError, args.seconds, measure_setup)
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    while len(setups) < SETUP_RUNS:
-        measure_setup()
-    outcomes = [o for done in rounds for _, o in done]
-    wall, lat_ms = best_per_slot(outcomes)
-    if len(wall) < MIN_REQUESTS:
+    done = closed_loop(workload, pwlab.PwLabError, rounds, measure_setup)
+    peak = peak_rss_mb()
+    outcomes = [o for outs in done for o in outs]
+    ops, p50, p90, slots = slot_timings(outcomes, "scaled")
+    if slots < MIN_REQUESTS:
         raise RuntimeError(f"a cycle needs at least {MIN_REQUESTS} requests")
-    ops, p50, p90 = len(wall) / sum(wall), percentile(lat_ms, 0.50), percentile(lat_ms, 0.90)
-    print(f"# {len(rounds)} rounds; percentiles over {len(wall)} slots, each its fastest of "
-          f"{len(rounds)} runs; setup_s samples {json.dumps([round(x, 4) for x in setups])}")
+    raw = slot_timings(outcomes, "latency")
+    slowdown = statistics.median(o.latency / o.scaled for o in outcomes if o.scaled > 0.0)
+    print(f"# {rounds} rounds; percentiles over {slots} slots, each its median of "
+          f"{rounds} runs; setup_s samples {json.dumps([round(x, 4) for x, _ in setups])}")
+    print(f"# host speed: requests took {slowdown:.4f}x their time at the reference speed; "
+          f"unscaled wall time gives ops_per_s {raw[0]:.6g}, latency_p50_ms {raw[1]:.6g}, "
+          f"latency_p90_ms {raw[2]:.6g}, setup_s {statistics.median(r for _, r in setups):.6g}")
     metrics = {
         "ops_per_s": (ops, "1/s"),
         "latency_p50_ms": (p50, "ms"),
         "latency_p90_ms": (p90, "ms"),
         "peak_rss_mb": (peak, "MB"),
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (statistics.median(x for x, _ in setups), "s"),
     }
     return metrics, outcomes, warm
 
@@ -314,9 +421,9 @@ def per_layer(args, scratch: Path) -> tuple[dict, list[Outcome], list[Outcome]]:
     pwlab, workload, warm, probes_s = prepare(args.workload, args.seed, scratch, tracer)
     # every request twice, untraced and traced, back to back in alternating
     # order, so the overhead ratio compares runs made under the same machine
-    # load; half of --seconds in all, which leaves room for the battery pass
+    # load; a fixed number of rounds, so the counts do not depend on speed
     untraced_wall, outcomes = 0.0, []
-    while sum(o.latency for o in outcomes) < args.seconds / 4.0:
+    for _ in range(TRACE_ROUNDS):
         for req in workload.cycle():
             for traced in ((False, True) if len(outcomes) % 2 else (True, False)):
                 if not traced:
@@ -379,11 +486,16 @@ def per_layer(args, scratch: Path) -> tuple[dict, list[Outcome], list[Outcome]]:
     for check_id, rec in sorted(checks.items(), key=lambda kv: int(kv[0][1:])):
         m[f"verify.{check_id}.wall_s"] = (rec["wall_s"], "s")
         m[f"verify.{check_id}.peak_rss_mb"] = (rec["peak_rss_mb"], "MB")
+    timed_out = sorted((k for k, rec in checks.items() if rec["timed_out"]),
+                       key=lambda k: int(k[1:]))
     parts = " + ".join(f"{k} {v:.4f}" for k, v in layer_self.items())
     print(f"# trace accounting: traced wall {traced_wall:.4f} s = {parts} + gap "
           f"{traced_wall - accounted:.6f} s; overhead {traced_wall / untraced_wall:.4f} "
           f"(untraced wall {untraced_wall:.4f} s, same {len(outcomes)} requests)")
     print("# battery " + json.dumps(checks, sort_keys=True))
+    if timed_out:
+        print(f"# battery ran out of time on {', '.join(timed_out)}: their wall_s is a lower "
+              "bound (0 if not started)")
     return m, outcomes, warm
 
 

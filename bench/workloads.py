@@ -2,7 +2,10 @@
 
 A workload is a cycle of requests whose classes and sizes are fixed; the
 seed draws the probe functions, the real translation parts of the chains
-and shadowing runs, the command-line seeds and the order of every cycle.
+and shadowing runs, the section bandwidths, the command-line seeds and the
+order of every cycle.  Every request draws fresh inputs each time its slot
+runs, so no slot repeats a call exactly and a cache of results cannot
+stand in for the work.
 Each request calls pwlab through its public names at call time (so the
 tracer's wrappers see it) and returns what the check needs.  Checks run
 outside the timed span and compare against an independent route: a
@@ -47,12 +50,15 @@ def direct_eval(a: float, samples: np.ndarray, z) -> np.ndarray:
     return np.sinc((a / math.pi) * zz[:, None] - k[None, :]) @ samples
 
 
-@functools.lru_cache(maxsize=128)  # a cycle has a few dozen distinct sections
-def section_oracle(c: float, d: complex, a: float, half_width: int) -> float:
-    """Largest singular value of the finite section, straight from LAPACK."""
+@functools.lru_cache(maxsize=64)  # sections with real d repeat in every round
+def section_oracle(c: float, ad: complex, half_width: int) -> float:
+    """Largest singular value of the finite section, straight from LAPACK.
+
+    At the nodes x_k = k pi / a the entries sinc((a/pi)(c x_k + d) - m) depend
+    on a and d only through a d.
+    """
     k = np.arange(-half_width, half_width + 1)
-    x = k * (math.pi / a)
-    entries = np.sinc((a / math.pi) * (c * x + d)[:, None] - k[None, :])
+    entries = np.sinc((c * k + ad / math.pi)[:, None] - k[None, :])
     return float(np.linalg.svd(entries, compute_uv=False)[0])
 
 
@@ -123,6 +129,11 @@ class Workload:
     p90 inside when the edges are fixed.
     """
 
+    # Busy seconds of one round at seed state, on the machine the benchmark
+    # was written on.  A run makes about seconds / ROUND_S rounds (odd, at
+    # least 3), a count that does not depend on how fast the code under test is.
+    ROUND_S: float
+
     def __init__(self, pw, rng: np.random.Generator, scratch: Path):
         self.pw = pw
         self.rng = rng
@@ -175,56 +186,55 @@ class Resample(Workload):
 
     A = 1.0
     M = 4096
-    POOL = 3
+    ROUND_S = 2.1
 
     def build(self) -> None:
-        pw, rng, a = self.pw, self.rng, self.A
-        probes = {n: [pw.smooth_probe(a, n, rng) for _ in range(self.POOL)]
-                  for n in (32, 48, 64, 96, 128)}
-        chain_probes = [
-            pw.smooth_probe(math.pi, 32, rng, spread=0.125, band=0.9) for _ in range(self.POOL)
-        ]
-        rough = [pw.rough_probe(a, 32, rng) for _ in range(self.POOL)]
-
-        def apply(n, cs, ds=GRID_D):
+        def apply(n, cs, ds=GRID_D, copies=1):
             for c in cs:
                 for d in ds:
-                    self.add("apply", lambda n=n, c=c, d=d: self.apply(probes[n], c, d))
+                    self.add("apply", lambda n=n, c=c, d=d: self.apply(n, c, d), copies)
 
         def square(n, c, copies):
-            self.add("square", lambda: self.square(probes[n], c), copies)
+            self.add("square", lambda: self.square(n, c), copies)
 
-        unit, half = (1.0, -1.0), (0.5, -0.5)
-        # 40 cheapest: the whole symbol grid at N = 32, and the |c| >= 1/2 symbols at N = 48
+        # Each plateau holds a single family of requests (one N, |c| and kind
+        # of d), so a shift in the relative cost of two families cannot move
+        # a percentile across a class boundary.  A complex d costs more than
+        # a real one at the same N.
+        unit, half, cplx = (1.0, -1.0), (0.5, -0.5), (1j, 1.0 + 1j)
+        # 40 cheapest: the whole symbol grid at N = 32, the |c| >= 1/2 symbols
+        # at N = 48, and the c = +-1 commuting squares
         apply(32, GRID_C)
         apply(48, unit + half)
         square(32, 1.0, 2)
         square(32, -1.0, 2)
-        # p50 plateau: 20 requests of about 5 ms, commuting squares (C7) through
-        # the off-grid path and applications of 33k sinc entries
-        square(32, 0.5, 4)
-        square(32, -0.5, 4)
-        square(32, 0.25, 4)
-        apply(64, half)
-        # 24 between the plateaus; the first 12 cost about as much as the p50 plateau
-        apply(48, (0.25,))
-        apply(96, unit)
-        apply(64, (0.25,))
-        apply(128, unit, (0.0, 1j))
+        # p50 plateau: 20 applications at N = 64, c = +-1/2, complex d (33k sinc entries)
+        apply(64, half, cplx, copies=5)
+        # 24 between the plateaus: commuting squares (C7) through the off-grid
+        # path, c = +-1 squares at N = 128, and applications at N 48-128
+        square(32, 0.5, 2)
+        square(32, -0.5, 2)
+        square(32, 0.25, 2)
         square(128, 1.0, 2)
         square(128, -1.0, 2)
-        # p90 plateau: 13 applications of 132k-148k sinc entries, all sinc evaluation
-        apply(128, half)
-        apply(96, (0.25,))
-        apply(128, (0.5,), (1.0,))
+        apply(48, (0.25,), cplx)
+        apply(96, unit, cplx)
+        apply(64, (0.25,))
+        apply(128, unit, cplx)
+        # p90 plateau: 13 applications at N = 128, c = +-1/2, complex d (132k sinc entries)
+        apply(128, half, cplx, copies=3)
+        apply(128, (0.5,), (1j,))
         # the chain and the two edge requests
-        self.add("chain", lambda: self.chain(chain_probes))
-        self.add("edge_eval", lambda: self.edge_eval(probes[32]))
-        self.add("edge_alias", lambda: self.edge_alias(rough))
+        self.add("chain", self.chain)
+        self.add("edge_eval", self.edge_eval)
+        self.add("edge_alias", self.edge_alias)
 
-    def apply(self, pool, c, d) -> Request:
+    def probe(self, n):
+        return self.pw.smooth_probe(self.A, n, self.rng)
+
+    def apply(self, n, c, d) -> Request:
         pw = self.pw
-        f = self.pick(pool)
+        f = self.probe(n)
         phi = pw.AffineSymbol(c, d)
         width = math.ceil(f.half_width / abs(c))
         spots = self.rng.integers(-width, width + 1, 8)
@@ -240,10 +250,10 @@ class Resample(Workload):
 
         return Request("apply", lambda: pw.compose_apply(phi, f, grow=True), check)
 
-    def square(self, pool, c) -> Request:
+    def square(self, n, c) -> Request:
         """The C7 commuting square, closed by a return trip through from_l2."""
         pw, m = self.pw, self.M
-        f = self.pick(pool)
+        f = self.probe(n)
         phi = pw.AffineSymbol(c, self.pick(GRID_D))
 
         def call():
@@ -261,10 +271,10 @@ class Resample(Workload):
 
         return Request("square", call, check)
 
-    def chain(self, pool) -> Request:
+    def chain(self) -> Request:
         """C12 semigroup: six c = 1/2 steps, window 32 -> 2048, against the closed iterate."""
         pw = self.pw
-        f = self.pick(pool)
+        f = pw.smooth_probe(math.pi, 32, self.rng, spread=0.125, band=0.9)
         d = float(self.rng.uniform(-1.0, 1.0))
         phi = pw.AffineSymbol(0.5, d)
         spots = self.rng.integers(-2048, 2049, 8)
@@ -292,10 +302,10 @@ class Resample(Workload):
 
         return Request("chain", call, check)
 
-    def edge_eval(self, pool) -> Request:
+    def edge_eval(self) -> Request:
         """pw_eval at Im z = 800, where the cardinal series leaves double range."""
         pw = self.pw
-        f = self.pick(pool)
+        f = self.probe(32)
         z = complex(float(self.rng.uniform(-10.0, 10.0)), 800.0 / f.a)
 
         def check(val) -> bool:
@@ -304,10 +314,10 @@ class Resample(Workload):
 
         return Request("edge_eval", lambda: pw.pw_eval(f, z), check, edge=True)
 
-    def edge_alias(self, pool) -> Request:
+    def edge_alias(self) -> Request:
         """to_l2 onto M = 32 < 2N+1 = 65 points, too few to hold the function."""
         pw = self.pw
-        f = self.pick(pool)
+        f = pw.rough_probe(self.A, 32, self.rng)
 
         def check(F) -> bool:
             return close(pw.from_l2(F, f.half_width).samples, f.samples, 1e-9)
@@ -320,66 +330,68 @@ class Orbits(Workload):
 
     A = 1.0
     N_MAX = 20
-    POOL = 3
+    ROUND_S = 2.9
 
     def build(self) -> None:
-        pw, rng, a = self.pw, self.rng, self.A
-        probes = {n: [pw.rough_probe(a, n, rng) for _ in range(self.POOL)]
-                  for n in (24, 32, 48, 64, 256)}
-        candidates = []
-        for _ in range(self.POOL):
-            g = pw.rough_probe(math.pi, 32, rng)
-            candidates.append(pw.scaled(g, 0.04 / g.norm()))
-
-        def each(kind, make, cs=GRID_C, ds=GRID_D):
+        def each(kind, make, cs=GRID_C, ds=GRID_D, copies=1):
             for c in cs:
                 for d in ds:
-                    self.add(kind, lambda c=c, d=d: make(c, d))
+                    self.add(kind, lambda c=c, d=d: make(c, d), copies)
 
         unit, contracting = (1.0, -1.0), (0.5, -0.5, 0.25)
-        # 36 cheapest: orbit traces at N = 24 (C11), and the c = +-1 certificates (C8)
-        each("orbit", lambda c, d: self.orbit(probes[24], c, d, "orbit"))
-        each("orbit", lambda c, d: self.orbit(probes[24], c, d, "orbit"), (0.5, -0.5))
-        each("certificate", lambda c, d: self.certificate(probes[24], c, d), unit)
-        # p50 plateau: 28 Cesaro means and orbit traces at N = 32, 8 of them commands
-        each("cesaro", lambda c, d: self.cesaro(probes[32], c, d))
+        real, cplx = (0.0, 1.0), (1j, 1.0 + 1j)
+        # 40 cheapest: orbit traces at N = 24 (C11), the c = +-1 certificates
+        # (C8), and the Cesaro means at N = 32 (C9) with real d or c = +-1
+        each("orbit", lambda c, d: self.orbit(24, c, d, "orbit"), unit + (0.5, -0.5))
+        each("orbit", lambda c, d: self.orbit(24, c, d, "orbit"), (0.25,), cplx)
+        each("certificate", lambda c, d: self.certificate(24, c, d), unit)
+        each("cesaro", lambda c, d: self.cesaro(32, c, d), GRID_C, real)
+        each("cesaro", lambda c, d: self.cesaro(32, c, d), unit, cplx)
+        # p50 plateau: 20 Cesaro means at N = 32 with |c| < 1 and complex d, of one cost level
+        each("cesaro", lambda c, d: self.cesaro(32, c, d), contracting, cplx, copies=3)
+        self.add("cesaro", lambda: self.cesaro(32, 0.5, 1j))
+        self.add("cesaro", lambda: self.cesaro(32, -0.5, 1.0 + 1j))
+        # 24 between the plateaus: `pwlab orbit` and `pwlab cesaro` commands,
+        # certificates that scan for a doubling time, orbit traces at N = 48 and 64
         self.add("cli_orbit", self.cli_orbit, copies=4)
         self.add("cli_cesaro", self.cli_cesaro, copies=4)
-        # 20 between the plateaus: certificates that scan for a doubling time,
-        # orbit traces at N = 48 and 64, and library shadowing runs
-        each("certificate", lambda c, d: self.certificate(probes[24], c, d), contracting)
-        self.add("orbit", lambda: self.orbit(probes[48], 0.5, 1j, "orbit"))
-        self.add("orbit", lambda: self.orbit(probes[48], -1.0, 1.0, "orbit"))
-        self.add("orbit", lambda: self.orbit(probes[64], 0.25, 1.0 + 1j, "orbit"))
-        self.add("orbit", lambda: self.orbit(probes[64], -0.5, 0.0, "orbit"))
-        self.add("shadow", lambda: self.shadow(candidates), copies=4)
-        # p90 plateau: 13 `pwlab shadow` commands (C10), cross pairings of different iterates
-        self.add("cli_shadow", self.cli_shadow, copies=13)
+        each("certificate", lambda c, d: self.certificate(24, c, d), contracting)
+        self.add("orbit", lambda: self.orbit(48, 0.5, 1j, "orbit"))
+        self.add("orbit", lambda: self.orbit(48, -1.0, 1.0, "orbit"))
+        self.add("orbit", lambda: self.orbit(64, 0.25, 1.0 + 1j, "orbit"))
+        self.add("orbit", lambda: self.orbit(64, -0.5, 0.0, "orbit"))
+        # p90 plateau: 13 shadowing runs (C10), cross pairings of different
+        # iterates; 9 of them through `pwlab shadow`
+        self.add("shadow", self.shadow, copies=4)
+        self.add("cli_shadow", self.cli_shadow, copies=9)
         # two wide orbit traces and the edge request
-        self.add("wide", lambda: self.orbit(probes[256], 0.5, 1j, "wide", n_max=6), copies=2)
-        self.add("edge_cesaro", lambda: self.edge_cesaro(probes[24]))
+        self.add("wide", lambda: self.orbit(256, 0.5, 1j, "wide", n_max=6), copies=2)
+        self.add("edge_cesaro", self.edge_cesaro)
 
-    def orbit(self, pool, c, d, kind, n_max=N_MAX) -> Request:
+    def probe(self, n):
+        return self.pw.rough_probe(self.A, n, self.rng)
+
+    def orbit(self, n, c, d, kind, n_max=N_MAX) -> Request:
         pw, a = self.pw, self.A
-        f = self.pick(pool)
+        f = self.probe(n)
         phi = pw.AffineSymbol(c, d)
         lo, hi = orbit_bounds(c, d, a, pw_norm(a, f.samples), n_max)
         return Request(
             kind, lambda: pw.orbit_norms(phi, a, f, n_max), lambda tr: within(tr.norms, lo, hi)
         )
 
-    def cesaro(self, pool, c, d) -> Request:
+    def cesaro(self, n, c, d) -> Request:
         pw, a, n_max = self.pw, self.A, self.N_MAX
-        f = self.pick(pool)
+        f = self.probe(n)
         phi = pw.AffineSymbol(c, d)
         lo, hi = cesaro_bounds(c, d, a, pw_norm(a, f.samples), n_max)
         return Request(
             "cesaro", lambda: pw.cesaro_averages(phi, a, f, n_max), lambda avg: within(avg, lo, hi)
         )
 
-    def certificate(self, pool, c, d) -> Request:
+    def certificate(self, n, c, d) -> Request:
         pw, a = self.pw, self.A
-        f = self.pick(pool)
+        f = self.probe(n)
         phi = pw.AffineSymbol(c, d)
         # closed enclosure of the unit orbit; doubling can only happen where hi >= 2
         lo, hi = orbit_bounds(c, d, a, 1.0, 200)
@@ -399,13 +411,14 @@ class Orbits(Workload):
             "certificate", lambda: pw.expansivity_certificate(phi, a, f, horizon=self.N_MAX), check
         )
 
-    def shadow(self, candidates) -> Request:
+    def shadow(self) -> Request:
         """C10: a drifting pseudotrajectory outruns the orbit of a small candidate."""
         pw, a, n_max, delta = self.pw, math.pi, 12, 0.1
         d = float(self.rng.uniform(-0.4, 0.4))
         phi = pw.AffineSymbol(0.5, d)
         f = pw.node_function(a, 32, 0)
-        g = self.pick(candidates)
+        g = pw.rough_probe(a, 32, self.rng)
+        g = pw.scaled(g, 0.04 / g.norm())
         # L_n = (n delta |f(alpha)| / ||C_phi f|| - |g(alpha)|) / ||k_alpha|| at the real
         # fixed point alpha, with ||C_phi f|| = ||f|| / sqrt|c| and ||k_alpha||^2 = a / pi
         alpha = d / 0.5
@@ -470,10 +483,10 @@ class Orbits(Workload):
 
         return Request("cli_shadow", self.cli(argv, self.scratch / "shadow.dat"), check)
 
-    def edge_cesaro(self, pool) -> Request:
+    def edge_cesaro(self) -> Request:
         """cesaro_averages at c = 1e-3, n_max = 80: |c1 c2| = |c|^{2n} underflows in the pairing."""
         pw, a, n_max = self.pw, self.A, 80
-        f = self.pick(pool)
+        f = self.probe(24)
         phi = pw.AffineSymbol(1e-3, 0.0)
         lo, hi = cesaro_bounds(1e-3, 0.0, a, pw_norm(a, f.samples), n_max)
         return Request(
@@ -485,9 +498,14 @@ class Orbits(Workload):
 
 
 class Sections(Workload):
-    """Finite sections and power iteration; no sinc evaluation, pairing or Fourier work."""
+    """Finite sections and power iteration; no sinc evaluation, pairing or Fourier work.
+
+    Each request draws its bandwidth a from [0.9, 1.1], so the section of a
+    symbol with d != 0 differs from round to round.
+    """
 
     A = 1.0
+    ROUND_S = 2.5
 
     def build(self) -> None:
         def sections(kind, n, symbols, copies=1):
@@ -508,6 +526,10 @@ class Sections(Workload):
         # cluster and power iteration runs on to its residual certificate
         slow = [(1.0, 1.0), (0.5, 0.0), (-0.5, 0.0), (0.25, 0.0)]
 
+        def radii(symbols):
+            for c, d in symbols:
+                self.add("radius", lambda c=c, d=d: self.radius(c, d))
+
         # 40 cheapest
         sections("section", 32, unit0 + unit + half + quarter)
         sections("section", 32, half + quarter)
@@ -516,42 +538,41 @@ class Sections(Workload):
         sections("section", 80, unit0)
         sections("section", 96, unit0)
         commands(32, half + quarter)
-        # p50 plateau, 20 requests of 10-15 ms
-        sections("section", 48, unit)
-        sections("section", 64, half)
-        sections("section", 80, quarter + [(-0.5, 1j), (-0.5, 1.0 + 1j)])
-        sections("section", 128, unit0)
-        for c, d in ((0.5, 1j), (-0.5, 1j), (0.5, 1.0 + 1j), (-0.5, 1.0 + 1j)):
-            self.add("radius", lambda c=c, d=d: self.radius(c, d))
+        # p50 plateau: 20 sections of a single family, N = 64, c = +-1/2, complex d
+        sections("section", 64, half, copies=5)
+        # 23 between the plateaus, radius sequences (C3) among them
+        sections("section", 80, half)
+        radii([(-0.5, 1j), (-0.5, 1.0 + 1j)] * 2)
         commands(64, [(0.5, 1j), (-0.5, 1.0 + 1j)])
-        # 23 between the plateaus
         sections("section", 64, unit)
-        sections("section", 80, unit + [(0.5, 1j), (0.5, 1.0 + 1j)])
-        sections("section", 96, half + unit)
+        sections("section", 96, half)
         sections("section", 128, quarter)
         commands(96, [(0.5, 1j), (0.25, 1.0 + 1j), (-0.5, 1j)])
-        # p90 plateau: 12 sections at N = 128
+        # p90 plateau: 12 sections at N = 128, c = +-1/2, complex d
         sections("section", 128, half, copies=3)
         # the slow sections and the edge request
         sections("section_slow", 32, slow)
         self.add("edge_norm", self.edge_norm)
 
+    def bandwidth(self) -> float:
+        return float(self.rng.uniform(0.9, 1.1))
+
     def section(self, c, d, n, kind) -> Request:
-        pw, a = self.pw, self.A
+        pw, a = self.pw, self.bandwidth()
         phi = pw.AffineSymbol(c, d)
         return Request(
             kind,
             lambda: pw.operator_norm_estimate(pw.build_matrix(phi, a, n)),
-            lambda est: self._check_norm(est, c, d, n),
+            lambda est: self._check_norm(est, c, d, a, n),
         )
 
-    def _check_norm(self, est, c, d, n) -> bool:
+    @staticmethod
+    def _check_norm(est, c, d, a, n) -> bool:
         """Against LAPACK on the benchmark's own section, inside the closed enclosure."""
-        a = self.A
         hi = math.exp(a * abs(complex(d).imag)) / math.sqrt(abs(c))
         if not (math.isfinite(est) and est <= hi * (1.0 + 1e-9)):
             return False
-        return abs(est / section_oracle(c, d, a, n) - 1.0) <= 1e-5
+        return abs(est / section_oracle(c, a * d, n) - 1.0) <= 1e-5
 
     def radius(self, c, d) -> Request:
         """C3 root-norm sequence s_n inside the closed iterate bracket (3% section slack).
@@ -559,7 +580,7 @@ class Sections(Workload):
         Only |c| = 1/2, as in C3: at c = 1/4 a 65-node window stops resolving
         the iterates after n = 3 and the sequence drops below the bracket.
         """
-        pw, a, n_max = self.pw, self.A, 6
+        pw, a, n_max = self.pw, self.bandwidth(), 6
         phi = pw.AffineSymbol(c, d)
 
         def check(s) -> bool:
@@ -571,14 +592,15 @@ class Sections(Workload):
         return Request("radius", lambda: pw.spectral_radius_estimate(phi, a, 32, n_max), check)
 
     def cli_norm(self, c, d, n) -> Request:
-        argv = ["--half-width", str(n), "norm", "--a", repr(self.A), "--c", repr(c),
+        a = self.bandwidth()
+        argv = ["--half-width", str(n), "norm", "--a", repr(a), "--c", repr(c),
                 "--d", _fmt_complex(d)]
 
         def check(text) -> bool:
             rec = json.loads(text)
-            closed = math.exp(self.A * abs(complex(d).imag)) / math.sqrt(abs(c))
+            closed = math.exp(a * abs(complex(d).imag)) / math.sqrt(abs(c))
             return close(rec["closed_form"], closed, 1e-12) and self._check_norm(
-                rec["section_estimate"], c, d, n
+                rec["section_estimate"], c, d, a, n
             )
 
         return Request("cli_norm", self.cli(argv, self.scratch / "norm.json"), check)
@@ -590,7 +612,7 @@ class Sections(Workload):
         return Request(
             "edge_norm",
             lambda: pw.operator_norm_estimate(pw.build_matrix(phi, a, n)),
-            lambda est: self._check_norm(est, 1.0, 200j, n),
+            lambda est: self._check_norm(est, 1.0, 200j, a, n),
             edge=True,
         )
 
