@@ -35,6 +35,7 @@ from .core import (
     OverflowGuardError,
     PwLabError,
     kernel_norm_sq,
+    scaled,
 )
 from .dynamics import build_pseudotrajectory, cesaro_averages, classify, orbit_norms, shadowing_divergence
 from .probes import node_function, rough_probe, smooth_probe
@@ -206,8 +207,6 @@ def cmd_shadow(args: argparse.Namespace, cfg: RunConfig) -> int:
     f = _make_probe(args.probe, args.a, cfg.half_width, cfg.seed, args.node)
     P = build_pseudotrajectory(phi, args.a, f, args.delta, cfg.n_max)
     g_raw = rough_probe(args.a, cfg.half_width, np.random.default_rng(cfg.seed + 1))
-    from .core import scaled
-
     g = scaled(g_raw, args.g_norm / g_raw.norm())
     divergence, lower = shadowing_divergence(P, g, cfg.n_max)
     steps = np.arange(1, cfg.n_max + 1, dtype=float)

@@ -29,6 +29,10 @@ OVERFLOW_EXPONENT = 300.0
 # peak memory near chunk * (2N+1) complex entries regardless of request size.
 _EVAL_CHUNK = 2048
 
+# Entries per block of the closed pairing's kernel (16 bytes each), whatever
+# the window widths or the number of pairings batched together.
+_PAIR_CHUNK = 1 << 18
+
 
 class PwLabError(Exception):
     """Base class for all library errors."""
@@ -319,36 +323,93 @@ def composed_inner_product(
     Expanding both functions in the sampling series and pushing the symbols
     through the kernel inner products gives
 
-        (pi r / (a^2 |c1 c2|)) * sum_{n,m} v_n conj(w_m) sinc(r kappa_nm),
+        (pi / (a max(|c1|, |c2|))) * sum_{n,m} v_n conj(w_m) sinc(r kappa_nm),
         r = min(|c1|, |c2|) a,
         kappa_nm = d1/c1 - conj(d2)/c2 - n pi/(a c1) + m pi/(a c2),
 
     which is exact for band-limited f, g given by their full sample lists.
+    r kappa_nm is formed as a (mu/c1 d1 - mu/c2 conj(d2)) - n pi mu/c1 +
+    m pi mu/c2 with mu = min(|c1|, |c2|), so no power of a tiny c is ever
+    divided by or multiplied with another.  Two routes evaluate the sum:
+
+    * equal slopes (c1 == c2): the kernel depends on m - n only, so the sum
+      is one FFT cross-correlation of the samples against 2(N1+N2)+1 sinc
+      values (Toeplitz route);
+    * unequal slopes: the argument splits as A_n + B_m with A_n complex and
+      B_m real, so sin(A_n + B_m) = sin A_n cos B_m + cos A_n sin B_m costs
+      O(N1 + N2) transcendental evaluations and one reciprocal per entry;
+      entries with |A_n + B_m| < 1 take _sinc directly (separable route).
+
+    Both round to O(eps * pi/(a max|c|) * ||v|| ||w|| * cosh(r |Im shift|))
+    with v, w the sample vectors, the same order as the dense double sum.
     Used wherever windowed re-sampling would lose mass (orbit norms, defect
     checks, adjoint pairings).
     """
     if f.a != g.a:
         raise BandwidthMismatchError(f"bandwidths differ: {f.a} vs {g.a}")
     a = f.a
-    c1, d1 = phi1.c, phi1.d
-    c2, d2 = phi2.c, phi2.d
-    shift = d1 / c1 - np.conj(d2) / c2
-    r = min(abs(c1), abs(c2)) * a
-    if r * abs(shift.imag) > OVERFLOW_EXPONENT:
+    c1, c2 = phi1.c, phi2.c
+    mu = min(abs(c1), abs(c2))
+    r_shift = a * (phi1.d * (mu / c1) - np.conj(phi2.d) * (mu / c2))
+    if abs(r_shift.imag) > OVERFLOW_EXPONENT:
         raise OverflowGuardError(
-            f"pairing exponent {r * abs(shift.imag):.3g} > {OVERFLOW_EXPONENT}"
+            f"pairing exponent {abs(r_shift.imag):.3g} > {OVERFLOW_EXPONENT}"
         )
-    n = np.arange(-f.half_width, f.half_width + 1)
-    m = np.arange(-g.half_width, g.half_width + 1)
-    col = shift - n * (math.pi / (a * c1))
-    row = m * (math.pi / (a * c2))
-    total = 0.0 + 0.0j
-    # blocked over rows of the (2N1+1) x (2N2+1) sinc matrix
-    for lo in range(0, n.size, 512):
-        hi = min(lo + 512, n.size)
-        kappa = col[lo:hi, None] + row[None, :]
-        total += np.conj(g.samples) @ _sinc(r * kappa).T @ f.samples[lo:hi]
-    return complex(total * (math.pi * r / (a * a * abs(c1 * c2))))
+    return complex(_pairing(a, c1, c2, r_shift, f.samples, g.samples))
+
+
+def _pairing(a, c1, c2, r_shift, v, w):
+    """The double sum of composed_inner_product for sample vectors v and w.
+
+    With c1 == c2, c1 and r_shift may be equal-length 1-d arrays: one
+    Toeplitz pairing per entry, all sharing the one cross-correlation of v
+    and w, and the result has r_shift's shape.  Unequal slopes take scalars.
+    Both routes evaluate their sinc values through _sinc_rows.
+    """
+    n1, n2 = v.size // 2, w.size // 2
+    if np.all(c1 == c2):
+        # X_k = sum_n v_n conj(w_{n+k}), k = -(N1+N2)..N1+N2, from one FFT
+        # convolution of v with reversed conj(w), read backwards
+        k = np.arange(-(n1 + n2), n1 + n2 + 1)
+        size = 1 << (k.size - 1).bit_length()
+        xcorr = np.fft.ifft(np.fft.fft(v, size) * np.fft.fft(np.conj(w[::-1]), size))
+        # sinc is even: sinc(r shift + k pi sgn c) = sinc(sgn(c) r shift + k pi)
+        offsets = np.atleast_1d(np.sign(c1) * np.asarray(r_shift, dtype=np.complex128))
+        out = _sinc_rows(offsets, k * math.pi, xcorr[k.size - 1 :: -1])
+        return out.reshape(np.shape(r_shift)) * (math.pi / (a * np.abs(c1)))
+    mu = min(abs(c1), abs(c2))
+    alpha = r_shift - np.arange(-n1, n1 + 1) * (math.pi * (mu / c1))
+    beta = np.arange(-n2, n2 + 1) * (math.pi * (mu / c2))
+    return v @ _sinc_rows(alpha, beta, np.conj(w)) * (math.pi / (a * max(abs(c1), abs(c2))))
+
+
+def _sinc_rows(alpha, beta, weights):
+    """sum_m weights_m sinc(alpha_n + beta_m) for each n; alpha complex, beta real.
+
+    sin(A + B) = sin A cos B + cos A sin B needs sin and cos of each alpha_n
+    and beta_m only, and 1/(A + B) = (x - iy)/(x^2 + y^2) with x = Re A + B,
+    y = Im A one real reciprocal per entry.  Entries with |A + B| < 1, where
+    the split would lose the flatness of sinc near 0, take _sinc directly.
+    Blocks hold at most _PAIR_CHUNK entries.
+    """
+    # weights_m (cos B_m, sin B_m) as real columns (re, im, re, im), so that
+    # the real blocks below multiply it without a complex copy of the block
+    cs = (weights[:, None] * np.stack([np.cos(beta), np.sin(beta)], axis=1)).view(float)
+    y = alpha.imag
+    out = np.empty(alpha.size, dtype=np.complex128)
+    rows = max(1, _PAIR_CHUNK // beta.size)
+    for lo in range(0, alpha.size, rows):
+        alpha_blk, y_blk = alpha[lo : lo + rows], y[lo : lo + rows, None]
+        x = alpha_blk.real[:, None] + beta
+        q = x * x + y_blk * y_blk
+        i, j = np.divmod(np.flatnonzero(q < 1.0), beta.size)
+        near = np.zeros(alpha_blk.size, dtype=np.complex128)
+        np.add.at(near, i, _sinc(x[i, j] + 1j * y_blk[i, 0]) * weights[j])
+        q[i, j] = np.inf
+        inv = 1.0 / q
+        kern = ((x * inv) @ cs).view(complex) - 1j * y_blk * (inv @ cs).view(complex)
+        out[lo : lo + rows] = np.sin(alpha_blk) * kern[:, 0] + np.cos(alpha_blk) * kern[:, 1] + near
+    return out
 
 
 def composed_norm(phi: AffineSymbol, f: PwFunction) -> float:

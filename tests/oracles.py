@@ -57,3 +57,32 @@ def panel_inner_product(a, phi1, f_samples, phi2, g_samples, t_max=200.0,
 def svd_norm(entries):
     """Largest singular value straight from LAPACK."""
     return float(np.linalg.svd(np.asarray(entries), compute_uv=False)[0])
+
+
+def dense_pairing(phi1, f, phi2, g):
+    """<C_phi1 f, C_phi2 g> as the dense double sum over the full complex-sinc block.
+
+    (pi r/(a^2 |c1 c2|)) sum_{n,m} v_n conj(w_m) sinc(r kappa_nm) with
+    r = min(|c1|, |c2|) a and kappa_nm = d1/c1 - conj(d2)/c2 - n pi/(a c1)
+    + m pi/(a c2), blocked over rows of the (2N1+1) x (2N2+1) matrix.
+    """
+    a = f.a
+    c1, d1 = phi1.c, phi1.d
+    c2, d2 = phi2.c, phi2.d
+    shift = d1 / c1 - np.conj(d2) / c2
+    r = min(abs(c1), abs(c2)) * a
+    n = np.arange(-f.half_width, f.half_width + 1)
+    m = np.arange(-g.half_width, g.half_width + 1)
+    col = shift - n * (math.pi / (a * c1))
+    row = m * (math.pi / (a * c2))
+    total = 0.0 + 0.0j
+    for lo in range(0, n.size, 512):
+        hi = min(lo + 512, n.size)
+        u = r * (col[lo:hi, None] + row[None, :])
+        small = np.abs(u) < 1e-4
+        u_safe = np.where(small, 1.0, u)
+        u2 = u * u
+        series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
+        sinc = np.where(small, series, np.sin(u_safe) / u_safe)
+        total += np.conj(g.samples) @ sinc.T @ f.samples[lo:hi]
+    return complex(total * (math.pi * r / (a * a * abs(c1 * c2))))

@@ -16,7 +16,7 @@ from pwlab import (
     PwFunction,
     PwLabError,
 )
-from oracles import direct_eval, fsum_eval, panel_inner_product
+from oracles import dense_pairing, direct_eval, fsum_eval, panel_inner_product
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -300,6 +300,38 @@ class TestComposedProducts:
                                       t_max=400.0, n_panels=1024)
             got = pwlab.composed_inner_product(phi1, f, phi2, g)
             assert abs(got - ref) < 1e-9 * max(1.0, abs(ref))
+
+    def test_matches_dense_double_sum(self):
+        # both routes against the dense complex-sinc block, over slopes c^j
+        # (c in {+-1, +-1/2, 1/4}, j <= 9), real and complex d, equal slopes
+        # with different d, and unequal windows N = 0..48; the tolerance is the
+        # rounding scale of the sum: pi/(a max|c|) ||v|| ||w|| cosh(r |Im shift|)
+        rng = np.random.default_rng(SEED + 15)
+        bases = (1.0, -1.0, 0.5, -0.5, 0.25)
+        windows = [(0, 0), (0, 48), (48, 1), (48, 48)] + [
+            tuple(int(n) for n in rng.integers(0, 49, 2)) for _ in range(296)
+        ]
+        equal_slopes = 0
+        for case, (n1, n2) in enumerate(windows):
+            c = bases[case % len(bases)]
+            j1 = int(rng.integers(1, 10))
+            j2 = j1 if case % 3 == 0 else int(rng.integers(1, 10))
+            d1, d2 = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
+            if case % 4 == 1:
+                d1, d2 = d1.real, d2.real
+            phi1 = AffineSymbol(c, d1).iterate(j1)
+            phi2 = AffineSymbol(c, d2).iterate(j2)
+            equal_slopes += phi1.c == phi2.c
+            a = float(rng.uniform(0.5, 2.0))
+            f, g = (PwFunction(a, [1.0, 1j] @ rng.standard_normal((2, 2 * n + 1))) for n in (n1, n2))
+            c_min, c_max = sorted((abs(phi1.c), abs(phi2.c)))
+            shift = phi1.d / phi1.c - np.conj(phi2.d) / phi2.c
+            scale = (math.pi / (a * c_max) * np.linalg.norm(f.samples) * np.linalg.norm(g.samples)
+                     * math.cosh(a * c_min * abs(shift.imag)))
+            got = pwlab.composed_inner_product(phi1, f, phi2, g)
+            ref = dense_pairing(phi1, f, phi2, g)
+            assert abs(got - ref) <= 1e-13 * scale, (phi1, phi2, n1, n2)
+        assert min(equal_slopes, len(windows) - equal_slopes) >= 100  # both routes covered
 
     def test_kernel_pairing_closed_form(self):
         # <C_phi k_u, k_v> = k_u(phi(v)) for lattice points u, v (exact windows)

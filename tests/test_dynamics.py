@@ -77,6 +77,24 @@ class TestOrbitNorms:
         f = pwlab.node_function(1.0, 4)
         with pytest.raises(OverflowGuardError):
             pwlab.orbit_norms(AffineSymbol(1.0, 30j), 1.0, f, 40)
+        # the batched trace skips the per-pairing guard, so the orbit guard
+        # must catch both the imaginary drift and the decay of c^n
+        with pytest.raises(OverflowGuardError):
+            pwlab.orbit_norms(AffineSymbol(0.5, 200j), 1.0, f, 3)
+        with pytest.raises(OverflowGuardError):
+            pwlab.cesaro_averages(AffineSymbol(1e-3, 0.0), 1.0, f, 100)
+
+    def test_batched_trace_matches_single_pairings(self):
+        rng = np.random.default_rng(SEED + 15)
+        cases = [(0.5, 0.3 + 0.4j, 24), (-0.5, 1j, 24), (1.0, 0.2j, 48), (-1.0, 1.0 + 0.5j, 0),
+                 (0.25, -0.7j, 7), (0.5, 0.0, 16)]
+        for c, d, n in cases:
+            phi = AffineSymbol(c, d)
+            f = pwlab.rough_probe(1.0, n, rng)
+            tr = pwlab.orbit_norms(phi, 1.0, f, 12)
+            for j in range(13):
+                single = pwlab.composed_norm(phi.iterate(j), f)
+                assert abs(tr.norms[j] - single) <= 1e-13 * single, (c, d, n, j)
 
 
 class TestClassify:
@@ -219,6 +237,18 @@ class TestCesaro:
         norms = pwlab.orbit_norms(phi, 1.0, f, 12).norms
         manual = np.cumsum(norms[1:]) / np.arange(1, 13)
         np.testing.assert_allclose(averages, manual, rtol=1e-13)
+
+    def test_tiny_slope_stays_in_range(self):
+        # |c1 c2| = |c|^{2n} reaches 1e-480 here, below the double range, so
+        # the pairing may never form it; the averages must stay finite and exact
+        rng = np.random.default_rng(SEED + 16)
+        f = pwlab.rough_probe(1.0, 24, rng)
+        averages = pwlab.cesaro_averages(AffineSymbol(1e-3, 0.0), 1.0, f, 80)
+        n = np.arange(1, 81)
+        cap = 1e-3 ** (-n / 2.0) * f.norm()  # ||C_phi^n f|| for d = 0
+        assert np.all(np.isfinite(averages))
+        assert np.all(averages <= cap * (1.0 + 1e-9))
+        np.testing.assert_allclose(averages, np.cumsum(cap) / n, rtol=1e-9)
 
     def test_bounded_reflection_averages(self):
         rng = np.random.default_rng(SEED + 13)
