@@ -8,19 +8,16 @@ verifies that norms survive the trip, and closes the square
     compose then transform  ==  transform then weighted-compose.
 """
 
-import math
-
 import numpy as np
 
 from pwlab import (
     AffineSymbol,
-    WeightedCompositionData,
+    L2Function,
     compose_apply,
     from_l2,
     inner_product,
-    multiplication_norm,
-    norm,
     smooth_probe,
+    spectral_radius_closed,
     to_l2,
     weighted_compose_apply,
 )
@@ -37,7 +34,7 @@ def main():
     print("== unitary transport ==")
     F = to_l2(f, M_POINTS)
     g = from_l2(F, f.half_width)
-    print(f"  ||f||          = {norm(f):.12f}")
+    print(f"  ||f||          = {f.norm():.12f}")
     print(f"  ||F|| on grid  = {F.norm():.12f}")
     print(f"  round trip err = {max(abs(g.samples - f.samples)):.3e}")
 
@@ -59,16 +56,16 @@ def main():
 
     print("== support shrinks to (-|c| a, |c| a) ==")
     phi = AffineSymbol(0.5, 0.0)
-    data = WeightedCompositionData(phi, a)
+    cutoff = abs(phi.c) * a
     moved = weighted_compose_apply(phi, F)
-    outside = abs(moved.values[np.abs(moved.grid()) >= data.support_half_width])
-    print(f"  cutoff half-width {data.support_half_width:.6f}  max |F| outside {max(outside):.3e}")
+    outside = abs(moved.values[np.abs(moved.grid()) >= cutoff])
+    print(f"  cutoff half-width {cutoff:.6f}  max |F| outside {max(outside):.3e}")
 
     print("== multiplier norm on the transform side ==")
     for d in (0.5j, 1.0 + 0.7j):
-        closed = math.exp(abs(d.imag) * a)
-        print(f"  d={d!s:>10}  sup of weight {multiplication_norm(d, a):.9f}"
-              f"  closed e^(|Im d| a) {closed:.9f}")
+        weight = weighted_compose_apply(AffineSymbol(1.0, d), L2Function(a, np.ones(M_POINTS)))
+        print(f"  d={d!s:>10}  sup of weight {max(abs(weight.values)):.9f}"
+              f"  closed e^(|Im d| a) {spectral_radius_closed(AffineSymbol(1.0, d), a):.9f}")
 
     print("fourier picture consistent with the sample picture")
 

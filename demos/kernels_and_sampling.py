@@ -16,7 +16,6 @@ from pwlab import (
     inner_product,
     kernel_eval,
     kernel_norm_sq,
-    norm,
     pw_eval,
     smooth_probe,
 )
@@ -61,7 +60,7 @@ def main():
         paired = inner_product(f, point)
         value = pw_eval(f, w)
         print(f"  w={w!s:>10}  <f, k_w> = {paired:+.10f}  f(w) = {value:+.10f}")
-        assert abs(paired - value) <= 1e-8 * max(1.0, norm(f))
+        assert abs(paired - value) <= 1e-8 * max(1.0, f.norm())
 
     print("all sampling-model identities confirmed")
 

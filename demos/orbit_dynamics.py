@@ -20,7 +20,6 @@ from pwlab import (
     cesaro_lower_envelope,
     classify,
     expansivity_certificate,
-    norm,
     orbit_norms,
     rough_probe,
     smooth_probe,
@@ -64,7 +63,7 @@ def main():
 
     print("== expansivity certificates ==")
     raw = smooth_probe(A, half_width=48, rng=rng)
-    unit = PwFunction(A, raw.samples / norm(raw))
+    unit = PwFunction(A, raw.samples / raw.norm())
     for phi in (AffineSymbol(0.5, 0.0), AffineSymbol(1.0, 1.0j), AffineSymbol(1.0, 2.0)):
         cert = expansivity_certificate(phi, A, unit, horizon=40)
         if cert.expansive:
@@ -76,12 +75,12 @@ def main():
     print("== Cesaro averages: bounded vs blowing up ==")
     g = rough_probe(A, half_width=48, rng=rng)
     bounded = cesaro_averages(AffineSymbol(-1.0, 1.0 + 1.0j), A, g, n_max=40)
-    print(f"  reflection:  max_n A_n / ||g|| = {bounded.max() / norm(g):.6f}")
+    print(f"  reflection:  max_n A_n / ||g|| = {bounded.max() / g.norm():.6f}")
     seedling = KernelPoint(math.pi, 1.0).to_pw(8)
     crossing = cesaro_averages(AffineSymbol(0.5, 0.0), math.pi, seedling, n_max=40)
     envelope = cesaro_lower_envelope(AffineSymbol(0.5, 0.0), seedling, n_max=40, w0=1.0)
-    print(f"  contraction: A_40 / ||f|| = {crossing[-1] / norm(seedling):.3e}"
-          f"  certified floor {envelope[-1] / norm(seedling):.3e}")
+    print(f"  contraction: A_40 / ||f|| = {crossing[-1] / seedling.norm():.3e}"
+          f"  certified floor {envelope[-1] / seedling.norm():.3e}")
     assert np.all(crossing >= envelope * (1 - 1e-9))
 
     print("orbit statistics agree with the classification table")

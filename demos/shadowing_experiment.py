@@ -16,7 +16,6 @@ from pwlab import (
     AffineSymbol,
     build_pseudotrajectory,
     node_function,
-    norm,
     rough_probe,
     shadowing_divergence,
 )
@@ -47,7 +46,7 @@ def main():
     candidates = [("zero orbit", zero, 0.0)]
     for k in range(3):
         g = rough_probe(A, half_width=8, rng=rng)
-        scale = 0.04 / norm(g)
+        scale = 0.04 / g.norm()
         candidates.append((f"random start {k + 1}",
                            type(g)(g.a, g.samples * scale), 0.04))
     for label, g, size in candidates:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -51,14 +50,13 @@ EXIT_OVERFLOW = 3
 @dataclass
 class RunConfig:
     half_width: int = 128
-    m_points: int = 4096
     n_max: int = 12
     seed: int = DEFAULT_SEED
     tol: float = 1e-10
 
 
-_FAST_PROFILE = {"half_width": 48, "m_points": 1024}
-_INT_KEYS = {"half_width", "m_points", "n_max", "seed"}
+_FAST_PROFILE = {"half_width": 48}
+_INT_KEYS = {"half_width", "n_max", "seed"}
 _FLOAT_KEYS = {"tol"}
 
 
@@ -102,21 +100,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.fast:
         cfg = replace(cfg, **_FAST_PROFILE)
-    for name in ("half_width", "m_points", "n_max", "seed", "tol"):
+    for name in ("half_width", "n_max", "seed", "tol"):
         value = getattr(args, name, None)
         if value is not None:
             cfg = replace(cfg, **{name: value})
     if args.config:
         cfg = replace(cfg, **load_config_file(args.config))
-    if cfg.half_width < 1 or cfg.m_points < 2 or cfg.n_max < 1:
-        raise ValueError("half_width, m_points, n_max must be positive")
+    if cfg.half_width < 1 or cfg.n_max < 1:
+        raise ValueError("half_width, n_max must be positive")
     if cfg.tol <= 0.0:
         raise ValueError("tol must be positive")
     return cfg
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -150,14 +144,14 @@ def cmd_kernel(args: argparse.Namespace, cfg: RunConfig) -> int:
         "norm_sq": kernel_norm_sq(args.a, args.w),
         "function": json.loads(pwio.pw_to_json(f)),
     }
-    _emit(_dumps(record), args)
+    _emit(pwio._dumps(record), args)
     return EXIT_OK
 
 
 def cmd_norm(args: argparse.Namespace, cfg: RunConfig) -> int:
     phi = _symbol(args)
-    closed = math.exp(abs(phi.d.imag) * args.a) / math.sqrt(abs(phi.c))
-    lo, hi = norm_bounds(phi, args.a)
+    # the upper edge of the enclosure is the closed-form norm
+    lo, closed = norm_bounds(phi, args.a)
     estimate = operator_norm_estimate(
         build_matrix(phi, args.a, cfg.half_width), tol=cfg.tol, seed=cfg.seed
     )
@@ -167,11 +161,11 @@ def cmd_norm(args: argparse.Namespace, cfg: RunConfig) -> int:
         "d": [phi.d.real, phi.d.imag],
         "half_width": cfg.half_width,
         "closed_form": closed,
-        "bracket": [lo, hi],
+        "bracket": [lo, closed],
         "section_estimate": estimate,
         "relative_deviation": abs(estimate / closed - 1.0),
     }
-    _emit(_dumps(record), args)
+    _emit(pwio._dumps(record), args)
     return EXIT_OK
 
 
@@ -231,7 +225,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             {"id": r.check_id, "title": r.title, "passed": r.passed, "detail": r.detail}
             for r in results
         ]
-        Path(path).write_text(_dumps(summary) + "\n", encoding="utf-8")
+        Path(path).write_text(pwio._dumps(summary) + "\n", encoding="utf-8")
     return EXIT_OK if n_pass == len(results) else EXIT_CHECK_FAILURE
 
 
@@ -246,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (default: $PWLAB_OUT or stdout)")
     parser.add_argument("--seed", type=parse_int_literal, help="RNG seed for probes")
     parser.add_argument("--half-width", dest="half_width", type=int, help="window half width N")
-    parser.add_argument("--m-points", dest="m_points", type=int, help="frequency grid size")
     parser.add_argument("--n-max", dest="n_max", type=int, help="orbit horizon")
     parser.add_argument("--tol", type=float, help="iteration tolerance")
 

@@ -59,30 +59,43 @@ class ConvergenceError(PwLabError, RuntimeError):
         self.residual = residual
 
 
-def _sinc(u):
-    """sin(u)/u for complex u, stable near 0.
+def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -> float:
+    """Return the exponent value, or raise OverflowGuardError once it passes limit.
 
-    |u| < 1e-4 switches to the degree-6 Taylor polynomial; the first
-    dropped term is u^8/9! < 1e-32/362880, far below double rounding.
+    The one range guard of the package: kernel norms, pairings, sections,
+    closed norms, weights and orbits hand the exponent they evaluate here
+    before exp() can overflow or drown precision.  Squared quantities pass
+    limit = 2 OVERFLOW_EXPONENT.
+    """
+    if value > limit:
+        raise OverflowGuardError(f"{what} {value:.3g} > {limit:g}")
+    return value
+
+
+def _sin_over(u, sign: float):
+    """sin(u)/u for sign = -1 and sinh(u)/u for sign = +1, complex u, stable near 0.
+
+    |u| < 1e-4 switches to the degree-6 Taylor polynomial in s = sign u^2,
+    1 + s/6 (1 + s/20 (1 + s/42)); the first dropped term is u^8/9! <
+    1e-32/362880, far below double rounding.
     """
     u = np.asarray(u)
     small = np.abs(u) < 1e-4
     u_safe = np.where(small, 1.0, u)
-    out = np.sin(u_safe) / u_safe
-    u2 = u * u
-    series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
+    out = (np.sinh if sign > 0 else np.sin)(u_safe) / u_safe
+    s = u * u if sign > 0 else -(u * u)
+    series = 1.0 + s / 6.0 * (1.0 + s / 20.0 * (1.0 + s / 42.0))
     return np.where(small, series, out)
+
+
+def _sinc(u):
+    """sin(u)/u for complex u, stable near 0."""
+    return _sin_over(u, -1.0)
 
 
 def _sinhc(u):
     """sinh(u)/u for real or complex u, stable near 0 (same branch cut as _sinc)."""
-    u = np.asarray(u)
-    small = np.abs(u) < 1e-4
-    u_safe = np.where(small, 1.0, u)
-    out = np.sinh(u_safe) / u_safe
-    u2 = u * u
-    series = 1.0 + u2 / 6.0 * (1.0 + u2 / 20.0 * (1.0 + u2 / 42.0))
-    return np.where(small, series, out)
+    return _sin_over(u, 1.0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +223,7 @@ def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
 def kernel_norm_sq(a: float, w: complex) -> float:
     """||k_w||^2 = (a/pi) sinh(2 a Im w)/(2 a Im w), continuous through Im w = 0."""
     y = 2.0 * a * complex(w).imag
-    if abs(y) > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(f"kernel exponent 2 a |Im w| = {abs(y):.3g} > {OVERFLOW_EXPONENT}")
+    _guard_exponent(abs(y), "kernel exponent 2 a |Im w|")
     return (a / math.pi) * float(_sinhc(y).real)
 
 
@@ -247,10 +259,6 @@ def inner_product(f: PwFunction, g: PwFunction) -> complex:
     elif ng < nf:
         w = np.pad(w, nf - ng)
     return (math.pi / f.a) * complex(np.sum(v * np.conj(w)))
-
-
-def norm(f: PwFunction) -> float:
-    return f.norm()
 
 
 def scaled(f: PwFunction, factor: complex) -> PwFunction:
@@ -351,10 +359,7 @@ def composed_inner_product(
     c1, c2 = phi1.c, phi2.c
     mu = min(abs(c1), abs(c2))
     r_shift = a * (phi1.d * (mu / c1) - np.conj(phi2.d) * (mu / c2))
-    if abs(r_shift.imag) > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(
-            f"pairing exponent {abs(r_shift.imag):.3g} > {OVERFLOW_EXPONENT}"
-        )
+    _guard_exponent(abs(r_shift.imag), "pairing exponent")
     return complex(_pairing(a, c1, c2, r_shift, f.samples, g.samples))
 
 

@@ -17,10 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    OVERFLOW_EXPONENT,
     AffineSymbol,
-    OverflowGuardError,
     PwFunction,
     PwLabError,
+    _guard_exponent,
     _pairing,
     composed_inner_product,
     compose_apply,
@@ -68,16 +69,18 @@ class OrbitTrace:
 
 
 def _guard_orbit(phi: AffineSymbol, a: float, n_max: int) -> None:
-    # the pairing form sees exponent 2 a |Im d_n|; d_n is monotone in n
+    # the pairing form sees exponent 2 a |Im d_n|, bounded over n by worst;
+    # the squared norm ||C_{phi^[n]} f||^2 carries that exponent times the
+    # prefactor |c|^{-n}, so their sum gets twice the range of a norm
     worst = abs(phi.iterate(n_max).d.imag) if phi.c == 1.0 else abs(
         phi.d.imag / (1.0 - phi.c)
     ) * (1.0 + abs(phi.c))
-    if 2.0 * a * worst > 300.0:
-        raise OverflowGuardError(
-            f"orbit exponent 2 a |Im d_n| reaches {2.0 * a * worst:.3g} > 300"
-        )
-    if abs(phi.c) < 1.0 and n_max * math.log(1.0 / abs(phi.c)) > 600.0:
-        raise OverflowGuardError("orbit norms leave the floating-point range")
+    kernel = _guard_exponent(2.0 * a * worst, "orbit exponent 2 a |Im d_n|")
+    _guard_exponent(
+        n_max * math.log(1.0 / abs(phi.c)) + kernel,
+        "squared orbit norm exponent",
+        2.0 * OVERFLOW_EXPONENT,
+    )
 
 
 def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> OrbitTrace:
@@ -273,9 +276,7 @@ def growth_constant_second(
     return GrowthBound(delta=delta, onset=onset)
 
 
-def growth_constant_third(
-    d: complex, a: float, f: PwFunction, level: float, m_points: int = 4096
-) -> float:
+def growth_constant_third(a: float, f: PwFunction, level: float, m_points: int = 4096) -> float:
     """Level-set growth constant for translations: delta = level * sqrt(measure(A)).
 
     A = {t : |F(t)| >= level} is measured by midpoint-cell counting on the
@@ -313,8 +314,9 @@ def translation_growth_envelope(
     imd = complex(d).imag
     n = np.arange(1, n_max + 1)
     expo = -2.0 * imd * np.outer(n, t[mask])
-    if expo.size and np.max(expo) > 600.0:
-        raise OverflowGuardError("envelope exponent out of range")
+    if expo.size:
+        # the sum holds squared weights, so twice the range of a norm
+        _guard_exponent(float(np.max(expo)), "envelope exponent", 2.0 * OVERFLOW_EXPONENT)
     return level * np.sqrt(dt * np.sum(np.exp(expo), axis=1))
 
 
@@ -361,7 +363,7 @@ def expansivity_certificate(
     else:
         F = to_l2(unit, 4096)
         level = 0.5 * float(np.max(np.abs(F.values)))
-        delta = growth_constant_third(phi.d, a, unit, level)
+        delta = growth_constant_third(a, unit, level)
         rate = a * abs(phi.d.imag)
     cap = math.ceil(math.log(2.0 / delta) / rate) + 10 if delta < 2.0 else 10
     trace = orbit_norms(phi, a, unit, cap)

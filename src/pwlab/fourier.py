@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    OVERFLOW_EXPONENT,
-    AffineSymbol,
-    OverflowGuardError,
-    PwFunction,
-)
+from .core import AffineSymbol, PwFunction, _guard_exponent
 
 _COEF_TRIM = 1e-13
 _CHUNK = 1024
@@ -75,28 +70,6 @@ class L2Function:
             raise ValueError("inner product needs matching interval and grid")
         dt = 2.0 * self.a / self.m_points
         return dt * complex(np.sum(self.values * np.conj(other.values)))
-
-
-@dataclass(frozen=True)
-class WeightedCompositionData:
-    """The multiplier-and-substitution data of the transformed operator."""
-
-    phi: AffineSymbol
-    a: float
-
-    @property
-    def support_half_width(self) -> float:
-        return abs(self.phi.c) * self.a
-
-    def weight(self, t):
-        c, d = self.phi.c, self.phi.d
-        t = np.asarray(t, dtype=float)
-        inside = np.abs(t) < self.support_half_width
-        w = np.where(inside, np.exp(1j * d * t / c) / abs(c), 0.0)
-        return w if t.ndim else complex(w)
-
-    def inner_map(self, t):
-        return np.asarray(t, dtype=float) / self.phi.c
 
 
 def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
@@ -170,9 +143,7 @@ def from_l2(F: L2Function, half_width: int) -> PwFunction:
 
 
 def _guard_weight(phi: AffineSymbol, a: float) -> None:
-    expo = abs(complex(phi.d).imag) * a / abs(phi.c)
-    if expo > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(f"weight exponent {expo:.3g} > {OVERFLOW_EXPONENT}")
+    _guard_exponent(abs(complex(phi.d).imag) * a / abs(phi.c), "weight exponent")
 
 
 def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:
@@ -213,11 +184,3 @@ def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
     else:
         inner = _values_at(F, c * t)
     return L2Function(a, np.exp(-1j * np.conj(d) * t) * inner)
-
-
-def multiplication_norm(d: complex, a: float) -> float:
-    """sup over [-a, a] of |e^{i d t}|, the translation norm e^{|Im d| a}."""
-    expo = abs(complex(d).imag) * a
-    if expo > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(f"norm exponent {expo:.3g} > {OVERFLOW_EXPONENT}")
-    return math.exp(expo)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import PwFunction, grid
+from .core import PwFunction, _sinc, grid
 
 # cos^6 theta = sum_k _PULSE_COEF[k] cos(2 k theta)
 _PULSE_COEF = np.array([10.0, 15.0, 6.0, 1.0]) / 32.0
@@ -28,17 +28,9 @@ def spectral_pulse(z, width: float):
     gives a short sum of shifted sinc functions.
     """
     u = np.asarray(width * np.asarray(z, dtype=np.complex128))
-
-    def sinc(x):
-        x = np.asarray(x)
-        small = np.abs(x) < 1e-4
-        xs = np.where(small, 1.0, x)
-        x2 = x * x
-        return np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), np.sin(xs) / xs)
-
-    out = 2.0 * width * _PULSE_COEF[0] * sinc(u)
+    out = 2.0 * width * _PULSE_COEF[0] * _sinc(u)
     for k in (1, 2, 3):
-        out = out + width * _PULSE_COEF[k] * (sinc(u - k * math.pi) + sinc(u + k * math.pi))
+        out = out + width * _PULSE_COEF[k] * (_sinc(u - k * math.pi) + _sinc(u + k * math.pi))
     if np.ndim(z) == 0:
         return complex(out)
     return out

@@ -16,17 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OVERFLOW_EXPONENT,
     AffineSymbol,
     ConvergenceError,
     KernelPoint,
-    OverflowGuardError,
-    PwFunction,
+    _guard_exponent,
     _sinc,
     adjoint_on_kernel,
     compose_apply,
     grid,
-    kernel_norm_sq,
 )
 from .probes import smooth_probe
 
@@ -58,11 +55,8 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     """
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
-    expo = a * abs(phi.d.imag)
-    if expo > OVERFLOW_EXPONENT or expo + math.log(2 * half_width + 1) > 700.0:
-        raise OverflowGuardError(
-            f"entry magnitude exponent {expo:.3g} rejected (guard {OVERFLOW_EXPONENT})"
-        )
+    expo = _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
+    _guard_exponent(expo + math.log(2 * half_width + 1), "section row-sum exponent", 700.0)
     x = grid(a, half_width)
     u = a * (phi(x)[:, None] - x[None, :])
     return OperatorMatrix(phi, a, half_width, _sinc(u))
@@ -144,9 +138,7 @@ def operator_norm_estimate(
 
 def norm_bounds(phi: AffineSymbol, a: float) -> tuple[float, float]:
     """(1/sqrt|c|, e^{|Im d| a}/sqrt|c|); the two coincide exactly when d is real."""
-    expo = abs(phi.d.imag) * a
-    if expo > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(f"norm exponent {expo:.3g} > {OVERFLOW_EXPONENT}")
+    expo = _guard_exponent(abs(phi.d.imag) * a, "norm exponent")
     lower = 1.0 / math.sqrt(abs(phi.c))
     return lower, lower * math.exp(expo)
 
@@ -155,10 +147,7 @@ def spectral_radius_closed(phi: AffineSymbol, a: float) -> float:
     """1/sqrt|c| when c != 1, e^{|Im d| a} when c = 1."""
     if phi.c != 1.0:
         return 1.0 / math.sqrt(abs(phi.c))
-    expo = abs(phi.d.imag) * a
-    if expo > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(f"radius exponent {expo:.3g} > {OVERFLOW_EXPONENT}")
-    return math.exp(expo)
+    return math.exp(_guard_exponent(abs(phi.d.imag) * a, "radius exponent"))
 
 
 def radius_bracket(phi: AffineSymbol, a: float, n: int) -> tuple[float, float]:
@@ -171,7 +160,7 @@ def radius_bracket(phi: AffineSymbol, a: float, n: int) -> tuple[float, float]:
         raise ValueError("n must be at least 1")
     psi = phi.iterate(n)
     lower = 1.0 / math.sqrt(abs(phi.c))
-    upper = lower * math.exp(abs(psi.d.imag) * a / n)
+    upper = lower * math.exp(_guard_exponent(abs(psi.d.imag) * a / n, "iterate norm exponent"))
     if phi.c == 1.0:
         # translations: the iterate norm is exact, the enclosure degenerates
         return upper, upper
@@ -257,8 +246,7 @@ def spectrum_closed_form(phi: AffineSymbol, a: float) -> SpectrumDescriptor:
     if phi.c == -1.0:
         return SpectrumDescriptor(kind="two-point-set", a=a)
     if phi.c == 1.0:
-        if abs(phi.d.imag) * a > OVERFLOW_EXPONENT:
-            raise OverflowGuardError("arc modulus out of floating-point range")
+        _guard_exponent(abs(phi.d.imag) * a, "arc modulus exponent")
         return SpectrumDescriptor(kind="exponential-arc", a=a, d=phi.d)
     return SpectrumDescriptor(kind="closed-disk", a=a, radius=1.0 / math.sqrt(abs(phi.c)))
 
@@ -314,8 +302,3 @@ def closed_range_fact(phi: AffineSymbol) -> tuple[bool, str]:
         "|c|^{-1/2} e^{-|Im d| a} ||f||, a positive multiple of an isometry "
         "composed with an invertible multiplication, hence closed range"
     )
-
-
-def norm_witness_probe(a: float, half_width: int, seed: int = 0) -> PwFunction:
-    """Deterministic smooth probe for norm cross-checks."""
-    return smooth_probe(a, half_width, np.random.default_rng(seed))

@@ -48,15 +48,16 @@ class TestParsing:
         path = tmp_path / "run.cfg"
         path.write_text("half_width=200\n")
         ns = argparse.Namespace(
-            fast=True, config=str(path), half_width=64, m_points=None,
+            fast=True, config=str(path), half_width=64,
             n_max=None, seed=None, tol=None,
         )
         cfg = resolve_config(ns)
         # fast profile < flag < config file
         assert cfg.half_width == 200
-        assert cfg.m_points == 1024
         ns.config = None
         assert resolve_config(ns).half_width == 64
+        ns.half_width = None
+        assert resolve_config(ns).half_width == 48
 
 
 class TestSubcommands:
@@ -72,6 +73,8 @@ class TestSubcommands:
         assert code == EXIT_OK
         rec = json.loads(out)
         assert abs(rec["closed_form"] - math.sqrt(2.0)) < 1e-12
+        # the closed form is the upper edge of the enclosure, not a second formula
+        assert rec["closed_form"] == rec["bracket"][1]
         assert rec["relative_deviation"] < 1e-3
         # sections approach the norm from below
         assert rec["bracket"][0] <= rec["closed_form"] <= rec["bracket"][1] * (1 + 1e-12)
@@ -181,6 +184,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "orbit", "--a", "1", "--c", "1", "--d", "0+40i")
         assert code == EXIT_OVERFLOW
         assert "overflow guard" in err
+
+    def test_norm_overflow_guard(self, capsys):
+        code, _, err = run(capsys, "norm", "--a", "1", "--c", "1", "--d", "800i")
+        assert code == EXIT_OVERFLOW
+        assert "overflow guard" in err
+
+    def test_removed_frequency_grid_knob(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("m_points = 1024\n")
+        code, _, err = run(capsys, "--config", str(cfg), "norm", "--a", "1", "--c", "0.5")
+        assert code == EXIT_INVALID_CONFIG
+        assert "unknown config key" in err
+        code = main(["--m-points", "1024", "norm", "--a", "1", "--c", "0.5"])
+        capsys.readouterr()
+        assert code == EXIT_INVALID_CONFIG
 
     def test_unknown_subcommand(self, capsys):
         code = main(["transmogrify"])

@@ -174,7 +174,7 @@ class TestGrowthConstants:
         f = pwlab.rough_probe(1.0, 32, rng)
         F = pwlab.to_l2(f, 4096)
         level = 0.5 * float(np.max(np.abs(F.values)))
-        delta = pwlab.growth_constant_third(1j, 1.0, f, level)
+        delta = pwlab.growth_constant_third(1.0, f, level)
         assert delta > 0.0
         env = pwlab.translation_growth_envelope(1j, 1.0, f, level, 15)
         assert env.shape == (15,)
@@ -187,9 +187,9 @@ class TestGrowthConstants:
         f = pwlab.rough_probe(1.0, 16, rng)
         big = 10.0 * float(np.max(np.abs(pwlab.to_l2(f, 4096).values)))
         with pytest.raises(ValueError):
-            pwlab.growth_constant_third(1j, 1.0, f, big)
+            pwlab.growth_constant_third(1.0, f, big)
         with pytest.raises(ValueError):
-            pwlab.growth_constant_third(1j, 1.0, f, -1.0)
+            pwlab.growth_constant_third(1.0, f, -1.0)
 
 
 class TestExpansivity:
@@ -249,6 +249,17 @@ class TestCesaro:
         assert np.all(np.isfinite(averages))
         assert np.all(averages <= cap * (1.0 + 1e-9))
         np.testing.assert_allclose(averages, np.cumsum(cap) / n, rtol=1e-9)
+
+    def test_combined_exponent_guard(self):
+        # ||C_{phi^[n]} f||^2 carries n log(1/|c|) + 2 a |Im d_n|: 594 + 200 here,
+        # each term in range on its own but their sum past the double range
+        rng = np.random.default_rng(SEED + 17)
+        f = pwlab.rough_probe(1.0, 24, rng)
+        with pytest.raises(OverflowGuardError):
+            pwlab.cesaro_averages(AffineSymbol(1e-3, 100j), 1.0, f, 86)
+        # a sum of 594 is admitted and stays finite
+        averages = pwlab.cesaro_averages(AffineSymbol(1e-3, 100j), 1.0, f, 57)
+        assert np.all(np.isfinite(averages))
 
     def test_bounded_reflection_averages(self):
         rng = np.random.default_rng(SEED + 13)

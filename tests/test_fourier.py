@@ -141,12 +141,15 @@ class TestWeightedComposition:
         assert np.max(np.abs(out.values - expected)) == 0.0
 
     def test_data_helper(self):
-        data = pwlab.WeightedCompositionData(AffineSymbol(0.5, 1j), 2.0)
-        assert data.support_half_width == 1.0
-        t = np.array([0.0, 0.5, 0.999, 1.0, 1.5])
-        w = data.weight(t)
-        assert np.all(w[np.abs(t) >= 1.0] == 0.0)
-        np.testing.assert_allclose(data.inner_map(t), t / 0.5)
+        # the weight and its support live in weighted_compose_apply alone:
+        # with F = 1 the output is the weight e^{i d t/c}/|c| on (-|c|a, |c|a)
+        phi = AffineSymbol(0.5, 1j)
+        F = L2Function(2.0, np.ones(400))
+        t = F.grid()
+        w = pwlab.weighted_compose_apply(phi, F).values
+        inside = np.abs(t) < 1.0
+        assert np.all(w[~inside] == 0.0)
+        np.testing.assert_allclose(w[inside], np.exp(1j * phi.d * t[inside] / phi.c) / abs(phi.c))
 
     def test_norm_preserved_under_scaled_composition(self):
         # sqrt|c| C_{cz} is unitary; in frequency terms the weighted operator
@@ -160,24 +163,27 @@ class TestWeightedComposition:
 
 
 class TestMultiplicationNorm:
+    """Multiplication by e^{i d t} is C_{z+d}; its norm is spectral_radius_closed at c = 1."""
+
     def test_closed_value_and_weight_sup(self):
         a = 1.5
         d = 0.3 + 0.8j
         target = math.exp(abs(d.imag) * a)
-        assert abs(pwlab.multiplication_norm(d, a) - target) < 1e-14
-        data = pwlab.WeightedCompositionData(AffineSymbol(1.0, d), a)
+        phi = AffineSymbol(1.0, d)
+        assert abs(pwlab.spectral_radius_closed(phi, a) - target) < 1e-14
         t = np.linspace(-a, a, 20001)
         sup = float(np.max(np.abs(np.exp(1j * d * t))))
         assert sup <= target * (1.0 + 1e-12)
         assert sup > target * (1.0 - 1e-3)
-        assert np.max(np.abs(data.weight(t[1:-1]))) <= target * (1.0 + 1e-12)
+        weight = pwlab.weighted_compose_apply(phi, L2Function(a, np.ones(20000))).values
+        assert np.max(np.abs(weight)) <= target * (1.0 + 1e-12)
 
     def test_real_translation_is_contractive_weight(self):
-        assert pwlab.multiplication_norm(5.0, 3.0) == 1.0
+        assert pwlab.spectral_radius_closed(AffineSymbol(1.0, 5.0), 3.0) == 1.0
 
     def test_guards(self):
         with pytest.raises(OverflowGuardError):
-            pwlab.multiplication_norm(500j, 1.0)
+            pwlab.spectral_radius_closed(AffineSymbol(1.0, 500j), 1.0)
         with pytest.raises(OverflowGuardError):
             pwlab.weighted_compose_apply(
                 AffineSymbol(0.5, 400j), L2Function(1.0, np.ones(64))

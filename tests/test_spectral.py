@@ -124,6 +124,11 @@ class TestSpectralRadius:
         lo, hi = pwlab.radius_bracket(AffineSymbol(1.0, 1j), 1.0, 4)
         assert lo == hi == math.exp(1.0)
 
+    def test_bracket_overflow_guard(self):
+        # the upper edge exponentiates |Im d_n| a / n = 800
+        with pytest.raises(pwlab.OverflowGuardError):
+            pwlab.radius_bracket(AffineSymbol(1.0, 800j), 1.0, 1)
+
     def test_root_norm_sequence_in_bracket(self):
         phi = AffineSymbol(0.5, 1j)
         a = 1.0
@@ -215,8 +220,8 @@ class TestWitnesses:
         assert ok2 and why2
 
     def test_norm_witness_probe_deterministic(self):
-        f1 = pwlab.norm_witness_probe(1.0, 32, seed=4)
-        f2 = pwlab.norm_witness_probe(1.0, 32, seed=4)
+        f1 = pwlab.smooth_probe(1.0, 32, np.random.default_rng(4))
+        f2 = pwlab.smooth_probe(1.0, 32, np.random.default_rng(4))
         np.testing.assert_array_equal(f1.samples, f2.samples)
         phi = AffineSymbol(0.5, 1j)
         ratio = pwlab.composed_norm(phi, f1) / f1.norm()
