@@ -17,7 +17,6 @@ configuration or arguments, 3 overflow guard tripped.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -142,7 +141,7 @@ def cmd_kernel(args: argparse.Namespace, cfg: RunConfig) -> int:
         "a": args.a,
         "w": [args.w.real, args.w.imag],
         "norm_sq": kernel_norm_sq(args.a, args.w),
-        "function": json.loads(pwio.pw_to_json(f)),
+        "function": pwio.pw_record(f),
     }
     _emit(pwio._dumps(record), args)
     return EXIT_OK

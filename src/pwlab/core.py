@@ -25,13 +25,10 @@ import numpy as np
 # reject exponents beyond this before exp() can overflow or drown precision.
 OVERFLOW_EXPONENT = 300.0
 
-# Chunk size (target points per block) for sinc-matrix evaluation, keeps
-# peak memory near chunk * (2N+1) complex entries regardless of request size.
-_EVAL_CHUNK = 2048
-
-# Entries per block of the closed pairing's kernel (16 bytes each), whatever
-# the window widths or the number of pairings batched together.
-_PAIR_CHUNK = 1 << 18
+# Entries per block of the cardinal-series and closed-pairing kernels (a few
+# real 8-byte temporaries each), whatever the window widths, the number of
+# targets or the number of pairings batched together.
+_BLOCK_ENTRIES = 1 << 18
 
 
 class PwLabError(Exception):
@@ -48,6 +45,10 @@ class BandwidthMismatchError(PwLabError, ValueError):
 
 class OverflowGuardError(PwLabError, ValueError):
     """Requested configuration would exceed the floating-point range."""
+
+
+class AliasingError(PwLabError, ValueError):
+    """Grid too coarse to hold the function: the transform would alias."""
 
 
 class ConvergenceError(PwLabError, RuntimeError):
@@ -216,6 +217,7 @@ class KernelPoint:
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
     """k_w(z) = (a/pi) sinc(a (z - conj(w))) with sinc(u) = sin(u)/u."""
     u = a * (np.asarray(z, dtype=np.complex128) - np.conj(w))
+    _guard_exponent(float(np.max(np.abs(u.imag), initial=0.0)), "kernel exponent a |Im(z - conj w)|")
     val = (a / math.pi) * _sinc(u)
     return complex(val) if np.ndim(z) == 0 else val
 
@@ -230,19 +232,46 @@ def kernel_norm_sq(a: float, w: complex) -> float:
 def pw_eval(f: PwFunction, z):
     """Evaluate f anywhere in the plane from its samples.
 
-    f(z) = sum_k v_k sinc(a (z - x_k)).  The argument is formed as the
-    difference a*(z - x_k), never a*z - a*x_k, so node hits reproduce the
-    stored samples exactly.  Evaluation is blocked over target points to
-    bound memory.
+    f(z) = sum_k v_k sinc(a (z - x_k)).  With m the node nearest Re z
+    (m = rint(a Re z / pi)) and delta = a (z - x_m), formed as a difference
+    so that node hits give delta = 0 exactly, every term shares one sine:
+
+        sinc(a (z - x_k)) = (-1)^(m-k) sin(delta) / (a (z - x_k)).
+
+    The column k = m, when it lies in the window, takes sinc(delta)
+    directly.  Every other column has |a Re(z - x_k)| >= pi/2 and costs one
+    real reciprocal 1/(x^2 + y^2), x = a (Re z - x_k), y = a Im z, summed by
+    two real matrix products against (-1)^k v_k.  A node hit multiplies all
+    far terms by sin 0 = 0, so it returns the stored sample exactly.  The
+    result rounds to O(eps * sum_k |v_k| * e^(a |Im z|)); a |Im z| passes the
+    overflow guard first.  Blocks hold at most _BLOCK_ENTRIES entries.
     """
     z_flat = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
+    a, n = f.a, f.half_width
+    _guard_exponent(a * float(np.max(np.abs(z_flat.imag), initial=0.0)), "evaluation exponent a |Im z|")
     x = f.grid()
     v = f.samples
+    # (-1)^k v_k as real columns (re, im), the layout of _sinc_rows
+    w = np.where(np.arange(-n, n + 1) % 2, -v, v).view(float).reshape(-1, 2)
     out = np.empty(z_flat.size, dtype=np.complex128)
-    for lo in range(0, z_flat.size, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, z_flat.size)
-        u = f.a * (z_flat[lo:hi, None] - x[None, :])
-        out[lo:hi] = _sinc(u) @ v
+    rows = max(1, _BLOCK_ENTRIES // x.size)
+    for lo in range(0, z_flat.size, rows):
+        z_blk = z_flat[lo : lo + rows]
+        m = np.rint(z_blk.real * (a / math.pi))
+        delta = a * (z_blk - m * (math.pi / a))
+        y = a * z_blk.imag
+        dx = a * (z_blk.real[:, None] - x)
+        inv = dx * dx
+        inv += (y * y)[:, None]
+        i = np.flatnonzero(np.abs(m) <= n)
+        col = (m[i] + n).astype(np.intp)
+        inv[i, col] = np.inf
+        np.reciprocal(inv, out=inv)
+        dx *= inv
+        far = (dx @ w).view(complex)[:, 0] - 1j * y * (inv @ w).view(complex)[:, 0]
+        blk = np.where(m % 2, -1.0, 1.0) * np.sin(delta) * far
+        blk[i] += v[col] * _sinc(delta[i])
+        out[lo : lo + rows] = blk
     if np.ndim(z) == 0:
         return complex(out[0])
     return out.reshape(np.shape(z))
@@ -395,14 +424,14 @@ def _sinc_rows(alpha, beta, weights):
     and beta_m only, and 1/(A + B) = (x - iy)/(x^2 + y^2) with x = Re A + B,
     y = Im A one real reciprocal per entry.  Entries with |A + B| < 1, where
     the split would lose the flatness of sinc near 0, take _sinc directly.
-    Blocks hold at most _PAIR_CHUNK entries.
+    Blocks hold at most _BLOCK_ENTRIES entries.
     """
     # weights_m (cos B_m, sin B_m) as real columns (re, im, re, im), so that
     # the real blocks below multiply it without a complex copy of the block
     cs = (weights[:, None] * np.stack([np.cos(beta), np.sin(beta)], axis=1)).view(float)
     y = alpha.imag
     out = np.empty(alpha.size, dtype=np.complex128)
-    rows = max(1, _PAIR_CHUNK // beta.size)
+    rows = max(1, _BLOCK_ENTRIES // beta.size)
     for lo in range(0, alpha.size, rows):
         alpha_blk, y_blk = alpha[lo : lo + rows], y[lo : lo + rows, None]
         x = alpha_blk.real[:, None] + beta

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineSymbol, PwFunction, _guard_exponent
+from .core import AffineSymbol, AliasingError, PwFunction, _guard_exponent
 
 _COEF_TRIM = 1e-13
 _CHUNK = 1024
@@ -76,10 +76,14 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     """The unitary image of f: F(t) = sqrt(pi/a)/sqrt(2a) sum_n v_n e^{-i n pi t/a}.
 
     On the midpoint grid the exponential sums are a DFT up to the twiddle
-    (-1)^n e^{-i n pi / M}, so the evaluation runs through an FFT.
+    (-1)^n e^{-i n pi / M}, so the evaluation runs through an FFT.  A grid of
+    M < 2N+1 points would fold distinct nodes onto one frequency and raises
+    AliasingError.
     """
     if m_points < 2:
         raise ValueError("m_points must be at least 2")
+    if m_points < f.samples.size:
+        raise AliasingError(f"m_points {m_points} < 2N+1 = {f.samples.size} would alias the samples")
     a, m = f.a, m_points
     n = np.arange(-f.half_width, f.half_width + 1)
     g = np.zeros(m, dtype=np.complex128)

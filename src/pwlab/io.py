@@ -47,8 +47,13 @@ def _dumps(obj) -> str:
 # PwFunction
 
 
+def pw_record(f: PwFunction) -> dict:
+    """The JSON-ready record of f, for embedding in larger records."""
+    return {"a": f.a, "N": f.half_width, "samples": _pairs(f.samples)}
+
+
 def pw_to_json(f: PwFunction) -> str:
-    return _dumps({"a": f.a, "N": f.half_width, "samples": _pairs(f.samples)})
+    return _dumps(pw_record(f))
 
 
 def pw_from_json(text: str) -> PwFunction:

@@ -67,6 +67,8 @@ class TestSubcommands:
         rec = json.loads(out)
         assert abs(rec["norm_sq"] - math.sinh(2.0) / (2.0 * math.pi)) < 1e-12
         assert rec["function"]["N"] == 48
+        # the record embeds the standalone sample encoding byte for byte
+        assert pwlab.io.pw_to_json(pwlab.KernelPoint(1.0, 1j).to_pw(48)) in out
 
     def test_norm_closed_vs_estimate(self, capsys):
         code, out, _ = run(capsys, "--fast", "norm", "--a", "1", "--c", "0.5", "--d", "0")

@@ -145,6 +145,13 @@ class TestKernels:
         with pytest.raises(OverflowGuardError):
             pwlab.kernel_norm_sq(1.0, 1e9j)
 
+    def test_kernel_eval_guard(self):
+        with pytest.raises(OverflowGuardError):
+            pwlab.kernel_eval(1.0, 0.0, 800j)
+        with pytest.raises(OverflowGuardError):
+            pwlab.kernel_eval(1.0, 800j, np.zeros(3))
+        assert math.isfinite(abs(pwlab.kernel_eval(1.0, 250j, 0.0)))
+
 
 class TestEvaluation:
     def test_interpolates_at_nodes(self):
@@ -183,12 +190,98 @@ class TestEvaluation:
         assert mat.shape == (3, 2)
 
     def test_large_target_block(self):
-        # crosses the internal chunk boundary
+        # three blocks of rows over a five-node window
         f = pwlab.node_function(1.0, 2)
-        z = np.linspace(-10, 10, 5000)
+        z = np.linspace(-10, 10, 2 * (pwlab.core._BLOCK_ENTRIES // 5) + 7)
         vals = pwlab.pw_eval(f, z)
         ref = direct_eval(f.a, f.samples, z)
         assert np.max(np.abs(vals - ref)) < 1e-13
+
+    def test_evaluation_guard(self):
+        f = pwlab.node_function(1.0, 4)
+        with pytest.raises(OverflowGuardError):
+            pwlab.pw_eval(f, 3.0 + 800j)
+        with pytest.raises(OverflowGuardError):
+            pwlab.pw_eval(f, np.array([0.0, 1.0 - 800j]))
+        assert np.all(np.isfinite(pwlab.pw_eval(f, np.array([0.0, 1.0 + 250j]))))
+        assert pwlab.pw_eval(f, np.empty(0)).shape == (0,)
+
+
+def _kernel_budget(f, z):
+    """1e-13 sum|v| e^{a |Im z|}: the rounding scale of the cardinal series at z."""
+    return 1e-13 * float(np.sum(np.abs(f.samples))) * np.exp(f.a * np.abs(np.imag(z)))
+
+
+class TestCardinalKernel:
+    """pw_eval's one-sine kernel against the oracles' plain and compensated sums."""
+
+    def check(self, f, z, fsum_points=3):
+        got = pwlab.pw_eval(f, z)
+        ref = direct_eval(f.a, f.samples, z)
+        assert np.all(np.abs(got - ref) <= _kernel_budget(f, z))
+        for j in np.linspace(0, z.size - 1, fsum_points).astype(int):
+            ref_j = fsum_eval(f.a, f.samples, z[j])
+            assert abs(got[j] - ref_j) <= _kernel_budget(f, z[j])
+
+    def test_sweep_over_symbols(self):
+        # targets phi(x_n) on the grown window, so |m| runs past N
+        rng = np.random.default_rng(SEED + 40)
+        sizes = [0, 1, 2, 200] + [int(n) for n in rng.integers(3, 200, 8)]
+        for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.3):
+            for d in (0.0, float(rng.uniform(-3, 3)), complex(rng.normal(), rng.normal())):
+                for n in rng.choice(sizes, 3, replace=False):
+                    a = float(rng.uniform(0.5, 3.0))
+                    f = pwlab.rough_probe(a, int(n), rng)
+                    z = AffineSymbol(c, d)(pwlab.grid(a, math.ceil(n / abs(c)) + 3))
+                    self.check(f, z)
+
+    def test_targets_outside_window(self):
+        rng = np.random.default_rng(SEED + 41)
+        for n in (0, 1, 7, 60):
+            a = float(rng.uniform(0.5, 3.0))
+            f = pwlab.rough_probe(a, n, rng)
+            k = np.concatenate([np.arange(n + 1, n + 40), -np.arange(n + 1, n + 40), [1e4, -3e5]])
+            z = (k + rng.uniform(-0.5, 0.5, k.size)) * (math.pi / a) + 1j * rng.normal(size=k.size)
+            self.check(f, z)
+
+    def test_half_node_ties(self):
+        # a = pi puts the nodes on the integers, so k + 1/2 is an exact tie
+        rng = np.random.default_rng(SEED + 42)
+        f = pwlab.rough_probe(math.pi, 12, rng)
+        k = np.arange(-16, 16) + 0.5
+        assert np.all(k * (f.a / math.pi) == k)
+        for y in (0.0, 0.7, -2.0):
+            self.check(f, k + 1j * y)
+
+    def test_window_wider_than_a_block(self):
+        # every block holds a single row
+        n = pwlab.core._BLOCK_ENTRIES // 2 + 5
+        rng = np.random.default_rng(SEED + 43)
+        f = PwFunction(1.0, rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1))
+        z = np.array([0.3, -n * math.pi + 0.2j, 17.5 * math.pi - 1j, (n + 2) * math.pi])
+        self.check(f, z, fsum_points=0)
+        assert pwlab.pw_eval(f, 5.0 * math.pi) == f.samples[n + 5]
+
+    def test_node_hits_are_bit_exact(self):
+        rng = np.random.default_rng(SEED + 44)
+        for _ in range(20):
+            a = float(rng.uniform(0.3, 4.0))
+            f = pwlab.rough_probe(a, int(rng.integers(0, 300)), rng)
+            assert pwlab.pw_eval(f, f.grid()).tobytes() == f.samples.tobytes()
+
+    def test_shapes(self):
+        rng = np.random.default_rng(SEED + 45)
+        f = pwlab.rough_probe(1.3, 9, rng)
+        z = rng.normal(size=(2, 3, 4)) * 8.0 + 1j * rng.normal(size=(2, 3, 4))
+        got = pwlab.pw_eval(f, z)
+        assert got.shape == (2, 3, 4)
+        np.testing.assert_array_equal(got.ravel(), pwlab.pw_eval(f, z.ravel()))
+        single = pwlab.pw_eval(f, z[:1, 0, 0])
+        assert single.shape == (1,)
+        assert abs(single[0] - got[0, 0, 0]) <= _kernel_budget(f, z[0, 0, 0])
+        for scalar in (z[0, 0, 0], complex(z[0, 0, 0]), np.asarray(z[0, 0, 0])):
+            val = pwlab.pw_eval(f, scalar)
+            assert isinstance(val, complex) and val == single[0]
 
 
 class TestProducts:

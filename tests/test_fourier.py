@@ -62,6 +62,18 @@ class TestTransform:
         back = pwlab.from_l2(pwlab.to_l2(f, 1024), 20)
         assert np.max(np.abs(back.samples - f.samples)) < 1e-10
 
+    def test_coarse_grid_raises_instead_of_aliasing(self):
+        rng = np.random.default_rng(SEED + 4)
+        f = pwlab.rough_probe(1.0, 32, rng)
+        for m in (32, 64):
+            with pytest.raises(pwlab.AliasingError):
+                pwlab.to_l2(f, m)
+        assert issubclass(pwlab.AliasingError, pwlab.PwLabError)
+        assert issubclass(pwlab.AliasingError, ValueError)
+        # 2N+1 points are enough for an exact round trip
+        back = pwlab.from_l2(pwlab.to_l2(f, 65), 32)
+        assert np.max(np.abs(back.samples - f.samples)) < 1e-10
+
     def test_round_trip_wider_window_pads_with_zeros(self):
         rng = np.random.default_rng(SEED + 3)
         f = pwlab.rough_probe(1.0, 8, rng)
