@@ -25,9 +25,8 @@ import numpy as np
 # reject exponents beyond this before exp() can overflow or drown precision.
 OVERFLOW_EXPONENT = 300.0
 
-# Entries per block of the cardinal-series and closed-pairing kernels (a few
-# real 8-byte temporaries each), whatever the window widths, the number of
-# targets or the number of pairings batched together.
+# Entries per block of the cardinal-series kernel (a few real 8-byte
+# temporaries each), whatever the window width or the number of targets.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -230,11 +229,28 @@ def kernel_norm_sq(a: float, w: complex) -> float:
 
 
 def pw_eval(f: PwFunction, z):
-    """Evaluate f anywhere in the plane from its samples.
+    """Evaluate f anywhere in the plane from its samples by the cardinal series.
 
-    f(z) = sum_k v_k sinc(a (z - x_k)).  With m the node nearest Re z
-    (m = rint(a Re z / pi)) and delta = a (z - x_m), formed as a difference
-    so that node hits give delta = 0 exactly, every term shares one sine:
+    f(z) = sum_k v_k sinc(a (z - x_k)), summed by _cardinal.  Node hits return
+    the stored samples exactly; the rest rounds to O(eps * sum_k |v_k| *
+    e^(a |Im z|)), and a |Im z| passes the overflow guard first.
+    """
+    z_flat = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
+    _guard_exponent(f.a * float(np.max(np.abs(z_flat.imag), initial=0.0)), "evaluation exponent a |Im z|")
+    out = _cardinal(f.a, z_flat, f.samples)
+    if np.ndim(z) == 0:
+        return complex(out[0])
+    return out.reshape(np.shape(z))
+
+
+def _cardinal(a, z, v):
+    """sum_k v_k sinc(a (z_j - x_k)) over the window |k| <= N of v, for each z_j.
+
+    The one O(len(z) len(v)) sinc-sum kernel of the package: pw_eval (and so
+    compose_apply) and both routes of composed_inner_product sum through it.
+    With m the node nearest Re z (m = rint(a Re z / pi)) and delta = a (z -
+    x_m), formed as a difference so that node hits give delta = 0 exactly,
+    every term shares one sine:
 
         sinc(a (z - x_k)) = (-1)^(m-k) sin(delta) / (a (z - x_k)).
 
@@ -243,20 +259,17 @@ def pw_eval(f: PwFunction, z):
     real reciprocal 1/(x^2 + y^2), x = a (Re z - x_k), y = a Im z, summed by
     two real matrix products against (-1)^k v_k.  A node hit multiplies all
     far terms by sin 0 = 0, so it returns the stored sample exactly.  The
-    result rounds to O(eps * sum_k |v_k| * e^(a |Im z|)); a |Im z| passes the
-    overflow guard first.  Blocks hold at most _BLOCK_ENTRIES entries.
+    result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)); callers guard
+    a |Im z| themselves.  Blocks hold at most _BLOCK_ENTRIES entries.
     """
-    z_flat = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
-    a, n = f.a, f.half_width
-    _guard_exponent(a * float(np.max(np.abs(z_flat.imag), initial=0.0)), "evaluation exponent a |Im z|")
-    x = f.grid()
-    v = f.samples
-    # (-1)^k v_k as real columns (re, im), the layout of _sinc_rows
+    n = v.size // 2
+    x = grid(a, n)
+    # (-1)^k v_k as real columns (re, im)
     w = np.where(np.arange(-n, n + 1) % 2, -v, v).view(float).reshape(-1, 2)
-    out = np.empty(z_flat.size, dtype=np.complex128)
+    out = np.empty(z.size, dtype=np.complex128)
     rows = max(1, _BLOCK_ENTRIES // x.size)
-    for lo in range(0, z_flat.size, rows):
-        z_blk = z_flat[lo : lo + rows]
+    for lo in range(0, z.size, rows):
+        z_blk = z[lo : lo + rows]
         m = np.rint(z_blk.real * (a / math.pi))
         delta = a * (z_blk - m * (math.pi / a))
         y = a * z_blk.imag
@@ -272,9 +285,7 @@ def pw_eval(f: PwFunction, z):
         blk = np.where(m % 2, -1.0, 1.0) * np.sin(delta) * far
         blk[i] += v[col] * _sinc(delta[i])
         out[lo : lo + rows] = blk
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    return out
 
 
 def inner_product(f: PwFunction, g: PwFunction) -> complex:
@@ -357,93 +368,59 @@ def composed_inner_product(
 ) -> complex:
     """<C_phi1 f, C_phi2 g> in closed form, no truncation beyond the samples.
 
-    Expanding both functions in the sampling series and pushing the symbols
-    through the kernel inner products gives
+    Order the pair so that |c2| <= |c1|.  Then C_phi1 f = sum_n v_n sinc(a c1
+    (t - (x_n - d1)/c1)) is a sum of reproducing kernels of PW_{a|c1|}, a
+    space that holds C_phi2 g, and the reproducing property gives
 
-        (pi / (a max(|c1|, |c2|))) * sum_{n,m} v_n conj(w_m) sinc(r kappa_nm),
-        r = min(|c1|, |c2|) a,
-        kappa_nm = d1/c1 - conj(d2)/c2 - n pi/(a c1) + m pi/(a c2),
+        <C_phi1 f, C_phi2 g> = (pi / (a |c1|)) sum_n v_n conj(g(zeta_n)),
+        zeta_n = (c2/c1) x_n + s,   s = d2 - (c2/c1) conj(d1),
 
-    which is exact for band-limited f, g given by their full sample lists.
-    r kappa_nm is formed as a (mu/c1 d1 - mu/c2 conj(d2)) - n pi mu/c1 +
-    m pi mu/c2 with mu = min(|c1|, |c2|), so no power of a tiny c is ever
-    divided by or multiplied with another.  Two routes evaluate the sum:
+    exact for band-limited f, g given by their full sample lists.  The
+    ratio c2/c1 has modulus at most 1, so no power of a tiny c overflows or
+    underflows.  The other order is the conjugate of the swapped pairing;
+    ordering by (|c|, c) puts the positive slope first when c1 = -c2, so
+    unequal slopes are Hermitian bit for bit.  g(zeta_n) is g's cardinal
+    series, and two routes sum it through the one kernel _cardinal:
 
-    * equal slopes (c1 == c2): the kernel depends on m - n only, so the sum
-      is one FFT cross-correlation of the samples against 2(N1+N2)+1 sinc
-      values (Toeplitz route);
-    * unequal slopes: the argument splits as A_n + B_m with A_n complex and
-      B_m real, so sin(A_n + B_m) = sin A_n cos B_m + cos A_n sin B_m costs
-      O(N1 + N2) transcendental evaluations and one reciprocal per entry;
-      entries with |A_n + B_m| < 1 take _sinc directly (separable route).
+    * equal slopes (c1 == c2): zeta_n - x_m = s + x_{n-m}, so the double sum
+      depends on m - n only and is the cardinal series at conj(s) of the
+      cross-correlation of the samples, from one FFT (_toeplitz_pairing);
+    * unequal slopes: g at the 2 N1 + 1 points zeta_n, as pw_eval does.
 
-    Both round to O(eps * pi/(a max|c|) * ||v|| ||w|| * cosh(r |Im shift|))
-    with v, w the sample vectors, the same order as the dense double sum.
-    Used wherever windowed re-sampling would lose mass (orbit norms, defect
+    Both round to O(eps * pi/(a |c1|) * sum|v| * sum|w| * e^(a |Im s|)) with
+    v, w the sample vectors; a |Im s| passes the overflow guard first.  Used
+    wherever windowed re-sampling would lose mass (orbit norms, defect
     checks, adjoint pairings).
     """
     if f.a != g.a:
         raise BandwidthMismatchError(f"bandwidths differ: {f.a} vs {g.a}")
+    swap = (abs(phi1.c), phi1.c) < (abs(phi2.c), phi2.c)
+    if swap:
+        phi1, f, phi2, g = phi2, g, phi1, f
     a = f.a
-    c1, c2 = phi1.c, phi2.c
-    mu = min(abs(c1), abs(c2))
-    r_shift = a * (phi1.d * (mu / c1) - np.conj(phi2.d) * (mu / c2))
-    _guard_exponent(abs(r_shift.imag), "pairing exponent")
-    return complex(_pairing(a, c1, c2, r_shift, f.samples, g.samples))
+    ratio = phi2.c / phi1.c
+    shift = phi2.d - ratio * phi1.d.conjugate()
+    _guard_exponent(a * abs(shift.imag), "pairing exponent")
+    if phi1.c == phi2.c:
+        val = _toeplitz_pairing(a, np.array([shift.conjugate()]), f.samples, g.samples)[0]
+    else:
+        val = f.samples @ np.conj(_cardinal(a, ratio * f.grid() + shift, g.samples))
+    val = complex(val) * (math.pi / (a * abs(phi1.c)))
+    return val.conjugate() if swap else val
 
 
-def _pairing(a, c1, c2, r_shift, v, w):
-    """The double sum of composed_inner_product for sample vectors v and w.
+def _toeplitz_pairing(a, z, v, w):
+    """sum_{n,m} v_n conj(w_m) sinc(a (z_j - x_{m-n})) for each entry of the 1-d array z.
 
-    With c1 == c2, c1 and r_shift may be equal-length 1-d arrays: one
-    Toeplitz pairing per entry, all sharing the one cross-correlation of v
-    and w, and the result has r_shift's shape.  Unequal slopes take scalars.
-    Both routes evaluate their sinc values through _sinc_rows.
+    The kernel depends on m - n only, so the double sum is the cardinal
+    series at z_j of the cross-correlation X_k = sum_n v_n conj(w_{n+k}),
+    |k| <= N1 + N2, which one FFT convolution gives.
     """
-    n1, n2 = v.size // 2, w.size // 2
-    if np.all(c1 == c2):
-        # X_k = sum_n v_n conj(w_{n+k}), k = -(N1+N2)..N1+N2, from one FFT
-        # convolution of v with reversed conj(w), read backwards
-        k = np.arange(-(n1 + n2), n1 + n2 + 1)
-        size = 1 << (k.size - 1).bit_length()
-        xcorr = np.fft.ifft(np.fft.fft(v, size) * np.fft.fft(np.conj(w[::-1]), size))
-        # sinc is even: sinc(r shift + k pi sgn c) = sinc(sgn(c) r shift + k pi)
-        offsets = np.atleast_1d(np.sign(c1) * np.asarray(r_shift, dtype=np.complex128))
-        out = _sinc_rows(offsets, k * math.pi, xcorr[k.size - 1 :: -1])
-        return out.reshape(np.shape(r_shift)) * (math.pi / (a * np.abs(c1)))
-    mu = min(abs(c1), abs(c2))
-    alpha = r_shift - np.arange(-n1, n1 + 1) * (math.pi * (mu / c1))
-    beta = np.arange(-n2, n2 + 1) * (math.pi * (mu / c2))
-    return v @ _sinc_rows(alpha, beta, np.conj(w)) * (math.pi / (a * max(abs(c1), abs(c2))))
-
-
-def _sinc_rows(alpha, beta, weights):
-    """sum_m weights_m sinc(alpha_n + beta_m) for each n; alpha complex, beta real.
-
-    sin(A + B) = sin A cos B + cos A sin B needs sin and cos of each alpha_n
-    and beta_m only, and 1/(A + B) = (x - iy)/(x^2 + y^2) with x = Re A + B,
-    y = Im A one real reciprocal per entry.  Entries with |A + B| < 1, where
-    the split would lose the flatness of sinc near 0, take _sinc directly.
-    Blocks hold at most _BLOCK_ENTRIES entries.
-    """
-    # weights_m (cos B_m, sin B_m) as real columns (re, im, re, im), so that
-    # the real blocks below multiply it without a complex copy of the block
-    cs = (weights[:, None] * np.stack([np.cos(beta), np.sin(beta)], axis=1)).view(float)
-    y = alpha.imag
-    out = np.empty(alpha.size, dtype=np.complex128)
-    rows = max(1, _BLOCK_ENTRIES // beta.size)
-    for lo in range(0, alpha.size, rows):
-        alpha_blk, y_blk = alpha[lo : lo + rows], y[lo : lo + rows, None]
-        x = alpha_blk.real[:, None] + beta
-        q = x * x + y_blk * y_blk
-        i, j = np.divmod(np.flatnonzero(q < 1.0), beta.size)
-        near = np.zeros(alpha_blk.size, dtype=np.complex128)
-        np.add.at(near, i, _sinc(x[i, j] + 1j * y_blk[i, 0]) * weights[j])
-        q[i, j] = np.inf
-        inv = 1.0 / q
-        kern = ((x * inv) @ cs).view(complex) - 1j * y_blk * (inv @ cs).view(complex)
-        out[lo : lo + rows] = np.sin(alpha_blk) * kern[:, 0] + np.cos(alpha_blk) * kern[:, 1] + near
-    return out
+    size = v.size + w.size - 1
+    nfft = 1 << (size - 1).bit_length()
+    # convolution of v with reversed conj(w), read backwards
+    xcorr = np.fft.ifft(np.fft.fft(v, nfft) * np.fft.fft(np.conj(w[::-1]), nfft))
+    return _cardinal(a, z, xcorr[size - 1 :: -1])
 
 
 def composed_norm(phi: AffineSymbol, f: PwFunction) -> float:

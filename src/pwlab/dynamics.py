@@ -22,7 +22,7 @@ from .core import (
     PwFunction,
     PwLabError,
     _guard_exponent,
-    _pairing,
+    _toeplitz_pairing,
     composed_inner_product,
     compose_apply,
     kernel_norm_sq,
@@ -92,10 +92,9 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
 
     All n_max pairings take the equal-slope (Toeplitz) route of
     composed_inner_product at once: one FFT autocorrelation of the samples,
-    then one n_max x (4N+1) sinc block with r_n shift_n = 2i a Im(d_n) sgn(c_n).
-    ||C_{phi^[n]} f||^2 rounds to O(eps * pi/(a |c^n|) * ||v||^2 *
-    cosh(2 a |Im d_n|)) with v the samples, far below the norm itself since
-    ||C_phi f|| >= |c|^{-1/2} e^{-a |Im d|} ||f||.
+    then its cardinal series at the n_max points conj(d_n) - d_n = -2i Im d_n.
+    ||C_{phi^[n]} f||^2 rounds to O(eps * pi/(a |c^n|) * (sum|v|)^2 *
+    e^(2 a |Im d_n|)) with v the samples.
     """
     if f.a != a:
         raise ValueError("probe bandwidth differs from the requested space")
@@ -105,8 +104,8 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     _guard_orbit(phi, a, n_max)
     iterates = [phi.iterate(n) for n in range(1, n_max + 1)]
     c = np.array([it.c for it in iterates])
-    r_shift = 2j * a * np.array([it.d.imag for it in iterates]) * np.sign(c)
-    squares = _pairing(a, c, c, r_shift, f.samples, f.samples).real
+    z = -2j * np.array([it.d.imag for it in iterates])
+    squares = (math.pi / (a * np.abs(c))) * _toeplitz_pairing(a, z, f.samples, f.samples).real
     norms = np.concatenate(([f.norm()], np.sqrt(np.maximum(squares, 0.0))))
     return OrbitTrace(phi, a, norms)
 

@@ -19,6 +19,7 @@ from .core import (
     AffineSymbol,
     ConvergenceError,
     KernelPoint,
+    OverflowGuardError,
     _guard_exponent,
     _sinc,
     adjoint_on_kernel,
@@ -55,8 +56,7 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     """
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
-    expo = _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
-    _guard_exponent(expo + math.log(2 * half_width + 1), "section row-sum exponent", 700.0)
+    _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
     x = grid(a, half_width)
     u = a * (phi(x)[:, None] - x[None, :])
     return OperatorMatrix(phi, a, half_width, _sinc(u))
@@ -78,6 +78,13 @@ def _largest_singular_value(
     """
     if max_iterations < 3:
         raise ValueError("max_iterations must be at least 3")
+    # iterate on 2^-e A with max|entry| 2^-e in [1/2, 1): the scaling is exact,
+    # so A*A cannot overflow and every result in range keeps its bits
+    peak = float(np.max(np.abs(mat), initial=0.0))
+    if not math.isfinite(peak):
+        raise OverflowGuardError("section entries are not finite")
+    e = math.frexp(peak)[1]
+    mat = np.ldexp(mat.view(float), -e).view(complex)
     h = mat.conj().T @ mat
     h = 0.5 * (h + h.conj().T)
     rng = np.random.default_rng(seed)
@@ -111,14 +118,17 @@ def _largest_singular_value(
         if converged:
             best = max(best, lam)
         else:
-            failure = (math.sqrt(max(lam, 0.0)), residual / max(abs(lam), 1e-300))
+            failure = (math.ldexp(math.sqrt(max(lam, 0.0)), e), residual / max(abs(lam), 1e-300))
     if failure is not None:
         raise ConvergenceError(
             f"power iteration did not converge below tol={tol} in {max_iterations} steps",
             estimate=failure[0],
             residual=failure[1],
         )
-    return math.sqrt(max(best, 0.0))
+    try:
+        return math.ldexp(math.sqrt(max(best, 0.0)), e)
+    except OverflowError:
+        raise OverflowGuardError(f"section norm 2^{e} sqrt({best:.3g}) passes the float range") from None
 
 
 def operator_norm_estimate(
@@ -129,7 +139,10 @@ def operator_norm_estimate(
     Worst-case certified relative error is about sqrt(tol)/2 (the residual
     certificate, reached on sections whose top singular values form a flat
     cluster); sections with a separated top converge far tighter through
-    the Rayleigh stall test.
+    the Rayleigh stall test.  The iteration runs on the section scaled by
+    the power of two that brings its largest entry into [1/2, 1), so A*A
+    stays in range for every section build_matrix admits; non-finite entries
+    or a norm past the float range raise OverflowGuardError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -187,6 +187,13 @@ class TestExitCodes:
         assert code == EXIT_OVERFLOW
         assert "overflow guard" in err
 
+    def test_norm_large_translation_is_not_zero(self, capsys):
+        # entries near e^200: the section estimate stays finite and below the closed norm
+        code, out, _ = run(capsys, "--fast", "norm", "--a", "1", "--c", "1", "--d", "200i")
+        assert code == EXIT_OK
+        rec = json.loads(out)
+        assert 0.1 * rec["closed_form"] < rec["section_estimate"] <= rec["closed_form"] * (1 + 1e-9)
+
     def test_norm_overflow_guard(self, capsys):
         code, _, err = run(capsys, "norm", "--a", "1", "--c", "1", "--d", "800i")
         assert code == EXIT_OVERFLOW

@@ -403,7 +403,7 @@ class TestComposedProducts:
         windows = [(0, 0), (0, 48), (48, 1), (48, 48)] + [
             tuple(int(n) for n in rng.integers(0, 49, 2)) for _ in range(296)
         ]
-        equal_slopes = 0
+        groups = {"c1 == c2": 0, "|c1| > |c2|": 0, "|c1| < |c2|": 0, "c1 == -c2": 0}
         for case, (n1, n2) in enumerate(windows):
             c = bases[case % len(bases)]
             j1 = int(rng.integers(1, 10))
@@ -413,7 +413,9 @@ class TestComposedProducts:
                 d1, d2 = d1.real, d2.real
             phi1 = AffineSymbol(c, d1).iterate(j1)
             phi2 = AffineSymbol(c, d2).iterate(j2)
-            equal_slopes += phi1.c == phi2.c
+            c1, c2 = phi1.c, phi2.c
+            groups["c1 == c2" if c1 == c2 else "c1 == -c2" if c1 == -c2
+                   else "|c1| > |c2|" if abs(c1) > abs(c2) else "|c1| < |c2|"] += 1
             a = float(rng.uniform(0.5, 2.0))
             f, g = (PwFunction(a, [1.0, 1j] @ rng.standard_normal((2, 2 * n + 1))) for n in (n1, n2))
             c_min, c_max = sorted((abs(phi1.c), abs(phi2.c)))
@@ -423,7 +425,21 @@ class TestComposedProducts:
             got = pwlab.composed_inner_product(phi1, f, phi2, g)
             ref = dense_pairing(phi1, f, phi2, g)
             assert abs(got - ref) <= 1e-13 * scale, (phi1, phi2, n1, n2)
-        assert min(equal_slopes, len(windows) - equal_slopes) >= 100  # both routes covered
+        # both routes, and every ordering of the unequal slopes, covered
+        assert groups["c1 == c2"] >= 100 and min(groups.values()) >= 10, groups
+
+    def test_unequal_slopes_are_hermitian_bit_for_bit(self):
+        # <C_phi1 f, C_phi2 g> = conj <C_phi2 g, C_phi1 f>: both orders take the
+        # same route, so the identity holds exactly, c1 = -c2 included
+        rng = np.random.default_rng(SEED + 16)
+        for c1, c2 in [(0.5, 1.0), (-0.25, 0.5), (1.0, -1.0), (-0.5, 0.5), (0.125, -1.0)]:
+            phi1 = AffineSymbol(c1, complex(*rng.uniform(-1.0, 1.0, 2)))
+            phi2 = AffineSymbol(c2, complex(*rng.uniform(-1.0, 1.0, 2)))
+            f = pwlab.rough_probe(1.3, int(rng.integers(0, 40)), rng)
+            g = pwlab.rough_probe(1.3, int(rng.integers(0, 40)), rng)
+            forward = pwlab.composed_inner_product(phi1, f, phi2, g)
+            backward = pwlab.composed_inner_product(phi2, g, phi1, f)
+            assert forward == backward.conjugate(), (c1, c2)
 
     def test_kernel_pairing_closed_form(self):
         # <C_phi k_u, k_v> = k_u(phi(v)) for lattice points u, v (exact windows)

@@ -53,6 +53,9 @@ class TestNormEstimate:
             (AffineSymbol(0.5, 0.0), math.pi),
             (AffineSymbol(1.0, 1j), 1.0),
             (AffineSymbol(-0.5, 0.3 + 0.2j), 1.0),
+            # entries near e^200 and e^250: A*A of the raw section overflows
+            (AffineSymbol(1.0, 200j), 1.0),
+            (AffineSymbol(-0.5, 0.3 + 250j), 1.0),
         ]:
             T = pwlab.build_matrix(phi, a, 32)
             est = pwlab.operator_norm_estimate(T, seed=SEED)
@@ -66,6 +69,17 @@ class TestNormEstimate:
             T = OperatorMatrix(phi, 1.0, 8, entries)
             est = pwlab.operator_norm_estimate(T, seed=SEED)
             assert abs(est - svd_norm(entries)) < 1e-8 * svd_norm(entries)
+            # the iteration runs on an exactly rescaled section, so powers of
+            # two pass through bit for bit, even where A*A would underflow
+            for k in (-600, 400):
+                tiny_or_huge = OperatorMatrix(phi, 1.0, 8, entries * 2.0**k)
+                assert pwlab.operator_norm_estimate(tiny_or_huge, seed=SEED) == est * 2.0**k
+
+    def test_nonfinite_section_raises(self):
+        entries = np.eye(9, dtype=complex)
+        entries[0, 1] = np.inf
+        with pytest.raises(pwlab.OverflowGuardError):
+            pwlab.operator_norm_estimate(OperatorMatrix(AffineSymbol(0.5, 0.0), 1.0, 4, entries))
 
     def test_sections_increase_to_closed_norm(self):
         phi = AffineSymbol(0.5, 0.7)
