@@ -25,6 +25,13 @@ import numpy as np
 # reject exponents beyond this before exp() can overflow or drown precision.
 OVERFLOW_EXPONENT = 300.0
 
+# Largest target window half width compose_apply builds.  A window holds
+# 2N+1 complex samples, and its grid, targets and samples take a few such
+# arrays, so this caps them at tens of megabytes; the widest window in use
+# (C12's grown chain, N = 8192) is 128 times smaller.  A grown window N/|c|
+# passes it for |c| < N / 2^20, long before its arrays stop fitting in memory.
+_MAX_HALF_WIDTH = 1 << 20
+
 # Entries per block of the cardinal-series kernel (a few real 8-byte
 # temporaries each), whatever the window width or the number of targets.
 _BLOCK_ENTRIES = 1 << 18
@@ -340,12 +347,14 @@ def compose_apply(
     Default target window equals the input window; grow=True widens it to
     ceil(N/|c|) so that the image of the input nodes stays inside (the
     symbol contracts the plane by c, so the function's mass spreads by 1/c).
+    A target half width past _MAX_HALF_WIDTH raises OverflowGuardError.
     """
-    n_out = f.half_width
-    if grow:
-        n_out = math.ceil(n_out / abs(phi.c))
+    n_out = f.half_width / abs(phi.c) if grow else f.half_width
     if half_width is not None:
         n_out = int(half_width)
+    if n_out > _MAX_HALF_WIDTH:
+        raise OverflowGuardError(f"target window half width {n_out:.3g} > {_MAX_HALF_WIDTH}")
+    n_out = math.ceil(n_out)
     if phi.is_identity:
         # identity composition is a pure window change, keep samples exact
         out = np.zeros(2 * n_out + 1, dtype=np.complex128)

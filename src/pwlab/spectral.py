@@ -1,7 +1,8 @@
 """Finite sections, norm estimators, and closed-form spectra.
 
-Numerical estimates here come from one tool only: power iteration for the
-largest singular value of the finite section in the node basis.  Spectra and
+Numerical estimates here come from one tool only: Lanczos with full
+reorthogonalization for the largest singular value of the finite section in
+the node basis, certified by an explicit eigen-residual.  Spectra and
 spectral radii are never read off truncated matrices (truncation spectra of
 non-normal operators are polluted); they come from the exact trichotomy
 on (c, d), and the finite sections serve as the independent cross-check of
@@ -49,36 +50,125 @@ class OperatorMatrix:
 
 
 def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix:
-    """Entries via the difference-first argument a*(phi(x_n) - x_m).
+    """Entries sinc(a (phi(x_n) - x_k)), one complex sine per row.
 
-    The difference form keeps exact zeros at coincident nodes, so identity
-    and reflection symbols produce (anti-)diagonal sections exactly.
+    With m_n the node nearest Re phi(x_n) and delta_n = a (phi(x_n) -
+    x_{m_n}), formed as a difference, every entry of row n shares one sine:
+
+        sinc(a (phi(x_n) - x_k)) = (-1)^(m_n - k) sin(delta_n) / (a (phi(x_n) - x_k)),
+
+    and the column k = m_n, when it lies in the window, takes
+    sinc(delta_n) directly.  Where phi(x_n) is a node, delta_n = 0 exactly
+    and every other entry of the row is sin 0 = 0, so identity and
+    reflection symbols give the exact identity and anti-identity.  The
+    section route sums no cardinal series: it stays independent of the
+    closed forms that C1..C3 hold it against.
     """
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
     _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
     x = grid(a, half_width)
-    u = a * (phi(x)[:, None] - x[None, :])
-    return OperatorMatrix(phi, a, half_width, _sinc(u))
+    z = phi(x)
+    m = np.rint(z.real * (a / math.pi))
+    delta = a * (z - m * (math.pi / a))
+    u = a * (z[:, None] - x)
+    # columns k = m_n inside the window hold sinc(delta_n), set after the division
+    rows = np.flatnonzero(np.abs(m) <= half_width)
+    cols = (m[rows] + half_width).astype(np.intp)
+    u[rows, cols] = 1.0
+    sign = np.where(np.arange(-half_width, half_width + 1) % 2, -1.0, 1.0)
+    entries = np.outer(np.where(m % 2, -1.0, 1.0) * np.sin(delta), sign)
+    entries /= u
+    entries[rows, cols] = _sinc(delta[rows])
+    return OperatorMatrix(phi, a, half_width, entries)
+
+
+@dataclass(frozen=True)
+class NormEstimate:
+    """A certified section norm and how the certificate was reached.
+
+    value: the largest singular value (the larger of the two starts).
+    steps: Krylov steps taken by each start.
+    certificate: the test that stopped the start giving value: "residual"
+        (||Hy - theta y|| <= sqrt(tol) theta), "stall" (|theta_k -
+        theta_{k-1}| <= tol theta) or "invariant" (the Krylov space is
+        invariant under H, so its Ritz values are eigenvalues).
+    residual: ||Hy - theta y|| / theta of that start, H = A*A.
+    start_gap: |value_1 - value_2| / value between the two starts.
+    """
+
+    value: float
+    steps: tuple[int, int]
+    certificate: str
+    residual: float
+    start_gap: float
+
+
+def _lanczos(h: np.ndarray, q: np.ndarray, tol: float, max_steps: int):
+    """Top eigenpair of the Hermitian h by Lanczos with full reorthogonalization.
+
+    Returns (theta, residual, steps, certificate), residual the explicit
+    relative residual ||h y - theta y|| / theta of the Ritz vector y, or
+    certificate None when no test fired within max_steps.  From the third
+    step on, a step whose estimate beta_k |s_k| passes sqrt(tol) theta is
+    checked by the explicit residual, which certifies an eigenvalue of h
+    within sqrt(tol) theta of theta; the Ritz stall |theta_k - theta_{k-1}|
+    <= tol theta (top Ritz values increase with k) certifies the rest.
+    """
+    dim = h.shape[0]
+    res_tol = math.sqrt(tol)
+    basis = np.empty((max_steps, dim), dtype=np.complex128)
+    basis[0] = q
+    tri = np.zeros((max_steps, max_steps))
+    theta_prev = 0.0
+
+    def explicit(k, s, theta):
+        y = s @ basis[: k + 1]
+        return float(np.linalg.norm(h @ y - theta * y)) / max(theta, 1e-300)
+
+    for k in range(max_steps):
+        w = h @ basis[k]
+        tri[k, k] = float(np.vdot(basis[k], w).real)
+        # the three-term recurrence, then one more Gram-Schmidt pass against the basis
+        w -= tri[k, k] * basis[k]
+        if k:
+            w -= tri[k, k - 1] * basis[k - 1]
+        w -= (basis[: k + 1].conj() @ w) @ basis[: k + 1]
+        beta = float(np.linalg.norm(w))
+        vals, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
+        theta, s = float(vals[-1]), vecs[:, -1]
+        scale = max(abs(theta), 1e-300)
+        if beta == 0.0 or k + 1 == dim:
+            return theta, explicit(k, s, theta), k + 1, "invariant"
+        if k >= 2:
+            if beta * abs(s[-1]) <= res_tol * scale:
+                residual = explicit(k, s, theta)
+                if residual <= res_tol:
+                    return theta, residual, k + 1, "residual"
+            if abs(theta - theta_prev) <= tol * scale:
+                return theta, explicit(k, s, theta), k + 1, "stall"
+        theta_prev = theta
+        if k + 1 < max_steps:
+            basis[k + 1] = w / beta
+            tri[k + 1, k] = tri[k, k + 1] = beta
+    return theta, explicit(max_steps - 1, s, theta), max_steps, None
 
 
 def _largest_singular_value(
     mat: np.ndarray, tol: float, seed: int, max_iterations: int
-) -> float:
-    """Power iteration on H = A*A with restart.
+) -> NormEstimate:
+    """Lanczos on H = A*A from two seeded starts, the larger certified value.
 
-    Two stopping tests, either certifies the eigenvalue: a relative stall of
-    the Rayleigh quotient below tol (the quotient of a PSD matrix is
-    nondecreasing along power iterates), or an eigen-residual
-    ||Hv - lam v|| <= sqrt(tol) * lam, which for Hermitian H places an
-    eigenvalue within that distance of lam.  The residual test is what
-    terminates on sections whose top singular values cluster too tightly for
-    the stall to fire.  A second random start guards against an unlucky
-    first vector sitting near an invariant subspace below the top.
+    The Krylov dimension is capped by max_iterations (and the size of A).
+    A second random start guards against an unlucky first vector sitting
+    near an invariant subspace below the top.  A start that certifies
+    nothing raises ConvergenceError with its estimate and residual.
     """
+    if not (0.0 < tol < 1.0):
+        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
     if max_iterations < 3:
         raise ValueError("max_iterations must be at least 3")
-    # iterate on 2^-e A with max|entry| 2^-e in [1/2, 1): the scaling is exact,
+    # work on 2^-e A with max|entry| 2^-e in [1/2, 1): the scaling is exact,
     # so A*A cannot overflow and every result in range keeps its bits
     peak = float(np.max(np.abs(mat), initial=0.0))
     if not math.isfinite(peak):
@@ -89,64 +179,45 @@ def _largest_singular_value(
     h = 0.5 * (h + h.conj().T)
     rng = np.random.default_rng(seed)
     dim = h.shape[0]
-    best = 0.0
-    failure: tuple[float, float] | None = None
-    res_tol = math.sqrt(tol)
+    runs = []
     for _ in range(2):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        lam_prev = 0.0
-        residual = math.inf
-        converged = False
-        for step in range(max_iterations):
-            u = h @ v
-            lam = float(np.vdot(v, u).real)
-            nu = float(np.linalg.norm(u))
-            if nu == 0.0:
-                lam, converged = 0.0, True
-                break
-            residual = float(np.linalg.norm(u - lam * v))
-            scale = max(abs(lam), 1e-300)
-            if step >= 2 and (
-                abs(lam - lam_prev) <= tol * scale or residual <= res_tol * scale
-            ):
-                converged = True
-                v = u / nu
-                break
-            v = u / nu
-            lam_prev = lam
-        if converged:
-            best = max(best, lam)
-        else:
-            failure = (math.ldexp(math.sqrt(max(lam, 0.0)), e), residual / max(abs(lam), 1e-300))
-    if failure is not None:
-        raise ConvergenceError(
-            f"power iteration did not converge below tol={tol} in {max_iterations} steps",
-            estimate=failure[0],
-            residual=failure[1],
-        )
+        q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        q /= np.linalg.norm(q)
+        theta, residual, steps, certificate = _lanczos(h, q, tol, min(max_iterations, dim))
+        if certificate is None:
+            raise ConvergenceError(
+                f"Lanczos did not converge below tol={tol} in {steps} steps",
+                estimate=math.ldexp(math.sqrt(max(theta, 0.0)), e),
+                residual=residual,
+            )
+        runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
+    top, residual, _, certificate = max(runs)
+    gap = abs(runs[0][0] - runs[1][0]) / top if top > 0.0 else 0.0
     try:
-        return math.ldexp(math.sqrt(max(best, 0.0)), e)
+        value = math.ldexp(top, e)
     except OverflowError:
-        raise OverflowGuardError(f"section norm 2^{e} sqrt({best:.3g}) passes the float range") from None
+        raise OverflowGuardError(f"section norm 2^{e} * {top:.3g} passes the float range") from None
+    return NormEstimate(value, (runs[0][2], runs[1][2]), certificate, residual, gap)
 
 
 def operator_norm_estimate(
     T: OperatorMatrix, tol: float = 1e-10, seed: int = 0, max_iterations: int = 50000
 ) -> float:
-    """Largest singular value of the section by certified power iteration.
+    """Largest singular value of the section by certified Lanczos on A*A.
 
-    Worst-case certified relative error is about sqrt(tol)/2 (the residual
-    certificate, reached on sections whose top singular values form a flat
-    cluster); sections with a separated top converge far tighter through
-    the Rayleigh stall test.  The iteration runs on the section scaled by
-    the power of two that brings its largest entry into [1/2, 1), so A*A
-    stays in range for every section build_matrix admits; non-finite entries
-    or a norm past the float range raise OverflowGuardError.
+    tol must be finite with 0 < tol < 1 (ValueError otherwise); at tol >= 1
+    the residual certificate would pass any vector.  Worst-case certified
+    relative error is about sqrt(tol)/2 (the residual certificate, reached
+    on sections whose top singular values form a flat cluster); sections
+    with a separated top converge far tighter.  max_iterations caps the
+    Krylov dimension per start.  The iteration runs on the section scaled
+    by the power of two that brings its largest entry into [1/2, 1), so A*A
+    stays in range for every section build_matrix admits; non-finite
+    entries or a norm past the float range raise OverflowGuardError.  The
+    steps, certificate and residual behind the value are in
+    _largest_singular_value's NormEstimate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _largest_singular_value(np.asarray(T.entries), tol, seed, max_iterations)
+    return _largest_singular_value(np.asarray(T.entries), tol, seed, max_iterations).value
 
 
 def norm_bounds(phi: AffineSymbol, a: float) -> tuple[float, float]:

@@ -81,6 +81,10 @@ class TestSubcommands:
         # sections approach the norm from below
         assert rec["bracket"][0] <= rec["closed_form"] <= rec["bracket"][1] * (1 + 1e-12)
         assert rec["section_estimate"] <= rec["closed_form"] * (1 + 1e-9)
+        # how the estimate was certified: Krylov steps per start, test, residual
+        assert len(rec["iterations"]) == 2 and all(1 <= k <= 97 for k in rec["iterations"])
+        assert rec["certificate"] in ("residual", "stall", "invariant")
+        assert 0.0 <= rec["residual"] <= 1e-5
 
     def test_spectrum_descriptor(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--a", "1", "--c", "1", "--d", "1i",
@@ -208,6 +212,12 @@ class TestExitCodes:
         code = main(["--m-points", "1024", "norm", "--a", "1", "--c", "0.5"])
         capsys.readouterr()
         assert code == EXIT_INVALID_CONFIG
+
+    def test_tolerance_must_certify(self, capsys):
+        for tol in ("nan", "inf", "2", "1", "0", "-1e-3"):
+            code, _, err = run(capsys, "--tol", tol, "norm", "--a", "1", "--c", "0.5")
+            assert code == EXIT_INVALID_CONFIG
+            assert "tol" in err
 
     def test_unknown_subcommand(self, capsys):
         code = main(["transmogrify"])

@@ -358,6 +358,15 @@ class TestComposition:
         assert pwlab.compose_apply(phi, f, grow=True).half_width == 32
         assert pwlab.compose_apply(phi, f, half_width=7).half_width == 7
 
+    def test_grown_window_is_bounded(self):
+        # N/|c| past the window limit raises before any allocation
+        f = pwlab.node_function(1.0, 8)
+        for c in (1e-300, -1e-300, 1e-9, -1e-9, 5e-324):
+            with pytest.raises(pwlab.OverflowGuardError):
+                pwlab.compose_apply(AffineSymbol(c, 0.0), f, grow=True)
+        with pytest.raises(pwlab.OverflowGuardError):
+            pwlab.compose_apply(AffineSymbol(0.5, 0.0), f, half_width=1 << 21)
+
     def test_values_match_composition(self):
         rng = np.random.default_rng(SEED + 11)
         f = pwlab.smooth_probe(1.0, 48, rng)

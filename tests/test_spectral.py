@@ -8,6 +8,7 @@ import pytest
 
 import pwlab
 from pwlab import AffineSymbol, ConvergenceError, OperatorMatrix
+from pwlab.spectral import _largest_singular_value
 from oracles import svd_norm
 
 SEED = pwlab.DEFAULT_SEED
@@ -34,6 +35,22 @@ class TestSections:
             u = mp.pi * (mp.mpf(n) / 2 - m)
             ref = float(mp.sin(u) / u) if u != 0 else 1.0
             assert abs(T[16 + n, 16 + m] - ref) < 1e-14
+        # complex d, with columns far from the node nearest phi(x_n)
+        a, phi = 1.3, AffineSymbol(-0.5, 0.3 + 0.2j)
+        T = pwlab.build_matrix(phi, a, 64).entries
+        for n, m in [(0, 0), (1, 0), (-3, 2), (7, -4), (60, -30), (-60, 30), (64, 64), (-64, -10)]:
+            u = mp.mpf(a) * (mp.mpf(phi.c) * n * mp.pi / a + mp.mpc(0.3, 0.2) - m * mp.pi / a)
+            ref = complex(mp.sin(u) / u)
+            assert abs(T[64 + n, 64 + m] - ref) < 1e-14
+
+    def test_identity_and_reflection_are_exact(self):
+        # one sine per row: delta_n = 0 at node hits clears every other entry
+        for a, n in [(1.3, 20), (math.pi, 64), (0.7, 1)]:
+            eye = np.eye(2 * n + 1)
+            np.testing.assert_array_equal(pwlab.build_matrix(AffineSymbol(1.0, 0.0), a, n).entries, eye)
+            np.testing.assert_array_equal(
+                pwlab.build_matrix(AffineSymbol(-1.0, 0.0), a, n).entries, eye[::-1]
+            )
 
     def test_matrix_validation_and_immutability(self):
         T = pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 4)
@@ -106,6 +123,38 @@ class TestNormEstimate:
             est = pwlab.operator_norm_estimate(pwlab.build_matrix(phi, a, 128), seed=SEED)
             assert est <= hi * (1.0 + 1e-9)
             assert est >= hi * 0.97  # the upper edge is the actual norm
+
+    def test_lanczos_on_flat_real_d_sections(self):
+        # C1's first section and (1, 0.5, 0.7): top singular values agree to
+        # six digits, where power iteration needed 8-10k steps
+        for a, c, d in [(math.pi, 0.25, 0.0), (1.0, 0.5, 0.7)]:
+            T = pwlab.build_matrix(AffineSymbol(c, d), a, 128)
+            record = _largest_singular_value(T.entries, 1e-10, SEED, 50000)
+            assert abs(record.value - svd_norm(T.entries)) < 1e-5 * svd_norm(T.entries)
+            assert record.value == pwlab.operator_norm_estimate(T, seed=SEED)
+            assert max(record.steps) <= 64
+            assert record.certificate in ("residual", "stall")
+            assert record.residual <= 1e-5
+            assert record.start_gap < 1e-5
+
+    def test_invariant_certificate(self):
+        # a Krylov space as wide as the section is invariant, whatever tol asks
+        rng = np.random.default_rng(SEED)
+        entries = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        record = _largest_singular_value(entries, 1e-30, SEED, 50000)
+        assert record.certificate == "invariant" and record.steps == (3, 3)
+        assert abs(record.value - svd_norm(entries)) < 1e-13 * svd_norm(entries)
+        # exact breakdown on the first step
+        zero = _largest_singular_value(np.zeros((5, 5), dtype=complex), 1e-10, SEED, 50000)
+        assert zero.value == 0.0 and zero.certificate == "invariant" and zero.steps == (1, 1)
+
+    def test_tolerance_must_certify(self):
+        T = pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 4)
+        for tol in (math.nan, math.inf, 2.0, 1.0, 0.0, -1e-10):
+            with pytest.raises(ValueError):
+                pwlab.operator_norm_estimate(T, tol=tol)
+            with pytest.raises(ValueError):
+                pwlab.spectral_radius_estimate(AffineSymbol(0.5, 0.0), 1.0, 4, 2, tol=tol)
 
     def test_convergence_error_carries_state(self):
         T = pwlab.build_matrix(AffineSymbol(1.0, 1j), 1.0, 48)
