@@ -21,6 +21,7 @@ from .core import (
     AffineSymbol,
     PwFunction,
     PwLabError,
+    _cardinal,
     _guard_exponent,
     _toeplitz_pairing,
     composed_inner_product,
@@ -412,6 +413,40 @@ def cesaro_lower_envelope(
     return delta * np.power(abs(phi.c), -0.5 * n) * f.norm() / n
 
 
+def _lag_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> np.ndarray:
+    """lags[k] = <g, C_{phi^[k]} f> for k = 0..n, from one _cardinal call.
+
+    composed_inner_product's identity with c1 = 1: pi/a sum_m w_m
+    conj(f(c^k x_m + d_k)) over the nodes x_m of g's window (samples w_m),
+    with the points of every k stacked into one target list.
+    """
+    iterates = [phi.iterate(k) for k in range(n + 1)]
+    c = np.array([it.c for it in iterates])
+    d = np.array([it.d for it in iterates])
+    points = c[:, None] * g.grid() + d[:, None]
+    values = _cardinal(g.a, points.ravel(), f.samples).reshape(n + 1, -1)
+    return (math.pi / g.a) * (np.conj(values) @ g.samples)
+
+
+def _semigroup_matrix(
+    phi: AffineSymbol, g: PwFunction, f: PwFunction, rows: int, cols: int
+) -> np.ndarray:
+    """M[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f>, i = 1..rows, j = 1..cols, for real d.
+
+    Real d makes C_phi^* C_phi = |c|^{-1} I, and C_{phi^[j]} = C_{phi^[i]}
+    C_{phi^[j-i]}, so the pairing is |c|^{-i} <g, C_{phi^[j-i]} f> for j >= i
+    and |c|^{-j} conj(<f, C_{phi^[i-j]} g>) for i > j: two lag vectors (one
+    when g is f) fill the matrix.
+    """
+    upper = _lag_pairings(phi, g, f, cols - 1)
+    lower = upper if g is f else _lag_pairings(phi, f, g, rows - 1)
+    i = np.arange(1, rows + 1)[:, None]
+    j = np.arange(1, cols + 1)
+    lag = j - i
+    entries = np.where(lag >= 0, upper[np.maximum(lag, 0)], np.conj(lower[np.maximum(-lag, 0)]))
+    return abs(phi.c) ** -np.minimum(i, j) * entries
+
+
 @dataclass(frozen=True, eq=False)
 class Pseudotrajectory:
     """f_n = (delta/||C_phi f||) sum_{j=1..n} C_phi^j f, kept as coefficients.
@@ -419,6 +454,12 @@ class Pseudotrajectory:
     Terms are linear combinations of the exact iterate images of the seed,
     so norms, defects, and pairings all go through the closed pairing form;
     nothing is ever resampled onto a window except for explicit export.
+
+    For real d the gram entries come from the semigroup identity <C_{phi^[i]}
+    v, C_{phi^[j]} w> = |c|^{-i} <v, C_{phi^[j-i]} w> (j >= i) and round to
+    O(eps * |c|^{-min(i,j)} * pi/a * sum|v| * sum|w|) with v, w the sample
+    vectors: the per-pair bound with |c1| = |c|^min(i,j).  The identity
+    fails for complex d, which pairs every entry by composed_inner_product.
     """
 
     phi: AffineSymbol
@@ -457,11 +498,10 @@ class Pseudotrajectory:
         return math.sqrt(max(float(np.real(np.conj(x) @ self.gram @ x)), 0.0))
 
     def value_at_fixed_point(self, n: int) -> complex:
-        alpha = self.phi.fixed_point()
-        total = 0.0 + 0.0j
-        for j in range(1, n + 1):
-            total += pw_eval(self.seed, self.phi.iterate(j)(alpha))
-        return self.coefficient * total
+        """f_n(alpha) = n * coefficient * f(alpha): every iterate fixes alpha."""
+        if n < 0:
+            raise ValueError("term index must be nonnegative")
+        return n * self.coefficient * pw_eval(self.seed, self.phi.fixed_point())
 
     def term_samples(self, n: int, half_width: int | None = None) -> PwFunction:
         """Windowed materialization of f_n for export and plotting."""
@@ -478,6 +518,16 @@ class Pseudotrajectory:
 def build_pseudotrajectory(
     phi: AffineSymbol, a: float, f: PwFunction, delta: float, n_max: int
 ) -> Pseudotrajectory:
+    """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
+
+    For real d, C_phi^* C_phi = |c|^{-1} I gives gram[j, k] = |c|^{-(j+1)}
+    <f, C_{phi^[k-j]} f> for k >= j, so one lag vector <f, C_{phi^[m]} f>,
+    m = 0..n_max, fills it from one _cardinal call on the stacked points
+    c^m x + d_m.  Entries round to O(eps * |c|^{-min(j,k)-1} * pi/a *
+    (sum|v|)^2) with v the samples.  The identity fails for complex d, which
+    pairs every entry by composed_inner_product.  orbit_norms guards the
+    orbit range before any pairing.
+    """
     if phi.c == 1.0:
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
     if delta <= 0.0:
@@ -493,13 +543,16 @@ def build_pseudotrajectory(
     step_norm = float(norms[1])
     coefficient = delta / step_norm
     size = n_max + 1
-    gram = np.diag(norms[1:] ** 2).astype(np.complex128)
-    iterates = [phi.iterate(j) for j in range(1, n_max + 2)]
-    for j in range(size):
-        for k in range(j + 1, size):
-            val = composed_inner_product(iterates[j], f, iterates[k], f)
-            gram[j, k] = val
-            gram[k, j] = np.conj(val)
+    if phi.d.imag == 0.0:
+        gram = _semigroup_matrix(phi, f, f, size, size)
+    else:
+        gram = np.diag(norms[1:] ** 2).astype(np.complex128)
+        iterates = [phi.iterate(j) for j in range(1, n_max + 2)]
+        for j in range(size):
+            for k in range(j + 1, size):
+                val = composed_inner_product(iterates[j], f, iterates[k], f)
+                gram[j, k] = val
+                gram[k, j] = np.conj(val)
     return Pseudotrajectory(
         phi=phi,
         a=a,
@@ -512,6 +565,17 @@ def build_pseudotrajectory(
     )
 
 
+def _cross_pairings(P: Pseudotrajectory, g: PwFunction, n_max: int) -> np.ndarray:
+    """cross[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f>, i = 1..n_max, j = 1..P.n_max+1, f the seed."""
+    if P.phi.d.imag == 0.0:
+        return _semigroup_matrix(P.phi, g, P.seed, n_max, P.n_max + 1)
+    iterates = [P.phi.iterate(j) for j in range(1, P.n_max + 2)]
+    return np.array(
+        [composed_inner_product(it, g, jt, P.seed) for it in iterates[:n_max] for jt in iterates],
+        dtype=np.complex128,
+    ).reshape(n_max, P.n_max + 1)
+
+
 def shadowing_divergence(
     P: Pseudotrajectory, g: PwFunction, n_max: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -521,6 +585,13 @@ def shadowing_divergence(
     L_n = (n delta |f(alpha)| / ||C_phi f|| - |g(alpha)|) / ||k_alpha||.
     D_n >= L_n up to pairing rounding, and L_n grows linearly: no single g
     stays delta-close to the whole pseudotrajectory.
+
+    For real d the cross pairings <C_{phi^[i]} g, C_{phi^[j]} f>, f the seed,
+    follow from the semigroup identity: |c|^{-i} <g, C_{phi^[j-i]} f> for
+    j >= i and |c|^{-j} conj(<f, C_{phi^[i-j]} g>) for i > j, two lag vectors
+    of one _cardinal call each.  They round to O(eps * |c|^{-min(i,j)} *
+    pi/a * sum|v| * sum|w|) with v, w the samples of g and f.  The identity
+    fails for complex d, which pairs every entry by composed_inner_product.
     """
     if g.a != P.a:
         raise ValueError("candidate bandwidth differs from the pseudotrajectory space")
@@ -532,11 +603,7 @@ def shadowing_divergence(
     f_alpha = pw_eval(P.seed, alpha)
     g_alpha = pw_eval(g, alpha)
     k_alpha = math.sqrt(kernel_norm_sq(P.a, alpha))
-    iterates = [P.phi.iterate(j) for j in range(1, P.n_max + 2)]
-    cross = np.array(
-        [composed_inner_product(it, g, jt, P.seed) for it in iterates[:n_max] for jt in iterates],
-        dtype=np.complex128,
-    ).reshape(n_max, P.n_max + 1)
+    cross = _cross_pairings(P, g, n_max)
     gn_sq = orbit_norms(P.phi, P.a, g, n_max).norms[1:] ** 2
     d_out = np.empty(n_max)
     l_out = np.empty(n_max)

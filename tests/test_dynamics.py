@@ -7,6 +7,7 @@ import pytest
 
 import pwlab
 from pwlab import AffineSymbol, OverflowGuardError, PwLabError
+from pwlab.dynamics import _cross_pairings
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -319,6 +320,8 @@ class TestPseudotrajectory:
             P.defect(6)
         with pytest.raises(ValueError):
             P.term_norm(8)
+        with pytest.raises(ValueError):
+            P.value_at_fixed_point(-1)
 
     def test_construction_rejections(self):
         f = pwlab.node_function(math.pi, 8, 0)
@@ -363,6 +366,20 @@ class TestShadowingDivergence:
         ratio = L / steps
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12 * abs(ratio[0])
 
+    def test_divergence_at_real_translation(self):
+        # alpha = 0.2 is no node, so f(alpha) and g(alpha) are full cardinal sums
+        f = pwlab.node_function(math.pi, 8, 0)
+        P = pwlab.build_pseudotrajectory(AffineSymbol(-0.5, 0.3), math.pi, f, 0.1, 20)
+        rng = np.random.default_rng(SEED + 15)
+        for _ in range(3):
+            g = pwlab.rough_probe(math.pi, 32, rng)
+            g = pwlab.scaled(g, 0.04 / g.norm())
+            D, L = pwlab.shadowing_divergence(P, g, 20)
+            assert np.all(D >= L - 1e-8)
+            steps = np.diff(L)
+            assert steps[0] > 0.0
+            assert np.max(np.abs(steps - steps[0])) < 1e-12 * steps[0]
+
     def test_candidate_validation(self):
         f = pwlab.node_function(math.pi, 8, 0)
         P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.0), math.pi, f, 0.1, 5)
@@ -370,3 +387,52 @@ class TestShadowingDivergence:
             pwlab.shadowing_divergence(P, pwlab.node_function(1.0, 4), 5)
         with pytest.raises(ValueError):
             pwlab.shadowing_divergence(P, pwlab.node_function(math.pi, 4), 9)
+
+
+class TestSemigroupPairings:
+    """Gram and cross matrices against one composed_inner_product per entry."""
+
+    A = 1.3  # a * alpha is no multiple of pi for any symbol below
+
+    @staticmethod
+    def per_pair(phi, g, f, rows, cols):
+        its = [phi.iterate(k) for k in range(1, max(rows, cols) + 1)]
+        return np.array(
+            [[pwlab.composed_inner_product(its[i], g, its[j], f) for j in range(cols)]
+             for i in range(rows)]
+        )
+
+    def bound(self, c, g, f, rows, cols):
+        i = np.arange(1, rows + 1)[:, None]
+        j = np.arange(1, cols + 1)
+        scale = abs(c) ** -np.minimum(i, j)
+        return 1e-13 * scale * math.pi / self.A * np.sum(np.abs(g.samples)) * np.sum(np.abs(f.samples))
+
+    def test_real_d_matches_per_pair_route(self):
+        rng = np.random.default_rng(SEED + 16)
+        for c in (0.5, -0.5, 0.25, -1.0, 0.9):
+            for d in (0.0, 0.3, -0.3, 1.7):
+                phi = AffineSymbol(c, d)
+                for n in (1, 5, 12):
+                    nf, ng = (int(k) for k in rng.choice((0, 1, 8, 32), size=2, replace=False))
+                    f = pwlab.rough_probe(self.A, nf, rng)
+                    g = pwlab.rough_probe(self.A, ng, rng)
+                    P = pwlab.build_pseudotrajectory(phi, self.A, f, 0.1, n)
+                    err = np.abs(P.gram - self.per_pair(phi, f, f, n + 1, n + 1))
+                    assert np.all(err <= self.bound(c, f, f, n + 1, n + 1)), (c, d, n)
+                    for rows in {1, n}:
+                        err = np.abs(_cross_pairings(P, g, rows) - self.per_pair(phi, g, f, rows, n + 1))
+                        assert np.all(err <= self.bound(c, g, f, rows, n + 1)), (c, d, n, rows)
+
+    def test_complex_d_keeps_per_pair_route(self):
+        # the semigroup identity is 56 % off on this cross matrix and 8 % on the
+        # gram, so every entry stays a closed pairing
+        rng = np.random.default_rng(SEED + 17)
+        phi = AffineSymbol(0.5, 0.2 + 0.1j)
+        f = pwlab.rough_probe(self.A, 8, rng)
+        g = pwlab.rough_probe(self.A, 32, rng)
+        P = pwlab.build_pseudotrajectory(phi, self.A, f, 0.1, 5)
+        gram = self.per_pair(phi, f, f, 6, 6)
+        np.fill_diagonal(gram, pwlab.orbit_norms(phi, self.A, f, 6).norms[1:] ** 2)
+        assert np.array_equal(P.gram, gram)
+        assert np.array_equal(_cross_pairings(P, g, 5), self.per_pair(phi, g, f, 5, 6))
