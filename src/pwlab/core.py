@@ -12,11 +12,21 @@ on a symmetric window |n| <= N together with the bandwidth a.  Parseval:
 
 The affine symbols phi(z) = c z + d with c real, 0 < |c| <= 1, d complex are
 exactly the ones for which f -> f o phi maps PW_a into itself boundedly.
+
+Sinc sums go through one cardinal-series kernel, _cardinal, at
+O(N_in N_out), with one exception: compose_apply.  Every float slope is a
+dyadic rational c = p/q, and with n = q m + r the targets a phi(x_n) =
+pi p m + a phi(x_r) fall on q shifted copies of the node lattice, so each
+coset r is the exact Toeplitz product sum_k v_k sinc(pi (p m - k) +
+a phi(x_r)): one FFT convolution read at stride p.  Its rounding is
+normwise, O(eps ||v|| ||K||), not per entry; cosets whose targets are
+nodes are gathers of the samples and stay exact.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +45,13 @@ _MAX_HALF_WIDTH = 1 << 20
 # Entries per block of the cardinal-series kernel (a few real 8-byte
 # temporaries each), whatever the window width or the number of targets.
 _BLOCK_ENTRIES = 1 << 18
+
+# compose_apply's cost model: the time of one of the nfft log2 nfft units
+# of a convolved coset, in cardinal-series entries.  Fitted on a timing
+# sweep of both routes (c in {1, -1/2, 1/4, -3/4, 1/32}, real and complex d,
+# N = 2..256; numpy 2.4 on a 2-core x86 VM): any value in 0.25..1 came
+# within 2 % of the faster route's total time, 0.5 closest per call.
+_FFT_COST = 0.5
 
 
 class PwLabError(Exception):
@@ -254,7 +271,8 @@ def _cardinal(a, z, v):
     """sum_k v_k sinc(a (z_j - x_k)) over the window |k| <= N of v, for each z_j.
 
     The one O(len(z) len(v)) sinc-sum kernel of the package: pw_eval (and so
-    compose_apply) and both routes of composed_inner_product sum through it.
+    compose_apply's fallback) and both routes of composed_inner_product sum
+    through it.
     With m the node nearest Re z (m = rint(a Re z / pi)) and delta = a (z -
     x_m), formed as a difference so that node hits give delta = 0 exactly,
     every term shares one sine:
@@ -347,24 +365,96 @@ def compose_apply(
     Default target window equals the input window; grow=True widens it to
     ceil(N/|c|) so that the image of the input nodes stays inside (the
     symbol contracts the plane by c, so the function's mass spreads by 1/c).
-    A target half width past _MAX_HALF_WIDTH raises OverflowGuardError.
+    An explicit half_width must be a nonnegative integer, and one past
+    _MAX_HALF_WIDTH raises OverflowGuardError.
+
+    Every float slope is a dyadic rational c = p/q in lowest terms.  With n
+    = q m + r the targets a phi(x_n) = pi p m + theta_r, theta_r = a phi(x_r),
+    land on q shifted copies of the node lattice, so coset r is the Toeplitz
+    product sum_k v_k K_r(p m - k) with K_r(j) = sinc(pi j + theta_r), read
+    at stride p (_coset_sum).  It is exact: no quadrature, no truncation.  A
+    coset whose targets are nodes is a gather of the stored samples, so the
+    identity, reflections and the even outputs of c = +-1/2, d = 0 stay
+    bit-exact; the others round normwise, to O(eps * ||v|| * ||K_r||) from
+    the FFT, not per entry.  Slopes whose q cosets cost more than the
+    direct sum go through pw_eval's cardinal series unchanged.  a |Im d|
+    passes pw_eval's overflow guard first.
     """
-    n_out = f.half_width / abs(phi.c) if grow else f.half_width
     if half_width is not None:
+        if not isinstance(half_width, numbers.Integral) or half_width < 0:
+            raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
         n_out = int(half_width)
+    else:
+        n_out = f.half_width / abs(phi.c) if grow else f.half_width
     if n_out > _MAX_HALF_WIDTH:
         raise OverflowGuardError(f"target window half width {n_out:.3g} > {_MAX_HALF_WIDTH}")
     n_out = math.ceil(n_out)
-    if phi.is_identity:
-        # identity composition is a pure window change, keep samples exact
-        out = np.zeros(2 * n_out + 1, dtype=np.complex128)
-        keep = min(n_out, f.half_width)
-        out[n_out - keep : n_out + keep + 1] = f.samples[
-            f.half_width - keep : f.half_width + keep + 1
-        ]
-        return PwFunction(f.a, out)
-    x_out = grid(f.a, n_out)
-    return PwFunction(f.a, pw_eval(f, phi(x_out)))
+    _guard_exponent(f.a * abs(phi.d.imag), "evaluation exponent a |Im z|")
+    out = _coset_sum(phi, f, n_out)
+    if out is None:
+        out = pw_eval(f, phi(grid(f.a, n_out)))
+    return PwFunction(f.a, out)
+
+
+def _coset_sum(phi, f, n_out):
+    """f(phi(x_n)) for |n| <= n_out by one FFT convolution per coset, or None.
+
+    c = p/q exactly (float.as_integer_ratio, the same as Fraction(c)).
+    Coset r holds the outputs n = q m + r, m_lo <= m <= m_hi.  Write
+    theta_r = a phi(x_r) = pi mu_r + delta_r, with mu_r the nearest node and
+    delta_r = a (phi(x_r) - x_{mu_r}) formed as a difference, as in
+    _cardinal.  Then every kernel entry shares one sine:
+
+        K_r(j) = (-1)^(j + mu_r) sin(delta_r) / (pi (j + mu_r) + delta_r),
+
+    which at j = -mu_r is sin(delta_r)/delta_r = sinc(delta_r) with no
+    special case, as delta_r != 0 there.  A coset with delta_r == 0 is the
+    gather v_{p m + mu_r}, zero outside the window.  The others are read at
+    s = p m from circular convolutions of length nfft > S + 2N, S the spread
+    of s, batched into 2-D FFTs of at most _BLOCK_ENTRIES entries against
+    one FFT of v.  Returns None, and the caller sums by _cardinal, when
+    there are more cosets than targets or when _FFT_COST * (convolved
+    cosets) * nfft log2 nfft reaches the (2N + 1)(2 n_out + 1) entries of
+    the direct sum.
+    """
+    a, v, n = f.a, f.samples, f.half_width
+    p, q = phi.c.as_integer_ratio()
+    if q > 2 * n_out + 1:
+        return None
+    m_lo, m_hi = -n_out // q, n_out // q
+    s_lo = min(p * m_lo, p * m_hi)
+    nfft = 1 << (abs(p) * (m_hi - m_lo) + 2 * n).bit_length()
+    z = phi(np.arange(q) * (math.pi / a))
+    mu = np.rint(z.real * (a / math.pi))
+    delta = a * (z - mu * (math.pi / a))
+    if phi.d.imag == 0.0:
+        delta = delta.real
+    conv = np.flatnonzero(delta != 0)
+    if _FFT_COST * conv.size * nfft * math.log2(nfft) >= v.size * (2 * n_out + 1):
+        return None
+    m = np.arange(m_lo, m_hi + 1)
+    out = np.zeros((q, m.size), dtype=np.complex128)
+    hit = np.flatnonzero(delta == 0)
+    if hit.size:
+        k = p * m + mu[hit, None]
+        inside = np.abs(k) <= n
+        row, col = np.nonzero(inside)
+        out[hit[row], col] = v[(k[inside] + n).astype(np.intp)]
+    if conv.size:
+        j = np.arange(s_lo - n, s_lo - n + nfft)
+        alt = np.where(j % 2, -1.0, 1.0)
+        spectrum = np.fft.fft(v, nfft)
+        t = p * m - s_lo + 2 * n
+        rows = max(1, _BLOCK_ENTRIES // nfft)
+        for lo in range(0, conv.size, rows):
+            r = conv[lo : lo + rows]
+            w = j + mu[r, None]
+            ker = np.reciprocal(np.pi * w + delta[r, None])
+            ker *= alt
+            ker *= (np.where(mu[r] % 2, -1.0, 1.0) * np.sin(delta[r]))[:, None]
+            out[r] = np.fft.ifft(np.fft.fft(ker, axis=1) * spectrum, axis=1)[:, t]
+    start = -n_out - q * m_lo
+    return out.T.ravel()[start : start + 2 * n_out + 1]
 
 
 def adjoint_on_kernel(phi: AffineSymbol, point: KernelPoint) -> KernelPoint:

@@ -505,6 +505,8 @@ class Pseudotrajectory:
 
     def term_samples(self, n: int, half_width: int | None = None) -> PwFunction:
         """Windowed materialization of f_n for export and plotting."""
+        if n < 0:
+            raise ValueError("term index must be nonnegative")
         width = half_width if half_width is not None else self.seed.half_width
         if n == 0:
             return PwFunction(self.a, np.zeros(2 * width + 1, dtype=np.complex128))

@@ -349,7 +349,7 @@ class TestComposition:
         rng = np.random.default_rng(SEED + 10)
         f = pwlab.rough_probe(1.0, 16, rng)
         g = pwlab.compose_apply(AffineSymbol(-1.0, 0.0), f)
-        np.testing.assert_allclose(g.samples, f.samples[::-1], atol=1e-15)
+        np.testing.assert_array_equal(g.samples, f.samples[::-1])
 
     def test_window_policy(self):
         f = pwlab.node_function(1.0, 16)
@@ -367,6 +367,14 @@ class TestComposition:
         with pytest.raises(pwlab.OverflowGuardError):
             pwlab.compose_apply(AffineSymbol(0.5, 0.0), f, half_width=1 << 21)
 
+    def test_half_width_must_be_a_nonnegative_integer(self):
+        f = pwlab.node_function(1.0, 8)
+        for phi in (AffineSymbol(1.0, 0.0), AffineSymbol(0.5, 0.3)):
+            for bad in (-1, -20, 2.7, 3.0, "4"):
+                with pytest.raises(ValueError, match="half_width"):
+                    pwlab.compose_apply(phi, f, half_width=bad)
+            assert pwlab.compose_apply(phi, f, half_width=np.int64(0)).half_width == 0
+
     def test_values_match_composition(self):
         rng = np.random.default_rng(SEED + 11)
         f = pwlab.smooth_probe(1.0, 48, rng)
@@ -383,6 +391,77 @@ class TestComposition:
         out = pwlab.adjoint_on_kernel(phi, pt)
         assert out.a == 2.0
         assert out.w == phi(1.0 + 1.0j)
+
+
+class TestRationalSlopes:
+    """compose_apply's coset convolutions for c = p/q against the plain cardinal sum."""
+
+    SLOPES = (1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 0.125)
+
+    def test_sweep_matches_direct_series(self):
+        rng = np.random.default_rng(SEED + 60)
+        for c in self.SLOPES:
+            for d in (0.0, 0.3, 1j, 1.0 + 1j, "node"):
+                for n in (0, 1, 8, 64):
+                    a = float(rng.uniform(0.5, 3.0))
+                    phi = AffineSymbol(c, math.pi / a if d == "node" else d)
+                    f = pwlab.rough_probe(a, n, rng)
+                    for width in (None, n // 2, n + 5, 3 * n + 7):
+                        g = pwlab.compose_apply(phi, f, grow=width is None, half_width=width)
+                        z = phi(g.grid())
+                        assert np.all(np.abs(g.samples - direct_eval(a, f.samples, z)) <= _kernel_budget(f, z))
+
+    def test_route_serves_the_dyadic_slopes(self):
+        # the sweep above must exercise the convolutions, not the fallback
+        rng = np.random.default_rng(SEED + 61)
+        f = pwlab.rough_probe(1.0, 64, rng)
+        for c in self.SLOPES:
+            phi = AffineSymbol(c, 0.3 + 0.2j)
+            assert pwlab.core._coset_sum(phi, f, math.ceil(64 / abs(c))) is not None
+
+    def test_node_hits_are_bit_exact(self):
+        rng = np.random.default_rng(SEED + 62)
+        a = 1.7
+        f = pwlab.rough_probe(a, 40, rng)
+        identity = pwlab.compose_apply(AffineSymbol(1.0, 0.0), f, half_width=50)
+        assert identity.samples[10:-10].tobytes() == f.samples.tobytes()
+        assert not np.any(identity.samples[:10]) and not np.any(identity.samples[-10:])
+        half = pwlab.compose_apply(AffineSymbol(0.5, 0.0), f, grow=True)
+        assert half.samples[::2].tobytes() == f.samples.tobytes()
+        flip = pwlab.compose_apply(AffineSymbol(-0.5, 0.0), f, grow=True)
+        assert flip.samples[::2].tobytes() == f.samples[::-1].tobytes()
+        # d = x_3 shifts the window by three nodes
+        shift = pwlab.compose_apply(AffineSymbol(1.0, 3 * (math.pi / a)), f)
+        assert shift.samples[:-3].tobytes() == f.samples[3:].tobytes()
+        assert not np.any(shift.samples[-3:])
+
+    def test_fallback_is_unchanged(self):
+        # slopes with a large denominator keep pw_eval's cardinal series, byte for byte
+        rng = np.random.default_rng(SEED + 63)
+        f = pwlab.rough_probe(1.3, 24, rng)
+        for c in (0.9, 1 / 3, -0.3):
+            phi = AffineSymbol(c, 0.4 - 0.1j)
+            g = pwlab.compose_apply(phi, f, grow=True)
+            assert pwlab.core._coset_sum(phi, f, g.half_width) is None
+            assert g.samples.tobytes() == pwlab.pw_eval(f, phi(g.grid())).tobytes()
+
+    def test_overflow_guard(self):
+        f = pwlab.node_function(1.0, 8)
+        for c in (1.0, 0.5, 0.9):
+            with pytest.raises(OverflowGuardError):
+                pwlab.compose_apply(AffineSymbol(c, 1.0 + 301j), f)
+        assert np.all(np.isfinite(pwlab.compose_apply(AffineSymbol(0.5, 299j), f).samples))
+
+    def test_blocks_of_many_cosets(self):
+        # q = 2^12 cosets against a wide window split into several FFT blocks
+        rng = np.random.default_rng(SEED + 64)
+        f = pwlab.rough_probe(2.0, 100, rng)
+        phi = AffineSymbol(2.0**-12, 0.7)
+        assert pwlab.core._coset_sum(phi, f, 1 << 17) is not None
+        g = pwlab.compose_apply(phi, f, half_width=1 << 17)
+        spots = rng.integers(0, g.samples.size, 64)
+        z = phi(g.grid()[spots])
+        assert np.all(np.abs(g.samples[spots] - direct_eval(f.a, f.samples, z)) <= _kernel_budget(f, z))
 
 
 class TestComposedProducts:

@@ -323,6 +323,11 @@ class TestPseudotrajectory:
         with pytest.raises(ValueError):
             P.value_at_fixed_point(-1)
 
+    def test_term_samples_rejects_negative_index(self):
+        P = self.build(n_max=5)
+        with pytest.raises(ValueError, match="term index must be nonnegative"):
+            P.term_samples(-1)
+
     def test_construction_rejections(self):
         f = pwlab.node_function(math.pi, 8, 0)
         with pytest.raises(ValueError):
