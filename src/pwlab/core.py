@@ -96,17 +96,35 @@ def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -
     return value
 
 
+def _guard_points(a: float, z, what: str) -> None:
+    """Guard the points z (a complex or an array) a sinc sum is evaluated at.
+
+    a |Im z| passes _guard_exponent under the name what.  a |Re z| may not
+    pass 2^511, half of where the squares (a Re(z - x_k))^2 of _cardinal
+    and u^2 of _sinc overflow, so the nodes of a window fit in the margin.
+    """
+    if isinstance(z, complex):  # one shift per call: skip numpy's overhead
+        re, im = abs(z.real), abs(z.imag)
+    else:
+        re, im = np.abs(z.real).max(initial=0.0), np.abs(z.imag).max(initial=0.0)
+    a = float(a)
+    _guard_exponent(a * float(im), what)
+    _guard_exponent(a * float(re), "evaluation range a |Re z|", 2.0**511)
+
+
 def _sin_over(u, sign: float):
     """sin(u)/u for sign = -1 and sinh(u)/u for sign = +1, complex u, stable near 0.
 
     |u| < 1e-4 switches to the degree-6 Taylor polynomial in s = sign u^2,
     1 + s/6 (1 + s/20 (1 + s/42)); the first dropped term is u^8/9! <
-    1e-32/362880, far below double rounding.
+    1e-32/362880, far below double rounding.  The polynomial sees only the
+    small u, so a large u cannot overflow its cube.
     """
     u = np.asarray(u)
     small = np.abs(u) < 1e-4
     u_safe = np.where(small, 1.0, u)
     out = (np.sinh if sign > 0 else np.sin)(u_safe) / u_safe
+    u = np.where(small, u, 0.0)
     s = u * u if sign > 0 else -(u * u)
     series = 1.0 + s / 6.0 * (1.0 + s / 20.0 * (1.0 + s / 42.0))
     return np.where(small, series, out)
@@ -239,9 +257,9 @@ class KernelPoint:
 
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
     """k_w(z) = (a/pi) sinc(a (z - conj(w))) with sinc(u) = sin(u)/u."""
-    u = a * (np.asarray(z, dtype=np.complex128) - np.conj(w))
-    _guard_exponent(float(np.max(np.abs(u.imag), initial=0.0)), "kernel exponent a |Im(z - conj w)|")
-    val = (a / math.pi) * _sinc(u)
+    diff = np.asarray(z, dtype=np.complex128) - np.conj(w)
+    _guard_points(a, diff, "kernel exponent a |Im(z - conj w)|")
+    val = (a / math.pi) * _sinc(a * diff)
     return complex(val) if np.ndim(z) == 0 else val
 
 
@@ -257,10 +275,10 @@ def pw_eval(f: PwFunction, z):
 
     f(z) = sum_k v_k sinc(a (z - x_k)), summed by _cardinal.  Node hits return
     the stored samples exactly; the rest rounds to O(eps * sum_k |v_k| *
-    e^(a |Im z|)), and a |Im z| passes the overflow guard first.
+    e^(a |Im z|)), and a |Im z| and a |Re z| pass the overflow guard first.
     """
     z_flat = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
-    _guard_exponent(f.a * float(np.max(np.abs(z_flat.imag), initial=0.0)), "evaluation exponent a |Im z|")
+    _guard_points(f.a, z_flat, "evaluation exponent a |Im z|")
     out = _cardinal(f.a, z_flat, f.samples)
     if np.ndim(z) == 0:
         return complex(out[0])
@@ -378,7 +396,7 @@ def compose_apply(
     bit-exact; the others round normwise, to O(eps * ||v|| * ||K_r||) from
     the FFT, not per entry.  Slopes whose q cosets cost more than the
     direct sum go through pw_eval's cardinal series unchanged.  a |Im d|
-    passes pw_eval's overflow guard first.
+    and a |Re d| pass pw_eval's overflow guard first.
     """
     if half_width is not None:
         if not isinstance(half_width, numbers.Integral) or half_width < 0:
@@ -389,7 +407,7 @@ def compose_apply(
     if n_out > _MAX_HALF_WIDTH:
         raise OverflowGuardError(f"target window half width {n_out:.3g} > {_MAX_HALF_WIDTH}")
     n_out = math.ceil(n_out)
-    _guard_exponent(f.a * abs(phi.d.imag), "evaluation exponent a |Im z|")
+    _guard_points(f.a, phi.d, "evaluation exponent a |Im z|")
     out = _coset_sum(phi, f, n_out)
     if out is None:
         out = pw_eval(f, phi(grid(f.a, n_out)))
@@ -487,9 +505,9 @@ def composed_inner_product(
     * unequal slopes: g at the 2 N1 + 1 points zeta_n, as pw_eval does.
 
     Both round to O(eps * pi/(a |c1|) * sum|v| * sum|w| * e^(a |Im s|)) with
-    v, w the sample vectors; a |Im s| passes the overflow guard first.  Used
-    wherever windowed re-sampling would lose mass (orbit norms, defect
-    checks, adjoint pairings).
+    v, w the sample vectors; a |Im s| and a |Re s| pass the overflow guard
+    first.  Used wherever windowed re-sampling would lose mass (orbit norms,
+    defect checks, adjoint pairings).
     """
     if f.a != g.a:
         raise BandwidthMismatchError(f"bandwidths differ: {f.a} vs {g.a}")
@@ -499,7 +517,7 @@ def composed_inner_product(
     a = f.a
     ratio = phi2.c / phi1.c
     shift = phi2.d - ratio * phi1.d.conjugate()
-    _guard_exponent(a * abs(shift.imag), "pairing exponent")
+    _guard_points(a, shift, "pairing exponent")
     if phi1.c == phi2.c:
         val = _toeplitz_pairing(a, np.array([shift.conjugate()]), f.samples, g.samples)[0]
     else:

@@ -23,8 +23,8 @@ from .core import (
     PwLabError,
     _cardinal,
     _guard_exponent,
+    _guard_points,
     _toeplitz_pairing,
-    composed_inner_product,
     compose_apply,
     kernel_norm_sq,
     pw_eval,
@@ -413,38 +413,62 @@ def cesaro_lower_envelope(
     return delta * np.power(abs(phi.c), -0.5 * n) * f.norm() / n
 
 
-def _lag_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> np.ndarray:
-    """lags[k] = <g, C_{phi^[k]} f> for k = 0..n, from one _cardinal call.
+def _lag_table(
+    phi: AffineSymbol, g: PwFunction, f: PwFunction, rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(table, level): <C_{phi^[i]} g, C_{phi^[j]} f> = |c|^{-i} table[level[i-1], j-i].
 
-    composed_inner_product's identity with c1 = 1: pi/a sum_m w_m
-    conj(f(c^k x_m + d_k)) over the nodes x_m of g's window (samples w_m),
-    with the points of every k stacked into one target list.
+    Covers 1 <= i <= rows <= cols, i <= j <= cols.  table[l, k] = pi/a
+    sum_m w_m conj(f(c^k x_m + s)), s = d_k + 2i c^k Im d_i, over the nodes
+    x_m of g's window (samples w_m), with one row l per distinct Im d_i and
+    the points of every needed (l, k) stacked into one _cardinal call.
     """
-    iterates = [phi.iterate(k) for k in range(n + 1)]
-    c = np.array([it.c for it in iterates])
-    d = np.array([it.d for it in iterates])
-    points = c[:, None] * g.grid() + d[:, None]
-    values = _cardinal(g.a, points.ravel(), f.samples).reshape(n + 1, -1)
-    return (math.pi / g.a) * (np.conj(values) @ g.samples)
+    iterates = [phi.iterate(k) for k in range(cols + 1)]
+    seen = {}  # Im d_i -> (its row, the first i with it)
+    level = [seen.setdefault(iterates[i].d.imag, (len(seen), i))[0] for i in range(1, rows + 1)]
+    im = np.array(list(seen))
+    first = np.array([i for _, i in seen.values()])
+    row, k = np.nonzero(np.arange(cols) <= cols - first[:, None])
+    c = np.array([it.c for it in iterates[:cols]])[k]
+    shift = np.array([it.d for it in iterates[:cols]])[k]
+    shift.imag += 2.0 * c * im[row]
+    _guard_points(g.a, shift, "pairing exponent")
+    points = c[:, None] * g.grid() + shift[:, None]
+    values = _cardinal(g.a, points.ravel(), f.samples).reshape(k.size, -1)
+    table = np.zeros((im.size, cols), dtype=np.complex128)
+    table[row, k] = (math.pi / g.a) * (np.conj(values) @ g.samples)
+    return table, np.array(level)
 
 
 def _semigroup_matrix(
     phi: AffineSymbol, g: PwFunction, f: PwFunction, rows: int, cols: int
 ) -> np.ndarray:
-    """M[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f>, i = 1..rows, j = 1..cols, for real d.
+    """M[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f>, i = 1..rows, j = 1..cols, rows <= cols.
 
-    Real d makes C_phi^* C_phi = |c|^{-1} I, and C_{phi^[j]} = C_{phi^[i]}
-    C_{phi^[j-i]}, so the pairing is |c|^{-i} <g, C_{phi^[j-i]} f> for j >= i
-    and |c|^{-j} conj(<f, C_{phi^[i-j]} g>) for i > j: two lag vectors (one
-    when g is f) fill the matrix.
+    phi^[j] = phi^[k] o phi^[i] with k = j - i gives d_j = c^k d_i + d_k, so
+    composed_inner_product's identity with c1 = c^i, c2 = c^j reads
+
+        <C_{phi^[i]} g, C_{phi^[j]} f> = |c|^{-i} pi/a sum_m w_m conj(f(c^k x_m + s)),
+        s = d_j - c^k conj(d_i) = d_k + 2i c^k Im d_i,
+
+    for j >= i, and is conj(<C_{phi^[j]} f, C_{phi^[i]} g>) for i > j: two
+    lag tables (one when g is f) fill the matrix.  Real d has one table row
+    and s = d_k; complex d one row per Im d_i.  Entries round to O(eps *
+    |c|^{-min(i,j)} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the
+    samples of f and g, the per-pair bound of composed_inner_product.
     """
-    upper = _lag_pairings(phi, g, f, cols - 1)
-    lower = upper if g is f else _lag_pairings(phi, f, g, rows - 1)
+    upper, up = _lag_table(phi, g, f, rows, cols)
+    lower, low = (upper, up) if g is f else _lag_table(phi, f, g, rows, rows)
     i = np.arange(1, rows + 1)[:, None]
     j = np.arange(1, cols + 1)
+    near = np.minimum(i, j)
     lag = j - i
-    entries = np.where(lag >= 0, upper[np.maximum(lag, 0)], np.conj(lower[np.maximum(-lag, 0)]))
-    return abs(phi.c) ** -np.minimum(i, j) * entries
+    entries = np.where(
+        lag >= 0,
+        upper[up[near - 1], np.maximum(lag, 0)],
+        np.conj(lower[low[near - 1], np.maximum(-lag, 0)]),
+    )
+    return abs(phi.c) ** -near * entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,12 +478,8 @@ class Pseudotrajectory:
     Terms are linear combinations of the exact iterate images of the seed,
     so norms, defects, and pairings all go through the closed pairing form;
     nothing is ever resampled onto a window except for explicit export.
-
-    For real d the gram entries come from the semigroup identity <C_{phi^[i]}
-    v, C_{phi^[j]} w> = |c|^{-i} <v, C_{phi^[j-i]} w> (j >= i) and round to
-    O(eps * |c|^{-min(i,j)} * pi/a * sum|v| * sum|w|) with v, w the sample
-    vectors: the per-pair bound with |c1| = |c|^min(i,j).  The identity
-    fails for complex d, which pairs every entry by composed_inner_product.
+    Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2 *
+    e^(a |Im s|)) with v the seed's samples (see _semigroup_matrix for s).
     """
 
     phi: AffineSymbol
@@ -478,9 +498,12 @@ class Pseudotrajectory:
         x[:n] = self.coefficient
         return x
 
+    def _form(self, x: np.ndarray) -> float:
+        """Re(x* gram x): the squared norm of the combination with coefficients x."""
+        return float(np.real(np.conj(x) @ self.gram @ x))
+
     def term_norm(self, n: int) -> float:
-        x = self._coeffs(n)
-        return math.sqrt(max(float(np.real(np.conj(x) @ self.gram @ x)), 0.0))
+        return math.sqrt(max(self._form(self._coeffs(n)), 0.0))
 
     def defect(self, n: int) -> float:
         """||C_phi f_n - f_{n+1}|| through the pairing form.
@@ -494,8 +517,7 @@ class Pseudotrajectory:
             raise ValueError("defect index outside 0..n_max")
         push = np.zeros(self.n_max + 1, dtype=np.complex128)
         push[1 : n + 1] = self.coefficient
-        x = push - self._coeffs(n + 1)
-        return math.sqrt(max(float(np.real(np.conj(x) @ self.gram @ x)), 0.0))
+        return math.sqrt(max(self._form(push - self._coeffs(n + 1)), 0.0))
 
     def value_at_fixed_point(self, n: int) -> complex:
         """f_n(alpha) = n * coefficient * f(alpha): every iterate fixes alpha."""
@@ -522,13 +544,9 @@ def build_pseudotrajectory(
 ) -> Pseudotrajectory:
     """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
 
-    For real d, C_phi^* C_phi = |c|^{-1} I gives gram[j, k] = |c|^{-(j+1)}
-    <f, C_{phi^[k-j]} f> for k >= j, so one lag vector <f, C_{phi^[m]} f>,
-    m = 0..n_max, fills it from one _cardinal call on the stacked points
-    c^m x + d_m.  Entries round to O(eps * |c|^{-min(j,k)-1} * pi/a *
-    (sum|v|)^2) with v the samples.  The identity fails for complex d, which
-    pairs every entry by composed_inner_product.  orbit_norms guards the
-    orbit range before any pairing.
+    One lag table (_semigroup_matrix) fills the gram.  Entries round to
+    O(eps * |c|^{-min(j,k)-1} * pi/a * (sum|v|)^2 * e^(a |Im s|)) with v
+    the samples.  orbit_norms guards the orbit range before any pairing.
     """
     if phi.c == 1.0:
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
@@ -544,17 +562,7 @@ def build_pseudotrajectory(
     norms = orbit_norms(phi, a, f, n_max + 1).norms
     step_norm = float(norms[1])
     coefficient = delta / step_norm
-    size = n_max + 1
-    if phi.d.imag == 0.0:
-        gram = _semigroup_matrix(phi, f, f, size, size)
-    else:
-        gram = np.diag(norms[1:] ** 2).astype(np.complex128)
-        iterates = [phi.iterate(j) for j in range(1, n_max + 2)]
-        for j in range(size):
-            for k in range(j + 1, size):
-                val = composed_inner_product(iterates[j], f, iterates[k], f)
-                gram[j, k] = val
-                gram[k, j] = np.conj(val)
+    gram = _semigroup_matrix(phi, f, f, n_max + 1, n_max + 1)
     return Pseudotrajectory(
         phi=phi,
         a=a,
@@ -567,17 +575,6 @@ def build_pseudotrajectory(
     )
 
 
-def _cross_pairings(P: Pseudotrajectory, g: PwFunction, n_max: int) -> np.ndarray:
-    """cross[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f>, i = 1..n_max, j = 1..P.n_max+1, f the seed."""
-    if P.phi.d.imag == 0.0:
-        return _semigroup_matrix(P.phi, g, P.seed, n_max, P.n_max + 1)
-    iterates = [P.phi.iterate(j) for j in range(1, P.n_max + 2)]
-    return np.array(
-        [composed_inner_product(it, g, jt, P.seed) for it in iterates[:n_max] for jt in iterates],
-        dtype=np.complex128,
-    ).reshape(n_max, P.n_max + 1)
-
-
 def shadowing_divergence(
     P: Pseudotrajectory, g: PwFunction, n_max: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -588,12 +585,10 @@ def shadowing_divergence(
     D_n >= L_n up to pairing rounding, and L_n grows linearly: no single g
     stays delta-close to the whole pseudotrajectory.
 
-    For real d the cross pairings <C_{phi^[i]} g, C_{phi^[j]} f>, f the seed,
-    follow from the semigroup identity: |c|^{-i} <g, C_{phi^[j-i]} f> for
-    j >= i and |c|^{-j} conj(<f, C_{phi^[i-j]} g>) for i > j, two lag vectors
-    of one _cardinal call each.  They round to O(eps * |c|^{-min(i,j)} *
-    pi/a * sum|v| * sum|w|) with v, w the samples of g and f.  The identity
-    fails for complex d, which pairs every entry by composed_inner_product.
+    The cross pairings <C_{phi^[i]} g, C_{phi^[j]} f>, f the seed, come from
+    two lag tables (_semigroup_matrix) and round to O(eps * |c|^{-min(i,j)}
+    * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the samples of g and
+    f.
     """
     if g.a != P.a:
         raise ValueError("candidate bandwidth differs from the pseudotrajectory space")
@@ -605,13 +600,13 @@ def shadowing_divergence(
     f_alpha = pw_eval(P.seed, alpha)
     g_alpha = pw_eval(g, alpha)
     k_alpha = math.sqrt(kernel_norm_sq(P.a, alpha))
-    cross = _cross_pairings(P, g, n_max)
+    cross = _semigroup_matrix(P.phi, g, P.seed, n_max, P.n_max + 1)
     gn_sq = orbit_norms(P.phi, P.a, g, n_max).norms[1:] ** 2
     d_out = np.empty(n_max)
     l_out = np.empty(n_max)
     for n in range(1, n_max + 1):
         x = P._coeffs(n)
-        fn_sq = float(np.real(np.conj(x) @ P.gram @ x))
+        fn_sq = P._form(x)
         mixed = complex(cross[n - 1] @ np.conj(x))
         d_out[n - 1] = math.sqrt(max(gn_sq[n - 1] - 2.0 * mixed.real + fn_sq, 0.0))
         l_out[n - 1] = (

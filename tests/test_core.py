@@ -152,6 +152,17 @@ class TestKernels:
             pwlab.kernel_eval(1.0, 800j, np.zeros(3))
         assert math.isfinite(abs(pwlab.kernel_eval(1.0, 250j, 0.0)))
 
+    def test_kernel_eval_real_range_guard(self):
+        # a (z - conj w) = -7e308 overflows to -inf; the guard bounds a |Re| first
+        with pytest.raises(OverflowGuardError, match="evaluation range"):
+            pwlab.kernel_eval(10.0, 1e308, 3e307)
+
+    def test_kernel_eval_far_on_the_real_line(self):
+        # sinc's small-argument polynomial used to cube every u^2, overflowing from |u| ~ 1e52
+        for u in (1e53, -1e100, 2.0**511):
+            val = pwlab.kernel_eval(1.0, 0.0, u)
+            assert abs(val) <= 1.0 / (math.pi * abs(u))
+
 
 class TestEvaluation:
     def test_interpolates_at_nodes(self):
@@ -205,6 +216,21 @@ class TestEvaluation:
             pwlab.pw_eval(f, np.array([0.0, 1.0 - 800j]))
         assert np.all(np.isfinite(pwlab.pw_eval(f, np.array([0.0, 1.0 + 250j]))))
         assert pwlab.pw_eval(f, np.empty(0)).shape == (0,)
+
+    def test_real_range_guard(self):
+        # a Re z = 3e308 overflows to inf before any sine is taken
+        f = pwlab.rough_probe(10.0, 8, np.random.default_rng(SEED + 65))
+        with pytest.raises(OverflowGuardError, match="evaluation range"):
+            pwlab.pw_eval(f, 3e307)
+
+    def test_squared_distance_range(self):
+        # the kernel squares a (Re z - x_k): finite up to a |Re z| = 2^511, guarded past it
+        f = pwlab.rough_probe(10.0, 8, np.random.default_rng(SEED + 66))
+        edge = 2.0**511 / f.a
+        vals = pwlab.pw_eval(f, np.array([edge, -edge, edge + 1j]))
+        assert np.all(np.abs(vals) < 1e-140)
+        with pytest.raises(OverflowGuardError, match="evaluation range"):
+            pwlab.pw_eval(f, 1.4e153)
 
 
 def _kernel_budget(f, z):
@@ -452,6 +478,19 @@ class TestRationalSlopes:
                 pwlab.compose_apply(AffineSymbol(c, 1.0 + 301j), f)
         assert np.all(np.isfinite(pwlab.compose_apply(AffineSymbol(0.5, 299j), f).samples))
 
+    def test_real_range_guard(self):
+        # the coset route used to build infinite samples and fail with a plain ValueError
+        f = pwlab.rough_probe(10.0, 8, np.random.default_rng(SEED + 67))
+        with pytest.raises(OverflowGuardError, match="evaluation range"):
+            pwlab.compose_apply(AffineSymbol(0.5, 1e308), f)
+
+    def test_fallback_real_range_guard(self):
+        # c = 0.9 sums through pw_eval, whose kernel squares a (Re z - x_k)
+        f = pwlab.rough_probe(10.0, 8, np.random.default_rng(SEED + 68))
+        assert pwlab.core._coset_sum(AffineSymbol(0.9, 0.0), f, 8) is None
+        with pytest.raises(OverflowGuardError, match="evaluation range"):
+            pwlab.compose_apply(AffineSymbol(0.9, 1.4e153), f)
+
     def test_blocks_of_many_cosets(self):
         # q = 2^12 cosets against a wide window split into several FFT blocks
         rng = np.random.default_rng(SEED + 64)
@@ -569,3 +608,9 @@ class TestComposedProducts:
         phi_big = AffineSymbol(0.5, 400j)
         with pytest.raises(OverflowGuardError):
             pwlab.composed_inner_product(phi_big, f, AffineSymbol(1.0, 0.0), f)
+
+    def test_real_range_guard(self):
+        # the shift s = -0.5 conj(1e308) puts a Re s = -5e308 past the float range
+        f = pwlab.rough_probe(10.0, 8, np.random.default_rng(SEED + 69))
+        with pytest.raises(OverflowGuardError, match="evaluation range"):
+            pwlab.composed_inner_product(AffineSymbol(0.5, 1e308), f, AffineSymbol(0.25, 0.0), f)
