@@ -102,11 +102,14 @@ def _guard_points(a: float, z, what: str) -> None:
     a |Im z| passes _guard_exponent under the name what.  a |Re z| may not
     pass 2^511, half of where the squares (a Re(z - x_k))^2 of _cardinal
     and u^2 of _sinc overflow, so the nodes of a window fit in the margin.
+    A NaN point raises ValueError; an infinite one fails the range guard.
     """
     if isinstance(z, complex):  # one shift per call: skip numpy's overhead
         re, im = abs(z.real), abs(z.imag)
     else:
         re, im = np.abs(z.real).max(initial=0.0), np.abs(z.imag).max(initial=0.0)
+    if math.isnan(re) or math.isnan(im):
+        raise ValueError("evaluation points must not be NaN")
     a = float(a)
     _guard_exponent(a * float(im), what)
     _guard_exponent(a * float(re), "evaluation range a |Re z|", 2.0**511)
@@ -257,7 +260,8 @@ class KernelPoint:
 
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
     """k_w(z) = (a/pi) sinc(a (z - conj(w))) with sinc(u) = sin(u)/u."""
-    diff = np.asarray(z, dtype=np.complex128) - np.conj(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or inf - inf fails the guard below
+        diff = np.asarray(z, dtype=np.complex128) - np.conj(w)
     _guard_points(a, diff, "kernel exponent a |Im(z - conj w)|")
     val = (a / math.pi) * _sinc(a * diff)
     return complex(val) if np.ndim(z) == 0 else val

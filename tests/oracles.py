@@ -86,3 +86,19 @@ def dense_pairing(phi1, f, phi2, g):
         sinc = np.where(small, series, np.sin(u_safe) / u_safe)
         total += np.conj(g.samples) @ sinc.T @ f.samples[lo:hi]
     return complex(total * (math.pi * r / (a * a * abs(c1 * c2))))
+
+
+def dense_transform(a, samples, s):
+    """The unitary image F(s) = sqrt(pi/a)/sqrt(2a) sum_n v_n e^{-i n pi s/a}, densely.
+
+    to_l2's defining sum at arbitrary real points s, one exponential per
+    (point, node) pair in blocks of 256 points: no coefficient step, no trim.
+    """
+    samples = np.asarray(samples, dtype=np.complex128)
+    half = (samples.size - 1) // 2
+    n = np.arange(-half, half + 1)
+    s = np.asarray(s, dtype=float)
+    out = np.empty(s.size, dtype=np.complex128)
+    for lo in range(0, s.size, 256):
+        out[lo:lo + 256] = np.exp(-1j * np.outer(s[lo:lo + 256], n) * (math.pi / a)) @ samples
+    return math.sqrt(math.pi / a) / math.sqrt(2.0 * a) * out

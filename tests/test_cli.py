@@ -219,6 +219,11 @@ class TestExitCodes:
             assert code == EXIT_INVALID_CONFIG
             assert "tol" in err
 
+    def test_nan_kernel_point(self, capsys):
+        code, _, err = run(capsys, "kernel", "--a", "1", "--w", "nan")
+        assert code == EXIT_INVALID_CONFIG
+        assert "NaN" in err
+
     def test_unknown_subcommand(self, capsys):
         code = main(["transmogrify"])
         capsys.readouterr()

@@ -157,6 +157,23 @@ class TestKernels:
         with pytest.raises(OverflowGuardError, match="evaluation range"):
             pwlab.kernel_eval(10.0, 1e308, 3e307)
 
+    def test_kernel_eval_nan_point(self):
+        with pytest.raises(ValueError, match="NaN") as info:
+            pwlab.kernel_eval(1.0, 0, np.nan)
+        assert not isinstance(info.value, OverflowGuardError)
+
+    def test_kernel_eval_far_apart_points(self):
+        # z - conj(w) overflows to inf: the range guard raises, numpy does not warn
+        with pytest.raises(OverflowGuardError, match="evaluation range"):
+            pwlab.kernel_eval(1.0, -1e308, 1e308)
+        # inf - inf is NaN: a typed error, not numpy's invalid-value warning
+        with pytest.raises(ValueError):
+            pwlab.kernel_eval(1.0, np.inf, np.inf)
+
+    def test_kernel_eval_far_off_close_points(self):
+        # both points are far out but close together: no separate bound on each
+        assert pwlab.kernel_eval(1.0, 1e300, 1e300) == 1.0 / math.pi
+
     def test_kernel_eval_far_on_the_real_line(self):
         # sinc's small-argument polynomial used to cube every u^2, overflowing from |u| ~ 1e52
         for u in (1e53, -1e100, 2.0**511):
@@ -216,6 +233,13 @@ class TestEvaluation:
             pwlab.pw_eval(f, np.array([0.0, 1.0 - 800j]))
         assert np.all(np.isfinite(pwlab.pw_eval(f, np.array([0.0, 1.0 + 250j]))))
         assert pwlab.pw_eval(f, np.empty(0)).shape == (0,)
+
+    def test_nan_point_raises(self):
+        f = pwlab.node_function(1.0, 2)
+        with pytest.raises(ValueError, match="NaN"):
+            pwlab.pw_eval(f, np.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            pwlab.pw_eval(f, np.array([0.0, complex(0.0, np.nan)]))
 
     def test_real_range_guard(self):
         # a Re z = 3e308 overflows to inf before any sine is taken

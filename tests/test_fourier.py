@@ -8,6 +8,8 @@ import pytest
 import pwlab
 from pwlab import AffineSymbol, L2Function, OverflowGuardError
 
+from oracles import dense_transform
+
 SEED = pwlab.DEFAULT_SEED
 
 
@@ -30,6 +32,11 @@ class TestGridAndContainer:
             L2Function(0.0, np.ones(4))
         with pytest.raises(ValueError):
             L2Function(1.0, np.zeros((2, 2)))
+
+    def test_values_must_be_finite(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                L2Function(1.0, [bad, 1, 2, 3, 4, 5, 6, 7])
 
     def test_inner_needs_matching_grids(self):
         F = L2Function(1.0, np.ones(8))
@@ -172,6 +179,59 @@ class TestWeightedComposition:
         F = pwlab.to_l2(f, 8192)
         out = pwlab.weighted_compose_apply(AffineSymbol(0.5, 0.0), F)
         assert abs(out.norm() - 1.0 / math.sqrt(0.5)) < 1e-6
+
+
+def _transform_scale(f):
+    """sqrt(pi/2)/a sum|v|: the bound on |F| that the off-grid tolerances scale."""
+    return math.sqrt(math.pi / 2.0) / f.a * float(np.sum(np.abs(f.samples)))
+
+
+def _off_grid_errors(c, f, m):
+    """Worst errors of apply (times |c|) and adjoint at d = 0 against dense_transform."""
+    F = pwlab.to_l2(f, m)
+    t = F.grid()
+    phi = AffineSymbol(c, 0.0)
+    inside = np.abs(t) < abs(c) * f.a
+    ref = np.zeros(m, dtype=np.complex128)
+    ref[inside] = dense_transform(f.a, f.samples, t[inside] / c)
+    applied = abs(c) * pwlab.weighted_compose_apply(phi, F).values
+    adjoint = pwlab.weighted_compose_adjoint(phi, F).values
+    return (float(np.max(np.abs(applied - ref))),
+            float(np.max(np.abs(adjoint - dense_transform(f.a, f.samples, c * t)))))
+
+
+class TestOffGridValues:
+    """F(t/c) and F(c t) off the grid, against the dense defining sum."""
+
+    @pytest.mark.parametrize("m", [65, 512, 4096])
+    @pytest.mark.parametrize("c", [0.5, -0.5, 0.25, 0.9, 1.0 / 3.0, -0.3])
+    def test_sweep_against_dense_sum(self, c, m):
+        rng = np.random.default_rng(SEED + 40)
+        for n in (0, 1, 8, 32, m // 4 - 1):
+            if n > m // 4 - 1:
+                continue
+            for probe in (pwlab.rough_probe, pwlab.smooth_probe):
+                f = probe(1.3, n, rng)
+                tol = 1e-12 * _transform_scale(f)
+                err_apply, err_adjoint = _off_grid_errors(c, f, m)
+                assert err_apply < tol, (probe.__name__, n, err_apply / tol)
+                assert err_adjoint < tol, (probe.__name__, n, err_adjoint / tol)
+
+    def test_small_coefficients_are_kept(self):
+        # a trim relative to the largest coefficient would drop all of the 5e-14 tail
+        v = np.full(2001, 5e-14, dtype=np.complex128)
+        v[1000] = 1.0
+        f = pwlab.PwFunction(1.0, v)
+        tol = 1e-12 * _transform_scale(f)
+        err_apply, err_adjoint = _off_grid_errors(0.5, f, 4096)
+        assert err_apply < tol
+        assert err_adjoint < tol
+
+    def test_empty_support_is_zero(self):
+        # no midpoint lies in (-|c|a, |c|a): no off-grid value is asked for
+        F = pwlab.to_l2(pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED + 41)), 4096)
+        out = pwlab.weighted_compose_apply(AffineSymbol(1e-4, 0.5), F)
+        assert np.all(out.values == 0.0)
 
 
 class TestMultiplicationNorm:
