@@ -177,25 +177,36 @@ class AffineSymbol:
         return self.c == 1.0 and self.d == 0.0
 
     def iterate(self, n: int) -> "AffineSymbol":
-        """The n-fold composition phi o ... o phi, in closed form.
-
-        c^[n] = c^n and d^[n] = n d when c = 1, else d (1 - c^n)/(1 - c).
-        """
+        """The n-fold composition phi o ... o phi, in closed form (_iterate_parts)."""
         if n < 0 or n != int(n):
             raise ValueError("iterate order must be a nonnegative integer")
-        n = int(n)
-        if n == 0:
-            return AffineSymbol(1.0, 0.0)
-        if self.c == 1.0:
-            return AffineSymbol(1.0, n * self.d)
-        cn = self.c ** n
-        return AffineSymbol(cn, self.d * (1.0 - cn) / (1.0 - self.c))
+        return AffineSymbol(*_iterate_parts(self.c, self.d, int(n)))
 
     def fixed_point(self) -> complex:
         """alpha = d/(1-c), defined only when c != 1."""
         if self.c == 1.0:
             raise ValueError("translation symbols (c = 1) have no fixed point")
         return self.d / (1.0 - self.c)
+
+
+def _iterate_parts(c: float, d: complex, n: int) -> tuple[float, complex]:
+    """(c^n, d_n) of the n-fold composition of z -> c z + d, n >= 0.
+
+    d_n = n d when c = 1, else d (1 - c^n)/(1 - c), in Python float and
+    complex arithmetic: iterate and the orbit pairings read the same bits,
+    and callers that need only the numbers build no AffineSymbol.  A d_n
+    past the float range raises AffineSymbol's AdmissibilityError.
+    """
+    if n == 0:
+        return 1.0, 0j
+    if c == 1.0:
+        cn, dn = 1.0, n * d
+    else:
+        cn = c ** n
+        dn = d * (1.0 - cn) / (1.0 - c)
+    if not (math.isfinite(dn.real) and math.isfinite(dn.imag)):
+        raise AdmissibilityError(f"d must be finite, got {dn!r}")
+    return cn, dn
 
 
 def grid(a: float, half_width: int) -> np.ndarray:

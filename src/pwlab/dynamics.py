@@ -24,6 +24,7 @@ from .core import (
     _cardinal,
     _guard_exponent,
     _guard_points,
+    _iterate_parts,
     _toeplitz_pairing,
     compose_apply,
     kernel_norm_sq,
@@ -103,9 +104,9 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
         raise ValueError("n_max must be nonnegative")
     # the batch below bypasses composed_inner_product's own range guard
     _guard_orbit(phi, a, n_max)
-    iterates = [phi.iterate(n) for n in range(1, n_max + 1)]
-    c = np.array([it.c for it in iterates])
-    z = -2j * np.array([it.d.imag for it in iterates])
+    iterates = [_iterate_parts(phi.c, phi.d, n) for n in range(1, n_max + 1)]
+    c = np.array([cn for cn, _ in iterates])
+    z = -2j * np.array([dn.imag for _, dn in iterates])
     squares = (math.pi / (a * np.abs(c))) * _toeplitz_pairing(a, z, f.samples, f.samples).real
     norms = np.concatenate(([f.norm()], np.sqrt(np.maximum(squares, 0.0))))
     return OrbitTrace(phi, a, norms)
@@ -423,14 +424,14 @@ def _lag_table(
     x_m of g's window (samples w_m), with one row l per distinct Im d_i and
     the points of every needed (l, k) stacked into one _cardinal call.
     """
-    iterates = [phi.iterate(k) for k in range(cols + 1)]
+    c_k, d_k = zip(*(_iterate_parts(phi.c, phi.d, k) for k in range(cols + 1)))
     seen = {}  # Im d_i -> (its row, the first i with it)
-    level = [seen.setdefault(iterates[i].d.imag, (len(seen), i))[0] for i in range(1, rows + 1)]
+    level = [seen.setdefault(d_k[i].imag, (len(seen), i))[0] for i in range(1, rows + 1)]
     im = np.array(list(seen))
     first = np.array([i for _, i in seen.values()])
     row, k = np.nonzero(np.arange(cols) <= cols - first[:, None])
-    c = np.array([it.c for it in iterates[:cols]])[k]
-    shift = np.array([it.d for it in iterates[:cols]])[k]
+    c = np.array(c_k[:cols])[k]
+    shift = np.array(d_k[:cols])[k]
     shift.imag += 2.0 * c * im[row]
     _guard_points(g.a, shift, "pairing exponent")
     points = c[:, None] * g.grid() + shift[:, None]

@@ -93,7 +93,7 @@ class NormEstimate:
         (||Hy - theta y|| <= sqrt(tol) theta), "stall" (|theta_k -
         theta_{k-1}| <= tol theta) or "invariant" (the Krylov space is
         invariant under H, so its Ritz values are eigenvalues).
-    residual: ||Hy - theta y|| / theta of that start, H = A*A.
+    residual: ||Hy - theta y|| / theta of that start, Hy = A*(A y).
     start_gap: |value_1 - value_2| / value between the two starts.
     """
 
@@ -104,8 +104,8 @@ class NormEstimate:
     start_gap: float
 
 
-def _lanczos(h: np.ndarray, q: np.ndarray, tol: float, max_steps: int):
-    """Top eigenpair of the Hermitian h by Lanczos with full reorthogonalization.
+def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
+    """Top eigenpair of the Hermitian map v -> h(v) by fully reorthogonalized Lanczos.
 
     Returns (theta, residual, steps, certificate), residual the explicit
     relative residual ||h y - theta y|| / theta of the Ritz vector y, or
@@ -115,7 +115,7 @@ def _lanczos(h: np.ndarray, q: np.ndarray, tol: float, max_steps: int):
     within sqrt(tol) theta of theta; the Ritz stall |theta_k - theta_{k-1}|
     <= tol theta (top Ritz values increase with k) certifies the rest.
     """
-    dim = h.shape[0]
+    dim = q.size
     res_tol = math.sqrt(tol)
     basis = np.empty((max_steps, dim), dtype=np.complex128)
     basis[0] = q
@@ -124,10 +124,10 @@ def _lanczos(h: np.ndarray, q: np.ndarray, tol: float, max_steps: int):
 
     def explicit(k, s, theta):
         y = s @ basis[: k + 1]
-        return float(np.linalg.norm(h @ y - theta * y)) / max(theta, 1e-300)
+        return float(np.linalg.norm(h(y) - theta * y)) / max(theta, 1e-300)
 
     for k in range(max_steps):
-        w = h @ basis[k]
+        w = h(basis[k])
         tri[k, k] = float(np.vdot(basis[k], w).real)
         # the three-term recurrence, then one more Gram-Schmidt pass against the basis
         w -= tri[k, k] * basis[k]
@@ -157,7 +157,7 @@ def _lanczos(h: np.ndarray, q: np.ndarray, tol: float, max_steps: int):
 def _largest_singular_value(
     mat: np.ndarray, tol: float, seed: int, max_iterations: int
 ) -> NormEstimate:
-    """Lanczos on H = A*A from two seeded starts, the larger certified value.
+    """Lanczos on H v = A*(A v) from two seeded starts, the larger certified value.
 
     The Krylov dimension is capped by max_iterations (and the size of A).
     A second random start guards against an unlucky first vector sitting
@@ -168,22 +168,22 @@ def _largest_singular_value(
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
     if max_iterations < 3:
         raise ValueError("max_iterations must be at least 3")
-    # work on 2^-e A with max|entry| 2^-e in [1/2, 1): the scaling is exact,
-    # so A*A cannot overflow and every result in range keeps its bits
+    # work on 2^-e A, max|entry| in [1/2, 1): exact, so every result in range keeps its bits;
+    # a unit v has |Av| < dim and |A*(Av)| < dim^2, and A*u = conj(conj(u) A) copies no matrix
     peak = float(np.max(np.abs(mat), initial=0.0))
     if not math.isfinite(peak):
         raise OverflowGuardError("section entries are not finite")
     e = math.frexp(peak)[1]
     mat = np.ldexp(mat.view(float), -e).view(complex)
-    h = mat.conj().T @ mat
-    h = 0.5 * (h + h.conj().T)
     rng = np.random.default_rng(seed)
-    dim = h.shape[0]
+    dim = mat.shape[1]
     runs = []
     for _ in range(2):
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         q /= np.linalg.norm(q)
-        theta, residual, steps, certificate = _lanczos(h, q, tol, min(max_iterations, dim))
+        theta, residual, steps, certificate = _lanczos(
+            lambda v: ((mat @ v).conj() @ mat).conj(), q, tol, min(max_iterations, dim)
+        )
         if certificate is None:
             raise ConvergenceError(
                 f"Lanczos did not converge below tol={tol} in {steps} steps",
@@ -203,7 +203,7 @@ def _largest_singular_value(
 def operator_norm_estimate(
     T: OperatorMatrix, tol: float = 1e-10, seed: int = 0, max_iterations: int = 50000
 ) -> float:
-    """Largest singular value of the section by certified Lanczos on A*A.
+    """Largest singular value of the section by certified Lanczos on v -> A*(A v).
 
     tol must be finite with 0 < tol < 1 (ValueError otherwise); at tol >= 1
     the residual certificate would pass any vector.  Worst-case certified
@@ -211,8 +211,8 @@ def operator_norm_estimate(
     on sections whose top singular values form a flat cluster); sections
     with a separated top converge far tighter.  max_iterations caps the
     Krylov dimension per start.  The iteration runs on the section scaled
-    by the power of two that brings its largest entry into [1/2, 1), so A*A
-    stays in range for every section build_matrix admits; non-finite
+    by the power of two that brings its largest entry into [1/2, 1), so A v
+    and A*(A v) stay in range for every section build_matrix admits; non-finite
     entries or a norm past the float range raise OverflowGuardError.  The
     steps, certificate and residual behind the value are in
     _largest_singular_value's NormEstimate.

@@ -102,3 +102,32 @@ def dense_transform(a, samples, s):
     for lo in range(0, s.size, 256):
         out[lo:lo + 256] = np.exp(-1j * np.outer(s[lo:lo + 256], n) * (math.pi / a)) @ samples
     return math.sqrt(math.pi / a) / math.sqrt(2.0 * a) * out
+
+
+def dense_gram_norm(entries, tol, seed, max_iterations):
+    """Section norm by Lanczos on the dense Gram matrix A*A, formed and Hermitized.
+
+    The reference for _largest_singular_value, which applies A*A to vectors
+    as A*(A v): the same exact power-of-two scaling, seeded starts and
+    _lanczos, but H is one N x N product, symmetrized as (H + H*)/2.
+    Returns (value, steps, certificate, residual) of the larger start.
+    """
+    from pwlab.spectral import _lanczos
+
+    mat = np.array(entries, dtype=np.complex128)
+    e = math.frexp(float(np.max(np.abs(mat), initial=0.0)))[1]
+    mat = np.ldexp(mat.view(float), -e).view(complex)
+    h = mat.conj().T @ mat
+    h = 0.5 * (h + h.conj().T)
+    rng = np.random.default_rng(seed)
+    dim = h.shape[0]
+    runs = []
+    for _ in range(2):
+        q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        q /= np.linalg.norm(q)
+        theta, residual, steps, certificate = _lanczos(
+            lambda v: h @ v, q, tol, min(max_iterations, dim)
+        )
+        runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
+    top, residual, _, certificate = max(runs)
+    return math.ldexp(top, e), (runs[0][2], runs[1][2]), certificate, residual

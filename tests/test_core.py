@@ -60,6 +60,26 @@ class TestAffineSymbol:
                 assert abs(it(z) - manual) < 1e-12 * max(1.0, abs(manual))
                 manual = phi(manual)
 
+    def test_iterate_parts_are_bit_exact(self):
+        # the helper the orbit pairings read, against iterate and the closed
+        # form written out in Python float and complex arithmetic
+        for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9, -0.3, 1e-3, 0.999999):
+            for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 - 250j, -2.0 + 0.05j):
+                phi = AffineSymbol(c, d)
+                for n in range(41):
+                    parts = pwlab.core._iterate_parts(phi.c, phi.d, n)
+                    assert type(parts[0]) is float and type(parts[1]) is complex
+                    it = phi.iterate(n)
+                    if n == 0:
+                        closed = (1.0, 0j)
+                    elif c == 1.0:
+                        closed = (1.0, n * phi.d)
+                    else:
+                        closed = (c**n, phi.d * (1.0 - c**n) / (1.0 - c))
+                    for ref in (closed, (it.c, it.d)):
+                        assert np.array(parts[0]).tobytes() == np.array(ref[0]).tobytes()
+                        assert np.array(parts[1]).tobytes() == np.array(ref[1]).tobytes()
+
     def test_iterate_identity_and_errors(self):
         phi = AffineSymbol(0.5, 1.0)
         assert phi.iterate(0).is_identity

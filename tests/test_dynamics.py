@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pwlab
-from pwlab import AffineSymbol, OverflowGuardError, PwLabError
+from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError
 from pwlab.dynamics import _semigroup_matrix
 
 SEED = pwlab.DEFAULT_SEED
@@ -20,6 +20,26 @@ class TestOrbitNorms:
         assert tr.norms.shape == (11,)
         assert abs(tr.norms[0] - f.norm()) < 1e-14
         assert tr.method == "closed-iterate"
+
+    def test_outputs_match_symbol_per_iterate(self):
+        # orbit_norms and cesaro_averages read (c^n, d_n) without building an
+        # AffineSymbol per iterate; the parent's route, symbol by symbol, gives
+        # the same bytes
+        rng = np.random.default_rng(SEED + 2)
+        for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9):
+            for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 - 0.2j):
+                phi = AffineSymbol(c, d)
+                for a, probe in ((1.0, pwlab.rough_probe), (math.pi, pwlab.smooth_probe)):
+                    f, n_max = probe(a, 16, rng), 30
+                    its = [phi.iterate(n) for n in range(1, n_max + 1)]
+                    z = -2j * np.array([it.d.imag for it in its])
+                    squares = (math.pi / (a * np.abs([it.c for it in its]))) * (
+                        pwlab.core._toeplitz_pairing(a, z, f.samples, f.samples).real
+                    )
+                    norms = np.concatenate(([f.norm()], np.sqrt(np.maximum(squares, 0.0))))
+                    assert pwlab.orbit_norms(phi, a, f, n_max).norms.tobytes() == norms.tobytes()
+                    averages = np.cumsum(norms[1:]) / np.arange(1, n_max + 1)
+                    assert pwlab.cesaro_averages(phi, a, f, n_max).tobytes() == averages.tobytes()
 
     def test_pure_scaling_growth_is_exact(self):
         rng = np.random.default_rng(SEED + 1)
@@ -84,6 +104,20 @@ class TestOrbitNorms:
             pwlab.orbit_norms(AffineSymbol(0.5, 200j), 1.0, f, 3)
         with pytest.raises(OverflowGuardError):
             pwlab.cesaro_averages(AffineSymbol(1e-3, 0.0), 1.0, f, 100)
+
+    def test_iterates_past_float_range_are_inadmissible(self):
+        # the orbit code builds no AffineSymbol per iterate, yet a d_n past the
+        # float range still raises as iterate does, before any pairing
+        f = pwlab.node_function(1.0, 4)
+        for phi, n in ((AffineSymbol(1.0, 1e308), 2), (AffineSymbol(1.0, 1e308j), 2),
+                       (AffineSymbol(-1.0, 1e308), 1)):
+            for call in (
+                lambda: phi.iterate(n),
+                lambda: pwlab.orbit_norms(phi, 1.0, f, 2),
+                lambda: pwlab.cesaro_averages(phi, 1.0, f, 2),
+            ):
+                with pytest.raises(AdmissibilityError, match="d must be finite"):
+                    call()
 
     def test_batched_trace_matches_single_pairings(self):
         rng = np.random.default_rng(SEED + 15)

@@ -9,7 +9,7 @@ import pytest
 import pwlab
 from pwlab import AffineSymbol, ConvergenceError, OperatorMatrix
 from pwlab.spectral import _largest_singular_value
-from oracles import svd_norm
+from oracles import dense_gram_norm, svd_norm
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -70,7 +70,7 @@ class TestNormEstimate:
             (AffineSymbol(0.5, 0.0), math.pi),
             (AffineSymbol(1.0, 1j), 1.0),
             (AffineSymbol(-0.5, 0.3 + 0.2j), 1.0),
-            # entries near e^200 and e^250: A*A of the raw section overflows
+            # entries near e^200 and e^250: A*(A v) on the raw section would overflow
             (AffineSymbol(1.0, 200j), 1.0),
             (AffineSymbol(-0.5, 0.3 + 250j), 1.0),
         ]:
@@ -87,7 +87,7 @@ class TestNormEstimate:
             est = pwlab.operator_norm_estimate(T, seed=SEED)
             assert abs(est - svd_norm(entries)) < 1e-8 * svd_norm(entries)
             # the iteration runs on an exactly rescaled section, so powers of
-            # two pass through bit for bit, even where A*A would underflow
+            # two pass through bit for bit, even where A*(A v) would underflow
             for k in (-600, 400):
                 tiny_or_huge = OperatorMatrix(phi, 1.0, 8, entries * 2.0**k)
                 assert pwlab.operator_norm_estimate(tiny_or_huge, seed=SEED) == est * 2.0**k
@@ -136,6 +136,30 @@ class TestNormEstimate:
             assert record.certificate in ("residual", "stall")
             assert record.residual <= 1e-5
             assert record.start_gap < 1e-5
+
+    def test_matrix_free_product_matches_dense_gram(self):
+        # A*(A v) against the formed, Hermitized A*A through the same Lanczos:
+        # the same Krylov steps and certificate, values to rounding.  Exact step
+        # equality is safe across BLAS kernels: over this sweep the closest
+        # stopping comparison ends 1e-4 relative from its threshold, and the
+        # two products differ by rounding, about 1e-15 relative
+        tol = 1e-10
+        sections = [
+            pwlab.build_matrix(AffineSymbol(c, d), 1.0, n).entries
+            for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9)
+            for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j)
+            for n in (1, 2, 16, 64)
+        ]
+        rng = np.random.default_rng(SEED)
+        for _ in range(5):
+            entries = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
+            sections += [entries * 2.0**k for k in (-600, 0, 400)]
+        for entries in sections:
+            record = _largest_singular_value(entries, tol, SEED, 50000)
+            value, steps, certificate, _ = dense_gram_norm(entries, tol, SEED, 50000)
+            assert record.steps == steps and record.certificate == certificate
+            assert abs(record.value - value) <= 1e-13 * value
+            assert record.residual <= math.sqrt(tol)
 
     def test_invariant_certificate(self):
         # a Krylov space as wide as the section is invariant, whatever tol asks
