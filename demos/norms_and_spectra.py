@@ -1,11 +1,12 @@
 """Norms, spectral radii, and the three spectrum shapes.
 
-For each symbol the operator norm has a closed enclosure
-1/sqrt|c| <= ||C_phi|| <= e^(|Im d| a)/sqrt|c|, attained at the ends when
-d is real (lower) or c = 1 (upper). Finite sections of the matrix in the
-normalized-kernel basis recover these values, root-norms of the iterates
-recover the spectral radius, and the kernel family along the real axis
-witnesses non-compactness.
+For every admissible symbol the operator norm is exact,
+||C_phi|| = e^(|Im d| a)/sqrt|c|, and so is the root norm of each iterate,
+||C_phi^n||^(1/n) = e^(|Im d_n| a/n)/sqrt|c|. Finite sections of the matrix
+in the normalized-kernel basis are compressions, so they approach the norm
+from below; root-norms of the iterate sections sit in the bracket
+[r(C), ||C^n||^(1/n)] and recover the spectral radius r(C), and the kernel
+family along the real axis witnesses non-compactness.
 """
 
 import math
@@ -16,9 +17,8 @@ from pwlab import (
     AffineSymbol,
     build_matrix,
     compactness_witness,
-    norm_bounds,
+    norm_closed,
     operator_norm_estimate,
-    radius_bracket,
     spectral_radius_closed,
     spectral_radius_estimate,
     spectrum_closed_form,
@@ -29,17 +29,17 @@ HALF_WIDTH = 128
 
 
 def main():
-    print("== operator norm: closed ends vs finite sections ==")
+    print("== operator norm: exact closed form vs finite sections ==")
     cases = [
         (1.0, AffineSymbol(0.25, 0.0), "pure contraction, d real"),
         (1.0, AffineSymbol(1.0, 1.0j), "vertical translation"),
         (math.pi, AffineSymbol(0.5, 0.5j), "mixed"),
     ]
     for a, phi, label in cases:
-        lo, hi = norm_bounds(phi, a)
+        closed = norm_closed(phi, a)
         est = operator_norm_estimate(build_matrix(phi, a, HALF_WIDTH), seed=SEED)
-        print(f"  {label:<26} bracket [{lo:.6f}, {hi:.6f}]  section {est:.6f}")
-        assert est <= hi * (1 + 1e-6)
+        print(f"  {label:<26} norm {closed:.6f}  section {est:.6f}")
+        assert est <= closed * (1 + 1e-6)
 
     print("== spectral radius from root-norms ==")
     a, phi = 1.0, AffineSymbol(0.5, 1.0j)
@@ -47,8 +47,8 @@ def main():
     roots = spectral_radius_estimate(phi, a, half_width=192, n_max=10, seed=SEED)
     print(f"  closed value 1/sqrt|c| = {closed:.9f}")
     for n in (1, 4, 10):
-        lo, hi = radius_bracket(phi, a, n)
-        print(f"  n={n:>2}  ||C^n||^(1/n) = {roots[n - 1]:.9f}  iterate bracket [{lo:.6f}, {hi:.6f}]")
+        hi = norm_closed(phi, a, n)
+        print(f"  n={n:>2}  section root norm {roots[n - 1]:.9f}  bracket [{closed:.6f}, {hi:.6f}]")
     print(f"  final gap to closed: {abs(roots[-1] - closed):.3e}")
 
     print("== the three spectrum shapes ==")

@@ -33,7 +33,6 @@ from .core import (
     scaled,
 )
 from .fourier import to_l2
-from .spectral import closed_range_fact
 
 _FLAG_NAMES = (
     "normal",
@@ -196,7 +195,13 @@ def classify(phi: AffineSymbol, a: float) -> PropertyReport:
             "images keep the constant length sinh(2 a Im d)/(2 a Im d) >= 1, so no "
             "compactness for any admissible symbol"
         ),
-        "closed_range": closed_range_fact(phi)[1],
+        "closed_range": (
+            "invertible: the inverse symbol z -> (z - d)/c is admissible "
+            "(|1/c| = 1), and invertible operators have closed range" if invertible else
+            "bounded below: ||C_phi f|| = |c|^{-1/2} ||f(. + d)|| >= "
+            "|c|^{-1/2} e^{-|Im d| a} ||f||, a positive multiple of an isometry "
+            "composed with an invertible multiplication, hence closed range"
+        ),
         "li_yorke": (
             "no orbit can have liminf 0 and limsup infinity: for |c| < 1 every "
             "nonzero orbit grows at least like |c|^{-n/2} (bounded below), and for "

@@ -22,12 +22,17 @@ from .core import (
     KernelPoint,
     OverflowGuardError,
     _guard_exponent,
+    _iterate_parts,
     _sinc,
     adjoint_on_kernel,
     compose_apply,
     grid,
 )
 from .probes import smooth_probe
+
+# Largest section build_matrix allocates: (2N+1)^2 complex entries, 1 GiB at
+# 2^26, so N <= 4095.  The widest section in use (N = 512) is 64 times smaller.
+_MAX_SECTION_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +67,15 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     and every other entry of the row is sin 0 = 0, so identity and
     reflection symbols give the exact identity and anti-identity.  The
     section route sums no cardinal series: it stays independent of the
-    closed forms that C1..C3 hold it against.
+    closed forms that C1..C3 hold it against.  A section of more than
+    _MAX_SECTION_ENTRIES entries raises OverflowGuardError before any
+    allocation.
     """
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
+    size = 2 * half_width + 1
+    if size * size > _MAX_SECTION_ENTRIES:
+        raise OverflowGuardError(f"section of {size}^2 entries > {_MAX_SECTION_ENTRIES}")
     _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
     x = grid(a, half_width)
     z = phi(x)
@@ -220,11 +230,20 @@ def operator_norm_estimate(
     return _largest_singular_value(np.asarray(T.entries), tol, seed, max_iterations).value
 
 
-def norm_bounds(phi: AffineSymbol, a: float) -> tuple[float, float]:
-    """(1/sqrt|c|, e^{|Im d| a}/sqrt|c|); the two coincide exactly when d is real."""
-    expo = _guard_exponent(abs(phi.d.imag) * a, "norm exponent")
-    lower = 1.0 / math.sqrt(abs(phi.c))
-    return lower, lower * math.exp(expo)
+def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
+    """||C_phi^n||^{1/n} = e^{a |Im d_n| / n} / sqrt|c|, exact for every admissible symbol.
+
+    In the Fourier picture ||C_phi F||^2 = (1/|c|) int_{-a}^{a} |F(t)|^2
+    e^{-2 Im(d) t} dt, whose supremum over unit F is e^{2 a |Im d|}/|c|;
+    C_phi^n is the composition with the n-th iterate (c^n, d_n), so its
+    n-th root norm is the formula above.  n = 1 gives the norm itself, and by
+    Gelfand every n gives an upper edge for the spectral radius.
+    """
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer")
+    d_n = _iterate_parts(phi.c, phi.d, int(n))[1]
+    expo = _guard_exponent(a * abs(d_n.imag) / n, "norm exponent")
+    return 1.0 / math.sqrt(abs(phi.c)) * math.exp(expo)
 
 
 def spectral_radius_closed(phi: AffineSymbol, a: float) -> float:
@@ -232,23 +251,6 @@ def spectral_radius_closed(phi: AffineSymbol, a: float) -> float:
     if phi.c != 1.0:
         return 1.0 / math.sqrt(abs(phi.c))
     return math.exp(_guard_exponent(abs(phi.d.imag) * a, "radius exponent"))
-
-
-def radius_bracket(phi: AffineSymbol, a: float, n: int) -> tuple[float, float]:
-    """Enclosure for ||C_phi^n||^{1/n}: [1/sqrt|c|, e^{|Im d_n| a / n}/sqrt|c|].
-
-    d_n is the translation part of the n-th iterate, so the upper edge is the
-    n-th root of the exact iterate norm and decreases to 1/sqrt|c| for c != 1.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    psi = phi.iterate(n)
-    lower = 1.0 / math.sqrt(abs(phi.c))
-    upper = lower * math.exp(_guard_exponent(abs(psi.d.imag) * a / n, "iterate norm exponent"))
-    if phi.c == 1.0:
-        # translations: the iterate norm is exact, the enclosure degenerates
-        return upper, upper
-    return lower, upper
 
 
 def spectral_radius_estimate(
@@ -332,7 +334,7 @@ def spectrum_closed_form(phi: AffineSymbol, a: float) -> SpectrumDescriptor:
     if phi.c == 1.0:
         _guard_exponent(abs(phi.d.imag) * a, "arc modulus exponent")
         return SpectrumDescriptor(kind="exponential-arc", a=a, d=phi.d)
-    return SpectrumDescriptor(kind="closed-disk", a=a, radius=1.0 / math.sqrt(abs(phi.c)))
+    return SpectrumDescriptor(kind="closed-disk", a=a, radius=spectral_radius_closed(phi, a))
 
 
 def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
@@ -355,34 +357,21 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
 
 
 def isometry_check(
-    c: float,
-    a: float,
-    trials: int,
-    half_width: int = 64,
-    seed: int = 0,
-    grow: bool = True,
+    c: float, a: float, trials: int, half_width: int = 64, seed: int = 0
 ) -> float:
-    """Max relative deviation of ||sqrt|c| C_{cz} f|| from ||f|| over random smooth probes."""
+    """Max relative deviation of ||sqrt|c| C_{cz} f|| from ||f|| over random smooth probes.
+
+    The image window grows by 1/|c| (compose_apply's grow=True), so no mass
+    of f o (cz) falls off the grid.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     phi = AffineSymbol(c, 0.0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     root_c = math.sqrt(abs(c))
     for _ in range(trials):
         f = smooth_probe(a, half_width, rng)
-        image = compose_apply(phi, f, grow=grow)
+        image = compose_apply(phi, f, grow=True)
         worst = max(worst, abs(root_c * image.norm() - f.norm()) / f.norm())
     return worst
-
-
-def closed_range_fact(phi: AffineSymbol) -> tuple[bool, str]:
-    """Every admissible symbol gives an operator with closed range (no numerics)."""
-    if abs(phi.c) == 1.0:
-        return True, (
-            "invertible: the inverse symbol z -> (z - d)/c is admissible "
-            "(|1/c| = 1), and invertible operators have closed range"
-        )
-    return True, (
-        "bounded below: ||C_phi f|| = |c|^{-1/2} ||f(. + d)|| >= "
-        "|c|^{-1/2} e^{-|Im d| a} ||f||, a positive multiple of an isometry "
-        "composed with an invertible multiplication, hence closed range"
-    )

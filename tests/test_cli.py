@@ -75,11 +75,11 @@ class TestSubcommands:
         assert code == EXIT_OK
         rec = json.loads(out)
         assert abs(rec["closed_form"] - math.sqrt(2.0)) < 1e-12
-        # the closed form is the upper edge of the enclosure, not a second formula
-        assert rec["closed_form"] == rec["bracket"][1]
+        # the closed form is the library's exact norm, not a second formula
+        assert rec["closed_form"] == pwlab.norm_closed(pwlab.AffineSymbol(0.5, 0.0), 1.0)
+        assert "bracket" not in rec
         assert rec["relative_deviation"] < 1e-3
         # sections approach the norm from below
-        assert rec["bracket"][0] <= rec["closed_form"] <= rec["bracket"][1] * (1 + 1e-12)
         assert rec["section_estimate"] <= rec["closed_form"] * (1 + 1e-9)
         # how the estimate was certified: Krylov steps per start, test, residual
         assert len(rec["iterations"]) == 2 and all(1 <= k <= 97 for k in rec["iterations"])
@@ -202,6 +202,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "norm", "--a", "1", "--c", "1", "--d", "800i")
         assert code == EXIT_OVERFLOW
         assert "overflow guard" in err
+        # a section too wide to allocate trips the guard, not a MemoryError
+        code, _, err = run(capsys, "--half-width", "1048576", "norm", "--a", "1", "--c", "0.5")
+        assert code == EXIT_OVERFLOW
+        assert "section of" in err
 
     def test_removed_frequency_grid_knob(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"

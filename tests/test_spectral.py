@@ -62,6 +62,9 @@ class TestSections:
     def test_build_guard(self):
         with pytest.raises(pwlab.OverflowGuardError):
             pwlab.build_matrix(AffineSymbol(1.0, 400j), 1.0, 8)
+        # (2N+1)^2 complex entries past 2^26 raise before anything is allocated
+        with pytest.raises(pwlab.OverflowGuardError, match="section of"):
+            pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 2**20)
 
 
 class TestNormEstimate:
@@ -110,19 +113,21 @@ class TestNormEstimate:
         assert prev >= closed_norm(phi, a) * 0.97
 
     def test_bracket_and_desk_window(self):
-        a = 1.0
-        for phi in (
-            AffineSymbol(0.25, 0.0),
-            AffineSymbol(0.5, 1j),
-            AffineSymbol(-0.5, 1.0 + 1j),
-            AffineSymbol(1.0, 0.5j),
+        # the section is a compression of C_phi: at most the exact norm, and
+        # within 3% of it at N = 128, for complex d with c != 1 as well
+        for a, phi in (
+            (1.0, AffineSymbol(0.25, 0.0)),
+            (1.0, AffineSymbol(0.5, 1j)),
+            (1.0, AffineSymbol(-0.5, 1.0 + 1j)),
+            (1.0, AffineSymbol(1.0, 0.5j)),
+            (1.0, AffineSymbol(0.5, 0.3 + 0.4j)),
+            (math.pi, AffineSymbol(-0.5, 0.2 + 0.3j)),
         ):
-            lo, hi = pwlab.norm_bounds(phi, a)
-            assert abs(lo - 1.0 / math.sqrt(abs(phi.c))) < 1e-14
-            assert abs(hi - closed_norm(phi, a)) < 1e-14
+            closed = pwlab.norm_closed(phi, a)
+            assert abs(closed - closed_norm(phi, a)) < 1e-14
             est = pwlab.operator_norm_estimate(pwlab.build_matrix(phi, a, 128), seed=SEED)
-            assert est <= hi * (1.0 + 1e-9)
-            assert est >= hi * 0.97  # the upper edge is the actual norm
+            assert est <= closed * (1.0 + 1e-9)
+            assert est >= closed * 0.97
 
     def test_lanczos_on_flat_real_d_sections(self):
         # C1's first section and (1, 0.5, 0.7): top singular values agree to
@@ -199,31 +204,71 @@ class TestSpectralRadius:
         assert pwlab.spectral_radius_closed(AffineSymbol(-1.0, 7.0 + 2j), 3.0) == 1.0
 
     def test_bracket_formulas(self):
-        phi = AffineSymbol(0.5, 1j)
-        a = 1.0
-        for n in (1, 2, 5):
-            lo, hi = pwlab.radius_bracket(phi, a, n)
-            d_n = phi.iterate(n).d
-            assert abs(lo - math.sqrt(2.0)) < 1e-14
-            assert abs(hi - math.exp(abs(d_n.imag) * a / n) * math.sqrt(2.0)) < 1e-13
-            assert lo <= hi
+        # the Gelfand bracket [r(C), ||C^n||^{1/n}]: the upper edge is the n-th
+        # root of the exact norm of the iterate C_{phi^[n]}
+        for a, phi in (
+            (1.0, AffineSymbol(0.5, 1j)),
+            (1.0, AffineSymbol(0.25, 0.3 + 0.4j)),
+            (math.pi, AffineSymbol(-0.5, 0.2 + 0.3j)),
+            (2.0, AffineSymbol(1.0, 0.7 - 0.2j)),
+            (1.0, AffineSymbol(-1.0, 1.0 + 1j)),
+        ):
+            radius = pwlab.spectral_radius_closed(phi, a)
+            for n in range(1, 13):
+                hi = pwlab.norm_closed(phi, a, n)
+                ref = closed_norm(phi.iterate(n), a) ** (1.0 / n)
+                assert abs(hi - ref) < 1e-13 * ref
+                assert radius <= hi * (1.0 + 1e-15)
         # translations have a degenerate bracket: the root-norm is exact
-        lo, hi = pwlab.radius_bracket(AffineSymbol(1.0, 1j), 1.0, 4)
-        assert lo == hi == math.exp(1.0)
+        phi = AffineSymbol(1.0, 1j)
+        assert pwlab.spectral_radius_closed(phi, 1.0) == pwlab.norm_closed(phi, 1.0, 4) == math.exp(1.0)
 
     def test_bracket_overflow_guard(self):
-        # the upper edge exponentiates |Im d_n| a / n = 800
-        with pytest.raises(pwlab.OverflowGuardError):
-            pwlab.radius_bracket(AffineSymbol(1.0, 800j), 1.0, 1)
+        # the upper edge exponentiates a |Im d_n| / n = 800
+        for n in (1, 7):
+            with pytest.raises(pwlab.OverflowGuardError):
+                pwlab.norm_closed(AffineSymbol(1.0, 800j), 1.0, n)
+        for n in (0, -1, 1.5):
+            with pytest.raises(ValueError):
+                pwlab.norm_closed(AffineSymbol(0.5, 1j), 1.0, n)
 
     def test_root_norm_sequence_in_bracket(self):
         phi = AffineSymbol(0.5, 1j)
         a = 1.0
         s = pwlab.spectral_radius_estimate(phi, a, 96, 6, seed=SEED)
         assert s.shape == (6,)
+        lo = pwlab.spectral_radius_closed(phi, a)
         for n in range(1, 7):
-            lo, hi = pwlab.radius_bracket(phi, a, n)
-            assert lo * 0.97 <= s[n - 1] <= hi * 1.03
+            assert lo * 0.97 <= s[n - 1] <= pwlab.norm_closed(phi, a, n) * 1.03
+
+    def test_band_edge_probe_reaches_exact_root_norm(self):
+        # an independent route to ||C^n||^{1/n}: the closed pairing of
+        # orbit_norms applied to f = e^{i s (1-eps) a z} pulse(z, eps a), whose
+        # spectrum sits in the band edge s [a - 2 eps a, a], s = -sign Im d,
+        # where the weight e^{-2 Im(d_n) t} of C^n is largest
+        def ratios(phi, a, eps, half_width):
+            s = -math.copysign(1.0, phi.d.imag)
+            x = pwlab.grid(a, half_width)
+            f = pwlab.PwFunction(
+                a, np.exp(1j * s * (1.0 - eps) * a * x) * pwlab.spectral_pulse(x, eps * a)
+            )
+            norms = pwlab.orbit_norms(phi, a, f, 12).norms
+            return np.array([
+                (norms[n] / norms[0]) ** (1.0 / n) / pwlab.norm_closed(phi, a, n)
+                for n in range(1, 13)
+            ])
+
+        for a, phi in (
+            (1.0, AffineSymbol(0.5, 1j)),
+            (1.0, AffineSymbol(0.25, 0.3 + 0.4j)),
+            (1.0, AffineSymbol(-0.5, 0.2 - 0.3j)),
+            (math.pi, AffineSymbol(-0.5, 0.2 + 0.3j)),
+            (1.0, AffineSymbol(1.0, 1j)),
+        ):
+            fine = ratios(phi, a, 0.02, 1000)
+            assert np.all(fine >= 0.97) and np.all(fine <= 1.0 + 1e-9)
+            # a narrower band edge comes closer to the exact norm
+            assert np.all(fine >= ratios(phi, a, 0.1, 200))
 
     def test_root_norms_use_iterate_sections(self):
         # each entry must match the norm of the section of C_{phi^n}, not a
@@ -299,12 +344,21 @@ class TestWitnesses:
     def test_isometry_check_detects_exactness(self):
         dev = pwlab.isometry_check(0.5, math.pi, 10, half_width=32, seed=SEED)
         assert dev < 1e-9
+        # no probe is no evidence: zero trials is an error, not a perfect 0.0
+        for trials in (0, -3):
+            with pytest.raises(ValueError):
+                pwlab.isometry_check(0.5, math.pi, trials, half_width=32, seed=SEED)
 
     def test_closed_range_fact(self):
-        ok, why = pwlab.closed_range_fact(AffineSymbol(0.5, 1j))
-        assert ok and isinstance(why, str) and why
-        ok2, why2 = pwlab.closed_range_fact(AffineSymbol(1.0, 2.0))
-        assert ok2 and why2
+        # every admissible symbol has closed range; classify says why
+        for phi, reason in (
+            (AffineSymbol(0.5, 1j), "bounded below: "),
+            (AffineSymbol(1.0, 2.0), "invertible: "),
+            (AffineSymbol(-1.0, 1j), "invertible: "),
+        ):
+            report = pwlab.classify(phi, 1.0)
+            assert report.closed_range is True
+            assert report.justification("closed_range").startswith(reason)
 
     def test_norm_witness_probe_deterministic(self):
         f1 = pwlab.smooth_probe(1.0, 32, np.random.default_rng(4))
@@ -312,5 +366,4 @@ class TestWitnesses:
         np.testing.assert_array_equal(f1.samples, f2.samples)
         phi = AffineSymbol(0.5, 1j)
         ratio = pwlab.composed_norm(phi, f1) / f1.norm()
-        lo, hi = pwlab.norm_bounds(phi, 1.0)
-        assert ratio <= hi * (1.0 + 1e-12)
+        assert ratio <= pwlab.norm_closed(phi, 1.0) * (1.0 + 1e-12)
