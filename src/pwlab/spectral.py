@@ -2,11 +2,14 @@
 
 Numerical estimates here come from one tool only: Lanczos with full
 reorthogonalization for the largest singular value of the finite section in
-the node basis, certified by an explicit eigen-residual.  Spectra and
-spectral radii are never read off truncated matrices (truncation spectra of
-non-normal operators are polluted); they come from the exact trichotomy
-on (c, d), and the finite sections serve as the independent cross-check of
-the norm and radius formulas.
+the node basis, certified by an explicit eigen-residual.  A step costs two
+products with the section, the reorthogonalization and O(k) scalar work: the
+top Ritz pair of the k x k tridiagonal comes from a Newton solve on its
+LDL^T pivots, and a dense eigensolver runs only where a certificate is
+tested.  Spectra and spectral radii are never read off truncated matrices
+(truncation spectra of non-normal operators are polluted); they come from
+the exact trichotomy on (c, d), and the finite sections serve as the
+independent cross-check of the norm and radius formulas.
 """
 
 from __future__ import annotations
@@ -98,7 +101,10 @@ class NormEstimate:
     """A certified section norm and how the certificate was reached.
 
     value: the largest singular value (the larger of the two starts).
-    steps: Krylov steps taken by each start.
+    steps: Krylov steps taken by each start.  A step is two products with
+        the section, A y and A*(A y), the reorthogonalization, and O(k)
+        scalar work for the top Ritz pair of the tridiagonal (a Newton solve
+        on its LDL^T pivots).
     certificate: the test that stopped the start giving value: "residual"
         (||Hy - theta y|| <= sqrt(tol) theta), "stall" (|theta_k -
         theta_{k-1}| <= tol theta) or "invariant" (the Krylov space is
@@ -114,54 +120,124 @@ class NormEstimate:
     start_gap: float
 
 
+def _top_ritz(rows: list, theta: float, s2: float) -> tuple[float, float]:
+    """Top eigenvalue theta_k of T_k and the square s_k^2 of its eigenvector's last entry.
+
+    rows[i] = (alpha_i, beta_{i-1}^2), beta_{-1} = 0, are the rows of the
+    tridiagonal T_k as Python floats; theta, s2 are theta_{k-1}, s_{k-1}^2 of
+    T_{k-1}.  One O(k) pass gives the LDL^T pivots of x I - T_k,
+
+        q_i(x) = x - alpha_i - beta_{i-1}^2 / q_{i-1}(x),
+
+    and q_k'(x).  A negative pivot means an eigenvalue above x, so a pass
+    tells on which side of theta_k the point x lies.  Above theta_{k-1} only
+    q_k can be negative; it is increasing and concave there, with theta_k its
+    one root and s_k^2 = 1/q_k'(theta_k).  The search keeps theta_k in the
+    bracket [theta_{k-1}, max(theta_{k-1}, alpha_k) + beta_{k-1}] (interlacing,
+    then Weyl) and starts at the 2x2 Rayleigh-Ritz value of span{(y_{k-1}, 0),
+    e_k}, which lies left of theta_k.  A step is Newton's on (x - theta_{k-1})
+    q_k(x), which takes out the pole at theta_{k-1}; one that leaves the
+    bracket falls back to Newton's on q_k, then to bisection.  It stops at a
+    right point whose Newton step on q_k no longer decreases x (by concavity
+    theta_k lies between the two); a left point whose Newton step no longer
+    rises probes the next float up.  Each pass after the first lands strictly
+    inside the bracket and moves one end onto itself, so the search ends
+    with no iteration cap.  A closed bracket returns its lower end, with
+    s_k^2 = 0 where no pass there reached q_k (theta_k = theta_{k-1} to
+    rounding, as when beta_{k-1} |s_{k-1}| is below an ulp).
+    """
+    alpha, b2 = rows[-1]
+    if len(rows) == 1:
+        return alpha, 1.0
+    half = 0.5 * (theta - alpha)
+    lo, hi, s2_lo = theta, max(theta, alpha) + math.sqrt(b2), 0.0
+    x = min(max(theta - half + math.hypot(half, math.sqrt(b2 * s2)), lo), hi)
+    while True:
+        q, dq = 1.0, 0.0
+        for alpha, b2 in rows:
+            if q <= 0.0:  # an earlier pivot: theta_k lies above x, q_k is not reached
+                lo, s2_lo, step = x, 0.0, hi
+                break
+            t = b2 / q
+            dq = 1.0 + t / q * dq
+            q = x - alpha - t
+        else:
+            newton = x - q / dq
+            if q < 0.0:
+                lo, s2_lo = x, 1.0 / dq
+                if newton <= x:
+                    newton = math.nextafter(x, math.inf)
+            elif newton >= x:
+                return x, 1.0 / dq
+            else:
+                hi = x
+            u = x - theta
+            slope = q + u * dq
+            step = x - u * q / slope if slope > 0.0 else newton
+            if not lo < step < hi:
+                step = newton
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                return lo, s2_lo
+        x = step
+
+
 def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
     """Top eigenpair of the Hermitian map v -> h(v) by fully reorthogonalized Lanczos.
 
     Returns (theta, residual, steps, certificate), residual the explicit
     relative residual ||h y - theta y|| / theta of the Ritz vector y, or
-    certificate None when no test fired within max_steps.  From the third
-    step on, a step whose estimate beta_k |s_k| passes sqrt(tol) theta is
-    checked by the explicit residual, which certifies an eigenvalue of h
-    within sqrt(tol) theta of theta; the Ritz stall |theta_k - theta_{k-1}|
-    <= tol theta (top Ritz values increase with k) certifies the rest.
+    certificate None when no test fired within max_steps.  A step costs one
+    h (two products with the section in _largest_singular_value), the
+    reorthogonalization and O(k) scalar work: the top Ritz value theta_k and
+    s_k, the last entry of its eigenvector, come from _top_ritz on the
+    alpha_i and beta_i kept as Python floats.  The tridiagonal is formed, and
+    one eigh gives the Ritz vector y, only where a certificate is tested.
+    From the third step on, a step whose estimate beta_k |s_k| passes
+    sqrt(tol) theta is checked by the explicit residual, which certifies an
+    eigenvalue of h within sqrt(tol) theta of theta; the Ritz stall
+    |theta_k - theta_{k-1}| <= tol theta (top Ritz values increase with k)
+    certifies the rest.
     """
     dim = q.size
     res_tol = math.sqrt(tol)
     basis = np.empty((max_steps, dim), dtype=np.complex128)
     basis[0] = q
-    tri = np.zeros((max_steps, max_steps))
-    theta_prev = 0.0
+    rows, betas = [], []
+    theta = s2 = beta = 0.0
 
-    def explicit(k, s, theta):
-        y = s @ basis[: k + 1]
+    def explicit(theta):
+        tri = np.diag([alpha for alpha, _ in rows]) + np.diag(betas, 1) + np.diag(betas, -1)
+        y = np.linalg.eigh(tri)[1][:, -1] @ basis[: len(rows)]
         return float(np.linalg.norm(h(y) - theta * y)) / max(theta, 1e-300)
 
     for k in range(max_steps):
         w = h(basis[k])
-        tri[k, k] = float(np.vdot(basis[k], w).real)
+        alpha = float(np.vdot(basis[k], w).real)
+        rows.append((alpha, beta * beta))
         # the three-term recurrence, then one more Gram-Schmidt pass against the basis
-        w -= tri[k, k] * basis[k]
+        w -= alpha * basis[k]
         if k:
-            w -= tri[k, k - 1] * basis[k - 1]
+            w -= beta * basis[k - 1]
         w -= (basis[: k + 1].conj() @ w) @ basis[: k + 1]
         beta = float(np.linalg.norm(w))
-        vals, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
-        theta, s = float(vals[-1]), vecs[:, -1]
+        theta_prev = theta
+        theta, s2 = _top_ritz(rows, theta, s2)
         scale = max(abs(theta), 1e-300)
         if beta == 0.0 or k + 1 == dim:
-            return theta, explicit(k, s, theta), k + 1, "invariant"
+            return theta, explicit(theta), k + 1, "invariant"
         if k >= 2:
-            if beta * abs(s[-1]) <= res_tol * scale:
-                residual = explicit(k, s, theta)
+            if beta * math.sqrt(s2) <= res_tol * scale:
+                residual = explicit(theta)
                 if residual <= res_tol:
                     return theta, residual, k + 1, "residual"
             if abs(theta - theta_prev) <= tol * scale:
-                return theta, explicit(k, s, theta), k + 1, "stall"
-        theta_prev = theta
+                return theta, explicit(theta), k + 1, "stall"
         if k + 1 < max_steps:
             basis[k + 1] = w / beta
-            tri[k + 1, k] = tri[k, k + 1] = beta
-    return theta, explicit(max_steps - 1, s, theta), max_steps, None
+            betas.append(beta)
+    return theta, explicit(theta), max_steps, None
 
 
 def _largest_singular_value(

@@ -131,3 +131,50 @@ def dense_gram_norm(entries, tol, seed, max_iterations):
         runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
     top, residual, _, certificate = max(runs)
     return math.ldexp(top, e), (runs[0][2], runs[1][2]), certificate, residual
+
+
+def dense_ritz_lanczos(h, q, tol, max_steps):
+    """spectral._lanczos with a dense eigh of the whole tridiagonal at every step.
+
+    The reference for the O(k) top-Ritz solve (spectral._top_ritz): the
+    same recurrence, reorthogonalization and certificates, but theta_k and
+    s_k read off np.linalg.eigh of the (k+1) x (k+1) tridiagonal, kept in
+    an O(max_steps^2) array.  Returns (theta, residual, steps, certificate).
+    """
+    dim = q.size
+    res_tol = math.sqrt(tol)
+    basis = np.empty((max_steps, dim), dtype=np.complex128)
+    basis[0] = q
+    tri = np.zeros((max_steps, max_steps))
+    theta_prev = 0.0
+
+    def explicit(k, s, theta):
+        y = s @ basis[: k + 1]
+        return float(np.linalg.norm(h(y) - theta * y)) / max(theta, 1e-300)
+
+    for k in range(max_steps):
+        w = h(basis[k])
+        tri[k, k] = float(np.vdot(basis[k], w).real)
+        # the three-term recurrence, then one more Gram-Schmidt pass against the basis
+        w -= tri[k, k] * basis[k]
+        if k:
+            w -= tri[k, k - 1] * basis[k - 1]
+        w -= (basis[: k + 1].conj() @ w) @ basis[: k + 1]
+        beta = float(np.linalg.norm(w))
+        vals, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
+        theta, s = float(vals[-1]), vecs[:, -1]
+        scale = max(abs(theta), 1e-300)
+        if beta == 0.0 or k + 1 == dim:
+            return theta, explicit(k, s, theta), k + 1, "invariant"
+        if k >= 2:
+            if beta * abs(s[-1]) <= res_tol * scale:
+                residual = explicit(k, s, theta)
+                if residual <= res_tol:
+                    return theta, residual, k + 1, "residual"
+            if abs(theta - theta_prev) <= tol * scale:
+                return theta, explicit(k, s, theta), k + 1, "stall"
+        theta_prev = theta
+        if k + 1 < max_steps:
+            basis[k + 1] = w / beta
+            tri[k + 1, k] = tri[k, k + 1] = beta
+    return theta, explicit(max_steps - 1, s, theta), max_steps, None

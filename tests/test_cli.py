@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -197,6 +198,25 @@ class TestExitCodes:
         assert code == EXIT_OK
         rec = json.loads(out)
         assert 0.1 * rec["closed_form"] < rec["section_estimate"] <= rec["closed_form"] * (1 + 1e-9)
+
+    def test_norm_at_the_edges(self, capsys):
+        # slopes down to 1e-3 and a |Im d| just inside and just past the guard's
+        # limit of 300: a certified section below the exact norm, or exit code 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for c in ("1", "-1", "0.5", "-0.5", "0.25", "0.9", "1e-3"):
+                for d in ("0", "0.7", "1i", "0.3+250i", "0.3+299.99i", "0.3+300.01i"):
+                    for n in ("1", "2", "3", "64"):
+                        code, out, err = run(capsys, "--half-width", n, "norm",
+                                             "--a", "1", "--c", c, "--d", d)
+                        if d == "0.3+300.01i":
+                            assert code == EXIT_OVERFLOW and "overflow guard" in err
+                            continue
+                        assert code == EXIT_OK
+                        rec = json.loads(out)
+                        assert rec["certificate"] in ("residual", "stall", "invariant")
+                        assert math.isfinite(rec["section_estimate"])
+                        assert rec["section_estimate"] <= rec["closed_form"] * (1.0 + 1e-9)
 
     def test_norm_overflow_guard(self, capsys):
         code, _, err = run(capsys, "norm", "--a", "1", "--c", "1", "--d", "800i")

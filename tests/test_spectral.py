@@ -1,21 +1,67 @@
 """Finite sections, norm estimates, spectra, and operator-theoretic witnesses."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import pwlab
-from pwlab import AffineSymbol, ConvergenceError, OperatorMatrix
-from pwlab.spectral import _largest_singular_value
-from oracles import dense_gram_norm, svd_norm
+from pwlab import AffineSymbol, ConvergenceError, OperatorMatrix, spectral
+from pwlab.spectral import _largest_singular_value, _top_ritz
+from oracles import dense_gram_norm, dense_ritz_lanczos, svd_norm
 
 SEED = pwlab.DEFAULT_SEED
+EPS = np.finfo(float).eps
 
 
 def closed_norm(phi, a):
     return math.exp(abs(phi.d.imag) * a) / math.sqrt(abs(phi.c))
+
+
+def oracle_sweep():
+    """Sections and seeded random matrices the section norm is held to its oracles on."""
+    sections = [
+        pwlab.build_matrix(AffineSymbol(c, d), 1.0, n).entries
+        for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9)
+        for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j)
+        for n in (1, 2, 16, 64)
+    ]
+    rng = np.random.default_rng(SEED)
+    for _ in range(5):
+        entries = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
+        sections += [entries * 2.0**k for k in (-600, 0, 400)]
+    return sections
+
+
+def tridiagonals(seed):
+    """Seeded symmetric tridiagonals (alpha, beta), sizes 1 to 150, in four kinds.
+
+    plain: N(0, 1) diagonal and |N(0, 1)| couplings; scaled: both times
+    dim^2/3, so theta reaches dim^2 like a scaled section's A*A; zero: zero
+    diagonal; deflated: couplings times 10^U(-8, 0), so beta^2/theta^2 goes
+    down to 1e-16.
+    """
+    rng = np.random.default_rng(seed)
+    for dim in (1, 2, 3, 4, 7, 16, 33, 64, 150):
+        for kind in ("plain", "scaled", "zero", "deflated"):
+            scale = dim * dim / 3.0 if kind == "scaled" else 1.0
+            alpha = np.zeros(dim) if kind == "zero" else scale * rng.normal(size=dim)
+            beta = scale * np.abs(rng.normal(size=dim - 1))
+            if kind == "deflated":
+                beta *= 10.0 ** rng.uniform(-8.0, 0.0, size=dim - 1)
+            yield alpha, beta
+
+
+class CountedRows(list):
+    """The rows of a tridiagonal, counting the passes _top_ritz makes over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
 
 
 class TestSections:
@@ -149,22 +195,47 @@ class TestNormEstimate:
         # stopping comparison ends 1e-4 relative from its threshold, and the
         # two products differ by rounding, about 1e-15 relative
         tol = 1e-10
-        sections = [
-            pwlab.build_matrix(AffineSymbol(c, d), 1.0, n).entries
-            for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9)
-            for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j)
-            for n in (1, 2, 16, 64)
-        ]
-        rng = np.random.default_rng(SEED)
-        for _ in range(5):
-            entries = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
-            sections += [entries * 2.0**k for k in (-600, 0, 400)]
-        for entries in sections:
+        for entries in oracle_sweep():
             record = _largest_singular_value(entries, tol, SEED, 50000)
             value, steps, certificate, _ = dense_gram_norm(entries, tol, SEED, 50000)
             assert record.steps == steps and record.certificate == certificate
             assert abs(record.value - value) <= 1e-13 * value
             assert record.residual <= math.sqrt(tol)
+
+    def test_top_ritz_solve_matches_dense_eigh(self, monkeypatch):
+        # the O(k) top-Ritz solve against a dense eigh of the whole tridiagonal
+        # at every step, in the same driver: the same Krylov steps and
+        # certificate, values to rounding
+        tol = 1e-10
+        sections = oracle_sweep() + [
+            pwlab.build_matrix(AffineSymbol(c, d), 1.0, 128).entries
+            for c in (0.25, -0.75)
+            for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j)
+        ]
+        records = [_largest_singular_value(entries, tol, SEED, 50000) for entries in sections]
+        monkeypatch.setattr(spectral, "_lanczos", dense_ritz_lanczos)
+        for entries, record in zip(sections, records):
+            reference = _largest_singular_value(entries, tol, SEED, 50000)
+            assert record.steps == reference.steps
+            assert record.certificate == reference.certificate
+            assert abs(record.value - reference.value) <= 1e-14 * reference.value
+            assert record.residual <= math.sqrt(tol)
+
+    def test_deflation_edge(self, monkeypatch):
+        # (-1, 0.3+250i, N = 1): the first start's third Ritz value meets the
+        # second to rounding, and _top_ritz hands back theta_1 with s_2 = 0
+        ritz = []
+
+        def recorded(rows, theta, s2):
+            ritz.append(_top_ritz(rows, theta, s2))
+            return ritz[-1]
+
+        monkeypatch.setattr(spectral, "_top_ritz", recorded)
+        entries = pwlab.build_matrix(AffineSymbol(-1.0, 0.3 + 250j), 1.0, 1).entries
+        record = _largest_singular_value(entries, 1e-10, SEED, 50000)
+        assert ritz[2] == (ritz[1][0], 0.0)
+        assert record.certificate == "invariant" and record.steps == (3, 3)
+        assert abs(record.value - svd_norm(entries)) <= 1e-14 * svd_norm(entries)
 
     def test_invariant_certificate(self):
         # a Krylov space as wide as the section is invariant, whatever tol asks
@@ -193,6 +264,63 @@ class TestNormEstimate:
         assert info.value.residual >= 0.0
         with pytest.raises(ValueError):
             pwlab.operator_norm_estimate(T, max_iterations=2)
+
+
+class TestTopRitz:
+    def test_against_eigh_on_seeded_tridiagonals(self):
+        # T_0, T_1, ... of each matrix in turn, as Lanczos grows them.  The
+        # value is held to the Rayleigh quotient of eigh's top eigenvector,
+        # summed by fsum: on these matrices eigh's own top eigenvalue strays
+        # up to 49 eps ||T|| from a 50-digit reference, the quotient 1.7
+        for seed in (SEED, SEED + 1):
+            for alpha, beta in tridiagonals(seed):
+                rows, theta, s2 = CountedRows(), 0.0, 0.0
+                for k in range(alpha.size):
+                    rows.append((float(alpha[k]), float(beta[k - 1]) ** 2 if k else 0.0))
+                    previous, rows.passes = theta, 0
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        theta, s2 = _top_ritz(rows, theta, s2)
+                    # every pass shrinks the bracket: no cap, and a few dozen at most
+                    assert rows.passes <= 64
+                    assert k == 0 or theta >= previous
+                    tri = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+                    vals, vecs = np.linalg.eigh(tri)
+                    y = vecs[:, -1]
+                    quotient = math.fsum(
+                        np.concatenate([alpha[: k + 1] * y * y, 2.0 * beta[:k] * y[:-1] * y[1:]])
+                    ) / math.fsum(y * y)
+                    assert abs(theta - quotient) <= 8.0 * EPS * max(abs(vals[0]), abs(vals[-1]))
+                    assert abs(s2 - y[-1] ** 2) <= 1e-12
+
+
+class TestSectionEdges:
+    def test_norm_and_root_norms_at_the_edges(self):
+        # slopes down to 1e-3 and a |Im d| just inside and just past the
+        # guard's limit of 300: a finite value at most the exact norm, or a
+        # typed error; past the limit the section itself cannot be built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9, 1e-3):
+                for d in (0.0, 0.7, 1j, 0.3 + 250j, 0.3 + 299.99j, 0.3 + 300.01j):
+                    phi = AffineSymbol(c, d)
+                    for n in (1, 2, 3, 64):
+                        if abs(d.imag) > 300.0:
+                            with pytest.raises(pwlab.OverflowGuardError):
+                                pwlab.build_matrix(phi, 1.0, n)
+                        else:
+                            value = pwlab.operator_norm_estimate(
+                                pwlab.build_matrix(phi, 1.0, n), seed=SEED
+                            )
+                            assert math.isfinite(value)
+                            assert value <= pwlab.norm_closed(phi, 1.0) * (1.0 + 1e-9)
+                        try:
+                            roots = pwlab.spectral_radius_estimate(phi, 1.0, n, 3, seed=SEED)
+                        except pwlab.PwLabError:
+                            continue
+                        for k, root in enumerate(roots, 1):
+                            assert math.isfinite(root)
+                            assert root <= pwlab.norm_closed(phi, 1.0, k) * (1.0 + 1e-9)
 
 
 class TestSpectralRadius:
