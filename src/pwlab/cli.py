@@ -17,6 +17,7 @@ configuration or arguments, 3 overflow guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -231,7 +232,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if n_pass == len(results) else EXIT_CHECK_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pwlab parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="pwlab",
         description="Numerical laboratory for affine composition operators on "

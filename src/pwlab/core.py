@@ -92,7 +92,8 @@ def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -
     limit = 2 OVERFLOW_EXPONENT.
     """
     if value > limit:
-        raise OverflowGuardError(f"{what} {value:.3g} > {limit:g}")
+        # repr round-trips, so a value just past the limit never prints equal to it
+        raise OverflowGuardError(f"{what} {float(value)!r} > {limit:g}")
     return value
 
 

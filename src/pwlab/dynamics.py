@@ -446,35 +446,36 @@ def _lag_table(
     return table, np.array(level)
 
 
-def _semigroup_matrix(
-    phi: AffineSymbol, g: PwFunction, f: PwFunction, rows: int, cols: int
-) -> np.ndarray:
-    """M[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f>, i = 1..rows, j = 1..cols, rows <= cols.
+def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> np.ndarray:
+    """M[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f> for 1 <= j <= i <= n; zero above the diagonal.
 
-    phi^[j] = phi^[k] o phi^[i] with k = j - i gives d_j = c^k d_i + d_k, so
-    composed_inner_product's identity with c1 = c^i, c2 = c^j reads
+    phi^[i] = phi^[k] o phi^[j] with k = i - j gives d_i = c^k d_j + d_k, so
+    composed_inner_product's identity with c1 = c^j, c2 = c^i reads
 
-        <C_{phi^[i]} g, C_{phi^[j]} f> = |c|^{-i} pi/a sum_m w_m conj(f(c^k x_m + s)),
-        s = d_j - c^k conj(d_i) = d_k + 2i c^k Im d_i,
+        <C_{phi^[j]} f, C_{phi^[i]} g> = |c|^{-j} pi/a sum_m v_m conj(g(c^k x_m + s)),
+        s = d_i - c^k conj(d_j) = d_k + 2i c^k Im d_j,
 
-    for j >= i, and is conj(<C_{phi^[j]} f, C_{phi^[i]} g>) for i > j: two
-    lag tables (one when g is f) fill the matrix.  Real d has one table row
-    and s = d_k; complex d one row per Im d_i.  Entries round to O(eps *
-    |c|^{-min(i,j)} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the
-    samples of f and g, the per-pair bound of composed_inner_product.
+    over the nodes x_m of f's window (samples v_m); M holds its conjugate,
+    read off one lag table of f against g, the diagonal at lag 0.  Real d
+    has one table row and s = d_k; complex d one row per Im d_j.  Entries
+    round to O(eps * |c|^{-j} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with
+    w the samples of g, the per-pair bound of composed_inner_product.
     """
-    upper, up = _lag_table(phi, g, f, rows, cols)
-    lower, low = (upper, up) if g is f else _lag_table(phi, f, g, rows, rows)
-    i = np.arange(1, rows + 1)[:, None]
-    j = np.arange(1, cols + 1)
+    table, level = _lag_table(phi, f, g, n, n)
+    i = np.arange(1, n + 1)[:, None]
+    j = np.arange(1, n + 1)
     near = np.minimum(i, j)
-    lag = j - i
-    entries = np.where(
-        lag >= 0,
-        upper[up[near - 1], np.maximum(lag, 0)],
-        np.conj(lower[low[near - 1], np.maximum(-lag, 0)]),
-    )
-    return abs(phi.c) ** -near * entries
+    entries = np.conj(table[level[near - 1], np.maximum(i - j, 0)])
+    return np.where(i >= j, abs(phi.c) ** -near * entries, 0.0)
+
+
+def _semigroup_matrix(phi: AffineSymbol, f: PwFunction, n: int) -> np.ndarray:
+    """gram[i-1, j-1] = <C_{phi^[i]} f, C_{phi^[j]} f>, i, j = 1..n, from one lag table.
+
+    _lower_pairings(f, f) below the diagonal, its conjugate transpose on and above it.
+    """
+    low = _lower_pairings(phi, f, f, n)
+    return np.where(np.tri(n, k=-1, dtype=bool), low, low.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,7 +486,9 @@ class Pseudotrajectory:
     so norms, defects, and pairings all go through the closed pairing form;
     nothing is ever resampled onto a window except for explicit export.
     Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2 *
-    e^(a |Im s|)) with v the seed's samples (see _semigroup_matrix for s).
+    e^(a |Im s|)) with v the seed's samples (see _lower_pairings for s).
+    The seed's value at the fixed point, summed once for the vanishing
+    check of build_pseudotrajectory, is kept for every later use.
     """
 
     phi: AffineSymbol
@@ -496,6 +499,7 @@ class Pseudotrajectory:
     step_norm: float
     coefficient: float
     gram: np.ndarray  # gram[j, k] = <C_phi^{j+1} seed, C_phi^{k+1} seed>
+    seed_at_fixed_point: complex  # f(alpha), alpha the fixed point of phi
 
     def _coeffs(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max + 1:
@@ -529,7 +533,7 @@ class Pseudotrajectory:
         """f_n(alpha) = n * coefficient * f(alpha): every iterate fixes alpha."""
         if n < 0:
             raise ValueError("term index must be nonnegative")
-        return n * self.coefficient * pw_eval(self.seed, self.phi.fixed_point())
+        return n * self.coefficient * self.seed_at_fixed_point
 
     def term_samples(self, n: int, half_width: int | None = None) -> PwFunction:
         """Windowed materialization of f_n for export and plotting."""
@@ -562,13 +566,13 @@ def build_pseudotrajectory(
         raise ValueError("seed bandwidth differs from the requested space")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    alpha = phi.fixed_point()
-    if abs(pw_eval(f, alpha)) < 1e-12:
+    f_alpha = pw_eval(f, phi.fixed_point())
+    if abs(f_alpha) < 1e-12:
         raise ValueError("seed vanishes at fixed point")
     norms = orbit_norms(phi, a, f, n_max + 1).norms
     step_norm = float(norms[1])
     coefficient = delta / step_norm
-    gram = _semigroup_matrix(phi, f, f, n_max + 1, n_max + 1)
+    gram = _semigroup_matrix(phi, f, n_max + 1)
     return Pseudotrajectory(
         phi=phi,
         a=a,
@@ -578,6 +582,7 @@ def build_pseudotrajectory(
         step_norm=step_norm,
         coefficient=coefficient,
         gram=gram,
+        seed_at_fixed_point=f_alpha,
     )
 
 
@@ -591,10 +596,11 @@ def shadowing_divergence(
     D_n >= L_n up to pairing rounding, and L_n grows linearly: no single g
     stays delta-close to the whole pseudotrajectory.
 
-    The cross pairings <C_{phi^[i]} g, C_{phi^[j]} f>, f the seed, come from
-    two lag tables (_semigroup_matrix) and round to O(eps * |c|^{-min(i,j)}
-    * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the samples of g and
-    f.
+    f_n has coefficients only on the iterates 1..n, so D_n reads the cross
+    pairings <C_{phi^[n]} g, C_{phi^[j]} f>, f the seed, for j <= n alone:
+    one lag table of f against g (_lower_pairings), rounding to O(eps *
+    |c|^{-j} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the samples
+    of f and g.  f(alpha) is the pseudotrajectory's own.
     """
     if g.a != P.a:
         raise ValueError("candidate bandwidth differs from the pseudotrajectory space")
@@ -603,17 +609,17 @@ def shadowing_divergence(
     if not 1 <= n_max <= P.n_max:
         raise ValueError("n_max outside 1..P.n_max")
     alpha = P.phi.fixed_point()
-    f_alpha = pw_eval(P.seed, alpha)
+    f_alpha = P.seed_at_fixed_point
     g_alpha = pw_eval(g, alpha)
     k_alpha = math.sqrt(kernel_norm_sq(P.a, alpha))
-    cross = _semigroup_matrix(P.phi, g, P.seed, n_max, P.n_max + 1)
+    cross = _lower_pairings(P.phi, g, P.seed, n_max)
     gn_sq = orbit_norms(P.phi, P.a, g, n_max).norms[1:] ** 2
     d_out = np.empty(n_max)
     l_out = np.empty(n_max)
     for n in range(1, n_max + 1):
         x = P._coeffs(n)
         fn_sq = P._form(x)
-        mixed = complex(cross[n - 1] @ np.conj(x))
+        mixed = complex(cross[n - 1, :n] @ np.conj(x[:n]))
         d_out[n - 1] = math.sqrt(max(gn_sq[n - 1] - 2.0 * mixed.real + fn_sq, 0.0))
         l_out[n - 1] = (
             n * P.delta * abs(f_alpha) / P.step_norm - abs(g_alpha)

@@ -178,3 +178,45 @@ def dense_ritz_lanczos(h, q, tol, max_steps):
             basis[k + 1] = w / beta
             tri[k + 1, k] = tri[k, k + 1] = beta
     return theta, explicit(max_steps - 1, s, theta), max_steps, None
+
+
+def full_cross_divergence(P, g, n_max=None):
+    """shadowing_divergence through the whole cross matrix, both lag tables.
+
+    The reference for the one-table divergence: M[i-1, j-1] = <C_{phi^[i]}
+    g, C_{phi^[j]} f> for i = 1..n_max and every j = 1..P.n_max+1, f the
+    seed, from dynamics._lag_table of g against f for j >= i and the
+    conjugate of f against g for j < i; D_n reads cross[n-1] @ conj(x) over
+    the full row, and f(alpha) and g(alpha) are summed again here.
+    Returns (D, L).
+    """
+    from pwlab.core import kernel_norm_sq, pw_eval
+    from pwlab.dynamics import _lag_table, orbit_norms
+
+    n_max = P.n_max if n_max is None else n_max
+    rows, cols = n_max, P.n_max + 1
+    upper, up = _lag_table(P.phi, g, P.seed, rows, cols)
+    lower, low = _lag_table(P.phi, P.seed, g, rows, rows)
+    i = np.arange(1, rows + 1)[:, None]
+    j = np.arange(1, cols + 1)
+    near = np.minimum(i, j)
+    lag = j - i
+    entries = np.where(
+        lag >= 0,
+        upper[up[near - 1], np.maximum(lag, 0)],
+        np.conj(lower[low[near - 1], np.maximum(-lag, 0)]),
+    )
+    cross = abs(P.phi.c) ** -near * entries
+    alpha = P.phi.fixed_point()
+    f_alpha = pw_eval(P.seed, alpha)
+    g_alpha = pw_eval(g, alpha)
+    k_alpha = math.sqrt(kernel_norm_sq(P.a, alpha))
+    gn_sq = orbit_norms(P.phi, P.a, g, n_max).norms[1:] ** 2
+    d_out, l_out = np.empty(n_max), np.empty(n_max)
+    for n in range(1, n_max + 1):
+        x = P._coeffs(n)
+        fn_sq = P._form(x)
+        mixed = complex(cross[n - 1] @ np.conj(x))
+        d_out[n - 1] = math.sqrt(max(gn_sq[n - 1] - 2.0 * mixed.real + fn_sq, 0.0))
+        l_out[n - 1] = (n * P.delta * abs(f_alpha) / P.step_norm - abs(g_alpha)) / k_alpha
+    return d_out, l_out

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +227,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "norm", "--a", "1", "--c", "1", "--d", "800i")
         assert code == EXIT_OVERFLOW
         assert "overflow guard" in err
+        # a value just past the limit prints its excess, not a rounded "300 > 300"
+        code, _, err = run(capsys, "norm", "--a", "1", "--c", "0.5", "--d", "0.3+300.01i")
+        assert code == EXIT_OVERFLOW
+        assert "norm exponent 300.01 > 300" in err
         # a section too wide to allocate trips the guard, not a MemoryError
         code, _, err = run(capsys, "--half-width", "1048576", "norm", "--a", "1", "--c", "0.5")
         assert code == EXIT_OVERFLOW
@@ -252,3 +261,52 @@ class TestExitCodes:
         code = main(["transmogrify"])
         capsys.readouterr()
         assert code == EXIT_INVALID_CONFIG
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; no parse state may leak from one call to the next."""
+
+    CALLS = [
+        ("--fast", "kernel", "--a", "1", "--w", "0.5+1i"),
+        ("kernel", "--a", "1", "--w", "0.5+1i"),  # the --fast profile does not stick
+        ("--half-width", "16", "norm", "--a", "1", "--c", "0.5", "--d", "0.3+0.4i"),
+        ("spectrum", "--a", "1", "--c", "0.5", "--d", "1i", "--boundary-count", "5"),
+        ("classify", "--a", "2", "--c", "-1", "--d", "0"),
+        ("--seed", "5", "--half-width", "16", "--n-max", "6", "orbit", "--a", "1",
+         "--c", "0.5", "--d", "0.3+0.4i", "--probe", "rough"),
+        ("--half-width", "16", "--n-max", "6", "orbit", "--a", "1", "--c", "0.5"),
+        ("--half-width", "16", "--n-max", "6", "cesaro", "--a", "1", "--c", "-0.5",
+         "--d", "1+1i", "--probe", "node", "--node", "3"),
+        ("--half-width", "16", "--n-max", "8", "shadow", "--a", "1.3", "--c", "-0.5",
+         "--d", "0.3+0.2i", "--probe", "rough"),
+        ("--half-width", "16", "--n-max", "8", "shadow", "--a", "1.3", "--c", "-0.5"),
+        # the battery runs at its pinned configurations whatever the flags; running it twice
+        # would add seconds, so its parser alone is called
+        ("verify", "--help"),
+        ("norm", "--a", "1", "--c", "0.5", "--d", "xyz"),
+        ("--help",),
+        ("classify", "--a", "2", "--c", "-1"),
+    ]
+
+    def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # help text wraps at the terminal width, which COLUMNS fixes for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        inside = []
+        for argv in self.CALLS:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            inside.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in inside].count(EXIT_INVALID_CONFIG) == 1
+        assert inside[-2][0] == EXIT_OK and inside[-2][1].startswith("usage: pwlab")
+
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(pwlab.__file__).parents[1]))
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "pwlab.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outside = list(pool.map(fresh, self.CALLS))
+        for argv, got, want in zip(self.CALLS, inside, outside):
+            assert got == want, argv

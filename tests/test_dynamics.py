@@ -7,7 +7,9 @@ import pytest
 
 import pwlab
 from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError
-from pwlab.dynamics import _semigroup_matrix
+from pwlab.dynamics import _lower_pairings, _semigroup_matrix
+
+from oracles import full_cross_divergence
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -433,6 +435,24 @@ class TestShadowingDivergence:
             assert steps[0] > 0.0
             assert np.max(np.abs(steps - steps[0])) < 1e-12 * steps[0]
 
+    def test_matches_full_cross_oracle(self):
+        # the one-table divergence against both lag tables and the full cross
+        # row: L is bit-identical, D moves in its last digits at most
+        rng = np.random.default_rng(SEED + 19)
+        for c in (0.5, -0.5, 0.25, -1.0, 0.9):
+            for d in (0.0, 0.3, 0.2 + 0.1j, -0.3 + 0.4j):
+                # C10's windows 8 / 64 at its n = 30, unequal windows, n_max < P.n_max
+                for nf, ng, n, n_max in ((8, 64, 30, 30), (32, 8, 20, 15), (16, 16, 12, 12),
+                                         (8, 32, 5, 3)):
+                    f = pwlab.rough_probe(1.3, nf, rng)
+                    g = pwlab.rough_probe(1.3, ng, rng)
+                    g = pwlab.scaled(g, 0.04 / g.norm())
+                    P = pwlab.build_pseudotrajectory(AffineSymbol(c, d), 1.3, f, 0.1, n)
+                    D, L = pwlab.shadowing_divergence(P, g, n_max)
+                    D_ref, L_ref = full_cross_divergence(P, g, n_max)
+                    assert np.array_equal(L, L_ref), (c, d, nf, ng, n, n_max)
+                    np.testing.assert_allclose(D, D_ref, rtol=1e-13, atol=0.0)
+
     def test_candidate_validation(self):
         f = pwlab.node_function(math.pi, 8, 0)
         P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.0), math.pi, f, 0.1, 5)
@@ -443,7 +463,7 @@ class TestShadowingDivergence:
 
 
 class TestSemigroupPairings:
-    """Gram and cross matrices against one composed_inner_product per entry."""
+    """The gram and the lower cross table D_n reads, against one composed_inner_product per entry."""
 
     A = 1.3  # a * alpha is no multiple of pi for any symbol below
 
@@ -477,10 +497,14 @@ class TestSemigroupPairings:
                     P = pwlab.build_pseudotrajectory(phi, self.A, f, 0.1, n)
                     err = np.abs(P.gram - self.per_pair(phi, f, f, n + 1, n + 1))
                     assert np.all(err <= self.bound(phi, f, f, n + 1, n + 1)), (c, d, n)
+                    # D_n reads <C_{phi^[n]} g, C_{phi^[j]} f> for j <= n only, diagonal included
                     for rows in {1, n}:
-                        cross = _semigroup_matrix(phi, g, f, rows, n + 1)
-                        err = np.abs(cross - self.per_pair(phi, g, f, rows, n + 1))
-                        assert np.all(err <= self.bound(phi, g, f, rows, n + 1)), (c, d, n, rows)
+                        cross = _lower_pairings(phi, g, f, rows)
+                        below = np.tri(rows, dtype=bool)
+                        assert np.all(cross[~below] == 0.0)
+                        err = np.abs(cross - self.per_pair(phi, g, f, rows, rows))[below]
+                        bound = self.bound(phi, g, f, rows, rows)[below]
+                        assert np.all(err <= bound), (c, d, n, rows)
 
     def test_real_d_matches_per_pair_route(self):
         rng = np.random.default_rng(SEED + 16)
@@ -497,6 +521,6 @@ class TestSemigroupPairings:
         # exponents, so the table's own guard is called directly
         f = pwlab.node_function(self.A, 4, 0)
         with pytest.raises(OverflowGuardError, match="pairing exponent"):
-            _semigroup_matrix(AffineSymbol(0.5, 1.0 + 200j), f, f, 3, 3)
+            _semigroup_matrix(AffineSymbol(0.5, 1.0 + 200j), f, 3)
         with pytest.raises(OverflowGuardError, match="evaluation range"):
-            _semigroup_matrix(AffineSymbol(0.5, 1e200), f, f, 3, 3)
+            _semigroup_matrix(AffineSymbol(0.5, 1e200), f, 3)
