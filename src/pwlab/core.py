@@ -13,8 +13,10 @@ on a symmetric window |n| <= N together with the bandwidth a.  Parseval:
 The affine symbols phi(z) = c z + d with c real, 0 < |c| <= 1, d complex are
 exactly the ones for which f -> f o phi maps PW_a into itself boundedly.
 
-Sinc sums go through one cardinal-series kernel, _cardinal, at
-O(N_in N_out), with one exception: compose_apply.  Every float slope is a
+Every sinc sum outside the finite sections (spectral.build_matrix, kept
+independent) and compose_apply's coset FFT goes through one cardinal-series
+kernel, _cardinal, at O(N_in N_out): evaluation, the closed pairings and
+the probes' spectral pulses alike.  The coset FFT: every float slope is a
 dyadic rational c = p/q, and with n = q m + r the targets a phi(x_n) =
 pi p m + a phi(x_r) fall on q shifted copies of the node lattice, so each
 coset r is the exact Toeplitz product sum_k v_k sinc(pi (p m - k) +
@@ -116,10 +118,10 @@ def _guard_points(a: float, z, what: str) -> None:
     _guard_exponent(a * float(re), "evaluation range a |Re z|", 2.0**511)
 
 
-def _sin_over(u, sign: float):
-    """sin(u)/u for sign = -1 and sinh(u)/u for sign = +1, complex u, stable near 0.
+def _sinc(u):
+    """sin(u)/u for real or complex u, stable near 0: the package's one array sinc.
 
-    |u| < 1e-4 switches to the degree-6 Taylor polynomial in s = sign u^2,
+    |u| < 1e-4 switches to the degree-6 Taylor polynomial in s = -u^2,
     1 + s/6 (1 + s/20 (1 + s/42)); the first dropped term is u^8/9! <
     1e-32/362880, far below double rounding.  The polynomial sees only the
     small u, so a large u cannot overflow its cube.
@@ -127,21 +129,11 @@ def _sin_over(u, sign: float):
     u = np.asarray(u)
     small = np.abs(u) < 1e-4
     u_safe = np.where(small, 1.0, u)
-    out = (np.sinh if sign > 0 else np.sin)(u_safe) / u_safe
+    out = np.sin(u_safe) / u_safe
     u = np.where(small, u, 0.0)
-    s = u * u if sign > 0 else -(u * u)
+    s = -(u * u)
     series = 1.0 + s / 6.0 * (1.0 + s / 20.0 * (1.0 + s / 42.0))
     return np.where(small, series, out)
-
-
-def _sinc(u):
-    """sin(u)/u for complex u, stable near 0."""
-    return _sin_over(u, -1.0)
-
-
-def _sinhc(u):
-    """sinh(u)/u for real or complex u, stable near 0 (same branch cut as _sinc)."""
-    return _sin_over(u, 1.0)
 
 
 @dataclass(frozen=True)
@@ -283,7 +275,7 @@ def kernel_norm_sq(a: float, w: complex) -> float:
     """||k_w||^2 = (a/pi) sinh(2 a Im w)/(2 a Im w), continuous through Im w = 0."""
     y = 2.0 * a * complex(w).imag
     _guard_exponent(abs(y), "kernel exponent 2 a |Im w|")
-    return (a / math.pi) * float(_sinhc(y).real)
+    return (a / math.pi) * (math.sinh(y) / y if y else 1.0)
 
 
 def pw_eval(f: PwFunction, z):
@@ -305,8 +297,8 @@ def _cardinal(a, z, v):
     """sum_k v_k sinc(a (z_j - x_k)) over the window |k| <= N of v, for each z_j.
 
     The one O(len(z) len(v)) sinc-sum kernel of the package: pw_eval (and so
-    compose_apply's fallback) and both routes of composed_inner_product sum
-    through it.
+    compose_apply's fallback and probes.spectral_pulse) and both routes of
+    composed_inner_product sum through it.
     With m the node nearest Re z (m = rint(a Re z / pi)) and delta = a (z -
     x_m), formed as a difference so that node hits give delta = 0 exactly,
     every term shares one sine:

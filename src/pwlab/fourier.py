@@ -141,7 +141,12 @@ def from_l2(F: L2Function, half_width: int) -> PwFunction:
 
 
 def _guard_weight(phi: AffineSymbol, a: float) -> None:
-    _guard_exponent(abs(complex(phi.d).imag) * a / abs(phi.c), "weight exponent")
+    """Guard a |Im d|, the largest exponent of either weight.
+
+    e^{i d t / c} is evaluated only on |t| < |c| a and the adjoint's
+    e^{-i conj(d) t} only on |t| < a, so neither exceeds e^{a |Im d|}.
+    """
+    _guard_exponent(abs(phi.d.imag) * a, "weight exponent")
 
 
 def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:

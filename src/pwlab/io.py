@@ -28,16 +28,12 @@ def _pairs(arr) -> list[list[float]]:
 
 
 def _interleave(arr) -> bytes:
-    arr = np.asarray(arr, dtype=np.complex128)
-    flat = np.empty(2 * arr.size)
-    flat[0::2] = arr.real
-    flat[1::2] = arr.imag
-    return flat.astype("<f8").tobytes()
+    return np.asarray(arr, dtype="<c16").tobytes()
 
 
 def _deinterleave(buf: bytes) -> np.ndarray:
-    flat = np.frombuffer(buf, dtype="<f8")
-    return flat[0::2] + 1j * flat[1::2]
+    # a complex dtype keeps signed zeros, which re + 1j*im would lose
+    return np.frombuffer(buf, dtype="<c16")
 
 
 def _dumps(obj) -> str:

@@ -5,6 +5,8 @@ come in two flavors.  Smooth probes have spectral density cos^6 (three
 continuous derivatives at the band edges), which makes their node samples
 decay like n^{-7}: the part of the function living outside a window of a few
 dozen nodes is ~1e-11 of its norm, small enough to test 1e-6..1e-9 contracts.
+Each pulse is in closed form a 7-sample cardinal series of bandwidth band*a,
+so probes sum no sinc of their own: pw_eval evaluates every pulse.
 Rough probes (iid node samples) have full bandwidth and O(1/n) tails and are
 the right inputs when the quantity under test is window-exact anyway.
 """
@@ -15,25 +17,23 @@ import math
 
 import numpy as np
 
-from .core import PwFunction, _sinc, grid
+from .core import PwFunction, grid, pw_eval
 
-# cos^6 theta = sum_k _PULSE_COEF[k] cos(2 k theta)
-_PULSE_COEF = np.array([10.0, 15.0, 6.0, 1.0]) / 32.0
+# cos^6 theta = 2^-6 sum_{|k| <= 3} binom(6, 3 + k) e^{2 i k theta}: the node
+# samples of spectral_pulse(z, w) / w at x_k = k pi / w
+_PULSE_SAMPLES = np.array([1.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0]) / 32.0
 
 
 def spectral_pulse(z, width: float):
     """The entire function with spectral density cos^6(pi t/(2 width)) on [-width, width].
 
-    Closed form: integrating the cosine series against e^{izt} term by term
-    gives a short sum of shifted sinc functions.
+    Closed form: each exponential e^{i k pi t / width} of cos^6 integrates
+    against e^{izt} to 2 width sinc(width (z - x_k)), x_k = k pi / width, so
+    the pulse is width times the 7-sample cardinal series of bandwidth width
+    with node samples _PULSE_SAMPLES, evaluated by pw_eval and its guards.
+    Node hits are exact.
     """
-    u = np.asarray(width * np.asarray(z, dtype=np.complex128))
-    out = 2.0 * width * _PULSE_COEF[0] * _sinc(u)
-    for k in (1, 2, 3):
-        out = out + width * _PULSE_COEF[k] * (_sinc(u - k * math.pi) + _sinc(u + k * math.pi))
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
+    return width * pw_eval(PwFunction(width, _PULSE_SAMPLES), z)
 
 
 def smooth_probe(
@@ -55,10 +55,7 @@ def smooth_probe(
     x = grid(a, half_width)
     coeffs = rng.standard_normal(pulses) + 1j * rng.standard_normal(pulses)
     centers = rng.uniform(-spread * half_width, spread * half_width, size=pulses) * (math.pi / a)
-    samples = np.zeros(x.size, dtype=np.complex128)
-    for cf, tau in zip(coeffs, centers):
-        samples += cf * spectral_pulse(x - tau, band * a)
-    return PwFunction(a, samples)
+    return PwFunction(a, coeffs @ spectral_pulse(x - centers[:, None], band * a))
 
 
 def rough_probe(a: float, half_width: int, rng: np.random.Generator) -> PwFunction:

@@ -39,6 +39,35 @@ def fsum_eval(a, samples, z):
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
+def seven_sinc_pulse(z, width):
+    """The cos^6 spectral pulse as its seven shifted sincs via numpy.sinc.
+
+    cos^6 theta = sum_k c_k cos(2 k theta) with c = (10, 15, 6, 1)/32, so
+    the pulse is 2 width c_0 sinc(u) + sum_{k=1}^{3} width c_k (sinc(u -
+    k pi) + sinc(u + k pi)), u = width z, each term summed on its own.
+    """
+    coef = np.array([10.0, 15.0, 6.0, 1.0]) / 32.0
+    t = (width / math.pi) * np.asarray(z, dtype=np.complex128)
+    out = 2.0 * width * coef[0] * np.sinc(t)
+    for k in (1, 2, 3):
+        out = out + width * coef[k] * (np.sinc(t - k) + np.sinc(t + k))
+    return out
+
+
+def loop_smooth_probe(a, half_width, rng, pulses=6, spread=0.25, band=0.8):
+    """Node samples of a smooth probe summed one pulse at a time with seven_sinc_pulse.
+
+    The same draws from rng as pwlab.smooth_probe: coefficients, then centers.
+    """
+    x = np.arange(-half_width, half_width + 1) * (math.pi / a)
+    coeffs = rng.standard_normal(pulses) + 1j * rng.standard_normal(pulses)
+    centers = rng.uniform(-spread * half_width, spread * half_width, size=pulses) * (math.pi / a)
+    samples = np.zeros(x.size, dtype=np.complex128)
+    for cf, tau in zip(coeffs, centers):
+        samples += cf * seven_sinc_pulse(x - tau, band * a)
+    return samples
+
+
 def panel_inner_product(a, phi1, f_samples, phi2, g_samples, t_max=200.0,
                         n_panels=512, order=16):
     """Line integral of f(phi1(t)) conj(g(phi2(t))) by piecewise Gauss-Legendre."""

@@ -150,6 +150,22 @@ class TestWeightedComposition:
             rhs = F.inner(pwlab.weighted_compose_adjoint(phi, G))
             assert abs(lhs - rhs) < 1e-6
 
+    def test_adjoint_pairing_at_large_weight_exponent(self):
+        # a |Im d| = 100 bounds both weights, though a |Im d|/|c| = 400
+        rng = np.random.default_rng(SEED + 11)
+        a = 1.0
+        m = 32768
+        F = pwlab.to_l2(unit_smooth(a, 16, rng), m)
+        G = pwlab.to_l2(unit_smooth(a, 16, rng), m)
+        for phi in (AffineSymbol(0.25, 100j), AffineSymbol(-0.25, -100j)):
+            WF = pwlab.weighted_compose_apply(phi, F)
+            WsG = pwlab.weighted_compose_adjoint(phi, G)
+            assert np.all(np.isfinite(WF.values)) and np.all(np.isfinite(WsG.values))
+            lhs, rhs = WF.inner(G), F.inner(WsG)
+            # the two midpoint sums discretize one integral at rates 400 and 100
+            # per unit t: the rule's relative error (400 * 2a/M)^2/24 is 2.5e-5
+            assert abs(lhs - rhs) < 1e-4 * abs(lhs)
+
     def test_adjoint_identity_symbol_is_conjugate_weight(self):
         rng = np.random.default_rng(SEED + 9)
         a = 1.0

@@ -51,6 +51,13 @@ class TestPwRecords:
         with pytest.raises(ValueError):
             pwio.pw_from_bytes(b"XXXX" + bytes(16))
 
+    def test_bytes_keep_signed_zeros(self):
+        f = pwlab.PwFunction(1.0, [complex(1.0, -0.0), complex(-0.0, 2.0), complex(-0.0, -0.0)])
+        buf = pwio.pw_to_bytes(f)
+        back = pwio.pw_from_bytes(buf)
+        assert pwio.pw_to_bytes(back) == buf
+        np.testing.assert_array_equal(np.signbit(back.samples.view(float)), [0, 1, 1, 0, 1, 1])
+
     def test_bytes_truncation_rejected(self):
         f = pwlab.node_function(1.0, 2)
         buf = pwio.pw_to_bytes(f)
@@ -89,6 +96,15 @@ class TestMatrixRecords:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             pwio.matrix_from_bytes(b"ZZZZ" + bytes(64))
+
+    def test_bytes_keep_signed_zeros(self):
+        entries = np.array([complex(-0.0, 1.0), complex(0.5, -0.0), complex(-0.0, -0.0)] * 3)
+        T = pwlab.OperatorMatrix(AffineSymbol(1.0, 0.0), 1.0, 1, entries.reshape(3, 3))
+        buf = pwio.matrix_to_bytes(T)
+        back = pwio.matrix_from_bytes(buf)
+        assert pwio.matrix_to_bytes(back) == buf
+        np.testing.assert_array_equal(np.signbit(back.entries.view(float)), np.signbit(T.entries.view(float)))
+        assert np.signbit(back.entries.view(float)).sum() == 12
 
     def test_csv_uses_basis_indices(self):
         T = pwlab.build_matrix(AffineSymbol(1.0, 0.0), 1.0, 1)
