@@ -273,8 +273,8 @@ def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
 
 def kernel_norm_sq(a: float, w: complex) -> float:
     """||k_w||^2 = (a/pi) sinh(2 a Im w)/(2 a Im w), continuous through Im w = 0."""
+    _guard_points(2.0 * a, complex(w), "kernel exponent 2 a |Im w|")
     y = 2.0 * a * complex(w).imag
-    _guard_exponent(abs(y), "kernel exponent 2 a |Im w|")
     return (a / math.pi) * (math.sinh(y) / y if y else 1.0)
 
 

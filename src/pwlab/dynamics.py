@@ -3,9 +3,9 @@
 Everything here reduces to two exact ingredients: the closed-form iterate
 phi^[n] = (c^n, d_n) (so the n-th orbit element is a single composition, not
 n resamplings), and the closed pairing form for <C_phi1 f, C_phi2 g> (so
-orbit norms never lose mass to a finite window).  Classification itself is a
-pure table on (c, Im d); the orbit machinery exists to certify each entry of
-that table numerically.
+orbit norms never lose mass to a finite window); orbit_norms_fourier reads
+them again as weighted integrals of |F|^2.  Classification itself is a pure
+table on (c, Im d); the orbit machinery certifies each entry numerically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
     lincomb,
     scaled,
 )
-from .fourier import to_l2
+from .fourier import L2Function, to_l2
 
 _FLAG_NAMES = (
     "normal",
@@ -54,7 +54,7 @@ class GrowthBound(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """Norms ||C_phi^n f|| for n = 0..n_max, one exact pairing per n."""
+    """Norms ||C_phi^n f|| for n = 0..n_max, by the route named in method."""
 
     phi: AffineSymbol
     a: float
@@ -69,10 +69,15 @@ class OrbitTrace:
         object.__setattr__(self, "norms", v)
 
 
-def _guard_orbit(phi: AffineSymbol, a: float, n_max: int) -> None:
-    # the pairing form sees exponent 2 a |Im d_n|, bounded over n by worst;
-    # the squared norm ||C_{phi^[n]} f||^2 carries that exponent times the
-    # prefactor |c|^{-n}, so their sum gets twice the range of a norm
+def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|c^n|, Im d_n) for n = 0..n_max, once the orbit range passes its guards.
+
+    The orbit sees the exponent 2 a |Im d_n|, bounded over n by worst; the
+    squared norm ||C_{phi^[n]} f||^2 carries that exponent times the prefactor
+    |c|^{-n}, so their sum gets twice the range of a norm.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     worst = abs(phi.iterate(n_max).d.imag) if phi.c == 1.0 else abs(
         phi.d.imag / (1.0 - phi.c)
     ) * (1.0 + abs(phi.c))
@@ -82,6 +87,8 @@ def _guard_orbit(phi: AffineSymbol, a: float, n_max: int) -> None:
         "squared orbit norm exponent",
         2.0 * OVERFLOW_EXPONENT,
     )
+    c, d = zip(*(_iterate_parts(phi.c, phi.d, n) for n in range(n_max + 1)))
+    return np.abs(c), np.imag(d)
 
 
 def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> OrbitTrace:
@@ -99,35 +106,27 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     """
     if f.a != a:
         raise ValueError("probe bandwidth differs from the requested space")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     # the batch below bypasses composed_inner_product's own range guard
-    _guard_orbit(phi, a, n_max)
-    iterates = [_iterate_parts(phi.c, phi.d, n) for n in range(1, n_max + 1)]
-    c = np.array([cn for cn, _ in iterates])
-    z = -2j * np.array([dn.imag for _, dn in iterates])
-    squares = (math.pi / (a * np.abs(c))) * _toeplitz_pairing(a, z, f.samples, f.samples).real
+    c, y = _orbit_parts(phi, a, n_max)
+    squares = (math.pi / (a * c[1:])) * _toeplitz_pairing(a, -2j * y[1:], f.samples, f.samples).real
     norms = np.concatenate(([f.norm()], np.sqrt(np.maximum(squares, 0.0))))
     return OrbitTrace(phi, a, norms)
 
 
-def orbit_norms_resampled(
-    phi: AffineSymbol, a: float, f: PwFunction, n_max: int, grow: bool = True
-) -> OrbitTrace:
-    """Cross-check variant: repeated windowed application of C_phi.
+def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTrace:
+    """norms[n] = ||C_{phi^[n]} f|| for F = to_l2(f), read on the Fourier side alone.
 
-    Accumulates truncation error and window cost at every step; intended only
-    to corroborate orbit_norms at small n.
+    Transformed, C_{phi^[n]} is (1/|c^n|) e^{i d_n t / c^n} F(t / c^n) on
+    |t| < |c^n| a, so s = t / c^n gives ||C_{phi^[n]} f||^2 = |c|^{-n}
+    integral_{-a}^{a} |F(s)|^2 e^{-2 Im(d_n) s} ds: one (n_max + 1) x M matrix
+    of weights e^{-2 Im(d_n) t_j}, within _orbit_parts' guard, against |F|^2 dt
+    on F's midpoint grid.  Real d has weight 1, exact to rounding (|F|^2 is a
+    trigonometric polynomial of degree below M); complex d errs by O(h^2), h = 2a/M.
     """
-    if f.a != a:
-        raise ValueError("probe bandwidth differs from the requested space")
-    norms = np.empty(n_max + 1)
-    norms[0] = f.norm()
-    g = f
-    for n in range(1, n_max + 1):
-        g = compose_apply(phi, g, grow=grow)
-        norms[n] = g.norm()
-    return OrbitTrace(phi, a, norms, method="resampled")
+    c, y = _orbit_parts(phi, F.a, n_max)
+    weights = np.exp(-2.0 * np.outer(y, F.grid()))
+    squares = weights @ (np.abs(F.values) ** 2 * (2.0 * F.a / F.m_points)) / c
+    return OrbitTrace(phi, F.a, np.sqrt(squares), method="fourier")
 
 
 @dataclass(frozen=True)
@@ -269,14 +268,8 @@ def growth_constant_second(
     trace = orbit_norms(phi, f.a, f, n_scan)
     fnorm = f.norm()
     bound = delta * np.power(abs(phi.c), -0.5 * np.arange(n_scan + 1)) * fnorm
-    ok = trace.norms >= bound * (1.0 - 1e-12)
-    onset = None
-    for n in range(n_scan, -1, -1):
-        if not ok[n]:
-            onset = n + 1
-            break
-    else:
-        onset = 0
+    short = np.flatnonzero(trace.norms < bound * (1.0 - 1e-12))
+    onset = int(short[-1]) + 1 if short.size else 0
     if onset > n_scan:
         raise PwLabError("no onset found within the scan range; f may be too large")
     return GrowthBound(delta=delta, onset=onset)
@@ -286,9 +279,9 @@ def growth_constant_third(a: float, f: PwFunction, level: float, m_points: int =
     """Level-set growth constant for translations: delta = level * sqrt(measure(A)).
 
     A = {t : |F(t)| >= level} is measured by midpoint-cell counting on the
-    transformed side.  The certified consequence is the level-set envelope
-    (translation_growth_envelope below); the simpler exponential form
-    delta e^{|Im d| n a} additionally needs A to hug the favorable band edge.
+    transformed side.  The certified consequence is the level-set envelope,
+    orbit_norms_fourier's sum of nonnegative terms cut down to the cells of A;
+    the simpler form delta e^{|Im d| n a} also needs A at the favorable band edge.
     """
     if f.is_zero():
         raise ValueError("zero function has no growth constant")
@@ -301,29 +294,6 @@ def growth_constant_third(a: float, f: PwFunction, level: float, m_points: int =
         raise ValueError("level set empty at this level")
     measure = count * (2.0 * a / m_points)
     return level * math.sqrt(measure)
-
-
-def translation_growth_envelope(
-    d: complex, a: float, f: PwFunction, level: float, n_max: int, m_points: int = 4096
-) -> np.ndarray:
-    """Certified lower envelope for ||C_{z+d}^n f||, n = 1..n_max.
-
-    envelope_n = level * (sum over the level-set cells of e^{-2 Im(d) n t} dt)^{1/2},
-    the quadrature form of integrating the weight over A = {|F| >= level}.
-    """
-    F = to_l2(f, m_points)
-    t = F.grid()
-    mask = np.abs(F.values) >= level
-    if not np.any(mask):
-        raise ValueError("level set empty at this level")
-    dt = 2.0 * a / m_points
-    imd = complex(d).imag
-    n = np.arange(1, n_max + 1)
-    expo = -2.0 * imd * np.outer(n, t[mask])
-    if expo.size:
-        # the sum holds squared weights, so twice the range of a norm
-        _guard_exponent(float(np.max(expo)), "envelope exponent", 2.0 * OVERFLOW_EXPONENT)
-    return level * np.sqrt(dt * np.sum(np.exp(expo), axis=1))
 
 
 @dataclass(frozen=True)

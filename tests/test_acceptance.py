@@ -1,9 +1,13 @@
 """Acceptance battery: one test per top-level check, one report line each.
 
 Run with -s to see the PASS/FAIL lines; each test delegates to the
-corresponding function in pwlab.verify at its pinned configuration.
+corresponding function in pwlab.verify at its pinned configuration.  Each
+check runs once per session: the order test reads the same results.
 """
 
+import functools
+
+from pwlab import verify
 from pwlab.verify import (
     DEFAULT_SEED,
     check_cesaro_dichotomy,
@@ -21,6 +25,11 @@ from pwlab.verify import (
 )
 
 
+@functools.cache
+def result_of(check):
+    return check(seed=DEFAULT_SEED)
+
+
 def report(result):
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.check_id} {status} {result.title}: {result.detail}")
@@ -28,48 +37,55 @@ def report(result):
 
 
 def test_c01_norm_equality():
-    report(check_norm_equality(seed=DEFAULT_SEED))
+    report(result_of(check_norm_equality))
 
 
 def test_c02_translation_norm():
-    report(check_translation_norm(seed=DEFAULT_SEED))
+    report(result_of(check_translation_norm))
 
 
 def test_c03_radius_convergence():
-    report(check_radius_convergence(seed=DEFAULT_SEED))
+    report(result_of(check_radius_convergence))
 
 
 def test_c04_spectrum_trichotomy():
-    report(check_spectrum_trichotomy())
+    report(result_of(check_spectrum_trichotomy))
 
 
 def test_c05_noncompactness_witness():
-    report(check_noncompactness_witness())
+    report(result_of(check_noncompactness_witness))
 
 
 def test_c06_isometry():
-    report(check_isometry(seed=DEFAULT_SEED))
+    report(result_of(check_isometry))
 
 
 def test_c07_commuting_square():
-    report(check_commuting_square(seed=DEFAULT_SEED))
+    report(result_of(check_commuting_square))
 
 
 def test_c08_expansivity_dichotomy():
-    report(check_expansivity_dichotomy(seed=DEFAULT_SEED))
+    report(result_of(check_expansivity_dichotomy))
 
 
 def test_c09_cesaro_dichotomy():
-    report(check_cesaro_dichotomy(seed=DEFAULT_SEED))
+    report(result_of(check_cesaro_dichotomy))
 
 
 def test_c10_shadowing_divergence():
-    report(check_shadowing_divergence(seed=DEFAULT_SEED))
+    report(result_of(check_shadowing_divergence))
 
 
 def test_c11_li_yorke():
-    report(check_li_yorke(seed=DEFAULT_SEED))
+    report(result_of(check_li_yorke))
 
 
 def test_c12_core_properties():
-    report(check_core_properties(seed=DEFAULT_SEED))
+    report(result_of(check_core_properties))
+
+
+def test_check_order_matches_ids():
+    # bench/run.py labels the n-th check_* callable of pwlab.verify as C<n>
+    checks = tuple(fn for name, fn in vars(verify).items() if name.startswith("check_") and callable(fn))
+    assert checks == verify._CHECKS
+    assert [result_of(fn).check_id for fn in checks] == [f"C{n}" for n in range(1, 13)]

@@ -165,6 +165,17 @@ class TestKernels:
         with pytest.raises(OverflowGuardError):
             pwlab.kernel_norm_sq(1.0, 1e9j)
 
+    def test_kernel_norm_rejects_nan_and_infinite_points(self):
+        # the point guard of every sinc sum: NaN is no point, infinity is out of range
+        for w in (complex(0.0, math.nan), complex(math.nan, 0.0)):
+            with pytest.raises(ValueError, match="NaN"):
+                pwlab.kernel_norm_sq(1.0, w)
+            with pytest.raises(ValueError, match="NaN"):
+                KernelPoint(1.0, w).norm_sq()
+        for w in (complex(math.inf, 0.0), complex(0.0, -math.inf)):
+            with pytest.raises(OverflowGuardError):
+                KernelPoint(1.0, w).norm_sq()
+
     def test_kernel_eval_guard(self):
         with pytest.raises(OverflowGuardError):
             pwlab.kernel_eval(1.0, 0.0, 800j)

@@ -8,6 +8,7 @@ import pytest
 import pwlab
 from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError
 from pwlab.dynamics import _lower_pairings, _semigroup_matrix
+from pwlab.verify import _fourier_orbit
 
 from oracles import full_cross_divergence
 
@@ -58,26 +59,46 @@ class TestOrbitNorms:
         np.testing.assert_allclose(tr.norms[0::2], tr.norms[0], rtol=1e-10)
         np.testing.assert_allclose(tr.norms[1::2], tr.norms[1], rtol=1e-10)
 
-    def test_matches_resampled_route(self):
+    def test_matches_fourier_route(self):
+        # real d: weight 1, so the Fourier sum is Parseval on |F|^2, exact to
+        # rounding on any grid that holds the samples; complex d: within the
+        # Richardson slack C8 and C9 hold the route to
         rng = np.random.default_rng(SEED + 3)
-        f = pwlab.smooth_probe(math.pi, 32, rng, spread=0.125, band=0.9)
-        phi = AffineSymbol(0.5, 0.3)
-        exact = pwlab.orbit_norms(phi, math.pi, f, 6)
-        windowed = pwlab.orbit_norms_resampled(phi, math.pi, f, 6, grow=True)
-        assert windowed.method == "resampled"
-        for n in range(7):
-            rel = abs(windowed.norms[n] / exact.norms[n] - 1.0)
-            assert rel < max(n, 1) * 1e-8
+        eps = np.finfo(float).eps
+        for c in (1.0, -1.0, 0.5, -0.5, 0.25):
+            for a, probe in ((math.pi, pwlab.smooth_probe), (1.0, pwlab.rough_probe)):
+                f = probe(a, 32, rng)
+                exact = pwlab.orbit_norms(AffineSymbol(c, 0.3), a, f, 30).norms
+                for m_points in (65, 4096):
+                    tr = pwlab.orbit_norms_fourier(AffineSymbol(c, 0.3), pwlab.to_l2(f, m_points), 30)
+                    assert tr.method == "fourier"
+                    assert np.max(np.abs(tr.norms / exact - 1.0)) <= 8 * eps, (c, a, m_points)
+                phi = AffineSymbol(c, 0.3 + 0.5j)
+                exact = pwlab.orbit_norms(phi, a, f, 30).norms
+                norms, slack = _fourier_orbit(phi, f, 30)
+                assert np.all(np.abs(norms - exact) <= slack), (c, a)
+        # the Richardson step removes the midpoint rule's h^2 error: under a
+        # hundredth of the raw M = 4096 gap is left
+        f = pwlab.rough_probe(1.0, 64, rng)
+        phi = AffineSymbol(1.0, 1j)
+        exact = pwlab.orbit_norms(phi, 1.0, f, 40).norms
+        raw = pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 4096), 40).norms
+        norms, _ = _fourier_orbit(phi, f, 40)
+        assert np.max(np.abs(norms / exact - 1.0)) < 1e-2 * np.max(np.abs(raw / exact - 1.0))
 
     def test_windowed_route_saturates_without_grow(self):
         # fixed-window resampling loses escaping mass; the closed-iterate
-        # route must not inherit that defect
+        # and Fourier routes must not inherit that defect
         rng = np.random.default_rng(SEED + 4)
         f = pwlab.smooth_probe(1.0, 24, rng)
         phi = AffineSymbol(0.5, 0.0)
         exact = pwlab.orbit_norms(phi, 1.0, f, 12)
-        windowed = pwlab.orbit_norms_resampled(phi, 1.0, f, 12, grow=False)
-        assert exact.norms[12] > 5.0 * windowed.norms[12]
+        windowed = f
+        for _ in range(12):
+            windowed = pwlab.compose_apply(phi, windowed)
+        assert exact.norms[12] > 5.0 * windowed.norm()
+        fourier = pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 64), 12)
+        assert abs(fourier.norms[12] / exact.norms[12] - 1.0) < 1e-14
 
     def test_translation_root_norm_approaches_edge(self):
         rng = np.random.default_rng(SEED + 5)
@@ -95,15 +116,23 @@ class TestOrbitNorms:
             pwlab.orbit_norms(AffineSymbol(0.5, 0.0), 2.0, f, 5)
         with pytest.raises(ValueError):
             pwlab.orbit_norms(AffineSymbol(0.5, 0.0), 1.0, f, -1)
+        with pytest.raises(ValueError):
+            pwlab.orbit_norms_fourier(AffineSymbol(0.5, 0.0), pwlab.to_l2(f, 64), -1)
 
     def test_overflow_guard(self):
         f = pwlab.node_function(1.0, 4)
-        with pytest.raises(OverflowGuardError):
-            pwlab.orbit_norms(AffineSymbol(1.0, 30j), 1.0, f, 40)
+        F = pwlab.to_l2(f, 64)
         # the batched trace skips the per-pairing guard, so the orbit guard
-        # must catch both the imaginary drift and the decay of c^n
-        with pytest.raises(OverflowGuardError):
-            pwlab.orbit_norms(AffineSymbol(0.5, 200j), 1.0, f, 3)
+        # must catch both the imaginary drift and the decay of c^n; the
+        # Fourier weights carry the same exponent
+        for trace in (lambda phi, n: pwlab.orbit_norms(phi, 1.0, f, n),
+                      lambda phi, n: pwlab.orbit_norms_fourier(phi, F, n)):
+            with pytest.raises(OverflowGuardError):
+                trace(AffineSymbol(1.0, 30j), 40)
+            with pytest.raises(OverflowGuardError):
+                trace(AffineSymbol(0.5, 200j), 3)
+            with pytest.raises(OverflowGuardError):
+                trace(AffineSymbol(1e-3, 0.0), 100)
         with pytest.raises(OverflowGuardError):
             pwlab.cesaro_averages(AffineSymbol(1e-3, 0.0), 1.0, f, 100)
 
@@ -111,11 +140,13 @@ class TestOrbitNorms:
         # the orbit code builds no AffineSymbol per iterate, yet a d_n past the
         # float range still raises as iterate does, before any pairing
         f = pwlab.node_function(1.0, 4)
+        F = pwlab.to_l2(f, 64)
         for phi, n in ((AffineSymbol(1.0, 1e308), 2), (AffineSymbol(1.0, 1e308j), 2),
                        (AffineSymbol(-1.0, 1e308), 1)):
             for call in (
                 lambda: phi.iterate(n),
                 lambda: pwlab.orbit_norms(phi, 1.0, f, 2),
+                lambda: pwlab.orbit_norms_fourier(phi, F, 2),
                 lambda: pwlab.cesaro_averages(phi, 1.0, f, 2),
             ):
                 with pytest.raises(AdmissibilityError, match="d must be finite"):
@@ -213,11 +244,16 @@ class TestGrowthConstants:
         level = 0.5 * float(np.max(np.abs(F.values)))
         delta = pwlab.growth_constant_third(1.0, f, level)
         assert delta > 0.0
-        env = pwlab.translation_growth_envelope(1j, 1.0, f, level, 15)
-        assert env.shape == (15,)
+        # the level-set envelope is the Fourier route with |F| cut down to
+        # level on A = {|F| >= level} and to 0 off it
+        phi = AffineSymbol(1.0, 1j)
+        cut = pwlab.L2Function(1.0, np.where(np.abs(F.values) >= level, level, 0.0))
+        env = pwlab.orbit_norms_fourier(phi, cut, 15).norms
+        assert env.shape == (16,)
+        assert abs(env[0] - delta) <= 1e-14 * delta
         assert np.all(np.diff(env) > 0.0)  # growing translation orbit
-        tr = pwlab.orbit_norms(AffineSymbol(1.0, 1j), 1.0, f, 15)
-        assert np.all(tr.norms[1:] >= env * (1.0 - 1e-9))
+        tr = pwlab.orbit_norms(phi, 1.0, f, 15)
+        assert np.all(tr.norms[1:] >= env[1:] * (1.0 - 1e-9))
 
     def test_third_constant_rejections(self):
         rng = np.random.default_rng(SEED + 8)
