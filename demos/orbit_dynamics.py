@@ -68,7 +68,7 @@ def main():
         cert = expansivity_certificate(phi, A, unit, horizon=40)
         if cert.expansive:
             print(f"  c={phi.c:+.2f} d={phi.d!s:>6}  expansive, doubles by n = {cert.n_star}"
-                  f" (guaranteed cap {cert.cap})")
+                  f" (search cap {cert.cap})")
         else:
             print(f"  c={phi.c:+.2f} d={phi.d!s:>6}  not expansive, orbit sup {cert.sup_norm:.6f}")
 

@@ -16,7 +16,7 @@ exactly the ones for which f -> f o phi maps PW_a into itself boundedly.
 Every sinc sum outside the finite sections (spectral.build_matrix, kept
 independent) and compose_apply's coset FFT goes through one cardinal-series
 kernel, _cardinal, at O(N_in N_out): evaluation, the closed pairings and
-the probes' spectral pulses alike.  The coset FFT: every float slope is a
+the probes' spectral_pulse alike.  The coset FFT: every float slope is a
 dyadic rational c = p/q, and with n = q m + r the targets a phi(x_n) =
 pi p m + a phi(x_r) fall on q shifted copies of the node lattice, so each
 coset r is the exact Toeplitz product sum_k v_k sinc(pi (p m - k) +

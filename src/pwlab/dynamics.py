@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     OVERFLOW_EXPONENT,
     AffineSymbol,
+    OverflowGuardError,
     PwFunction,
     PwLabError,
     _cardinal,
@@ -45,6 +46,8 @@ _FLAG_NAMES = (
     "cesaro_bounded",
     "shadowing",
 )
+
+_ONSET_SCAN = 60  # growth_constant_second looks for its onset on n = 0.._ONSET_SCAN
 
 
 class GrowthBound(NamedTuple):
@@ -245,9 +248,7 @@ def classify(phi: AffineSymbol, a: float) -> PropertyReport:
     )
 
 
-def growth_constant_second(
-    phi: AffineSymbol, f: PwFunction, w0: complex = 0.0, n_scan: int = 60
-) -> GrowthBound:
+def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) -> GrowthBound:
     """Orbit growth constant for 0 < |c| < 1 from a kernel functional.
 
     delta = |f(w1)| / (2 ||k_{w0}||) with w1 = w0 + d/(1-c).  Pairing the
@@ -265,40 +266,39 @@ def growth_constant_second(
     if val < 1e-12:
         raise ValueError("f vanishes at translated witness point")
     delta = val / (2.0 * math.sqrt(kernel_norm_sq(f.a, w0)))
-    trace = orbit_norms(phi, f.a, f, n_scan)
-    fnorm = f.norm()
-    bound = delta * np.power(abs(phi.c), -0.5 * np.arange(n_scan + 1)) * fnorm
+    trace = orbit_norms(phi, f.a, f, _ONSET_SCAN)
+    bound = delta * np.power(abs(phi.c), -0.5 * np.arange(_ONSET_SCAN + 1)) * f.norm()
     short = np.flatnonzero(trace.norms < bound * (1.0 - 1e-12))
     onset = int(short[-1]) + 1 if short.size else 0
-    if onset > n_scan:
+    if onset > _ONSET_SCAN:
         raise PwLabError("no onset found within the scan range; f may be too large")
     return GrowthBound(delta=delta, onset=onset)
 
 
-def growth_constant_third(a: float, f: PwFunction, level: float, m_points: int = 4096) -> float:
+def growth_constant_third(F: L2Function, level: float) -> float:
     """Level-set growth constant for translations: delta = level * sqrt(measure(A)).
 
-    A = {t : |F(t)| >= level} is measured by midpoint-cell counting on the
-    transformed side.  The certified consequence is the level-set envelope,
+    A = {t : |F(t)| >= level} is measured by counting the midpoint cells of
+    F = to_l2(f).  The certified consequence is the level-set envelope,
     orbit_norms_fourier's sum of nonnegative terms cut down to the cells of A;
     the simpler form delta e^{|Im d| n a} also needs A at the favorable band edge.
     """
-    if f.is_zero():
-        raise ValueError("zero function has no growth constant")
     if level <= 0.0:
         raise ValueError("level must be positive")
-    F = to_l2(f, m_points)
-    mask = np.abs(F.values) >= level
-    count = int(np.count_nonzero(mask))
+    count = int(np.count_nonzero(np.abs(F.values) >= level))
     if count == 0:
         raise ValueError("level set empty at this level")
-    measure = count * (2.0 * a / m_points)
-    return level * math.sqrt(measure)
+    return level * math.sqrt(count * (2.0 * F.a / F.m_points))
 
 
 @dataclass(frozen=True)
 class ExpansivityCertificate:
-    """Either the first doubling time of a unit vector or its orbit sup."""
+    """Either the first doubling time of a unit vector or its orbit sup.
+
+    cap = ceil(log(2/delta)/rate) + 10 is a search cap, not a proven bound:
+    the +10 is a margin, and for c = 1 the third constant certifies the rate
+    only when its level set sits at the favorable band edge.
+    """
 
     expansive: bool
     n_star: int | None
@@ -313,11 +313,14 @@ def expansivity_certificate(
 ) -> ExpansivityCertificate:
     """Match the classifier with an explicit orbit computation.
 
-    Expansive symbols: find the first n with ||C_phi^n f|| >= 2 for the
-    normalized f, searching up to a cap derived from the growth constants
-    (cap = ceil(log(2/delta)/rate) + 10).  Non-expansive symbols: report
-    sup_n ||C_phi^n f|| over the horizon, which stays at 1 (unitary) or
-    below e^{|Im d| a} (period-2 reflection case).
+    Expansive symbols: the first n with ||C_phi^n f|| >= 2 for the normalized
+    f, up to the search cap; for 0 < |c| < 1 the witness points 0, 1, -1, i,
+    -i are tried in turn, and only an OverflowGuardError stops the scan.
+    Non-expansive symbols: sup_n ||C_phi^n f|| over the horizon, at 1
+    (unitary) or below e^{|Im d| a} (period-2 reflection case).  Where the
+    exact norm is 2 the last bit decides: for real d and |c|^{-n/2} = 2 every
+    unit vector has norm 2 at n, so n_star is n or n + 1 (c = 0.5, d = 0.3:
+    rough probes at N = 64 of seeds 0..199 split 163 to 37).
     """
     if f.is_zero():
         raise ValueError("expansivity needs a nonzero vector")
@@ -334,12 +337,20 @@ def expansivity_certificate(
             horizon=horizon,
         )
     if abs(phi.c) < 1.0:
-        delta = _second_constant_with_scan(phi, unit)
+        for w0 in (0.0, 1.0, -1.0, 1j, -1j):
+            try:
+                delta = growth_constant_second(phi, unit, w0=w0).delta
+                break
+            except OverflowGuardError:
+                raise
+            except (ValueError, PwLabError) as err:
+                last_err = err
+        else:
+            raise PwLabError(f"no usable witness point among the scan set: {last_err}")
         rate = math.log(1.0 / math.sqrt(abs(phi.c)))
     else:
         F = to_l2(unit, 4096)
-        level = 0.5 * float(np.max(np.abs(F.values)))
-        delta = growth_constant_third(a, unit, level)
+        delta = growth_constant_third(F, 0.5 * float(np.max(np.abs(F.values))))
         rate = a * abs(phi.d.imag)
     cap = math.ceil(math.log(2.0 / delta) / rate) + 10 if delta < 2.0 else 10
     trace = orbit_norms(phi, a, unit, cap)
@@ -357,17 +368,6 @@ def expansivity_certificate(
         cap=cap,
         horizon=horizon,
     )
-
-
-def _second_constant_with_scan(phi: AffineSymbol, unit: PwFunction) -> float:
-    """Witness-point scan per the default-and-fallback convention."""
-    last_err: Exception | None = None
-    for w0 in (0.0, 1.0, -1.0, 1j, -1j):
-        try:
-            return growth_constant_second(phi, unit, w0=w0).delta
-        except (ValueError, PwLabError) as err:
-            last_err = err
-    raise PwLabError(f"no usable witness point among the scan set: {last_err}")
 
 
 def cesaro_averages(
@@ -450,11 +450,12 @@ def _semigroup_matrix(phi: AffineSymbol, f: PwFunction, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pseudotrajectory:
-    """f_n = (delta/||C_phi f||) sum_{j=1..n} C_phi^j f, kept as coefficients.
+    """f_n = coefficient * sum_{j=1..n} C_phi^j f, coefficient = delta/||C_phi f||.
 
-    Terms are linear combinations of the exact iterate images of the seed,
-    so norms, defects, and pairings all go through the closed pairing form;
-    nothing is ever resampled onto a window except for explicit export.
+    Terms are sums of the exact iterate images of the seed, so norms,
+    defects, and pairings all go through the closed pairing form; nothing is
+    ever resampled onto a window except for explicit export.  ||f_n||^2 is
+    coefficient^2 times the sum of the leading n x n block of Re gram.
     Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2 *
     e^(a |Im s|)) with v the seed's samples (see _lower_pairings for s).
     The seed's value at the fixed point, summed once for the vanishing
@@ -471,33 +472,25 @@ class Pseudotrajectory:
     gram: np.ndarray  # gram[j, k] = <C_phi^{j+1} seed, C_phi^{k+1} seed>
     seed_at_fixed_point: complex  # f(alpha), alpha the fixed point of phi
 
-    def _coeffs(self, n: int) -> np.ndarray:
-        if not 0 <= n <= self.n_max + 1:
-            raise ValueError("term index outside 0..n_max+1")
-        x = np.zeros(self.n_max + 1, dtype=np.complex128)
-        x[:n] = self.coefficient
-        return x
-
-    def _form(self, x: np.ndarray) -> float:
-        """Re(x* gram x): the squared norm of the combination with coefficients x."""
-        return float(np.real(np.conj(x) @ self.gram @ x))
+    def _block_sums(self) -> np.ndarray:
+        """sums[n] = sum of the leading n x n block of Re gram, n = 0..n_max+1."""
+        cum = np.cumsum(np.cumsum(self.gram.real, axis=0), axis=1)
+        return np.concatenate(([0.0], np.diagonal(cum)))
 
     def term_norm(self, n: int) -> float:
-        return math.sqrt(max(self._form(self._coeffs(n)), 0.0))
+        if not 0 <= n <= self.n_max + 1:
+            raise ValueError("term index outside 0..n_max+1")
+        return self.coefficient * math.sqrt(max(self._block_sums()[n], 0.0))
 
     def defect(self, n: int) -> float:
-        """||C_phi f_n - f_{n+1}|| through the pairing form.
+        """||C_phi f_n - f_{n+1}|| = coefficient ||C_phi seed|| (= delta up to pairing rounding).
 
-        C_phi f_n has coefficient vector cf on iterates 2..n+1; subtracting
-        the vector of f_{n+1} numerically leaves -cf on iterate 1 alone, and
-        the quadratic form returns cf ||C_phi seed|| = delta up to pairing
-        rounding.
+        C_phi f_n carries the coefficient on iterates 2..n+1 and f_{n+1} on
+        1..n+1, so their difference is -coefficient C_phi seed for every n.
         """
         if not 0 <= n <= self.n_max:
             raise ValueError("defect index outside 0..n_max")
-        push = np.zeros(self.n_max + 1, dtype=np.complex128)
-        push[1 : n + 1] = self.coefficient
-        return math.sqrt(max(self._form(push - self._coeffs(n + 1)), 0.0))
+        return self.coefficient * math.sqrt(max(self.gram[0, 0].real, 0.0))
 
     def value_at_fixed_point(self, n: int) -> complex:
         """f_n(alpha) = n * coefficient * f(alpha): every iterate fixes alpha."""
@@ -566,9 +559,10 @@ def shadowing_divergence(
     D_n >= L_n up to pairing rounding, and L_n grows linearly: no single g
     stays delta-close to the whole pseudotrajectory.
 
-    f_n has coefficients only on the iterates 1..n, so D_n reads the cross
-    pairings <C_{phi^[n]} g, C_{phi^[j]} f>, f the seed, for j <= n alone:
-    one lag table of f against g (_lower_pairings), rounding to O(eps *
+    f_n carries the coefficient on the iterates 1..n alone, so D_n reads
+    ||f_n||^2 from the gram's block sums and the cross pairings <C_{phi^[n]}
+    g, C_{phi^[j]} f>, f the seed, for j <= n alone: one row sum of the lag
+    table of f against g (_lower_pairings), rounding to O(eps *
     |c|^{-j} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the samples
     of f and g.  f(alpha) is the pseudotrajectory's own.
     """
@@ -582,16 +576,9 @@ def shadowing_divergence(
     f_alpha = P.seed_at_fixed_point
     g_alpha = pw_eval(g, alpha)
     k_alpha = math.sqrt(kernel_norm_sq(P.a, alpha))
-    cross = _lower_pairings(P.phi, g, P.seed, n_max)
+    mixed = P.coefficient * _lower_pairings(P.phi, g, P.seed, n_max).sum(axis=1).real
     gn_sq = orbit_norms(P.phi, P.a, g, n_max).norms[1:] ** 2
-    d_out = np.empty(n_max)
-    l_out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        x = P._coeffs(n)
-        fn_sq = P._form(x)
-        mixed = complex(cross[n - 1, :n] @ np.conj(x[:n]))
-        d_out[n - 1] = math.sqrt(max(gn_sq[n - 1] - 2.0 * mixed.real + fn_sq, 0.0))
-        l_out[n - 1] = (
-            n * P.delta * abs(f_alpha) / P.step_norm - abs(g_alpha)
-        ) / k_alpha
-    return d_out, l_out
+    fn_sq = P.coefficient**2 * P._block_sums()[1 : n_max + 1]
+    n = np.arange(1, n_max + 1)
+    d_out = np.sqrt(np.maximum(gn_sq - 2.0 * mixed + fn_sq, 0.0))
+    return d_out, (n * P.delta * abs(f_alpha) / P.step_norm - abs(g_alpha)) / k_alpha

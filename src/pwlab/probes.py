@@ -22,6 +22,7 @@ from .core import PwFunction, grid, pw_eval
 # cos^6 theta = 2^-6 sum_{|k| <= 3} binom(6, 3 + k) e^{2 i k theta}: the node
 # samples of spectral_pulse(z, w) / w at x_k = k pi / w
 _PULSE_SAMPLES = np.array([1.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0]) / 32.0
+_PULSE_COUNT = 6  # spectral_pulse terms per smooth probe
 
 
 def spectral_pulse(z, width: float):
@@ -37,14 +38,9 @@ def spectral_pulse(z, width: float):
 
 
 def smooth_probe(
-    a: float,
-    half_width: int,
-    rng: np.random.Generator,
-    pulses: int = 6,
-    spread: float = 0.25,
-    band: float = 0.8,
+    a: float, half_width: int, rng: np.random.Generator, spread: float = 0.25, band: float = 0.8
 ) -> PwFunction:
-    """Random mixture of shifted spectral pulses, sampled on the node grid.
+    """Random sum of _PULSE_COUNT shifted spectral_pulse terms, sampled on the node grid.
 
     spread bounds the pulse centers to |tau| <= spread * half_width nodes so
     the mixture sits well inside the window; band < 1 keeps the spectral
@@ -53,8 +49,8 @@ def smooth_probe(
     if not (0.0 < band <= 1.0):
         raise ValueError("band must lie in (0, 1]")
     x = grid(a, half_width)
-    coeffs = rng.standard_normal(pulses) + 1j * rng.standard_normal(pulses)
-    centers = rng.uniform(-spread * half_width, spread * half_width, size=pulses) * (math.pi / a)
+    coeffs = rng.standard_normal(_PULSE_COUNT) + 1j * rng.standard_normal(_PULSE_COUNT)
+    centers = rng.uniform(-spread * half_width, spread * half_width, size=_PULSE_COUNT) * (math.pi / a)
     return PwFunction(a, coeffs @ spectral_pulse(x - centers[:, None], band * a))
 
 

@@ -209,6 +209,18 @@ def dense_ritz_lanczos(h, q, tol, max_steps):
     return theta, explicit(max_steps - 1, s, theta), max_steps, None
 
 
+def term_coefficients(P, n):
+    """The coefficient vector of f_n: P.coefficient on iterates 1..n, zero on the rest of 1..n_max+1."""
+    x = np.zeros(P.n_max + 1, dtype=np.complex128)
+    x[:n] = P.coefficient
+    return x
+
+
+def gram_form(P, x):
+    """Re(x* gram x): the squared norm of the combination of iterates with coefficients x."""
+    return float(np.real(np.conj(x) @ P.gram @ x))
+
+
 def full_cross_divergence(P, g, n_max=None):
     """shadowing_divergence through the whole cross matrix, both lag tables.
 
@@ -216,7 +228,8 @@ def full_cross_divergence(P, g, n_max=None):
     g, C_{phi^[j]} f> for i = 1..n_max and every j = 1..P.n_max+1, f the
     seed, from dynamics._lag_table of g against f for j >= i and the
     conjugate of f against g for j < i; D_n reads cross[n-1] @ conj(x) over
-    the full row, and f(alpha) and g(alpha) are summed again here.
+    the full row and ||f_n||^2 as the quadratic form gram_form, with x the
+    coefficient vector of f_n, and f(alpha) and g(alpha) are summed again here.
     Returns (D, L).
     """
     from pwlab.core import kernel_norm_sq, pw_eval
@@ -243,8 +256,8 @@ def full_cross_divergence(P, g, n_max=None):
     gn_sq = orbit_norms(P.phi, P.a, g, n_max).norms[1:] ** 2
     d_out, l_out = np.empty(n_max), np.empty(n_max)
     for n in range(1, n_max + 1):
-        x = P._coeffs(n)
-        fn_sq = P._form(x)
+        x = term_coefficients(P, n)
+        fn_sq = gram_form(P, x)
         mixed = complex(cross[n - 1] @ np.conj(x))
         d_out[n - 1] = math.sqrt(max(gn_sq[n - 1] - 2.0 * mixed.real + fn_sq, 0.0))
         l_out[n - 1] = (n * P.delta * abs(f_alpha) / P.step_norm - abs(g_alpha)) / k_alpha

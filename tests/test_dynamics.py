@@ -10,7 +10,7 @@ from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabErr
 from pwlab.dynamics import _lower_pairings, _semigroup_matrix
 from pwlab.verify import _fourier_orbit
 
-from oracles import full_cross_divergence
+from oracles import full_cross_divergence, gram_form, term_coefficients
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -242,7 +242,7 @@ class TestGrowthConstants:
         f = pwlab.rough_probe(1.0, 32, rng)
         F = pwlab.to_l2(f, 4096)
         level = 0.5 * float(np.max(np.abs(F.values)))
-        delta = pwlab.growth_constant_third(1.0, f, level)
+        delta = pwlab.growth_constant_third(F, level)
         assert delta > 0.0
         # the level-set envelope is the Fourier route with |F| cut down to
         # level on A = {|F| >= level} and to 0 off it
@@ -257,12 +257,15 @@ class TestGrowthConstants:
 
     def test_third_constant_rejections(self):
         rng = np.random.default_rng(SEED + 8)
-        f = pwlab.rough_probe(1.0, 16, rng)
-        big = 10.0 * float(np.max(np.abs(pwlab.to_l2(f, 4096).values)))
+        F = pwlab.to_l2(pwlab.rough_probe(1.0, 16, rng), 4096)
+        big = 10.0 * float(np.max(np.abs(F.values)))
         with pytest.raises(ValueError):
-            pwlab.growth_constant_third(1.0, f, big)
+            pwlab.growth_constant_third(F, big)
         with pytest.raises(ValueError):
-            pwlab.growth_constant_third(1.0, f, -1.0)
+            pwlab.growth_constant_third(F, -1.0)
+        # a zero function has an empty level set at every positive level
+        with pytest.raises(ValueError, match="level set empty"):
+            pwlab.growth_constant_third(pwlab.L2Function(1.0, np.zeros(64)), 1e-300)
 
 
 class TestExpansivity:
@@ -299,6 +302,30 @@ class TestExpansivity:
         zero = pwlab.PwFunction(1.0, np.zeros(9))
         with pytest.raises(ValueError):
             pwlab.expansivity_certificate(AffineSymbol(0.5, 0.0), 1.0, zero)
+
+    def test_range_guard_is_not_swallowed_by_the_witness_scan(self):
+        # every witness point w0 + d/(1-c) lies near 400i, past the evaluation range
+        phi = AffineSymbol(0.5, 200j)
+        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(0))
+        with pytest.raises(OverflowGuardError, match="evaluation exponent"):
+            pwlab.expansivity_certificate(phi, 1.0, f)
+        with pytest.raises(OverflowGuardError):
+            pwlab.growth_constant_second(phi, f)
+        with pytest.raises(OverflowGuardError):
+            pwlab.cesaro_averages(phi, 1.0, f, 10)
+
+    def test_witness_scan_passes_over_zeros_of_f(self):
+        # the node seed at a = pi vanishes at every nonzero integer: w0 = 0 and
+        # w0 = 1 put w1 = w0 + d/(1-c) on the zeros 1 and 2, w0 = -1 on 0
+        f = pwlab.node_function(math.pi, 8, 0)
+        phi = AffineSymbol(0.5, 0.5)
+        for w0 in (0.0, 1.0):
+            with pytest.raises(ValueError, match="vanishes"):
+                pwlab.growth_constant_second(phi, f, w0=w0)
+        cert = pwlab.expansivity_certificate(phi, math.pi, f)
+        assert cert.expansive is True
+        assert cert.delta == pwlab.growth_constant_second(phi, f, w0=-1.0).delta
+        assert 1 <= cert.n_star <= cert.cap
 
 
 class TestCesaro:
@@ -385,6 +412,25 @@ class TestPseudotrajectory:
         P = self.build(n_max=5)
         assert P.term_norm(0) == 0.0
         assert P.value_at_fixed_point(0) == 0.0
+
+    def test_block_sums_match_the_quadratic_form(self):
+        # term_norm and defect against Re(x* gram x) with x the coefficient
+        # vector of f_n, and of C_phi f_n - f_{n+1}, written out
+        rng = np.random.default_rng(SEED + 20)
+        eps = np.finfo(float).eps
+        for c in (0.5, -0.5, 0.25, -1.0, 0.9):
+            for d in (0.0, 0.3, 0.2 + 0.1j, -0.3 + 0.4j):
+                f = pwlab.rough_probe(1.3, 16, rng)
+                P = pwlab.build_pseudotrajectory(AffineSymbol(c, d), 1.3, f, 0.1, 20)
+                for n in range(P.n_max + 2):
+                    ref = math.sqrt(max(gram_form(P, term_coefficients(P, n)), 0.0))
+                    assert abs(P.term_norm(n) - ref) <= 8 * eps * ref, (c, d, n)
+                for n in range(P.n_max + 1):
+                    push = np.zeros(P.n_max + 1, dtype=np.complex128)
+                    push[1 : n + 1] = P.coefficient
+                    x = push - term_coefficients(P, n + 1)
+                    ref = math.sqrt(max(gram_form(P, x), 0.0))
+                    assert abs(P.defect(n) - ref) <= 8 * eps * ref, (c, d, n)
 
     def test_index_validation(self):
         P = self.build(n_max=5)
