@@ -16,8 +16,10 @@ exactly the ones for which f -> f o phi maps PW_a into itself boundedly.
 Every sinc sum outside the finite sections (spectral.build_matrix, kept
 independent) and compose_apply's coset FFT goes through one cardinal-series
 kernel, _cardinal, at O(N_in N_out): evaluation, the closed pairings and
-the probes' spectral_pulse alike.  The coset FFT: every float slope is a
-dyadic rational c = p/q, and with n = q m + r the targets a phi(x_n) =
+the probes' spectral_pulse alike.  A block of targets on the real axis sums
+1/(a(z - x_k)) by one real product, a block with any complex target by two;
+both round alike.  The coset FFT: every float slope is a dyadic rational
+c = p/q, and with n = q m + r the targets a phi(x_n) =
 pi p m + a phi(x_r) fall on q shifted copies of the node lattice, so each
 coset r is the exact Toeplitz product sum_k v_k sinc(pi (p m - k) +
 a phi(x_r)): one FFT convolution read at stride p.  Its rounding is
@@ -103,8 +105,9 @@ def _guard_points(a: float, z, what: str) -> None:
     """Guard the points z (a complex or an array) a sinc sum is evaluated at.
 
     a |Im z| passes _guard_exponent under the name what.  a |Re z| may not
-    pass 2^511, half of where the squares (a Re(z - x_k))^2 of _cardinal
-    and u^2 of _sinc overflow, so the nodes of a window fit in the margin.
+    pass 2^511, half of where the squares (a Re(z - x_k))^2 of _cardinal's
+    complex route overflow, so the nodes of a window fit in the margin.  Its
+    real route takes 1/x and squares nothing, but every point is guarded.
     A NaN point raises ValueError; an infinite one fails the range guard.
     """
     if isinstance(z, complex):  # one shift per call: skip numpy's overhead
@@ -307,11 +310,14 @@ def _cardinal(a, z, v):
 
     The column k = m, when it lies in the window, takes sinc(delta)
     directly.  Every other column has |a Re(z - x_k)| >= pi/2 and costs one
-    real reciprocal 1/(x^2 + y^2), x = a (Re z - x_k), y = a Im z, summed by
-    two real matrix products against (-1)^k v_k.  A node hit multiplies all
-    far terms by sin 0 = 0, so it returns the stored sample exactly.  The
+    real reciprocal, x = a (Re z - x_k), y = a Im z, summed against (-1)^k v_k
+    by real matrix products.  Blocks hold at most _BLOCK_ENTRIES entries, and
+    each takes its route from its own targets: a block whose y are all 0
+    sums 1/x by one product; a block with any complex target sums 1/(x + iy)
+    = (x - iy)/(x^2 + y^2) by two.  A node hit multiplies all far terms by
+    sin 0 = 0, so it returns the stored sample exactly.  On either route the
     result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)); callers guard
-    a |Im z| themselves.  Blocks hold at most _BLOCK_ENTRIES entries.
+    a |Im z| themselves.
     """
     n = v.size // 2
     x = grid(a, n)
@@ -325,14 +331,19 @@ def _cardinal(a, z, v):
         delta = a * (z_blk - m * (math.pi / a))
         y = a * z_blk.imag
         dx = a * (z_blk.real[:, None] - x)
-        inv = dx * dx
-        inv += (y * y)[:, None]
         i = np.flatnonzero(np.abs(m) <= n)
         col = (m[i] + n).astype(np.intp)
-        inv[i, col] = np.inf
-        np.reciprocal(inv, out=inv)
-        dx *= inv
-        far = (dx @ w).view(complex)[:, 0] - 1j * y * (inv @ w).view(complex)[:, 0]
+        if y.any():
+            inv = dx * dx
+            inv += (y * y)[:, None]
+            inv[i, col] = np.inf
+            np.reciprocal(inv, out=inv)
+            dx *= inv
+            far = (dx @ w).view(complex)[:, 0] - 1j * y * (inv @ w).view(complex)[:, 0]
+        else:  # real targets: 1/x itself, one product
+            dx[i, col] = np.inf
+            np.reciprocal(dx, out=dx)
+            far = (dx @ w).view(complex)[:, 0]
         blk = np.where(m % 2, -1.0, 1.0) * np.sin(delta) * far
         blk[i] += v[col] * _sinc(delta[i])
         out[lo : lo + rows] = blk

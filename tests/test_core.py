@@ -279,11 +279,13 @@ class TestEvaluation:
             pwlab.pw_eval(f, 3e307)
 
     def test_squared_distance_range(self):
-        # the kernel squares a (Re z - x_k): finite up to a |Re z| = 2^511, guarded past it
+        # the complex route squares a (Re z - x_k): finite up to a |Re z| = 2^511,
+        # guarded past it; the real route takes 1/x, and the guard holds for it too
         f = pwlab.rough_probe(10.0, 8, np.random.default_rng(SEED + 66))
         edge = 2.0**511 / f.a
         vals = pwlab.pw_eval(f, np.array([edge, -edge, edge + 1j]))
         assert np.all(np.abs(vals) < 1e-140)
+        assert np.all(np.abs(pwlab.pw_eval(f, np.array([edge, -edge]))) < 1e-140)
         with pytest.raises(OverflowGuardError, match="evaluation range"):
             pwlab.pw_eval(f, 1.4e153)
 
@@ -324,6 +326,8 @@ class TestCardinalKernel:
             k = np.concatenate([np.arange(n + 1, n + 40), -np.arange(n + 1, n + 40), [1e4, -3e5]])
             z = (k + rng.uniform(-0.5, 0.5, k.size)) * (math.pi / a) + 1j * rng.normal(size=k.size)
             self.check(f, z)
+            # real targets with every nearest node outside the window: no inf column
+            self.check(f, z.real)
 
     def test_half_node_ties(self):
         # a = pi puts the nodes on the integers, so k + 1/2 is an exact tie
@@ -342,6 +346,36 @@ class TestCardinalKernel:
         z = np.array([0.3, -n * math.pi + 0.2j, 17.5 * math.pi - 1j, (n + 2) * math.pi])
         self.check(f, z, fsum_points=0)
         assert pwlab.pw_eval(f, 5.0 * math.pi) == f.samples[n + 5]
+
+    def test_real_and_complex_blocks_alternate(self, monkeypatch):
+        # eight rows per block: all-real blocks (1/x, one product) alternate with
+        # blocks holding one complex target (1/(x^2 + y^2), two products)
+        rng = np.random.default_rng(SEED + 46)
+        f = pwlab.rough_probe(1.7, 20, rng)
+        monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", 8 * f.samples.size)
+        z = rng.uniform(-30.0, 30.0, 8 * 7).astype(complex)
+        hits = np.arange(3, z.size, 8)  # one node hit per block
+        nodes = rng.integers(0, f.samples.size, hits.size)
+        z[hits] = f.grid()[nodes]
+        z[np.arange(13, z.size, 16)] += 1j * rng.normal(size=z.size // 16)
+        blocks = z.reshape(-1, 8).imag.any(axis=1)
+        assert blocks.size >= 6 and blocks.tolist() == [i % 2 == 1 for i in range(blocks.size)]
+        got = pwlab.pw_eval(f, z)
+        assert np.all(np.abs(got - direct_eval(f.a, f.samples, z)) <= _kernel_budget(f, z))
+        assert got[hits].tobytes() == f.samples[nodes].tobytes()
+
+    def test_real_targets_agree_across_routes(self):
+        # the same real targets summed alone and in a block with a complex target
+        rng = np.random.default_rng(SEED + 47)
+        eps = np.finfo(float).eps
+        for n in (0, 3, 32):
+            a = float(rng.uniform(0.5, 3.0))
+            f = pwlab.rough_probe(a, n, rng)
+            z = rng.uniform(-1.5, 1.5, 400) * ((n + 4) * math.pi / a)
+            z[:8] = (np.arange(-4, 4) + 0.5) * (math.pi / a)  # near-ties
+            alone = pwlab.core._cardinal(a, z.astype(complex), f.samples)
+            mixed = pwlab.core._cardinal(a, np.append(z, 0.3 + 0.5j), f.samples)[:-1]
+            assert np.all(np.abs(alone - mixed) <= 4 * eps * np.sum(np.abs(f.samples))), n
 
     def test_node_hits_are_bit_exact(self):
         rng = np.random.default_rng(SEED + 44)

@@ -10,7 +10,7 @@ from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabErr
 from pwlab.dynamics import _lower_pairings, _semigroup_matrix
 from pwlab.verify import _fourier_orbit
 
-from oracles import full_cross_divergence, gram_form, term_coefficients
+from oracles import dense_pairing, full_cross_divergence, gram_form, term_coefficients
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -591,6 +591,26 @@ class TestSemigroupPairings:
     def test_real_d_matches_per_pair_route(self):
         rng = np.random.default_rng(SEED + 16)
         self.check_against_per_pair((0.5, -0.5, 0.25, -1.0, 0.9), (0.0, 0.3, -0.3, 1.7), rng)
+
+    def test_real_d_matches_dense_pairing(self):
+        # real d sums the lag table on the real axis, where composed_inner_product
+        # sums too; the dense np.sinc double sum shares no code with that kernel
+        rng = np.random.default_rng(SEED + 18)
+        n = 12
+        for c in (0.5, -0.5, 0.25):
+            for d in (0.0, 0.3):
+                phi = AffineSymbol(c, d)
+                its = [phi.iterate(k) for k in range(1, n + 2)]
+                for nf in (8, 32):
+                    f = pwlab.rough_probe(self.A, nf, rng)
+                    g = pwlab.rough_probe(self.A, 40 - nf, rng)
+                    P = pwlab.build_pseudotrajectory(phi, self.A, f, 0.1, n)
+                    # the lower triangles, diagonal included: the gram is Hermitian
+                    for h, table, rows in ((f, P.gram, n + 1), (g, _lower_pairings(phi, g, f, n), n)):
+                        i, j = np.tril_indices(rows)
+                        ref = np.array([dense_pairing(its[p], h, its[q], f) for p, q in zip(i, j)])
+                        bound = self.bound(phi, h, f, rows, rows)[i, j]
+                        assert np.all(np.abs(table[i, j] - ref) <= bound), (c, d, nf, rows)
 
     def test_complex_d_keeps_per_pair_route(self):
         # complex d goes through the same lag table as real d, with the shift
