@@ -104,15 +104,28 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     All n_max pairings take the equal-slope (Toeplitz) route of
     composed_inner_product at once: one FFT autocorrelation of the samples,
     then its cardinal series at the n_max points conj(d_n) - d_n = -2i Im d_n.
-    ||C_{phi^[n]} f||^2 rounds to O(eps * pi/(a |c^n|) * (sum|v|)^2 *
-    e^(2 a |Im d_n|)) with v the samples.
+    ||C_{phi^[n]} f||^2 rounds to O(B_n), B_n = eps * pi/(a |c^n|) * (sum|v|)^2 *
+    e^(2 a |Im d_n|) with v the samples.  A nonzero probe whose square rounds
+    to <= 0 has lost every digit to that bound and raises OverflowGuardError
+    naming n and B_n.
     """
     if f.a != a:
         raise ValueError("probe bandwidth differs from the requested space")
     # the batch below bypasses composed_inner_product's own range guard
     c, y = _orbit_parts(phi, a, n_max)
     squares = (math.pi / (a * c[1:])) * _toeplitz_pairing(a, -2j * y[1:], f.samples, f.samples).real
-    norms = np.concatenate(([f.norm()], np.sqrt(np.maximum(squares, 0.0))))
+    lost = np.flatnonzero(squares <= 0.0)
+    if lost.size and np.any(f.samples):
+        n = int(lost[0]) + 1
+        bound = (
+            np.finfo(float).eps * math.pi / (a * c[n])
+            * float(np.sum(np.abs(f.samples))) ** 2 * math.exp(2.0 * a * abs(y[n]))
+        )
+        raise OverflowGuardError(
+            f"squared orbit norm at n = {n} rounds to {float(squares[n - 1])!r} <= 0; its rounding "
+            f"bound B_n = eps pi/(a |c^n|) (sum|v|)^2 e^(2a |Im d_n|) is {bound:.3e}"
+        )
+    norms = np.concatenate(([f.norm()], np.sqrt(squares)))
     return OrbitTrace(phi, a, norms)
 
 

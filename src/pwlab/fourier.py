@@ -16,6 +16,11 @@ multiplication by e^{-i d t} and break the two-path commuting square.
 Grid model: uniform midpoints t_j = -a + (j + 1/2) (2a/M), so the open-interval
 support cutoff never lands on a sample and round trips with the node samples
 are exact once M exceeds twice the node count.
+
+Weights: the grid is an arithmetic progression, so e^{w t} on any contiguous
+run of it is the outer product of two short exponential tables (_grid_exp),
+about 2 sqrt(M) exponentials in place of M.  Like np.exp(w t), the result errs
+by O(eps (1 + |w| a)) relative, the rounding of the argument w t itself.
 """
 
 from __future__ import annotations
@@ -149,43 +154,64 @@ def _guard_weight(phi: AffineSymbol, a: float) -> None:
     _guard_exponent(abs(phi.d.imag) * a, "weight exponent")
 
 
+def _grid_exp(w: complex, a: float, m: int, lo: int, count: int) -> np.ndarray:
+    """e^{w t_j} for lo <= j < lo + count on the M-point midpoint grid, count >= 1.
+
+    The grid is an arithmetic progression with step h = 2a/M, so with R a power
+    of two near sqrt(count) and j = lo + b R + r the weight is the outer product
+    e^{w (t_lo + b R h)} e^{w r h}, raveled and cut to count: about 2 sqrt(count)
+    exponentials and count complex products.  Each factor's argument rounds
+    like t_j itself, so the error relative to e^{w t_j} is O(eps (1 + |w| a)),
+    the same as np.exp(w * t).  The products past the run that are cut off
+    (fewer than R, none for count <= 2) lie within (R - 1) h <= (count - 1) h / 2
+    of it, so their exponent is at most twice the largest on the run: under
+    _guard_weight, 2 a |Im d| <= 600, inside double range.
+    """
+    h = 2.0 * a / m
+    r = 1 << (count.bit_length() // 2)
+    rows = -(-count // r)
+    head = np.exp(w * ((-a + (lo + 0.5) * h) + np.arange(rows) * (r * h)))
+    tail = np.exp(w * (np.arange(r) * h))
+    return np.outer(head, tail).ravel()[:count]
+
+
 def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:
     """Apply the transformed operator on the grid.
 
     Output vanishes identically outside (-|c|a, |c|a) (exact zeros); inside,
     (1/|c|) e^{i d t / c} F(t/c).  For c = +-1 the substitution lands back on
     the midpoint grid and is applied by (reversed) indexing; otherwise F(t/c)
-    comes from _values_at.
+    comes from _values_at on the one contiguous run of grid points inside the
+    support.  The weight comes from _grid_exp on that run, within
+    O(eps (1 + |d| a / |c|)) of the exact exponential, as np.exp is.
     """
     _guard_weight(phi, F.a)
-    a, c, d = F.a, phi.c, phi.d
+    a, c, d, m = F.a, phi.c, phi.d, F.m_points
+    w = 1j * d / c
+    if abs(c) == 1.0:  # t/c is the grid itself, reversed for c = -1
+        return L2Function(a, _grid_exp(w, a, m, 0, m) * F.values[:: int(c)])
     t = F.grid()
-    if c == 1.0:
-        inner = F.values
-        mask = np.ones(F.m_points, dtype=bool)
-    elif c == -1.0:
-        inner = F.values[::-1]
-        mask = np.ones(F.m_points, dtype=bool)
-    else:
-        mask = np.abs(t) < abs(c) * a
-        inner = np.zeros(F.m_points, dtype=np.complex128)
-        run = np.flatnonzero(mask)  # one contiguous run of grid points
-        if run.size:
-            inner[mask] = _values_at(F, t[run[0]] / c, 2.0 * a / (F.m_points * c), run.size)
-    out = np.zeros(F.m_points, dtype=np.complex128)
-    out[mask] = np.exp(1j * d * t[mask] / c) * inner[mask] / abs(c)
+    run = np.flatnonzero(np.abs(t) < abs(c) * a)  # one contiguous run of grid points
+    out = np.zeros(m, dtype=np.complex128)
+    if run.size:
+        lo, count = run[0], run.size
+        inner = _values_at(F, t[lo] / c, 2.0 * a / (m * c), count)
+        out[lo : lo + count] = _grid_exp(w, a, m, lo, count) * inner / abs(c)
     return L2Function(a, out)
 
 
 def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
-    """The adjoint in the transformed picture: conj(e^{i d t}) F(c t)."""
+    """The adjoint in the transformed picture: conj(e^{i d t}) F(c t).
+
+    The weight e^{-i conj(d) t} comes from _grid_exp on the whole grid, within
+    O(eps (1 + |d| a)) of the exact exponential, as np.exp is.
+    """
     _guard_weight(phi, F.a)
-    a, c, d = F.a, phi.c, phi.d
-    t = F.grid()
+    a, c, d, m = F.a, phi.c, phi.d, F.m_points
     if c == 1.0:
         inner = F.values
     elif c == -1.0:
         inner = F.values[::-1]
     else:
-        inner = _values_at(F, c * t[0], 2.0 * a * c / F.m_points, F.m_points)
-    return L2Function(a, np.exp(-1j * np.conj(d) * t) * inner)
+        inner = _values_at(F, c * (-a + 0.5 * (2.0 * a / m)), 2.0 * a * c / m, m)
+    return L2Function(a, _grid_exp(-1j * np.conj(d), a, m, 0, m) * inner)

@@ -54,6 +54,19 @@ def seven_sinc_pulse(z, width):
     return out
 
 
+def exp_rounding_bound(w, a):
+    """(6 + 9 |w| a) eps: the relative error allowed to e^{w t_j} on a midpoint grid of [-a, a].
+
+    A grid point t_j is formed from h = 2a/M and at most six more roundings of
+    quantities no larger than 2a: l2_grid's (j + 1/2) h and -a + that, or
+    _grid_exp's (lo + 1/2) h, -a + that, b R h, their sum and its tail's r h.
+    With eps/2 per rounding that moves t_j by at most 7 eps a, and the
+    products with w (head and tail) add 1.5 eps |w| a.  Each exp errs by about
+    2 eps relative and _grid_exp's product of two factors by under 1.2 eps.
+    """
+    return (6.0 + 9.0 * abs(w) * a) * np.finfo(float).eps
+
+
 def loop_smooth_probe(a, half_width, rng, pulses=6, spread=0.25, band=0.8):
     """Node samples of a smooth probe summed one pulse at a time with seven_sinc_pulse.
 

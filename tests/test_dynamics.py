@@ -1,6 +1,7 @@
 """Orbit growth, classification, expansivity, Cesaro means, shadowing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,9 +75,18 @@ class TestOrbitNorms:
                     assert tr.method == "fourier"
                     assert np.max(np.abs(tr.norms / exact - 1.0)) <= 8 * eps, (c, a, m_points)
                 phi = AffineSymbol(c, 0.3 + 0.5j)
-                exact = pwlab.orbit_norms(phi, a, f, 30).norms
                 norms, slack = _fourier_orbit(phi, f, 30)
-                assert np.all(np.abs(norms - exact) <= slack), (c, a)
+                try:
+                    exact = pwlab.orbit_norms(phi, a, f, 30).norms
+                except OverflowGuardError as err:
+                    # the closed route's square at n rounded to <= 0 (c = 1 on
+                    # PW_pi): the Fourier route must put the true square under
+                    # the rounding bound B_n the error names, and the two routes
+                    # still agree before n
+                    n = int(re.search(r"at n = (\d+) ", str(err)).group(1))
+                    assert norms[n] ** 2 <= float(str(err).rsplit(" ", 1)[1]), (c, a, n)
+                    exact = pwlab.orbit_norms(phi, a, f, n - 1).norms
+                assert np.all(np.abs(norms[: exact.size] - exact) <= slack[: exact.size]), (c, a)
         # the Richardson step removes the midpoint rule's h^2 error: under a
         # hundredth of the raw M = 4096 gap is left
         f = pwlab.rough_probe(1.0, 64, rng)
@@ -109,6 +119,19 @@ class TestOrbitNorms:
         # and from below: the orbit norm never exceeds the operator norm power
         bound = np.exp(np.arange(41) * 1.0) * f.norm()
         assert np.all(tr.norms <= bound * (1.0 + 1e-9))
+
+    def test_square_lost_to_rounding_raises(self):
+        # c = 1, d = 0.3+0.5i on PW_pi: the pairing's rounding bound B_n grows
+        # as e^{2 pi n/2} and passes the true square, which rounds to <= 0 at
+        # n = 25; the trace raises there, naming n and B_n, not a silent 0.0
+        phi = AffineSymbol(1.0, 0.3 + 0.5j)
+        f = pwlab.smooth_probe(math.pi, 32, np.random.default_rng(0))
+        with pytest.raises(OverflowGuardError, match=r"at n = 25 .* B_n = eps pi/\(a \|c\^n\|\)"):
+            pwlab.orbit_norms(phi, math.pi, f, 30)
+        assert np.all(pwlab.orbit_norms(phi, math.pi, f, 24).norms > 0.0)
+        # a zero probe keeps its exact zero orbit
+        zero = pwlab.PwFunction(math.pi, np.zeros(9))
+        assert np.all(pwlab.orbit_norms(phi, math.pi, zero, 30).norms == 0.0)
 
     def test_bandwidth_and_horizon_validation(self):
         f = pwlab.node_function(1.0, 4)

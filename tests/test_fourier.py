@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import pwlab
-from pwlab import AffineSymbol, L2Function, OverflowGuardError
+from pwlab import AffineSymbol, AliasingError, L2Function, OverflowGuardError
+from pwlab.fourier import _grid_exp
 
-from oracles import dense_transform
+from oracles import dense_transform, exp_rounding_bound
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -116,7 +118,8 @@ class TestWeightedComposition:
         F = pwlab.to_l2(pwlab.rough_probe(a, 16, rng), 1024)
         d = 0.4 - 0.7j
         out = pwlab.weighted_compose_apply(AffineSymbol(1.0, d), F)
-        expected = np.exp(1j * d * F.grid()) * F.values
+        # the weight itself is held against mpmath in TestGridExp
+        expected = _grid_exp(1j * d, a, F.m_points, 0, F.m_points) * F.values
         assert np.max(np.abs(out.values - expected)) == 0.0
 
     def test_reflection_path_is_weighted_flip(self):
@@ -172,7 +175,7 @@ class TestWeightedComposition:
         F = pwlab.to_l2(pwlab.rough_probe(a, 8, rng), 512)
         d = 0.3 + 0.25j
         out = pwlab.weighted_compose_adjoint(AffineSymbol(1.0, d), F)
-        expected = np.exp(-1j * np.conj(d) * F.grid()) * F.values
+        expected = _grid_exp(-1j * np.conj(d), a, F.m_points, 0, F.m_points) * F.values
         assert np.max(np.abs(out.values - expected)) == 0.0
 
     def test_data_helper(self):
@@ -195,6 +198,66 @@ class TestWeightedComposition:
         F = pwlab.to_l2(f, 8192)
         out = pwlab.weighted_compose_apply(AffineSymbol(0.5, 0.0), F)
         assert abs(out.norm() - 1.0 / math.sqrt(0.5)) < 1e-6
+
+
+class TestGridExp:
+    def test_against_mpmath(self):
+        # runs at a nonzero offset, so the head starts off t_0; counts around
+        # the powers of two that set R; |Re w| a up to 300, the weight guard
+        a = 1.3
+        ws = (0.7 + 2.1j, -300.0 / a + 40.0j, 300.0 / a - 150.0j)
+        with mp.workdps(40):
+            for count in (1, 2, 3, 63, 64, 65, 4095, 4096, 4097):
+                m, lo = 2 * count + 3, count // 3 + 1
+                h = 2 * mp.mpf(a) / m
+                for w in ws:
+                    # e^{w t_j} by 40-digit steps e^{w h} from t_lo, one point after another
+                    z, step, exact = mp.exp(mp.mpc(w) * ((lo + mp.mpf(0.5)) * h - a)), mp.exp(mp.mpc(w) * h), []
+                    for _ in range(count):
+                        exact.append(complex(z))
+                        z *= step
+                    exact = np.array(exact)
+                    bound = exp_rounding_bound(w, a)
+                    for got in (_grid_exp(w, a, m, lo, count), np.exp(w * pwlab.l2_grid(a, m)[lo : lo + count])):
+                        assert got.shape == (count,)
+                        assert np.max(np.abs(got / exact - 1.0)) <= bound, (count, w)
+
+
+class TestEdgeSweep:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_or_typed_error(self):
+        # both transforms and both weighted compositions at the edge of the
+        # parameter space: a |Im d| at 0 and either side of the guard, c from
+        # +-1 down to 1e-3 (support runs of no point and of one point), and
+        # grids from 2 to 2^16 points; at M = 3, 65 and 4097 the full-grid
+        # weights compute products past t = a that _grid_exp cuts off, and
+        # none may overflow
+        a = 1.3
+        rng = np.random.default_rng(SEED + 20)
+        runs = set()
+        for m in (2, 3, 64, 65, 4097, 1 << 16):
+            f = pwlab.rough_probe(a, min(16, (m - 1) // 2), rng)
+            F = pwlab.to_l2(f, m)
+            assert np.all(np.isfinite(F.values))
+            assert np.all(np.isfinite(pwlab.from_l2(F, f.half_width).samples))
+            if m < 33:
+                with pytest.raises(AliasingError):
+                    pwlab.to_l2(pwlab.rough_probe(a, 16, rng), m)
+            for exponent in (0.0, 299.99, 300.01):
+                for c in (1.0, -1.0, 0.5, -0.5, 0.25, 1e-3):
+                    runs.add(int(np.count_nonzero(np.abs(F.grid()) < abs(c) * a)))
+                    for sign in (1.0, -1.0):
+                        phi = AffineSymbol(c, 0.3 + 1j * sign * exponent / a)
+                        for op in (pwlab.weighted_compose_apply, pwlab.weighted_compose_adjoint):
+                            if exponent > 300.0:
+                                with pytest.raises(OverflowGuardError):
+                                    op(phi, F)
+                                continue
+                            out = op(phi, F)
+                            assert np.all(np.isfinite(out.values)), (m, exponent, c, sign, op)
+                            back = pwlab.from_l2(out, f.half_width)
+                            assert np.all(np.isfinite(back.samples)), (m, exponent, c, sign, op)
+        assert {0, 1} <= runs
 
 
 def _transform_scale(f):
