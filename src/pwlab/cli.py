@@ -56,8 +56,8 @@ class RunConfig:
 
 
 _FAST_PROFILE = {"half_width": 48}
-_INT_KEYS = {"half_width", "n_max", "seed"}
-_FLOAT_KEYS = {"tol"}
+# each RunConfig field is a config key, parsed as the type of its default: ints take any base prefix
+_KEYS = {f.name: functools.partial(int, base=0) if type(f.default) is int else float for f in fields(RunConfig)}
 
 
 def parse_complex(text: str):
@@ -79,7 +79,6 @@ def parse_int_literal(text: str) -> int:
 def load_config_file(path: str) -> dict:
     """Read key=value lines; '#' starts a comment.  Values override flags."""
     overrides: dict = {}
-    known = {f.name for f in fields(RunConfig)}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -87,12 +86,9 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {raw!r} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _INT_KEYS:
-            overrides[key] = int(value, 0)
-        elif key in _FLOAT_KEYS:
-            overrides[key] = float(value)
+        overrides[key] = _KEYS[key](value)
     return overrides
 
 
@@ -100,7 +96,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.fast:
         cfg = replace(cfg, **_FAST_PROFILE)
-    for name in ("half_width", "n_max", "seed", "tol"):
+    for name in _KEYS:
         value = getattr(args, name, None)
         if value is not None:
             cfg = replace(cfg, **{name: value})

@@ -301,7 +301,7 @@ def _cardinal(a, z, v):
 
     The one O(len(z) len(v)) sinc-sum kernel of the package: pw_eval (and so
     compose_apply's fallback and probes.spectral_pulse) and both routes of
-    composed_inner_product sum through it.
+    _pairings (every closed pairing) sum through it.
     With m the node nearest Re z (m = rint(a Re z / pi)) and delta = a (z -
     x_m), formed as a difference so that node hits give delta = 0 exactly,
     every term shares one sine:
@@ -515,18 +515,12 @@ def composed_inner_product(
     ratio c2/c1 has modulus at most 1, so no power of a tiny c overflows or
     underflows.  The other order is the conjugate of the swapped pairing;
     ordering by (|c|, c) puts the positive slope first when c1 = -c2, so
-    unequal slopes are Hermitian bit for bit.  g(zeta_n) is g's cardinal
-    series, and two routes sum it through the one kernel _cardinal:
-
-    * equal slopes (c1 == c2): zeta_n - x_m = s + x_{n-m}, so the double sum
-      depends on m - n only and is the cardinal series at conj(s) of the
-      cross-correlation of the samples, from one FFT (_toeplitz_pairing);
-    * unequal slopes: g at the 2 N1 + 1 points zeta_n, as pw_eval does.
-
-    Both round to O(eps * pi/(a |c1|) * sum|v| * sum|w| * e^(a |Im s|)) with
-    v, w the sample vectors; a |Im s| and a |Re s| pass the overflow guard
-    first.  Used wherever windowed re-sampling would lose mass (orbit norms,
-    defect checks, adjoint pairings).
+    unequal slopes are Hermitian bit for bit.  The sum is _pairings' with
+    one ratio and one shift: equal slopes take its Toeplitz route, unequal
+    ones its direct route.  It rounds to O(eps * pi/(a |c1|) * sum|v| *
+    sum|w| * e^(a |Im s|)) with v, w the sample vectors; a |Im s| and a
+    |Re s| pass the overflow guard first.  Used wherever windowed
+    re-sampling would lose mass (orbit norms, defect checks, adjoint pairings).
     """
     if f.a != g.a:
         raise BandwidthMismatchError(f"bandwidths differ: {f.a} vs {g.a}")
@@ -537,29 +531,55 @@ def composed_inner_product(
     ratio = phi2.c / phi1.c
     shift = phi2.d - ratio * phi1.d.conjugate()
     _guard_points(a, shift, "pairing exponent")
-    if phi1.c == phi2.c:
-        val = _toeplitz_pairing(a, np.array([shift.conjugate()]), f.samples, g.samples)[0]
-    else:
-        val = f.samples @ np.conj(_cardinal(a, ratio * f.grid() + shift, g.samples))
-    val = complex(val) * (math.pi / (a * abs(phi1.c)))
+    val = complex(_pairings(a, f.samples, g.samples, ratio, np.array([shift]))[0])
+    val *= math.pi / (a * abs(phi1.c))
     return val.conjugate() if swap else val
 
 
-def _toeplitz_pairing(a, z, v, w):
-    """sum_{n,m} v_n conj(w_m) sinc(a (z_j - x_{m-n})) for each entry of the 1-d array z.
+def _pairings(a, v, w, ratio, shift):
+    """sum_n v_n conj(g(ratio_j x_n + shift_j)) for each j, g the cardinal series of w.
 
-    The kernel depends on m - n only, so the double sum is the cardinal
-    series at z_j of the cross-correlation X_k = sum_n v_n conj(w_{n+k}),
-    |k| <= N1 + N2, which one FFT convolution gives.
+    x_n are the nodes of v's window; ratio is one float or an array like the
+    1-d array shift.  The input picks the route; both sum by _cardinal:
+
+    * every ratio 1: x_n + s - x_m = s + x_{n-m}, so the double sum depends
+      on m - n only: the cardinal series at conj(s_j) of the cross-correlation
+      X_k = sum_n v_n conj(w_{n+k}), |k| <= N1 + N2, from one FFT convolution;
+    * otherwise: g at the stacked points ratio_j x_n + s_j in one call.
+
+    Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)); callers
+    guard the shifts themselves.
     """
-    size = v.size + w.size - 1
-    nfft = 1 << (size - 1).bit_length()
-    # convolution of v with reversed conj(w), read backwards
-    xcorr = np.fft.ifft(np.fft.fft(v, nfft) * np.fft.fft(np.conj(w[::-1]), nfft))
-    return _cardinal(a, z, xcorr[size - 1 :: -1])
+    # a single ratio is a Python float: compare it without numpy's overhead
+    if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
+        size = v.size + w.size - 1
+        nfft = 1 << (size - 1).bit_length()
+        # convolution of v with reversed conj(w), read backwards
+        xcorr = np.fft.ifft(np.fft.fft(v, nfft) * np.fft.fft(np.conj(w[::-1]), nfft))
+        return _cardinal(a, np.conj(shift), xcorr[size - 1 :: -1])
+    points = np.multiply.outer(ratio, grid(a, v.size // 2)) + shift[:, None]
+    return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v
+
+
+def _guard_square(square, a, c, y, v, n=None):
+    """Raise OverflowGuardError if the closed-pairing square ||C_phi f||^2 of a nonzero f is <= 0.
+
+    With phi = (c, d), y = Im d and v the samples of f, the square rounds to
+    O(B), B = eps pi/(a |c|) (sum|v|)^2 e^(2a |y|), so one <= 0 has lost
+    every digit; the message ends with B.  Given n, phi is the n-th iterate.
+    """
+    if square <= 0.0 and np.any(v):
+        bound = math.ulp(1.0) * math.pi / (a * abs(c)) * float(np.sum(np.abs(v))) ** 2
+        bound *= math.exp(2.0 * a * abs(y))
+        at, sub, power = ("", "", "") if n is None else (f" at n = {n}", "_n", "^n")
+        raise OverflowGuardError(
+            f"squared norm{at} rounds to {float(square)!r} <= 0; its rounding bound "
+            f"B{sub} = eps pi/(a |c{power}|) (sum|v|)^2 e^(2a |Im d{sub}|) is {bound:.3e}"
+        )
 
 
 def composed_norm(phi: AffineSymbol, f: PwFunction) -> float:
-    """||C_phi f|| via the closed pairing form."""
-    val = composed_inner_product(phi, f, phi, f)
-    return math.sqrt(max(val.real, 0.0))
+    """||C_phi f|| via the closed pairing form; a square lost to rounding raises (_guard_square)."""
+    square = composed_inner_product(phi, f, phi, f).real
+    _guard_square(square, f.a, phi.c, phi.d.imag, f.samples)
+    return math.sqrt(max(square, 0.0))

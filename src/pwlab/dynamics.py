@@ -3,9 +3,10 @@
 Everything here reduces to two exact ingredients: the closed-form iterate
 phi^[n] = (c^n, d_n) (so the n-th orbit element is a single composition, not
 n resamplings), and the closed pairing form for <C_phi1 f, C_phi2 g> (so
-orbit norms never lose mass to a finite window); orbit_norms_fourier reads
-them again as weighted integrals of |F|^2.  Classification itself is a pure
-table on (c, Im d); the orbit machinery certifies each entry numerically.
+orbit norms never lose mass to a finite window), which core._pairings sums
+for a whole orbit or lag table in one call; orbit_norms_fourier reads them
+again as weighted integrals of |F|^2.  Classification itself is a pure table
+on (c, Im d); the orbit machinery certifies each entry numerically.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .core import (
     OverflowGuardError,
     PwFunction,
     PwLabError,
-    _cardinal,
     _guard_exponent,
     _guard_points,
+    _guard_square,
     _iterate_parts,
-    _toeplitz_pairing,
+    _pairings,
     compose_apply,
     kernel_norm_sq,
     pw_eval,
@@ -101,30 +102,22 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     exactly; no window resampling enters, so the trace is reliable far past
     the point where windowed samples of f o phi^[n] would saturate.
 
-    All n_max pairings take the equal-slope (Toeplitz) route of
-    composed_inner_product at once: one FFT autocorrelation of the samples,
-    then its cardinal series at the n_max points conj(d_n) - d_n = -2i Im d_n.
-    ||C_{phi^[n]} f||^2 rounds to O(B_n), B_n = eps * pi/(a |c^n|) * (sum|v|)^2 *
-    e^(2 a |Im d_n|) with v the samples.  A nonzero probe whose square rounds
-    to <= 0 has lost every digit to that bound and raises OverflowGuardError
-    naming n and B_n.
+    All n_max pairings take _pairings' Toeplitz route (ratio 1) at once: one
+    FFT autocorrelation of the samples v, then its cardinal series at the
+    points conj(d_n - conj(d_n)) = -2i Im d_n.  ||C_{phi^[n]} f||^2 rounds to
+    O(B_n), B_n = eps * pi/(a |c^n|) * (sum|v|)^2 * e^(2 a |Im d_n|); a nonzero
+    probe whose square rounds to <= 0 has lost every digit to B_n and raises
+    OverflowGuardError naming n and B_n (_guard_square, as composed_norm).
     """
     if f.a != a:
         raise ValueError("probe bandwidth differs from the requested space")
     # the batch below bypasses composed_inner_product's own range guard
     c, y = _orbit_parts(phi, a, n_max)
-    squares = (math.pi / (a * c[1:])) * _toeplitz_pairing(a, -2j * y[1:], f.samples, f.samples).real
+    squares = (math.pi / (a * c[1:])) * _pairings(a, f.samples, f.samples, 1.0, 2j * y[1:]).real
     lost = np.flatnonzero(squares <= 0.0)
-    if lost.size and np.any(f.samples):
+    if lost.size:
         n = int(lost[0]) + 1
-        bound = (
-            np.finfo(float).eps * math.pi / (a * c[n])
-            * float(np.sum(np.abs(f.samples))) ** 2 * math.exp(2.0 * a * abs(y[n]))
-        )
-        raise OverflowGuardError(
-            f"squared orbit norm at n = {n} rounds to {float(squares[n - 1])!r} <= 0; its rounding "
-            f"bound B_n = eps pi/(a |c^n|) (sum|v|)^2 e^(2a |Im d_n|) is {bound:.3e}"
-        )
+        _guard_square(squares[n - 1], a, c[n], y[n], f.samples, n)
     norms = np.concatenate(([f.norm()], np.sqrt(squares)))
     return OrbitTrace(phi, a, norms)
 
@@ -402,63 +395,37 @@ def cesaro_lower_envelope(
     return delta * np.power(abs(phi.c), -0.5 * n) * f.norm() / n
 
 
-def _lag_table(
-    phi: AffineSymbol, g: PwFunction, f: PwFunction, rows: int, cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(table, level): <C_{phi^[i]} g, C_{phi^[j]} f> = |c|^{-i} table[level[i-1], j-i].
-
-    Covers 1 <= i <= rows <= cols, i <= j <= cols.  table[l, k] = pi/a
-    sum_m w_m conj(f(c^k x_m + s)), s = d_k + 2i c^k Im d_i, over the nodes
-    x_m of g's window (samples w_m), with one row l per distinct Im d_i and
-    the points of every needed (l, k) stacked into one _cardinal call.
-    """
-    c_k, d_k = zip(*(_iterate_parts(phi.c, phi.d, k) for k in range(cols + 1)))
-    seen = {}  # Im d_i -> (its row, the first i with it)
-    level = [seen.setdefault(d_k[i].imag, (len(seen), i))[0] for i in range(1, rows + 1)]
-    im = np.array(list(seen))
-    first = np.array([i for _, i in seen.values()])
-    row, k = np.nonzero(np.arange(cols) <= cols - first[:, None])
-    c = np.array(c_k[:cols])[k]
-    shift = np.array(d_k[:cols])[k]
-    shift.imag += 2.0 * c * im[row]
-    _guard_points(g.a, shift, "pairing exponent")
-    points = c[:, None] * g.grid() + shift[:, None]
-    values = _cardinal(g.a, points.ravel(), f.samples).reshape(k.size, -1)
-    table = np.zeros((im.size, cols), dtype=np.complex128)
-    table[row, k] = (math.pi / g.a) * (np.conj(values) @ g.samples)
-    return table, np.array(level)
-
-
 def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> np.ndarray:
     """M[i-1, j-1] = <C_{phi^[i]} g, C_{phi^[j]} f> for 1 <= j <= i <= n; zero above the diagonal.
 
     phi^[i] = phi^[k] o phi^[j] with k = i - j gives d_i = c^k d_j + d_k, so
     composed_inner_product's identity with c1 = c^j, c2 = c^i reads
 
-        <C_{phi^[j]} f, C_{phi^[i]} g> = |c|^{-j} pi/a sum_m v_m conj(g(c^k x_m + s)),
-        s = d_i - c^k conj(d_j) = d_k + 2i c^k Im d_j,
+        <C_{phi^[j]} f, C_{phi^[i]} g> = |c|^{-j} table[l, k],
+        table[l, k] = pi/a sum_m v_m conj(g(c^k x_m + s)),  s = d_k + 2i c^k Im d_j,
 
-    over the nodes x_m of f's window (samples v_m); M holds its conjugate,
-    read off one lag table of f against g, the diagonal at lag 0.  Real d
-    has one table row and s = d_k; complex d one row per Im d_j.  Entries
-    round to O(eps * |c|^{-j} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with
-    w the samples of g, the per-pair bound of composed_inner_product.
+    over the nodes x_m of f's window (samples v_m), with one row l per
+    distinct Im d_j (one row for real d) and every needed (l, k), k <= n - j
+    for the first j of row l, filled by one _pairings call.  M holds the
+    conjugate, the diagonal at lag 0.  Entries round to O(eps * |c|^{-j} *
+    pi/a * sum|v| * sum|w| * e^(a |Im s|)) with w the samples of g, the
+    per-pair bound of composed_inner_product.
     """
-    table, level = _lag_table(phi, f, g, n, n)
-    i = np.arange(1, n + 1)[:, None]
+    c_k, d_k = zip(*(_iterate_parts(phi.c, phi.d, k) for k in range(n + 1)))
+    seen = {}  # Im d_j -> (its row, the first j with it)
+    level = np.array([seen.setdefault(d_k[j].imag, (len(seen), j))[0] for j in range(1, n + 1)])
+    im = np.array(list(seen))
+    first = np.array([j for _, j in seen.values()])
+    row, k = np.nonzero(np.arange(n) <= n - first[:, None])
+    ratio = np.array(c_k[:n])[k]
+    shift = np.array(d_k[:n])[k]
+    shift.imag += 2.0 * ratio * im[row]
+    _guard_points(f.a, shift, "pairing exponent")
+    table = np.zeros((im.size, n), dtype=np.complex128)
+    table[row, k] = (math.pi / f.a) * _pairings(f.a, f.samples, g.samples, ratio, shift)
     j = np.arange(1, n + 1)
-    near = np.minimum(i, j)
-    entries = np.conj(table[level[near - 1], np.maximum(i - j, 0)])
-    return np.where(i >= j, abs(phi.c) ** -near * entries, 0.0)
-
-
-def _semigroup_matrix(phi: AffineSymbol, f: PwFunction, n: int) -> np.ndarray:
-    """gram[i-1, j-1] = <C_{phi^[i]} f, C_{phi^[j]} f>, i, j = 1..n, from one lag table.
-
-    _lower_pairings(f, f) below the diagonal, its conjugate transpose on and above it.
-    """
-    low = _lower_pairings(phi, f, f, n)
-    return np.where(np.tri(n, k=-1, dtype=bool), low, low.conj().T)
+    lag = np.maximum(j[:, None] - j, 0)
+    return np.tril(abs(phi.c) ** -j * np.conj(table[level[j - 1], lag]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,9 +497,8 @@ def build_pseudotrajectory(
 ) -> Pseudotrajectory:
     """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
 
-    One lag table (_semigroup_matrix) fills the gram.  Entries round to
-    O(eps * |c|^{-min(j,k)-1} * pi/a * (sum|v|)^2 * e^(a |Im s|)) with v
-    the samples.  orbit_norms guards the orbit range before any pairing.
+    The gram is _lower_pairings(f, f) below the diagonal and its conjugate transpose
+    on and above it, rounding as Pseudotrajectory states; orbit_norms guards the orbit range first.
     """
     if phi.c == 1.0:
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
@@ -548,7 +514,8 @@ def build_pseudotrajectory(
     norms = orbit_norms(phi, a, f, n_max + 1).norms
     step_norm = float(norms[1])
     coefficient = delta / step_norm
-    gram = _semigroup_matrix(phi, f, n_max + 1)
+    low = _lower_pairings(phi, f, f, n_max + 1)
+    gram = np.where(np.tri(n_max + 1, k=-1, dtype=bool), low, low.conj().T)
     return Pseudotrajectory(
         phi=phi,
         a=a,

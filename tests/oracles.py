@@ -235,33 +235,23 @@ def gram_form(P, x):
 
 
 def full_cross_divergence(P, g, n_max=None):
-    """shadowing_divergence through the whole cross matrix, both lag tables.
+    """shadowing_divergence through the whole cross matrix, one pairing per entry.
 
     The reference for the one-table divergence: M[i-1, j-1] = <C_{phi^[i]}
     g, C_{phi^[j]} f> for i = 1..n_max and every j = 1..P.n_max+1, f the
-    seed, from dynamics._lag_table of g against f for j >= i and the
-    conjugate of f against g for j < i; D_n reads cross[n-1] @ conj(x) over
-    the full row and ||f_n||^2 as the quadratic form gram_form, with x the
-    coefficient vector of f_n, and f(alpha) and g(alpha) are summed again here.
-    Returns (D, L).
+    seed, each from its own composed_inner_product of the two iterate
+    symbols, so no lag table, row per Im d_j, lag or power |c|^{-min(i,j)}
+    enters; D_n reads cross[n-1] @ conj(x) over the full row and ||f_n||^2
+    as the quadratic form gram_form, with x the coefficient vector of f_n,
+    and f(alpha) and g(alpha) are summed again here.  Returns (D, L).
     """
-    from pwlab.core import kernel_norm_sq, pw_eval
-    from pwlab.dynamics import _lag_table, orbit_norms
+    from pwlab.core import composed_inner_product, kernel_norm_sq, pw_eval
+    from pwlab.dynamics import orbit_norms
 
     n_max = P.n_max if n_max is None else n_max
-    rows, cols = n_max, P.n_max + 1
-    upper, up = _lag_table(P.phi, g, P.seed, rows, cols)
-    lower, low = _lag_table(P.phi, P.seed, g, rows, rows)
-    i = np.arange(1, rows + 1)[:, None]
-    j = np.arange(1, cols + 1)
-    near = np.minimum(i, j)
-    lag = j - i
-    entries = np.where(
-        lag >= 0,
-        upper[up[near - 1], np.maximum(lag, 0)],
-        np.conj(lower[low[near - 1], np.maximum(-lag, 0)]),
-    )
-    cross = abs(P.phi.c) ** -near * entries
+    its = [P.phi.iterate(k) for k in range(1, P.n_max + 2)]
+    cross = np.array([[composed_inner_product(its[i], g, its[j], P.seed) for j in range(P.n_max + 1)]
+                      for i in range(n_max)])
     alpha = P.phi.fixed_point()
     f_alpha = pw_eval(P.seed, alpha)
     g_alpha = pw_eval(g, alpha)

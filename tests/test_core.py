@@ -657,6 +657,34 @@ class TestComposedProducts:
             backward = pwlab.composed_inner_product(phi2, g, phi1, f)
             assert forward == backward.conjugate(), (c1, c2)
 
+    def test_pairing_routes_agree(self):
+        # shifts with ratio 1 take _pairings' Toeplitz route alone, whether the
+        # ratio is a float or an array of ones, and its stacked route once one
+        # ratio != 1 joins them; the two agree within 4 eps sum|v| sum|w| e^(a |Im s|)
+        rng = np.random.default_rng(SEED + 71)
+        eps = np.finfo(float).eps
+        for a, nv, nw in ((1.0, 8, 16), (math.pi, 32, 4), (1.3, 0, 24), (2.0, 48, 48)):
+            v, w = ([1.0, 1j] @ rng.standard_normal((2, 2 * n + 1)) for n in (nv, nw))
+            shift = rng.uniform(-20.0, 20.0, 12) + 1j * np.repeat((0.0, 1.0), 6) * rng.uniform(-2.0, 2.0, 12)
+            alone = pwlab.core._pairings(a, v, w, 1.0, shift)
+            ones = pwlab.core._pairings(a, v, w, np.ones(shift.size), shift)
+            assert ones.tobytes() == alone.tobytes()
+            ratio = np.append(np.ones(shift.size), -0.5)
+            stacked = pwlab.core._pairings(a, v, w, ratio, np.append(shift, 0.3))[:-1]
+            bound = 4 * eps * np.sum(np.abs(v)) * np.sum(np.abs(w)) * np.exp(a * np.abs(shift.imag))
+            assert np.all(np.abs(stacked - alone) <= bound), (a, nv, nw)
+
+    def test_square_lost_to_rounding_raises(self):
+        # c = 1, d_n = n (0.3+0.5i) on PW_pi: ||C f||^2 rounds to <= 0 at n = 24,
+        # 25 and 26; composed_norm raises naming B, as orbit_norms does, not 0.0
+        phi = AffineSymbol(1.0, 0.3 + 0.5j)
+        f = pwlab.smooth_probe(math.pi, 32, np.random.default_rng(0))
+        for n in (24, 25, 26):
+            with pytest.raises(OverflowGuardError, match=r"rounds to .* B = eps pi/\(a \|c\|\) .* is \S+$"):
+                pwlab.composed_norm(phi.iterate(n), f)
+        assert pwlab.composed_norm(phi.iterate(23), f) > 0.0
+        assert pwlab.composed_norm(phi.iterate(25), PwFunction(math.pi, np.zeros(9))) == 0.0
+
     def test_kernel_pairing_closed_form(self):
         # <C_phi k_u, k_v> = k_u(phi(v)) for lattice points u, v (exact windows)
         a = math.pi

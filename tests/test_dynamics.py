@@ -8,7 +8,7 @@ import pytest
 
 import pwlab
 from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError
-from pwlab.dynamics import _lower_pairings, _semigroup_matrix
+from pwlab.dynamics import _lower_pairings
 from pwlab.verify import _fourier_orbit
 
 from oracles import dense_pairing, full_cross_divergence, gram_form, term_coefficients
@@ -36,9 +36,9 @@ class TestOrbitNorms:
                 for a, probe in ((1.0, pwlab.rough_probe), (math.pi, pwlab.smooth_probe)):
                     f, n_max = probe(a, 16, rng), 30
                     its = [phi.iterate(n) for n in range(1, n_max + 1)]
-                    z = -2j * np.array([it.d.imag for it in its])
+                    shift = np.array([it.d - it.d.conjugate() for it in its])
                     squares = (math.pi / (a * np.abs([it.c for it in its]))) * (
-                        pwlab.core._toeplitz_pairing(a, z, f.samples, f.samples).real
+                        pwlab.core._pairings(a, f.samples, f.samples, 1.0, shift).real
                     )
                     norms = np.concatenate(([f.norm()], np.sqrt(np.maximum(squares, 0.0))))
                     assert pwlab.orbit_norms(phi, a, f, n_max).norms.tobytes() == norms.tobytes()
@@ -646,6 +646,6 @@ class TestSemigroupPairings:
         # exponents, so the table's own guard is called directly
         f = pwlab.node_function(self.A, 4, 0)
         with pytest.raises(OverflowGuardError, match="pairing exponent"):
-            _semigroup_matrix(AffineSymbol(0.5, 1.0 + 200j), f, 3)
+            _lower_pairings(AffineSymbol(0.5, 1.0 + 200j), f, f, 3)
         with pytest.raises(OverflowGuardError, match="evaluation range"):
-            _semigroup_matrix(AffineSymbol(0.5, 1e200), f, 3)
+            _lower_pairings(AffineSymbol(0.5, 1e200), f, f, 3)
