@@ -102,18 +102,19 @@ def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -
 
 
 def _guard_points(a: float, z, what: str) -> None:
-    """Guard the points z (a complex or an array) a sinc sum is evaluated at.
+    """Guard the points z (a complex array) a sinc kernel is about to evaluate.
 
-    a |Im z| passes _guard_exponent under the name what.  a |Re z| may not
-    pass 2^511, half of where the squares (a Re(z - x_k))^2 of _cardinal's
-    complex route overflow, so the nodes of a window fit in the margin.  Its
-    real route takes 1/x and squares nothing, but every point is guarded.
-    A NaN point raises ValueError; an infinite one fails the range guard.
+    Each kernel guards its own targets (_cardinal, _coset_sum, kernel_eval,
+    kernel_norm_sq); no caller guards for it.  a |Im z| passes
+    _guard_exponent under the name what.  a |Re z| may not pass 2^511, half
+    of where _cardinal's complex route overflows its squares (a Re(z -
+    x_k))^2, so a window's nodes fit in the margin; its real route squares
+    nothing.  A NaN point raises ValueError; an infinite one fails the guard.
     """
-    if isinstance(z, complex):  # one shift per call: skip numpy's overhead
-        re, im = abs(z.real), abs(z.imag)
-    else:
-        re, im = np.abs(z.real).max(initial=0.0), np.abs(z.imag).max(initial=0.0)
+    # one reduction over both parts passes the common case: every part of every point within the limit
+    if a * float(np.abs(z.ravel().view(float)).max(initial=0.0)) <= OVERFLOW_EXPONENT:
+        return
+    re, im = np.abs(z.real).max(initial=0.0), np.abs(z.imag).max(initial=0.0)
     if math.isnan(re) or math.isnan(im):
         raise ValueError("evaluation points must not be NaN")
     a = float(a)
@@ -276,7 +277,7 @@ def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
 
 def kernel_norm_sq(a: float, w: complex) -> float:
     """||k_w||^2 = (a/pi) sinh(2 a Im w)/(2 a Im w), continuous through Im w = 0."""
-    _guard_points(2.0 * a, complex(w), "kernel exponent 2 a |Im w|")
+    _guard_points(2.0 * a, np.array(complex(w)), "kernel exponent 2 a |Im w|")
     y = 2.0 * a * complex(w).imag
     return (a / math.pi) * (math.sinh(y) / y if y else 1.0)
 
@@ -284,16 +285,12 @@ def kernel_norm_sq(a: float, w: complex) -> float:
 def pw_eval(f: PwFunction, z):
     """Evaluate f anywhere in the plane from its samples by the cardinal series.
 
-    f(z) = sum_k v_k sinc(a (z - x_k)), summed by _cardinal.  Node hits return
-    the stored samples exactly; the rest rounds to O(eps * sum_k |v_k| *
-    e^(a |Im z|)), and a |Im z| and a |Re z| pass the overflow guard first.
+    f(z) = sum_k v_k sinc(a (z - x_k)), guarded and summed by _cardinal.  Node
+    hits return the stored samples exactly; the rest rounds to O(eps * sum_k
+    |v_k| * e^(a |Im z|)).
     """
-    z_flat = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
-    _guard_points(f.a, z_flat, "evaluation exponent a |Im z|")
-    out = _cardinal(f.a, z_flat, f.samples)
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    out = _cardinal(f.a, np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel(), f.samples)
+    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def _cardinal(a, z, v):
@@ -301,10 +298,10 @@ def _cardinal(a, z, v):
 
     The one O(len(z) len(v)) sinc-sum kernel of the package: pw_eval (and so
     compose_apply's fallback and probes.spectral_pulse) and both routes of
-    _pairings (every closed pairing) sum through it.
-    With m the node nearest Re z (m = rint(a Re z / pi)) and delta = a (z -
-    x_m), formed as a difference so that node hits give delta = 0 exactly,
-    every term shares one sine:
+    _pairings (every closed pairing) sum through it, and it guards its own
+    targets first (_guard_points).  With m the node nearest Re z (m = rint(a
+    Re z / pi)) and delta = a (z - x_m), formed as a difference so that node
+    hits give delta = 0 exactly, every term shares one sine:
 
         sinc(a (z - x_k)) = (-1)^(m-k) sin(delta) / (a (z - x_k)).
 
@@ -316,9 +313,9 @@ def _cardinal(a, z, v):
     sums 1/x by one product; a block with any complex target sums 1/(x + iy)
     = (x - iy)/(x^2 + y^2) by two.  A node hit multiplies all far terms by
     sin 0 = 0, so it returns the stored sample exactly.  On either route the
-    result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)); callers guard
-    a |Im z| themselves.
+    result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)).
     """
+    _guard_points(a, z, "evaluation exponent a |Im z|")
     n = v.size // 2
     x = grid(a, n)
     # (-1)^k v_k as real columns (re, im)
@@ -414,8 +411,7 @@ def compose_apply(
     identity, reflections and the even outputs of c = +-1/2, d = 0 stay
     bit-exact; the others round normwise, to O(eps * ||v|| * ||K_r||) from
     the FFT, not per entry.  Slopes whose q cosets cost more than the
-    direct sum go through pw_eval's cardinal series unchanged.  a |Im d|
-    and a |Re d| pass pw_eval's overflow guard first.
+    direct sum go through pw_eval's cardinal series unchanged; each route guards its own targets.
     """
     if half_width is not None:
         if not isinstance(half_width, numbers.Integral) or half_width < 0:
@@ -426,7 +422,6 @@ def compose_apply(
     if n_out > _MAX_HALF_WIDTH:
         raise OverflowGuardError(f"target window half width {n_out:.3g} > {_MAX_HALF_WIDTH}")
     n_out = math.ceil(n_out)
-    _guard_points(f.a, phi.d, "evaluation exponent a |Im z|")
     out = _coset_sum(phi, f, n_out)
     if out is None:
         out = pw_eval(f, phi(grid(f.a, n_out)))
@@ -452,7 +447,7 @@ def _coset_sum(phi, f, n_out):
     one FFT of v.  Returns None, and the caller sums by _cardinal, when
     there are more cosets than targets or when _FFT_COST * (convolved
     cosets) * nfft log2 nfft reaches the (2N + 1)(2 n_out + 1) entries of
-    the direct sum.
+    the direct sum.  The q targets phi(x_r) pass _guard_points once formed.
     """
     a, v, n = f.a, f.samples, f.half_width
     p, q = phi.c.as_integer_ratio()
@@ -462,6 +457,7 @@ def _coset_sum(phi, f, n_out):
     s_lo = min(p * m_lo, p * m_hi)
     nfft = 1 << (abs(p) * (m_hi - m_lo) + 2 * n).bit_length()
     z = phi(np.arange(q) * (math.pi / a))
+    _guard_points(a, z, "evaluation exponent a |Im z|")
     mu = np.rint(z.real * (a / math.pi))
     delta = a * (z - mu * (math.pi / a))
     if phi.d.imag == 0.0:
@@ -518,21 +514,18 @@ def composed_inner_product(
     unequal slopes are Hermitian bit for bit.  The sum is _pairings' with
     one ratio and one shift: equal slopes take its Toeplitz route, unequal
     ones its direct route.  It rounds to O(eps * pi/(a |c1|) * sum|v| *
-    sum|w| * e^(a |Im s|)) with v, w the sample vectors; a |Im s| and a
-    |Re s| pass the overflow guard first.  Used wherever windowed
-    re-sampling would lose mass (orbit norms, defect checks, adjoint pairings).
+    sum|w| * e^(a |Im s|)) with v, w the sample vectors.  Used wherever
+    windowed re-sampling would lose mass (orbit norms, defect checks, adjoint pairings).
     """
     if f.a != g.a:
         raise BandwidthMismatchError(f"bandwidths differ: {f.a} vs {g.a}")
     swap = (abs(phi1.c), phi1.c) < (abs(phi2.c), phi2.c)
     if swap:
         phi1, f, phi2, g = phi2, g, phi1, f
-    a = f.a
     ratio = phi2.c / phi1.c
     shift = phi2.d - ratio * phi1.d.conjugate()
-    _guard_points(a, shift, "pairing exponent")
-    val = complex(_pairings(a, f.samples, g.samples, ratio, np.array([shift]))[0])
-    val *= math.pi / (a * abs(phi1.c))
+    val = complex(_pairings(f.a, f.samples, g.samples, ratio, np.array([shift]))[0])
+    val *= math.pi / (f.a * abs(phi1.c))
     return val.conjugate() if swap else val
 
 
@@ -547,8 +540,7 @@ def _pairings(a, v, w, ratio, shift):
       X_k = sum_n v_n conj(w_{n+k}), |k| <= N1 + N2, from one FFT convolution;
     * otherwise: g at the stacked points ratio_j x_n + s_j in one call.
 
-    Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)); callers
-    guard the shifts themselves.
+    Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)).
     """
     # a single ratio is a Python float: compare it without numpy's overhead
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
@@ -561,19 +553,28 @@ def _pairings(a, v, w, ratio, shift):
     return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v
 
 
-def _guard_square(square, a, c, y, v, n=None):
-    """Raise OverflowGuardError if the closed-pairing square ||C_phi f||^2 of a nonzero f is <= 0.
+def _rounding_bound(a, c, y, v):
+    """B = eps pi/(a |c|) (sum|v|)^2 e^(2a |y|): the closed-pairing square ||C_phi f||^2 rounds to O(B).
 
-    With phi = (c, d), y = Im d and v the samples of f, the square rounds to
-    O(B), B = eps pi/(a |c|) (sum|v|)^2 e^(2a |y|), so one <= 0 has lost
-    every digit; the message ends with B.  Given n, phi is the n-th iterate.
+    phi = (c, d), y = Im d and v the samples of f; c and y may be arrays over an orbit.
     """
-    if square <= 0.0 and np.any(v):
-        bound = math.ulp(1.0) * math.pi / (a * abs(c)) * float(np.sum(np.abs(v))) ** 2
-        bound *= math.exp(2.0 * a * abs(y))
-        at, sub, power = ("", "", "") if n is None else (f" at n = {n}", "_n", "^n")
+    return math.ulp(1.0) * math.pi / (a * np.abs(c)) * np.sum(np.abs(v)) ** 2 * np.exp(2.0 * a * np.abs(y))
+
+
+def _guard_square(square, a, c, y, v):
+    """Raise OverflowGuardError where a closed-pairing square ||C_phi f||^2 of a nonzero f is <= 0.
+
+    square, c and y = Im d are one pairing's, or arrays over an orbit's n = 1,
+    2, ... whose first lost n the message names.  A square rounds to O(B)
+    (_rounding_bound), so one <= 0 has lost every digit; the message ends with B.
+    """
+    lost = np.flatnonzero(np.less_equal(square, 0.0))
+    if lost.size and np.any(v):
+        n = int(lost[0])
+        bound = _rounding_bound(a, np.ravel(c)[n], np.ravel(y)[n], v)
+        at, sub, power = (f" at n = {n + 1}", "_n", "^n") if np.ndim(square) else ("", "", "")
         raise OverflowGuardError(
-            f"squared norm{at} rounds to {float(square)!r} <= 0; its rounding bound "
+            f"squared norm{at} rounds to {float(np.ravel(square)[n])!r} <= 0; its rounding bound "
             f"B{sub} = eps pi/(a |c{power}|) (sum|v|)^2 e^(2a |Im d{sub}|) is {bound:.3e}"
         )
 

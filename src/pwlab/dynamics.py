@@ -20,11 +20,11 @@ import numpy as np
 from .core import (
     OVERFLOW_EXPONENT,
     AffineSymbol,
+    BandwidthMismatchError,
     OverflowGuardError,
     PwFunction,
     PwLabError,
     _guard_exponent,
-    _guard_points,
     _guard_square,
     _iterate_parts,
     _pairings,
@@ -76,23 +76,20 @@ class OrbitTrace:
 def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(|c^n|, Im d_n) for n = 0..n_max, once the orbit range passes its guards.
 
-    The orbit sees the exponent 2 a |Im d_n|, bounded over n by worst; the
-    squared norm ||C_{phi^[n]} f||^2 carries that exponent times the prefactor
-    |c|^{-n}, so their sum gets twice the range of a norm.
+    Both guards read this table (_iterate_parts' bits): the orbit evaluates
+    e^(2 a |Im d_n|), and the squared norm ||C_{phi^[n]} f||^2 carries that
+    exponent times the prefactor 1/|c^n|, so their sum gets twice the range.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    worst = abs(phi.iterate(n_max).d.imag) if phi.c == 1.0 else abs(
-        phi.d.imag / (1.0 - phi.c)
-    ) * (1.0 + abs(phi.c))
-    kernel = _guard_exponent(2.0 * a * worst, "orbit exponent 2 a |Im d_n|")
-    _guard_exponent(
-        n_max * math.log(1.0 / abs(phi.c)) + kernel,
-        "squared orbit norm exponent",
-        2.0 * OVERFLOW_EXPONENT,
-    )
     c, d = zip(*(_iterate_parts(phi.c, phi.d, n) for n in range(n_max + 1)))
-    return np.abs(c), np.imag(d)
+    c, y = np.abs(c), np.imag(d)
+    kernel = np.abs(y)
+    _guard_exponent(2.0 * a * float(kernel.max()), "orbit exponent 2 a |Im d_n|")
+    # a c^n that underflowed to 0 counts as the least float, whose -log (744) fails the guard too
+    square = np.max(2.0 * a * kernel - np.log(np.maximum(c, math.ulp(0.0))))
+    _guard_exponent(square, "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT)
+    return c, y
 
 
 def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> OrbitTrace:
@@ -100,26 +97,19 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
 
     norms[0] is ||f|| itself.  Each later entry pairs the n-th iterate symbol
     exactly; no window resampling enters, so the trace is reliable far past
-    the point where windowed samples of f o phi^[n] would saturate.
-
-    All n_max pairings take _pairings' Toeplitz route (ratio 1) at once: one
+    the point where windowed samples of f o phi^[n] would saturate.  All
+    n_max pairings take _pairings' Toeplitz route (ratio 1) at once: one
     FFT autocorrelation of the samples v, then its cardinal series at the
     points conj(d_n - conj(d_n)) = -2i Im d_n.  ||C_{phi^[n]} f||^2 rounds to
-    O(B_n), B_n = eps * pi/(a |c^n|) * (sum|v|)^2 * e^(2 a |Im d_n|); a nonzero
-    probe whose square rounds to <= 0 has lost every digit to B_n and raises
-    OverflowGuardError naming n and B_n (_guard_square, as composed_norm).
+    O(B_n) (core._rounding_bound), and _guard_square raises at the first n
+    whose square rounds to <= 0, as composed_norm does.
     """
     if f.a != a:
-        raise ValueError("probe bandwidth differs from the requested space")
-    # the batch below bypasses composed_inner_product's own range guard
+        raise BandwidthMismatchError("probe bandwidth differs from the requested space")
     c, y = _orbit_parts(phi, a, n_max)
     squares = (math.pi / (a * c[1:])) * _pairings(a, f.samples, f.samples, 1.0, 2j * y[1:]).real
-    lost = np.flatnonzero(squares <= 0.0)
-    if lost.size:
-        n = int(lost[0]) + 1
-        _guard_square(squares[n - 1], a, c[n], y[n], f.samples, n)
-    norms = np.concatenate(([f.norm()], np.sqrt(squares)))
-    return OrbitTrace(phi, a, norms)
+    _guard_square(squares, a, c[1:], y[1:], f.samples)
+    return OrbitTrace(phi, a, np.concatenate(([f.norm()], np.sqrt(squares))))
 
 
 def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTrace:
@@ -420,7 +410,6 @@ def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> 
     ratio = np.array(c_k[:n])[k]
     shift = np.array(d_k[:n])[k]
     shift.imag += 2.0 * ratio * im[row]
-    _guard_points(f.a, shift, "pairing exponent")
     table = np.zeros((im.size, n), dtype=np.complex128)
     table[row, k] = (math.pi / f.a) * _pairings(f.a, f.samples, g.samples, ratio, shift)
     j = np.arange(1, n + 1)
@@ -498,14 +487,14 @@ def build_pseudotrajectory(
     """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
 
     The gram is _lower_pairings(f, f) below the diagonal and its conjugate transpose
-    on and above it, rounding as Pseudotrajectory states; orbit_norms guards the orbit range first.
+    on and above it, rounding as Pseudotrajectory states.
     """
     if phi.c == 1.0:
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if f.a != a:
-        raise ValueError("seed bandwidth differs from the requested space")
+        raise BandwidthMismatchError("seed bandwidth differs from the requested space")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     f_alpha = pw_eval(f, phi.fixed_point())
@@ -547,7 +536,7 @@ def shadowing_divergence(
     of f and g.  f(alpha) is the pseudotrajectory's own.
     """
     if g.a != P.a:
-        raise ValueError("candidate bandwidth differs from the pseudotrajectory space")
+        raise BandwidthMismatchError("candidate bandwidth differs from the pseudotrajectory space")
     if n_max is None:
         n_max = P.n_max
     if not 1 <= n_max <= P.n_max:

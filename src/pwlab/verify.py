@@ -19,6 +19,7 @@ from .core import (
     AffineSymbol,
     KernelPoint,
     PwFunction,
+    _rounding_bound,
     compose_apply,
     inner_product,
     lincomb,
@@ -188,16 +189,15 @@ def _fourier_orbit(phi: AffineSymbol, f: PwFunction, n_max: int) -> tuple[np.nda
     h^4 part smaller by about (7/60)|x|^2 < 1e-2 (|l| <= 2N pi/a + 2|y|, N <= 64,
     h = 2a/4096).  Sums S at M = 4096 and S' at 2M give squares (4S' - S)/3 free
     of the h^2 term, and what is left is below the correction |S' - S|/3.
-    orbit_norms rounds to O(eps B_n), B_n = pi/(a |c^n|) (sum|v|)^2 e^{2a|y|}, and
-    the 2M terms of S' add up to at most B_n, so 2M eps B_n covers all rounding:
-    slack = (|S' - S|/3 + 2M eps B_n) / norms bounds |norms - orbit_norms|, as
+    orbit_norms rounds to O(B_n) (core._rounding_bound), and the 2M terms of
+    S' add up to at most B_n / eps, so 2M B_n covers all rounding:
+    slack = (|S' - S|/3 + 2M B_n) / norms bounds |norms - orbit_norms|, as
     |sqrt x - sqrt z| <= |x - z| / sqrt x.  Real d has A_n = 0: rounding alone.
     """
     c, y = _orbit_parts(phi, f.a, n_max)
     coarse, fine = (orbit_norms_fourier(phi, to_l2(f, m), n_max).norms ** 2 for m in (4096, 8192))
     norms = np.sqrt((4.0 * fine - coarse) / 3.0)
-    rounding = 8192 * np.finfo(float).eps * math.pi / (f.a * c) * np.sum(np.abs(f.samples)) ** 2
-    return norms, (np.abs(fine - coarse) / 3.0 + rounding * np.exp(2.0 * f.a * np.abs(y))) / norms
+    return norms, (np.abs(fine - coarse) / 3.0 + 8192 * _rounding_bound(f.a, c, y, f.samples)) / norms
 
 
 def check_expansivity_dichotomy(seed: int = DEFAULT_SEED) -> CheckResult:

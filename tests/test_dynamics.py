@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pwlab
-from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError
+from pwlab import AdmissibilityError, AffineSymbol, BandwidthMismatchError, OverflowGuardError, PwLabError
 from pwlab.dynamics import _lower_pairings
 from pwlab.verify import _fourier_orbit
 
@@ -135,8 +135,13 @@ class TestOrbitNorms:
 
     def test_bandwidth_and_horizon_validation(self):
         f = pwlab.node_function(1.0, 4)
-        with pytest.raises(ValueError):
-            pwlab.orbit_norms(AffineSymbol(0.5, 0.0), 2.0, f, 5)
+        phi = AffineSymbol(0.5, 0.0)
+        P = pwlab.build_pseudotrajectory(phi, 1.0, f, 0.1, 3)
+        for call in (lambda: pwlab.orbit_norms(phi, 2.0, f, 5),
+                     lambda: pwlab.build_pseudotrajectory(phi, 2.0, f, 0.1, 3),
+                     lambda: pwlab.shadowing_divergence(P, pwlab.node_function(2.0, 4))):
+            with pytest.raises(BandwidthMismatchError):
+                call()
         with pytest.raises(ValueError):
             pwlab.orbit_norms(AffineSymbol(0.5, 0.0), 1.0, f, -1)
         with pytest.raises(ValueError):
@@ -158,6 +163,17 @@ class TestOrbitNorms:
                 trace(AffineSymbol(1e-3, 0.0), 100)
         with pytest.raises(OverflowGuardError):
             pwlab.cesaro_averages(AffineSymbol(1e-3, 0.0), 1.0, f, 100)
+        # the guard reads the exponents of the iterate table itself: at (0.5,
+        # 100i) the orbit reaches 2 a |Im d_n| = 300 at n = 2 and 350 at n = 3
+        g = pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED))
+        phi = AffineSymbol(0.5, 100j)
+        exact = pwlab.orbit_norms(phi, 1.0, g, 2).norms
+        norms, slack = _fourier_orbit(phi, g, 2)
+        assert np.all(np.isfinite(exact)) and np.all(np.abs(norms - exact) <= slack)
+        for trace in (lambda n: pwlab.orbit_norms(phi, 1.0, g, n),
+                      lambda n: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(g, 64), n)):
+            with pytest.raises(OverflowGuardError, match="350.0 > 300"):
+                trace(3)
 
     def test_iterates_past_float_range_are_inadmissible(self):
         # the orbit code builds no AffineSymbol per iterate, yet a d_n past the
@@ -643,9 +659,10 @@ class TestSemigroupPairings:
 
     def test_pairing_guard(self):
         # the orbit guard of the public entry points already covers these
-        # exponents, so the table's own guard is called directly
+        # exponents, so the table is called directly: _cardinal guards the
+        # points it sums at
         f = pwlab.node_function(self.A, 4, 0)
-        with pytest.raises(OverflowGuardError, match="pairing exponent"):
+        with pytest.raises(OverflowGuardError, match="evaluation exponent a \\|Im z\\| 910.0 > 300"):
             _lower_pairings(AffineSymbol(0.5, 1.0 + 200j), f, f, 3)
         with pytest.raises(OverflowGuardError, match="evaluation range"):
             _lower_pairings(AffineSymbol(0.5, 1e200), f, f, 3)
