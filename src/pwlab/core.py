@@ -111,9 +111,6 @@ def _guard_points(a: float, z, what: str) -> None:
     x_k))^2, so a window's nodes fit in the margin; its real route squares
     nothing.  A NaN point raises ValueError; an infinite one fails the guard.
     """
-    # one reduction over both parts passes the common case: every part of every point within the limit
-    if a * float(np.abs(z.ravel().view(float)).max(initial=0.0)) <= OVERFLOW_EXPONENT:
-        return
     re, im = np.abs(z.real).max(initial=0.0), np.abs(z.imag).max(initial=0.0)
     if math.isnan(re) or math.isnan(im):
         raise ValueError("evaluation points must not be NaN")

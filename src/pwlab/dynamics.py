@@ -74,21 +74,23 @@ class OrbitTrace:
 
 
 def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|c^n|, Im d_n) for n = 0..n_max, once the orbit range passes its guards.
+    """(|c^n|, Im d_n) for n = 0..n_max, once the squared orbit norms pass their guard.
 
-    Both guards read this table (_iterate_parts' bits): the orbit evaluates
-    e^(2 a |Im d_n|), and the squared norm ||C_{phi^[n]} f||^2 carries that
-    exponent times the prefactor 1/|c^n|, so their sum gets twice the range.
+    ||C_{phi^[n]} f||^2 carries e^(2 a |Im d_n|) times the prefactor 1/|c^n|,
+    so their sum gets twice the range; each kernel that evaluates e^(2 a |Im
+    d_n|) guards that exponent itself.  The row n_max (_iterate_parts' bits)
+    is guarded first, so a horizon past range fails before the table is built.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    what, limit = "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT
+    # in the table's bits (np.log, not math.log), so this raises only where the table's guard would
+    cn, dn = _iterate_parts(phi.c, phi.d, n_max)
+    _guard_exponent(2.0 * a * abs(dn.imag) - float(np.log(max(abs(cn), math.ulp(0.0)))), what, limit)
     c, d = zip(*(_iterate_parts(phi.c, phi.d, n) for n in range(n_max + 1)))
     c, y = np.abs(c), np.imag(d)
-    kernel = np.abs(y)
-    _guard_exponent(2.0 * a * float(kernel.max()), "orbit exponent 2 a |Im d_n|")
     # a c^n that underflowed to 0 counts as the least float, whose -log (744) fails the guard too
-    square = np.max(2.0 * a * kernel - np.log(np.maximum(c, math.ulp(0.0))))
-    _guard_exponent(square, "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT)
+    _guard_exponent(np.max(2.0 * a * np.abs(y) - np.log(np.maximum(c, math.ulp(0.0)))), what, limit)
     return c, y
 
 
@@ -118,11 +120,12 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
     Transformed, C_{phi^[n]} is (1/|c^n|) e^{i d_n t / c^n} F(t / c^n) on
     |t| < |c^n| a, so s = t / c^n gives ||C_{phi^[n]} f||^2 = |c|^{-n}
     integral_{-a}^{a} |F(s)|^2 e^{-2 Im(d_n) s} ds: one (n_max + 1) x M matrix
-    of weights e^{-2 Im(d_n) t_j}, within _orbit_parts' guard, against |F|^2 dt
+    of weights e^{-2 Im(d_n) t_j}, guarded at 2 a |Im d_n|, against |F|^2 dt
     on F's midpoint grid.  Real d has weight 1, exact to rounding (|F|^2 is a
     trigonometric polynomial of degree below M); complex d errs by O(h^2), h = 2a/M.
     """
     c, y = _orbit_parts(phi, F.a, n_max)
+    _guard_exponent(2.0 * F.a * float(np.abs(y).max()), "orbit exponent 2 a |Im d_n|")
     weights = np.exp(-2.0 * np.outer(y, F.grid()))
     squares = weights @ (np.abs(F.values) ** 2 * (2.0 * F.a / F.m_points)) / c
     return OrbitTrace(phi, F.a, np.sqrt(squares), method="fourier")

@@ -8,6 +8,8 @@ import pytest
 
 import pwlab
 from pwlab import AdmissibilityError, AffineSymbol, BandwidthMismatchError, OverflowGuardError, PwLabError
+from pwlab import dynamics
+from pwlab.core import _iterate_parts
 from pwlab.dynamics import _lower_pairings
 from pwlab.verify import _fourier_orbit
 
@@ -174,6 +176,26 @@ class TestOrbitNorms:
                       lambda n: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(g, 64), n)):
             with pytest.raises(OverflowGuardError, match="350.0 > 300"):
                 trace(3)
+
+    def test_horizon_past_range_fails_before_the_table(self, monkeypatch):
+        # the row n_max is guarded before the (c^n, d_n) table is built, so a
+        # horizon past range raises after one iterate, not n_max + 1 of them
+        f = pwlab.node_function(1.0, 4)
+        F = pwlab.to_l2(f, 64)
+        rows = []
+
+        def one_row(c, d, n):
+            rows.append(n)
+            assert len(rows) == 1, "the iterate table was built before the horizon was guarded"
+            return _iterate_parts(c, d, n)
+
+        monkeypatch.setattr(dynamics, "_iterate_parts", one_row)
+        for phi in (AffineSymbol(0.5, 0.0), AffineSymbol(1.0, 1j)):
+            for trace in (lambda: pwlab.orbit_norms(phi, 1.0, f, 10**9),
+                          lambda: pwlab.orbit_norms_fourier(phi, F, 10**9)):
+                rows.clear()
+                with pytest.raises(OverflowGuardError, match="squared orbit norm exponent"):
+                    trace()
 
     def test_iterates_past_float_range_are_inadmissible(self):
         # the orbit code builds no AffineSymbol per iterate, yet a d_n past the
