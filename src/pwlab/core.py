@@ -15,16 +15,16 @@ exactly the ones for which f -> f o phi maps PW_a into itself boundedly.
 
 Every sinc sum outside the finite sections (spectral.build_matrix, kept
 independent) and compose_apply's coset FFT goes through one cardinal-series
-kernel, _cardinal, at O(N_in N_out): evaluation, the closed pairings and
-the probes' spectral_pulse alike.  A block of targets on the real axis sums
-1/(a(z - x_k)) by one real product, a block with any complex target by two;
-both round alike.  The coset FFT: every float slope is a dyadic rational
-c = p/q, and with n = q m + r the targets a phi(x_n) =
-pi p m + a phi(x_r) fall on q shifted copies of the node lattice, so each
-coset r is the exact Toeplitz product sum_k v_k sinc(pi (p m - k) +
-a phi(x_r)): one FFT convolution read at stride p.  Its rounding is
-normwise, O(eps ||v|| ||K||), not per entry; cosets whose targets are
-nodes are gathers of the samples and stay exact.
+kernel, _cardinal, at O(N_in N_out): evaluation, the closed pairings (whose
+direct route skips zero samples) and the probes' spectral_pulse alike.  A
+block of targets on the real axis sums 1/(a(z - x_k)) by one real product,
+a block with any complex target by two; both round alike.  The coset FFT:
+every float slope is a dyadic rational c = p/q, and with n = q m + r the
+targets a phi(x_n) = pi p m + a phi(x_r) fall on q shifted copies of the
+node lattice, so each coset r is the exact Toeplitz product sum_k v_k
+sinc(pi (p m - k) + a phi(x_r)): one FFT convolution read at stride p.  Its
+rounding is normwise, O(eps ||v|| ||K||), not per entry; cosets whose
+targets are nodes are gathers of the samples and stay exact.
 """
 
 from __future__ import annotations
@@ -510,8 +510,9 @@ def composed_inner_product(
     ordering by (|c|, c) puts the positive slope first when c1 = -c2, so
     unequal slopes are Hermitian bit for bit.  The sum is _pairings' with
     one ratio and one shift: equal slopes take its Toeplitz route, unequal
-    ones its direct route.  It rounds to O(eps * pi/(a |c1|) * sum|v| *
-    sum|w| * e^(a |Im s|)) with v, w the sample vectors.  Used wherever
+    ones its direct route: nnz(v) (2 N_w + 1) entries, N_w the half width of
+    g, guarded at the zeta_n with v_n != 0.  It rounds to O(eps * pi/(a |c1|)
+    * sum|v| * sum|w| * e^(a |Im s|)) with v, w the sample vectors.  Used wherever
     windowed re-sampling would lose mass (orbit norms, defect checks, adjoint pairings).
     """
     if f.a != g.a:
@@ -535,9 +536,13 @@ def _pairings(a, v, w, ratio, shift):
     * every ratio 1: x_n + s - x_m = s + x_{n-m}, so the double sum depends
       on m - n only: the cardinal series at conj(s_j) of the cross-correlation
       X_k = sum_n v_n conj(w_{n+k}), |k| <= N1 + N2, from one FFT convolution;
-    * otherwise: g at the stacked points ratio_j x_n + s_j in one call.
+    * otherwise: g at the stacked points ratio_j x_n + s_j of the nodes with
+      v_n != 0 alone (a zero sample's term is exactly zero), in one call:
+      J nnz(v) (2 N_w + 1) entries for J shifts and w's half width N_w.
 
-    Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)).
+    Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)).  _cardinal
+    guards the points it evaluates (a |Im z| = a |Im s_j| on row j for any
+    nonzero v, a |Re z| at those nodes alone); all-zero v gives exact zeros.
     """
     # a single ratio is a Python float: compare it without numpy's overhead
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
@@ -546,8 +551,9 @@ def _pairings(a, v, w, ratio, shift):
         # convolution of v with reversed conj(w), read backwards
         xcorr = np.fft.ifft(np.fft.fft(v, nfft) * np.fft.fft(np.conj(w[::-1]), nfft))
         return _cardinal(a, np.conj(shift), xcorr[size - 1 :: -1])
-    points = np.multiply.outer(ratio, grid(a, v.size // 2)) + shift[:, None]
-    return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v
+    nz = np.flatnonzero(v)
+    points = np.multiply.outer(ratio, grid(a, v.size // 2)[nz]) + shift[:, None]
+    return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v[nz]
 
 
 def _rounding_bound(a, c, y, v):

@@ -247,6 +247,14 @@ def classify(phi: AffineSymbol, a: float) -> PropertyReport:
     )
 
 
+def _value_off_zero(f: PwFunction, z: complex, what: str) -> complex:
+    """f(z), or ValueError(what) where |f(z)| is within pw_eval's rounding bound eps sum|v| e^(a |Im z|)."""
+    val = pw_eval(f, z)
+    if abs(val) <= math.ulp(1.0) * float(np.sum(np.abs(f.samples))) * math.exp(f.a * abs(complex(z).imag)):
+        raise ValueError(what)
+    return val
+
+
 def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) -> GrowthBound:
     """Orbit growth constant for 0 < |c| < 1 from a kernel functional.
 
@@ -261,9 +269,7 @@ def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) 
     if f.is_zero():
         raise ValueError("zero function has no growth constant")
     w1 = w0 + phi.d / (1.0 - phi.c)
-    val = abs(pw_eval(f, w1))
-    if val < 1e-12:
-        raise ValueError("f vanishes at translated witness point")
+    val = abs(_value_off_zero(f, w1, "f vanishes at translated witness point"))
     delta = val / (2.0 * math.sqrt(kernel_norm_sq(f.a, w0)))
     trace = orbit_norms(phi, f.a, f, _ONSET_SCAN)
     bound = delta * np.power(abs(phi.c), -0.5 * np.arange(_ONSET_SCAN + 1)) * f.norm()
@@ -399,7 +405,9 @@ def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> 
 
     over the nodes x_m of f's window (samples v_m), with one row l per
     distinct Im d_j (one row for real d) and every needed (l, k), k <= n - j
-    for the first j of row l, filled by one _pairings call.  M holds the
+    for the first j of row l, filled by one _pairings call: on its direct
+    route J nnz(v) (2 N_w + 1) entries for the J pairs (l, k), N_w the half
+    width of g, guarded at the points with v_m != 0.  M holds the
     conjugate, the diagonal at lag 0.  Entries round to O(eps * |c|^{-j} *
     pi/a * sum|v| * sum|w| * e^(a |Im s|)) with w the samples of g, the
     per-pair bound of composed_inner_product.
@@ -500,9 +508,7 @@ def build_pseudotrajectory(
         raise BandwidthMismatchError("seed bandwidth differs from the requested space")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    f_alpha = pw_eval(f, phi.fixed_point())
-    if abs(f_alpha) < 1e-12:
-        raise ValueError("seed vanishes at fixed point")
+    f_alpha = _value_off_zero(f, phi.fixed_point(), "seed vanishes at fixed point")
     norms = orbit_norms(phi, a, f, n_max + 1).norms
     step_norm = float(norms[1])
     coefficient = delta / step_norm

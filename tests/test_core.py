@@ -674,6 +674,47 @@ class TestComposedProducts:
             bound = 4 * eps * np.sum(np.abs(v)) * np.sum(np.abs(w)) * np.exp(a * np.abs(shift.imag))
             assert np.all(np.abs(stacked - alone) <= bound), (a, nv, nw)
 
+    def test_direct_route_sums_nonzero_samples_alone(self):
+        # one nonzero sample v_m: each entry is g at ratio_j x_m + s_j alone,
+        # conj(g) v_m bit for bit (v_m a power of two times 1 or i, so that
+        # the product rounds nowhere); all-zero samples give exact zeros
+        rng = np.random.default_rng(SEED + 75)
+        a = 1.3
+        w = [1.0, 1j] @ rng.standard_normal((2, 25))
+        g = PwFunction(a, w)
+        ratio = np.array([0.5, -0.25, 1.0, -1.0, 0.125])
+        for im in (0.0, 0.7):
+            shift = rng.uniform(-5.0, 5.0, ratio.size) + 1j * im
+            for m, v_m in ((0, 1.0), (3, -0.5j), (-8, 4.0)):
+                v = np.zeros(17, dtype=np.complex128)
+                v[m + 8] = v_m
+                got = pwlab.core._pairings(a, v, w, ratio, shift)
+                ref = np.conj(pwlab.pw_eval(g, ratio * pwlab.grid(a, 8)[m + 8] + shift)) * v_m
+                assert got.tobytes() == ref.tobytes(), (im, m)
+            zero = pwlab.core._pairings(a, np.zeros(17, dtype=np.complex128), w, ratio, shift)
+            assert zero.shape == shift.shape and np.all(zero == 0.0)
+
+    def test_sparse_samples_match_dense_double_sum(self):
+        # node samples at 0 and off centre, and three nonzero samples, at real
+        # and complex d, unequal slopes (the direct route): within the rounding
+        # scale of test_matches_dense_double_sum
+        rng = np.random.default_rng(SEED + 76)
+        a = 1.3
+        g = pwlab.rough_probe(a, 20, rng)
+        three = np.zeros(33, dtype=np.complex128)
+        three[[3, 16, 27]] = [1.0, 1j] @ rng.standard_normal((2, 3))
+        seeds = [pwlab.node_function(a, 16, 0), pwlab.node_function(a, 16, -5), PwFunction(a, three)]
+        for d1, d2 in ((0.3, -0.4), (0.2 + 0.1j, -0.3 + 0.4j)):
+            for c1, c2 in ((0.5, 0.25), (-0.5, 0.125), (1.0, -0.5)):
+                phi1, phi2 = AffineSymbol(c1, d1), AffineSymbol(c2, d2)
+                for f in seeds:
+                    shift = phi1.d / phi1.c - np.conj(phi2.d) / phi2.c
+                    scale = (math.pi / (a * abs(c1)) * np.linalg.norm(f.samples) * np.linalg.norm(g.samples)
+                             * math.cosh(a * abs(c2) * abs(shift.imag)))
+                    for pair in ((phi1, f, phi2, g), (phi2, g, phi1, f)):
+                        got = pwlab.composed_inner_product(*pair)
+                        assert abs(got - dense_pairing(*pair)) <= 1e-13 * scale, (c1, c2, d1, d2)
+
     def test_square_lost_to_rounding_raises(self):
         # c = 1, d_n = n (0.3+0.5i) on PW_pi: ||C f||^2 rounds to <= 0 at n = 24,
         # 25 and 26; composed_norm raises naming B, as orbit_norms does, not 0.0

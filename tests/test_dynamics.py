@@ -298,6 +298,16 @@ class TestGrowthConstants:
         with pytest.raises(ValueError):
             pwlab.growth_constant_second(AffineSymbol(0.5, 0.5), f, w0=0.0)
 
+    def test_second_constant_vanishing_check_is_scale_free(self):
+        # |f(w1)| is held against pw_eval's rounding bound, not an absolute floor:
+        # scaling a unit f by 2^-44 (f(w1) near 1e-13) scales delta by exactly 2^-44
+        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED + 74))
+        f = pwlab.scaled(f, 1.0 / f.norm())
+        phi = AffineSymbol(0.5, 0.3 + 0.1j)
+        delta = pwlab.growth_constant_second(phi, f).delta
+        tiny = pwlab.growth_constant_second(phi, pwlab.scaled(f, 2.0**-44)).delta
+        assert tiny == delta * 2.0**-44 and tiny < 1e-12
+
     def test_third_constant_and_envelope(self):
         rng = np.random.default_rng(SEED + 7)
         f = pwlab.rough_probe(1.0, 32, rng)
@@ -517,6 +527,26 @@ class TestPseudotrajectory:
         with pytest.raises(ValueError):
             pwlab.build_pseudotrajectory(AffineSymbol(0.5, 1.5), math.pi, f, 0.1, 5)
 
+    def test_vanishing_check_is_scale_free(self):
+        # |f(alpha)| is held against pw_eval's rounding bound eps sum|v| e^(a |Im alpha|),
+        # which scales with the seed: a seed with f(alpha) = 1.35e-13 builds, and
+        # scaling by 2^-44 (past an absolute 1e-12 floor) or 2^-30 leaves D and L
+        # bit-identical and multiplies the gram by exactly the square
+        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(0))
+        P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), 1.0, pwlab.scaled(f, 1e-13), 0.1, 3)
+        assert 1e-13 < abs(P.seed_at_fixed_point) < 1e-12
+        rng = np.random.default_rng(SEED + 73)
+        for c, d in ((0.5, 0.3), (-0.5, 0.2 + 0.1j), (0.25, -0.3 + 0.4j)):
+            phi = AffineSymbol(c, d)
+            f, g = pwlab.rough_probe(1.3, 16, rng), pwlab.rough_probe(1.3, 16, rng)
+            P = pwlab.build_pseudotrajectory(phi, 1.3, f, 0.1, 10)
+            D, L = pwlab.shadowing_divergence(P, g)
+            for e in (-30, -44):
+                Q = pwlab.build_pseudotrajectory(phi, 1.3, pwlab.scaled(f, 2.0**e), 0.1, 10)
+                D_s, L_s = pwlab.shadowing_divergence(Q, g)
+                assert D_s.tobytes() == D.tobytes() and L_s.tobytes() == L.tobytes(), (c, d, e)
+                assert Q.gram.tobytes() == (P.gram * 2.0 ** (2 * e)).tobytes(), (c, d, e)
+
 
 class TestShadowingDivergence:
     def test_zero_candidate_gives_term_norms(self):
@@ -679,12 +709,36 @@ class TestSemigroupPairings:
         rng = np.random.default_rng(SEED + 17)
         self.check_against_per_pair((0.5, -0.5, 0.25, -1.0, 0.9), (0.2 + 0.1j, -0.3 + 0.4j, 1j), rng)
 
+    def test_sparse_seeds_match_dense_pairing(self):
+        # the direct route sums the nonzero samples alone; both lag tables, the
+        # gram and the cross table of g against the seed, for node seeds at node
+        # 0 and off centre and a seed with three nonzero samples, against the
+        # dense np.sinc double sum over every node, zeros included
+        rng = np.random.default_rng(SEED + 72)
+        n = 8
+        for c, d in ((0.5, 0.3), (-0.5, -0.3), (0.5, 0.2 + 0.1j), (-0.5, -0.3 + 0.4j)):
+            phi = AffineSymbol(c, d)
+            its = [phi.iterate(k) for k in range(1, n + 2)]
+            g = pwlab.rough_probe(self.A, 12, rng)
+            three = np.zeros(33, dtype=np.complex128)
+            three[[3, 16, 27]] = [1.0, 1j] @ rng.standard_normal((2, 3))
+            for f in (pwlab.node_function(self.A, 16, 0), pwlab.node_function(self.A, 16, -5),
+                      pwlab.PwFunction(self.A, three)):
+                P = pwlab.build_pseudotrajectory(phi, self.A, f, 0.1, n)
+                for h, table, rows in ((f, P.gram, n + 1), (g, _lower_pairings(phi, g, f, n), n)):
+                    i, j = np.tril_indices(rows)
+                    ref = np.array([dense_pairing(its[p], h, its[q], f) for p, q in zip(i, j)])
+                    bound = self.bound(phi, h, f, rows, rows)[i, j]
+                    assert np.all(np.abs(table[i, j] - ref) <= bound), (c, d, rows)
+
     def test_pairing_guard(self):
         # the orbit guard of the public entry points already covers these
         # exponents, so the table is called directly: _cardinal guards the
-        # points it sums at
-        f = pwlab.node_function(self.A, 4, 0)
-        with pytest.raises(OverflowGuardError, match="evaluation exponent a \\|Im z\\| 910.0 > 300"):
-            _lower_pairings(AffineSymbol(0.5, 1.0 + 200j), f, f, 3)
-        with pytest.raises(OverflowGuardError, match="evaluation range"):
-            _lower_pairings(AffineSymbol(0.5, 1e200), f, f, 3)
+        # points it sums at, the nonzero samples' nodes alone, which share
+        # each row's Im z
+        for node in (0, 3):
+            f = pwlab.node_function(self.A, 4, node)
+            with pytest.raises(OverflowGuardError, match="evaluation exponent a \\|Im z\\| 910.0 > 300"):
+                _lower_pairings(AffineSymbol(0.5, 1.0 + 200j), f, f, 3)
+            with pytest.raises(OverflowGuardError, match="evaluation range"):
+                _lower_pairings(AffineSymbol(0.5, 1e200), f, f, 3)

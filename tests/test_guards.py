@@ -71,7 +71,8 @@ def edge_sweep(half_width, seed=SEED + 90, n=4):
                 except ValueError as err:
                     # build_pseudotrajectory's precondition, typed ValueError by design: at
                     # c = -1 the fixed point d/2 sits at a |Re| = 2^511, inside the guard,
-                    # where the seed has decayed below its 1e-12 floor
+                    # where the seed has decayed to at most sum|v| 2^-511, far below
+                    # pw_eval's rounding bound eps sum|v| there
                     assert name == "shadowing_divergence" and "vanishes" in str(err), (name, c, d, err)
                     continue
                 assert np.all(np.isfinite(out)), (name, c, d, half_width)
