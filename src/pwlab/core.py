@@ -29,6 +29,8 @@ targets are nodes are gathers of the samples and stay exact.
 
 from __future__ import annotations
 
+import array
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,11 +52,26 @@ _MAX_HALF_WIDTH = 1 << 20
 # temporaries each), whatever the window width or the number of targets.
 _BLOCK_ENTRIES = 1 << 18
 
+# The 5-smooth lengths 2^i 3^j 5^k up to 2^40 in order, for _fft_length; no
+# convolution that fits in memory is longer.
+_FFT_LENGTHS = array.array("q", sorted(
+    p * 5**k
+    for p in (2**i * 3**j for i in range(41) for j in range(26) if 2**i * 3**j <= 1 << 40)
+    for k in range(18)
+    if p * 5**k <= 1 << 40
+))
+
 # compose_apply's cost model: the time of one of the nfft log2 nfft units
 # of a convolved coset, in cardinal-series entries.  Fitted on a timing
 # sweep of both routes (c in {1, -1/2, 1/4, -3/4, 1/32}, real and complex d,
 # N = 2..256; numpy 2.4 on a 2-core x86 VM): any value in 0.25..1 came
-# within 2 % of the faster route's total time, 0.5 closest per call.
+# within 2 % of the faster route's total time, 0.5 closest per call.  The
+# fit holds at _fft_length's 5-smooth lengths: on the same sweep 0.5 came
+# within 1-2 %, any value in 0.35..1 within 3 %.  Against power-of-two
+# lengths, routes flip only from the cardinal series to the cosets, where
+# both time within 30 %: c = +-1 at N <= 2; c = +-1/2, +-1/4, 1/8, 1/32 at
+# N in {1, 2, 4} (grown windows) or some N <= 29 (same window); c = +-3/4 at
+# some N in 7..20; same-window |c| = 1/q at N near 2q..4q (1/32: 58..135).
 _FFT_COST = 0.5
 
 
@@ -425,6 +442,11 @@ def compose_apply(
     return PwFunction(f.a, out)
 
 
+def _fft_length(size: int) -> int:
+    """The smallest 5-smooth length 2^i 3^j 5^k >= size, 1 <= size <= 2^40, on which FFTs run fast."""
+    return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, size)]
+
+
 def _coset_sum(phi, f, n_out):
     """f(phi(x_n)) for |n| <= n_out by one FFT convolution per coset, or None.
 
@@ -439,12 +461,14 @@ def _coset_sum(phi, f, n_out):
     which at j = -mu_r is sin(delta_r)/delta_r = sinc(delta_r) with no
     special case, as delta_r != 0 there.  A coset with delta_r == 0 is the
     gather v_{p m + mu_r}, zero outside the window.  The others are read at
-    s = p m from circular convolutions of length nfft > S + 2N, S the spread
-    of s, batched into 2-D FFTs of at most _BLOCK_ENTRIES entries against
-    one FFT of v.  Returns None, and the caller sums by _cardinal, when
-    there are more cosets than targets or when _FFT_COST * (convolved
-    cosets) * nfft log2 nfft reaches the (2N + 1)(2 n_out + 1) entries of
-    the direct sum.  The q targets phi(x_r) pass _guard_points once formed.
+    s = p m from circular convolutions of length nfft = _fft_length(S + 2N
+    + 1), the least 5-smooth length that holds the S + 2N + 1 kernel entries
+    without wrapping, S the spread of s, batched into 2-D FFTs of at most
+    _BLOCK_ENTRIES entries against one FFT of v.  Returns None, and the
+    caller sums by _cardinal, when there are more cosets than targets or
+    when _FFT_COST * (convolved cosets) * nfft log2 nfft reaches the (2N +
+    1)(2 n_out + 1) entries of the direct sum.  The q targets phi(x_r) pass
+    _guard_points once formed.
     """
     a, v, n = f.a, f.samples, f.half_width
     p, q = phi.c.as_integer_ratio()
@@ -452,7 +476,7 @@ def _coset_sum(phi, f, n_out):
         return None
     m_lo, m_hi = -n_out // q, n_out // q
     s_lo = min(p * m_lo, p * m_hi)
-    nfft = 1 << (abs(p) * (m_hi - m_lo) + 2 * n).bit_length()
+    nfft = _fft_length(abs(p) * (m_hi - m_lo) + 2 * n + 1)
     z = phi(np.arange(q) * (math.pi / a))
     _guard_points(a, z, "evaluation exponent a |Im z|")
     mu = np.rint(z.real * (a / math.pi))

@@ -261,8 +261,9 @@ def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) 
     delta = |f(w1)| / (2 ||k_{w0}||) with w1 = w0 + d/(1-c).  Pairing the
     orbit against k_{w0} gives ||C_phi^n f|| >= |f(w0 + d_n)| / ||k_{w0}||
     times |c|^{-n/2}; since w0 + d_n -> w1, the factor 2 buys an onset n0
-    past which delta |c|^{-n/2} ||f|| is a certified lower bound (f of unit
-    norm; the onset is located by scanning the exact orbit trace).
+    past which delta |c|^{-n/2} is a certified lower bound, for f of any
+    norm: delta scales with f (the onset is located by scanning the exact
+    orbit trace).
     """
     if abs(phi.c) >= 1.0:
         raise ValueError("growth constant needs a strictly contracting symbol, 0<|c|<1")
@@ -272,7 +273,7 @@ def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) 
     val = abs(_value_off_zero(f, w1, "f vanishes at translated witness point"))
     delta = val / (2.0 * math.sqrt(kernel_norm_sq(f.a, w0)))
     trace = orbit_norms(phi, f.a, f, _ONSET_SCAN)
-    bound = delta * np.power(abs(phi.c), -0.5 * np.arange(_ONSET_SCAN + 1)) * f.norm()
+    bound = delta * np.power(abs(phi.c), -0.5 * np.arange(_ONSET_SCAN + 1))
     short = np.flatnonzero(trace.norms < bound * (1.0 - 1e-12))
     onset = int(short[-1]) + 1 if short.size else 0
     if onset > _ONSET_SCAN:
@@ -388,10 +389,10 @@ def cesaro_averages(
 def cesaro_lower_envelope(
     phi: AffineSymbol, f: PwFunction, n_max: int, w0: complex = 0.0
 ) -> np.ndarray:
-    """delta |c|^{-n/2} ||f|| / n: what the single largest orbit term already forces."""
+    """delta |c|^{-n/2} / n: what the single largest orbit term already forces (delta scales with f)."""
     delta = growth_constant_second(phi, f, w0=w0).delta
     n = np.arange(1, n_max + 1)
-    return delta * np.power(abs(phi.c), -0.5 * n) * f.norm() / n
+    return delta * np.power(abs(phi.c), -0.5 * n) / n
 
 
 def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> np.ndarray:
@@ -463,10 +464,11 @@ class Pseudotrajectory:
         return self.coefficient * math.sqrt(max(self._block_sums()[n], 0.0))
 
     def defect(self, n: int) -> float:
-        """||C_phi f_n - f_{n+1}|| = coefficient ||C_phi seed|| (= delta up to pairing rounding).
+        """||C_phi f_n - f_{n+1}|| = coefficient ||C_phi seed||: delta within two roundings.
 
         C_phi f_n carries the coefficient on iterates 2..n+1 and f_{n+1} on
-        1..n+1, so their difference is -coefficient C_phi seed for every n.
+        1..n+1, so their difference is -coefficient C_phi seed for every n;
+        its norm is (delta / step_norm) times the root of gram[0, 0], step_norm.
         """
         if not 0 <= n <= self.n_max:
             raise ValueError("defect index outside 0..n_max")
@@ -498,7 +500,10 @@ def build_pseudotrajectory(
     """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
 
     The gram is _lower_pairings(f, f) below the diagonal and its conjugate transpose
-    on and above it, rounding as Pseudotrajectory states.
+    on and above it, rounding as Pseudotrajectory states.  Its diagonal holds
+    the orbit's squares ||C_phi^n f||^2, n = 1..n_max+1, which pass the range
+    guard of orbit_norms (_orbit_parts) before any pairing and its
+    _guard_square after; step_norm = ||C_phi f|| is the root of gram[0, 0].
     """
     if phi.c == 1.0:
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
@@ -509,11 +514,12 @@ def build_pseudotrajectory(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     f_alpha = _value_off_zero(f, phi.fixed_point(), "seed vanishes at fixed point")
-    norms = orbit_norms(phi, a, f, n_max + 1).norms
-    step_norm = float(norms[1])
-    coefficient = delta / step_norm
+    c, y = _orbit_parts(phi, a, n_max + 1)
     low = _lower_pairings(phi, f, f, n_max + 1)
     gram = np.where(np.tri(n_max + 1, k=-1, dtype=bool), low, low.conj().T)
+    _guard_square(gram.diagonal().real, a, c[1:], y[1:], f.samples)
+    step_norm = math.sqrt(gram[0, 0].real)
+    coefficient = delta / step_norm
     return Pseudotrajectory(
         phi=phi,
         a=a,

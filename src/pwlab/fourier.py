@@ -21,6 +21,12 @@ Weights: the grid is an arithmetic progression, so e^{w t} on any contiguous
 run of it is the outer product of two short exponential tables (_grid_exp),
 about 2 sqrt(M) exponentials in place of M.  Like np.exp(w t), the result errs
 by O(eps (1 + |w| a)) relative, the rounding of the argument w t itself.
+
+Off-grid values: F(t/c) and F(c t) come from the coefficients |n| <= M/4 by
+one of two routes, picked from (c, M) alone.  For c = +-1/q, q a power of two
+with 2q | M, the apply's support run maps onto the M/q-point midpoint grid,
+where F is one 2M/q-point FFT of the folded coefficients (_subgrid_values).
+Every other apply and every adjoint takes _values_at's chirp-z.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     a, m = f.a, m_points
     n = np.arange(-f.half_width, f.half_width + 1)
     g = np.zeros(m, dtype=np.complex128)
-    twiddle = (-1.0) ** (n % 2) * np.exp(-1j * n * (math.pi / m))
+    twiddle = np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
     g[n % m] = f.samples * twiddle  # M >= 2N+1: the indices n % M are distinct
     scale = math.sqrt(math.pi / a) / math.sqrt(2.0 * a)
     return L2Function(a, scale * np.fft.fft(g))
@@ -108,12 +114,16 @@ def _coefficients(F: L2Function, k_max: int) -> np.ndarray:
     dt = 2.0 * a / m
     spectrum = np.fft.ifft(F.values) * m
     n = np.arange(-k_max, k_max + 1)
-    twiddle = (-1.0) ** (n % 2) * np.exp(1j * n * (math.pi / m))
+    twiddle = np.where(n % 2, -1.0, 1.0) * np.exp(1j * n * (math.pi / m))
     return (dt / math.sqrt(2.0 * a)) * twiddle * spectrum[n % m]
 
 
 def _values_at(F: L2Function, s0: float, h: float, count: int) -> np.ndarray:
     """F at s0 + j h, 0 <= j < count, from every coefficient |n| <= M // 4 by one chirp-z.
+
+    The off-grid route for the adjoint and for every apply whose slope and
+    grid miss the sub-grid route of weighted_compose_apply (_subgrid_length):
+    |c| not 1/q with q a power of two, or 2q not dividing M.
 
     With j0 = count // 2, l = j - j0 and beta = pi h / a, Bluestein's identity
     n l = (n^2 + l^2 - (l - n)^2) / 2 turns sum_n coef_n eps_n(s_j) into one FFT
@@ -175,28 +185,66 @@ def _grid_exp(w: complex, a: float, m: int, lo: int, count: int) -> np.ndarray:
     return np.outer(head, tail).ravel()[:count]
 
 
+def _subgrid_length(c: float, m: int) -> int | None:
+    """L = M |c| when t -> t/c maps the support run onto the L-point midpoint grid, else None.
+
+    That holds for |c| = 1/q, q a power of two with 2q | M: the run is then
+    the L = M/q middle points, L even, and q t_{lo + i} = -a + (i + 1/2) 2a/L.
+    """
+    p, q = abs(c).as_integer_ratio()
+    return m // q if p == 1 and m % (2 * q) == 0 else None
+
+
+def _subgrid_values(F: L2Function, count: int) -> np.ndarray:
+    """F on the L-point midpoint grid, L = count even and at most M/2, by one 2L-point FFT.
+
+    At s_i = -a + (i + 1/2) 2a/L, eps_n(s_i) sqrt(2a) = e^{i pi n} e^{-i pi n (2i + 1) / L}
+    = e^{-2 pi i n (2i + 1 + L) / (2L)}, as e^{i pi n} = e^{-i pi n}.  So the
+    coefficients |n| <= M // 4 that _values_at reads, summed modulo 2L, give F
+    on the grid as the odd bins of one 2L-point DFT, rotated by L/2: no
+    twiddle, no chirp.  It rounds like an FFT, to O(eps log L) relative to
+    sum_n |coef_n|.
+    """
+    k, width = F.m_points // 4, 2 * count
+    lead = -k % width  # zeros ahead of n = -k put each n in column n mod 2L
+    blocks = np.zeros((-(-(lead + 2 * k + 1) // width), width), dtype=np.complex128)
+    blocks.ravel()[lead : lead + 2 * k + 1] = _coefficients(F, k)
+    spectrum = np.fft.fft(blocks.sum(axis=0))
+    return np.roll(spectrum[1::2], -(count // 2)) / math.sqrt(2.0 * F.a)
+
+
 def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:
     """Apply the transformed operator on the grid.
 
     Output vanishes identically outside (-|c|a, |c|a) (exact zeros); inside,
-    (1/|c|) e^{i d t / c} F(t/c).  For c = +-1 the substitution lands back on
-    the midpoint grid and is applied by (reversed) indexing; otherwise F(t/c)
-    comes from _values_at on the one contiguous run of grid points inside the
-    support.  The weight comes from _grid_exp on that run, within
-    O(eps (1 + |d| a / |c|)) of the exact exponential, as np.exp is.
+    (1/|c|) e^{i d t / c} F(t/c).  The route follows (c, M): for c = +-1 the
+    substitution lands back on the midpoint grid and is applied by (reversed)
+    indexing; for |c| = 1/q, q a power of two with 2q | M (_subgrid_length),
+    t/c maps the support run onto the M/q-point midpoint grid and F there is
+    one 2M/q-point FFT (_subgrid_values), reversed for c < 0, within
+    O(eps log M) of sum_n |coef_n|; any other slope or grid takes F(t/c) from
+    _values_at's chirp-z on the one contiguous run of grid points inside the
+    support.  The weight comes from _grid_exp on that run, within O(eps (1 +
+    |d| a / |c|)) of the exact exponential, as np.exp is.
     """
     _guard_weight(phi, F.a)
     a, c, d, m = F.a, phi.c, phi.d, F.m_points
     w = 1j * d / c
     if abs(c) == 1.0:  # t/c is the grid itself, reversed for c = -1
         return L2Function(a, _grid_exp(w, a, m, 0, m) * F.values[:: int(c)])
-    t = F.grid()
-    run = np.flatnonzero(np.abs(t) < abs(c) * a)  # one contiguous run of grid points
     out = np.zeros(m, dtype=np.complex128)
-    if run.size:
+    count = _subgrid_length(c, m)
+    if count:
+        lo = (m - count) // 2
+        inner = _subgrid_values(F, count)[:: 1 if c > 0 else -1]
+    else:
+        t = F.grid()
+        run = np.flatnonzero(np.abs(t) < abs(c) * a)  # one contiguous run of grid points
+        if not run.size:
+            return L2Function(a, out)
         lo, count = run[0], run.size
         inner = _values_at(F, t[lo] / c, 2.0 * a / (m * c), count)
-        out[lo : lo + count] = _grid_exp(w, a, m, lo, count) * inner / abs(c)
+    out[lo : lo + count] = _grid_exp(w, a, m, lo, count) * inner / abs(c)
     return L2Function(a, out)
 
 

@@ -534,6 +534,16 @@ class TestRationalSlopes:
             phi = AffineSymbol(c, 0.3 + 0.2j)
             assert pwlab.core._coset_sum(phi, f, math.ceil(64 / abs(c))) is not None
 
+    def test_fft_length_is_the_least_5_smooth(self):
+        # brute force against every 2^i 3^j 5^k up to 2 10^4, for each n <= 10^4
+        smooth = sorted(2**i * 3**j * 5**k for i in range(15) for j in range(10) for k in range(7))
+        smooth = [s for s in smooth if s <= 20000]
+        at = 0
+        for n in range(1, 10001):
+            while smooth[at] < n:
+                at += 1
+            assert pwlab.core._fft_length(n) == smooth[at], n
+
     def test_node_hits_are_bit_exact(self):
         rng = np.random.default_rng(SEED + 62)
         a = 1.7

@@ -9,7 +9,7 @@ import pytest
 import pwlab
 from pwlab import AdmissibilityError, AffineSymbol, BandwidthMismatchError, OverflowGuardError, PwLabError
 from pwlab import dynamics
-from pwlab.core import _iterate_parts
+from pwlab.core import _iterate_parts, _rounding_bound
 from pwlab.dynamics import _lower_pairings
 from pwlab.verify import _fourier_orbit
 
@@ -308,6 +308,22 @@ class TestGrowthConstants:
         tiny = pwlab.growth_constant_second(phi, pwlab.scaled(f, 2.0**-44)).delta
         assert tiny == delta * 2.0**-44 and tiny < 1e-12
 
+    def test_second_constant_scales_with_f(self):
+        # delta = |f(w1)| / (2 ||k_w0||) already carries ||f||, so the certified
+        # bound is delta |c|^{-n/2}: f and 2^k f give delta times 2^k and the same
+        # onset, and the Cesaro envelope scales alike (||f|| = 12.93 here)
+        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED + 74))
+        phi = AffineSymbol(0.5, 0.3 + 0.1j)
+        gb = pwlab.growth_constant_second(phi, f)
+        tr = pwlab.orbit_norms(phi, 1.0, f, 30)
+        lower = gb.delta * np.power(0.5, -np.arange(31) / 2.0)
+        assert np.all(tr.norms[gb.onset:] >= lower[gb.onset:] * (1.0 - 1e-12))
+        env = pwlab.cesaro_lower_envelope(phi, f, 20)
+        for k in (-20, -3, 5, 20):
+            g = pwlab.scaled(f, 2.0**k)
+            assert pwlab.growth_constant_second(phi, g) == (gb.delta * 2.0**k, gb.onset), k
+            assert pwlab.cesaro_lower_envelope(phi, g, 20).tobytes() == (env * 2.0**k).tobytes(), k
+
     def test_third_constant_and_envelope(self):
         rng = np.random.default_rng(SEED + 7)
         f = pwlab.rough_probe(1.0, 32, rng)
@@ -502,6 +518,24 @@ class TestPseudotrajectory:
                     x = push - term_coefficients(P, n + 1)
                     ref = math.sqrt(max(gram_form(P, x), 0.0))
                     assert abs(P.defect(n) - ref) <= 8 * eps * ref, (c, d, n)
+
+    def test_step_norm_is_read_from_the_gram(self):
+        # ||C_phi f|| is the root of gram[0, 0], so the defect is delta within two
+        # roundings; it agrees with orbit_norms within two rounding bounds B of the
+        # square, and a horizon past range fails orbit_norms' guard before any pairing
+        rng = np.random.default_rng(SEED + 75)
+        eps = np.finfo(float).eps
+        for c, d in ((0.5, 0.3), (-0.5, 0.2 + 0.1j), (0.9, -0.3 + 0.4j), (-1.0, 0.5j)):
+            f = pwlab.rough_probe(1.3, 16, rng)
+            phi = AffineSymbol(c, d)
+            P = pwlab.build_pseudotrajectory(phi, 1.3, f, 0.1, 8)
+            assert P.step_norm == math.sqrt(P.gram[0, 0].real)
+            assert abs(P.defect(0) - 0.1) <= 2 * eps * 0.1, (c, d)
+            square = pwlab.orbit_norms(phi, 1.3, f, 1).norms[1] ** 2
+            bound = _rounding_bound(1.3, c, complex(d).imag, f.samples)
+            assert abs(P.step_norm**2 - square) <= 2 * bound, (c, d)
+        with pytest.raises(OverflowGuardError, match="squared orbit norm exponent"):
+            pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), 1.3, f, 0.1, 900)
 
     def test_index_validation(self):
         P = self.build(n_max=5)

@@ -8,7 +8,8 @@ import pytest
 
 import pwlab
 from pwlab import AffineSymbol, AliasingError, L2Function, OverflowGuardError
-from pwlab.fourier import _grid_exp
+from pwlab import fourier
+from pwlab.fourier import _coefficients, _grid_exp, _subgrid_length, _subgrid_values, _values_at
 
 from oracles import dense_transform, exp_rounding_bound
 
@@ -283,7 +284,7 @@ class TestOffGridValues:
     """F(t/c) and F(c t) off the grid, against the dense defining sum."""
 
     @pytest.mark.parametrize("m", [65, 512, 4096])
-    @pytest.mark.parametrize("c", [0.5, -0.5, 0.25, 0.9, 1.0 / 3.0, -0.3])
+    @pytest.mark.parametrize("c", [0.5, -0.5, 0.25, 0.125, -0.25, 0.9, 1.0 / 3.0, -0.3])
     def test_sweep_against_dense_sum(self, c, m):
         rng = np.random.default_rng(SEED + 40)
         for n in (0, 1, 8, 32, m // 4 - 1):
@@ -295,6 +296,50 @@ class TestOffGridValues:
                 err_apply, err_adjoint = _off_grid_errors(c, f, m)
                 assert err_apply < tol, (probe.__name__, n, err_apply / tol)
                 assert err_adjoint < tol, (probe.__name__, n, err_adjoint / tol)
+
+    def test_subgrid_route_within_chirp_bound(self):
+        # for |c| = 1/q with 2q | M the apply reads F(t/c) from one M/q-point FFT;
+        # on the same F it agrees with _values_at's chirp-z within that route's
+        # documented bound: eps times its phase bound, 9 pi M / 16 for |c| >= 1/4
+        # and pi M / (16 |c|) below, times sum_n |coef_n|
+        rng = np.random.default_rng(SEED + 42)
+        eps = np.finfo(float).eps
+        for m in (8, 64, 512, 4096):
+            for c in (0.5, -0.5, 0.25, -0.25, 0.125):
+                count = _subgrid_length(c, m)
+                if m % int(2 / abs(c)):
+                    assert count is None
+                    continue
+                assert count == m * abs(c)
+                for n in (0, 1, min(32, m // 4 - 1)):
+                    F = pwlab.to_l2(pwlab.rough_probe(1.3, n, rng), m)
+                    t = F.grid()
+                    lo = (m - count) // 2
+                    chirp = _values_at(F, t[lo] / c, 2.0 * F.a / (m * c), count)
+                    phases = 9.0 * math.pi * m / 16.0 if abs(c) >= 0.25 else math.pi * m / (16.0 * abs(c))
+                    bound = eps * phases * float(np.sum(np.abs(_coefficients(F, m // 4))))
+                    sub = _subgrid_values(F, count)[:: 1 if c > 0 else -1]
+                    assert np.max(np.abs(sub - chirp)) <= bound, (m, c, n)
+                    assert np.all(np.abs(t[lo : lo + count]) < abs(c) * F.a)
+                    assert abs(t[lo - 1]) > abs(c) * F.a and abs(t[lo + count]) > abs(c) * F.a
+
+    def test_other_slopes_and_grids_keep_the_chirp(self, monkeypatch):
+        # the sub-grid needs |c| = 1/q, q a power of two, with 2q | M; every
+        # other slope or grid reads _values_at.  At c = 2^-12, M = 4096 (2q does
+        # not divide M) the run holds no midpoint and the output is exact zeros
+        calls = []
+        chirp = fourier._values_at
+        monkeypatch.setattr(fourier, "_values_at", lambda *args: calls.append(args) or chirp(*args))
+        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED + 43))
+        assert _subgrid_length(2.0**-12, 4096) is None
+        assert not np.any(pwlab.weighted_compose_apply(AffineSymbol(2.0**-12, 0.3), pwlab.to_l2(f, 4096)).values)
+        for c, m in ((0.5, 4096), (-0.25, 64), (2.0**-11, 4096)):
+            pwlab.weighted_compose_apply(AffineSymbol(c, 0.3), pwlab.to_l2(f, m))
+        assert not calls
+        for c, m in ((0.9, 4096), (1.0 / 3.0, 4096), (1e-3, 4096), (0.5, 65), (0.25, 4097), (0.125, 4100)):
+            assert _subgrid_length(c, m) is None
+            pwlab.weighted_compose_apply(AffineSymbol(c, 0.3), pwlab.to_l2(f, m))
+        assert len(calls) == 6
 
     def test_small_coefficients_are_kept(self):
         # a trim relative to the largest coefficient would drop all of the 5e-14 tail
