@@ -139,19 +139,24 @@ def _guard_points(a: float, z, what: str) -> None:
 def _sinc(u):
     """sin(u)/u for real or complex u, stable near 0: the package's one array sinc.
 
-    |u| < 1e-4 switches to the degree-6 Taylor polynomial in s = -u^2,
+    One masked division takes sin(u)/u where |u| >= 1e-4.  The entries with
+    |u| < 1e-4, if any, take the degree-6 Taylor polynomial in s = -u^2,
     1 + s/6 (1 + s/20 (1 + s/42)); the first dropped term is u^8/9! <
     1e-32/362880, far below double rounding.  The polynomial sees only the
-    small u, so a large u cannot overflow its cube.
+    small u, so a large u cannot overflow its cube; and the division never
+    sees them, since numpy's complex division forms 1/u, which overflows for
+    u = 5e-324j or 1e-310+0j.
     """
     u = np.asarray(u)
-    small = np.abs(u) < 1e-4
-    u_safe = np.where(small, 1.0, u)
-    out = np.sin(u_safe) / u_safe
-    u = np.where(small, u, 0.0)
-    s = -(u * u)
-    series = 1.0 + s / 6.0 * (1.0 + s / 20.0 * (1.0 + s / 42.0))
-    return np.where(small, series, out)
+    large = np.abs(u) >= 1e-4
+    out = np.empty_like(u, dtype=np.result_type(u, 1.0))
+    np.divide(np.sin(u), u, out=out, where=large)
+    if not large.all():
+        small = ~large
+        t = u[small]
+        s = -(t * t)
+        out[small] = 1.0 + s / 6.0 * (1.0 + s / 20.0 * (1.0 + s / 42.0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -327,13 +332,19 @@ def _cardinal(a, z, v):
     sums 1/x by one product; a block with any complex target sums 1/(x + iy)
     = (x - iy)/(x^2 + y^2) by two.  A node hit multiplies all far terms by
     sin 0 = 0, so it returns the stored sample exactly.  On either route the
-    result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)).
+    result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)).  The fixed cost
+    per call is kept small for the many short calls of the closed pairings:
+    (-1)^k v_k negates every other sample of one copy, (-1)^m negates the
+    sines in place, and a call whose targets fit one block returns that
+    block itself.
     """
     _guard_points(a, z, "evaluation exponent a |Im z|")
     n = v.size // 2
     x = grid(a, n)
-    # (-1)^k v_k as real columns (re, im)
-    w = np.where(np.arange(-n, n + 1) % 2, -v, v).view(float).reshape(-1, 2)
+    # (-1)^k v_k as real columns (re, im); k = j - n is odd where j and n differ in parity
+    w = v.copy()
+    w[1 - n % 2 :: 2] *= -1.0
+    w = w.view(float).reshape(-1, 2)
     out = np.empty(z.size, dtype=np.complex128)
     rows = max(1, _BLOCK_ENTRIES // x.size)
     for lo in range(0, z.size, rows):
@@ -355,8 +366,12 @@ def _cardinal(a, z, v):
             dx[i, col] = np.inf
             np.reciprocal(dx, out=dx)
             far = (dx @ w).view(complex)[:, 0]
-        blk = np.where(m % 2, -1.0, 1.0) * np.sin(delta) * far
+        sine = np.sin(delta)
+        sine[m % 2 == 1] *= -1.0
+        blk = sine * far
         blk[i] += v[col] * _sinc(delta[i])
+        if rows >= z.size:  # a single block is the result
+            return blk
         out[lo : lo + rows] = blk
     return out
 

@@ -263,8 +263,14 @@ def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) 
     times |c|^{-n/2}; since w0 + d_n -> w1, the factor 2 buys an onset n0
     past which delta |c|^{-n/2} is a certified lower bound, for f of any
     norm: delta scales with f (the onset is located by scanning the exact
-    orbit trace).
+    orbit trace over n = 0.._ONSET_SCAN, which _onset_scan also returns for
+    expansivity_certificate to read its doubling time from).
     """
+    return _onset_scan(phi, f, w0)[0]
+
+
+def _onset_scan(phi: AffineSymbol, f: PwFunction, w0: complex) -> tuple[GrowthBound, OrbitTrace]:
+    """growth_constant_second's bound, and the orbit trace of f over n = 0.._ONSET_SCAN it scanned."""
     if abs(phi.c) >= 1.0:
         raise ValueError("growth constant needs a strictly contracting symbol, 0<|c|<1")
     if f.is_zero():
@@ -278,7 +284,7 @@ def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) 
     onset = int(short[-1]) + 1 if short.size else 0
     if onset > _ONSET_SCAN:
         raise PwLabError("no onset found within the scan range; f may be too large")
-    return GrowthBound(delta=delta, onset=onset)
+    return GrowthBound(delta=delta, onset=onset), trace
 
 
 def growth_constant_third(F: L2Function, level: float) -> float:
@@ -322,6 +328,11 @@ def expansivity_certificate(
     Expansive symbols: the first n with ||C_phi^n f|| >= 2 for the normalized
     f, up to the search cap; for 0 < |c| < 1 the witness points 0, 1, -1, i,
     -i are tried in turn, and only an OverflowGuardError stops the scan.
+    The witness step's onset scan has already traced the unit vector's orbit
+    over n = 0.._ONSET_SCAN, so a cap inside it reads n_star from that
+    trace's first cap + 1 norms: they round as orbit_norms(cap)'s do, though
+    BLAS may round a row of the longer product differently in the last bit.
+    A longer cap, and c = 1, trace orbit_norms(cap) once.
     Non-expansive symbols: sup_n ||C_phi^n f|| over the horizon, at 1
     (unitary) or below e^{|Im d| a} (period-2 reflection case).  Where the
     exact norm is 2 the last bit decides: for real d and |c|^{-n/2} = 2 every
@@ -330,6 +341,8 @@ def expansivity_certificate(
     """
     if f.is_zero():
         raise ValueError("expansivity needs a nonzero vector")
+    if f.a != a:
+        raise BandwidthMismatchError("probe bandwidth differs from the requested space")
     unit = scaled(f, 1.0 / f.norm())
     report = classify(phi, a)
     if not report.positively_expansive:
@@ -342,10 +355,11 @@ def expansivity_certificate(
             cap=None,
             horizon=horizon,
         )
+    trace = None  # the onset scan's orbit over n = 0.._ONSET_SCAN, for 0 < |c| < 1
     if abs(phi.c) < 1.0:
         for w0 in (0.0, 1.0, -1.0, 1j, -1j):
             try:
-                delta = growth_constant_second(phi, unit, w0=w0).delta
+                (delta, _), trace = _onset_scan(phi, unit, w0)
                 break
             except OverflowGuardError:
                 raise
@@ -359,8 +373,9 @@ def expansivity_certificate(
         delta = growth_constant_third(F, 0.5 * float(np.max(np.abs(F.values))))
         rate = a * abs(phi.d.imag)
     cap = math.ceil(math.log(2.0 / delta) / rate) + 10 if delta < 2.0 else 10
-    trace = orbit_norms(phi, a, unit, cap)
-    hits = np.nonzero(trace.norms >= 2.0)[0]
+    if trace is None or cap > _ONSET_SCAN:
+        trace = orbit_norms(phi, a, unit, cap)
+    hits = np.nonzero(trace.norms[: cap + 1] >= 2.0)[0]
     if hits.size == 0:
         raise PwLabError(
             f"no doubling within the cap {cap} predicted by delta={delta:.3g}"

@@ -22,6 +22,23 @@ def direct_eval(a, samples, z):
     return out if np.ndim(z) else complex(out[0])
 
 
+def where_sinc(u):
+    """sin(u)/u with the degree-6 Taylor polynomial below |u| = 1e-4, both branches on every entry.
+
+    np.where picks the branch; the division sees 1 in place of each small u
+    and the polynomial 0 in place of each large one.  The same arithmetic per
+    entry as core._sinc, which forms each branch only where it is taken.
+    """
+    u = np.asarray(u)
+    small = np.abs(u) < 1e-4
+    u_safe = np.where(small, 1.0, u)
+    out = np.sin(u_safe) / u_safe
+    u = np.where(small, u, 0.0)
+    s = -(u * u)
+    series = 1.0 + s / 6.0 * (1.0 + s / 20.0 * (1.0 + s / 42.0))
+    return np.where(small, series, out)
+
+
 def fsum_eval(a, samples, z):
     """Scalar cardinal series with compensated (fsum) accumulation."""
     half = (len(samples) - 1) // 2

@@ -16,7 +16,8 @@ from pwlab import (
     PwFunction,
     PwLabError,
 )
-from oracles import dense_pairing, direct_eval, fsum_eval, panel_inner_product
+from pwlab.core import _sinc
+from oracles import dense_pairing, direct_eval, fsum_eval, panel_inner_product, where_sinc
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -397,6 +398,32 @@ class TestCardinalKernel:
         for scalar in (z[0, 0, 0], complex(z[0, 0, 0]), np.asarray(z[0, 0, 0])):
             val = pwlab.pw_eval(f, scalar)
             assert isinstance(val, complex) and val == single[0]
+
+
+class TestSinc:
+    """core._sinc against oracles.where_sinc, which forms both branches on every entry."""
+
+    def test_sweep_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(SEED + 48)
+        mag = 10.0 ** rng.uniform(-12.0, 2.0, 20000)
+        real = mag * rng.choice([-1.0, 1.0], mag.size)
+        cplx = mag * np.exp(2j * math.pi * rng.uniform(size=mag.size))
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-4, -1e-4, math.nextafter(1e-4, 0.0)]
+        for u in (real, cplx, np.array(edges), np.array(edges + [5e-324j, 1e-310 + 0j])):
+            got = _sinc(u)
+            assert got.dtype == u.dtype and got.tobytes() == where_sinc(u).tobytes()
+        for u in (0.0, 0.3, 1e-6j, np.complex128(2.0 - 1.0j)):
+            got = _sinc(u)
+            assert got.shape == () and got.tobytes() == where_sinc(u).tobytes()
+
+    def test_subnormal_points_take_the_polynomial(self):
+        # numpy's complex division forms 1/u, which overflows at these points, so
+        # a plain divide where u != 0 warns (an error under pytest): the small u
+        # take the Taylor polynomial and the division never sees them
+        u = np.array([5e-324j, 1e-310 + 0j, -5e-324 + 0j])
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
+        assert np.all(_sinc(u) == 1.0)
 
 
 class TestProducts:

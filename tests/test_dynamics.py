@@ -139,9 +139,12 @@ class TestOrbitNorms:
         f = pwlab.node_function(1.0, 4)
         phi = AffineSymbol(0.5, 0.0)
         P = pwlab.build_pseudotrajectory(phi, 1.0, f, 0.1, 3)
-        for call in (lambda: pwlab.orbit_norms(phi, 2.0, f, 5),
+        # a contracting, a translation and a bounded certificate check the bandwidth up front
+        certs = [lambda s=s: pwlab.expansivity_certificate(AffineSymbol(*s), 2.0, f)
+                 for s in ((0.5, 0.3), (1.0, 1j), (-1.0, 1.0))]
+        for call in [lambda: pwlab.orbit_norms(phi, 2.0, f, 5),
                      lambda: pwlab.build_pseudotrajectory(phi, 2.0, f, 0.1, 3),
-                     lambda: pwlab.shadowing_divergence(P, pwlab.node_function(2.0, 4))):
+                     lambda: pwlab.shadowing_divergence(P, pwlab.node_function(2.0, 4))] + certs:
             with pytest.raises(BandwidthMismatchError):
                 call()
         with pytest.raises(ValueError):
@@ -384,6 +387,35 @@ class TestExpansivity:
             bound = math.exp(abs(phi.d.imag) * 1.0)
             assert cert.sup_norm <= bound * (1.0 + 1e-9)
             assert cert.horizon == 30
+
+    def test_one_orbit_per_contracting_certificate(self, monkeypatch):
+        # on C8's grid and probes a contracting certificate reads n_star from the
+        # onset scan's orbit (cap <= _ONSET_SCAN): one orbit_norms call, with the
+        # n_star, cap and delta of a fresh orbit_norms(cap); a cap past the scan
+        # (c = 0.95) traces orbit_norms(cap) once more
+        calls = []
+        orbit = dynamics.orbit_norms
+        monkeypatch.setattr(dynamics, "orbit_norms", lambda *args: calls.append(args[3]) or orbit(*args))
+        a, rng = 1.0, np.random.default_rng(SEED)
+        cases = [(AffineSymbol(c, d), pwlab.rough_probe(a, 64, rng))
+                 for c in (1.0, -1.0, 0.5, -0.5, 0.25) for d in (0.0, 1.0, 1j, 1.0 + 1j)]
+        cases.append((AffineSymbol(0.95, 0.3), pwlab.rough_probe(a, 16, rng)))
+        caps = []
+        for phi, f in cases:
+            if abs(phi.c) == 1.0:
+                continue
+            calls.clear()
+            cert = pwlab.expansivity_certificate(phi, a, f)
+            unit = pwlab.scaled(f, 1.0 / f.norm())
+            assert calls == ([dynamics._ONSET_SCAN] if cert.cap <= dynamics._ONSET_SCAN
+                             else [dynamics._ONSET_SCAN, cert.cap])
+            assert cert.delta == pwlab.growth_constant_second(phi, unit).delta
+            rate = math.log(1.0 / math.sqrt(abs(phi.c)))
+            assert cert.cap == math.ceil(math.log(2.0 / cert.delta) / rate) + 10
+            fresh = orbit(phi, a, unit, cert.cap).norms
+            assert cert.n_star == int(np.flatnonzero(fresh >= 2.0)[0])
+            caps.append(cert.cap)
+        assert max(caps[:-1]) <= dynamics._ONSET_SCAN < caps[-1]
 
     def test_zero_vector_rejected(self):
         zero = pwlab.PwFunction(1.0, np.zeros(9))

@@ -297,6 +297,25 @@ class TestOffGridValues:
                 assert err_apply < tol, (probe.__name__, n, err_apply / tol)
                 assert err_adjoint < tol, (probe.__name__, n, err_adjoint / tol)
 
+    @pytest.mark.parametrize("m", [4096, 8192])
+    @pytest.mark.parametrize("c", [2.0**-11, -(2.0**-10), 2.0**-6])
+    def test_small_slopes_at_exact_points(self, c, m):
+        # at |c| <= 2^-10 the float grid point t/c carries t's rounding times
+        # 1/|c|, so the oracle reads the exact points q t_j = -a + (i + 1/2) 2a/L
+        # of the L = M/q-point midpoint grid that the sub-grid route maps the
+        # support run onto (reversed for c < 0); the rest of the grid is zero
+        rng = np.random.default_rng(SEED + 44)
+        count = int(m * abs(c))
+        assert _subgrid_length(c, m) == count
+        lo = (m - count) // 2
+        for n in (64, 1000):
+            f = pwlab.rough_probe(1.3, n, rng)
+            exact = -f.a + (np.arange(count) + 0.5) * (2.0 * f.a / count)
+            ref = np.zeros(m, dtype=np.complex128)
+            ref[lo : lo + count] = dense_transform(f.a, f.samples, math.copysign(1.0, c) * exact)
+            applied = abs(c) * pwlab.weighted_compose_apply(AffineSymbol(c, 0.0), pwlab.to_l2(f, m)).values
+            assert np.max(np.abs(applied - ref)) < 1e-12 * _transform_scale(f), n
+
     def test_subgrid_route_within_chirp_bound(self):
         # for |c| = 1/q with 2q | M the apply reads F(t/c) from one M/q-point FFT;
         # on the same F it agrees with _values_at's chirp-z within that route's
