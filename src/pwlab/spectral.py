@@ -3,10 +3,14 @@
 Numerical estimates here come from one tool only: Lanczos with full
 reorthogonalization for the largest singular value of the finite section in
 the node basis, certified by an explicit eigen-residual.  A step costs two
-products with the section, the reorthogonalization and O(k) scalar work: the
-top Ritz pair of the k x k tridiagonal comes from a Newton solve on its
-LDL^T pivots, and a dense eigensolver runs only where a certificate is
-tested.  Spectra and spectral radii are never read off truncated matrices
+products with the section, the reorthogonalization (two products with the
+basis as stored, no conjugated copy of it) and O(k) scalar work: the top
+Ritz pair of the k x k tridiagonal comes from a Newton solve on its LDL^T
+pivots, and a dense eigensolver runs only where a certificate is tested.
+The iteration runs on the section scaled by a power of two, read from its
+largest real or imaginary part, so no |entry| is formed; build_matrix hands
+its entries over read-only, so OperatorMatrix keeps them without a second
+copy.  Spectra and spectral radii are never read off truncated matrices
 (truncation spectra of non-normal operators are polluted); they come from
 the exact trichotomy on (c, d), and the finite sections serve as the
 independent cross-check of the norm and radius formulas.
@@ -40,7 +44,13 @@ _MAX_SECTION_ENTRIES = 1 << 26
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Section T[n, m] = <C_phi e_m, e_n> = sinc(a(phi(x_n) - x_m)), |n|,|m| <= N."""
+    """Section T[n, m] = <C_phi e_m, e_n> = sinc(a(phi(x_n) - x_m)), |n|,|m| <= N.
+
+    entries is stored read-only and C-contiguous.  An array that is already
+    read-only, C-contiguous and owns its data (as build_matrix's are) is kept
+    as it is; any other is copied, so a caller that keeps a writeable array
+    or view cannot change the section.
+    """
 
     phi: AffineSymbol
     a: float
@@ -52,8 +62,9 @@ class OperatorMatrix:
         size = 2 * self.half_width + 1
         if e.shape != (size, size):
             raise ValueError("entries shape does not match the window")
-        e = e.copy()
-        e.setflags(write=False)
+        if e.flags.writeable or not (e.flags.owndata and e.flags.c_contiguous):
+            e = e.copy()
+            e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
 
@@ -84,7 +95,8 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     z = phi(x)
     m = np.rint(z.real * (a / math.pi))
     delta = a * (z - m * (math.pi / a))
-    u = a * (z[:, None] - x)
+    u = np.subtract.outer(z, x)
+    u *= a
     # columns k = m_n inside the window hold sinc(delta_n), set after the division
     rows = np.flatnonzero(np.abs(m) <= half_width)
     cols = (m[rows] + half_width).astype(np.intp)
@@ -93,6 +105,7 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     entries = np.outer(np.where(m % 2, -1.0, 1.0) * np.sin(delta), sign)
     entries /= u
     entries[rows, cols] = _sinc(delta[rows])
+    entries.setflags(write=False)
     return OperatorMatrix(phi, a, half_width, entries)
 
 
@@ -190,15 +203,17 @@ def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
     relative residual ||h y - theta y|| / theta of the Ritz vector y, or
     certificate None when no test fired within max_steps.  A step costs one
     h (two products with the section in _largest_singular_value), the
-    reorthogonalization and O(k) scalar work: the top Ritz value theta_k and
-    s_k, the last entry of its eigenvector, come from _top_ritz on the
-    alpha_i and beta_i kept as Python floats.  The tridiagonal is formed, and
-    one eigh gives the Ritz vector y, only where a certificate is tested.
-    From the third step on, a step whose estimate beta_k |s_k| passes
-    sqrt(tol) theta is checked by the explicit residual, which certifies an
-    eigenvalue of h within sqrt(tol) theta of theta; the Ritz stall
-    |theta_k - theta_{k-1}| <= tol theta (top Ritz values increase with k)
-    certifies the rest.
+    reorthogonalization and O(k) scalar work.  The Gram-Schmidt coefficients
+    B* w are read as conj(B conj(w)), two products with the basis B as
+    stored, and the next row is written in place, so a step copies no part
+    of the basis.  The top Ritz value theta_k and s_k, the last entry of its
+    eigenvector, come from _top_ritz on the alpha_i and beta_i kept as Python
+    floats.  The tridiagonal is formed, and one eigh gives the Ritz vector y,
+    only where a certificate is tested.  From the third step on, a step
+    whose estimate beta_k |s_k| passes sqrt(tol) theta is checked by the
+    explicit residual, which certifies an eigenvalue of h within sqrt(tol)
+    theta of theta; the Ritz stall |theta_k - theta_{k-1}| <= tol theta (top
+    Ritz values increase with k) certifies the rest.
     """
     dim = q.size
     res_tol = math.sqrt(tol)
@@ -220,8 +235,9 @@ def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
         w -= alpha * basis[k]
         if k:
             w -= beta * basis[k - 1]
-        w -= (basis[: k + 1].conj() @ w) @ basis[: k + 1]
-        beta = float(np.linalg.norm(w))
+        done = basis[: k + 1]
+        w -= np.dot(np.dot(done, w.conj()).conj(), done)
+        beta = math.sqrt(np.vdot(w, w).real)
         theta_prev = theta
         theta, s2 = _top_ritz(rows, theta, s2)
         scale = max(abs(theta), 1e-300)
@@ -235,7 +251,7 @@ def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
             if abs(theta - theta_prev) <= tol * scale:
                 return theta, explicit(theta), k + 1, "stall"
         if k + 1 < max_steps:
-            basis[k + 1] = w / beta
+            np.divide(w, beta, out=basis[k + 1])
             betas.append(beta)
     return theta, explicit(theta), max_steps, None
 
@@ -254,13 +270,17 @@ def _largest_singular_value(
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
     if max_iterations < 3:
         raise ValueError("max_iterations must be at least 3")
-    # work on 2^-e A, max|entry| in [1/2, 1): exact, so every result in range keeps its bits;
-    # a unit v has |Av| < dim and |A*(Av)| < dim^2, and A*u = conj(conj(u) A) copies no matrix
-    peak = float(np.max(np.abs(mat), initial=0.0))
-    if not math.isfinite(peak):
+    # work on 2^-e A with max(|Re|, |Im|) over its entries in [1/2, 1), so max|entry| in
+    # [1/2, sqrt 2): two reductions over the float view read e, with no |entry| pass, and the
+    # scaling is exact, so every result in range keeps its bits.  A unit v has |Av| < sqrt(2) dim
+    # and |A*(Av)| < 2 dim^2, and A*u = conj(conj(u) A) copies no matrix.  A NaN makes both
+    # reductions NaN, so the test below does not depend on the argument order of a max
+    parts = mat.view(float)
+    hi, lo = float(parts.max(initial=0.0)), float(parts.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise OverflowGuardError("section entries are not finite")
-    e = math.frexp(peak)[1]
-    mat = np.ldexp(mat.view(float), -e).view(complex)
+    e = math.frexp(max(hi, -lo))[1]
+    mat = np.ldexp(parts, -e).view(complex)
     rng = np.random.default_rng(seed)
     dim = mat.shape[1]
     runs = []
@@ -297,11 +317,11 @@ def operator_norm_estimate(
     on sections whose top singular values form a flat cluster); sections
     with a separated top converge far tighter.  max_iterations caps the
     Krylov dimension per start.  The iteration runs on the section scaled
-    by the power of two that brings its largest entry into [1/2, 1), so A v
-    and A*(A v) stay in range for every section build_matrix admits; non-finite
-    entries or a norm past the float range raise OverflowGuardError.  The
-    steps, certificate and residual behind the value are in
-    _largest_singular_value's NormEstimate.
+    by the power of two that brings its largest real or imaginary part into
+    [1/2, 1), so A v and A*(A v) stay in range for every section build_matrix
+    admits; non-finite entries or a norm past the float range raise
+    OverflowGuardError.  The steps, certificate and residual behind the value
+    are in _largest_singular_value's NormEstimate.
     """
     return _largest_singular_value(np.asarray(T.entries), tol, seed, max_iterations).value
 

@@ -9,6 +9,7 @@ import pytest
 
 import pwlab
 from pwlab import AffineSymbol, ConvergenceError, OperatorMatrix, spectral
+from pwlab import io as pwio
 from pwlab.spectral import _largest_singular_value, _top_ritz
 from oracles import dense_gram_norm, dense_ritz_lanczos, svd_norm
 
@@ -105,6 +106,35 @@ class TestSections:
         with pytest.raises(ValueError):
             OperatorMatrix(AffineSymbol(0.5, 0.0), 1.0, 4, np.zeros((3, 9)))
 
+    def test_entries_are_kept_without_a_second_copy_only_when_safe(self):
+        phi = AffineSymbol(0.5, 0.0)
+        # build_matrix hands over a read-only array that owns its data: kept as it is
+        T = pwlab.build_matrix(AffineSymbol(-0.5, 0.3 + 0.2j), 1.0, 8)
+        assert not T.entries.flags.writeable and T.entries.flags.owndata
+        # a writeable input is copied: the caller's later writes do not reach the section
+        mine = np.arange(81, dtype=complex).reshape(9, 9)
+        T = OperatorMatrix(phi, 1.0, 4, mine)
+        mine[0, 0] = 99.0
+        assert T.entries[0, 0] == 0.0 and not T.entries.flags.writeable
+        # so is a read-only view of a writeable base
+        base = np.arange(81, dtype=complex).reshape(9, 9)
+        view = base.view()
+        view.setflags(write=False)
+        T = OperatorMatrix(phi, 1.0, 4, view)
+        base[0, 0] = 99.0
+        assert T.entries[0, 0] == 0.0 and not T.entries.flags.writeable
+        # a read-only Fortran-ordered array is copied to the C order the norm reads
+        fortran = np.asfortranarray(np.eye(9, dtype=complex) * 3.0)
+        fortran.setflags(write=False)
+        T = OperatorMatrix(phi, 1.0, 4, fortran)
+        assert T.entries.flags.c_contiguous
+        assert abs(pwlab.operator_norm_estimate(T) - 3.0) <= 1e-14
+        # a binary round trip reads a view of the buffer, and still gives a read-only section
+        T = pwlab.build_matrix(phi, 1.0, 4)
+        back = pwio.matrix_from_bytes(pwio.matrix_to_bytes(T))
+        assert not back.entries.flags.writeable
+        np.testing.assert_array_equal(back.entries, T.entries)
+
     def test_build_guard(self):
         with pytest.raises(pwlab.OverflowGuardError):
             pwlab.build_matrix(AffineSymbol(1.0, 400j), 1.0, 8)
@@ -142,10 +172,16 @@ class TestNormEstimate:
                 assert pwlab.operator_norm_estimate(tiny_or_huge, seed=SEED) == est * 2.0**k
 
     def test_nonfinite_section_raises(self):
-        entries = np.eye(9, dtype=complex)
-        entries[0, 1] = np.inf
-        with pytest.raises(pwlab.OverflowGuardError):
-            pwlab.operator_norm_estimate(OperatorMatrix(AffineSymbol(0.5, 0.0), 1.0, 4, entries))
+        # +inf in a real part, NaN in a real or an imaginary part alone, -inf in
+        # an imaginary part: the scale is read from the largest real or
+        # imaginary part, and none of these may pass it as finite
+        for bad in (np.inf, complex(np.nan, 0.0), complex(0.0, np.nan), complex(0.0, -np.inf)):
+            for where in ((0, 1), (8, 8)):
+                entries = np.eye(9, dtype=complex)
+                entries[where] = bad
+                T = OperatorMatrix(AffineSymbol(0.5, 0.0), 1.0, 4, entries)
+                with pytest.raises(pwlab.OverflowGuardError):
+                    pwlab.operator_norm_estimate(T)
 
     def test_sections_increase_to_closed_norm(self):
         phi = AffineSymbol(0.5, 0.7)
@@ -205,12 +241,23 @@ class TestNormEstimate:
     def test_top_ritz_solve_matches_dense_eigh(self, monkeypatch):
         # the O(k) top-Ritz solve against a dense eigh of the whole tridiagonal
         # at every step, in the same driver: the same Krylov steps and
-        # certificate, values to rounding
+        # certificate, values to rounding.  The oracle takes its Gram-Schmidt
+        # coefficients from a conjugated copy of the basis and beta from
+        # np.linalg.norm, so it holds the step's own arithmetic to rounding
+        # as well; the bench's plateau families (c = +-1/2, d in {i, 1+i},
+        # N in {64, 128}, a drawn from [0.9, 1.1]) run it at the timed sizes
         tol = 1e-10
+        rng = np.random.default_rng(SEED)
         sections = oracle_sweep() + [
             pwlab.build_matrix(AffineSymbol(c, d), 1.0, 128).entries
             for c in (0.25, -0.75)
             for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j)
+        ] + [
+            pwlab.build_matrix(AffineSymbol(c, d), float(rng.uniform(0.9, 1.1)), n).entries
+            for c in (0.5, -0.5)
+            for d in (1j, 1.0 + 1j)
+            for n in (64, 128)
+            for _ in range(2)
         ]
         records = [_largest_singular_value(entries, tol, SEED, 50000) for entries in sections]
         monkeypatch.setattr(spectral, "_lanczos", dense_ritz_lanczos)
