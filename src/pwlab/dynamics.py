@@ -522,8 +522,8 @@ def build_pseudotrajectory(
     """
     if phi.c == 1.0:
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:  # NaN fails both comparisons
+        raise ValueError("delta must be positive and finite")
     if f.a != a:
         raise BandwidthMismatchError("seed bandwidth differs from the requested space")
     if n_max < 0:

@@ -155,15 +155,6 @@ def from_l2(F: L2Function, half_width: int) -> PwFunction:
     return PwFunction(a, math.sqrt(a / math.pi) * coef)
 
 
-def _guard_weight(phi: AffineSymbol, a: float) -> None:
-    """Guard a |Im d|, the largest exponent of either weight.
-
-    e^{i d t / c} is evaluated only on |t| < |c| a and the adjoint's
-    e^{-i conj(d) t} only on |t| < a, so neither exceeds e^{a |Im d|}.
-    """
-    _guard_exponent(abs(phi.d.imag) * a, "weight exponent")
-
-
 def _grid_exp(w: complex, a: float, m: int, lo: int, count: int) -> np.ndarray:
     """e^{w t_j} for lo <= j < lo + count on the M-point midpoint grid, count >= 1.
 
@@ -175,7 +166,7 @@ def _grid_exp(w: complex, a: float, m: int, lo: int, count: int) -> np.ndarray:
     the same as np.exp(w * t).  The products past the run that are cut off
     (fewer than R, none for count <= 2) lie within (R - 1) h <= (count - 1) h / 2
     of it, so their exponent is at most twice the largest on the run: under
-    _guard_weight, 2 a |Im d| <= 600, inside double range.
+    the callers' guard on a |Im d|, 2 a |Im d| <= 600, inside double range.
     """
     h = 2.0 * a / m
     r = 1 << (count.bit_length() // 2)
@@ -227,7 +218,8 @@ def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:
     support.  The weight comes from _grid_exp on that run, within O(eps (1 +
     |d| a / |c|)) of the exact exponential, as np.exp is.
     """
-    _guard_weight(phi, F.a)
+    # e^{i d t / c} is evaluated only on |t| < |c| a, so it stays within e^{a |Im d|}
+    _guard_exponent(abs(phi.d.imag) * F.a, "weight exponent")
     a, c, d, m = F.a, phi.c, phi.d, F.m_points
     w = 1j * d / c
     if abs(c) == 1.0:  # t/c is the grid itself, reversed for c = -1
@@ -254,7 +246,8 @@ def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
     The weight e^{-i conj(d) t} comes from _grid_exp on the whole grid, within
     O(eps (1 + |d| a)) of the exact exponential, as np.exp is.
     """
-    _guard_weight(phi, F.a)
+    # e^{-i conj(d) t} on |t| < a stays within e^{a |Im d|}
+    _guard_exponent(abs(phi.d.imag) * F.a, "weight exponent")
     a, c, d, m = F.a, phi.c, phi.d, F.m_points
     if c == 1.0:
         inner = F.values

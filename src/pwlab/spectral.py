@@ -387,6 +387,8 @@ class SpectrumDescriptor:
     d: complex | None = None
 
     def boundary_samples(self, count: int = 512) -> np.ndarray:
+        if count < 1:
+            raise ValueError("boundary count must be at least 1")
         if self.kind == "two-point-set":
             return np.array([-1.0 + 0.0j, 1.0 + 0.0j])
         if self.kind == "closed-disk":

@@ -2,12 +2,14 @@
 
 Run with -s to see the PASS/FAIL lines; each test delegates to the
 corresponding function in pwlab.verify at its pinned configuration.  Each
-check runs once per session: the order test reads the same results.
+check runs once per session, under a profile hook that records the kernel
+families it reaches: the order and census tests read the same results.
 """
 
 import functools
+import sys
 
-from pwlab import verify
+from pwlab import core, dynamics, fourier, spectral, verify
 from pwlab.verify import (
     DEFAULT_SEED,
     check_cesaro_dichotomy,
@@ -25,9 +27,41 @@ from pwlab.verify import (
 )
 
 
+# the kernel families of the route census, keyed by (module file, function name)
+FAMILIES = {
+    (spectral.__file__, "build_matrix"): "section",
+    (spectral.__file__, "_lanczos"): "section",
+    (core.__file__, "_cardinal"): "sinc sum",
+    (core.__file__, "_pairings"): "closed pairing",
+    (core.__file__, "_coset_sum"): "coset FFT",
+    (fourier.__file__, "to_l2"): "Fourier",
+    (fourier.__file__, "_values_at"): "Fourier",
+    (fourier.__file__, "_subgrid_values"): "Fourier",
+    (dynamics.__file__, "orbit_norms_fourier"): "Fourier",
+    (core.__file__, "kernel_norm_sq"): "closed kernel",
+    (spectral.__file__, "norm_closed"): "closed form",
+    (spectral.__file__, "spectral_radius_closed"): "closed form",
+    (spectral.__file__, "spectrum_closed_form"): "closed form",
+}
+reached = {}
+
+
 @functools.cache
 def result_of(check):
-    return check(seed=DEFAULT_SEED)
+    families = reached[check] = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            family = FAMILIES.get((frame.f_code.co_filename, frame.f_code.co_name))
+            if family:
+                families.add(family)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        return check(seed=DEFAULT_SEED)
+    finally:
+        sys.setprofile(previous)
 
 
 def report(result):
@@ -89,3 +123,28 @@ def test_check_order_matches_ids():
     checks = tuple(fn for name, fn in vars(verify).items() if name.startswith("check_") and callable(fn))
     assert checks == verify._CHECKS
     assert [result_of(fn).check_id for fn in checks] == [f"C{n}" for n in range(1, 13)]
+
+
+# The census as the hook finds it.  Rows with a single numerical route: C4's
+# spectrum (its section is only the T^2 = I line), C5, and C10 and C11, whose
+# sinc sums run inside the closed pairing or read f(alpha) (C10).  A change that
+# adds a route changes its row here; one that merges two routes fails.
+CENSUS = {
+    "C1": {"section", "closed form"},
+    "C2": {"section", "closed form"},
+    "C3": {"section", "closed form"},
+    "C4": {"section", "closed form"},
+    "C5": {"closed kernel"},
+    "C6": {"sinc sum", "coset FFT"},
+    "C7": {"sinc sum", "coset FFT", "Fourier"},
+    "C8": {"closed pairing", "sinc sum", "Fourier", "closed form", "closed kernel"},
+    "C9": {"closed pairing", "sinc sum", "Fourier", "closed form", "closed kernel"},
+    "C10": {"closed pairing", "sinc sum", "closed kernel"},
+    "C11": {"closed pairing", "sinc sum"},
+    "C12": {"sinc sum", "coset FFT"},
+}
+
+
+def test_route_census():
+    found = {result_of(fn).check_id: reached[fn] for fn in verify._CHECKS}
+    assert found == CENSUS

@@ -73,8 +73,8 @@ class TestSubcommands:
         rec = json.loads(out)
         assert abs(rec["norm_sq"] - math.sinh(2.0) / (2.0 * math.pi)) < 1e-12
         assert rec["function"]["N"] == 48
-        # the record embeds the standalone sample encoding byte for byte
-        assert pwlab.io.pw_to_json(pwlab.KernelPoint(1.0, 1j).to_pw(48)) in out
+        # the record embeds the compact encoding of the sample record byte for byte
+        assert pwlab.io._dumps(pwlab.io.pw_record(pwlab.KernelPoint(1.0, 1j).to_pw(48))) in out
 
     def test_norm_closed_vs_estimate(self, capsys):
         code, out, _ = run(capsys, "--fast", "norm", "--a", "1", "--c", "0.5", "--d", "0")
@@ -251,6 +251,20 @@ class TestExitCodes:
             code, _, err = run(capsys, "--tol", tol, "norm", "--a", "1", "--c", "0.5")
             assert code == EXIT_INVALID_CONFIG
             assert "tol" in err
+
+    def test_nonfinite_shadow_delta(self, capsys):
+        for delta in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, "--fast", "shadow", "--a", "3.14159", "--c", "0.5",
+                                 f"--delta={delta}")
+            assert code == EXIT_INVALID_CONFIG and not out
+            assert "delta must be positive and finite" in err
+
+    def test_empty_spectrum_boundary(self, capsys):
+        for count in ("0", "-1"):
+            code, out, err = run(capsys, "spectrum", "--a", "1", "--c", "0.5",
+                                 f"--boundary-count={count}")
+            assert code == EXIT_INVALID_CONFIG and not out
+            assert "boundary count must be at least 1" in err
 
     def test_nan_kernel_point(self, capsys):
         code, _, err = run(capsys, "kernel", "--a", "1", "--w", "nan")

@@ -587,8 +587,10 @@ class TestPseudotrajectory:
         f = pwlab.node_function(math.pi, 8, 0)
         with pytest.raises(ValueError):
             pwlab.build_pseudotrajectory(AffineSymbol(1.0, 1.0), math.pi, f, 0.1, 5)
-        with pytest.raises(ValueError):
-            pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.0), math.pi, f, 0.0, 5)
+        # a nonpositive or non-finite defect size: NaN fails every comparison
+        for delta in (0.0, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="delta"):
+                pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.0), math.pi, f, delta, 5)
         # seed vanishing at the fixed point alpha = 3 (a lattice node)
         with pytest.raises(ValueError):
             pwlab.build_pseudotrajectory(AffineSymbol(0.5, 1.5), math.pi, f, 0.1, 5)

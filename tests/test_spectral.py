@@ -9,7 +9,6 @@ import pytest
 
 import pwlab
 from pwlab import AffineSymbol, ConvergenceError, OperatorMatrix, spectral
-from pwlab import io as pwio
 from pwlab.spectral import _largest_singular_value, _top_ritz
 from oracles import dense_gram_norm, dense_ritz_lanczos, svd_norm
 
@@ -129,10 +128,12 @@ class TestSections:
         T = OperatorMatrix(phi, 1.0, 4, fortran)
         assert T.entries.flags.c_contiguous
         assert abs(pwlab.operator_norm_estimate(T) - 3.0) <= 1e-14
-        # a binary round trip reads a view of the buffer, and still gives a read-only section
+        # a read-only view of a bytes buffer owns no data: copied, and still a read-only section
         T = pwlab.build_matrix(phi, 1.0, 4)
-        back = pwio.matrix_from_bytes(pwio.matrix_to_bytes(T))
-        assert not back.entries.flags.writeable
+        view = np.frombuffer(T.entries.tobytes(), dtype=np.complex128).reshape(T.entries.shape)
+        assert not view.flags.writeable and not view.flags.owndata
+        back = OperatorMatrix(phi, 1.0, 4, view)
+        assert not back.entries.flags.writeable and back.entries.flags.owndata
         np.testing.assert_array_equal(back.entries, T.entries)
 
     def test_build_guard(self):
@@ -495,6 +496,16 @@ class TestSpectrumDescriptor:
         assert desc.kind == "exponential-arc"
         assert abs(desc.max_boundary_modulus() - 1.0) < 1e-14
         assert desc.contains(np.exp(2j))
+
+    def test_boundary_count_must_be_positive(self):
+        for phi in (AffineSymbol(-1.0, 1.0), AffineSymbol(0.5, 0.0), AffineSymbol(1.0, 1j)):
+            desc = pwlab.spectrum_closed_form(phi, 1.0)
+            assert desc.boundary_samples(1).size == (2 if desc.kind == "two-point-set" else 1)
+            for count in (0, -3):
+                with pytest.raises(ValueError, match="boundary count"):
+                    desc.boundary_samples(count)
+                with pytest.raises(ValueError, match="boundary count"):
+                    desc.max_boundary_modulus(count)
 
     def test_max_modulus_matches_closed_radius(self):
         a = 1.0
