@@ -5,10 +5,9 @@ the sampling picture, spectrum and classify report closed forms, orbit and
 cesaro trace growth, shadow runs the divergence experiment, and verify runs
 the twelve-check acceptance battery.
 
-Determinism contract: with the same arguments, profile, config file, and
-seed, every subcommand writes byte-identical output.  Output goes to the
---out path when given, else to the path in the PWLAB_OUT environment
-variable, else to stdout.
+Determinism contract: with the same arguments, every subcommand writes
+byte-identical output.  Output goes to the --out path when given, else to
+stdout.
 
 Exit codes: 0 success, 1 failed check or non-converged estimate, 2 invalid
 configuration or arguments, 3 overflow guard tripped.
@@ -18,16 +17,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
+import math
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as pwio
 from .core import (
-    AdmissibilityError,
     AffineSymbol,
     ConvergenceError,
     KernelPoint,
@@ -47,21 +44,11 @@ EXIT_INVALID_CONFIG = 2
 EXIT_OVERFLOW = 3
 
 
-@dataclass
-class RunConfig:
-    half_width: int = 128
-    n_max: int = 12
-    seed: int = DEFAULT_SEED
-    tol: float = 1e-10
-
-
-_FAST_PROFILE = {"half_width": 48}
-# each RunConfig field is a config key, parsed as the type of its default: ints take any base prefix
-_KEYS = {f.name: functools.partial(int, base=0) if type(f.default) is int else float for f in fields(RunConfig)}
-
-
 def parse_complex(text: str):
-    """Parse 're+imi' literals, e.g. '0.5', '1i', '-0.3+2i'."""
+    """Parse 're+imi' literals, e.g. '0.5', '1i', '-0.3+2i'.
+
+    One that starts with '-' attaches with '=' ('--d=-2-0.5I'), or argparse reads it as an option.
+    """
     cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
     try:
         return complex(cleaned)
@@ -76,64 +63,26 @@ def parse_int_literal(text: str) -> int:
         raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}") from None
 
 
-def load_config_file(path: str) -> dict:
-    """Read key=value lines; '#' starts a comment.  Values override flags."""
-    overrides: dict = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {raw!r} is not key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        overrides[key] = _KEYS[key](value)
-    return overrides
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.fast:
-        cfg = replace(cfg, **_FAST_PROFILE)
-    for name in _KEYS:
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
-    if args.config:
-        cfg = replace(cfg, **load_config_file(args.config))
-    if cfg.half_width < 1 or cfg.n_max < 1:
-        raise ValueError("half_width, n_max must be positive")
-    if not 0.0 < cfg.tol < 1.0:
-        raise ValueError(f"tol must be finite with 0 < tol < 1, got {cfg.tol!r}")
-    return cfg
-
-
 def _emit(text: str, args: argparse.Namespace) -> None:
-    path = args.out or os.environ.get("PWLAB_OUT")
     payload = text if text.endswith("\n") else text + "\n"
-    if path:
-        Path(path).write_text(payload, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 
 
-def _symbol(args: argparse.Namespace) -> AffineSymbol:
-    return AffineSymbol(args.c, args.d)
+def _make_probe(args: argparse.Namespace):
+    rng = np.random.default_rng(args.seed)
+    if args.probe == "smooth":
+        return smooth_probe(args.a, args.half_width, rng)
+    if args.probe == "rough":
+        return rough_probe(args.a, args.half_width, rng)
+    return node_function(args.a, args.half_width, args.node)
 
 
-def _make_probe(kind: str, a: float, half_width: int, seed: int, node: int):
-    rng = np.random.default_rng(seed)
-    if kind == "smooth":
-        return smooth_probe(a, half_width, rng)
-    if kind == "rough":
-        return rough_probe(a, half_width, rng)
-    return node_function(a, half_width, node)
-
-
-def cmd_kernel(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_kernel(args: argparse.Namespace) -> int:
     point = KernelPoint(args.a, args.w)
-    f = point.to_pw(cfg.half_width)
+    f = point.to_pw(args.half_width)
     record = {
         "a": args.a,
         "w": [args.w.real, args.w.imag],
@@ -144,22 +93,21 @@ def cmd_kernel(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_norm(args: argparse.Namespace, cfg: RunConfig) -> int:
-    phi = _symbol(args)
+def cmd_norm(args: argparse.Namespace) -> int:
+    phi = AffineSymbol(args.c, args.d)
     # the exact norm e^{a |Im d|}/sqrt|c|; a section is a compression, so it stays below
     closed = norm_closed(phi, args.a)
-    entries = build_matrix(phi, args.a, cfg.half_width).entries
+    entries = build_matrix(phi, args.a, args.half_width).entries
     # the Krylov dimension cannot pass the section size, so that size caps the steps
-    norm = _largest_singular_value(entries, cfg.tol, cfg.seed, entries.shape[0])
-    estimate = norm.value
+    norm = _largest_singular_value(entries, args.tol, args.seed, entries.shape[0])
     record = {
         "a": args.a,
         "c": phi.c,
         "d": [phi.d.real, phi.d.imag],
-        "half_width": cfg.half_width,
+        "half_width": args.half_width,
         "closed_form": closed,
-        "section_estimate": estimate,
-        "relative_deviation": abs(estimate / closed - 1.0),
+        "section_estimate": norm.value,
+        "relative_deviation": abs(norm.value / closed - 1.0),
         "iterations": list(norm.steps),
         "certificate": norm.certificate,
         "residual": norm.residual,
@@ -168,46 +116,48 @@ def cmd_norm(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
-    desc = spectrum_closed_form(_symbol(args), args.a)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    desc = spectrum_closed_form(AffineSymbol(args.c, args.d), args.a)
     _emit(pwio.descriptor_to_json(desc, boundary_count=args.boundary_count), args)
     return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _emit(pwio.report_to_json(classify(_symbol(args), args.a)), args)
+def cmd_classify(args: argparse.Namespace) -> int:
+    _emit(pwio.report_to_json(classify(AffineSymbol(args.c, args.d), args.a)), args)
     return EXIT_OK
 
 
-def cmd_orbit(args: argparse.Namespace, cfg: RunConfig) -> int:
-    phi = _symbol(args)
-    f = _make_probe(args.probe, args.a, cfg.half_width, cfg.seed, args.node)
-    trace = orbit_norms(phi, args.a, f, cfg.n_max)
+def cmd_orbit(args: argparse.Namespace) -> int:
+    phi = AffineSymbol(args.c, args.d)
+    f = _make_probe(args)
+    trace = orbit_norms(phi, args.a, f, args.n_max)
     _emit(pwio.trace_to_csv(trace.norms, start=0, header="n,norm"), args)
     return EXIT_OK
 
 
-def cmd_cesaro(args: argparse.Namespace, cfg: RunConfig) -> int:
-    phi = _symbol(args)
-    f = _make_probe(args.probe, args.a, cfg.half_width, cfg.seed, args.node)
-    averages = cesaro_averages(phi, args.a, f, cfg.n_max)
+def cmd_cesaro(args: argparse.Namespace) -> int:
+    phi = AffineSymbol(args.c, args.d)
+    f = _make_probe(args)
+    averages = cesaro_averages(phi, args.a, f, args.n_max)
     _emit(pwio.trace_to_csv(averages, start=1, header="n,average"), args)
     return EXIT_OK
 
 
-def cmd_shadow(args: argparse.Namespace, cfg: RunConfig) -> int:
-    phi = _symbol(args)
-    f = _make_probe(args.probe, args.a, cfg.half_width, cfg.seed, args.node)
-    P = build_pseudotrajectory(phi, args.a, f, args.delta, cfg.n_max)
-    g_raw = rough_probe(args.a, cfg.half_width, np.random.default_rng(cfg.seed + 1))
+def cmd_shadow(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.g_norm < math.inf:  # NaN fails both comparisons
+        raise ValueError("g_norm must be nonnegative and finite")
+    phi = AffineSymbol(args.c, args.d)
+    f = _make_probe(args)
+    P = build_pseudotrajectory(phi, args.a, f, args.delta, args.n_max)
+    g_raw = rough_probe(args.a, args.half_width, np.random.default_rng(args.seed + 1))
     g = scaled(g_raw, args.g_norm / g_raw.norm())
-    divergence, lower = shadowing_divergence(P, g, cfg.n_max)
-    steps = np.arange(1, cfg.n_max + 1, dtype=float)
+    divergence, lower = shadowing_divergence(P, g, args.n_max)
+    steps = np.arange(1, args.n_max + 1, dtype=float)
     _emit(pwio.columns_to_dat(steps, divergence, lower), args)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     # the acceptance battery always runs at its pinned configurations
     results = run_all(seed=DEFAULT_SEED)
     lines = []
@@ -216,15 +166,13 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         lines.append(f"{r.check_id} {status} {r.title}: {r.detail}")
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} checks passed")
-    report = "\n".join(lines)
-    sys.stdout.write(report + "\n")
-    path = args.out or os.environ.get("PWLAB_OUT")
-    if path:
+    sys.stdout.write("\n".join(lines) + "\n")
+    if args.out:
         summary = [
             {"id": r.check_id, "title": r.title, "passed": r.passed, "detail": r.detail}
             for r in results
         ]
-        Path(path).write_text(pwio._dumps(summary) + "\n", encoding="utf-8")
+        _emit(pwio._dumps(summary), args)
     return EXIT_OK if n_pass == len(results) else EXIT_CHECK_FAILURE
 
 
@@ -236,13 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for affine composition operators on "
         "bandlimited function spaces.",
     )
-    parser.add_argument("--fast", action="store_true", help="small-window profile (N=48)")
-    parser.add_argument("--config", help="key=value file; entries override flags")
-    parser.add_argument("--out", help="output path (default: $PWLAB_OUT or stdout)")
-    parser.add_argument("--seed", type=parse_int_literal, help="RNG seed for probes")
-    parser.add_argument("--half-width", dest="half_width", type=int, help="window half width N")
-    parser.add_argument("--n-max", dest="n_max", type=int, help="orbit horizon")
-    parser.add_argument("--tol", type=float, help="iteration tolerance")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--seed", type=parse_int_literal, default=DEFAULT_SEED, help="RNG seed for probes")
+    parser.add_argument("--half-width", dest="half_width", type=int, default=128, help="window half width N")
+    parser.add_argument("--n-max", dest="n_max", type=int, default=12, help="orbit horizon")
+    parser.add_argument("--tol", type=float, default=1e-10, help="iteration tolerance")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_symbol_args(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
-    def add_probe_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--probe", choices=("smooth", "rough", "node"), default="smooth")
+    def add_probe_args(p: argparse.ArgumentParser, default: str = "smooth") -> None:
+        p.add_argument("--probe", choices=("smooth", "rough", "node"), default=default)
         p.add_argument("--node", type=int, default=0, help="node index for --probe node")
 
     p_orbit = sub.add_parser("orbit", help="orbit norm trace ||C^n f||")
@@ -285,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_shadow = sub.add_parser("shadow", help="pseudotrajectory divergence experiment")
     add_symbol_args(p_shadow)
-    p_shadow.add_argument("--probe", choices=("smooth", "rough", "node"), default="node")
-    p_shadow.add_argument("--node", type=int, default=0)
+    add_probe_args(p_shadow, default="node")
     p_shadow.add_argument("--delta", type=float, default=0.1, help="per-step defect size")
     p_shadow.add_argument("--g-norm", dest="g_norm", type=float, default=0.04,
                           help="norm of the candidate shadowing orbit seed")
@@ -306,15 +251,18 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad arguments, 0 on --help
         return EXIT_INVALID_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = resolve_config(args)
-        return args.func(args, cfg)
+        if args.half_width < 1 or args.n_max < 1:
+            raise ValueError("half_width, n_max must be positive")
+        if not 0.0 < args.tol < 1.0:
+            raise ValueError(f"tol must be finite with 0 < tol < 1, got {args.tol!r}")
+        return args.func(args)
     except OverflowGuardError as exc:
         print(f"overflow guard: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     except ConvergenceError as exc:
         print(f"no convergence: {exc} (estimate {exc.estimate!r})", file=sys.stderr)
         return EXIT_CHECK_FAILURE
-    except (AdmissibilityError, PwLabError, ValueError, OSError) as exc:
+    except (PwLabError, ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 

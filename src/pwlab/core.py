@@ -41,9 +41,10 @@ import numpy as np
 # reject exponents beyond this before exp() can overflow or drown precision.
 OVERFLOW_EXPONENT = 300.0
 
-# Largest target window half width compose_apply builds.  A window holds
-# 2N+1 complex samples, and its grid, targets and samples take a few such
-# arrays, so this caps them at tens of megabytes; the widest window in use
+# Largest window half width compose_apply, KernelPoint.to_pw and the probes
+# build (and boundary count).  A window holds 2N+1 complex samples, and its
+# grid, targets and samples take a few such arrays, so this caps them at tens
+# of megabytes (a smooth probe's six pulses, 0.5 GiB); the widest window in use
 # (C12's grown chain, N = 8192) is 128 times smaller.  A grown window N/|c|
 # passes it for |c| < N / 2^20, long before its arrays stop fitting in memory.
 _MAX_HALF_WIDTH = 1 << 20
@@ -116,6 +117,12 @@ def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -
         # repr round-trips, so a value just past the limit never prints equal to it
         raise OverflowGuardError(f"{what} {float(value)!r} > {limit:g}")
     return value
+
+
+def _guard_size(size, what: str, limit: int = _MAX_HALF_WIDTH) -> None:
+    """Raise OverflowGuardError where a size (half width, count or entries) passes limit, before it is allocated."""
+    if size > limit:
+        raise OverflowGuardError(f"{what} {size:.3g} > {limit}")
 
 
 def _guard_points(a: float, z, what: str) -> None:
@@ -282,6 +289,7 @@ class KernelPoint:
         return kernel_norm_sq(self.a, self.w)
 
     def to_pw(self, half_width: int) -> PwFunction:
+        _guard_size(half_width, "window half width")
         return PwFunction(self.a, kernel_eval(self.a, self.w, grid(self.a, half_width)))
 
 
@@ -448,8 +456,7 @@ def compose_apply(
         n_out = int(half_width)
     else:
         n_out = f.half_width / abs(phi.c) if grow else f.half_width
-    if n_out > _MAX_HALF_WIDTH:
-        raise OverflowGuardError(f"target window half width {n_out:.3g} > {_MAX_HALF_WIDTH}")
+    _guard_size(n_out, "target window half width")
     n_out = math.ceil(n_out)
     out = _coset_sum(phi, f, n_out)
     if out is None:

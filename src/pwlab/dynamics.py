@@ -25,6 +25,7 @@ from .core import (
     PwFunction,
     PwLabError,
     _guard_exponent,
+    _guard_size,
     _guard_square,
     _iterate_parts,
     _pairings,
@@ -49,6 +50,17 @@ _FLAG_NAMES = (
 )
 
 _ONSET_SCAN = 60  # growth_constant_second looks for its onset on n = 0.._ONSET_SCAN
+
+# Size caps, each near 1 GiB at its peak.  _orbit_parts' (c^n, d_n) table of
+# Python floats and complexes takes about 192 bytes a row: 0.75 GiB at 2^22
+# rows (an orbit of |c| = 1 and real d never trips the range guard).  The
+# pseudotrajectory gram with _lower_pairings' lag table takes about 88 bytes
+# an entry (complex d): 0.7 GiB at 2^23 entries, n_max <= 2895, and 0.9 GiB
+# with shadowing_divergence's second table.  orbit_norms_fourier's weights
+# hold two float arrays of (n_max + 1) x M entries: 1 GiB at 2^26.
+_MAX_HORIZON = 1 << 22
+_MAX_GRAM_ENTRIES = 1 << 23
+_MAX_WEIGHT_ENTRIES = 1 << 26
 
 
 class GrowthBound(NamedTuple):
@@ -79,7 +91,7 @@ def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, n
     ||C_{phi^[n]} f||^2 carries e^(2 a |Im d_n|) times the prefactor 1/|c^n|,
     so their sum gets twice the range; each kernel that evaluates e^(2 a |Im
     d_n|) guards that exponent itself.  The row n_max (_iterate_parts' bits)
-    is guarded first, so a horizon past range fails before the table is built.
+    is guarded first, then _MAX_HORIZON, so a horizon past either builds no table.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -87,6 +99,7 @@ def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, n
     # in the table's bits (np.log, not math.log), so this raises only where the table's guard would
     cn, dn = _iterate_parts(phi.c, phi.d, n_max)
     _guard_exponent(2.0 * a * abs(dn.imag) - float(np.log(max(abs(cn), math.ulp(0.0)))), what, limit)
+    _guard_size(n_max, "orbit horizon", _MAX_HORIZON)
     c, d = zip(*(_iterate_parts(phi.c, phi.d, n) for n in range(n_max + 1)))
     c, y = np.abs(c), np.imag(d)
     # a c^n that underflowed to 0 counts as the least float, whose -log (744) fails the guard too
@@ -120,11 +133,12 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
     Transformed, C_{phi^[n]} is (1/|c^n|) e^{i d_n t / c^n} F(t / c^n) on
     |t| < |c^n| a, so s = t / c^n gives ||C_{phi^[n]} f||^2 = |c|^{-n}
     integral_{-a}^{a} |F(s)|^2 e^{-2 Im(d_n) s} ds: one (n_max + 1) x M matrix
-    of weights e^{-2 Im(d_n) t_j}, guarded at 2 a |Im d_n|, against |F|^2 dt
-    on F's midpoint grid.  Real d has weight 1, exact to rounding (|F|^2 is a
-    trigonometric polynomial of degree below M); complex d errs by O(h^2), h = 2a/M.
+    of weights e^{-2 Im(d_n) t_j}, at most _MAX_WEIGHT_ENTRIES, guarded at 2 a |Im d_n|,
+    against |F|^2 dt on F's midpoint grid.  Real d has weight 1, exact to rounding (|F|^2
+    is a trigonometric polynomial of degree below M); complex d errs by O(h^2), h = 2a/M.
     """
     c, y = _orbit_parts(phi, F.a, n_max)
+    _guard_size(c.size * F.m_points, "orbit weight entries", _MAX_WEIGHT_ENTRIES)
     _guard_exponent(2.0 * F.a * float(np.abs(y).max()), "orbit exponent 2 a |Im d_n|")
     weights = np.exp(-2.0 * np.outer(y, F.grid()))
     squares = weights @ (np.abs(F.values) ** 2 * (2.0 * F.a / F.m_points)) / c
@@ -514,8 +528,8 @@ def build_pseudotrajectory(
 ) -> Pseudotrajectory:
     """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
 
-    The gram is _lower_pairings(f, f) below the diagonal and its conjugate transpose
-    on and above it, rounding as Pseudotrajectory states.  Its diagonal holds
+    The gram (at most _MAX_GRAM_ENTRIES) is _lower_pairings(f, f) below the diagonal and its
+    conjugate transpose on and above it, rounding as Pseudotrajectory states.  Its diagonal holds
     the orbit's squares ||C_phi^n f||^2, n = 1..n_max+1, which pass the range
     guard of orbit_norms (_orbit_parts) before any pairing and its
     _guard_square after; step_norm = ||C_phi f|| is the root of gram[0, 0].
@@ -528,6 +542,7 @@ def build_pseudotrajectory(
         raise BandwidthMismatchError("seed bandwidth differs from the requested space")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    _guard_size((n_max + 1) ** 2, "pseudotrajectory gram entries", _MAX_GRAM_ENTRIES)
     f_alpha = _value_off_zero(f, phi.fixed_point(), "seed vanishes at fixed point")
     c, y = _orbit_parts(phi, a, n_max + 1)
     low = _lower_pairings(phi, f, f, n_max + 1)

@@ -29,6 +29,7 @@ from .core import (
     KernelPoint,
     OverflowGuardError,
     _guard_exponent,
+    _guard_size,
     _iterate_parts,
     _sinc,
     adjoint_on_kernel,
@@ -389,6 +390,7 @@ class SpectrumDescriptor:
     def boundary_samples(self, count: int = 512) -> np.ndarray:
         if count < 1:
             raise ValueError("boundary count must be at least 1")
+        _guard_size(count, "boundary count")
         if self.kind == "two-point-set":
             return np.array([-1.0 + 0.0j, 1.0 + 0.0j])
         if self.kind == "closed-disk":

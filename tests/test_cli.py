@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, profiles, config, exit codes."""
+"""Command-line interface: subcommands, global flags, output routing, exit codes."""
 
 import json
 import math
@@ -16,10 +16,8 @@ from pwlab.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_OK,
     EXIT_OVERFLOW,
-    load_config_file,
     main,
     parse_complex,
-    resolve_config,
 )
 
 
@@ -38,37 +36,21 @@ class TestParsing:
         with pytest.raises(Exception):
             parse_complex("abc")
 
-    def test_config_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("half_width = 16  # window\nseed = 0x10\n\ntol = 1e-8\n")
-        overrides = load_config_file(str(path))
-        assert overrides == {"half_width": 16, "seed": 16, "tol": 1e-8}
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("mystery = 3\n")
-        with pytest.raises(ValueError):
-            load_config_file(str(bad))
-
-    def test_profile_and_precedence(self, tmp_path):
-        import argparse
-
-        path = tmp_path / "run.cfg"
-        path.write_text("half_width=200\n")
-        ns = argparse.Namespace(
-            fast=True, config=str(path), half_width=64,
-            n_max=None, seed=None, tol=None,
-        )
-        cfg = resolve_config(ns)
-        # fast profile < flag < config file
-        assert cfg.half_width == 200
-        ns.config = None
-        assert resolve_config(ns).half_width == 64
-        ns.half_width = None
-        assert resolve_config(ns).half_width == 48
+    def test_negative_literals_attach_with_equals(self, capsys):
+        # argparse reads a separate value that starts with '-' as an option
+        code, out, _ = run(capsys, "--half-width", "16", "norm", "--a", "1", "--c", "0.5",
+                           "--d=-2-0.5I")
+        assert code == EXIT_OK and json.loads(out)["d"] == [-2.0, -0.5]
+        code, out, _ = run(capsys, "--half-width", "16", "kernel", "--a", "1", "--w=-1i")
+        assert code == EXIT_OK and json.loads(out)["w"] == [-0.0, -1.0]
+        code, _, err = run(capsys, "--half-width", "16", "norm", "--a", "1", "--c", "0.5",
+                           "--d", "-2-0.5I")
+        assert code == EXIT_INVALID_CONFIG and "expected one argument" in err
 
 
 class TestSubcommands:
     def test_kernel_json(self, capsys):
-        code, out, _ = run(capsys, "--fast", "kernel", "--a", "1", "--w", "1i")
+        code, out, _ = run(capsys, "--half-width", "48", "kernel", "--a", "1", "--w", "1i")
         assert code == EXIT_OK
         rec = json.loads(out)
         assert abs(rec["norm_sq"] - math.sinh(2.0) / (2.0 * math.pi)) < 1e-12
@@ -77,7 +59,7 @@ class TestSubcommands:
         assert pwlab.io._dumps(pwlab.io.pw_record(pwlab.KernelPoint(1.0, 1j).to_pw(48))) in out
 
     def test_norm_closed_vs_estimate(self, capsys):
-        code, out, _ = run(capsys, "--fast", "norm", "--a", "1", "--c", "0.5", "--d", "0")
+        code, out, _ = run(capsys, "--half-width", "48", "norm", "--a", "1", "--c", "0.5", "--d", "0")
         assert code == EXIT_OK
         rec = json.loads(out)
         assert abs(rec["closed_form"] - math.sqrt(2.0)) < 1e-12
@@ -109,7 +91,7 @@ class TestSubcommands:
         assert rec["justifications"]["invertible"]
 
     def test_orbit_csv(self, capsys):
-        code, out, _ = run(capsys, "--fast", "--n-max", "6", "orbit", "--a", "1",
+        code, out, _ = run(capsys, "--half-width", "48", "--n-max", "6", "orbit", "--a", "1",
                            "--c", "0.5", "--d", "0", "--probe", "node")
         assert code == EXIT_OK
         lines = out.strip().splitlines()
@@ -119,7 +101,7 @@ class TestSubcommands:
         assert abs(norms[6] / norms[0] - 8.0) < 1e-9  # 2^{6/2}
 
     def test_cesaro_csv(self, capsys):
-        code, out, _ = run(capsys, "--fast", "--n-max", "5", "cesaro", "--a", "1",
+        code, out, _ = run(capsys, "--half-width", "48", "--n-max", "5", "cesaro", "--a", "1",
                            "--c", "-1", "--d", "0", "--probe", "rough")
         assert code == EXIT_OK
         lines = out.strip().splitlines()
@@ -139,42 +121,29 @@ class TestSubcommands:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
+        # the run settings are the five global flags alone
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        flags = {word.strip("[]") for word in usage.split() if word.startswith("[--")}
+        assert flags == {"--out", "--seed", "--half-width", "--n-max", "--tol"}
 
 
 class TestOutputRouting:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "kernel.json"
-        code, out, _ = run(capsys, "--out", str(target), "--fast", "kernel",
+        code, out, _ = run(capsys, "--out", str(target), "--half-width", "48", "kernel",
                            "--a", "1", "--w", "0")
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(target.read_text())["norm_sq"] == pytest.approx(1 / math.pi)
 
-    def test_env_var_fallback(self, tmp_path, capsys, monkeypatch):
-        target = tmp_path / "env.json"
-        monkeypatch.setenv("PWLAB_OUT", str(target))
-        code, out, _ = run(capsys, "--fast", "classify", "--a", "1", "--c", "1", "--d", "0")
-        assert code == EXIT_OK
-        assert out == ""
-        assert json.loads(target.read_text())["flags"]["unitary"] is True
-
     def test_byte_identical_reruns(self, tmp_path, capsys):
         p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        argv = ["--fast", "--n-max", "8", "orbit", "--a", "1", "--c", "0.5",
+        argv = ["--half-width", "48", "--n-max", "8", "orbit", "--a", "1", "--c", "0.5",
                 "--d", "0.3+0.4i", "--probe", "rough"]
         assert main(["--out", str(p1)] + argv[0:]) == EXIT_OK
         assert main(["--out", str(p2)] + argv[0:]) == EXIT_OK
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_config_file_wins_over_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("half_width = 16\n")
-        code, out, _ = run(capsys, "--config", str(cfg), "--half-width", "64",
-                           "norm", "--a", "1", "--c", "0.5", "--d", "0")
-        assert code == EXIT_OK
-        assert json.loads(out)["half_width"] == 16
-
 
 class TestExitCodes:
     def test_inadmissible_symbol(self, capsys):
@@ -187,11 +156,6 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_INVALID_CONFIG
 
-    def test_missing_config_file(self, capsys):
-        code, _, err = run(capsys, "--config", "/nonexistent/x.cfg", "norm",
-                           "--a", "1", "--c", "0.5", "--d", "0")
-        assert code == EXIT_INVALID_CONFIG
-
     def test_overflow_guard(self, capsys):
         code, _, err = run(capsys, "orbit", "--a", "1", "--c", "1", "--d", "0+40i")
         assert code == EXIT_OVERFLOW
@@ -199,7 +163,7 @@ class TestExitCodes:
 
     def test_norm_large_translation_is_not_zero(self, capsys):
         # entries near e^200: the section estimate stays finite and below the closed norm
-        code, out, _ = run(capsys, "--fast", "norm", "--a", "1", "--c", "1", "--d", "200i")
+        code, out, _ = run(capsys, "--half-width", "48", "norm", "--a", "1", "--c", "1", "--d", "200i")
         assert code == EXIT_OK
         rec = json.loads(out)
         assert 0.1 * rec["closed_form"] < rec["section_estimate"] <= rec["closed_form"] * (1 + 1e-9)
@@ -236,15 +200,11 @@ class TestExitCodes:
         assert code == EXIT_OVERFLOW
         assert "section of" in err
 
-    def test_removed_frequency_grid_knob(self, tmp_path, capsys):
-        cfg = tmp_path / "old.cfg"
-        cfg.write_text("m_points = 1024\n")
-        code, _, err = run(capsys, "--config", str(cfg), "norm", "--a", "1", "--c", "0.5")
-        assert code == EXIT_INVALID_CONFIG
-        assert "unknown config key" in err
-        code = main(["--m-points", "1024", "norm", "--a", "1", "--c", "0.5"])
-        capsys.readouterr()
-        assert code == EXIT_INVALID_CONFIG
+    def test_removed_knobs(self, capsys):
+        # the frequency grid, the small-window profile and the config file are gone
+        for knob in (["--m-points", "1024"], ["--fast"], ["--config", "x.cfg"]):
+            code, out, err = run(capsys, *knob, "norm", "--a", "1", "--c", "0.5")
+            assert code == EXIT_INVALID_CONFIG and not out and "usage: pwlab" in err
 
     def test_tolerance_must_certify(self, capsys):
         for tol in ("nan", "inf", "2", "1", "0", "-1e-3"):
@@ -254,10 +214,33 @@ class TestExitCodes:
 
     def test_nonfinite_shadow_delta(self, capsys):
         for delta in ("nan", "inf", "-inf"):
-            code, out, err = run(capsys, "--fast", "shadow", "--a", "3.14159", "--c", "0.5",
+            code, out, err = run(capsys, "--half-width", "48", "shadow", "--a", "3.14159", "--c", "0.5",
                                  f"--delta={delta}")
             assert code == EXIT_INVALID_CONFIG and not out
             assert "delta must be positive and finite" in err
+
+    def test_shadow_g_norm_must_be_a_norm(self, capsys):
+        for g_norm in ("-0.04", "nan", "inf", "-inf"):
+            code, out, err = run(capsys, "--half-width", "16", "shadow", "--a", "1", "--c", "0.5",
+                                 f"--g-norm={g_norm}")
+            assert code == EXIT_INVALID_CONFIG and not out
+            assert "g_norm must be nonnegative and finite" in err
+
+    def test_sizes_past_their_caps(self, capsys):
+        # each used to end in a MemoryError traceback; now the guard trips before any allocation
+        huge = str(10**15)
+        cases = [
+            (["--half-width", huge, "orbit", "--a", "1", "--c", "0.5", "--probe", "rough"], "window half width"),
+            (["--half-width", huge, "kernel", "--a", "1", "--w", "0"], "window half width"),
+            (["spectrum", "--a", "1", "--c", "0.5", "--boundary-count", huge], "boundary count"),
+            (["--n-max", huge, "orbit", "--a", "1", "--c", "-1", "--d", "0.3"], "orbit horizon"),
+            (["--n-max", "100000", "shadow", "--a", "1", "--c", "-1", "--d", "0.3"],
+             "pseudotrajectory gram entries"),
+        ]
+        for argv, what in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_OVERFLOW and not out, argv
+            assert err.startswith("overflow guard: " + what), argv
 
     def test_empty_spectrum_boundary(self, capsys):
         for count in ("0", "-1"):
@@ -281,9 +264,10 @@ class TestRepeatedCalls:
     """main builds its parser once per process; no parse state may leak from one call to the next."""
 
     CALLS = [
-        ("--fast", "kernel", "--a", "1", "--w", "0.5+1i"),
-        ("kernel", "--a", "1", "--w", "0.5+1i"),  # the --fast profile does not stick
+        ("--half-width", "48", "kernel", "--a", "1", "--w", "0.5+1i"),
+        ("kernel", "--a", "1", "--w", "0.5+1i"),  # a flag does not stick
         ("--half-width", "16", "norm", "--a", "1", "--c", "0.5", "--d", "0.3+0.4i"),
+        ("--half-width", "16", "norm", "--a", "1", "--c", "0.5", "--d=-2-0.5I"),
         ("spectrum", "--a", "1", "--c", "0.5", "--d", "1i", "--boundary-count", "5"),
         ("classify", "--a", "2", "--c", "-1", "--d", "0"),
         ("--seed", "5", "--half-width", "16", "--n-max", "6", "orbit", "--a", "1",

@@ -1,5 +1,7 @@
 """Range guards at the edge: every core and dynamics entry point returns finite values or raises a typed error.
 
+Size caps: a window, count, horizon or matrix past its cap raises before it is allocated.
+
 edge_sweep is importable on its own (tests on the path), so a wider sweep can
 run outside pytest with numpy's RuntimeWarnings turned into errors.
 """
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import pwlab
-from pwlab import AffineSymbol, PwLabError
+from pwlab import AffineSymbol, OverflowGuardError, PwLabError, dynamics
 
 SEED = pwlab.DEFAULT_SEED
 
@@ -86,3 +88,42 @@ class TestEdgeSweep:
         calls, raised = edge_sweep(half_width)
         # both outcomes occur: the grid straddles every guard
         assert 0 < raised < calls
+
+
+class TestSizeCaps:
+    def test_sizes_past_their_caps_raise_before_allocating(self):
+        # at 10^15 any allocation would fail with a MemoryError; each call raises first
+        huge = 10**15
+        rng = np.random.default_rng(SEED)
+        f = pwlab.node_function(1.0, 4)
+        # |c| = 1 with real d keeps every iterate in range, so only the horizon cap stops it
+        phi = AffineSymbol(-1.0, 0.3)
+        cases = {
+            "window half width": [
+                lambda: pwlab.smooth_probe(1.0, huge, rng),
+                lambda: pwlab.rough_probe(1.0, huge, rng),
+                lambda: pwlab.node_function(1.0, huge),
+                lambda: pwlab.KernelPoint(1.0, 1j).to_pw(huge),
+            ],
+            "boundary count": [
+                lambda c=c: pwlab.spectrum_closed_form(AffineSymbol(c, 1j), 1.0).boundary_samples(huge)
+                for c in (-1.0, 0.5, 1.0)
+            ],
+            "orbit horizon": [
+                lambda: pwlab.orbit_norms(phi, 1.0, f, huge),
+                lambda: pwlab.orbit_norms(phi, 1.0, f, dynamics._MAX_HORIZON + 1),
+                lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 64), huge),
+                lambda: pwlab.cesaro_averages(phi, 1.0, f, huge),
+            ],
+            # (n_max + 1)^2 = 2897^2 just passes 2^23; at (0.5, 0) the cap fires before the range guard
+            "pseudotrajectory gram entries": [
+                lambda: pwlab.build_pseudotrajectory(phi, 1.0, f, 0.1, 2896),
+                lambda: pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.0), 1.0, f, 0.1, huge),
+            ],
+            # 1025 x 2^16 weights just pass 2^26
+            "orbit weight entries": [lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 1 << 16), 1024)],
+        }
+        for what, calls in cases.items():
+            for call in calls:
+                with pytest.raises(OverflowGuardError, match=what):
+                    call()
