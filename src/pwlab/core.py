@@ -96,15 +96,6 @@ class AliasingError(PwLabError, ValueError):
     """Grid too coarse to hold the function: the transform would alias."""
 
 
-class ConvergenceError(PwLabError, RuntimeError):
-    """Iterative solver did not reach tolerance; carries the last iterate."""
-
-    def __init__(self, message: str, estimate: float, residual: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.residual = residual
-
-
 def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -> float:
     """Return the exponent value, or raise OverflowGuardError once it passes limit.
 

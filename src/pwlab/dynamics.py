@@ -58,6 +58,8 @@ _ONSET_SCAN = 60  # growth_constant_second looks for its onset on n = 0.._ONSET_
 # an entry (complex d): 0.7 GiB at 2^23 entries, n_max <= 2895, and 0.9 GiB
 # with shadowing_divergence's second table.  orbit_norms_fourier's weights
 # hold two float arrays of (n_max + 1) x M entries: 1 GiB at 2^26.
+# cesaro_lower_envelope's few float arrays of n_max entries take the horizon
+# cap too, at 32 MiB each.
 _MAX_HORIZON = 1 << 22
 _MAX_GRAM_ENTRIES = 1 << 23
 _MAX_WEIGHT_ENTRIES = 1 << 26
@@ -72,8 +74,6 @@ class GrowthBound(NamedTuple):
 class OrbitTrace:
     """Norms ||C_phi^n f|| for n = 0..n_max, by the route named in method."""
 
-    phi: AffineSymbol
-    a: float
     norms: np.ndarray
     method: str = "closed-iterate"
 
@@ -124,7 +124,7 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     c, y = _orbit_parts(phi, a, n_max)
     squares = (math.pi / (a * c[1:])) * _pairings(a, f.samples, f.samples, 1.0, 2j * y[1:]).real
     _guard_square(squares, a, c[1:], y[1:], f.samples)
-    return OrbitTrace(phi, a, np.concatenate(([f.norm()], np.sqrt(squares))))
+    return OrbitTrace(np.concatenate(([f.norm()], np.sqrt(squares))))
 
 
 def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTrace:
@@ -142,7 +142,7 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
     _guard_exponent(2.0 * F.a * float(np.abs(y).max()), "orbit exponent 2 a |Im d_n|")
     weights = np.exp(-2.0 * np.outer(y, F.grid()))
     squares = weights @ (np.abs(F.values) ** 2 * (2.0 * F.a / F.m_points)) / c
-    return OrbitTrace(phi, F.a, np.sqrt(squares), method="fourier")
+    return OrbitTrace(np.sqrt(squares), method="fourier")
 
 
 @dataclass(frozen=True)
@@ -419,6 +419,7 @@ def cesaro_lower_envelope(
     phi: AffineSymbol, f: PwFunction, n_max: int, w0: complex = 0.0
 ) -> np.ndarray:
     """delta |c|^{-n/2} / n: what the single largest orbit term already forces (delta scales with f)."""
+    _guard_size(n_max, "orbit horizon", _MAX_HORIZON)
     delta = growth_constant_second(phi, f, w0=w0).delta
     n = np.arange(1, n_max + 1)
     return delta * np.power(abs(phi.c), -0.5 * n) / n

@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import (
     AffineSymbol,
-    ConvergenceError,
     KernelPoint,
     OverflowGuardError,
     _guard_exponent,
@@ -41,6 +40,11 @@ from .probes import smooth_probe
 # Largest section build_matrix allocates: (2N+1)^2 complex entries, 1 GiB at
 # 2^26, so N <= 4095.  The widest section in use (N = 512) is 64 times smaller.
 _MAX_SECTION_ENTRIES = 1 << 26
+
+# spectral_radius_estimate and compactness_witness hold one float per n and
+# build one section or kernel pair per n, so their horizons take the window
+# cap core._MAX_HALF_WIDTH = 2^20: 8 MiB of output, and the witness's node
+# kernels x_1..x_N are those of a window of half width N.
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +93,7 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
     size = 2 * half_width + 1
-    if size * size > _MAX_SECTION_ENTRIES:
-        raise OverflowGuardError(f"section of {size}^2 entries > {_MAX_SECTION_ENTRIES}")
+    _guard_size(size * size, f"section of {size} x {size}: entries", _MAX_SECTION_ENTRIES)
     _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
     x = grid(a, half_width)
     z = phi(x)
@@ -197,12 +200,13 @@ def _top_ritz(rows: list, theta: float, s2: float) -> tuple[float, float]:
         x = step
 
 
-def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
+def _lanczos(h, q: np.ndarray, tol: float):
     """Top eigenpair of the Hermitian map v -> h(v) by fully reorthogonalized Lanczos.
 
     Returns (theta, residual, steps, certificate), residual the explicit
-    relative residual ||h y - theta y|| / theta of the Ritz vector y, or
-    certificate None when no test fired within max_steps.  A step costs one
+    relative residual ||h y - theta y|| / theta of the Ritz vector y.  The
+    Krylov space reaches the dimension of q at the latest, where it is
+    invariant, so some certificate always fires.  A step costs one
     h (two products with the section in _largest_singular_value), the
     reorthogonalization and O(k) scalar work.  The Gram-Schmidt coefficients
     B* w are read as conj(B conj(w)), two products with the basis B as
@@ -218,7 +222,7 @@ def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
     """
     dim = q.size
     res_tol = math.sqrt(tol)
-    basis = np.empty((max_steps, dim), dtype=np.complex128)
+    basis = np.empty((dim, dim), dtype=np.complex128)
     basis[0] = q
     rows, betas = [], []
     theta = s2 = beta = 0.0
@@ -228,7 +232,7 @@ def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
         y = np.linalg.eigh(tri)[1][:, -1] @ basis[: len(rows)]
         return float(np.linalg.norm(h(y) - theta * y)) / max(theta, 1e-300)
 
-    for k in range(max_steps):
+    for k in range(dim):
         w = h(basis[k])
         alpha = float(np.vdot(basis[k], w).real)
         rows.append((alpha, beta * beta))
@@ -251,26 +255,20 @@ def _lanczos(h, q: np.ndarray, tol: float, max_steps: int):
                     return theta, residual, k + 1, "residual"
             if abs(theta - theta_prev) <= tol * scale:
                 return theta, explicit(theta), k + 1, "stall"
-        if k + 1 < max_steps:
-            np.divide(w, beta, out=basis[k + 1])
-            betas.append(beta)
-    return theta, explicit(theta), max_steps, None
+        np.divide(w, beta, out=basis[k + 1])
+        betas.append(beta)
 
 
-def _largest_singular_value(
-    mat: np.ndarray, tol: float, seed: int, max_iterations: int
-) -> NormEstimate:
+def _largest_singular_value(mat: np.ndarray, tol: float, seed: int) -> NormEstimate:
     """Lanczos on H v = A*(A v) from two seeded starts, the larger certified value.
 
-    The Krylov dimension is capped by max_iterations (and the size of A).
-    A second random start guards against an unlucky first vector sitting
-    near an invariant subspace below the top.  A start that certifies
-    nothing raises ConvergenceError with its estimate and residual.
+    The Krylov dimension is at most the number of columns of A, where
+    the space is invariant, so each start certifies.  A second random start
+    guards against an unlucky first vector sitting near an invariant
+    subspace below the top.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
-    if max_iterations < 3:
-        raise ValueError("max_iterations must be at least 3")
     # work on 2^-e A with max(|Re|, |Im|) over its entries in [1/2, 1), so max|entry| in
     # [1/2, sqrt 2): two reductions over the float view read e, with no |entry| pass, and the
     # scaling is exact, so every result in range keeps its bits.  A unit v has |Av| < sqrt(2) dim
@@ -289,14 +287,8 @@ def _largest_singular_value(
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         q /= np.linalg.norm(q)
         theta, residual, steps, certificate = _lanczos(
-            lambda v: ((mat @ v).conj() @ mat).conj(), q, tol, min(max_iterations, dim)
+            lambda v: ((mat @ v).conj() @ mat).conj(), q, tol
         )
-        if certificate is None:
-            raise ConvergenceError(
-                f"Lanczos did not converge below tol={tol} in {steps} steps",
-                estimate=math.ldexp(math.sqrt(max(theta, 0.0)), e),
-                residual=residual,
-            )
         runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
     top, residual, _, certificate = max(runs)
     gap = abs(runs[0][0] - runs[1][0]) / top if top > 0.0 else 0.0
@@ -307,24 +299,22 @@ def _largest_singular_value(
     return NormEstimate(value, (runs[0][2], runs[1][2]), certificate, residual, gap)
 
 
-def operator_norm_estimate(
-    T: OperatorMatrix, tol: float = 1e-10, seed: int = 0, max_iterations: int = 50000
-) -> float:
+def operator_norm_estimate(T: OperatorMatrix, tol: float = 1e-10, seed: int = 0) -> float:
     """Largest singular value of the section by certified Lanczos on v -> A*(A v).
 
     tol must be finite with 0 < tol < 1 (ValueError otherwise); at tol >= 1
     the residual certificate would pass any vector.  Worst-case certified
     relative error is about sqrt(tol)/2 (the residual certificate, reached
     on sections whose top singular values form a flat cluster); sections
-    with a separated top converge far tighter.  max_iterations caps the
-    Krylov dimension per start.  The iteration runs on the section scaled
-    by the power of two that brings its largest real or imaginary part into
-    [1/2, 1), so A v and A*(A v) stay in range for every section build_matrix
-    admits; non-finite entries or a norm past the float range raise
-    OverflowGuardError.  The steps, certificate and residual behind the value
-    are in _largest_singular_value's NormEstimate.
+    with a separated top converge far tighter.  The Krylov dimension per
+    start is at most the section's size.  The iteration runs on the section
+    scaled by the power of two that brings its largest real or imaginary
+    part into [1/2, 1), so A v and A*(A v) stay in range for every section
+    build_matrix admits; non-finite entries or a norm past the float range
+    raise OverflowGuardError.  The steps, certificate and residual behind
+    the value are in _largest_singular_value's NormEstimate.
     """
-    return _largest_singular_value(np.asarray(T.entries), tol, seed, max_iterations).value
+    return _largest_singular_value(np.asarray(T.entries), tol, seed).value
 
 
 def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
@@ -366,6 +356,7 @@ def spectral_radius_estimate(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    _guard_size(n_max, "radius horizon")
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         section = build_matrix(phi.iterate(n), a, half_width)
@@ -448,6 +439,7 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    _guard_size(n_max, "witness horizon")
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         point = KernelPoint(a, n * math.pi / a)

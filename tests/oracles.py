@@ -163,7 +163,7 @@ def dense_transform(a, samples, s):
     return math.sqrt(math.pi / a) / math.sqrt(2.0 * a) * out
 
 
-def dense_gram_norm(entries, tol, seed, max_iterations):
+def dense_gram_norm(entries, tol, seed):
     """Section norm by Lanczos on the dense Gram matrix A*A, formed and Hermitized.
 
     The reference for _largest_singular_value, which applies A*A to vectors
@@ -184,34 +184,32 @@ def dense_gram_norm(entries, tol, seed, max_iterations):
     for _ in range(2):
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         q /= np.linalg.norm(q)
-        theta, residual, steps, certificate = _lanczos(
-            lambda v: h @ v, q, tol, min(max_iterations, dim)
-        )
+        theta, residual, steps, certificate = _lanczos(lambda v: h @ v, q, tol)
         runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
     top, residual, _, certificate = max(runs)
     return math.ldexp(top, e), (runs[0][2], runs[1][2]), certificate, residual
 
 
-def dense_ritz_lanczos(h, q, tol, max_steps):
+def dense_ritz_lanczos(h, q, tol):
     """spectral._lanczos with a dense eigh of the whole tridiagonal at every step.
 
     The reference for the O(k) top-Ritz solve (spectral._top_ritz): the
     same recurrence, reorthogonalization and certificates, but theta_k and
     s_k read off np.linalg.eigh of the (k+1) x (k+1) tridiagonal, kept in
-    an O(max_steps^2) array.  Returns (theta, residual, steps, certificate).
+    an O(dim^2) array.  Returns (theta, residual, steps, certificate).
     """
     dim = q.size
     res_tol = math.sqrt(tol)
-    basis = np.empty((max_steps, dim), dtype=np.complex128)
+    basis = np.empty((dim, dim), dtype=np.complex128)
     basis[0] = q
-    tri = np.zeros((max_steps, max_steps))
+    tri = np.zeros((dim, dim))
     theta_prev = 0.0
 
     def explicit(k, s, theta):
         y = s @ basis[: k + 1]
         return float(np.linalg.norm(h(y) - theta * y)) / max(theta, 1e-300)
 
-    for k in range(max_steps):
+    for k in range(dim):
         w = h(basis[k])
         tri[k, k] = float(np.vdot(basis[k], w).real)
         # the three-term recurrence, then one more Gram-Schmidt pass against the basis
@@ -233,10 +231,8 @@ def dense_ritz_lanczos(h, q, tol, max_steps):
             if abs(theta - theta_prev) <= tol * scale:
                 return theta, explicit(k, s, theta), k + 1, "stall"
         theta_prev = theta
-        if k + 1 < max_steps:
-            basis[k + 1] = w / beta
-            tri[k + 1, k] = tri[k, k + 1] = beta
-    return theta, explicit(max_steps - 1, s, theta), max_steps, None
+        basis[k + 1] = w / beta
+        tri[k + 1, k] = tri[k, k + 1] = beta
 
 
 def term_coefficients(P, n):

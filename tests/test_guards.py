@@ -114,7 +114,11 @@ class TestSizeCaps:
                 lambda: pwlab.orbit_norms(phi, 1.0, f, dynamics._MAX_HORIZON + 1),
                 lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 64), huge),
                 lambda: pwlab.cesaro_averages(phi, 1.0, f, huge),
+                # guarded before the onset scan
+                lambda: pwlab.cesaro_lower_envelope(AffineSymbol(0.5, 0.3), pwlab.node_function(1.0, 8), huge),
             ],
+            "radius horizon": [lambda: pwlab.spectral_radius_estimate(AffineSymbol(0.5, 1j), 1.0, 4, huge)],
+            "witness horizon": [lambda: pwlab.compactness_witness(AffineSymbol(0.5, 1j), 1.0, huge)],
             # (n_max + 1)^2 = 2897^2 just passes 2^23; at (0.5, 0) the cap fires before the range guard
             "pseudotrajectory gram entries": [
                 lambda: pwlab.build_pseudotrajectory(phi, 1.0, f, 0.1, 2896),
