@@ -71,65 +71,3 @@ from .spectral import (
 from .verify import DEFAULT_SEED, CheckResult, run_all
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "OVERFLOW_EXPONENT",
-    "AdmissibilityError",
-    "AffineSymbol",
-    "AliasingError",
-    "BandwidthMismatchError",
-    "CheckResult",
-    "DEFAULT_SEED",
-    "ExpansivityCertificate",
-    "GrowthBound",
-    "KernelPoint",
-    "L2Function",
-    "OperatorMatrix",
-    "OrbitTrace",
-    "OverflowGuardError",
-    "PropertyReport",
-    "Pseudotrajectory",
-    "PwFunction",
-    "PwLabError",
-    "SpectrumDescriptor",
-    "adjoint_on_kernel",
-    "build_matrix",
-    "build_pseudotrajectory",
-    "cesaro_averages",
-    "cesaro_lower_envelope",
-    "classify",
-    "compactness_witness",
-    "compose_apply",
-    "composed_inner_product",
-    "composed_norm",
-    "expansivity_certificate",
-    "from_l2",
-    "grid",
-    "growth_constant_second",
-    "growth_constant_third",
-    "inner_product",
-    "isometry_check",
-    "kernel_eval",
-    "kernel_norm_sq",
-    "l2_grid",
-    "lincomb",
-    "node_function",
-    "norm_closed",
-    "operator_norm_estimate",
-    "orbit_norms",
-    "orbit_norms_fourier",
-    "pw_eval",
-    "reproduce",
-    "rough_probe",
-    "run_all",
-    "scaled",
-    "shadowing_divergence",
-    "smooth_probe",
-    "spectral_pulse",
-    "spectral_radius_closed",
-    "spectral_radius_estimate",
-    "spectrum_closed_form",
-    "to_l2",
-    "weighted_compose_adjoint",
-    "weighted_compose_apply",
-]

@@ -186,10 +186,6 @@ class AffineSymbol:
             return self.c * complex(z) + self.d
         return self.c * np.asarray(z) + self.d
 
-    @property
-    def is_identity(self) -> bool:
-        return self.c == 1.0 and self.d == 0.0
-
     def iterate(self, n: int) -> "AffineSymbol":
         """The n-fold composition phi o ... o phi, in closed form (_iterate_parts)."""
         if n < 0 or n != int(n):

@@ -29,10 +29,8 @@ from .core import (
     _guard_square,
     _iterate_parts,
     _pairings,
-    compose_apply,
     kernel_norm_sq,
     pw_eval,
-    lincomb,
     scaled,
 )
 from .fourier import L2Function, to_l2
@@ -72,10 +70,9 @@ class GrowthBound(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """Norms ||C_phi^n f|| for n = 0..n_max, by the route named in method."""
+    """Norms ||C_phi^n f|| for n = 0..n_max."""
 
     norms: np.ndarray
-    method: str = "closed-iterate"
 
     def __post_init__(self):
         v = np.asarray(self.norms, dtype=float).copy()
@@ -142,7 +139,7 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
     _guard_exponent(2.0 * F.a * float(np.abs(y).max()), "orbit exponent 2 a |Im d_n|")
     weights = np.exp(-2.0 * np.outer(y, F.grid()))
     squares = weights @ (np.abs(F.values) ** 2 * (2.0 * F.a / F.m_points)) / c
-    return OrbitTrace(np.sqrt(squares), method="fourier")
+    return OrbitTrace(np.sqrt(squares))
 
 
 @dataclass(frozen=True)
@@ -164,12 +161,6 @@ class PropertyReport:
 
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in _FLAG_NAMES}
-
-    def justification(self, flag: str) -> str:
-        for name, text in self.justifications:
-            if name == flag:
-                return text
-        raise KeyError(flag)
 
 
 def classify(phi: AffineSymbol, a: float) -> PropertyReport:
@@ -346,7 +337,8 @@ def expansivity_certificate(
     over n = 0.._ONSET_SCAN, so a cap inside it reads n_star from that
     trace's first cap + 1 norms: they round as orbit_norms(cap)'s do, though
     BLAS may round a row of the longer product differently in the last bit.
-    A longer cap, and c = 1, trace orbit_norms(cap) once.
+    A longer cap, and c = 1, trace orbit_norms(cap) once; c = 1 reads its
+    level set from to_l2 on max(4096, 2N+1) points, so no probe aliases.
     Non-expansive symbols: sup_n ||C_phi^n f|| over the horizon, at 1
     (unitary) or below e^{|Im d| a} (period-2 reflection case).  Where the
     exact norm is 2 the last bit decides: for real d and |c|^{-n/2} = 2 every
@@ -383,7 +375,7 @@ def expansivity_certificate(
             raise PwLabError(f"no usable witness point among the scan set: {last_err}")
         rate = math.log(1.0 / math.sqrt(abs(phi.c)))
     else:
-        F = to_l2(unit, 4096)
+        F = to_l2(unit, max(4096, unit.samples.size))
         delta = growth_constant_third(F, 0.5 * float(np.max(np.abs(F.values))))
         rate = a * abs(phi.d.imag)
     cap = math.ceil(math.log(2.0 / delta) / rate) + 10 if delta < 2.0 else 10
@@ -418,8 +410,13 @@ def cesaro_averages(
 def cesaro_lower_envelope(
     phi: AffineSymbol, f: PwFunction, n_max: int, w0: complex = 0.0
 ) -> np.ndarray:
-    """delta |c|^{-n/2} / n: what the single largest orbit term already forces (delta scales with f)."""
+    """delta |c|^{-n/2} / n: what the single largest orbit term already forces (delta scales with f).
+
+    |c|^{-n_max} passes the squared orbit norms' guard (_orbit_parts') first,
+    so the envelope admits the horizons cesaro_averages admits for real d.
+    """
     _guard_size(n_max, "orbit horizon", _MAX_HORIZON)
+    _guard_exponent(-n_max * math.log(abs(phi.c)), "squared envelope exponent", 2.0 * OVERFLOW_EXPONENT)
     delta = growth_constant_second(phi, f, w0=w0).delta
     n = np.arange(1, n_max + 1)
     return delta * np.power(abs(phi.c), -0.5 * n) / n
@@ -465,7 +462,7 @@ class Pseudotrajectory:
 
     Terms are sums of the exact iterate images of the seed, so norms,
     defects, and pairings all go through the closed pairing form; nothing is
-    ever resampled onto a window except for explicit export.  ||f_n||^2 is
+    ever resampled onto a window.  ||f_n||^2 is
     coefficient^2 times the sum of the leading n x n block of Re gram.
     Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2 *
     e^(a |Im s|)) with v the seed's samples (see _lower_pairings for s).
@@ -509,19 +506,6 @@ class Pseudotrajectory:
         if n < 0:
             raise ValueError("term index must be nonnegative")
         return n * self.coefficient * self.seed_at_fixed_point
-
-    def term_samples(self, n: int, half_width: int | None = None) -> PwFunction:
-        """Windowed materialization of f_n for export and plotting."""
-        if n < 0:
-            raise ValueError("term index must be nonnegative")
-        width = half_width if half_width is not None else self.seed.half_width
-        if n == 0:
-            return PwFunction(self.a, np.zeros(2 * width + 1, dtype=np.complex128))
-        parts = [
-            compose_apply(self.phi.iterate(j), self.seed, half_width=width)
-            for j in range(1, n + 1)
-        ]
-        return lincomb([self.coefficient] * n, parts)
 
 
 def build_pseudotrajectory(

@@ -51,22 +51,19 @@ _MAX_SECTION_ENTRIES = 1 << 26
 class OperatorMatrix:
     """Section T[n, m] = <C_phi e_m, e_n> = sinc(a(phi(x_n) - x_m)), |n|,|m| <= N.
 
-    entries is stored read-only and C-contiguous.  An array that is already
-    read-only, C-contiguous and owns its data (as build_matrix's are) is kept
-    as it is; any other is copied, so a caller that keeps a writeable array
-    or view cannot change the section.
+    entries is square with an odd side 2N+1, stored read-only and
+    C-contiguous.  An array that is already read-only, C-contiguous and owns
+    its data (as build_matrix's are) is kept as it is; any other is copied,
+    so a caller that keeps a writeable array or view cannot change the
+    section.
     """
 
-    phi: AffineSymbol
-    a: float
-    half_width: int
     entries: np.ndarray
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.complex128)
-        size = 2 * self.half_width + 1
-        if e.shape != (size, size):
-            raise ValueError("entries shape does not match the window")
+        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] % 2 == 0:
+            raise ValueError(f"entries must be square with an odd side, got shape {e.shape}")
         if e.flags.writeable or not (e.flags.owndata and e.flags.c_contiguous):
             e = e.copy()
             e.setflags(write=False)
@@ -110,7 +107,7 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     entries /= u
     entries[rows, cols] = _sinc(delta[rows])
     entries.setflags(write=False)
-    return OperatorMatrix(phi, a, half_width, entries)
+    return OperatorMatrix(entries)
 
 
 @dataclass(frozen=True)
@@ -299,14 +296,13 @@ def _largest_singular_value(mat: np.ndarray, tol: float, seed: int) -> NormEstim
     return NormEstimate(value, (runs[0][2], runs[1][2]), certificate, residual, gap)
 
 
-def operator_norm_estimate(T: OperatorMatrix, tol: float = 1e-10, seed: int = 0) -> float:
+def operator_norm_estimate(T: OperatorMatrix, seed: int = 0) -> float:
     """Largest singular value of the section by certified Lanczos on v -> A*(A v).
 
-    tol must be finite with 0 < tol < 1 (ValueError otherwise); at tol >= 1
-    the residual certificate would pass any vector.  Worst-case certified
-    relative error is about sqrt(tol)/2 (the residual certificate, reached
-    on sections whose top singular values form a flat cluster); sections
-    with a separated top converge far tighter.  The Krylov dimension per
+    The tolerance is tol = 1e-10 (pwlab norm --tol sets another).
+    Worst-case certified relative error is about sqrt(tol)/2 (the residual
+    certificate, reached on sections whose top singular values form a flat
+    cluster); sections with a separated top converge far tighter.  The Krylov dimension per
     start is at most the section's size.  The iteration runs on the section
     scaled by the power of two that brings its largest real or imaginary
     part into [1/2, 1), so A v and A*(A v) stay in range for every section
@@ -314,7 +310,7 @@ def operator_norm_estimate(T: OperatorMatrix, tol: float = 1e-10, seed: int = 0)
     raise OverflowGuardError.  The steps, certificate and residual behind
     the value are in _largest_singular_value's NormEstimate.
     """
-    return _largest_singular_value(np.asarray(T.entries), tol, seed).value
+    return _largest_singular_value(np.asarray(T.entries), 1e-10, seed).value
 
 
 def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
@@ -345,7 +341,6 @@ def spectral_radius_estimate(
     a: float,
     half_width: int,
     n_max: int,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> np.ndarray:
     """s_n = ||section of C_{phi^[n]}||^{1/n} for n = 1..n_max.
@@ -360,7 +355,7 @@ def spectral_radius_estimate(
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         section = build_matrix(phi.iterate(n), a, half_width)
-        out[n - 1] = operator_norm_estimate(section, tol=tol, seed=seed) ** (1.0 / n)
+        out[n - 1] = operator_norm_estimate(section, seed=seed) ** (1.0 / n)
     return out
 
 
@@ -393,13 +388,14 @@ class SpectrumDescriptor:
     def max_boundary_modulus(self, count: int = 512) -> float:
         return float(np.max(np.abs(self.boundary_samples(count))))
 
-    def contains(self, lam: complex, tol: float = 1e-9) -> bool:
+    def contains(self, lam: complex) -> bool:
+        """lam lies within 1e-9 of the spectrum."""
         lam = complex(lam)
         if self.kind == "two-point-set":
-            return min(abs(lam - 1.0), abs(lam + 1.0)) <= tol
+            return min(abs(lam - 1.0), abs(lam + 1.0)) <= 1e-9
         if self.kind == "closed-disk":
-            return abs(lam) <= self.radius + tol
-        return self._arc_distance(lam) <= tol
+            return abs(lam) <= self.radius + 1e-9
+        return self._arc_distance(lam) <= 1e-9
 
     def _arc_distance(self, lam: complex) -> float:
         # coarse scan then ternary refinement of the smooth distance t -> |lam - e^{idt}|
@@ -448,13 +444,11 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     return out
 
 
-def isometry_check(
-    c: float, a: float, trials: int, half_width: int = 64, seed: int = 0
-) -> float:
+def isometry_check(c: float, a: float, trials: int, seed: int = 0) -> float:
     """Max relative deviation of ||sqrt|c| C_{cz} f|| from ||f|| over random smooth probes.
 
-    The image window grows by 1/|c| (compose_apply's grow=True), so no mass
-    of f o (cz) falls off the grid.
+    The probes have half width 64, and the image window grows by 1/|c|
+    (compose_apply's grow=True), so no mass of f o (cz) falls off the grid.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -463,7 +457,7 @@ def isometry_check(
     worst = 0.0
     root_c = math.sqrt(abs(c))
     for _ in range(trials):
-        f = smooth_probe(a, half_width, rng)
+        f = smooth_probe(a, 64, rng)
         image = compose_apply(phi, f, grow=True)
         worst = max(worst, abs(root_c * image.norm() - f.norm()) / f.norm())
     return worst

@@ -152,8 +152,8 @@ def check_noncompactness_witness(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_isometry(seed: int = DEFAULT_SEED) -> CheckResult:
     """C6: sqrt|c| C_{cz} preserves norms over 100 random probes per c."""
-    dev1 = isometry_check(0.5, math.pi, 100, half_width=64, seed=seed)
-    dev2 = isometry_check(0.9, 1.0, 100, half_width=64, seed=seed + 1)
+    dev1 = isometry_check(0.5, math.pi, 100, seed=seed)
+    dev2 = isometry_check(0.9, 1.0, 100, seed=seed + 1)
     passed = dev1 < 1e-6 and dev2 < 1e-6
     detail = f"max deviations {dev1:.2e}, {dev2:.2e} (allowed 1e-06)"
     return _result("C6", "scaled isometry of pure scalings", passed, detail)

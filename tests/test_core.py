@@ -83,7 +83,8 @@ class TestAffineSymbol:
 
     def test_iterate_identity_and_errors(self):
         phi = AffineSymbol(0.5, 1.0)
-        assert phi.iterate(0).is_identity
+        it = phi.iterate(0)
+        assert (it.c, it.d) == (1.0, 0.0)
         with pytest.raises(ValueError):
             phi.iterate(-1)
 

@@ -35,6 +35,8 @@ def _entry_points(phi, a, f, g, F, n):
             x for x in vars(pwlab.expansivity_certificate(phi, a, f, horizon=n)).values() if x is not None
         ]),
     ]
+    if abs(c) < 1.0:  # the envelope needs a contracting symbol
+        calls.append(("cesaro_lower_envelope", lambda: pwlab.cesaro_lower_envelope(phi, f, n)))
     if c != 1.0:  # a pseudotrajectory needs the fixed point
         calls.append(("shadowing_divergence", lambda: np.concatenate(
             pwlab.shadowing_divergence(pwlab.build_pseudotrajectory(phi, a, f, 0.1, n), g)
