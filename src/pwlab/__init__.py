@@ -42,7 +42,6 @@ from .dynamics import (
     classify,
     expansivity_certificate,
     growth_constant_second,
-    growth_constant_third,
     orbit_norms,
     orbit_norms_fourier,
     shadowing_divergence,

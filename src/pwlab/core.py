@@ -96,6 +96,14 @@ class AliasingError(PwLabError, ValueError):
     """Grid too coarse to hold the function: the transform would alias."""
 
 
+def _bandwidth(a) -> float:
+    """a as a float, or ValueError unless 0 < a < inf: the one check of PW_a's bandwidth."""
+    a = float(a)
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"bandwidth must be positive and finite, got {a!r}")
+    return a
+
+
 def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -> float:
     """Return the exponent value, or raise OverflowGuardError once it passes limit.
 
@@ -221,6 +229,7 @@ def _iterate_parts(c: float, d: complex, n: int) -> tuple[float, complex]:
 
 def grid(a: float, half_width: int) -> np.ndarray:
     """Sampling nodes x_n = n pi / a for n = -half_width .. half_width."""
+    _bandwidth(a)
     n = np.arange(-half_width, half_width + 1)
     return n * (math.pi / a)
 
@@ -238,9 +247,7 @@ class PwFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        a = float(self.a)
-        if not (a > 0.0 and math.isfinite(a)):
-            raise ValueError(f"bandwidth must be positive and finite, got {a!r}")
+        a = _bandwidth(self.a)
         v = np.asarray(self.samples, dtype=np.complex128).copy()
         if v.ndim != 1 or v.size % 2 == 0:
             raise ValueError("samples must be a 1-d array of odd length 2N+1")
@@ -282,6 +289,7 @@ class KernelPoint:
 
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
     """k_w(z) = (a/pi) sinc(a (z - conj(w))) with sinc(u) = sin(u)/u."""
+    _bandwidth(a)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or inf - inf fails the guard below
         diff = np.asarray(z, dtype=np.complex128) - np.conj(w)
     _guard_points(a, diff, "kernel exponent a |Im(z - conj w)|")
@@ -291,6 +299,7 @@ def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
 
 def kernel_norm_sq(a: float, w: complex) -> float:
     """||k_w||^2 = (a/pi) sinh(2 a Im w)/(2 a Im w), continuous through Im w = 0."""
+    _bandwidth(a)
     _guard_points(2.0 * a, np.array(complex(w)), "kernel exponent 2 a |Im w|")
     y = 2.0 * a * complex(w).imag
     return (a / math.pi) * (math.sinh(y) / y if y else 1.0)

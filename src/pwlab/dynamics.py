@@ -21,9 +21,9 @@ from .core import (
     OVERFLOW_EXPONENT,
     AffineSymbol,
     BandwidthMismatchError,
-    OverflowGuardError,
     PwFunction,
     PwLabError,
+    _bandwidth,
     _guard_exponent,
     _guard_size,
     _guard_square,
@@ -165,6 +165,7 @@ class PropertyReport:
 
 def classify(phi: AffineSymbol, a: float) -> PropertyReport:
     """Pure table lookup on (c, Im d); every numerical experiment must agree with it."""
+    _bandwidth(a)
     c, d = phi.c, phi.d
     imd = d.imag
     expansive = abs(c) < 1.0 or (c == 1.0 and imd != 0.0)
@@ -268,19 +269,13 @@ def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) 
     times |c|^{-n/2}; since w0 + d_n -> w1, the factor 2 buys an onset n0
     past which delta |c|^{-n/2} is a certified lower bound, for f of any
     norm: delta scales with f (the onset is located by scanning the exact
-    orbit trace over n = 0.._ONSET_SCAN, which _onset_scan also returns for
-    expansivity_certificate to read its doubling time from).
+    orbit trace over n = 0.._ONSET_SCAN).
     """
-    return _onset_scan(phi, f, w0)[0]
-
-
-def _onset_scan(phi: AffineSymbol, f: PwFunction, w0: complex) -> tuple[GrowthBound, OrbitTrace]:
-    """growth_constant_second's bound, and the orbit trace of f over n = 0.._ONSET_SCAN it scanned."""
     if abs(phi.c) >= 1.0:
         raise ValueError("growth constant needs a strictly contracting symbol, 0<|c|<1")
     if f.is_zero():
         raise ValueError("zero function has no growth constant")
-    w1 = w0 + phi.d / (1.0 - phi.c)
+    w1 = w0 + phi.fixed_point()
     val = abs(_value_off_zero(f, w1, "f vanishes at translated witness point"))
     delta = val / (2.0 * math.sqrt(kernel_norm_sq(f.a, w0)))
     trace = orbit_norms(phi, f.a, f, _ONSET_SCAN)
@@ -289,32 +284,15 @@ def _onset_scan(phi: AffineSymbol, f: PwFunction, w0: complex) -> tuple[GrowthBo
     onset = int(short[-1]) + 1 if short.size else 0
     if onset > _ONSET_SCAN:
         raise PwLabError("no onset found within the scan range; f may be too large")
-    return GrowthBound(delta=delta, onset=onset), trace
-
-
-def growth_constant_third(F: L2Function, level: float) -> float:
-    """Level-set growth constant for translations: delta = level * sqrt(measure(A)).
-
-    A = {t : |F(t)| >= level} is measured by counting the midpoint cells of
-    F = to_l2(f).  The certified consequence is the level-set envelope,
-    orbit_norms_fourier's sum of nonnegative terms cut down to the cells of A;
-    the simpler form delta e^{|Im d| n a} also needs A at the favorable band edge.
-    """
-    if level <= 0.0:
-        raise ValueError("level must be positive")
-    count = int(np.count_nonzero(np.abs(F.values) >= level))
-    if count == 0:
-        raise ValueError("level set empty at this level")
-    return level * math.sqrt(count * (2.0 * F.a / F.m_points))
+    return GrowthBound(delta=delta, onset=onset)
 
 
 @dataclass(frozen=True)
 class ExpansivityCertificate:
     """Either the first doubling time of a unit vector or its orbit sup.
 
-    cap = ceil(log(2/delta)/rate) + 10 is a search cap, not a proven bound:
-    the +10 is a margin, and for c = 1 the third constant certifies the rate
-    only when its level set sits at the favorable band edge.
+    delta |c|^{-n/2} e^{|Im d_n| tau} bounds the unit orbit from n = 0 on, and
+    cap is the first n where it reaches 2, plus one (see expansivity_certificate).
     """
 
     expansive: bool
@@ -322,7 +300,6 @@ class ExpansivityCertificate:
     sup_norm: float | None
     delta: float | None
     cap: int | None
-    horizon: int
 
 
 def expansivity_certificate(
@@ -331,19 +308,20 @@ def expansivity_certificate(
     """Match the classifier with an explicit orbit computation.
 
     Expansive symbols: the first n with ||C_phi^n f|| >= 2 for the normalized
-    f, up to the search cap; for 0 < |c| < 1 the witness points 0, 1, -1, i,
-    -i are tried in turn, and only an OverflowGuardError stops the scan.
-    The witness step's onset scan has already traced the unit vector's orbit
-    over n = 0.._ONSET_SCAN, so a cap inside it reads n_star from that
-    trace's first cap + 1 norms: they round as orbit_norms(cap)'s do, though
-    BLAS may round a row of the longer product differently in the last bit.
-    A longer cap, and c = 1, trace orbit_norms(cap) once; c = 1 reads its
-    level set from to_l2 on max(4096, 2N+1) points, so no probe aliases.
+    f, read from one orbit_norms(cap).  Im d_n has the sign of Im d for every
+    n >= 1, so on the favourable tail u = -sign(Im d) s >= tau >= 0 the weight
+    of orbit_norms_fourier's ||C_phi^n f||^2 = |c|^{-n} int |F(s)|^2 e^{-2 Im(d_n) s} ds
+    is at least e^{2 |Im d_n| tau}: ||C_phi^n f|| >= delta |c|^{-n/2} e^{|Im d_n| tau}
+    with delta^2 = int_{u >= tau} |F|^2.  Real d has weight 1 and delta = 1.
+    Otherwise F = to_l2(f) on max(4096, 2N+1) points (so no probe aliases)
+    gives delta by midpoint sums over the favourable half's cells: tau = 0
+    for 0 < |c| < 1, and for c = 1 (|Im d_n| = n |Im d|) the cell edge tau > 0
+    whose bound reaches 2 first.  cap is that n plus one: where the exact norm
+    is 2 the last bit decides, so n_star may be n or n + 1 (for real d and
+    |c|^{-n/2} = 2 every unit vector has norm 2 at n; c = 0.5, d = 0.3: rough
+    probes at N = 64 of seeds 0..199 split 163 to 37).
     Non-expansive symbols: sup_n ||C_phi^n f|| over the horizon, at 1
-    (unitary) or below e^{|Im d| a} (period-2 reflection case).  Where the
-    exact norm is 2 the last bit decides: for real d and |c|^{-n/2} = 2 every
-    unit vector has norm 2 at n, so n_star is n or n + 1 (c = 0.5, d = 0.3:
-    rough probes at N = 64 of seeds 0..199 split 163 to 37).
+    (unitary) or below e^{|Im d| a} (period-2 reflection case).
     """
     if f.is_zero():
         raise ValueError("expansivity needs a nonzero vector")
@@ -359,41 +337,37 @@ def expansivity_certificate(
             sup_norm=float(np.max(trace.norms)),
             delta=None,
             cap=None,
-            horizon=horizon,
         )
-    trace = None  # the onset scan's orbit over n = 0.._ONSET_SCAN, for 0 < |c| < 1
-    if abs(phi.c) < 1.0:
-        for w0 in (0.0, 1.0, -1.0, 1j, -1j):
-            try:
-                (delta, _), trace = _onset_scan(phi, unit, w0)
-                break
-            except OverflowGuardError:
-                raise
-            except (ValueError, PwLabError) as err:
-                last_err = err
-        else:
-            raise PwLabError(f"no usable witness point among the scan set: {last_err}")
-        rate = math.log(1.0 / math.sqrt(abs(phi.c)))
-    else:
+    imd = phi.d.imag
+    delta, rate = 1.0, 0.5 * math.log(1.0 / abs(phi.c))  # |c|^{-n/2} = e^{n rate}; rate 0 at c = 1
+    if imd != 0.0:
         F = to_l2(unit, max(4096, unit.samples.size))
-        delta = growth_constant_third(F, 0.5 * float(np.max(np.abs(F.values))))
-        rate = a * abs(phi.d.imag)
-    cap = math.ceil(math.log(2.0 / delta) / rate) + 10 if delta < 2.0 else 10
-    if trace is None or cap > _ONSET_SCAN:
-        trace = orbit_norms(phi, a, unit, cap)
-    hits = np.nonzero(trace.norms[: cap + 1] >= 2.0)[0]
+        m = F.m_points
+        # the favourable half's cells from u = a down: cell k has lower edge tau_k = a (M - 2k - 2)/M
+        cells = np.abs(F.values[:: 1 if imd > 0.0 else -1][: m // 2]) ** 2 * (2.0 * a / m)
+        tails = np.sqrt(np.cumsum(cells))
+        k = m // 2 - 1  # tau = 0 (M even) or a/M (M odd), where the tail is largest
+        if phi.c == 1.0:
+            tau = a * (m - 2.0 * np.arange(1, m // 2 + 1)) / m
+            with np.errstate(divide="ignore"):  # an empty tail or tau = 0 never reaches 2
+                k = int(np.argmin(np.log(2.0 / tails) / tau))
+            rate = abs(imd) * float(tau[k])
+        delta = float(tails[k])
+    # a bound past the orbit horizon (inf: no favourable mass, or a rate that underflowed) traces nothing
+    first = math.log(2.0 / delta) / rate if delta * rate > 0.0 else math.inf
+    _guard_size(first, "doubling-time bound", _MAX_HORIZON)
+    cap = math.ceil(first) + 1
+    hits = np.flatnonzero(orbit_norms(phi, a, unit, cap).norms >= 2.0)
     if hits.size == 0:
         raise PwLabError(
             f"no doubling within the cap {cap} predicted by delta={delta:.3g}"
         )
-    first = int(hits[0])
     return ExpansivityCertificate(
         expansive=True,
-        n_star=first,
+        n_star=int(hits[0]),
         sup_norm=None,
         delta=delta,
         cap=cap,
-        horizon=horizon,
     )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineSymbol, AliasingError, PwFunction, _guard_exponent
+from .core import AffineSymbol, AliasingError, PwFunction, _bandwidth, _guard_exponent
 
 
 def l2_grid(a: float, m_points: int) -> np.ndarray:
@@ -52,9 +52,7 @@ class L2Function:
     values: np.ndarray
 
     def __post_init__(self):
-        a = float(self.a)
-        if not (a > 0.0 and math.isfinite(a)):
-            raise ValueError(f"bandwidth must be positive and finite, got {a!r}")
+        a = _bandwidth(self.a)
         vals = np.asarray(self.values, dtype=np.complex128).copy()
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a nonempty 1-d array")

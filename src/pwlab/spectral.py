@@ -27,6 +27,7 @@ from .core import (
     AffineSymbol,
     KernelPoint,
     OverflowGuardError,
+    _bandwidth,
     _guard_exponent,
     _guard_size,
     _iterate_parts,
@@ -322,6 +323,7 @@ def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
     n-th root norm is the formula above.  n = 1 gives the norm itself, and by
     Gelfand every n gives an upper edge for the spectral radius.
     """
+    _bandwidth(a)
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
     d_n = _iterate_parts(phi.c, phi.d, int(n))[1]
@@ -331,6 +333,7 @@ def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
 
 def spectral_radius_closed(phi: AffineSymbol, a: float) -> float:
     """1/sqrt|c| when c != 1, e^{|Im d| a} when c = 1."""
+    _bandwidth(a)
     if phi.c != 1.0:
         return 1.0 / math.sqrt(abs(phi.c))
     return math.exp(_guard_exponent(abs(phi.d.imag) * a, "radius exponent"))
@@ -416,6 +419,7 @@ class SpectrumDescriptor:
 
 
 def spectrum_closed_form(phi: AffineSymbol, a: float) -> SpectrumDescriptor:
+    _bandwidth(a)
     if phi.c == -1.0:
         return SpectrumDescriptor(kind="two-point-set", a=a)
     if phi.c == 1.0:
@@ -433,6 +437,7 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     the image of a weakly null sequence keeps constant length, so no
     composition operator on PW_a is compact.
     """
+    _bandwidth(a)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     _guard_size(n_max, "witness horizon")

@@ -216,7 +216,7 @@ def check_expansivity_dichotomy(seed: int = DEFAULT_SEED) -> CheckResult:
             f = rough_probe(a, 64, rng)
             cert = expansivity_certificate(phi, a, f, horizon=40)
             mismatches += cert.expansive != classify(phi, a).positively_expansive
-            norms, slack = _fourier_orbit(phi, scaled(f, 1.0 / f.norm()), cert.n_star or cert.horizon)
+            norms, slack = _fourier_orbit(phi, scaled(f, 1.0 / f.norm()), cert.n_star or 40)
             if cert.expansive:
                 conflicts += np.any(norms[:-1] >= 2.0 + slack[:-1]) or norms[-1] < 2.0 - slack[-1]
             else:

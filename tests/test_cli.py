@@ -254,6 +254,17 @@ class TestExitCodes:
         assert code == EXIT_INVALID_CONFIG
         assert "NaN" in err
 
+    def test_bandwidth_outside_zero_inf(self, capsys):
+        # a = 0 used to end in a ZeroDivisionError traceback, a = -1 in a record
+        # of a space that does not exist, a = nan in NaN tokens
+        commands = (["kernel", "--w", "1"], ["norm", "--c", "0.5"], ["spectrum", "--c", "1", "--d", "1i"],
+                    ["classify", "--c", "0.5"], ["orbit", "--c", "0.5"])
+        for command in commands:
+            for a in ("0", "-1", "nan"):
+                code, out, err = run(capsys, "--half-width", "8", command[0], f"--a={a}", *command[1:])
+                assert code == EXIT_INVALID_CONFIG and not out, (command, a)
+                assert "bandwidth must be positive and finite" in err
+
     def test_unknown_subcommand(self, capsys):
         code = main(["transmogrify"])
         capsys.readouterr()

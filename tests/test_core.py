@@ -112,6 +112,28 @@ class TestGridAndFunction:
         with pytest.raises(ValueError):
             PwFunction(1.0, np.array([0.0, math.inf, 0.0]))
 
+    def test_bandwidth_outside_zero_inf_rejected(self):
+        # one check of a in core: the grid, the kernels and every closed form
+        # raise it, and build_matrix, the probes and to_pw reach it through grid
+        phi, rng = AffineSymbol(0.5, 1j), np.random.default_rng(SEED)
+        calls = [
+            lambda a: pwlab.grid(a, 3),
+            lambda a: pwlab.kernel_eval(a, 1.0, 0.5),
+            lambda a: pwlab.kernel_norm_sq(a, 1.0),
+            lambda a: pwlab.norm_closed(phi, a),
+            lambda a: pwlab.spectral_radius_closed(phi, a),
+            lambda a: pwlab.spectrum_closed_form(AffineSymbol(1.0, 1j), a),
+            lambda a: pwlab.classify(phi, a),
+            lambda a: pwlab.compactness_witness(phi, a, 3),
+            lambda a: pwlab.build_matrix(AffineSymbol(0.5, 0.3), a, 4),
+            lambda a: pwlab.smooth_probe(a, 4, rng),
+            lambda a: pwlab.KernelPoint(a, 1.0).to_pw(3),
+        ]
+        for call in calls:
+            for a in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+                    call(a)
+
     def test_samples_are_immutable_copies(self):
         buf = np.ones(5, dtype=complex)
         f = PwFunction(1.0, buf)

@@ -327,14 +327,15 @@ class TestGrowthConstants:
             assert pwlab.cesaro_lower_envelope(phi, g, 20).tobytes() == (env * 2.0**k).tobytes(), k
 
     def test_third_constant_and_envelope(self):
+        # the level-set envelope is the Fourier route with |F| cut down to
+        # level on A = {|F| >= level} and to 0 off it; at n = 0 it is
+        # level sqrt(measure(A)), A measured by counting midpoint cells
         rng = np.random.default_rng(SEED + 7)
         f = pwlab.rough_probe(1.0, 32, rng)
         F = pwlab.to_l2(f, 4096)
         level = 0.5 * float(np.max(np.abs(F.values)))
-        delta = pwlab.growth_constant_third(F, level)
-        assert delta > 0.0
-        # the level-set envelope is the Fourier route with |F| cut down to
-        # level on A = {|F| >= level} and to 0 off it
+        count = int(np.count_nonzero(np.abs(F.values) >= level))
+        delta = level * math.sqrt(count * 2.0 * F.a / F.m_points)
         phi = AffineSymbol(1.0, 1j)
         cut = pwlab.L2Function(1.0, np.where(np.abs(F.values) >= level, level, 0.0))
         env = pwlab.orbit_norms_fourier(phi, cut, 15).norms
@@ -343,18 +344,6 @@ class TestGrowthConstants:
         assert np.all(np.diff(env) > 0.0)  # growing translation orbit
         tr = pwlab.orbit_norms(phi, 1.0, f, 15)
         assert np.all(tr.norms[1:] >= env[1:] * (1.0 - 1e-9))
-
-    def test_third_constant_rejections(self):
-        rng = np.random.default_rng(SEED + 8)
-        F = pwlab.to_l2(pwlab.rough_probe(1.0, 16, rng), 4096)
-        big = 10.0 * float(np.max(np.abs(F.values)))
-        with pytest.raises(ValueError):
-            pwlab.growth_constant_third(F, big)
-        with pytest.raises(ValueError):
-            pwlab.growth_constant_third(F, -1.0)
-        # a zero function has an empty level set at every positive level
-        with pytest.raises(ValueError, match="level set empty"):
-            pwlab.growth_constant_third(pwlab.L2Function(1.0, np.zeros(64)), 1e-300)
 
 
 class TestExpansivity:
@@ -397,56 +386,80 @@ class TestExpansivity:
             assert cert.n_star is None and cert.delta is None
             bound = math.exp(abs(phi.d.imag) * 1.0)
             assert cert.sup_norm <= bound * (1.0 + 1e-9)
-            assert cert.horizon == 30
 
-    def test_one_orbit_per_contracting_certificate(self, monkeypatch):
-        # on C8's grid and probes a contracting certificate reads n_star from the
-        # onset scan's orbit (cap <= _ONSET_SCAN): one orbit_norms call, with the
-        # n_star, cap and delta of a fresh orbit_norms(cap); a cap past the scan
-        # (c = 0.95) traces orbit_norms(cap) once more
+    @staticmethod
+    def _grid_cases():
+        # C8's grid and probes
+        a, rng = 1.0, np.random.default_rng(SEED)
+        return [(AffineSymbol(c, d), pwlab.rough_probe(a, 64, rng))
+                for c in (1.0, -1.0, 0.5, -0.5, 0.25) for d in (0.0, 1.0, 1j, 1.0 + 1j)]
+
+    def test_one_orbit_per_expansive_certificate(self, monkeypatch):
+        # every expansive certificate reads n_star from one orbit_norms(cap),
+        # with no kernel functional: no growth_constant_second, no pw_eval
         calls = []
         orbit = dynamics.orbit_norms
         monkeypatch.setattr(dynamics, "orbit_norms", lambda *args: calls.append(args[3]) or orbit(*args))
-        a, rng = 1.0, np.random.default_rng(SEED)
-        cases = [(AffineSymbol(c, d), pwlab.rough_probe(a, 64, rng))
-                 for c in (1.0, -1.0, 0.5, -0.5, 0.25) for d in (0.0, 1.0, 1j, 1.0 + 1j)]
-        cases.append((AffineSymbol(0.95, 0.3), pwlab.rough_probe(a, 16, rng)))
-        caps = []
-        for phi, f in cases:
-            if abs(phi.c) == 1.0:
+        for name in ("growth_constant_second", "pw_eval"):
+            monkeypatch.setattr(dynamics, name, lambda *args, name=name, **kw: calls.append(name))
+        for phi, f in self._grid_cases():
+            if not pwlab.classify(phi, 1.0).positively_expansive:
                 continue
             calls.clear()
-            cert = pwlab.expansivity_certificate(phi, a, f)
-            unit = pwlab.scaled(f, 1.0 / f.norm())
-            assert calls == ([dynamics._ONSET_SCAN] if cert.cap <= dynamics._ONSET_SCAN
-                             else [dynamics._ONSET_SCAN, cert.cap])
-            assert cert.delta == pwlab.growth_constant_second(phi, unit).delta
-            rate = math.log(1.0 / math.sqrt(abs(phi.c)))
-            assert cert.cap == math.ceil(math.log(2.0 / cert.delta) / rate) + 10
-            fresh = orbit(phi, a, unit, cert.cap).norms
+            cert = pwlab.expansivity_certificate(phi, 1.0, f)
+            assert calls == [cert.cap], (phi, calls)
+            fresh = orbit(phi, 1.0, pwlab.scaled(f, 1.0 / f.norm()), cert.cap).norms
             assert cert.n_star == int(np.flatnonzero(fresh >= 2.0)[0])
-            caps.append(cert.cap)
-        assert max(caps[:-1]) <= dynamics._ONSET_SCAN < caps[-1]
+
+    def test_contracting_bound_holds_from_n_zero(self):
+        # delta |c|^{-n/2} bounds the unit orbit with no onset; real d has delta = 1
+        for phi, f in self._grid_cases():
+            if abs(phi.c) == 1.0:
+                continue
+            cert = pwlab.expansivity_certificate(phi, 1.0, f)
+            assert cert.delta <= 1.0 and (cert.delta == 1.0) == (phi.d.imag == 0.0)
+            norms = pwlab.orbit_norms(phi, 1.0, pwlab.scaled(f, 1.0 / f.norm()), cert.cap).norms
+            n = np.arange(cert.cap + 1)
+            assert np.all(norms >= cert.delta * abs(phi.c) ** (-n / 2.0) * (1.0 - 1e-9)), phi
+
+    def test_translation_with_small_imaginary_part_certifies(self):
+        # the cap comes from the favourable Fourier tail, wherever the probe's
+        # mass sits, so rough probes double within it at |Im d| = 0.01
+        for d in (0.01j, -0.01j):
+            phi = AffineSymbol(1.0, d)
+            for s in range(20):
+                f = pwlab.rough_probe(1.0, 32, np.random.default_rng(s))
+                cert = pwlab.expansivity_certificate(phi, 1.0, f)
+                norms = pwlab.orbit_norms(phi, 1.0, pwlab.scaled(f, 1.0 / f.norm()), cert.cap).norms
+                assert 1 <= cert.n_star <= cert.cap
+                assert cert.n_star == int(np.flatnonzero(norms >= 2.0)[0]), (d, s)
 
     def test_zero_vector_rejected(self):
         zero = pwlab.PwFunction(1.0, np.zeros(9))
         with pytest.raises(ValueError):
             pwlab.expansivity_certificate(AffineSymbol(0.5, 0.0), 1.0, zero)
 
-    def test_range_guard_is_not_swallowed_by_the_witness_scan(self):
-        # every witness point w0 + d/(1-c) lies near 400i, past the evaluation range
+    def test_range_guard_reaches_the_certificate(self):
+        # d/(1-c) lies near 400i, past the evaluation range, and the orbit's
+        # 2 a |Im d_n| near 800 past the squared orbit range
         phi = AffineSymbol(0.5, 200j)
         f = pwlab.rough_probe(1.0, 16, np.random.default_rng(0))
-        with pytest.raises(OverflowGuardError, match="evaluation exponent"):
+        with pytest.raises(OverflowGuardError):
             pwlab.expansivity_certificate(phi, 1.0, f)
+        # a doubling time past the float range, where the rate |Im d| tau
+        # underflows or log(2/delta)/rate overflows, raises before any orbit
+        for d in (5e-324j, 1e-308j):
+            with pytest.raises(OverflowGuardError, match="doubling-time bound inf"):
+                pwlab.expansivity_certificate(AffineSymbol(1.0, d), 1.0, f)
         with pytest.raises(OverflowGuardError):
             pwlab.growth_constant_second(phi, f)
         with pytest.raises(OverflowGuardError):
             pwlab.cesaro_averages(phi, 1.0, f, 10)
 
-    def test_witness_scan_passes_over_zeros_of_f(self):
+    def test_certificate_needs_no_witness_point(self):
         # the node seed at a = pi vanishes at every nonzero integer: w0 = 0 and
-        # w0 = 1 put w1 = w0 + d/(1-c) on the zeros 1 and 2, w0 = -1 on 0
+        # w0 = 1 put w1 = w0 + d/(1-c) on the zeros 1 and 2, where the kernel
+        # functional has no constant; the certificate evaluates f nowhere
         f = pwlab.node_function(math.pi, 8, 0)
         phi = AffineSymbol(0.5, 0.5)
         for w0 in (0.0, 1.0):
@@ -454,7 +467,6 @@ class TestExpansivity:
                 pwlab.growth_constant_second(phi, f, w0=w0)
         cert = pwlab.expansivity_certificate(phi, math.pi, f)
         assert cert.expansive is True
-        assert cert.delta == pwlab.growth_constant_second(phi, f, w0=-1.0).delta
         assert 1 <= cert.n_star <= cert.cap
 
 
