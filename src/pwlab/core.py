@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import array
 import bisect
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -208,22 +209,23 @@ class AffineSymbol:
 
 
 def _iterate_parts(c: float, d: complex, n: int) -> tuple[float, complex]:
-    """(c^n, d_n) of the n-fold composition of z -> c z + d, n >= 0.
+    """(c^n, d_n) of the n-fold composition of z -> c z + d, n >= 0: one row of _iterate_table."""
+    return tuple(column[0] for column in _iterate_table(c, d, (n,)))
 
-    d_n = n d when c = 1, else d (1 - c^n)/(1 - c), in Python float and
-    complex arithmetic: iterate and the orbit pairings read the same bits,
-    and callers that need only the numbers build no AffineSymbol.  A d_n
-    past the float range raises AffineSymbol's AdmissibilityError.
+
+def _iterate_table(c: float, d: complex, orders) -> tuple[list, list]:
+    """(c^n, d_n) of the n-fold compositions of z -> c z + d, one entry per n >= 0 in orders.
+
+    d_n = n d when c = 1, else d (1 - c^n)/(1 - c), in Python arithmetic (c ** n: np.power
+    differs in the last bit); a d_n past the float range raises AdmissibilityError.
     """
-    if n == 0:
-        return 1.0, 0j
     if c == 1.0:
-        cn, dn = 1.0, n * d
+        cn, dn = [1.0] * len(orders), [n * d if n else 0j for n in orders]
     else:
-        cn = c ** n
-        dn = d * (1.0 - cn) / (1.0 - c)
-    if not (math.isfinite(dn.real) and math.isfinite(dn.imag)):
-        raise AdmissibilityError(f"d must be finite, got {dn!r}")
+        cn = [c ** n for n in orders]
+        dn = [d * (1.0 - x) / (1.0 - c) if n else 0j for n, x in zip(orders, cn)]
+    if not all(map(cmath.isfinite, dn)):
+        raise AdmissibilityError(f"d must be finite, got {next(z for z in dn if not cmath.isfinite(z))!r}")
     return cn, dn
 
 
@@ -335,8 +337,9 @@ def _cardinal(a, z, v):
     each takes its route from its own targets: a block whose y are all 0
     sums 1/x by one product; a block with any complex target sums 1/(x + iy)
     = (x - iy)/(x^2 + y^2) by two.  A node hit multiplies all far terms by
-    sin 0 = 0, so it returns the stored sample exactly.  On either route the
-    result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)).  The fixed cost
+    sin 0 = 0, so it returns the stored sample exactly; a block of node hits
+    alone (all real-d orbits) is the samples, zero off the window.  On either
+    route the result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)).  The fixed cost
     per call is kept small for the many short calls of the closed pairings:
     (-1)^k v_k negates every other sample of one copy, (-1)^m negates the
     sines in place, and a call whose targets fit one block returns that
@@ -349,16 +352,19 @@ def _cardinal(a, z, v):
     w = v.copy()
     w[1 - n % 2 :: 2] *= -1.0
     w = w.view(float).reshape(-1, 2)
-    out = np.empty(z.size, dtype=np.complex128)
+    out = np.zeros(z.size, dtype=np.complex128)
     rows = max(1, _BLOCK_ENTRIES // x.size)
     for lo in range(0, z.size, rows):
         z_blk = z[lo : lo + rows]
         m = np.rint(z_blk.real * (a / math.pi))
         delta = a * (z_blk - m * (math.pi / a))
-        y = a * z_blk.imag
-        dx = a * (z_blk.real[:, None] - x)
         i = np.flatnonzero(np.abs(m) <= n)
         col = (m[i] + n).astype(np.intp)
+        if not delta.any():  # node hits only: the stored samples, zero off the window
+            out[lo + i] = v[col]
+            continue
+        y = a * z_blk.imag
+        dx = a * (z_blk.real[:, None] - x)
         if y.any():
             inv = dx * dx
             inv += (y * y)[:, None]

@@ -27,7 +27,7 @@ from .core import (
     _guard_exponent,
     _guard_size,
     _guard_square,
-    _iterate_parts,
+    _iterate_table,
     _pairings,
     kernel_norm_sq,
     pw_eval,
@@ -87,17 +87,17 @@ def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, n
 
     ||C_{phi^[n]} f||^2 carries e^(2 a |Im d_n|) times the prefactor 1/|c^n|,
     so their sum gets twice the range; each kernel that evaluates e^(2 a |Im
-    d_n|) guards that exponent itself.  The row n_max (_iterate_parts' bits)
+    d_n|) guards that exponent itself.  The row n_max (_iterate_table's bits)
     is guarded first, then _MAX_HORIZON, so a horizon past either builds no table.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     what, limit = "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT
     # in the table's bits (np.log, not math.log), so this raises only where the table's guard would
-    cn, dn = _iterate_parts(phi.c, phi.d, n_max)
+    (cn,), (dn,) = _iterate_table(phi.c, phi.d, (n_max,))
     _guard_exponent(2.0 * a * abs(dn.imag) - float(np.log(max(abs(cn), math.ulp(0.0)))), what, limit)
     _guard_size(n_max, "orbit horizon", _MAX_HORIZON)
-    c, d = zip(*(_iterate_parts(phi.c, phi.d, n) for n in range(n_max + 1)))
+    c, d = _iterate_table(phi.c, phi.d, range(n_max + 1))
     c, y = np.abs(c), np.imag(d)
     # a c^n that underflowed to 0 counts as the least float, whose -log (744) fails the guard too
     _guard_exponent(np.max(2.0 * a * np.abs(y) - np.log(np.maximum(c, math.ulp(0.0)))), what, limit)
@@ -414,7 +414,7 @@ def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> 
     pi/a * sum|v| * sum|w| * e^(a |Im s|)) with w the samples of g, the
     per-pair bound of composed_inner_product.
     """
-    c_k, d_k = zip(*(_iterate_parts(phi.c, phi.d, k) for k in range(n + 1)))
+    c_k, d_k = _iterate_table(phi.c, phi.d, range(n + 1))
     seen = {}  # Im d_j -> (its row, the first j with it)
     level = np.array([seen.setdefault(d_k[j].imag, (len(seen), j))[0] for j in range(1, n + 1)])
     im = np.array(list(seen))

@@ -8,12 +8,13 @@ basis as stored, no conjugated copy of it) and O(k) scalar work: the top
 Ritz pair of the k x k tridiagonal comes from a Newton solve on its LDL^T
 pivots, and a dense eigensolver runs only where a certificate is tested.
 The iteration runs on the section scaled by a power of two, read from its
-largest real or imaginary part, so no |entry| is formed; build_matrix hands
-its entries over read-only, so OperatorMatrix keeps them without a second
-copy.  Spectra and spectral radii are never read off truncated matrices
-(truncation spectra of non-normal operators are polluted); they come from
-the exact trichotomy on (c, d), and the finite sections serve as the
-independent cross-check of the norm and radius formulas.
+largest real or imaginary part, so no |entry| is formed; build_matrix reads
+each row as a window of one of q short sinc kernels (c = p/q; each row its own
+kernel where q > N) and hands its entries over read-only, so OperatorMatrix
+keeps them without a second copy.  Spectra and spectral radii are never read
+off truncated matrices (truncation spectra of non-normal operators are
+polluted); they come from the exact trichotomy on (c, d), and the finite
+sections serve as the independent cross-check of the norm and radius formulas.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .core import (
     _sinc,
     adjoint_on_kernel,
     compose_apply,
-    grid,
 )
 from .probes import smooth_probe
 
@@ -72,43 +72,62 @@ class OperatorMatrix:
 
 
 def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix:
-    """Entries sinc(a (phi(x_n) - x_k)), one complex sine per row.
+    """Entries sinc(a (phi(x_n) - x_k)), every row a window of one coset kernel.
 
-    With m_n the node nearest Re phi(x_n) and delta_n = a (phi(x_n) -
-    x_{m_n}), formed as a difference, every entry of row n shares one sine:
+    With c = p/q (float.as_integer_ratio), n = q m + r (r the residue nearest
+    0), mu_r the node nearest Re phi(x_r) and delta_r = a (phi(x_r) -
+    x_{mu_r}) formed as a difference, a phi(x_n) = pi (p m + mu_r) + delta_r:
 
-        sinc(a (phi(x_n) - x_k)) = (-1)^(m_n - k) sin(delta_n) / (a (phi(x_n) - x_k)),
+        T[n, k] = K_r(p m - k),  K_r(j) = (-1)^(j + mu_r) sin(delta_r) / (pi (j + mu_r) + delta_r),
 
-    and the column k = m_n, when it lies in the window, takes
-    sinc(delta_n) directly.  Where phi(x_n) is a node, delta_n = 0 exactly
-    and every other entry of the row is sin 0 = 0, so identity and
-    reflection symbols give the exact identity and anti-identity.  The
-    section route sums no cardinal series: it stays independent of the
-    closed forms that C1..C3 hold it against.  A section of more than
-    _MAX_SECTION_ENTRIES entries raises OverflowGuardError before any
-    allocation.
+    with sinc(delta_r) at j = -mu_r.  _section_kernels tabulates the K_r, one sine per class,
+    for a gather of one window per row; where they would hold over half the section (every
+    q > N) each row is its own class.  A node class (delta_r = 0) holds sin 0 = 0 off
+    sinc(0) = 1, so identity and reflection sections are exact.  Summing no cardinal series,
+    the route stays independent of the closed forms C1..C3 hold it against.  Past
+    _MAX_SECTION_ENTRIES entries it raises OverflowGuardError before allocating.
     """
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
+    _bandwidth(a)
     size = 2 * half_width + 1
     _guard_size(size * size, f"section of {size} x {size}: entries", _MAX_SECTION_ENTRIES)
     _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
-    x = grid(a, half_width)
-    z = phi(x)
-    m = np.rint(z.real * (a / math.pi))
-    delta = a * (z - m * (math.pi / a))
-    u = np.subtract.outer(z, x)
-    u *= a
-    # columns k = m_n inside the window hold sinc(delta_n), set after the division
-    rows = np.flatnonzero(np.abs(m) <= half_width)
-    cols = (m[rows] + half_width).astype(np.intp)
+    table, row, start = _section_kernels(phi, a, half_width)
+    if row is not None:  # the windows of every table row: sliding_window_view's, without its checks
+        shape, strides = (len(table), table.shape[1] - size + 1, size), table.strides + table.strides[1:]
+        table = np.ndarray(shape, complex, table, 0, strides)[row, start]
+    table.setflags(write=False)
+    return OperatorMatrix(table)
+
+
+def _section_kernels(phi: AffineSymbol, a: float, half_width: int):
+    """(table, row, start), section row n = table[row[n], start[n] : start[n] + 2N + 1].
+
+    Column i of row r holds K_r(p m - k) at k - p m = i - N - max p m.  Where the q kernels
+    would hold more than half the (2N+1)^2 entries (every q > N), they and the gathered
+    section outweigh the direct route's two section-sized arrays: each row is its own
+    class, and the table is the section.
+    """
+    n = np.arange(-half_width, half_width + 1)
+    p, q = phi.c.as_integer_ratio()
+    h = (q - 1) // 2
+    # in Python integers, so a huge p is never multiplied into an index
+    coset = 2 * q * (abs(p) * ((half_width + h) // q - (h - half_width) // q) + n.size) <= n.size**2
+    r, shift = (np.arange(-h, q - h), p * ((n + h) // q)) if coset else (n, np.zeros_like(n))
+    z = phi(r * (math.pi / a))
+    mu = np.rint(z.real * (a / math.pi))
+    delta = a * (z - mu * (math.pi / a))
+    lo = -half_width - shift.max()
+    u = np.subtract.outer(mu * math.pi + delta, np.arange(lo, half_width - shift.min() + 1) * math.pi)
+    # the entries j = -mu_r inside the table hold sinc(delta_r), set after the division
+    rows = np.flatnonzero((mu >= lo) & (mu < lo + u.shape[1]))
+    cols = (mu[rows] - lo).astype(np.intp)
     u[rows, cols] = 1.0
-    sign = np.where(np.arange(-half_width, half_width + 1) % 2, -1.0, 1.0)
-    entries = np.outer(np.where(m % 2, -1.0, 1.0) * np.sin(delta), sign)
-    entries /= u
-    entries[rows, cols] = _sinc(delta[rows])
-    entries.setflags(write=False)
-    return OperatorMatrix(entries)
+    table = np.outer((1.0 - 2.0 * (mu % 2)) * np.sin(delta), 1.0 - 2.0 * ((lo + np.arange(u.shape[1])) % 2))
+    table /= u
+    table[rows, cols] = _sinc(delta[rows])
+    return (table, n - q * ((n + h) // q) + h, shift.max() - shift) if coset else (table, None, None)
 
 
 @dataclass(frozen=True)

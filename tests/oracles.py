@@ -113,6 +113,49 @@ def panel_inner_product(a, phi1, f_samples, phi2, g_samples, t_max=200.0,
     return complex(np.sum(w * vals))
 
 
+def direct_section(phi, a, half_width, rows=None):
+    """Rows n (all |n| <= N by default) of the section sinc(a (phi(x_n) - x_k)), entry by entry.
+
+    One complex sine per row: with m_n the node nearest Re phi(x_n) and
+    delta_n = a (phi(x_n) - x_{m_n}), entry (n, k) is (-1)^(m_n - k)
+    sin(delta_n) / (a (phi(x_n) - x_k)), and the column k = m_n takes
+    sinc(delta_n) (where_sinc).  No coset structure: every entry is formed
+    from its own row's phi(x_n).
+    """
+    n = np.arange(-half_width, half_width + 1) if rows is None else np.asarray(rows)
+    x = np.arange(-half_width, half_width + 1) * (math.pi / a)
+    z = phi.c * (n * (math.pi / a)) + phi.d
+    m = np.rint(z.real * (a / math.pi))
+    delta = a * (z - m * (math.pi / a))
+    u = a * np.subtract.outer(z, x)
+    hit = np.flatnonzero(np.abs(m) <= half_width)
+    col = (m[hit] + half_width).astype(np.intp)
+    u[hit, col] = 1.0
+    sign = np.where(np.arange(-half_width, half_width + 1) % 2, -1.0, 1.0)
+    entries = np.outer(np.where(m % 2, -1.0, 1.0) * np.sin(delta), sign) / u
+    entries[hit, col] = where_sinc(delta[hit])
+    return entries
+
+
+def section_rounding_bound(phi, a, half_width, ref, rows=None):
+    """Largest gap between two roundings of the section rows n, entry by entry, ref = direct_section.
+
+    Both the coset kernels and direct_section form +-sin(delta)/u (or
+    sinc(delta) on the nearest column) from a delta and a u that each round
+    to within 8 eps A of a (phi(x_n) - x_k) and its reduction, A = pi (N (1
+    + |c|) + 1) + a |d|.  With |sin|, |cos| <= cosh(a |Im d|) and |u| >=
+    pi/2 off the nearest column (where |sinc'(u)| <= 2 cosh(Im u)/max(1,
+    |u|)), two such roundings differ by at most 24 eps A cosh(a |Im d|) /
+    max(1, |u|), plus 8 eps |T| for the sine, products and division.
+    """
+    n = np.arange(-half_width, half_width + 1) if rows is None else np.asarray(rows)
+    x = np.arange(-half_width, half_width + 1) * (math.pi / a)
+    u = np.abs(a * np.subtract.outer(phi.c * (n * (math.pi / a)) + phi.d, x))
+    big_a = math.pi * (half_width * (1.0 + abs(phi.c)) + 1.0) + a * abs(phi.d)
+    eps = np.finfo(float).eps
+    return eps * (24.0 * big_a * math.cosh(a * phi.d.imag) / np.maximum(u, 1.0) + 8.0 * np.abs(ref))
+
+
 def svd_norm(entries):
     """Largest singular value straight from LAPACK."""
     return float(np.linalg.svd(np.asarray(entries), compute_uv=False)[0])

@@ -114,7 +114,7 @@ class TestGridAndFunction:
 
     def test_bandwidth_outside_zero_inf_rejected(self):
         # one check of a in core: the grid, the kernels and every closed form
-        # raise it, and build_matrix, the probes and to_pw reach it through grid
+        # raise it, build_matrix calls it, and the probes and to_pw reach it through grid
         phi, rng = AffineSymbol(0.5, 1j), np.random.default_rng(SEED)
         calls = [
             lambda a: pwlab.grid(a, 3),

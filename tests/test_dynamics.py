@@ -9,7 +9,7 @@ import pytest
 import pwlab
 from pwlab import AdmissibilityError, AffineSymbol, BandwidthMismatchError, OverflowGuardError, PwLabError
 from pwlab import dynamics
-from pwlab.core import _iterate_parts, _rounding_bound
+from pwlab.core import _rounding_bound
 from pwlab.dynamics import _lower_pairings
 from pwlab.verify import _fourier_orbit
 
@@ -180,23 +180,27 @@ class TestOrbitNorms:
 
     def test_horizon_past_range_fails_before_the_table(self, monkeypatch):
         # the row n_max is guarded before the (c^n, d_n) table is built, so a
-        # horizon past range raises after one iterate, not n_max + 1 of them
+        # horizon past range raises after one iterate, not n_max + 1 of them;
+        # inside range the table follows the guarded row, one row per n
         f = pwlab.node_function(1.0, 4)
         F = pwlab.to_l2(f, 64)
-        rows = []
+        table, rows = dynamics._iterate_table, []
 
-        def one_row(c, d, n):
-            rows.append(n)
-            assert len(rows) == 1, "the iterate table was built before the horizon was guarded"
-            return _iterate_parts(c, d, n)
+        def counted(c, d, orders):
+            rows.append(len(orders))
+            return table(c, d, orders)
 
-        monkeypatch.setattr(dynamics, "_iterate_parts", one_row)
+        monkeypatch.setattr(dynamics, "_iterate_table", counted)
         for phi in (AffineSymbol(0.5, 0.0), AffineSymbol(1.0, 1j)):
             for trace in (lambda: pwlab.orbit_norms(phi, 1.0, f, 10**9),
                           lambda: pwlab.orbit_norms_fourier(phi, F, 10**9)):
-                rows.clear()
                 with pytest.raises(OverflowGuardError, match="squared orbit norm exponent"):
                     trace()
+                assert rows == [1], "the iterate table was built before the horizon was guarded"
+                rows.clear()
+            pwlab.orbit_norms(phi, 1.0, f, 10)
+            assert rows == [1, 11]
+            rows.clear()
 
     def test_iterates_past_float_range_are_inadmissible(self):
         # the orbit code builds no AffineSymbol per iterate, yet a d_n past the

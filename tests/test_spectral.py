@@ -10,7 +10,7 @@ import pytest
 import pwlab
 from pwlab import AffineSymbol, OperatorMatrix, spectral
 from pwlab.spectral import _largest_singular_value, _top_ritz
-from oracles import dense_gram_norm, dense_ritz_lanczos, svd_norm
+from oracles import dense_gram_norm, dense_ritz_lanczos, direct_section, section_rounding_bound, svd_norm
 
 SEED = pwlab.DEFAULT_SEED
 EPS = np.finfo(float).eps
@@ -88,9 +88,61 @@ class TestSections:
             u = mp.mpf(a) * (mp.mpf(phi.c) * n * mp.pi / a + mp.mpc(0.3, 0.2) - m * mp.pi / a)
             ref = complex(mp.sin(u) / u)
             assert abs(T[64 + n, 64 + m] - ref) < 1e-14
+        # p != +-1 (c = -3/4: four coset kernels read at stride 3) and c = 0.9,
+        # whose q = 2^53 > 2N + 1 makes every row its own class
+        for c in (-0.75, 0.9):
+            phi = AffineSymbol(c, 0.3 + 0.2j)
+            T = pwlab.build_matrix(phi, a, 64).entries
+            for n, m in [(0, 0), (1, 0), (-3, 2), (4, -3), (7, -4), (60, -45), (-60, 30), (64, 64), (-64, -48)]:
+                u = mp.mpf(a) * (mp.mpf(c) * n * mp.pi / a + mp.mpc(0.3, 0.2) - m * mp.pi / a)
+                assert abs(T[64 + n, 64 + m] - complex(mp.sin(u) / u)) < 1e-14
+
+    def test_entries_match_direct_section(self):
+        # the coset kernels against the per-entry formula, within the rounding
+        # bound of two such formulas, for p != +-1, q near N and 2N, and q > 2N
+        for c in (1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 0.375, 1 / 64, 127 / 128, 0.9, 2.0**-12, 1e-3):
+            for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j):
+                for n in (1, 2, 16, 64, 128):
+                    phi = AffineSymbol(c, d)
+                    ref = direct_section(phi, 1.0, n)
+                    gap = np.abs(pwlab.build_matrix(phi, 1.0, n).entries - ref)
+                    assert np.all(gap <= section_rounding_bound(phi, 1.0, n, ref)), (c, d, n)
+
+    def test_kernel_table_never_exceeds_the_section(self):
+        # the q class rows hold at most half the section's entries, or the table is the section
+        for c in (1.0, -1.0, 0.5, -0.75, 1 / 3, 3 / 8, 1 / 64, 127 / 128, -255 / 256, 0.9, 2.0**-12, 1e-3, 1e-300):
+            q = c.as_integer_ratio()[1]
+            for n in (1, 2, 3, 16, 63, 64, 65, 127, 128, 129, 256, 512):
+                size = 2 * n + 1
+                table, row, start = spectral._section_kernels(AffineSymbol(c, 0.3 + 0.4j), 1.0, n)
+                assert table.size <= size * size, (c, n, table.shape)
+                if row is None:
+                    assert table.shape == (size, size)
+                else:
+                    assert 2 * table.size <= size * size and table.shape[0] == q
+                    assert row.shape == start.shape == (size,) and np.all(start + size <= table.shape[1])
+                # q > N classes of width >= 2N+1 pass half the section; q <= N/4 classes of width <= 4N + q + 1 do not
+                if q > n:
+                    assert row is None
+                elif 4 * q <= n:
+                    assert row is not None
+
+    def test_lanczos_reads_the_same_sections(self):
+        # on the benchmark's section families the norm takes the same steps and
+        # certificate on the coset section as on the per-entry one
+        plateau = [(c, d) for c in (0.5, -0.5) for d in (1j, 1.0 + 1j)] + [(0.25, 1j), (1.0, 1j), (-1.0, 1.0 + 1j)]
+        slow = [(1.0, 1.0), (0.5, 0.0), (-0.5, 0.0), (0.25, 0.0)]
+        for a in (0.9, 1.1):
+            for (c, d), widths in [(s, (64, 128)) for s in plateau] + [(s, (32,)) for s in slow]:
+                for n in widths:
+                    phi = AffineSymbol(c, d)
+                    got = _largest_singular_value(pwlab.build_matrix(phi, a, n).entries, 1e-10, 0)
+                    ref = _largest_singular_value(direct_section(phi, a, n), 1e-10, 0)
+                    assert (got.steps, got.certificate) == (ref.steps, ref.certificate), (a, c, d, n)
+                    assert abs(got.value / ref.value - 1.0) <= 1e-12
 
     def test_identity_and_reflection_are_exact(self):
-        # one sine per row: delta_n = 0 at node hits clears every other entry
+        # one sine per class: delta_r = 0 at node hits clears every other entry
         for a, n in [(1.3, 20), (math.pi, 64), (0.7, 1)]:
             eye = np.eye(2 * n + 1)
             np.testing.assert_array_equal(pwlab.build_matrix(AffineSymbol(1.0, 0.0), a, n).entries, eye)
