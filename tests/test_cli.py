@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, global flags, output routing, exit codes."""
 
+import builtins
+import io
 import json
 import math
 import os
@@ -144,6 +146,91 @@ class TestOutputRouting:
         assert main(["--out", str(p2)] + argv[0:]) == EXIT_OK
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
+
+    # one longer and one shorter call per format: JSON, CSV and DAT
+    SHRINKING = [
+        (["--half-width", "48", "kernel", "--a", "1", "--w", "0.5+1i"],
+         ["--half-width", "8", "kernel", "--a", "1", "--w", "0.5+1i"]),
+        (["--half-width", "16", "norm", "--a", "1", "--c", "0.5", "--d", "0.3+0.4i"],
+         ["--half-width", "1", "norm", "--a", "1", "--c", "1", "--d", "0"]),
+        (["--n-max", "40", "orbit", "--a", "1", "--c", "0.25", "--d", "0", "--probe", "node"],
+         ["--n-max", "3", "orbit", "--a", "1", "--c", "0.25", "--d", "0", "--probe", "node"]),
+        (["--half-width", "16", "--n-max", "30", "shadow", "--a", "1.3", "--c", "-0.5"],
+         ["--half-width", "16", "--n-max", "3", "shadow", "--a", "1.3", "--c", "-0.5"]),
+    ]
+
+    @pytest.mark.parametrize("longer, shorter", SHRINKING, ids=["kernel", "norm", "orbit", "shadow"])
+    def test_shorter_output_overwrites_longer(self, tmp_path, capsys, longer, shorter):
+        target = tmp_path / "out"
+        assert main(["--out", str(target), *longer]) == EXIT_OK
+        first = target.read_bytes()
+        code, out, _ = run(capsys, *shorter)
+        assert code == EXIT_OK
+        assert main(["--out", str(target), *shorter]) == EXIT_OK
+        assert len(out.encode("utf-8")) < len(first)
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys, umask):
+        target = tmp_path / "new.json"
+        previous = os.umask(umask)
+        try:
+            code = main(["--out", str(target), "classify", "--a", "1", "--c", "0.5"])
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_device_target(self, capsys):
+        code, out, err = run(capsys, "--out", os.devnull, "--n-max", "3", "orbit",
+                             "--a", "1", "--c", "0.5")
+        assert (code, out, err) == (EXIT_OK, "", "")
+
+    def test_unwritable_targets(self, tmp_path, capsys):
+        for target in (tmp_path, tmp_path / "missing" / "out.csv"):
+            code, out, err = run(capsys, "--out", str(target), "--n-max", "3", "orbit",
+                                 "--a", "1", "--c", "0.5")
+            assert code == EXIT_INVALID_CONFIG and not out
+            assert "invalid configuration" in err and "Traceback" not in err
+
+    def test_target_is_never_truncated_on_open(self, tmp_path, capsys, monkeypatch):
+        # opening with O_TRUNC (or mode "w", as Path.write_text does) cuts the file to
+        # zero first, which costs about 0.1 ms per call on some filesystems
+        opened = []
+        real_os_open, real_open, real_io_open = os.open, builtins.open, io.open
+
+        def os_open(path, flags, *rest, **kw):
+            opened.append(("os.open", os.fspath(path), flags))
+            return real_os_open(path, flags, *rest, **kw)
+
+        def checked(real):
+            def wrapper(file, mode="r", *rest, **kw):
+                if not isinstance(file, int):
+                    opened.append(("open", os.fspath(file), mode))
+                return real(file, mode, *rest, **kw)
+            return wrapper
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", checked(real_open))
+        monkeypatch.setattr(io, "open", checked(real_io_open))
+        target = tmp_path / "out"
+        target.write_bytes(b"x" * 100_000)
+        for argv in (["kernel", "--a", "1", "--w", "0"],
+                     ["--half-width", "4", "norm", "--a", "1", "--c", "0.5"],
+                     ["spectrum", "--a", "1", "--c", "1", "--d", "1i", "--boundary-count", "3"],
+                     ["classify", "--a", "1", "--c", "0.5"],
+                     ["--n-max", "3", "orbit", "--a", "1", "--c", "0.5"],
+                     ["--n-max", "3", "cesaro", "--a", "1", "--c", "0.5"],
+                     ["--half-width", "8", "--n-max", "3", "shadow", "--a", "1", "--c", "0.5"]):
+            opened.clear()
+            assert main(["--out", str(target), *argv]) == EXIT_OK, argv
+            mine = [entry for entry in opened if entry[1] == str(target)]
+            assert [kind for kind, _, _ in mine] == ["os.open"], argv
+            assert not mine[0][2] & os.O_TRUNC, argv
+        capsys.readouterr()
+        assert target.stat().st_size < 100_000
+
 
 class TestExitCodes:
     def test_inadmissible_symbol(self, capsys):
