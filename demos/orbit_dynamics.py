@@ -78,7 +78,7 @@ def main():
     print(f"  reflection:  max_n A_n / ||g|| = {bounded.max() / g.norm():.6f}")
     seedling = KernelPoint(math.pi, 1.0).to_pw(8)
     crossing = cesaro_averages(AffineSymbol(0.5, 0.0), math.pi, seedling, n_max=40)
-    envelope = cesaro_lower_envelope(AffineSymbol(0.5, 0.0), seedling, n_max=40, w0=1.0)
+    envelope = cesaro_lower_envelope(AffineSymbol(0.5, 0.0), seedling, n_max=40)
     print(f"  contraction: A_40 / ||f|| = {crossing[-1] / seedling.norm():.3e}"
           f"  certified floor {envelope[-1] / seedling.norm():.3e}")
     assert np.all(crossing >= envelope * (1 - 1e-9))

@@ -32,7 +32,6 @@ from .core import (
 )
 from .dynamics import (
     ExpansivityCertificate,
-    GrowthBound,
     OrbitTrace,
     PropertyReport,
     Pseudotrajectory,
@@ -41,7 +40,6 @@ from .dynamics import (
     cesaro_lower_envelope,
     classify,
     expansivity_certificate,
-    growth_constant_second,
     orbit_norms,
     orbit_norms_fourier,
     shadowing_divergence,
@@ -49,7 +47,6 @@ from .dynamics import (
 from .fourier import (
     L2Function,
     from_l2,
-    l2_grid,
     to_l2,
     weighted_compose_adjoint,
     weighted_compose_apply,

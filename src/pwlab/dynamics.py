@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +46,6 @@ _FLAG_NAMES = (
     "shadowing",
 )
 
-_ONSET_SCAN = 60  # growth_constant_second looks for its onset on n = 0.._ONSET_SCAN
-
 # Size caps, each near 1 GiB at its peak.  _orbit_parts' (c^n, d_n) table of
 # Python floats and complexes takes about 192 bytes a row: 0.75 GiB at 2^22
 # rows (an orbit of |c| = 1 and real d never trips the range guard).  The
@@ -56,16 +53,10 @@ _ONSET_SCAN = 60  # growth_constant_second looks for its onset on n = 0.._ONSET_
 # an entry (complex d): 0.7 GiB at 2^23 entries, n_max <= 2895, and 0.9 GiB
 # with shadowing_divergence's second table.  orbit_norms_fourier's weights
 # hold two float arrays of (n_max + 1) x M entries: 1 GiB at 2^26.
-# cesaro_lower_envelope's few float arrays of n_max entries take the horizon
-# cap too, at 32 MiB each.
+# cesaro_lower_envelope builds _orbit_parts' table too, under the horizon cap.
 _MAX_HORIZON = 1 << 22
 _MAX_GRAM_ENTRIES = 1 << 23
 _MAX_WEIGHT_ENTRIES = 1 << 26
-
-
-class GrowthBound(NamedTuple):
-    delta: float
-    onset: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,30 +252,19 @@ def _value_off_zero(f: PwFunction, z: complex, what: str) -> complex:
     return val
 
 
-def growth_constant_second(phi: AffineSymbol, f: PwFunction, w0: complex = 0.0) -> GrowthBound:
-    """Orbit growth constant for 0 < |c| < 1 from a kernel functional.
+def _favourable_tails(f: PwFunction, imd: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m, tau): the favourable half's running tails m_k^2 = int_{u >= tau_k} |F|^2, u = -sign(imd) s.
 
-    delta = |f(w1)| / (2 ||k_{w0}||) with w1 = w0 + d/(1-c).  Pairing the
-    orbit against k_{w0} gives ||C_phi^n f|| >= |f(w0 + d_n)| / ||k_{w0}||
-    times |c|^{-n/2}; since w0 + d_n -> w1, the factor 2 buys an onset n0
-    past which delta |c|^{-n/2} is a certified lower bound, for f of any
-    norm: delta scales with f (the onset is located by scanning the exact
-    orbit trace over n = 0.._ONSET_SCAN).
+    Im d_n has the sign of Im d, so on u >= tau the weight e^{-2 Im(d_n) s} of
+    orbit_norms_fourier's ||C_phi^n f||^2 is at least e^{2 |Im d_n| tau}:
+    ||C_phi^n f|| >= m_k |c|^{-n/2} e^{|Im d_n| tau_k} from n = 0 on.  F = to_l2(f)
+    on M = max(4096, 2N+1) points (no probe aliases) gives m by midpoint sums over
+    cells from u = a down, cell k above tau_k = a (M - 2k - 2)/M (the last 0 or a/M).
     """
-    if abs(phi.c) >= 1.0:
-        raise ValueError("growth constant needs a strictly contracting symbol, 0<|c|<1")
-    if f.is_zero():
-        raise ValueError("zero function has no growth constant")
-    w1 = w0 + phi.fixed_point()
-    val = abs(_value_off_zero(f, w1, "f vanishes at translated witness point"))
-    delta = val / (2.0 * math.sqrt(kernel_norm_sq(f.a, w0)))
-    trace = orbit_norms(phi, f.a, f, _ONSET_SCAN)
-    bound = delta * np.power(abs(phi.c), -0.5 * np.arange(_ONSET_SCAN + 1))
-    short = np.flatnonzero(trace.norms < bound * (1.0 - 1e-12))
-    onset = int(short[-1]) + 1 if short.size else 0
-    if onset > _ONSET_SCAN:
-        raise PwLabError("no onset found within the scan range; f may be too large")
-    return GrowthBound(delta=delta, onset=onset)
+    F = to_l2(f, max(4096, f.samples.size))
+    m = F.m_points
+    cells = np.abs(F.values[:: 1 if imd > 0.0 else -1][: m // 2]) ** 2 * (2.0 * f.a / m)
+    return np.sqrt(np.cumsum(cells)), f.a * (m - 2.0 * np.arange(1, m // 2 + 1)) / m
 
 
 @dataclass(frozen=True)
@@ -308,15 +288,12 @@ def expansivity_certificate(
     """Match the classifier with an explicit orbit computation.
 
     Expansive symbols: the first n with ||C_phi^n f|| >= 2 for the normalized
-    f, read from one orbit_norms(cap).  Im d_n has the sign of Im d for every
-    n >= 1, so on the favourable tail u = -sign(Im d) s >= tau >= 0 the weight
-    of orbit_norms_fourier's ||C_phi^n f||^2 = |c|^{-n} int |F(s)|^2 e^{-2 Im(d_n) s} ds
-    is at least e^{2 |Im d_n| tau}: ||C_phi^n f|| >= delta |c|^{-n/2} e^{|Im d_n| tau}
-    with delta^2 = int_{u >= tau} |F|^2.  Real d has weight 1 and delta = 1.
-    Otherwise F = to_l2(f) on max(4096, 2N+1) points (so no probe aliases)
-    gives delta by midpoint sums over the favourable half's cells: tau = 0
-    for 0 < |c| < 1, and for c = 1 (|Im d_n| = n |Im d|) the cell edge tau > 0
-    whose bound reaches 2 first.  cap is that n plus one: where the exact norm
+    f, read from one orbit_norms(cap).  ||C_phi^n f|| >= delta |c|^{-n/2} e^{|Im d_n| tau}
+    from n = 0 on, with delta = m(tau) the favourable tail at the cell edge tau
+    (_favourable_tails).  Real d has weight 1 and delta = 1.  Otherwise tau is
+    the last cell edge (0 or a/M) for 0 < |c| < 1, and for c = 1
+    (|Im d_n| = n |Im d|) the edge tau > 0 whose bound reaches 2 first.  The
+    search cap is the first n where that bound reaches 2, plus one: where the exact norm
     is 2 the last bit decides, so n_star may be n or n + 1 (for real d and
     |c|^{-n/2} = 2 every unit vector has norm 2 at n; c = 0.5, d = 0.3: rough
     probes at N = 64 of seeds 0..199 split 163 to 37).
@@ -341,14 +318,9 @@ def expansivity_certificate(
     imd = phi.d.imag
     delta, rate = 1.0, 0.5 * math.log(1.0 / abs(phi.c))  # |c|^{-n/2} = e^{n rate}; rate 0 at c = 1
     if imd != 0.0:
-        F = to_l2(unit, max(4096, unit.samples.size))
-        m = F.m_points
-        # the favourable half's cells from u = a down: cell k has lower edge tau_k = a (M - 2k - 2)/M
-        cells = np.abs(F.values[:: 1 if imd > 0.0 else -1][: m // 2]) ** 2 * (2.0 * a / m)
-        tails = np.sqrt(np.cumsum(cells))
-        k = m // 2 - 1  # tau = 0 (M even) or a/M (M odd), where the tail is largest
+        tails, tau = _favourable_tails(unit, imd)
+        k = tails.size - 1  # the last cell, where the tail is largest
         if phi.c == 1.0:
-            tau = a * (m - 2.0 * np.arange(1, m // 2 + 1)) / m
             with np.errstate(divide="ignore"):  # an empty tail or tau = 0 never reaches 2
                 k = int(np.argmin(np.log(2.0 / tails) / tau))
             rate = abs(imd) * float(tau[k])
@@ -381,19 +353,27 @@ def cesaro_averages(
     return np.cumsum(trace.norms[1:]) / np.arange(1, n_max + 1)
 
 
-def cesaro_lower_envelope(
-    phi: AffineSymbol, f: PwFunction, n_max: int, w0: complex = 0.0
-) -> np.ndarray:
-    """delta |c|^{-n/2} / n: what the single largest orbit term already forces (delta scales with f).
+def cesaro_lower_envelope(phi: AffineSymbol, f: PwFunction, n_max: int) -> np.ndarray:
+    """m(tau) |c|^{-n/2} e^{|Im d_n| tau} / n, n = 1..n_max: what the single largest orbit term already forces.
 
-    |c|^{-n_max} passes the squared orbit norms' guard (_orbit_parts') first,
-    so the envelope admits the horizons cesaro_averages admits for real d.
+    n envelope_n is _favourable_tails' bound on ||C_phi^n f|| <= n A_n, at the
+    cell edge tau whose bound is largest at n_max; real d has m = ||f||, and m
+    scales with f.  _orbit_parts' table passes the squared orbit norms' guard,
+    so the envelope admits the horizons cesaro_averages admits.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if abs(phi.c) >= 1.0:
+        raise ValueError("the envelope needs a strictly contracting symbol, 0<|c|<1")
     _guard_size(n_max, "orbit horizon", _MAX_HORIZON)
-    _guard_exponent(-n_max * math.log(abs(phi.c)), "squared envelope exponent", 2.0 * OVERFLOW_EXPONENT)
-    delta = growth_constant_second(phi, f, w0=w0).delta
+    c, y = _orbit_parts(phi, f.a, n_max)
+    m, tau = f.norm(), 0.0
+    if phi.d.imag != 0.0:
+        tails, edges = _favourable_tails(f, phi.d.imag)
+        k = int(np.argmax(tails * np.exp(abs(y[-1]) * (edges - f.a))))  # the largest bound at n_max
+        m, tau = float(tails[k]), float(edges[k])
     n = np.arange(1, n_max + 1)
-    return delta * np.power(abs(phi.c), -0.5 * n) / n
+    return m * np.exp(np.abs(y[1:]) * tau) / np.sqrt(c[1:]) / n
 
 
 def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> np.ndarray:

@@ -138,7 +138,7 @@ CENSUS = {
     "C6": {"sinc sum", "coset FFT"},
     "C7": {"sinc sum", "coset FFT", "Fourier"},
     "C8": {"closed pairing", "sinc sum", "Fourier", "closed form"},
-    "C9": {"closed pairing", "sinc sum", "Fourier", "closed form", "closed kernel"},
+    "C9": {"closed pairing", "sinc sum", "Fourier", "closed form"},
     "C10": {"closed pairing", "sinc sum", "closed kernel"},
     "C11": {"closed pairing", "sinc sum"},
     "C12": {"sinc sum", "coset FFT"},

@@ -230,6 +230,25 @@ class TestOrbitNorms:
                 single = pwlab.composed_norm(phi.iterate(j), f)
                 assert abs(tr.norms[j] - single) <= 1e-13 * single, (c, d, n, j)
 
+    def test_fourier_route_of_a_level_set_cut(self):
+        # the Fourier route with |F| cut down to level on A = {|F| >= level}
+        # and to 0 off it; at n = 0 it is level sqrt(measure(A)), A measured
+        # by counting midpoint cells, and the cut orbit stays under the exact one
+        rng = np.random.default_rng(SEED + 7)
+        f = pwlab.rough_probe(1.0, 32, rng)
+        F = pwlab.to_l2(f, 4096)
+        level = 0.5 * float(np.max(np.abs(F.values)))
+        count = int(np.count_nonzero(np.abs(F.values) >= level))
+        delta = level * math.sqrt(count * 2.0 * F.a / F.m_points)
+        phi = AffineSymbol(1.0, 1j)
+        cut = pwlab.L2Function(1.0, np.where(np.abs(F.values) >= level, level, 0.0))
+        env = pwlab.orbit_norms_fourier(phi, cut, 15).norms
+        assert env.shape == (16,)
+        assert abs(env[0] - delta) <= 1e-14 * delta
+        assert np.all(np.diff(env) > 0.0)  # growing translation orbit
+        tr = pwlab.orbit_norms(phi, 1.0, f, 15)
+        assert np.all(tr.norms[1:] >= env[1:] * (1.0 - 1e-9))
+
 
 class TestClassify:
     EXPECTED = {
@@ -276,78 +295,6 @@ class TestClassify:
             flags = pwlab.classify(AffineSymbol(0.5, 1j), a).flags()
             assert flags["positively_expansive"] is True
             assert flags["cesaro_bounded"] is False
-
-
-class TestGrowthConstants:
-    def test_second_constant_frozen_case(self):
-        # a=pi node seed, c=1/2: delta = |f(0)| / (2 ||k_0||) = 1/2 exactly
-        f = pwlab.node_function(math.pi, 8, 0)
-        gb = pwlab.growth_constant_second(AffineSymbol(0.5, 0.0), f)
-        assert gb.delta == 0.5
-        assert gb.onset == 0
-
-    def test_second_constant_bound_holds_on_orbit(self):
-        rng = np.random.default_rng(SEED + 6)
-        f = pwlab.smooth_probe(1.0, 48, rng)
-        f = pwlab.scaled(f, 1.0 / f.norm())
-        phi = AffineSymbol(0.5, 0.3 + 0.4j)
-        gb = pwlab.growth_constant_second(phi, f, w0=0.0)
-        tr = pwlab.orbit_norms(phi, 1.0, f, 30)
-        lower = gb.delta * np.power(0.5, -np.arange(31) / 2.0) * f.norm()
-        assert np.all(tr.norms[gb.onset:] >= lower[gb.onset:] * (1.0 - 1e-10))
-
-    def test_second_constant_rejections(self):
-        f = pwlab.node_function(math.pi, 8, 0)
-        with pytest.raises(ValueError):
-            pwlab.growth_constant_second(AffineSymbol(1.0, 1j), f)
-        # witness point w0 + d/(1-c) = 1 is a node zero of the seed
-        with pytest.raises(ValueError):
-            pwlab.growth_constant_second(AffineSymbol(0.5, 0.5), f, w0=0.0)
-
-    def test_second_constant_vanishing_check_is_scale_free(self):
-        # |f(w1)| is held against pw_eval's rounding bound, not an absolute floor:
-        # scaling a unit f by 2^-44 (f(w1) near 1e-13) scales delta by exactly 2^-44
-        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED + 74))
-        f = pwlab.scaled(f, 1.0 / f.norm())
-        phi = AffineSymbol(0.5, 0.3 + 0.1j)
-        delta = pwlab.growth_constant_second(phi, f).delta
-        tiny = pwlab.growth_constant_second(phi, pwlab.scaled(f, 2.0**-44)).delta
-        assert tiny == delta * 2.0**-44 and tiny < 1e-12
-
-    def test_second_constant_scales_with_f(self):
-        # delta = |f(w1)| / (2 ||k_w0||) already carries ||f||, so the certified
-        # bound is delta |c|^{-n/2}: f and 2^k f give delta times 2^k and the same
-        # onset, and the Cesaro envelope scales alike (||f|| = 12.93 here)
-        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED + 74))
-        phi = AffineSymbol(0.5, 0.3 + 0.1j)
-        gb = pwlab.growth_constant_second(phi, f)
-        tr = pwlab.orbit_norms(phi, 1.0, f, 30)
-        lower = gb.delta * np.power(0.5, -np.arange(31) / 2.0)
-        assert np.all(tr.norms[gb.onset:] >= lower[gb.onset:] * (1.0 - 1e-12))
-        env = pwlab.cesaro_lower_envelope(phi, f, 20)
-        for k in (-20, -3, 5, 20):
-            g = pwlab.scaled(f, 2.0**k)
-            assert pwlab.growth_constant_second(phi, g) == (gb.delta * 2.0**k, gb.onset), k
-            assert pwlab.cesaro_lower_envelope(phi, g, 20).tobytes() == (env * 2.0**k).tobytes(), k
-
-    def test_third_constant_and_envelope(self):
-        # the level-set envelope is the Fourier route with |F| cut down to
-        # level on A = {|F| >= level} and to 0 off it; at n = 0 it is
-        # level sqrt(measure(A)), A measured by counting midpoint cells
-        rng = np.random.default_rng(SEED + 7)
-        f = pwlab.rough_probe(1.0, 32, rng)
-        F = pwlab.to_l2(f, 4096)
-        level = 0.5 * float(np.max(np.abs(F.values)))
-        count = int(np.count_nonzero(np.abs(F.values) >= level))
-        delta = level * math.sqrt(count * 2.0 * F.a / F.m_points)
-        phi = AffineSymbol(1.0, 1j)
-        cut = pwlab.L2Function(1.0, np.where(np.abs(F.values) >= level, level, 0.0))
-        env = pwlab.orbit_norms_fourier(phi, cut, 15).norms
-        assert env.shape == (16,)
-        assert abs(env[0] - delta) <= 1e-14 * delta
-        assert np.all(np.diff(env) > 0.0)  # growing translation orbit
-        tr = pwlab.orbit_norms(phi, 1.0, f, 15)
-        assert np.all(tr.norms[1:] >= env[1:] * (1.0 - 1e-9))
 
 
 class TestExpansivity:
@@ -400,12 +347,11 @@ class TestExpansivity:
 
     def test_one_orbit_per_expansive_certificate(self, monkeypatch):
         # every expansive certificate reads n_star from one orbit_norms(cap),
-        # with no kernel functional: no growth_constant_second, no pw_eval
+        # with no kernel functional: no pw_eval
         calls = []
         orbit = dynamics.orbit_norms
         monkeypatch.setattr(dynamics, "orbit_norms", lambda *args: calls.append(args[3]) or orbit(*args))
-        for name in ("growth_constant_second", "pw_eval"):
-            monkeypatch.setattr(dynamics, name, lambda *args, name=name, **kw: calls.append(name))
+        monkeypatch.setattr(dynamics, "pw_eval", lambda *args, **kw: calls.append("pw_eval"))
         for phi, f in self._grid_cases():
             if not pwlab.classify(phi, 1.0).positively_expansive:
                 continue
@@ -456,19 +402,15 @@ class TestExpansivity:
             with pytest.raises(OverflowGuardError, match="doubling-time bound inf"):
                 pwlab.expansivity_certificate(AffineSymbol(1.0, d), 1.0, f)
         with pytest.raises(OverflowGuardError):
-            pwlab.growth_constant_second(phi, f)
+            pwlab.cesaro_lower_envelope(phi, f, 10)
         with pytest.raises(OverflowGuardError):
             pwlab.cesaro_averages(phi, 1.0, f, 10)
 
     def test_certificate_needs_no_witness_point(self):
-        # the node seed at a = pi vanishes at every nonzero integer: w0 = 0 and
-        # w0 = 1 put w1 = w0 + d/(1-c) on the zeros 1 and 2, where the kernel
-        # functional has no constant; the certificate evaluates f nowhere
+        # the node seed at a = pi vanishes at every nonzero integer, the fixed
+        # point d/(1-c) = 1 among them; the certificate evaluates f nowhere
         f = pwlab.node_function(math.pi, 8, 0)
         phi = AffineSymbol(0.5, 0.5)
-        for w0 in (0.0, 1.0):
-            with pytest.raises(ValueError, match="vanishes"):
-                pwlab.growth_constant_second(phi, f, w0=w0)
         cert = pwlab.expansivity_certificate(phi, math.pi, f)
         assert cert.expansive is True
         assert 1 <= cert.n_star <= cert.cap
@@ -511,13 +453,47 @@ class TestCesaro:
         # |c|^{-n/2} passes the float range at n = 2048 for c = 1/2; the envelope
         # admits the horizons cesaro_averages admits for real d, n_max <= 865
         phi, f = AffineSymbol(0.5, 0.3), pwlab.node_function(1.0, 8)
+        # an empty horizon and a non-contracting symbol raise before any work
+        for n_max in (0, -5):
+            with pytest.raises(ValueError, match="n_max must be at least 1"):
+                pwlab.cesaro_lower_envelope(phi, f, n_max)
+            with pytest.raises(ValueError, match="n_max must be at least 1"):
+                pwlab.cesaro_averages(phi, 1.0, f, n_max)
+        for psi in (AffineSymbol(1.0, 1j), AffineSymbol(-1.0, 0.3)):
+            with pytest.raises(ValueError, match="strictly contracting"):
+                pwlab.cesaro_lower_envelope(psi, f, 10)
         for n_max in (866, 3000):
-            with pytest.raises(OverflowGuardError, match="squared envelope exponent"):
+            with pytest.raises(OverflowGuardError, match="squared orbit norm exponent"):
                 pwlab.cesaro_lower_envelope(phi, f, n_max)
             with pytest.raises(OverflowGuardError):
                 pwlab.cesaro_averages(phi, 1.0, f, n_max)
         assert np.all(np.isfinite(pwlab.cesaro_lower_envelope(phi, f, 865)))
         assert np.all(np.isfinite(pwlab.cesaro_averages(phi, 1.0, f, 865)))
+
+    def test_lower_envelope_scales_with_f(self):
+        # m carries ||f|| and tau is chosen scale-free, so f and 2^k f give
+        # envelopes that differ by exactly 2^k (||f|| = 12.93 here)
+        f = pwlab.rough_probe(1.0, 16, np.random.default_rng(SEED + 74))
+        for phi in (AffineSymbol(0.5, 0.3), AffineSymbol(0.5, 0.3 + 0.1j)):
+            env = pwlab.cesaro_lower_envelope(phi, f, 20)
+            for k in (-20, -3, 5, 20):
+                g = pwlab.scaled(f, 2.0**k)
+                assert pwlab.cesaro_lower_envelope(phi, g, 20).tobytes() == (env * 2.0**k).tobytes(), (phi, k)
+
+    def test_lower_envelope_holds_at_slow_contraction(self):
+        # slow contraction with |Im d| = 1 (fixed point 10i), where a bound that
+        # holds only past an onset rises above A_n early (seed 0 at n = 9): the
+        # tail bound holds from n = 1, n envelope_n under ||C^n f|| and
+        # envelope_n under A_n (smallest ratio 1.27)
+        n = np.arange(1, 41)
+        for d in (1j, 1.0 + 1j):
+            phi = AffineSymbol(0.9, d)
+            for s in range(40):
+                f = pwlab.rough_probe(1.0, 24, np.random.default_rng(s))
+                env = pwlab.cesaro_lower_envelope(phi, f, 40)
+                norms = pwlab.orbit_norms(phi, 1.0, f, 40).norms
+                assert np.all(norms[1:] >= n * env), (d, s)
+                assert np.all(pwlab.cesaro_averages(phi, 1.0, f, 40) >= env), (d, s)
 
     def test_bounded_reflection_averages(self):
         rng = np.random.default_rng(SEED + 13)
@@ -528,9 +504,11 @@ class TestCesaro:
     def test_lower_envelope_formula_and_witness_blowup(self):
         f = pwlab.node_function(math.pi, 4, 1)  # node kernel at 1
         phi = AffineSymbol(0.5, 0.0)
-        env = pwlab.cesaro_lower_envelope(phi, f, 20, w0=1.0)
+        env = pwlab.cesaro_lower_envelope(phi, f, 20)
         averages = pwlab.cesaro_averages(phi, math.pi, f, 20)
-        assert env.shape == (20,)
+        # real d: m = ||f|| and the envelope is ||f|| 2^{n/2} / n
+        n = np.arange(1, 21)
+        np.testing.assert_allclose(env, f.norm() * np.power(2.0, n / 2.0) / n, rtol=4 * np.finfo(float).eps)
         assert np.all(averages >= env * (1.0 - 1e-10))
         assert averages[-1] > 100.0 * f.norm()
         # the orbit of the node kernel under halving doubles in norm each

@@ -24,7 +24,7 @@ def unit_smooth(a, half_width, rng):
 class TestGridAndContainer:
     def test_midpoint_grid(self):
         a, m = 2.0, 8
-        t = pwlab.l2_grid(a, m)
+        t = fourier.l2_grid(a, m)
         assert t.size == m
         step = 2.0 * a / m
         np.testing.assert_allclose(t, -a + (np.arange(m) + 0.5) * step)
@@ -219,7 +219,7 @@ class TestGridExp:
                         z *= step
                     exact = np.array(exact)
                     bound = exp_rounding_bound(w, a)
-                    for got in (_grid_exp(w, a, m, lo, count), np.exp(w * pwlab.l2_grid(a, m)[lo : lo + count])):
+                    for got in (_grid_exp(w, a, m, lo, count), np.exp(w * fourier.l2_grid(a, m)[lo : lo + count])):
                         assert got.shape == (count,)
                         assert np.max(np.abs(got / exact - 1.0)) <= bound, (count, w)
 

@@ -116,7 +116,7 @@ class TestSizeCaps:
                 lambda: pwlab.orbit_norms(phi, 1.0, f, dynamics._MAX_HORIZON + 1),
                 lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 64), huge),
                 lambda: pwlab.cesaro_averages(phi, 1.0, f, huge),
-                # guarded before the onset scan
+                # the horizon cap fires before the range guard that c^n = 0 would trip
                 lambda: pwlab.cesaro_lower_envelope(AffineSymbol(0.5, 0.3), pwlab.node_function(1.0, 8), huge),
             ],
             "radius horizon": [lambda: pwlab.spectral_radius_estimate(AffineSymbol(0.5, 1j), 1.0, 4, huge)],
