@@ -14,17 +14,23 @@ The affine symbols phi(z) = c z + d with c real, 0 < |c| <= 1, d complex are
 exactly the ones for which f -> f o phi maps PW_a into itself boundedly.
 
 Every sinc sum outside the finite sections (spectral.build_matrix, kept
-independent) and compose_apply's coset FFT goes through one cardinal-series
+independent) and compose_apply's coset route goes through one cardinal-series
 kernel, _cardinal, at O(N_in N_out): evaluation, the closed pairings (whose
 direct route skips zero samples) and the probes' spectral_pulse alike.  A
 block of targets on the real axis sums 1/(a(z - x_k)) by one real product,
-a block with any complex target by two; both round alike.  The coset FFT:
+a block with any complex target by two; both round alike.  The coset route:
 every float slope is a dyadic rational c = p/q, and with n = q m + r the
 targets a phi(x_n) = pi p m + a phi(x_r) fall on q shifted copies of the
 node lattice, so each coset r is the exact Toeplitz product sum_k v_k
-sinc(pi (p m - k) + a phi(x_r)): one FFT convolution read at stride p.  Its
-rounding is normwise, O(eps ||v|| ||K||), not per entry; cosets whose
-targets are nodes are gathers of the samples and stay exact.
+sinc(pi (p m - k) + a phi(x_r)): one convolution read at stride p.  Its
+rounding is at most normwise, O(eps ||v|| ||K||); cosets whose targets are
+nodes are gathers of the samples and stay exact.
+
+The convolutions here (the cosets, and the closed pairing's cross-correlation
+at equal slopes) take one of two engines by one rule: a direct sum in one C
+call (np.convolve, np.correlate) while its terms stay within _DIRECT_TERMS,
+the FFT past it.  Short ones skip the FFT's fixed cost of a few calls of
+about 10 us each.
 """
 
 from __future__ import annotations
@@ -54,6 +60,18 @@ _MAX_HALF_WIDTH = 1 << 20
 # temporaries each), whatever the window width or the number of targets.
 _BLOCK_ENTRIES = 1 << 18
 
+# Most terms (products of two samples) that a convolution sums directly, one C
+# call per convolution (np.correlate, np.convolve); past it the FFT, whose
+# calls cost about 10 us each whatever their length up to ~500.  The count is
+# len(v) len(w) for _pairings' cross-correlation, and the convolved cosets
+# times their outputs times len(v) for _coset_sum, since its FFT batches the
+# cosets and the direct sum does not.  Fitted on a timing sweep of both
+# engines (numpy 2.4 on a 2-core x86 VM): cross-correlations with half widths
+# 0..512 came within about 1 % of the faster engine's total time at 2^17
+# (2^16: 3 %, 2^18: 6 %), and _coset_sum on _FFT_COST's sweep within about 3 %
+# (2^16: 3 %, 2^18: 4 %; one coset's terms alone against 2^17: 9 %).
+_DIRECT_TERMS = 1 << 17
+
 # The 5-smooth lengths 2^i 3^j 5^k up to 2^40 in order, for _fft_length; no
 # convolution that fits in memory is longer.
 _FFT_LENGTHS = array.array("q", sorted(
@@ -65,15 +83,19 @@ _FFT_LENGTHS = array.array("q", sorted(
 
 # compose_apply's cost model: the time of one of the nfft log2 nfft units
 # of a convolved coset, in cardinal-series entries.  Fitted on a timing
-# sweep of both routes (c in {1, -1/2, 1/4, -3/4, 1/32}, real and complex d,
-# N = 2..256; numpy 2.4 on a 2-core x86 VM): any value in 0.25..1 came
-# within 2 % of the faster route's total time, 0.5 closest per call.  The
-# fit holds at _fft_length's 5-smooth lengths: on the same sweep 0.5 came
-# within 1-2 %, any value in 0.35..1 within 3 %.  Against power-of-two
-# lengths, routes flip only from the cardinal series to the cosets, where
-# both time within 30 %: c = +-1 at N <= 2; c = +-1/2, +-1/4, 1/8, 1/32 at
-# N in {1, 2, 4} (grown windows) or some N <= 29 (same window); c = +-3/4 at
-# some N in 7..20; same-window |c| = 1/q at N near 2q..4q (1/32: 58..135).
+# sweep of both routes with every coset on the FFT engine (c in {1, -1/2,
+# 1/4, -3/4, 1/32}, real and complex d, N = 2..256; numpy 2.4 on a 2-core x86
+# VM): any value in 0.25..1 came within 2 % of the faster route's total time,
+# 0.5 closest per call.  The fit holds at _fft_length's 5-smooth lengths: on
+# the same sweep 0.5 came within 1-2 %, any value in 0.35..1 within 3 %.
+# Against power-of-two lengths, routes flip only from the cardinal series to
+# the cosets, where both time within 30 %: c = +-1 at N <= 2; c = +-1/2,
+# +-1/4, 1/8, 1/32 at N in {1, 2, 4} (grown windows) or some N <= 29 (same
+# window); c = +-3/4 at some N in 7..20; same-window |c| = 1/q at N near
+# 2q..4q (1/32: 58..135).  The model times the FFT engine; the direct engine
+# (_DIRECT_TERMS) makes most short cosets cheaper.  Re-timed on the same sweep
+# (1/8 and -1 added) with each coset call on its faster engine, the gate's
+# routes still came within 1 % of the faster route's total time.
 _FFT_COST = 0.5
 
 
@@ -448,9 +470,12 @@ def compose_apply(
     at stride p (_coset_sum).  It is exact: no quadrature, no truncation.  A
     coset whose targets are nodes is a gather of the stored samples, so the
     identity, reflections and the even outputs of c = +-1/2, d = 0 stay
-    bit-exact; the others round normwise, to O(eps * ||v|| * ||K_r||) from
-    the FFT, not per entry.  Slopes whose q cosets cost more than the
-    direct sum go through pw_eval's cardinal series unchanged; each route guards its own targets.
+    bit-exact.  The others are convolutions on one of two engines: a direct
+    sum per coset (np.convolve) while all of them together sum at most
+    _DIRECT_TERMS terms, which rounds per entry, else FFTs, which round
+    normwise, to O(eps * ||v|| * ||K_r||).  Slopes whose q cosets cost more
+    than the cardinal series go through pw_eval unchanged; each route guards
+    its own targets.
     """
     if half_width is not None:
         if not isinstance(half_width, numbers.Integral) or half_width < 0:
@@ -472,7 +497,7 @@ def _fft_length(size: int) -> int:
 
 
 def _coset_sum(phi, f, n_out):
-    """f(phi(x_n)) for |n| <= n_out by one FFT convolution per coset, or None.
+    """f(phi(x_n)) for |n| <= n_out by one convolution per coset, or None.
 
     c = p/q exactly (float.as_integer_ratio, the same as Fraction(c)).
     Coset r holds the outputs n = q m + r, m_lo <= m <= m_hi.  Write
@@ -484,15 +509,24 @@ def _coset_sum(phi, f, n_out):
 
     which at j = -mu_r is sin(delta_r)/delta_r = sinc(delta_r) with no
     special case, as delta_r != 0 there.  A coset with delta_r == 0 is the
-    gather v_{p m + mu_r}, zero outside the window.  The others are read at
-    s = p m from circular convolutions of length nfft = _fft_length(S + 2N
-    + 1), the least 5-smooth length that holds the S + 2N + 1 kernel entries
-    without wrapping, S the spread of s, batched into 2-D FFTs of at most
-    _BLOCK_ENTRIES entries against one FFT of v.  Returns None, and the
-    caller sums by _cardinal, when there are more cosets than targets or
-    when _FFT_COST * (convolved cosets) * nfft log2 nfft reaches the (2N +
-    1)(2 n_out + 1) entries of the direct sum.  The q targets phi(x_r) pass
-    _guard_points once formed.
+    gather v_{p m + mu_r}, zero outside the window.  The others convolve
+    the S + 2N + 1 kernel entries, S = |p| (m_hi - m_lo) the spread of s,
+    with v and are read at s = p m, on one of two engines:
+
+    * direct, while (convolved cosets) (S + 1) (2N + 1), the terms of all
+      their 'valid' outputs, is at most _DIRECT_TERMS: one np.convolve(K_r,
+      v, "valid") per coset over s = s_lo .. s_lo + S;
+    * FFT past it: circular convolutions of length nfft = _fft_length(S +
+      2N + 1), the least 5-smooth length that holds the kernel without
+      wrapping, batched into 2-D FFTs of at most _BLOCK_ENTRIES entries
+      against one FFT of v.
+
+    Kernel rows are built in blocks of at most _BLOCK_ENTRIES entries on
+    either engine.  Returns None, and the caller sums by _cardinal, when
+    there are more cosets than targets or when _FFT_COST * (convolved
+    cosets) * nfft log2 nfft reaches the (2N + 1)(2 n_out + 1) entries of
+    the cardinal series.  The q targets phi(x_r) pass _guard_points once
+    formed.
     """
     a, v, n = f.a, f.samples, f.half_width
     p, q = phi.c.as_integer_ratio()
@@ -500,37 +534,46 @@ def _coset_sum(phi, f, n_out):
         return None
     m_lo, m_hi = -n_out // q, n_out // q
     s_lo = min(p * m_lo, p * m_hi)
-    nfft = _fft_length(abs(p) * (m_hi - m_lo) + 2 * n + 1)
+    size = abs(p) * (m_hi - m_lo) + 2 * n + 1
+    nfft = _fft_length(size)
     z = phi(np.arange(q) * (math.pi / a))
     _guard_points(a, z, "evaluation exponent a |Im z|")
     mu = np.rint(z.real * (a / math.pi))
     delta = a * (z - mu * (math.pi / a))
     if phi.d.imag == 0.0:
         delta = delta.real
-    conv = np.flatnonzero(delta != 0)
+    conv = np.flatnonzero(delta)
     if _FFT_COST * conv.size * nfft * math.log2(nfft) >= v.size * (2 * n_out + 1):
         return None
     m = np.arange(m_lo, m_hi + 1)
     out = np.zeros((q, m.size), dtype=np.complex128)
-    hit = np.flatnonzero(delta == 0)
-    if hit.size:
+    if conv.size < q:
+        hit = np.flatnonzero(delta == 0)
         k = p * m + mu[hit, None]
         inside = np.abs(k) <= n
         row, col = np.nonzero(inside)
         out[hit[row], col] = v[(k[inside] + n).astype(np.intp)]
     if conv.size:
-        j = np.arange(s_lo - n, s_lo - n + nfft)
-        alt = np.where(j % 2, -1.0, 1.0)
-        spectrum = np.fft.fft(v, nfft)
-        t = p * m - s_lo + 2 * n
-        rows = max(1, _BLOCK_ENTRIES // nfft)
+        direct = conv.size * (size - 2 * n) * v.size <= _DIRECT_TERMS
+        length = size if direct else nfft
+        j = np.arange(s_lo - n, s_lo - n + length)
+        # (-1)^(j + mu_r) sin(delta_r): the sines take (-1)^mu_r, the odd j negate their columns
+        sine = np.sin(delta)
+        sine[mu % 2 == 1] *= -1.0
+        odd = (s_lo - n + 1) % 2
+        if not direct:
+            spectrum = np.fft.fft(v, nfft)
+        rows = max(1, _BLOCK_ENTRIES // length)
         for lo in range(0, conv.size, rows):
             r = conv[lo : lo + rows]
-            w = j + mu[r, None]
-            ker = np.reciprocal(np.pi * w + delta[r, None])
-            ker *= alt
-            ker *= (np.where(mu[r] % 2, -1.0, 1.0) * np.sin(delta[r]))[:, None]
-            out[r] = np.fft.ifft(np.fft.fft(ker, axis=1) * spectrum, axis=1)[:, t]
+            ker = np.reciprocal(np.pi * (j + mu[r, None]) + delta[r, None])
+            ker[:, odd::2] *= -1.0
+            ker *= sine[r, None]
+            if direct:
+                # the 'valid' outputs are s = s_lo .. s_lo + S, and s = p m runs over them at stride p
+                out[r] = [np.convolve(row, v, "valid")[::p] for row in ker]
+            else:
+                out[r] = np.fft.ifft(np.fft.fft(ker, axis=1) * spectrum, axis=1)[:, p * m - s_lo + 2 * n]
     start = -n_out - q * m_lo
     return out.T.ravel()[start : start + 2 * n_out + 1]
 
@@ -583,7 +626,9 @@ def _pairings(a, v, w, ratio, shift):
 
     * every ratio 1: x_n + s - x_m = s + x_{n-m}, so the double sum depends
       on m - n only: the cardinal series at conj(s_j) of the cross-correlation
-      X_k = sum_n v_n conj(w_{n+k}), |k| <= N1 + N2, from one FFT convolution;
+      X_k = sum_n v_n conj(w_{n+k}), |k| <= N1 + N2, as one direct sum
+      (np.correlate) while len(v) len(w) <= _DIRECT_TERMS, else by one FFT
+      convolution;
     * otherwise: g at the stacked points ratio_j x_n + s_j of the nodes with
       v_n != 0 alone (a zero sample's term is exactly zero), in one call:
       J nnz(v) (2 N_w + 1) entries for J shifts and w's half width N_w.
@@ -594,11 +639,14 @@ def _pairings(a, v, w, ratio, shift):
     """
     # a single ratio is a Python float: compare it without numpy's overhead
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
-        size = v.size + w.size - 1
-        nfft = 1 << (size - 1).bit_length()
-        # convolution of v with reversed conj(w), read backwards
-        xcorr = np.fft.ifft(np.fft.fft(v, nfft) * np.fft.fft(np.conj(w[::-1]), nfft))
-        return _cardinal(a, np.conj(shift), xcorr[size - 1 :: -1])
+        if v.size * w.size <= _DIRECT_TERMS:
+            xcorr = np.correlate(v, w, "full")[::-1]
+        else:
+            size = v.size + w.size - 1
+            nfft = 1 << (size - 1).bit_length()
+            # convolution of v with reversed conj(w), read backwards
+            xcorr = np.fft.ifft(np.fft.fft(v, nfft) * np.fft.fft(np.conj(w[::-1]), nfft))[size - 1 :: -1]
+        return _cardinal(a, np.conj(shift), xcorr)
     nz = np.flatnonzero(v)
     points = np.multiply.outer(ratio, grid(a, v.size // 2)[nz]) + shift[:, None]
     return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v[nz]

@@ -106,11 +106,12 @@ def _coefficients(F: L2Function, k_max: int) -> np.ndarray:
 
     Exact (up to rounding) whenever F is a trigonometric polynomial of degree
     below M - k_max, in particular for any to_l2 image with node count < M/2.
-    The midpoint sums reduce to an inverse FFT with the conjugate twiddle.
+    The midpoint sums reduce to an inverse FFT with the conjugate twiddle,
+    read unscaled (norm="forward"): at power-of-two M the same bits as ifft * M.
     """
     a, m = F.a, F.m_points
     dt = 2.0 * a / m
-    spectrum = np.fft.ifft(F.values) * m
+    spectrum = np.fft.ifft(F.values, norm="forward")
     n = np.arange(-k_max, k_max + 1)
     twiddle = np.where(n % 2, -1.0, 1.0) * np.exp(1j * n * (math.pi / m))
     return (dt / math.sqrt(2.0 * a)) * twiddle * spectrum[n % m]

@@ -319,6 +319,34 @@ def _kernel_budget(f, z):
     return 1e-13 * float(np.sum(np.abs(f.samples))) * np.exp(f.a * np.abs(np.imag(z)))
 
 
+# The two convolution engines, forced by monkeypatching core._DIRECT_TERMS:
+# 0 puts every convolution above the bound (FFT), a huge count below it (direct sum)
+ENGINES = {"fft": 0, "direct": 1 << 62}
+
+
+def _engine_calls(monkeypatch):
+    """Count the calls of np.fft.fft (FFT engine) and np.correlate, np.convolve (direct engine)."""
+    calls = {"fft": 0, "direct": 0}
+
+    def spy(fn, engine):
+        def wrapped(*args, **kwargs):
+            calls[engine] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft, "fft"))
+    monkeypatch.setattr(np, "correlate", spy(np.correlate, "direct"))
+    monkeypatch.setattr(np, "convolve", spy(np.convolve, "direct"))
+    return calls
+
+
+def _straddle(cosets):
+    """Half widths N, N + 1 whose cosets (2N + 1)^2 terms lie at most, then past, _DIRECT_TERMS."""
+    n = (math.isqrt(pwlab.core._DIRECT_TERMS // cosets) - 1) // 2
+    assert cosets * (2 * n + 1) ** 2 <= pwlab.core._DIRECT_TERMS < cosets * (2 * n + 3) ** 2
+    return n, n + 1
+
+
 class TestCardinalKernel:
     """pw_eval's one-sine kernel against the oracles' plain and compensated sums."""
 
@@ -563,18 +591,37 @@ class TestRationalSlopes:
 
     SLOPES = (1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 0.125)
 
-    def test_sweep_matches_direct_series(self):
-        rng = np.random.default_rng(SEED + 60)
-        for c in self.SLOPES:
-            for d in (0.0, 0.3, 1j, 1.0 + 1j, "node"):
-                for n in (0, 1, 8, 64):
-                    a = float(rng.uniform(0.5, 3.0))
-                    phi = AffineSymbol(c, math.pi / a if d == "node" else d)
-                    f = pwlab.rough_probe(a, n, rng)
-                    for width in (None, n // 2, n + 5, 3 * n + 7):
-                        g = pwlab.compose_apply(phi, f, grow=width is None, half_width=width)
-                        z = phi(g.grid())
-                        assert np.all(np.abs(g.samples - direct_eval(a, f.samples, z)) <= _kernel_budget(f, z))
+    def test_sweep_matches_direct_series(self, monkeypatch):
+        # every case on both convolution engines, to the same budget
+        for engine, terms in ENGINES.items():
+            monkeypatch.setattr(pwlab.core, "_DIRECT_TERMS", terms)
+            rng = np.random.default_rng(SEED + 60)
+            for c in self.SLOPES:
+                for d in (0.0, 0.3, 1j, 1.0 + 1j, "node"):
+                    for n in (0, 1, 8, 64):
+                        a = float(rng.uniform(0.5, 3.0))
+                        phi = AffineSymbol(c, math.pi / a if d == "node" else d)
+                        f = pwlab.rough_probe(a, n, rng)
+                        for width in (None, n // 2, n + 5, 3 * n + 7):
+                            g = pwlab.compose_apply(phi, f, grow=width is None, half_width=width)
+                            z = phi(g.grid())
+                            budget = _kernel_budget(f, z)
+                            assert np.all(np.abs(g.samples - direct_eval(a, f.samples, z)) <= budget), engine
+
+    def test_engine_rule_straddles_the_bound(self, monkeypatch):
+        # at the fitted _DIRECT_TERMS: c = 1 convolves one coset of (2N + 1)^2
+        # terms, c = -1/2 on the grown window two; the window at the bound takes
+        # the direct sum, the next one the FFT, and both match the plain series
+        calls = _engine_calls(monkeypatch)
+        rng = np.random.default_rng(SEED + 65)
+        for phi, cosets in ((AffineSymbol(1.0, 0.3 + 0.2j), 1), (AffineSymbol(-0.5, 0.1 - 0.4j), 2)):
+            for n, engine in zip(_straddle(cosets), ("direct", "fft")):
+                f = pwlab.rough_probe(1.3, n, rng)
+                calls.update(fft=0, direct=0)
+                g = pwlab.compose_apply(phi, f, grow=True)
+                assert calls[engine] == sum(calls.values()) > 0, (phi, n)
+                z = phi(g.grid())
+                assert np.all(np.abs(g.samples - direct_eval(f.a, f.samples, z)) <= _kernel_budget(f, z))
 
     def test_route_serves_the_dyadic_slopes(self):
         # the sweep above must exercise the convolutions, not the fallback
@@ -669,11 +716,12 @@ class TestComposedProducts:
             got = pwlab.composed_inner_product(phi1, f, phi2, g)
             assert abs(got - ref) < 1e-9 * max(1.0, abs(ref))
 
-    def test_matches_dense_double_sum(self):
+    def test_matches_dense_double_sum(self, monkeypatch):
         # both routes against the dense complex-sinc block, over slopes c^j
         # (c in {+-1, +-1/2, 1/4}, j <= 9), real and complex d, equal slopes
-        # with different d, and unequal windows N = 0..48; the tolerance is the
-        # rounding scale of the sum: pi/(a max|c|) ||v|| ||w|| cosh(r |Im shift|)
+        # with different d (on both convolution engines), and unequal windows
+        # N = 0..48; the tolerance is the rounding scale of the sum:
+        # pi/(a max|c|) ||v|| ||w|| cosh(r |Im shift|)
         rng = np.random.default_rng(SEED + 15)
         bases = (1.0, -1.0, 0.5, -0.5, 0.25)
         windows = [(0, 0), (0, 48), (48, 1), (48, 48)] + [
@@ -698,11 +746,36 @@ class TestComposedProducts:
             shift = phi1.d / phi1.c - np.conj(phi2.d) / phi2.c
             scale = (math.pi / (a * c_max) * np.linalg.norm(f.samples) * np.linalg.norm(g.samples)
                      * math.cosh(a * c_min * abs(shift.imag)))
-            got = pwlab.composed_inner_product(phi1, f, phi2, g)
             ref = dense_pairing(phi1, f, phi2, g)
-            assert abs(got - ref) <= 1e-13 * scale, (phi1, phi2, n1, n2)
+            for terms in ENGINES.values() if c1 == c2 else (pwlab.core._DIRECT_TERMS,):
+                monkeypatch.setattr(pwlab.core, "_DIRECT_TERMS", terms)
+                got = pwlab.composed_inner_product(phi1, f, phi2, g)
+                assert abs(got - ref) <= 1e-13 * scale, (phi1, phi2, n1, n2, terms)
         # both routes, and every ordering of the unequal slopes, covered
         assert groups["c1 == c2"] >= 100 and min(groups.values()) >= 10, groups
+
+    def test_toeplitz_engine_rule_straddles_the_bound(self, monkeypatch):
+        # equal slopes at the fitted _DIRECT_TERMS: windows of (2N + 1)^2 terms at
+        # the bound cross-correlate directly, the next ones by FFT, and both match
+        # the dense block within test_matches_dense_double_sum's tolerance; so do
+        # a 5-sample window against long ones, whose product is what the rule reads
+        calls = _engine_calls(monkeypatch)
+        rng = np.random.default_rng(SEED + 17)
+        a = 1.3
+        below, above = _straddle(1)
+        long_below = (pwlab.core._DIRECT_TERMS // 5 - 1) // 2
+        assert 5 * (2 * long_below + 1) <= pwlab.core._DIRECT_TERMS < 5 * (2 * long_below + 3)
+        phi1, phi2 = AffineSymbol(0.5, 0.3 + 0.2j), AffineSymbol(0.5, -0.1 + 0.1j)
+        for (n1, n2), engine in (((below, below), "direct"), ((above, above), "fft"),
+                                 ((2, long_below), "direct"), ((long_below + 1, 2), "fft")):
+            f, g = (pwlab.rough_probe(a, n, rng) for n in (n1, n2))
+            shift = phi1.d / phi1.c - np.conj(phi2.d) / phi2.c
+            scale = (math.pi / (a * 0.5) * np.linalg.norm(f.samples) * np.linalg.norm(g.samples)
+                     * math.cosh(a * 0.5 * abs(shift.imag)))
+            calls.update(fft=0, direct=0)
+            got = pwlab.composed_inner_product(phi1, f, phi2, g)
+            assert calls[engine] == sum(calls.values()) > 0, (n1, n2)
+            assert abs(got - dense_pairing(phi1, f, phi2, g)) <= 1e-13 * scale, (n1, n2)
 
     def test_unequal_slopes_are_hermitian_bit_for_bit(self):
         # <C_phi1 f, C_phi2 g> = conj <C_phi2 g, C_phi1 f>: both orders take the

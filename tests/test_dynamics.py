@@ -123,12 +123,16 @@ class TestOrbitNorms:
     def test_square_lost_to_rounding_raises(self):
         # c = 1, d = 0.3+0.5i on PW_pi: the pairing's rounding bound B_n grows
         # as e^{2 pi n/2} and passes the true square, which rounds to <= 0 at
-        # n = 25; the trace raises there, naming n and B_n, not a silent 0.0
+        # n = 24; the trace raises there, naming n and B_n, not a silent 0.0.
+        # The first lost n is where rounding noise first lands at or below 0:
+        # it was n = 25 while the samples' autocorrelation took the FFT, and is
+        # n = 24 (exactly 0.0) with the direct sum; B_24 = 2.7e19 is 2.1e3
+        # times the true square there, so at both n no digit of it is left
         phi = AffineSymbol(1.0, 0.3 + 0.5j)
         f = pwlab.smooth_probe(math.pi, 32, np.random.default_rng(0))
-        with pytest.raises(OverflowGuardError, match=r"at n = 25 .* B_n = eps pi/\(a \|c\^n\|\)"):
+        with pytest.raises(OverflowGuardError, match=r"at n = 24 .* B_n = eps pi/\(a \|c\^n\|\)"):
             pwlab.orbit_norms(phi, math.pi, f, 30)
-        assert np.all(pwlab.orbit_norms(phi, math.pi, f, 24).norms > 0.0)
+        assert np.all(pwlab.orbit_norms(phi, math.pi, f, 23).norms > 0.0)
         # a zero probe keeps its exact zero orbit
         zero = pwlab.PwFunction(math.pi, np.zeros(9))
         assert np.all(pwlab.orbit_norms(phi, math.pi, zero, 30).norms == 0.0)
