@@ -57,7 +57,6 @@ from .spectral import (
     SpectrumDescriptor,
     build_matrix,
     compactness_witness,
-    isometry_check,
     norm_closed,
     operator_norm_estimate,
     spectral_radius_closed,

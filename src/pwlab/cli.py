@@ -5,6 +5,12 @@ the sampling picture, spectrum and classify report closed forms, orbit and
 cesaro trace growth, shadow runs the divergence experiment, and verify runs
 the twelve-check acceptance battery.
 
+Output formats: kernel, norm, spectrum, classify and verify --out write one
+JSON record each, compact with sorted keys, complex values as [re, im] pairs
+and floats as shortest round-trip decimals; orbit and cesaro write two-column
+CSV under an n,norm or n,average header; shadow writes space-separated DAT
+columns n D_n L_n with no header.
+
 Determinism contract: with the same arguments, every subcommand writes
 byte-identical output, ending in a newline on every platform.  Output goes
 to the --out path when given, else to stdout.  An existing --out file is
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import stat
@@ -28,7 +35,6 @@ import sys
 
 import numpy as np
 
-from . import io as pwio
 from .core import (
     AffineSymbol,
     KernelPoint,
@@ -86,6 +92,14 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         os.close(fd)
 
 
+def _pairs(arr) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=np.complex128)]
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _make_probe(args: argparse.Namespace):
     rng = np.random.default_rng(args.seed)
     if args.probe == "smooth":
@@ -102,9 +116,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         "a": args.a,
         "w": [args.w.real, args.w.imag],
         "norm_sq": kernel_norm_sq(args.a, args.w),
-        "function": pwio.pw_record(f),
+        "function": {"a": f.a, "N": f.half_width, "samples": _pairs(f.samples)},
     }
-    _emit(pwio._dumps(record), args)
+    _emit(_dumps(record), args)
     return EXIT_OK
 
 
@@ -126,18 +140,32 @@ def cmd_norm(args: argparse.Namespace) -> int:
         "certificate": norm.certificate,
         "residual": norm.residual,
     }
-    _emit(pwio._dumps(record), args)
+    _emit(_dumps(record), args)
     return EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     desc = spectrum_closed_form(AffineSymbol(args.c, args.d), args.a)
-    _emit(pwio.descriptor_to_json(desc, boundary_count=args.boundary_count), args)
+    record: dict = {"kind": desc.kind, "a": desc.a}
+    if desc.kind == "closed-disk":
+        record["radius"] = desc.radius
+    if desc.kind == "exponential-arc":
+        record["d"] = [desc.d.real, desc.d.imag]
+    record["boundary"] = _pairs(desc.boundary_samples(args.boundary_count))
+    _emit(_dumps(record), args)
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    _emit(pwio.report_to_json(classify(AffineSymbol(args.c, args.d), args.a)), args)
+    report = classify(AffineSymbol(args.c, args.d), args.a)
+    record = {
+        "a": report.a,
+        "c": report.phi.c,
+        "d": [report.phi.d.real, report.phi.d.imag],
+        "flags": report.flags(),
+        "justifications": dict(report.justifications),
+    }
+    _emit(_dumps(record), args)
     return EXIT_OK
 
 
@@ -145,7 +173,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     phi = AffineSymbol(args.c, args.d)
     f = _make_probe(args)
     trace = orbit_norms(phi, args.a, f, args.n_max)
-    _emit(pwio.trace_to_csv(trace.norms, start=0, header="n,norm"), args)
+    _emit("\n".join(["n,norm"] + [f"{n},{float(v)!r}" for n, v in enumerate(trace.norms)]), args)
     return EXIT_OK
 
 
@@ -153,7 +181,7 @@ def cmd_cesaro(args: argparse.Namespace) -> int:
     phi = AffineSymbol(args.c, args.d)
     f = _make_probe(args)
     averages = cesaro_averages(phi, args.a, f, args.n_max)
-    _emit(pwio.trace_to_csv(averages, start=1, header="n,average"), args)
+    _emit("\n".join(["n,average"] + [f"{n},{float(v)!r}" for n, v in enumerate(averages, 1)]), args)
     return EXIT_OK
 
 
@@ -166,8 +194,8 @@ def cmd_shadow(args: argparse.Namespace) -> int:
     g_raw = rough_probe(args.a, args.half_width, np.random.default_rng(args.seed + 1))
     g = scaled(g_raw, args.g_norm / g_raw.norm())
     divergence, lower = shadowing_divergence(P, g, args.n_max)
-    steps = np.arange(1, args.n_max + 1, dtype=float)
-    _emit(pwio.columns_to_dat(steps, divergence, lower), args)
+    rows = zip(range(1, args.n_max + 1), divergence, lower)
+    _emit("\n".join(f"{float(n)!r} {float(div)!r} {float(low)!r}" for n, div, low in rows), args)
     return EXIT_OK
 
 
@@ -186,7 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             {"id": r.check_id, "title": r.title, "passed": r.passed, "detail": r.detail}
             for r in results
         ]
-        _emit(pwio._dumps(summary), args)
+        _emit(_dumps(summary), args)
     return EXIT_OK if n_pass == len(results) else EXIT_CHECK_FAILURE
 
 

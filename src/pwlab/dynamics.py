@@ -34,18 +34,6 @@ from .core import (
 )
 from .fourier import L2Function, to_l2
 
-_FLAG_NAMES = (
-    "normal",
-    "unitary",
-    "invertible",
-    "compact",
-    "closed_range",
-    "li_yorke",
-    "positively_expansive",
-    "cesaro_bounded",
-    "shadowing",
-)
-
 # Size caps, each near 1 GiB at its peak.  _orbit_parts' (c^n, d_n) table of
 # Python floats and complexes takes about 192 bytes a row: 0.75 GiB at 2^22
 # rows (an orbit of |c| = 1 and real d never trips the range guard).  The
@@ -152,7 +140,7 @@ class PropertyReport:
     justifications: tuple[tuple[str, str], ...]
 
     def flags(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in _FLAG_NAMES}
+        return {name: getattr(self, name) for name, _ in self.justifications}
 
 
 def classify(phi: AffineSymbol, a: float) -> PropertyReport:

@@ -246,7 +246,6 @@ def dense_ritz_lanczos(h, q, tol):
     basis = np.empty((dim, dim), dtype=np.complex128)
     basis[0] = q
     tri = np.zeros((dim, dim))
-    theta_prev = 0.0
 
     def explicit(k, s, theta):
         y = s @ basis[: k + 1]
@@ -263,17 +262,12 @@ def dense_ritz_lanczos(h, q, tol):
         beta = float(np.linalg.norm(w))
         vals, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
         theta, s = float(vals[-1]), vecs[:, -1]
-        scale = max(abs(theta), 1e-300)
         if beta == 0.0 or k + 1 == dim:
             return theta, explicit(k, s, theta), k + 1, "invariant"
-        if k >= 2:
-            if beta * abs(s[-1]) <= res_tol * scale:
-                residual = explicit(k, s, theta)
-                if residual <= res_tol:
-                    return theta, residual, k + 1, "residual"
-            if abs(theta - theta_prev) <= tol * scale:
-                return theta, explicit(k, s, theta), k + 1, "stall"
-        theta_prev = theta
+        if k >= 2 and beta * abs(s[-1]) <= res_tol * max(abs(theta), 1e-300):
+            residual = explicit(k, s, theta)
+            if residual <= res_tol:
+                return theta, residual, k + 1, "residual"
         basis[k + 1] = w / beta
         tri[k + 1, k] = tri[k, k + 1] = beta
 

@@ -1,5 +1,6 @@
 """Orbit growth, classification, expansivity, Cesaro means, shadowing."""
 
+import dataclasses
 import math
 import re
 
@@ -287,6 +288,9 @@ class TestClassify:
     def test_justifications_are_self_contained(self):
         report = pwlab.classify(AffineSymbol(-1.0, 1j), 2.0)
         texts = dict(report.justifications)
+        # a flag added without a reason, or a reason without its flag field, fails here
+        bools = {f.name for f in dataclasses.fields(report) if f.type in (bool, "bool")}
+        assert set(report.flags()) == set(texts) == bools and len(bools) == 9
         for flag in report.flags():
             text = texts[flag]
             assert isinstance(text, str) and len(text) > 10

@@ -1,74 +1,74 @@
-"""The CLI's output encoders: JSON records and CSV/DAT tables."""
+"""The CLI's output formats: JSON records and CSV/DAT tables, written by pwlab.cli."""
 
 import json
 import math
 
 import numpy as np
-import pytest
 
 import pwlab
-import pwlab.io as pwio
-from pwlab import AffineSymbol
+from pwlab.cli import EXIT_OK, _dumps, _pairs, main
 
 SEED = pwlab.DEFAULT_SEED
 
 
+def run(capsys, *argv):
+    code = main(list(argv))
+    assert code == EXIT_OK, argv
+    return capsys.readouterr().out
+
+
 class TestPwRecords:
     def test_json_round_trip_is_exact(self):
-        # the kernel record's samples parse back to the same doubles
+        # full-mantissa samples parse back to the same doubles
         rng = np.random.default_rng(SEED)
         f = pwlab.rough_probe(1.5, 12, rng)
-        rec = json.loads(pwio._dumps(pwio.pw_record(f)))
-        assert rec["a"] == f.a
-        back = np.array([complex(re, im) for re, im in rec["samples"]])
+        back = np.array([complex(re, im) for re, im in json.loads(_dumps(_pairs(f.samples)))])
         np.testing.assert_array_equal(back, f.samples)
-
-    def test_json_is_deterministic_and_compact(self):
-        f = pwlab.node_function(1.0, 3)
-        text1 = pwio._dumps(pwio.pw_record(f))
-        text2 = pwio._dumps(pwio.pw_record(f))
-        assert text1 == text2
-        assert ": " not in text1 and "\n" not in text1
-        rec = json.loads(text1)
-        assert set(rec) == {"a", "N", "samples"}
-        assert rec["N"] == 3 and len(rec["samples"]) == 7
 
 
 class TestDescriptorsAndReports:
-    def test_descriptor_json_kinds(self):
-        a = 1.0
-        disk = json.loads(pwio.descriptor_to_json(
-            pwlab.spectrum_closed_form(AffineSymbol(0.5, 1j), a)))
-        assert disk["kind"] == "closed-disk"
+    def test_descriptor_json_kinds(self, capsys):
+        # the radius only for the disk, d only for the arc
+        records = {}
+        for c, d in (("0.5", "1i"), ("1", "1i"), ("-1", "1")):
+            rec = json.loads(run(capsys, "spectrum", "--a", "1", "--c", c, "--d", d,
+                                 "--boundary-count", "9"))
+            records[rec["kind"]] = rec
+        disk, arc, pair = records["closed-disk"], records["exponential-arc"], records["two-point-set"]
+        assert set(disk) == {"kind", "a", "radius", "boundary"}
         assert abs(disk["radius"] - math.sqrt(2.0)) < 1e-14
-        arc = json.loads(pwio.descriptor_to_json(
-            pwlab.spectrum_closed_form(AffineSymbol(1.0, 1j), a), boundary_count=9))
-        assert arc["kind"] == "exponential-arc"
-        assert len(arc["boundary"]) == 9
-        pair = json.loads(pwio.descriptor_to_json(
-            pwlab.spectrum_closed_form(AffineSymbol(-1.0, 1.0), a)))
-        assert pair["kind"] == "two-point-set"
+        assert set(arc) == {"kind", "a", "d", "boundary"} and arc["d"] == [0.0, 1.0]
+        assert set(pair) == {"kind", "a", "boundary"} and pair["boundary"] == [[-1.0, 0.0], [1.0, 0.0]]
+        assert len(disk["boundary"]) == len(arc["boundary"]) == 9
 
-    def test_report_json_embeds_justifications(self):
-        rec = json.loads(pwio.report_to_json(pwlab.classify(AffineSymbol(0.5, 1j), 2.0)))
-        assert rec["a"] == 2.0 and rec["c"] == 0.5
+    def test_report_json_embeds_justifications(self, capsys):
+        rec = json.loads(run(capsys, "classify", "--a", "2", "--c", "0.5", "--d", "1i"))
+        assert rec["a"] == 2.0 and rec["c"] == 0.5 and rec["d"] == [0.0, 1.0]
         assert rec["flags"]["positively_expansive"] is True
         assert set(rec["justifications"]) == set(rec["flags"])
         assert all(isinstance(v, str) and v for v in rec["justifications"].values())
 
 
 class TestTables:
-    def test_trace_csv(self):
-        text = pwio.trace_to_csv([1.0, 2.5, 4.0], start=0, header="n,norm")
-        lines = text.splitlines()
+    def test_trace_csv(self, capsys):
+        # row n holds n and the shortest decimal that parses back to its value
+        lines = run(capsys, "--half-width", "48", "--n-max", "6", "orbit", "--a", "1",
+                    "--c", "0.5", "--d", "0", "--probe", "smooth").splitlines()
         assert lines[0] == "n,norm"
-        assert lines[1] == "0,1.0"
-        assert lines[3] == "2,4.0"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [n for n, _ in rows] == [str(n) for n in range(7)]
+        assert all(repr(float(value)) == value for _, value in rows)
+        # cesaro's trace starts at n = 1
+        lines = run(capsys, "--n-max", "5", "cesaro", "--a", "1", "--c", "0.5", "--d", "1i",
+                    "--probe", "rough").splitlines()
+        assert lines[0] == "n,average"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5"]
 
-    def test_columns_dat(self):
-        text = pwio.columns_to_dat([1, 2], [0.5, 0.25])
+    def test_columns_dat(self, capsys):
+        # three floats a row, no header, n written as a float too
+        text = run(capsys, "--n-max", "10", "shadow", "--a", "3.141592653589793",
+                   "--c", "0.5", "--d", "0", "--probe", "node")
         rows = [line.split() for line in text.splitlines()]
-        assert len(rows) == 2
-        assert float(rows[1][1]) == 0.25
-        with pytest.raises(ValueError):
-            pwio.columns_to_dat([1, 2], [1.0])
+        assert len(rows) == 10 and all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows] == [f"{n}.0" for n in range(1, 11)]
+        assert all(repr(float(x)) == x for row in rows for x in row)

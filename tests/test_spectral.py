@@ -10,6 +10,7 @@ import pytest
 import pwlab
 from pwlab import AffineSymbol, OperatorMatrix, spectral
 from pwlab.spectral import _largest_singular_value, _top_ritz
+from pwlab.verify import _isometry_check
 from oracles import dense_gram_norm, dense_ritz_lanczos, direct_section, section_rounding_bound, svd_norm
 
 SEED = pwlab.DEFAULT_SEED
@@ -274,7 +275,7 @@ class TestNormEstimate:
             assert abs(record.value - svd_norm(T.entries)) < 1e-5 * svd_norm(T.entries)
             assert record.value == pwlab.operator_norm_estimate(T, seed=SEED)
             assert max(record.steps) <= 64
-            assert record.certificate in ("residual", "stall")
+            assert record.certificate == "residual"
             assert record.residual <= 1e-5
             assert record.start_gap < 1e-5
 
@@ -349,7 +350,7 @@ class TestNormEstimate:
         # by some test within the section's 97 steps, at its LAPACK norm
         entries = pwlab.build_matrix(AffineSymbol(1.0, 1j), 1.0, 48).entries
         record = _largest_singular_value(entries, 1e-30, SEED)
-        assert record.certificate in ("residual", "stall", "invariant") and max(record.steps) <= 97
+        assert record.certificate in ("residual", "invariant") and max(record.steps) <= 97
         assert abs(record.value - svd_norm(entries)) <= 1e-14 * svd_norm(entries)
         # exact breakdown on the first step
         zero = _largest_singular_value(np.zeros((5, 5), dtype=complex), 1e-10, SEED)
@@ -576,12 +577,13 @@ class TestWitnesses:
         assert np.max(np.abs(w_real - 1.0)) < 1e-12
 
     def test_isometry_check_detects_exactness(self):
-        dev = pwlab.isometry_check(0.5, math.pi, 10, seed=SEED)
+        # C6's helper, kept in pwlab.verify so the section module imports no composition
+        dev = _isometry_check(0.5, math.pi, 10, seed=SEED)
         assert dev < 1e-9
         # no probe is no evidence: zero trials is an error, not a perfect 0.0
         for trials in (0, -3):
             with pytest.raises(ValueError):
-                pwlab.isometry_check(0.5, math.pi, trials, seed=SEED)
+                _isometry_check(0.5, math.pi, trials, seed=SEED)
 
     def test_closed_range_fact(self):
         # every admissible symbol has closed range; classify says why
