@@ -17,7 +17,6 @@ from .core import (
     OverflowGuardError,
     PwFunction,
     PwLabError,
-    adjoint_on_kernel,
     compose_apply,
     composed_inner_product,
     composed_norm,

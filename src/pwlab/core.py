@@ -26,11 +26,13 @@ sinc(pi (p m - k) + a phi(x_r)): one convolution read at stride p.  Its
 rounding is at most normwise, O(eps ||v|| ||K||); cosets whose targets are
 nodes are gathers of the samples and stay exact.
 
-The convolutions here (the cosets, and the closed pairing's cross-correlation
-at equal slopes) take one of two engines by one rule: a direct sum in one C
-call (np.convolve, np.correlate) while its terms stay within _DIRECT_TERMS,
-the FFT past it.  Short ones skip the FFT's fixed cost of a few calls of
-about 10 us each.
+Every convolution of the package (the cosets, the closed pairing's
+cross-correlation at equal slopes and fourier._values_at's chirp-z) runs
+through _convolve, which owns the one engine rule and the one FFT length: a
+direct sum in one C call per row while its products stay within
+_DIRECT_TERMS, else one FFT at the least 5-smooth length that holds the
+outputs read.  Short ones skip the FFT's fixed cost of a few calls of about
+10 us each.
 """
 
 from __future__ import annotations
@@ -60,16 +62,14 @@ _MAX_HALF_WIDTH = 1 << 20
 # temporaries each), whatever the window width or the number of targets.
 _BLOCK_ENTRIES = 1 << 18
 
-# Most terms (products of two samples) that a convolution sums directly, one C
-# call per convolution (np.correlate, np.convolve); past it the FFT, whose
-# calls cost about 10 us each whatever their length up to ~500.  The count is
-# len(v) len(w) for _pairings' cross-correlation, and the convolved cosets
-# times their outputs times len(v) for _coset_sum, since its FFT batches the
-# cosets and the direct sum does not.  Fitted on a timing sweep of both
-# engines (numpy 2.4 on a 2-core x86 VM): cross-correlations with half widths
-# 0..512 came within about 1 % of the faster engine's total time at 2^17
-# (2^16: 3 %, 2^18: 6 %), and _coset_sum on _FFT_COST's sweep within about 3 %
-# (2^16: 3 %, 2^18: 4 %; one coset's terms alone against 2^17: 9 %).
+# Most products (of two samples) that _convolve sums directly, over all the
+# rows of one call; past it the FFT, whose calls cost about 10 us each whatever
+# their length up to ~500.  Fitted on a timing sweep of both engines (numpy 2.4
+# on a 2-core x86 VM), while the cross-correlation's FFT still ran at
+# power-of-two lengths: cross-correlations with half widths 0..512 came within
+# about 1 % of the faster engine's total time at 2^17 (2^16: 3 %, 2^18: 6 %),
+# and _coset_sum on _FFT_COST's sweep within about 3 % (2^16: 3 %, 2^18: 4 %;
+# one coset's terms alone against 2^17: 9 %).
 _DIRECT_TERMS = 1 << 17
 
 # The 5-smooth lengths 2^i 3^j 5^k up to 2^40 in order, for _fft_length; no
@@ -470,9 +470,7 @@ def compose_apply(
     at stride p (_coset_sum).  It is exact: no quadrature, no truncation.  A
     coset whose targets are nodes is a gather of the stored samples, so the
     identity, reflections and the even outputs of c = +-1/2, d = 0 stay
-    bit-exact.  The others are convolutions on one of two engines: a direct
-    sum per coset (np.convolve) while all of them together sum at most
-    _DIRECT_TERMS terms, which rounds per entry, else FFTs, which round
+    bit-exact.  The others are convolutions (_convolve), which round at most
     normwise, to O(eps * ||v|| * ||K_r||).  Slopes whose q cosets cost more
     than the cardinal series go through pw_eval unchanged; each route guards
     its own targets.
@@ -496,6 +494,30 @@ def _fft_length(size: int) -> int:
     return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, size)]
 
 
+def _convolve(x, y, valid=False):
+    """The linear convolution of the 1-d y with x, or with each row of a 2-d x.
+
+    valid keeps only the outputs that every product of the shorter input
+    reaches, as np.convolve's 'valid' does.  The package's one convolution
+    and its one engine rule: while the products it forms over all rows stay
+    within _DIRECT_TERMS, a direct sum, one np.correlate per row against
+    conj(y) reversed (np.correlate conjugates it back), rounding per entry;
+    past it one FFT at _fft_length(len(x) + len(y) - 1), rounding normwise.
+    valid needs only _fft_length of the longer input: the wrap misses every
+    output it keeps.
+    """
+    n1, n2 = x.shape[-1], y.size
+    short, long = sorted((n1, n2))
+    if (x.size // n1) * ((long - short + 1) * short if valid else n1 * n2) <= _DIRECT_TERMS:
+        w, mode = np.conj(y[::-1]), "valid" if valid else "full"
+        if x.ndim == 1:
+            return np.correlate(x, w, mode)
+        return np.array([np.correlate(row, w, mode) for row in x])
+    lo, hi = (short - 1, long) if valid else (0, n1 + n2 - 1)
+    nfft = _fft_length(long if valid else hi)
+    return np.fft.ifft(np.fft.fft(x, nfft) * np.fft.fft(y, nfft))[..., lo:hi]
+
+
 def _coset_sum(phi, f, n_out):
     """f(phi(x_n)) for |n| <= n_out by one convolution per coset, or None.
 
@@ -511,22 +533,13 @@ def _coset_sum(phi, f, n_out):
     special case, as delta_r != 0 there.  A coset with delta_r == 0 is the
     gather v_{p m + mu_r}, zero outside the window.  The others convolve
     the S + 2N + 1 kernel entries, S = |p| (m_hi - m_lo) the spread of s,
-    with v and are read at s = p m, on one of two engines:
-
-    * direct, while (convolved cosets) (S + 1) (2N + 1), the terms of all
-      their 'valid' outputs, is at most _DIRECT_TERMS: one np.convolve(K_r,
-      v, "valid") per coset over s = s_lo .. s_lo + S;
-    * FFT past it: circular convolutions of length nfft = _fft_length(S +
-      2N + 1), the least 5-smooth length that holds the kernel without
-      wrapping, batched into 2-D FFTs of at most _BLOCK_ENTRIES entries
-      against one FFT of v.
-
-    Kernel rows are built in blocks of at most _BLOCK_ENTRIES entries on
-    either engine.  Returns None, and the caller sums by _cardinal, when
-    there are more cosets than targets or when _FFT_COST * (convolved
-    cosets) * nfft log2 nfft reaches the (2N + 1)(2 n_out + 1) entries of
-    the cardinal series.  The q targets phi(x_r) pass _guard_points once
-    formed.
+    with v (_convolve, 'valid': s = s_lo .. s_lo + S) and are read at s = p
+    m.  Kernel rows are built, and convolved, in blocks of at most
+    _BLOCK_ENTRIES entries.  Returns None, and the caller sums by _cardinal,
+    when there are more cosets than targets or when _FFT_COST * (convolved
+    cosets) * nfft log2 nfft, nfft = _fft_length(S + 2N + 1) the FFT length
+    of a block, reaches the (2N + 1)(2 n_out + 1) entries of the cardinal
+    series.  The q targets phi(x_r) pass _guard_points once formed.
     """
     a, v, n = f.a, f.samples, f.half_width
     p, q = phi.c.as_integer_ratio()
@@ -554,33 +567,21 @@ def _coset_sum(phi, f, n_out):
         row, col = np.nonzero(inside)
         out[hit[row], col] = v[(k[inside] + n).astype(np.intp)]
     if conv.size:
-        direct = conv.size * (size - 2 * n) * v.size <= _DIRECT_TERMS
-        length = size if direct else nfft
-        j = np.arange(s_lo - n, s_lo - n + length)
+        j = np.arange(s_lo - n, s_lo - n + size)
         # (-1)^(j + mu_r) sin(delta_r): the sines take (-1)^mu_r, the odd j negate their columns
         sine = np.sin(delta)
         sine[mu % 2 == 1] *= -1.0
         odd = (s_lo - n + 1) % 2
-        if not direct:
-            spectrum = np.fft.fft(v, nfft)
-        rows = max(1, _BLOCK_ENTRIES // length)
+        rows = max(1, _BLOCK_ENTRIES // size)
         for lo in range(0, conv.size, rows):
             r = conv[lo : lo + rows]
             ker = np.reciprocal(np.pi * (j + mu[r, None]) + delta[r, None])
             ker[:, odd::2] *= -1.0
             ker *= sine[r, None]
-            if direct:
-                # the 'valid' outputs are s = s_lo .. s_lo + S, and s = p m runs over them at stride p
-                out[r] = [np.convolve(row, v, "valid")[::p] for row in ker]
-            else:
-                out[r] = np.fft.ifft(np.fft.fft(ker, axis=1) * spectrum, axis=1)[:, p * m - s_lo + 2 * n]
+            # s = p m runs over the 'valid' outputs s_lo .. s_lo + S at stride p
+            out[r] = _convolve(ker, v, valid=True)[:, ::p]
     start = -n_out - q * m_lo
     return out.T.ravel()[start : start + 2 * n_out + 1]
-
-
-def adjoint_on_kernel(phi: AffineSymbol, point: KernelPoint) -> KernelPoint:
-    """C_phi^* k_w = k_{phi(w)}: adjoints act on kernels by point evaluation."""
-    return KernelPoint(point.a, phi(point.w))
 
 
 def composed_inner_product(
@@ -626,9 +627,8 @@ def _pairings(a, v, w, ratio, shift):
 
     * every ratio 1: x_n + s - x_m = s + x_{n-m}, so the double sum depends
       on m - n only: the cardinal series at conj(s_j) of the cross-correlation
-      X_k = sum_n v_n conj(w_{n+k}), |k| <= N1 + N2, as one direct sum
-      (np.correlate) while len(v) len(w) <= _DIRECT_TERMS, else by one FFT
-      convolution;
+      X_k = sum_n v_n conj(w_{n+k}), |k| <= N1 + N2, one convolution of v
+      with conj(w) reversed (_convolve), read backwards;
     * otherwise: g at the stacked points ratio_j x_n + s_j of the nodes with
       v_n != 0 alone (a zero sample's term is exactly zero), in one call:
       J nnz(v) (2 N_w + 1) entries for J shifts and w's half width N_w.
@@ -639,14 +639,7 @@ def _pairings(a, v, w, ratio, shift):
     """
     # a single ratio is a Python float: compare it without numpy's overhead
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
-        if v.size * w.size <= _DIRECT_TERMS:
-            xcorr = np.correlate(v, w, "full")[::-1]
-        else:
-            size = v.size + w.size - 1
-            nfft = 1 << (size - 1).bit_length()
-            # convolution of v with reversed conj(w), read backwards
-            xcorr = np.fft.ifft(np.fft.fft(v, nfft) * np.fft.fft(np.conj(w[::-1]), nfft))[size - 1 :: -1]
-        return _cardinal(a, np.conj(shift), xcorr)
+        return _cardinal(a, np.conj(shift), _convolve(v, np.conj(w[::-1]))[::-1])
     nz = np.flatnonzero(v)
     points = np.multiply.outer(ratio, grid(a, v.size // 2)[nz]) + shift[:, None]
     return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v[nz]

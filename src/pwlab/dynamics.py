@@ -90,11 +90,11 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     exactly; no window resampling enters, so the trace is reliable far past
     the point where windowed samples of f o phi^[n] would saturate.  All
     n_max pairings take _pairings' Toeplitz route (ratio 1) at once: one
-    autocorrelation of the samples v (a direct sum for short windows, an FFT
-    past core._DIRECT_TERMS), then its cardinal series at the
-    points conj(d_n - conj(d_n)) = -2i Im d_n.  ||C_{phi^[n]} f||^2 rounds to
-    O(B_n) (core._rounding_bound), and _guard_square raises at the first n
-    whose square rounds to <= 0, as composed_norm does.
+    autocorrelation of the samples v (core._convolve), then its cardinal
+    series at the points conj(d_n - conj(d_n)) = -2i Im d_n.
+    ||C_{phi^[n]} f||^2 rounds to O(B_n) (core._rounding_bound), and
+    _guard_square raises at the first n whose square rounds to <= 0, as
+    composed_norm does.
     """
     if f.a != a:
         raise BandwidthMismatchError("probe bandwidth differs from the requested space")

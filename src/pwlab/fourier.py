@@ -26,7 +26,8 @@ Off-grid values: F(t/c) and F(c t) come from the coefficients |n| <= M/4 by
 one of two routes, picked from (c, M) alone.  For c = +-1/q, q a power of two
 with 2q | M, the apply's support run maps onto the M/q-point midpoint grid,
 where F is one 2M/q-point FFT of the folded coefficients (_subgrid_values).
-Every other apply and every adjoint takes _values_at's chirp-z.
+Every other apply and every adjoint takes _values_at's chirp-z, a
+convolution by core._convolve, which picks its engine and FFT length.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineSymbol, AliasingError, PwFunction, _bandwidth, _guard_exponent
+from .core import AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _guard_exponent
 
 
 def l2_grid(a: float, m_points: int) -> np.ndarray:
@@ -80,11 +81,16 @@ class L2Function:
         return dt * complex(np.sum(self.values * np.conj(other.values)))
 
 
+def _twiddle(n, m: int) -> np.ndarray:
+    """(-1)^n e^{-i n pi / M}: times it, the exponential sums at frequencies n on the midpoint grid are a DFT."""
+    return np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
+
+
 def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     """The unitary image of f: F(t) = sqrt(pi/a)/sqrt(2a) sum_n v_n e^{-i n pi t/a}.
 
     On the midpoint grid the exponential sums are a DFT up to the twiddle
-    (-1)^n e^{-i n pi / M}, so the evaluation runs through an FFT.  A grid of
+    (_twiddle), so the evaluation runs through an FFT.  A grid of
     M < 2N+1 points would fold distinct nodes onto one frequency and raises
     AliasingError.
     """
@@ -95,8 +101,7 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     a, m = f.a, m_points
     n = np.arange(-f.half_width, f.half_width + 1)
     g = np.zeros(m, dtype=np.complex128)
-    twiddle = np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
-    g[n % m] = f.samples * twiddle  # M >= 2N+1: the indices n % M are distinct
+    g[n % m] = f.samples * _twiddle(n, m)  # M >= 2N+1: the indices n % M are distinct
     scale = math.sqrt(math.pi / a) / math.sqrt(2.0 * a)
     return L2Function(a, scale * np.fft.fft(g))
 
@@ -113,8 +118,7 @@ def _coefficients(F: L2Function, k_max: int) -> np.ndarray:
     dt = 2.0 * a / m
     spectrum = np.fft.ifft(F.values, norm="forward")
     n = np.arange(-k_max, k_max + 1)
-    twiddle = np.where(n % 2, -1.0, 1.0) * np.exp(1j * n * (math.pi / m))
-    return (dt / math.sqrt(2.0 * a)) * twiddle * spectrum[n % m]
+    return (dt / math.sqrt(2.0 * a)) * np.conj(_twiddle(n, m)) * spectrum[n % m]
 
 
 def _values_at(F: L2Function, s0: float, h: float, count: int) -> np.ndarray:
@@ -125,9 +129,10 @@ def _values_at(F: L2Function, s0: float, h: float, count: int) -> np.ndarray:
     |c| not 1/q with q a power of two, or 2q not dividing M.
 
     With j0 = count // 2, l = j - j0 and beta = pi h / a, Bluestein's identity
-    n l = (n^2 + l^2 - (l - n)^2) / 2 turns sum_n coef_n eps_n(s_j) into one FFT
-    convolution against e^{i beta m^2 / 2}: band-limited data is interpolated
-    exactly, with no trim.  Centring on j0 bounds the chirp phases by
+    n l = (n^2 + l^2 - (l - n)^2) / 2 turns sum_n coef_n eps_n(s_j) into one
+    'valid' convolution (core._convolve) against e^{i beta m^2 / 2} over the
+    lags m = l - n: band-limited data is interpolated exactly, with no trim.
+    Centring on j0 bounds the chirp phases by
     beta (count - j0 + M/4)^2 / 2, that is 9 pi M / 16 (7.2e3 rad at M = 4096) for
     the adjoint and for the apply at |c| >= 1/4, and pi M / (16 |c|) below.  Their
     rounding, eps times that bound, sets the error relative to sum_n |coef_n|.
@@ -138,13 +143,10 @@ def _values_at(F: L2Function, s0: float, h: float, count: int) -> np.ndarray:
     n = np.arange(-k, k + 1)
     phase = n * (math.pi * (s0 + j0 * h) / a) + (0.5 * beta) * (n * n)
     lags = np.arange(-j0 - k, count - j0 + k)
-    nfft = 1 << (lags.size - 1).bit_length()
-    conv = np.fft.ifft(
-        np.fft.fft(_coefficients(F, k) * np.exp(-1j * phase), nfft)
-        * np.fft.fft(np.exp(1j * ((0.5 * beta) * (lags * lags))), nfft)
-    )
+    chirp = np.exp(1j * ((0.5 * beta) * (lags * lags)))
+    conv = _convolve(_coefficients(F, k) * np.exp(-1j * phase), chirp, valid=True)
     l = np.arange(count) - j0
-    return np.exp(-1j * ((0.5 * beta) * (l * l))) * conv[2 * k : 2 * k + count] / math.sqrt(2.0 * a)
+    return np.exp(-1j * ((0.5 * beta) * (l * l))) * conv / math.sqrt(2.0 * a)
 
 
 def from_l2(F: L2Function, half_width: int) -> PwFunction:

@@ -33,7 +33,6 @@ from .core import (
     _guard_size,
     _iterate_parts,
     _sinc,
-    adjoint_on_kernel,
 )
 
 # Largest section build_matrix allocates: (2N+1)^2 complex entries, 1 GiB at
@@ -455,6 +454,6 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         point = KernelPoint(a, n * math.pi / a)
-        image = adjoint_on_kernel(phi, point)
+        image = KernelPoint(a, phi(point.w))
         out[n - 1] = image.norm_sq() / point.norm_sq()
     return out

@@ -16,7 +16,7 @@ from pwlab import (
     PwFunction,
     PwLabError,
 )
-from pwlab.core import _sinc
+from pwlab.core import _convolve, _fft_length, _sinc
 from oracles import dense_pairing, direct_eval, fsum_eval, panel_inner_product, where_sinc
 
 SEED = pwlab.DEFAULT_SEED
@@ -325,7 +325,7 @@ ENGINES = {"fft": 0, "direct": 1 << 62}
 
 
 def _engine_calls(monkeypatch):
-    """Count the calls of np.fft.fft (FFT engine) and np.correlate, np.convolve (direct engine)."""
+    """Count the calls of np.fft.fft (FFT engine) and np.correlate (direct engine)."""
     calls = {"fft": 0, "direct": 0}
 
     def spy(fn, engine):
@@ -336,8 +336,21 @@ def _engine_calls(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft, "fft"))
     monkeypatch.setattr(np, "correlate", spy(np.correlate, "direct"))
-    monkeypatch.setattr(np, "convolve", spy(np.convolve, "direct"))
     return calls
+
+
+def _fft_lengths(monkeypatch):
+    """The lengths of the np.fft.fft calls made from here on, in order."""
+    lengths = []
+    fft = np.fft.fft
+
+    def spy(*args, **kwargs):
+        out = fft(*args, **kwargs)
+        lengths.append(out.shape[-1])
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    return lengths
 
 
 def _straddle(cosets):
@@ -578,13 +591,6 @@ class TestComposition:
             pwlab.pw_eval(g, z), pwlab.pw_eval(f, phi(z)), atol=1e-10
         )
 
-    def test_adjoint_on_kernel_moves_the_point(self):
-        phi = AffineSymbol(0.5, 1j)
-        pt = KernelPoint(2.0, 1.0 + 1.0j)
-        out = pwlab.adjoint_on_kernel(phi, pt)
-        assert out.a == 2.0
-        assert out.w == phi(1.0 + 1.0j)
-
 
 class TestRationalSlopes:
     """compose_apply's coset convolutions for c = p/q against the plain cardinal sum."""
@@ -697,6 +703,90 @@ class TestRationalSlopes:
         spots = rng.integers(0, g.samples.size, 64)
         z = phi(g.grid()[spots])
         assert np.all(np.abs(g.samples[spots] - direct_eval(f.a, f.samples, z)) <= _kernel_budget(f, z))
+
+
+class TestConvolution:
+    """core._convolve, the package's one convolution, on both engines."""
+
+    # (len(x), len(y)): x shorter, longer and equal, single samples, and lengths
+    # whose power of two lies far past their least 5-smooth length (513: 1024 vs 540)
+    SIZES = ((1, 1), (1, 7), (7, 1), (5, 12), (12, 5), (33, 257), (257, 33), (257, 257))
+
+    def test_matches_dense_double_sum(self, monkeypatch):
+        # full and valid modes, 1-d x and a 2-d x of three rows, against the
+        # double sum out[i + j] += x_i y_j, within 1e-13 sum|x| sum|y| per row
+        rng = np.random.default_rng(SEED + 90)
+        for engine, terms in ENGINES.items():
+            monkeypatch.setattr(pwlab.core, "_DIRECT_TERMS", terms)
+            for n1, n2 in self.SIZES:
+                x = rng.standard_normal((3, n1)) + 1j * rng.standard_normal((3, n1))
+                y = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
+                ref = np.zeros((3, n1 + n2 - 1), dtype=np.complex128)
+                for i in range(n1):
+                    ref[:, i : i + n2] += x[:, i, None] * y
+                short, long = sorted((n1, n2))
+                scale = 1e-13 * np.sum(np.abs(x), axis=1, keepdims=True) * np.sum(np.abs(y))
+                for valid, keep in ((False, ref), (True, ref[:, short - 1 : long])):
+                    got = _convolve(x, y, valid)
+                    assert got.shape == keep.shape and np.all(np.abs(got - keep) <= scale), (engine, n1, n2, valid)
+                    one = _convolve(x[0], y, valid)
+                    assert one.shape == keep[0].shape and np.all(np.abs(one - keep[0]) <= scale[0]), (engine, n1, n2, valid)
+
+    def test_fft_length(self, monkeypatch):
+        # the FFT engine runs at _fft_length(len(x) + len(y) - 1), and 'valid' at
+        # _fft_length of the longer input; never at a larger power of two
+        monkeypatch.setattr(pwlab.core, "_DIRECT_TERMS", 0)
+        lengths = _fft_lengths(monkeypatch)
+        rng = np.random.default_rng(SEED + 91)
+        for n1, n2 in self.SIZES:
+            for valid in (False, True):
+                lengths.clear()
+                _convolve(rng.standard_normal((2, n1)), rng.standard_normal(n2), valid)
+                expected = _fft_length(max(n1, n2) if valid else n1 + n2 - 1)
+                assert lengths == [expected, expected], (n1, n2, valid)
+        assert _fft_length(513) == 540
+
+    def test_callers_share_the_length(self, monkeypatch):
+        # the pairing's cross-correlation (513 x 513: 1080 points, not 2048), a
+        # coset block and the chirp-z of an adjoint at M = 4096 (2049
+        # coefficients, 6144 lags: 6144 points, not 8192) all transform at
+        # _convolve's 5-smooth lengths
+        lengths = _fft_lengths(monkeypatch)
+        f = pwlab.rough_probe(1.3, 256, np.random.default_rng(SEED + 92))
+        pwlab.composed_norm(AffineSymbol(0.5, 0.3 + 0.2j), f)
+        assert lengths == [1080, 1080]
+        lengths.clear()
+        pwlab.compose_apply(AffineSymbol(1.0, 0.3), f)
+        assert lengths == [_fft_length(4 * 256 + 1)] * 2
+        F = pwlab.to_l2(f, 4096)
+        lengths.clear()
+        pwlab.weighted_compose_adjoint(AffineSymbol(0.9, 0.3), F)
+        assert lengths == [6144, 6144]
+
+    def test_engine_rule_counts_products(self, monkeypatch):
+        # direct while the products over all rows stay within _DIRECT_TERMS:
+        # len(x) len(y) in full mode, (long - short + 1) short in 'valid'
+        calls = _engine_calls(monkeypatch)
+        rng = np.random.default_rng(SEED + 93)
+        x, y = rng.standard_normal((3, 40)), rng.standard_normal(9)
+        for valid, products in ((False, 3 * 40 * 9), (True, 3 * 32 * 9)):
+            for terms, engine in ((products, "direct"), (products - 1, "fft")):
+                monkeypatch.setattr(pwlab.core, "_DIRECT_TERMS", terms)
+                calls.update(fft=0, direct=0)
+                _convolve(x, y, valid)
+                assert calls[engine] == sum(calls.values()) > 0, (valid, terms)
+
+    def test_direct_engine_is_numpys_bit_for_bit(self, monkeypatch):
+        # the direct engine gives the pairing np.correlate(v, w) and the cosets
+        # np.convolve(K_r, v, 'valid'), bit for bit
+        monkeypatch.setattr(pwlab.core, "_DIRECT_TERMS", ENGINES["direct"])
+        rng = np.random.default_rng(SEED + 94)
+        for n1, n2 in self.SIZES:
+            v, w = ([1.0, 1j] @ rng.standard_normal((2, n)) for n in (n1, n2))
+            assert _convolve(v, np.conj(w[::-1])).tobytes() == np.correlate(v, w, "full").tobytes()
+            ker = rng.standard_normal((3, n1 + n2)) + 1j * rng.standard_normal((3, n1 + n2))
+            rows = np.array([np.convolve(row, w, "valid") for row in ker])
+            assert _convolve(ker, w, valid=True).tobytes() == rows.tobytes()
 
 
 class TestComposedProducts:

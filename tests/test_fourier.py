@@ -8,7 +8,7 @@ import pytest
 
 import pwlab
 from pwlab import AffineSymbol, AliasingError, L2Function, OverflowGuardError
-from pwlab import fourier
+from pwlab import core, fourier
 from pwlab.fourier import _coefficients, _grid_exp, _subgrid_length, _subgrid_values, _values_at
 
 from oracles import dense_transform, exp_rounding_bound
@@ -285,17 +285,22 @@ class TestOffGridValues:
 
     @pytest.mark.parametrize("m", [65, 512, 4096])
     @pytest.mark.parametrize("c", [0.5, -0.5, 0.25, 0.125, -0.25, 0.9, 1.0 / 3.0, -0.3])
-    def test_sweep_against_dense_sum(self, c, m):
-        rng = np.random.default_rng(SEED + 40)
-        for n in (0, 1, 8, 32, m // 4 - 1):
-            if n > m // 4 - 1:
-                continue
-            for probe in (pwlab.rough_probe, pwlab.smooth_probe):
-                f = probe(1.3, n, rng)
-                tol = 1e-12 * _transform_scale(f)
-                err_apply, err_adjoint = _off_grid_errors(c, f, m)
-                assert err_apply < tol, (probe.__name__, n, err_apply / tol)
-                assert err_adjoint < tol, (probe.__name__, n, err_adjoint / tol)
+    def test_sweep_against_dense_sum(self, c, m, monkeypatch):
+        # M = 65 and 512 on both engines of the chirp-z's convolution, forced by
+        # core._DIRECT_TERMS (0: FFT, 2^62: direct sum); at M = 512 the adjoint's
+        # 257 x 512 products straddle the fitted bound.  M = 4096 keeps its own
+        for terms in (0, 1 << 62) if m < 4096 else (core._DIRECT_TERMS,):
+            monkeypatch.setattr(core, "_DIRECT_TERMS", terms)
+            rng = np.random.default_rng(SEED + 40)
+            for n in (0, 1, 8, 32, m // 4 - 1):
+                if n > m // 4 - 1:
+                    continue
+                for probe in (pwlab.rough_probe, pwlab.smooth_probe):
+                    f = probe(1.3, n, rng)
+                    tol = 1e-12 * _transform_scale(f)
+                    err_apply, err_adjoint = _off_grid_errors(c, f, m)
+                    assert err_apply < tol, (terms, probe.__name__, n, err_apply / tol)
+                    assert err_adjoint < tol, (terms, probe.__name__, n, err_adjoint / tol)
 
     @pytest.mark.parametrize("m", [4096, 8192])
     @pytest.mark.parametrize("c", [2.0**-11, -(2.0**-10), 2.0**-6])
