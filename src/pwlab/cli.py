@@ -201,7 +201,7 @@ def cmd_shadow(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # the acceptance battery always runs at its pinned configurations
-    results = run_all(seed=DEFAULT_SEED)
+    results = run_all()
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

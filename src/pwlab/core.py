@@ -65,11 +65,16 @@ _BLOCK_ENTRIES = 1 << 18
 # Most products (of two samples) that _convolve sums directly, over all the
 # rows of one call; past it the FFT, whose calls cost about 10 us each whatever
 # their length up to ~500.  Fitted on a timing sweep of both engines (numpy 2.4
-# on a 2-core x86 VM), while the cross-correlation's FFT still ran at
-# power-of-two lengths: cross-correlations with half widths 0..512 came within
-# about 1 % of the faster engine's total time at 2^17 (2^16: 3 %, 2^18: 6 %),
-# and _coset_sum on _FFT_COST's sweep within about 3 % (2^16: 3 %, 2^18: 4 %;
-# one coset's terms alone against 2^17: 9 %).
+# on a 2-core x86 VM) with the cross-correlation's FFT at power-of-two lengths:
+# cross-correlations with half widths 0..512 came within about 1 % of the faster
+# engine's total time at 2^17 (2^16: 3 %, 2^18: 6 %), and _coset_sum on
+# _FFT_COST's sweep within about 3 % (2^16: 3 %, 2^18: 4 %; one coset's terms
+# alone against 2^17: 9 %).  Every FFT runs at _fft_length, never longer than
+# that power of two and up to half as long, and the fit was not repeated there.
+# On either side of the bound the engines stay within about 12 % (same VM):
+# 257 x 257 (66049 products) sums directly in 42 us against 46 us by FFT, and
+# 33 x 4097 (135201 products) takes the FFT's 214 us against the direct sum's
+# 188 us.
 _DIRECT_TERMS = 1 << 17
 
 # The 5-smooth lengths 2^i 3^j 5^k up to 2^40 in order, for _fft_length; no
@@ -82,20 +87,17 @@ _FFT_LENGTHS = array.array("q", sorted(
 ))
 
 # compose_apply's cost model: the time of one of the nfft log2 nfft units
-# of a convolved coset, in cardinal-series entries.  Fitted on a timing
-# sweep of both routes with every coset on the FFT engine (c in {1, -1/2,
-# 1/4, -3/4, 1/32}, real and complex d, N = 2..256; numpy 2.4 on a 2-core x86
-# VM): any value in 0.25..1 came within 2 % of the faster route's total time,
-# 0.5 closest per call.  The fit holds at _fft_length's 5-smooth lengths: on
-# the same sweep 0.5 came within 1-2 %, any value in 0.35..1 within 3 %.
-# Against power-of-two lengths, routes flip only from the cardinal series to
-# the cosets, where both time within 30 %: c = +-1 at N <= 2; c = +-1/2,
-# +-1/4, 1/8, 1/32 at N in {1, 2, 4} (grown windows) or some N <= 29 (same
-# window); c = +-3/4 at some N in 7..20; same-window |c| = 1/q at N near
-# 2q..4q (1/32: 58..135).  The model times the FFT engine; the direct engine
-# (_DIRECT_TERMS) makes most short cosets cheaper.  Re-timed on the same sweep
-# (1/8 and -1 added) with each coset call on its faster engine, the gate's
-# routes still came within 1 % of the faster route's total time.
+# of a convolved coset, in cardinal-series entries, nfft = _fft_length as
+# _convolve runs it.  Fitted on a timing sweep of both routes with every
+# coset on the FFT engine (c in {1, -1/2, 1/4, -3/4, 1/32}, real and complex
+# d, N = 2..256; numpy 2.4 on a 2-core x86 VM): 0.5 came within 1-2 % of the
+# faster route's total time, any value in 0.35..1 within 3 %.  The model
+# times the FFT engine; the direct engine (_DIRECT_TERMS) makes most short
+# cosets cheaper.  Re-timed on the same sweep (1/8 and -1 added) with each
+# coset call on its faster engine, the gate's routes came within 1 % of the
+# faster route's total time.  That timing counted the direct engine's products
+# over all cosets, where _convolve counts them per block of rows; it was not
+# repeated.
 _FFT_COST = 0.5
 
 
@@ -145,6 +147,13 @@ def _guard_size(size, what: str, limit: int = _MAX_HALF_WIDTH) -> None:
     """Raise OverflowGuardError where a size (half width, count or entries) passes limit, before it is allocated."""
     if size > limit:
         raise OverflowGuardError(f"{what} {size:.3g} > {limit}")
+
+
+def _guard_half_width(half_width) -> None:
+    """ValueError unless a window half width is a nonnegative integer, OverflowGuardError past _MAX_HALF_WIDTH."""
+    if not isinstance(half_width, numbers.Integral) or half_width < 0:
+        raise ValueError(f"window half width must be a nonnegative integer, got {half_width!r}")
+    _guard_size(half_width, "window half width")
 
 
 def _guard_points(a: float, z, what: str) -> None:
@@ -307,7 +316,7 @@ class KernelPoint:
         return kernel_norm_sq(self.a, self.w)
 
     def to_pw(self, half_width: int) -> PwFunction:
-        _guard_size(half_width, "window half width")
+        _guard_half_width(half_width)
         return PwFunction(self.a, kernel_eval(self.a, self.w, grid(self.a, half_width)))
 
 

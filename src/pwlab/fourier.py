@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _guard_exponent
+from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _guard_exponent,
+                   _guard_half_width, _guard_size)
+
+# Most grid points to_l2 builds: its zero-padded samples, their FFT and the
+# scaled copy that L2Function keeps take about 48 bytes a point at the peak,
+# 0.75 GiB at 2^24.  The widest grid in use, _favourable_tails' 2N+1 at
+# N = 2^20, is 8 times smaller.
+_MAX_GRID_POINTS = 1 << 24
 
 
 def l2_grid(a: float, m_points: int) -> np.ndarray:
@@ -92,10 +99,11 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     On the midpoint grid the exponential sums are a DFT up to the twiddle
     (_twiddle), so the evaluation runs through an FFT.  A grid of
     M < 2N+1 points would fold distinct nodes onto one frequency and raises
-    AliasingError.
+    AliasingError; one past _MAX_GRID_POINTS raises OverflowGuardError.
     """
     if m_points < 2:
         raise ValueError("m_points must be at least 2")
+    _guard_size(m_points, "grid points", _MAX_GRID_POINTS)
     if m_points < f.samples.size:
         raise AliasingError(f"m_points {m_points} < 2N+1 = {f.samples.size} would alias the samples")
     a, m = f.a, m_points
@@ -150,7 +158,14 @@ def _values_at(F: L2Function, s0: float, h: float, count: int) -> np.ndarray:
 
 
 def from_l2(F: L2Function, half_width: int) -> PwFunction:
-    """Inverse unitary onto the window |n| <= half_width."""
+    """Inverse unitary onto the window |n| <= half_width.
+
+    A window of 2N+1 > M nodes would read frequencies that the grid folds onto
+    others and raises AliasingError, to_l2's rule mirrored, before any allocation.
+    """
+    if 2 * half_width + 1 > F.m_points:
+        raise AliasingError(f"2N+1 = {2 * half_width + 1} > m_points {F.m_points} would alias the coefficients")
+    _guard_half_width(half_width)
     a = F.a
     coef = _coefficients(F, half_width)
     return PwFunction(a, math.sqrt(a / math.pi) * coef)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import PwFunction, _guard_size, grid, pw_eval
+from .core import PwFunction, _guard_half_width, grid, pw_eval
 
 # cos^6 theta = 2^-6 sum_{|k| <= 3} binom(6, 3 + k) e^{2 i k theta}: the node
 # samples of spectral_pulse(z, w) / w at x_k = k pi / w
@@ -48,7 +48,9 @@ def smooth_probe(
     """
     if not (0.0 < band <= 1.0):
         raise ValueError("band must lie in (0, 1]")
-    _guard_size(half_width, "window half width")
+    if not (0.0 <= spread < math.inf):
+        raise ValueError(f"spread must be nonnegative and finite, got {spread!r}")
+    _guard_half_width(half_width)
     x = grid(a, half_width)
     coeffs = rng.standard_normal(_PULSE_COUNT) + 1j * rng.standard_normal(_PULSE_COUNT)
     centers = rng.uniform(-spread * half_width, spread * half_width, size=_PULSE_COUNT) * (math.pi / a)
@@ -57,7 +59,7 @@ def smooth_probe(
 
 def rough_probe(a: float, half_width: int, rng: np.random.Generator) -> PwFunction:
     """Full-band probe: iid complex normal node samples."""
-    _guard_size(half_width, "window half width")
+    _guard_half_width(half_width)
     n = 2 * half_width + 1
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PwFunction(a, samples)
@@ -65,9 +67,9 @@ def rough_probe(a: float, half_width: int, rng: np.random.Generator) -> PwFuncti
 
 def node_function(a: float, half_width: int, node: int = 0) -> PwFunction:
     """The cardinal function at node x_node: samples are the indicator of the node."""
+    _guard_half_width(half_width)
     if abs(node) > half_width:
         raise ValueError("node outside the window")
-    _guard_size(half_width, "window half width")
     samples = np.zeros(2 * half_width + 1, dtype=np.complex128)
     samples[node + half_width] = 1.0
     return PwFunction(a, samples)

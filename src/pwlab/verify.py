@@ -4,8 +4,9 @@ Each check pins its own configuration (symbols, bandwidths, window sizes,
 tolerances) and returns a CheckResult; the CLI prints one line per check and
 the test suite asserts each one.  Checks C1..C11 exercise one exact statement
 each (norm formulas, spectra, witnesses, dichotomies); C12 re-runs the core
-sampling-model property tests under fixed seeds.  Every check takes a seed,
-so run_all calls them alike; C4 and C5 draw no random numbers.
+sampling-model property tests.  Every check takes no arguments and draws
+its random numbers from DEFAULT_SEED; C4 and C5 draw none.  run_all runs the
+module's check_* functions in definition order, so check n is C<n>.
 """
 
 from __future__ import annotations
@@ -68,27 +69,27 @@ def _result(check_id: str, title: str, passed: bool, detail: str) -> CheckResult
     return CheckResult(check_id=check_id, title=title, passed=bool(passed), detail=detail)
 
 
-def _section_norms(seed: int, cases) -> tuple[bool, str]:
+def _section_norms(cases) -> tuple[bool, str]:
     """(passed, detail): each (a, phi) section norm at N=128 against norm_closed, within 3%."""
-    devs = [abs(operator_norm_estimate(build_matrix(phi, a, 128), seed=seed) / norm_closed(phi, a) - 1.0)
+    devs = [abs(operator_norm_estimate(build_matrix(phi, a, 128), seed=DEFAULT_SEED) / norm_closed(phi, a) - 1.0)
             for a, phi in cases]
     detail = ", ".join(f"dev={dev:.2e}" for dev in devs) + " (allowed 3e-02)"
     return all(dev <= 0.03 for dev in devs), detail
 
 
-def check_norm_equality(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_norm_equality() -> CheckResult:
     """C1: for real d the section norm matches 1/sqrt|c| within 3% at N=128."""
     cases = [(math.pi, AffineSymbol(0.25, 0.0)), (1.0, AffineSymbol(0.5, 0.7))]
-    return _result("C1", "norm equality for real translation part", *_section_norms(seed, cases))
+    return _result("C1", "norm equality for real translation part", *_section_norms(cases))
 
 
-def check_translation_norm(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_translation_norm() -> CheckResult:
     """C2: translation sections reach e^{|Im d| a} within 3% at N=128."""
     cases = [(1.0, AffineSymbol(1.0, 1j)), (math.pi, AffineSymbol(1.0, 0.5j))]
-    return _result("C2", "translation norm e^{|Im d| a}", *_section_norms(seed, cases))
+    return _result("C2", "translation norm e^{|Im d| a}", *_section_norms(cases))
 
 
-def check_radius_convergence(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_radius_convergence() -> CheckResult:
     """C3: root-norm sequence stays in the Gelfand bracket and lands near sqrt(2).
 
     Configuration (a=1, c=1/2, d=i), n = 1..12.  The bracket is
@@ -100,7 +101,7 @@ def check_radius_convergence(seed: int = DEFAULT_SEED) -> CheckResult:
     """
     phi = AffineSymbol(0.5, 1j)
     a = 1.0
-    s = spectral_radius_estimate(phi, a, 256, 12, seed=seed)
+    s = spectral_radius_estimate(phi, a, 256, 12, seed=DEFAULT_SEED)
     lo = spectral_radius_closed(phi, a)
     ok_bracket = True
     worst = -math.inf
@@ -115,7 +116,7 @@ def check_radius_convergence(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("C3", "spectral radius via root-norms", passed, detail)
 
 
-def check_spectrum_trichotomy(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_spectrum_trichotomy() -> CheckResult:
     """C4: boundary modulus equals the closed radius; reflection section squares to 1."""
     a = 1.0
     cases = [
@@ -136,7 +137,7 @@ def check_spectrum_trichotomy(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("C4", "spectrum trichotomy consistency", passed, detail)
 
 
-def check_noncompactness_witness(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_noncompactness_witness() -> CheckResult:
     """C5: adjoint images of the node kernels keep constant squared length."""
     a = 1.0
     w_complex = compactness_witness(AffineSymbol(0.5, 1j), a, 50)
@@ -149,39 +150,37 @@ def check_noncompactness_witness(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("C5", "non-compactness witness constant", passed, detail)
 
 
-def _isometry_check(c: float, a: float, trials: int, seed: int) -> float:
-    """Max relative deviation of ||sqrt|c| C_{cz} f|| from ||f|| over random smooth probes.
+def _isometry_check(c: float, a: float, seed: int) -> float:
+    """Max relative deviation of ||sqrt|c| C_{cz} f|| from ||f|| over 100 random smooth probes.
 
     The probes have half width 64, and the image window grows by 1/|c|
     (compose_apply's grow=True), so no mass of f o (cz) falls off the grid.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     phi = AffineSymbol(c, 0.0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     root_c = math.sqrt(abs(c))
-    for _ in range(trials):
+    for _ in range(100):
         f = smooth_probe(a, 64, rng)
         image = compose_apply(phi, f, grow=True)
         worst = max(worst, abs(root_c * image.norm() - f.norm()) / f.norm())
     return worst
 
 
-def check_isometry(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_isometry() -> CheckResult:
     """C6: sqrt|c| C_{cz} preserves norms over 100 random probes per c."""
-    dev1 = _isometry_check(0.5, math.pi, 100, seed=seed)
-    dev2 = _isometry_check(0.9, 1.0, 100, seed=seed + 1)
+    dev1 = _isometry_check(0.5, math.pi, seed=DEFAULT_SEED)
+    dev2 = _isometry_check(0.9, 1.0, seed=DEFAULT_SEED + 1)
     passed = dev1 < 1e-6 and dev2 < 1e-6
     detail = f"max deviations {dev1:.2e}, {dev2:.2e} (allowed 1e-06)"
     return _result("C6", "scaled isometry of pure scalings", passed, detail)
 
 
-def check_commuting_square(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_commuting_square() -> CheckResult:
     """C7: transform-then-compose equals compose-then-transform on the symbol grid."""
     a = 1.0
     m_points = 4096
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for c in _GRID_C:
         for d in _GRID_D:
@@ -218,14 +217,14 @@ def _fourier_orbit(phi: AffineSymbol, f: PwFunction, n_max: int) -> tuple[np.nda
     return norms, (np.abs(fine - coarse) / 3.0 + 8192 * _rounding_bound(f.a, c, y, f.samples)) / norms
 
 
-def check_expansivity_dichotomy(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_expansivity_dichotomy() -> CheckResult:
     """C8: certificates agree with the classifier; bounded orbits respect e^{|Im d| a}.
 
     Within its slack, the Fourier route (_fourier_orbit) matches each bounded
     sup and doubles at n_star: above 2 - slack there, under 2 + slack before.
     """
     a = 1.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     mismatches = conflicts = 0
     worst_rel = sup_gap = 0.0
     for c in _GRID_C:
@@ -267,7 +266,7 @@ def _envelope_shortfall(phi: AffineSymbol, f: PwFunction, averages: np.ndarray) 
     return envelope, float(np.max((envelope - averages) / band))
 
 
-def check_cesaro_dichotomy(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_cesaro_dichotomy() -> CheckResult:
     """C9: bounded symbols keep A_n under e^{|Im d| a}||f||; the kernel witness blows up.
 
     The witness's A_n stay above cesaro_lower_envelope within its band
@@ -275,7 +274,7 @@ def check_cesaro_dichotomy(seed: int = DEFAULT_SEED) -> CheckResult:
     A_n within its mean slack and sees the blow-up too.
     """
     a = 1.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     bounded = [AffineSymbol(-1.0, d) for d in _GRID_D] + [AffineSymbol(1.0, 0.0), AffineSymbol(1.0, 1.0)]
     witness = KernelPoint(math.pi, 1.0).to_pw(8)
     phi_w = AffineSymbol(0.5, 0.0)
@@ -302,13 +301,13 @@ def check_cesaro_dichotomy(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("C9", "absolute Cesaro boundedness dichotomy", passed, detail)
 
 
-def check_shadowing_divergence(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_shadowing_divergence() -> CheckResult:
     """C10: pseudotrajectory outruns every candidate orbit, linear rate 2x from n=15 to 30."""
     a = math.pi
     phi = AffineSymbol(0.5, 0.0)
     f = node_function(a, 8, 0)
     P = build_pseudotrajectory(phi, a, f, 0.1, 30)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     min_margin = math.inf
     worst_ratio_err = 0.0
     for _ in range(10):
@@ -325,10 +324,10 @@ def check_shadowing_divergence(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("C10", "shadowing divergence certificate", passed, detail)
 
 
-def check_li_yorke(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_li_yorke() -> CheckResult:
     """C11: no orbit is numerically irregular (small liminf with huge limsup proxy)."""
     a = 1.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     irregular = 0
     for c in _GRID_C:
         for d in _GRID_D:
@@ -347,17 +346,15 @@ def check_li_yorke(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def _simpson(values: np.ndarray, step: float) -> float:
-    if values.size % 2 == 0:
-        raise ValueError("Simpson rule needs an odd point count")
     weights = np.ones(values.size)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(np.sum(weights * values)) * step / 3.0
 
 
-def check_core_properties(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_core_properties() -> CheckResult:
     """C12: interpolation, Parseval-vs-quadrature, reproducing, semigroup, involution."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     eps = np.finfo(float).eps
     failures = []
 
@@ -434,22 +431,9 @@ def check_core_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("C12", "core sampling-model property suite", passed, detail)
 
 
-_CHECKS = (
-    check_norm_equality,
-    check_translation_norm,
-    check_radius_convergence,
-    check_spectrum_trichotomy,
-    check_noncompactness_witness,
-    check_isometry,
-    check_commuting_square,
-    check_expansivity_dichotomy,
-    check_cesaro_dichotomy,
-    check_shadowing_divergence,
-    check_li_yorke,
-    check_core_properties,
-)
+_CHECKS = tuple(fn for name, fn in globals().items() if name.startswith("check_"))
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run the twelve checks in order; every check always runs."""
-    return [fn(seed=seed) for fn in _CHECKS]
+    return [fn() for fn in _CHECKS]

@@ -11,7 +11,6 @@ import sys
 
 from pwlab import core, dynamics, fourier, spectral, verify
 from pwlab.verify import (
-    DEFAULT_SEED,
     check_cesaro_dichotomy,
     check_commuting_square,
     check_core_properties,
@@ -59,7 +58,7 @@ def result_of(check):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        return check(seed=DEFAULT_SEED)
+        return check()
     finally:
         sys.setprofile(previous)
 
@@ -119,7 +118,7 @@ def test_c12_core_properties():
 
 
 def test_check_order_matches_ids():
-    # bench/run.py labels the n-th check_* callable of pwlab.verify as C<n>
+    # run_all runs, and bench/run.py labels as C<n>, the n-th check_* callable of pwlab.verify
     checks = tuple(fn for name, fn in vars(verify).items() if name.startswith("check_") and callable(fn))
     assert checks == verify._CHECKS
     assert [result_of(fn).check_id for fn in checks] == [f"C{n}" for n in range(1, 13)]

@@ -81,7 +81,7 @@ class TestSubcommands:
         # verify --out writes the same encoding; two stand-in results spare the battery
         results = [pwlab.CheckResult("C1", "first", True, "dev=0.00e+00"),
                    pwlab.CheckResult("C2", "second", False, "dev=1.00e+00")]
-        monkeypatch.setattr(pwlab.cli, "run_all", lambda seed: results)
+        monkeypatch.setattr(pwlab.cli, "run_all", lambda: results)
         target = tmp_path / "verify.json"
         code, out, _ = run(capsys, "--out", str(target), "verify")
         assert code == EXIT_CHECK_FAILURE and out.endswith("1/2 checks passed\n")

@@ -84,6 +84,21 @@ class TestTransform:
         back = pwlab.from_l2(pwlab.to_l2(f, 65), 32)
         assert np.max(np.abs(back.samples - f.samples)) < 1e-10
 
+    def test_wide_window_raises_instead_of_aliasing(self):
+        # M = 64 points hold the frequencies |n| <= 31; a window past them would read
+        # n = 64 + k as n = k (-f's samples again at 64..68) or allocate without bound
+        f = pwlab.rough_probe(1.0, 4, np.random.default_rng(0))
+        F = pwlab.to_l2(f, 64)
+        for half_width in (32, 100, 10**12):
+            with pytest.raises(AliasingError, match="would alias"):
+                pwlab.from_l2(F, half_width)
+        back = pwlab.from_l2(F, 31)
+        np.testing.assert_allclose(back.samples[27:-27], f.samples, atol=1e-12)
+        assert np.max(np.abs(back.samples[:27])) < 1e-12 and np.max(np.abs(back.samples[-27:])) < 1e-12
+        for half_width in (-1, 2.5):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                pwlab.from_l2(F, half_width)
+
     def test_round_trip_wider_window_pads_with_zeros(self):
         rng = np.random.default_rng(SEED + 3)
         f = pwlab.rough_probe(1.0, 8, rng)

@@ -1,6 +1,8 @@
-"""Range guards at the edge: every core and dynamics entry point returns finite values or raises a typed error.
+"""Range guards at the edge: every core, Fourier and dynamics entry point returns finite values or raises a typed error.
 
-Size caps: a window, count, horizon or matrix past its cap raises before it is allocated.
+Size caps: a window, count, horizon, grid or matrix past its cap raises before it is allocated.
+
+Input checks: each public check that no other test reaches raises its own type and message.
 
 edge_sweep is importable on its own (tests on the path), so a wider sweep can
 run outside pytest with numpy's RuntimeWarnings turned into errors.
@@ -10,13 +12,15 @@ import numpy as np
 import pytest
 
 import pwlab
-from pwlab import AffineSymbol, OverflowGuardError, PwLabError, dynamics
+import pwlab.cli
+from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError, dynamics, fourier
+from pwlab.cli import EXIT_INVALID_CONFIG
 
 SEED = pwlab.DEFAULT_SEED
 
 
 def _entry_points(phi, a, f, g, F, n):
-    """(name, call) for each public core and dynamics entry point at phi; each call returns numbers."""
+    """(name, call) for each public core, Fourier and dynamics entry point at phi; each call returns numbers."""
     c, d = phi.c, phi.d
     # unequal slopes with the shift s = d, so the pairing sees a |Im d| itself
     psi = AffineSymbol(c / 2.0, d + 0.5 * d.conjugate())
@@ -29,6 +33,9 @@ def _entry_points(phi, a, f, g, F, n):
         ("unequal slopes", lambda: pwlab.composed_inner_product(phi, f, psi, g)),
         ("composed_norm", lambda: pwlab.composed_norm(phi, f)),
         ("orbit_norms", lambda: pwlab.orbit_norms(phi, a, f, n).norms),
+        ("weighted_compose_apply", lambda: pwlab.weighted_compose_apply(phi, F).values),
+        ("weighted_compose_adjoint", lambda: pwlab.weighted_compose_adjoint(phi, F).values),
+        ("from_l2", lambda: pwlab.from_l2(F, f.half_width).samples),
         ("orbit_norms_fourier", lambda: pwlab.orbit_norms_fourier(phi, F, n).norms),
         ("cesaro_averages", lambda: pwlab.cesaro_averages(phi, a, f, n)),
         ("expansivity_certificate", lambda: [
@@ -128,8 +135,69 @@ class TestSizeCaps:
             ],
             # 1025 x 2^16 weights just pass 2^26
             "orbit weight entries": [lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 1 << 16), 1024)],
+            "grid points": [
+                lambda: pwlab.to_l2(f, huge),
+                lambda: pwlab.to_l2(f, fourier._MAX_GRID_POINTS + 1),
+            ],
         }
         for what, calls in cases.items():
             for call in calls:
                 with pytest.raises(OverflowGuardError, match=what):
                     call()
+
+
+# (id, call, type, message): a call is a function or a pwlab command line; a
+# command line's "type" is its exit code, and its message is read on stderr
+INPUT_CHECKS = [
+    ("symbol d not finite", lambda: AffineSymbol(0.5, complex(0.0, np.inf)), AdmissibilityError, "d must be finite"),
+    ("orbit norms negative", lambda: dynamics.OrbitTrace(np.array([1.0, -0.5])), ValueError,
+     "finite nonnegative sequence"),
+    ("orbit norms not finite", lambda: dynamics.OrbitTrace(np.array([1.0, np.nan])), ValueError,
+     "finite nonnegative sequence"),
+    ("pseudotrajectory n_max", lambda: pwlab.build_pseudotrajectory(
+        AffineSymbol(0.5, 0.0), 1.0, pwlab.node_function(1.0, 4), 0.1, -1), ValueError, "n_max must be nonnegative"),
+    ("to_l2 one point", lambda: pwlab.to_l2(pwlab.node_function(1.0, 0), 1), ValueError, "m_points must be at least 2"),
+    ("node outside the window", lambda: pwlab.node_function(1.0, 4, -5), ValueError, "node outside the window"),
+    ("smooth probe half width", lambda: pwlab.smooth_probe(1.0, -1, np.random.default_rng(SEED)), ValueError,
+     "window half width must be a nonnegative integer"),
+    ("rough probe half width", lambda: pwlab.rough_probe(1.0, 2.5, np.random.default_rng(SEED)), ValueError,
+     "window half width must be a nonnegative integer"),
+    ("node function half width", lambda: pwlab.node_function(1.0, -1), ValueError,
+     "window half width must be a nonnegative integer"),
+    ("kernel window half width", lambda: pwlab.KernelPoint(1.0, 0.5).to_pw(-1), ValueError,
+     "window half width must be a nonnegative integer"),
+    ("section half width", lambda: pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 0), ValueError,
+     "half_width must be at least 1"),
+    # every entry is in range, but the norm 3e308 of the 3 x 3 matrix of 1e308 is not
+    ("section norm overflow", lambda: pwlab.operator_norm_estimate(pwlab.OperatorMatrix(np.full((3, 3), 1e308))),
+     OverflowGuardError, "passes the float range"),
+    ("radius horizon", lambda: pwlab.spectral_radius_estimate(AffineSymbol(0.5, 1j), 1.0, 4, 0), ValueError,
+     "n_max must be at least 1"),
+    ("witness horizon", lambda: pwlab.compactness_witness(AffineSymbol(0.5, 1j), 1.0, 0), ValueError,
+     "n_max must be at least 1"),
+    ("cli seed literal", ["--seed", "0xZZ", "classify", "--a", "1", "--c", "0.5", "--d", "0"], EXIT_INVALID_CONFIG,
+     "cannot parse integer '0xZZ'"),
+    ("cli half width", ["--half-width", "0", "kernel", "--a", "1", "--w", "0"], EXIT_INVALID_CONFIG,
+     "half_width, n_max must be positive"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, kind, message", [row[1:] for row in INPUT_CHECKS],
+                             ids=[row[0] for row in INPUT_CHECKS])
+    def test_typed_error_and_message(self, call, kind, message, capsys):
+        if isinstance(call, list):
+            assert pwlab.cli.main(call) == kind
+            assert message in capsys.readouterr().err
+            return
+        with pytest.raises(kind, match=message):
+            call()
+
+    def test_accepted_edge_inputs(self):
+        # a complex slope with zero imaginary part is the real slope
+        phi = AffineSymbol(complex(0.5, 0.0), 1j)
+        assert type(phi.c) is float and phi == AffineSymbol(0.5, 1j)
+        # the inner product pads whichever window is narrower, so the order only conjugates
+        rng = np.random.default_rng(SEED)
+        wide, narrow = pwlab.rough_probe(1.0, 8, rng), pwlab.rough_probe(1.0, 3, rng)
+        assert pwlab.inner_product(wide, narrow) == pwlab.inner_product(narrow, wide).conjugate()

@@ -82,3 +82,11 @@ class TestSmoothProbe:
         for band in (0.0, 1.5):
             with pytest.raises(ValueError, match="band"):
                 pwlab.smooth_probe(1.0, 8, rng, band=band)
+
+    def test_spread_validation(self):
+        # numpy's uniform would raise its own OverflowError or "high - low" message
+        rng = np.random.default_rng(SEED)
+        for spread in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="spread must be nonnegative and finite"):
+                pwlab.smooth_probe(1.0, 8, rng, spread=spread)
+        assert pwlab.smooth_probe(1.0, 8, rng, spread=0.0).half_width == 8
