@@ -149,11 +149,23 @@ def _guard_size(size, what: str, limit: int = _MAX_HALF_WIDTH) -> None:
         raise OverflowGuardError(f"{what} {size:.3g} > {limit}")
 
 
-def _guard_half_width(half_width) -> None:
-    """ValueError unless a window half width is a nonnegative integer, OverflowGuardError past _MAX_HALF_WIDTH."""
-    if not isinstance(half_width, numbers.Integral) or half_width < 0:
-        raise ValueError(f"window half width must be a nonnegative integer, got {half_width!r}")
-    _guard_size(half_width, "window half width")
+def _count(value, what: str, least: int = 0, limit: int | None = _MAX_HALF_WIDTH) -> int:
+    """value as an int: the package's one check of a count (half width, horizon, grid size, order, index).
+
+    ValueError naming what unless value is an integer (numbers.Integral) >= least;
+    OverflowGuardError past limit (_guard_size), never where limit is None.
+    """
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    if limit is not None:
+        _guard_size(value, what, limit)
+    return int(value)
+
+
+def _same_bandwidth(a: float, b: float) -> None:
+    """BandwidthMismatchError unless two operands live in the same PW_a."""
+    if a != b:
+        raise BandwidthMismatchError(f"bandwidths differ: {a} vs {b}")
 
 
 def _guard_points(a: float, z, what: str) -> None:
@@ -228,9 +240,7 @@ class AffineSymbol:
 
     def iterate(self, n: int) -> "AffineSymbol":
         """The n-fold composition phi o ... o phi, in closed form (_iterate_parts)."""
-        if n < 0 or n != int(n):
-            raise ValueError("iterate order must be a nonnegative integer")
-        return AffineSymbol(*_iterate_parts(self.c, self.d, int(n)))
+        return AffineSymbol(*_iterate_parts(self.c, self.d, _count(n, "iterate order", limit=None)))
 
     def fixed_point(self) -> complex:
         """alpha = d/(1-c), defined only when c != 1."""
@@ -263,8 +273,8 @@ def _iterate_table(c: float, d: complex, orders) -> tuple[list, list]:
 def grid(a: float, half_width: int) -> np.ndarray:
     """Sampling nodes x_n = n pi / a for n = -half_width .. half_width."""
     _bandwidth(a)
-    n = np.arange(-half_width, half_width + 1)
-    return n * (math.pi / a)
+    n = _count(half_width, "window half width", limit=None)
+    return np.arange(-n, n + 1) * (math.pi / a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,8 +326,7 @@ class KernelPoint:
         return kernel_norm_sq(self.a, self.w)
 
     def to_pw(self, half_width: int) -> PwFunction:
-        _guard_half_width(half_width)
-        return PwFunction(self.a, kernel_eval(self.a, self.w, grid(self.a, half_width)))
+        return PwFunction(self.a, kernel_eval(self.a, self.w, grid(self.a, _count(half_width, "window half width"))))
 
 
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
@@ -419,8 +428,7 @@ def _cardinal(a, z, v):
 
 def inner_product(f: PwFunction, g: PwFunction) -> complex:
     """<f, g> = (pi/a) sum_n f(x_n) conj(g(x_n)), windows zero-padded to match."""
-    if f.a != g.a:
-        raise BandwidthMismatchError(f"bandwidths differ: {f.a} vs {g.a}")
+    _same_bandwidth(f.a, g.a)
     nf, ng = f.half_width, g.half_width
     v, w = f.samples, g.samples
     if nf < ng:
@@ -443,8 +451,8 @@ def lincomb(coeffs, funcs) -> PwFunction:
     if len(coeffs) != len(funcs):
         raise ValueError("coefficient and function counts differ")
     a = funcs[0].a
-    if any(g.a != a for g in funcs):
-        raise BandwidthMismatchError("lincomb needs a common bandwidth")
+    for g in funcs:
+        _same_bandwidth(a, g.a)
     n_out = max(g.half_width for g in funcs)
     acc = np.zeros(2 * n_out + 1, dtype=np.complex128)
     for cf, g in zip(coeffs, funcs):
@@ -469,7 +477,7 @@ def compose_apply(
     Default target window equals the input window; grow=True widens it to
     ceil(N/|c|) so that the image of the input nodes stays inside (the
     symbol contracts the plane by c, so the function's mass spreads by 1/c).
-    An explicit half_width must be a nonnegative integer, and one past
+    An explicit half_width passes _count; a target window past
     _MAX_HALF_WIDTH raises OverflowGuardError.
 
     Every float slope is a dyadic rational c = p/q in lowest terms.  With n
@@ -484,14 +492,12 @@ def compose_apply(
     than the cardinal series go through pw_eval unchanged; each route guards
     its own targets.
     """
-    if half_width is not None:
-        if not isinstance(half_width, numbers.Integral) or half_width < 0:
-            raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
-        n_out = int(half_width)
-    else:
+    if half_width is None:
         n_out = f.half_width / abs(phi.c) if grow else f.half_width
-    _guard_size(n_out, "target window half width")
-    n_out = math.ceil(n_out)
+        _guard_size(n_out, "target window half width")
+        n_out = math.ceil(n_out)
+    else:
+        n_out = _count(half_width, "target window half width")
     out = _coset_sum(phi, f, n_out)
     if out is None:
         out = pw_eval(f, phi(grid(f.a, n_out)))
@@ -616,8 +622,7 @@ def composed_inner_product(
     * sum|v| * sum|w| * e^(a |Im s|)) with v, w the sample vectors.  Used wherever
     windowed re-sampling would lose mass (orbit norms, defect checks, adjoint pairings).
     """
-    if f.a != g.a:
-        raise BandwidthMismatchError(f"bandwidths differ: {f.a} vs {g.a}")
+    _same_bandwidth(f.a, g.a)
     swap = (abs(phi1.c), phi1.c) < (abs(phi2.c), phi2.c)
     if swap:
         phi1, f, phi2, g = phi2, g, phi1, f

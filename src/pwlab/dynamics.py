@@ -19,15 +19,16 @@ import numpy as np
 from .core import (
     OVERFLOW_EXPONENT,
     AffineSymbol,
-    BandwidthMismatchError,
     PwFunction,
     PwLabError,
     _bandwidth,
+    _count,
     _guard_exponent,
     _guard_size,
     _guard_square,
     _iterate_table,
     _pairings,
+    _same_bandwidth,
     kernel_norm_sq,
     pw_eval,
     scaled,
@@ -69,8 +70,7 @@ def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, n
     d_n|) guards that exponent itself.  The row n_max (_iterate_table's bits)
     is guarded first, then _MAX_HORIZON, so a horizon past either builds no table.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _count(n_max, "orbit horizon", limit=None)
     what, limit = "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT
     # in the table's bits (np.log, not math.log), so this raises only where the table's guard would
     (cn,), (dn,) = _iterate_table(phi.c, phi.d, (n_max,))
@@ -96,8 +96,7 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     _guard_square raises at the first n whose square rounds to <= 0, as
     composed_norm does.
     """
-    if f.a != a:
-        raise BandwidthMismatchError("probe bandwidth differs from the requested space")
+    _same_bandwidth(f.a, a)
     c, y = _orbit_parts(phi, a, n_max)
     squares = (math.pi / (a * c[1:])) * _pairings(a, f.samples, f.samples, 1.0, 2j * y[1:]).real
     _guard_square(squares, a, c[1:], y[1:], f.samples)
@@ -159,6 +158,8 @@ def classify(phi: AffineSymbol, a: float) -> PropertyReport:
             "with its adjoint" if c == 1.0 else
             "c=-1, d real: the operator is self-inverse (applying it twice gives the "
             "identity) and isometric, hence normal" if normal else
+            "c=-1, d not real: C*C and CC* multiply the transform by e^{-2 Im(d) t} "
+            "and e^{2 Im(d) t}, which differ, so they cannot agree" if c == -1.0 else
             "the scaling part strictly contracts the band, so C*C and CC* act on "
             "different supports and cannot agree"
         ),
@@ -291,8 +292,8 @@ def expansivity_certificate(
     """
     if f.is_zero():
         raise ValueError("expansivity needs a nonzero vector")
-    if f.a != a:
-        raise BandwidthMismatchError("probe bandwidth differs from the requested space")
+    _same_bandwidth(f.a, a)
+    horizon = _count(horizon, "orbit horizon", limit=None)
     unit = scaled(f, 1.0 / f.norm())
     report = classify(phi, a)
     if not report.positively_expansive:
@@ -336,8 +337,7 @@ def cesaro_averages(
     phi: AffineSymbol, a: float, f: PwFunction, n_max: int
 ) -> np.ndarray:
     """A_n = (1/n) sum_{j=1..n} ||C_phi^j f|| for n = 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = _count(n_max, "orbit horizon", least=1, limit=None)
     trace = orbit_norms(phi, a, f, n_max)
     return np.cumsum(trace.norms[1:]) / np.arange(1, n_max + 1)
 
@@ -350,11 +350,9 @@ def cesaro_lower_envelope(phi: AffineSymbol, f: PwFunction, n_max: int) -> np.nd
     scales with f.  _orbit_parts' table passes the squared orbit norms' guard,
     so the envelope admits the horizons cesaro_averages admits.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = _count(n_max, "orbit horizon", least=1, limit=_MAX_HORIZON)
     if abs(phi.c) >= 1.0:
         raise ValueError("the envelope needs a strictly contracting symbol, 0<|c|<1")
-    _guard_size(n_max, "orbit horizon", _MAX_HORIZON)
     c, y = _orbit_parts(phi, f.a, n_max)
     m, tau = f.norm(), 0.0
     if phi.d.imag != 0.0:
@@ -429,7 +427,7 @@ class Pseudotrajectory:
         return np.concatenate(([0.0], np.diagonal(cum)))
 
     def term_norm(self, n: int) -> float:
-        if not 0 <= n <= self.n_max + 1:
+        if _count(n, "term index", limit=None) > self.n_max + 1:
             raise ValueError("term index outside 0..n_max+1")
         return self.coefficient * math.sqrt(max(self._block_sums()[n], 0.0))
 
@@ -440,15 +438,13 @@ class Pseudotrajectory:
         1..n+1, so their difference is -coefficient C_phi seed for every n;
         its norm is (delta / step_norm) times the root of gram[0, 0], step_norm.
         """
-        if not 0 <= n <= self.n_max:
+        if _count(n, "defect index", limit=None) > self.n_max:
             raise ValueError("defect index outside 0..n_max")
         return self.coefficient * math.sqrt(max(self.gram[0, 0].real, 0.0))
 
     def value_at_fixed_point(self, n: int) -> complex:
         """f_n(alpha) = n * coefficient * f(alpha): every iterate fixes alpha."""
-        if n < 0:
-            raise ValueError("term index must be nonnegative")
-        return n * self.coefficient * self.seed_at_fixed_point
+        return _count(n, "term index", limit=None) * self.coefficient * self.seed_at_fixed_point
 
 
 def build_pseudotrajectory(
@@ -466,10 +462,8 @@ def build_pseudotrajectory(
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
     if not 0.0 < delta < math.inf:  # NaN fails both comparisons
         raise ValueError("delta must be positive and finite")
-    if f.a != a:
-        raise BandwidthMismatchError("seed bandwidth differs from the requested space")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _same_bandwidth(f.a, a)
+    n_max = _count(n_max, "pseudotrajectory horizon", limit=None)
     _guard_size((n_max + 1) ** 2, "pseudotrajectory gram entries", _MAX_GRAM_ENTRIES)
     f_alpha = _value_off_zero(f, phi.fixed_point(), "seed vanishes at fixed point")
     c, y = _orbit_parts(phi, a, n_max + 1)
@@ -508,11 +502,9 @@ def shadowing_divergence(
     |c|^{-j} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the samples
     of f and g.  f(alpha) is the pseudotrajectory's own.
     """
-    if g.a != P.a:
-        raise BandwidthMismatchError("candidate bandwidth differs from the pseudotrajectory space")
-    if n_max is None:
-        n_max = P.n_max
-    if not 1 <= n_max <= P.n_max:
+    _same_bandwidth(g.a, P.a)
+    n_max = _count(P.n_max if n_max is None else n_max, "divergence horizon", least=1, limit=None)
+    if n_max > P.n_max:
         raise ValueError("n_max outside 1..P.n_max")
     alpha = P.phi.fixed_point()
     f_alpha = P.seed_at_fixed_point

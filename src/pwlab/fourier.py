@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _guard_exponent,
-                   _guard_half_width, _guard_size)
+from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _count, _guard_exponent,
+                   _same_bandwidth)
 
 # Most grid points to_l2 builds: its zero-padded samples, their FFT and the
 # scaled copy that L2Function keeps take about 48 bytes a point at the peak,
@@ -48,8 +48,8 @@ _MAX_GRID_POINTS = 1 << 24
 
 
 def l2_grid(a: float, m_points: int) -> np.ndarray:
-    j = np.arange(m_points)
-    return -a + (j + 0.5) * (2.0 * a / m_points)
+    m = _count(m_points, "grid points", least=1, limit=None)
+    return -a + (np.arange(m) + 0.5) * (2.0 * a / m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +82,9 @@ class L2Function:
         return math.sqrt(dt) * float(np.linalg.norm(self.values))
 
     def inner(self, other: "L2Function") -> complex:
-        if self.a != other.a or self.m_points != other.m_points:
-            raise ValueError("inner product needs matching interval and grid")
+        _same_bandwidth(self.a, other.a)
+        if self.m_points != other.m_points:
+            raise ValueError("inner product needs matching grids")
         dt = 2.0 * self.a / self.m_points
         return dt * complex(np.sum(self.values * np.conj(other.values)))
 
@@ -101,12 +102,10 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     M < 2N+1 points would fold distinct nodes onto one frequency and raises
     AliasingError; one past _MAX_GRID_POINTS raises OverflowGuardError.
     """
-    if m_points < 2:
-        raise ValueError("m_points must be at least 2")
-    _guard_size(m_points, "grid points", _MAX_GRID_POINTS)
-    if m_points < f.samples.size:
-        raise AliasingError(f"m_points {m_points} < 2N+1 = {f.samples.size} would alias the samples")
-    a, m = f.a, m_points
+    m = _count(m_points, "grid points", least=2, limit=_MAX_GRID_POINTS)
+    if m < f.samples.size:
+        raise AliasingError(f"m_points {m} < 2N+1 = {f.samples.size} would alias the samples")
+    a = f.a
     n = np.arange(-f.half_width, f.half_width + 1)
     g = np.zeros(m, dtype=np.complex128)
     g[n % m] = f.samples * _twiddle(n, m)  # M >= 2N+1: the indices n % M are distinct
@@ -163,12 +162,10 @@ def from_l2(F: L2Function, half_width: int) -> PwFunction:
     A window of 2N+1 > M nodes would read frequencies that the grid folds onto
     others and raises AliasingError, to_l2's rule mirrored, before any allocation.
     """
-    if 2 * half_width + 1 > F.m_points:
-        raise AliasingError(f"2N+1 = {2 * half_width + 1} > m_points {F.m_points} would alias the coefficients")
-    _guard_half_width(half_width)
-    a = F.a
-    coef = _coefficients(F, half_width)
-    return PwFunction(a, math.sqrt(a / math.pi) * coef)
+    n = _count(half_width, "window half width", limit=None)  # the grid bounds the window
+    if 2 * n + 1 > F.m_points:
+        raise AliasingError(f"2N+1 = {2 * n + 1} > m_points {F.m_points} would alias the coefficients")
+    return PwFunction(F.a, math.sqrt(F.a / math.pi) * _coefficients(F, n))
 
 
 def _grid_exp(w: complex, a: float, m: int, lo: int, count: int) -> np.ndarray:

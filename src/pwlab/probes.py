@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import PwFunction, _guard_half_width, grid, pw_eval
+from .core import PwFunction, _count, grid, pw_eval
 
 # cos^6 theta = 2^-6 sum_{|k| <= 3} binom(6, 3 + k) e^{2 i k theta}: the node
 # samples of spectral_pulse(z, w) / w at x_k = k pi / w
@@ -50,7 +50,7 @@ def smooth_probe(
         raise ValueError("band must lie in (0, 1]")
     if not (0.0 <= spread < math.inf):
         raise ValueError(f"spread must be nonnegative and finite, got {spread!r}")
-    _guard_half_width(half_width)
+    half_width = _count(half_width, "window half width")
     x = grid(a, half_width)
     coeffs = rng.standard_normal(_PULSE_COUNT) + 1j * rng.standard_normal(_PULSE_COUNT)
     centers = rng.uniform(-spread * half_width, spread * half_width, size=_PULSE_COUNT) * (math.pi / a)
@@ -59,17 +59,16 @@ def smooth_probe(
 
 def rough_probe(a: float, half_width: int, rng: np.random.Generator) -> PwFunction:
     """Full-band probe: iid complex normal node samples."""
-    _guard_half_width(half_width)
-    n = 2 * half_width + 1
+    n = 2 * _count(half_width, "window half width") + 1
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PwFunction(a, samples)
 
 
 def node_function(a: float, half_width: int, node: int = 0) -> PwFunction:
     """The cardinal function at node x_node: samples are the indicator of the node."""
-    _guard_half_width(half_width)
-    if abs(node) > half_width:
-        raise ValueError("node outside the window")
+    half_width = _count(half_width, "window half width")
+    if _count(node, "node", least=-half_width, limit=None) > half_width:
+        raise ValueError(f"node must be an integer <= {half_width}, got {node!r}")
     samples = np.zeros(2 * half_width + 1, dtype=np.complex128)
     samples[node + half_width] = 1.0
     return PwFunction(a, samples)

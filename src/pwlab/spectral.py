@@ -29,6 +29,7 @@ from .core import (
     KernelPoint,
     OverflowGuardError,
     _bandwidth,
+    _count,
     _guard_exponent,
     _guard_size,
     _iterate_parts,
@@ -84,8 +85,7 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     the route stays independent of the closed forms C1..C3 hold it against.  Past
     _MAX_SECTION_ENTRIES entries it raises OverflowGuardError before allocating.
     """
-    if half_width < 1:
-        raise ValueError("half_width must be at least 1")
+    half_width = _count(half_width, "section half width", least=1, limit=None)
     _bandwidth(a)
     size = 2 * half_width + 1
     _guard_size(size * size, f"section of {size} x {size}: entries", _MAX_SECTION_ENTRIES)
@@ -334,9 +334,8 @@ def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
     Gelfand every n gives an upper edge for the spectral radius.
     """
     _bandwidth(a)
-    if n < 1 or n != int(n):
-        raise ValueError("n must be a positive integer")
-    d_n = _iterate_parts(phi.c, phi.d, int(n))[1]
+    n = _count(n, "norm power n", least=1, limit=None)
+    d_n = _iterate_parts(phi.c, phi.d, n)[1]
     expo = _guard_exponent(a * abs(d_n.imag) / n, "norm exponent")
     return 1.0 / math.sqrt(abs(phi.c)) * math.exp(expo)
 
@@ -362,9 +361,7 @@ def spectral_radius_estimate(
     matrix powers: the n-th matrix is the section of the n-th operator, not
     the n-th power of a section.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    _guard_size(n_max, "radius horizon")
+    n_max = _count(n_max, "radius horizon", least=1)
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         section = build_matrix(phi.iterate(n), a, half_width)
@@ -387,9 +384,7 @@ class SpectrumDescriptor:
     d: complex | None = None
 
     def boundary_samples(self, count: int = 512) -> np.ndarray:
-        if count < 1:
-            raise ValueError("boundary count must be at least 1")
-        _guard_size(count, "boundary count")
+        count = _count(count, "boundary count", least=1)
         if self.kind == "two-point-set":
             return np.array([-1.0 + 0.0j, 1.0 + 0.0j])
         if self.kind == "closed-disk":
@@ -448,9 +443,7 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     composition operator on PW_a is compact.
     """
     _bandwidth(a)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    _guard_size(n_max, "witness horizon")
+    n_max = _count(n_max, "witness horizon", least=1)
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         point = KernelPoint(a, n * math.pi / a)

@@ -365,7 +365,7 @@ class TestExitCodes:
             code, out, err = run(capsys, "spectrum", "--a", "1", "--c", "0.5",
                                  f"--boundary-count={count}")
             assert code == EXIT_INVALID_CONFIG and not out
-            assert "boundary count must be at least 1" in err
+            assert "boundary count must be an integer >= 1" in err
 
     def test_nan_kernel_point(self, capsys):
         code, _, err = run(capsys, "kernel", "--a", "1", "--w", "nan")

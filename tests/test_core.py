@@ -577,7 +577,7 @@ class TestComposition:
         f = pwlab.node_function(1.0, 8)
         for phi in (AffineSymbol(1.0, 0.0), AffineSymbol(0.5, 0.3)):
             for bad in (-1, -20, 2.7, 3.0, "4"):
-                with pytest.raises(ValueError, match="half_width"):
+                with pytest.raises(ValueError, match="target window half width must be an integer >= 0"):
                     pwlab.compose_apply(phi, f, half_width=bad)
             assert pwlab.compose_apply(phi, f, half_width=np.int64(0)).half_width == 0
 

@@ -297,6 +297,23 @@ class TestClassify:
         with pytest.raises(KeyError):
             texts["bounded"]
 
+    def test_reflection_with_complex_d_is_not_normal_by_its_weights(self):
+        # |c| = 1 contracts nothing: C*C and CC* are the multiplications by e^{-2 Im(d) t}
+        # and e^{2 Im(d) t}, which the Fourier picture's apply and adjoint norms show
+        phi = AffineSymbol(-1.0, 0.3 + 0.5j)
+        report = pwlab.classify(phi, 1.0)
+        reason = dict(report.justifications)["normal"]
+        assert report.normal is False
+        assert "contracts" not in reason
+        assert "e^{-2 Im(d) t}" in reason and "e^{2 Im(d) t}" in reason
+        F = pwlab.to_l2(pwlab.smooth_probe(1.0, 24, np.random.default_rng(SEED + 41)), 4096)
+        t, dt = F.grid(), 2.0 / F.m_points
+        mass = np.abs(F.values) ** 2 * dt
+        for op, sign in ((pwlab.weighted_compose_apply, -1.0), (pwlab.weighted_compose_adjoint, 1.0)):
+            expected = float(np.sum(mass * np.exp(sign * 2.0 * phi.d.imag * t)))
+            assert abs(op(phi, F).norm() ** 2 / expected - 1.0) < 1e-12
+        assert abs(pwlab.weighted_compose_apply(phi, F).norm() - pwlab.weighted_compose_adjoint(phi, F).norm()) > 1e-3
+
     def test_bandwidth_independence_of_most_flags(self):
         # only norms depend on a; the flag table must not
         for a in (0.5, 1.0, math.pi):
@@ -463,9 +480,9 @@ class TestCesaro:
         phi, f = AffineSymbol(0.5, 0.3), pwlab.node_function(1.0, 8)
         # an empty horizon and a non-contracting symbol raise before any work
         for n_max in (0, -5):
-            with pytest.raises(ValueError, match="n_max must be at least 1"):
+            with pytest.raises(ValueError, match="orbit horizon must be an integer >= 1"):
                 pwlab.cesaro_lower_envelope(phi, f, n_max)
-            with pytest.raises(ValueError, match="n_max must be at least 1"):
+            with pytest.raises(ValueError, match="orbit horizon must be an integer >= 1"):
                 pwlab.cesaro_averages(phi, 1.0, f, n_max)
         for psi in (AffineSymbol(1.0, 1j), AffineSymbol(-1.0, 0.3)):
             with pytest.raises(ValueError, match="strictly contracting"):

@@ -96,7 +96,7 @@ class TestTransform:
         np.testing.assert_allclose(back.samples[27:-27], f.samples, atol=1e-12)
         assert np.max(np.abs(back.samples[:27])) < 1e-12 and np.max(np.abs(back.samples[-27:])) < 1e-12
         for half_width in (-1, 2.5):
-            with pytest.raises(ValueError, match="nonnegative integer"):
+            with pytest.raises(ValueError, match="window half width must be an integer >= 0"):
                 pwlab.from_l2(F, half_width)
 
     def test_round_trip_wider_window_pads_with_zeros(self):

@@ -4,9 +4,14 @@ Size caps: a window, count, horizon, grid or matrix past its cap raises before i
 
 Input checks: each public check that no other test reaches raises its own type and message.
 
+Counts: every integer argument of the public API passes core._count, and no module checks one by hand.
+
 edge_sweep is importable on its own (tests on the path), so a wider sweep can
 run outside pytest with numpy's RuntimeWarnings turned into errors.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,26 +160,28 @@ INPUT_CHECKS = [
     ("orbit norms not finite", lambda: dynamics.OrbitTrace(np.array([1.0, np.nan])), ValueError,
      "finite nonnegative sequence"),
     ("pseudotrajectory n_max", lambda: pwlab.build_pseudotrajectory(
-        AffineSymbol(0.5, 0.0), 1.0, pwlab.node_function(1.0, 4), 0.1, -1), ValueError, "n_max must be nonnegative"),
-    ("to_l2 one point", lambda: pwlab.to_l2(pwlab.node_function(1.0, 0), 1), ValueError, "m_points must be at least 2"),
-    ("node outside the window", lambda: pwlab.node_function(1.0, 4, -5), ValueError, "node outside the window"),
+        AffineSymbol(0.5, 0.0), 1.0, pwlab.node_function(1.0, 4), 0.1, -1), ValueError,
+     "pseudotrajectory horizon must be an integer >= 0"),
+    ("to_l2 one point", lambda: pwlab.to_l2(pwlab.node_function(1.0, 0), 1), ValueError,
+     "grid points must be an integer >= 2"),
+    ("node outside the window", lambda: pwlab.node_function(1.0, 4, -5), ValueError, "node must be an integer >= -4"),
     ("smooth probe half width", lambda: pwlab.smooth_probe(1.0, -1, np.random.default_rng(SEED)), ValueError,
-     "window half width must be a nonnegative integer"),
+     "window half width must be an integer >= 0"),
     ("rough probe half width", lambda: pwlab.rough_probe(1.0, 2.5, np.random.default_rng(SEED)), ValueError,
-     "window half width must be a nonnegative integer"),
+     "window half width must be an integer >= 0"),
     ("node function half width", lambda: pwlab.node_function(1.0, -1), ValueError,
-     "window half width must be a nonnegative integer"),
+     "window half width must be an integer >= 0"),
     ("kernel window half width", lambda: pwlab.KernelPoint(1.0, 0.5).to_pw(-1), ValueError,
-     "window half width must be a nonnegative integer"),
+     "window half width must be an integer >= 0"),
     ("section half width", lambda: pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 0), ValueError,
-     "half_width must be at least 1"),
+     "section half width must be an integer >= 1"),
     # every entry is in range, but the norm 3e308 of the 3 x 3 matrix of 1e308 is not
     ("section norm overflow", lambda: pwlab.operator_norm_estimate(pwlab.OperatorMatrix(np.full((3, 3), 1e308))),
      OverflowGuardError, "passes the float range"),
     ("radius horizon", lambda: pwlab.spectral_radius_estimate(AffineSymbol(0.5, 1j), 1.0, 4, 0), ValueError,
-     "n_max must be at least 1"),
+     "radius horizon must be an integer >= 1"),
     ("witness horizon", lambda: pwlab.compactness_witness(AffineSymbol(0.5, 1j), 1.0, 0), ValueError,
-     "n_max must be at least 1"),
+     "witness horizon must be an integer >= 1"),
     ("cli seed literal", ["--seed", "0xZZ", "classify", "--a", "1", "--c", "0.5", "--d", "0"], EXIT_INVALID_CONFIG,
      "cannot parse integer '0xZZ'"),
     ("cli half width", ["--half-width", "0", "kernel", "--a", "1", "--w", "0"], EXIT_INVALID_CONFIG,
@@ -201,3 +208,106 @@ class TestInputChecks:
         rng = np.random.default_rng(SEED)
         wide, narrow = pwlab.rough_probe(1.0, 8, rng), pwlab.rough_probe(1.0, 3, rng)
         assert pwlab.inner_product(wide, narrow) == pwlab.inner_product(narrow, wide).conjugate()
+
+
+P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), 1.0, pwlab.node_function(1.0, 4), 0.1, 3)
+F64 = pwlab.to_l2(pwlab.node_function(1.0, 4), 64)
+NODE = pwlab.node_function(1.0, 4)
+# (what, least, an accepted value, call): every count of the public API, as core._count names it
+COUNTS = {
+    "grid half_width": ("window half width", 0, 3, lambda n: pwlab.grid(1.0, n)),
+    "to_pw half_width": ("window half width", 0, 3, lambda n: pwlab.KernelPoint(1.0, 0.5).to_pw(n)),
+    "compose_apply half_width": ("target window half width", 0, 3,
+                                 lambda n: pwlab.compose_apply(AffineSymbol(0.5, 0.3), NODE, half_width=n)),
+    "iterate n": ("iterate order", 0, 3, lambda n: AffineSymbol(0.5, 0.3).iterate(n)),
+    "l2_grid m_points": ("grid points", 1, 8, lambda n: fourier.l2_grid(1.0, n)),
+    "to_l2 m_points": ("grid points", 2, 16, lambda n: pwlab.to_l2(NODE, n)),
+    "from_l2 half_width": ("window half width", 0, 3, lambda n: pwlab.from_l2(F64, n)),
+    "build_matrix half_width": ("section half width", 1, 3, lambda n: pwlab.build_matrix(AffineSymbol(0.5, 0.3), 1.0, n)),
+    "norm_closed n": ("norm power n", 1, 3, lambda n: pwlab.norm_closed(AffineSymbol(0.5, 0.3j), 1.0, n)),
+    "spectral_radius_estimate half_width": ("section half width", 1, 3,
+                                            lambda n: pwlab.spectral_radius_estimate(AffineSymbol(0.5, 0.3), 1.0, n, 1)),
+    "spectral_radius_estimate n_max": ("radius horizon", 1, 2,
+                                       lambda n: pwlab.spectral_radius_estimate(AffineSymbol(0.5, 0.3), 1.0, 3, n)),
+    "compactness_witness n_max": ("witness horizon", 1, 3, lambda n: pwlab.compactness_witness(AffineSymbol(0.5, 1j), 1.0, n)),
+    "boundary_samples count": ("boundary count", 1, 3,
+                               lambda n: pwlab.spectrum_closed_form(AffineSymbol(0.5, 0.0), 1.0).boundary_samples(n)),
+    "max_boundary_modulus count": ("boundary count", 1, 3,
+                                   lambda n: pwlab.spectrum_closed_form(AffineSymbol(1.0, 1j), 1.0).max_boundary_modulus(n)),
+    "orbit_norms n_max": ("orbit horizon", 0, 3, lambda n: pwlab.orbit_norms(AffineSymbol(0.5, 0.3), 1.0, NODE, n)),
+    "orbit_norms_fourier n_max": ("orbit horizon", 0, 3, lambda n: pwlab.orbit_norms_fourier(AffineSymbol(0.5, 0.3), F64, n)),
+    "cesaro_averages n_max": ("orbit horizon", 1, 3, lambda n: pwlab.cesaro_averages(AffineSymbol(0.5, 0.3), 1.0, NODE, n)),
+    "cesaro_lower_envelope n_max": ("orbit horizon", 1, 3, lambda n: pwlab.cesaro_lower_envelope(AffineSymbol(0.5, 0.3), NODE, n)),
+    # an expansive symbol, whose certificate never traces the horizon
+    "expansivity_certificate horizon": ("orbit horizon", 0, 3,
+                                        lambda n: pwlab.expansivity_certificate(AffineSymbol(0.5, 0.3), 1.0, NODE, horizon=n)),
+    "build_pseudotrajectory n_max": ("pseudotrajectory horizon", 0, 3,
+                                     lambda n: pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), 1.0, NODE, 0.1, n)),
+    "shadowing_divergence n_max": ("divergence horizon", 1, 3, lambda n: pwlab.shadowing_divergence(P, NODE, n)),
+    "term_norm n": ("term index", 0, 2, P.term_norm),
+    "defect n": ("defect index", 0, 2, P.defect),
+    "value_at_fixed_point n": ("term index", 0, 2, P.value_at_fixed_point),
+    "smooth_probe half_width": ("window half width", 0, 3,
+                                lambda n: pwlab.smooth_probe(1.0, n, np.random.default_rng(SEED))),
+    "rough_probe half_width": ("window half width", 0, 3, lambda n: pwlab.rough_probe(1.0, n, np.random.default_rng(SEED))),
+    "node_function half_width": ("window half width", 0, 3, lambda n: pwlab.node_function(1.0, n)),
+    "node_function node": ("node", -4, -2, lambda n: pwlab.node_function(1.0, 4, n)),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("what, least, good, call", COUNTS.values(), ids=list(COUNTS))
+    def test_count_rule(self, what, least, good, call):
+        # a fraction, one below the least, a string and an integral float all raise by name
+        for bad in (2.5, least - 1, "4", np.float64(3.0)):
+            with pytest.raises(ValueError, match=f"{what} must be an integer >= {least}, got "):
+                call(bad)
+        # numpy integers are integers
+        call(np.int64(good))
+        call(good)
+
+    def test_one_bandwidth_rule(self):
+        # every operation on two operands of different bandwidths raises by one message
+        f, g, phi = NODE, pwlab.node_function(2.0, 4), AffineSymbol(0.5, 0.3)
+        calls = [
+            lambda: pwlab.inner_product(f, g),
+            lambda: pwlab.composed_inner_product(phi, f, phi, g),
+            lambda: pwlab.lincomb([1.0, 1.0], [f, g]),
+            lambda: pwlab.to_l2(f, 16).inner(pwlab.to_l2(g, 16)),
+            lambda: pwlab.orbit_norms(phi, 2.0, f, 3),
+            lambda: pwlab.expansivity_certificate(phi, 2.0, f),
+            lambda: pwlab.build_pseudotrajectory(phi, 2.0, f, 0.1, 3),
+            lambda: pwlab.shadowing_divergence(P, g),
+        ]
+        for call in calls:
+            with pytest.raises(pwlab.BandwidthMismatchError, match=r"bandwidths differ: [12]\.0 vs [12]\.0"):
+                call()
+
+    def test_count_rule_is_single(self):
+        # no module tests a count's integrality or lower bound by hand: core._count does, and
+        # the CLI for its own command line (outside input); a new hand-written check fails here
+        names = {"half_width", "n_max", "horizon", "count", "m_points", "node", "n"}
+
+        def name(node):
+            return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+        found = set()
+        for path in sorted(Path(pwlab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    integral = name(node) == "Integral"
+                    int_test = isinstance(node, ast.Compare) and any(
+                        isinstance(op, ast.NotEq) and isinstance(right, ast.Call) and name(right.func) == "int"
+                        for op, right in zip(node.ops, node.comparators))
+                    # n < 1, n <= 0, not 0 <= n: a count held to a constant from below
+                    lower = isinstance(node, ast.Compare) and (
+                        name(node.left) in names and isinstance(node.ops[0], (ast.Lt, ast.LtE))
+                        and isinstance(node.comparators[0], ast.Constant)
+                        or isinstance(node.left, ast.Constant) and isinstance(node.ops[0], (ast.Lt, ast.LtE))
+                        and name(node.comparators[0]) in names)
+                    if integral or int_test or lower:
+                        found.add((path.stem, fn.name))
+        assert found == {("core", "_count"), ("cli", "main")}
