@@ -8,6 +8,7 @@ spectra, orbit growth, and dynamical classifications against closed forms.
 """
 
 from .core import (
+    DEFAULT_SEED,
     OVERFLOW_EXPONENT,
     AdmissibilityError,
     AffineSymbol,
@@ -62,6 +63,6 @@ from .spectral import (
     spectral_radius_estimate,
     spectrum_closed_form,
 )
-from .verify import DEFAULT_SEED, CheckResult, run_all
+from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"

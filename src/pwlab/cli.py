@@ -36,6 +36,7 @@ import sys
 import numpy as np
 
 from .core import (
+    DEFAULT_SEED,
     AffineSymbol,
     KernelPoint,
     OverflowGuardError,
@@ -46,7 +47,7 @@ from .core import (
 from .dynamics import build_pseudotrajectory, cesaro_averages, classify, orbit_norms, shadowing_divergence
 from .probes import node_function, rough_probe, smooth_probe
 from .spectral import _largest_singular_value, build_matrix, norm_closed, spectrum_closed_form
-from .verify import DEFAULT_SEED, run_all
+from .verify import run_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -127,7 +128,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     # the exact norm e^{a |Im d|}/sqrt|c|; a section is a compression, so it stays below
     closed = norm_closed(phi, args.a)
     entries = build_matrix(phi, args.a, args.half_width).entries
-    norm = _largest_singular_value(entries, args.tol, args.seed)
+    norm = _largest_singular_value(entries)
     record = {
         "a": args.a,
         "c": phi.c,
@@ -230,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=parse_int_literal, default=DEFAULT_SEED, help="RNG seed for probes")
     parser.add_argument("--half-width", dest="half_width", type=int, default=128, help="window half width N")
     parser.add_argument("--n-max", dest="n_max", type=int, default=12, help="orbit horizon")
-    parser.add_argument("--tol", type=float, default=1e-10, help="iteration tolerance")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -295,8 +295,6 @@ def main(argv=None) -> int:
     try:
         if args.half_width < 1 or args.n_max < 1:
             raise ValueError("half_width, n_max must be positive")
-        if not 0.0 < args.tol < 1.0:
-            raise ValueError(f"tol must be finite with 0 < tol < 1, got {args.tol!r}")
         return args.func(args)
     except OverflowGuardError as exc:
         print(f"overflow guard: {exc}", file=sys.stderr)

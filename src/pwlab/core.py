@@ -50,6 +50,10 @@ import numpy as np
 # reject exponents beyond this before exp() can overflow or drown precision.
 OVERFLOW_EXPONENT = 300.0
 
+# The one seed of the package's pinned draws: the acceptance checks, the
+# section norm's two Lanczos starts and pwlab's default --seed for probes.
+DEFAULT_SEED = 0x50572024
+
 # Largest window half width compose_apply, KernelPoint.to_pw and the probes
 # build (and boundary count).  A window holds 2N+1 complex samples, and its
 # grid, targets and samples take a few such arrays, so this caps them at tens

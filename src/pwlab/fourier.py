@@ -262,10 +262,8 @@ def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
     # e^{-i conj(d) t} on |t| < a stays within e^{a |Im d|}
     _guard_exponent(abs(phi.d.imag) * F.a, "weight exponent")
     a, c, d, m = F.a, phi.c, phi.d, F.m_points
-    if c == 1.0:
-        inner = F.values
-    elif c == -1.0:
-        inner = F.values[::-1]
+    if abs(c) == 1.0:  # c t is the grid itself, reversed for c = -1
+        inner = F.values[:: int(c)]
     else:
         inner = _values_at(F, c * (-a + 0.5 * (2.0 * a / m)), 2.0 * a * c / m, m)
     return L2Function(a, _grid_exp(-1j * np.conj(d), a, m, 0, m) * inner)

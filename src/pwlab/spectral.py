@@ -2,11 +2,13 @@
 
 Numerical estimates here come from one tool only: Lanczos with full
 reorthogonalization for the largest singular value of the finite section in
-the node basis, certified by an explicit eigen-residual.  A step costs two
-products with the section, the reorthogonalization (two products with the
-basis as stored, no conjugated copy of it) and O(k) scalar work: the top
-Ritz pair of the k x k tridiagonal comes from a Newton solve on its LDL^T
-pivots, and a dense eigensolver runs only where a certificate is tested.
+the node basis, certified by an explicit eigen-residual.  It takes no
+settings: the tolerance is the constant _TOL and both starts are drawn from
+core.DEFAULT_SEED.  A step costs two products with the section, the
+reorthogonalization (two products with the basis as stored, no conjugated
+copy of it) and O(k) scalar work: the top Ritz pair of the k x k tridiagonal
+comes from a Newton solve on its LDL^T pivots, and a dense eigensolver runs
+only where a certificate is tested.
 The iteration runs on the section scaled by a power of two, read from its
 largest real or imaginary part, so no |entry| is formed; build_matrix reads
 each row as a window of one of q short sinc kernels (c = p/q; each row its own
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_SEED,
     AffineSymbol,
     KernelPoint,
     OverflowGuardError,
@@ -39,6 +42,10 @@ from .core import (
 # Largest section build_matrix allocates: (2N+1)^2 complex entries, 1 GiB at
 # 2^26, so N <= 4095.  The widest section in use (N = 512) is 64 times smaller.
 _MAX_SECTION_ENTRIES = 1 << 26
+
+# Lanczos tolerance of the section norm: a start stops once its explicit residual
+# ||Hy - theta y|| / theta is at most sqrt(_TOL) = 1e-5.
+_TOL = 1e-10
 
 # spectral_radius_estimate and compactness_witness hold one float per n and
 # build one section or kernel pair per n, so their horizons take the window
@@ -137,7 +144,7 @@ class NormEstimate:
         scalar work for the top Ritz pair of the tridiagonal (a Newton solve
         on its LDL^T pivots).
     certificate: the test that stopped the start giving value: "residual"
-        (||Hy - theta y|| <= sqrt(tol) theta) or "invariant" (the Krylov
+        (||Hy - theta y|| <= sqrt(_TOL) theta) or "invariant" (the Krylov
         space is invariant under H, so its Ritz values are eigenvalues).
     residual: ||Hy - theta y|| / theta of that start, Hy = A*(A y).
     start_gap: |value_1 - value_2| / value between the two starts.
@@ -213,7 +220,7 @@ def _top_ritz(rows: list, theta: float, s2: float) -> tuple[float, float]:
         x = step
 
 
-def _lanczos(h, q: np.ndarray, tol: float):
+def _lanczos(h, q: np.ndarray):
     """Top eigenpair of the Hermitian map v -> h(v) by fully reorthogonalized Lanczos.
 
     Returns (theta, residual, steps, certificate), residual the explicit
@@ -228,13 +235,13 @@ def _lanczos(h, q: np.ndarray, tol: float):
     eigenvector, come from _top_ritz on the alpha_i and beta_i kept as Python
     floats.  The tridiagonal is formed, and one eigh gives the Ritz vector y,
     only where a certificate is tested.  From the third step on, a step
-    whose estimate beta_k |s_k| passes sqrt(tol) theta is checked by the
-    explicit residual, which certifies an eigenvalue of h within sqrt(tol)
+    whose estimate beta_k |s_k| passes sqrt(_TOL) theta is checked by the
+    explicit residual, which certifies an eigenvalue of h within sqrt(_TOL)
     theta of theta; a start that no residual test certifies runs on to the
     invariant space.
     """
     dim = q.size
-    res_tol = math.sqrt(tol)
+    res_tol = math.sqrt(_TOL)
     basis = np.empty((dim, dim), dtype=np.complex128)
     basis[0] = q
     rows, betas = [], []
@@ -267,16 +274,15 @@ def _lanczos(h, q: np.ndarray, tol: float):
         betas.append(beta)
 
 
-def _largest_singular_value(mat: np.ndarray, tol: float, seed: int) -> NormEstimate:
-    """Lanczos on H v = A*(A v) from two seeded starts, the larger certified value.
+def _largest_singular_value(mat: np.ndarray) -> NormEstimate:
+    """Lanczos on H v = A*(A v) from two random starts, the larger certified value.
 
     The Krylov dimension is at most the number of columns of A, where
     the space is invariant, so each start certifies.  A second random start
     guards against an unlucky first vector sitting near an invariant
-    subspace below the top.
+    subspace below the top.  Both starts are drawn from DEFAULT_SEED, so a
+    section always takes the same steps to the same value.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
     # work on 2^-e A with max(|Re|, |Im|) over its entries in [1/2, 1), so max|entry| in
     # [1/2, sqrt 2): two reductions over the float view read e, with no |entry| pass, and the
     # scaling is exact, so every result in range keeps its bits.  A unit v has |Av| < sqrt(2) dim
@@ -288,15 +294,13 @@ def _largest_singular_value(mat: np.ndarray, tol: float, seed: int) -> NormEstim
         raise OverflowGuardError("section entries are not finite")
     e = math.frexp(max(hi, -lo))[1]
     mat = np.ldexp(parts, -e).view(complex)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     dim = mat.shape[1]
     runs = []
     for _ in range(2):
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         q /= np.linalg.norm(q)
-        theta, residual, steps, certificate = _lanczos(
-            lambda v: ((mat @ v).conj() @ mat).conj(), q, tol
-        )
+        theta, residual, steps, certificate = _lanczos(lambda v: ((mat @ v).conj() @ mat).conj(), q)
         runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
     top, residual, _, certificate = max(runs)
     gap = abs(runs[0][0] - runs[1][0]) / top if top > 0.0 else 0.0
@@ -307,21 +311,22 @@ def _largest_singular_value(mat: np.ndarray, tol: float, seed: int) -> NormEstim
     return NormEstimate(value, (runs[0][2], runs[1][2]), certificate, residual, gap)
 
 
-def operator_norm_estimate(T: OperatorMatrix, seed: int = 0) -> float:
+def operator_norm_estimate(T: OperatorMatrix) -> float:
     """Largest singular value of the section by certified Lanczos on v -> A*(A v).
 
-    The tolerance is tol = 1e-10 (pwlab norm --tol sets another).
-    Worst-case certified relative error is about sqrt(tol)/2 (the residual
+    The tolerance is _TOL = 1e-10 and the two starts are drawn from
+    DEFAULT_SEED, so the value is a function of the section alone.
+    Worst-case certified relative error is about sqrt(_TOL)/2 (the residual
     certificate, reached on sections whose top singular values form a flat
-    cluster); sections with a separated top converge far tighter.  The Krylov dimension per
-    start is at most the section's size.  The iteration runs on the section
-    scaled by the power of two that brings its largest real or imaginary
-    part into [1/2, 1), so A v and A*(A v) stay in range for every section
-    build_matrix admits; non-finite entries or a norm past the float range
+    cluster); sections with a separated top converge far tighter.  The Krylov
+    dimension per start is at most the section's size.  The iteration runs on
+    the section scaled by the power of two that brings its largest real or
+    imaginary part into [1/2, 1), so A v and A*(A v) stay in range for every
+    section build_matrix admits; non-finite entries or a norm past the float range
     raise OverflowGuardError.  The steps, certificate and residual behind
     the value are in _largest_singular_value's NormEstimate.
     """
-    return _largest_singular_value(np.asarray(T.entries), 1e-10, seed).value
+    return _largest_singular_value(np.asarray(T.entries)).value
 
 
 def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
@@ -348,13 +353,7 @@ def spectral_radius_closed(phi: AffineSymbol, a: float) -> float:
     return math.exp(_guard_exponent(abs(phi.d.imag) * a, "radius exponent"))
 
 
-def spectral_radius_estimate(
-    phi: AffineSymbol,
-    a: float,
-    half_width: int,
-    n_max: int,
-    seed: int = 0,
-) -> np.ndarray:
+def spectral_radius_estimate(phi: AffineSymbol, a: float, half_width: int, n_max: int) -> np.ndarray:
     """s_n = ||section of C_{phi^[n]}||^{1/n} for n = 1..n_max.
 
     Each iterate enters through its closed form (c^n, d_n), never through
@@ -365,7 +364,7 @@ def spectral_radius_estimate(
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         section = build_matrix(phi.iterate(n), a, half_width)
-        out[n - 1] = operator_norm_estimate(section, seed=seed) ** (1.0 / n)
+        out[n - 1] = operator_norm_estimate(section) ** (1.0 / n)
     return out
 
 
@@ -393,8 +392,9 @@ class SpectrumDescriptor:
         t = np.linspace(-self.a, self.a, count)
         return np.exp(1j * self.d * t)
 
-    def max_boundary_modulus(self, count: int = 512) -> float:
-        return float(np.max(np.abs(self.boundary_samples(count))))
+    def max_boundary_modulus(self) -> float:
+        """Largest |lambda| over 1025 boundary samples; an arc's run from t = -a to t = a."""
+        return float(np.max(np.abs(self.boundary_samples(1025))))
 
     def contains(self, lam: complex) -> bool:
         """lam lies within 1e-9 of the spectrum."""

@@ -206,14 +206,15 @@ def dense_transform(a, samples, s):
     return math.sqrt(math.pi / a) / math.sqrt(2.0 * a) * out
 
 
-def dense_gram_norm(entries, tol, seed):
+def dense_gram_norm(entries):
     """Section norm by Lanczos on the dense Gram matrix A*A, formed and Hermitized.
 
     The reference for _largest_singular_value, which applies A*A to vectors
-    as A*(A v): the same exact power-of-two scaling, seeded starts and
-    _lanczos, but H is one N x N product, symmetrized as (H + H*)/2.
-    Returns (value, steps, certificate, residual) of the larger start.
+    as A*(A v): the same exact power-of-two scaling, starts drawn from
+    DEFAULT_SEED and _lanczos, but H is one N x N product, symmetrized as
+    (H + H*)/2.  Returns (value, steps, certificate, residual) of the larger start.
     """
+    from pwlab.core import DEFAULT_SEED
     from pwlab.spectral import _lanczos
 
     mat = np.array(entries, dtype=np.complex128)
@@ -221,28 +222,31 @@ def dense_gram_norm(entries, tol, seed):
     mat = np.ldexp(mat.view(float), -e).view(complex)
     h = mat.conj().T @ mat
     h = 0.5 * (h + h.conj().T)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     dim = h.shape[0]
     runs = []
     for _ in range(2):
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         q /= np.linalg.norm(q)
-        theta, residual, steps, certificate = _lanczos(lambda v: h @ v, q, tol)
+        theta, residual, steps, certificate = _lanczos(lambda v: h @ v, q)
         runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
     top, residual, _, certificate = max(runs)
     return math.ldexp(top, e), (runs[0][2], runs[1][2]), certificate, residual
 
 
-def dense_ritz_lanczos(h, q, tol):
+def dense_ritz_lanczos(h, q):
     """spectral._lanczos with a dense eigh of the whole tridiagonal at every step.
 
     The reference for the O(k) top-Ritz solve (spectral._top_ritz): the
-    same recurrence, reorthogonalization and certificates, but theta_k and
-    s_k read off np.linalg.eigh of the (k+1) x (k+1) tridiagonal, kept in
-    an O(dim^2) array.  Returns (theta, residual, steps, certificate).
+    same recurrence, reorthogonalization and certificates at spectral._TOL,
+    but theta_k and s_k read off np.linalg.eigh of the (k+1) x (k+1)
+    tridiagonal, kept in an O(dim^2) array.  Returns (theta, residual,
+    steps, certificate).
     """
+    from pwlab import spectral
+
     dim = q.size
-    res_tol = math.sqrt(tol)
+    res_tol = math.sqrt(spectral._TOL)
     basis = np.empty((dim, dim), dtype=np.complex128)
     basis[0] = q
     tri = np.zeros((dim, dim))

@@ -107,6 +107,12 @@ class TestSubcommands:
         assert rec["certificate"] in ("residual", "invariant")
         assert 0.0 <= rec["residual"] <= 1e-5
 
+    def test_norm_does_not_read_the_seed(self, capsys):
+        # --seed draws probes; the section norm's starts always come from DEFAULT_SEED
+        argv = ["--half-width", "16", "norm", "--a", "1", "--c", "0.5", "--d", "0.3+0.4i"]
+        outs = [run(capsys, *seed, *argv) for seed in ([], ["--seed", "7"])]
+        assert outs[0][0] == EXIT_OK and outs[0] == outs[1]
+
     def test_spectrum_descriptor(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--a", "1", "--c", "1", "--d", "1i",
                            "--boundary-count", "7")
@@ -154,10 +160,10 @@ class TestSubcommands:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
-        # the run settings are the five global flags alone
+        # the run settings are the four global flags alone
         usage = capsys.readouterr().out.split("\n\n")[0]
         flags = {word.strip("[]") for word in usage.split() if word.startswith("[--")}
-        assert flags == {"--out", "--seed", "--half-width", "--n-max", "--tol"}
+        assert flags == {"--out", "--seed", "--half-width", "--n-max"}
 
 
 class TestOutputRouting:
@@ -319,16 +325,11 @@ class TestExitCodes:
         assert "section of" in err
 
     def test_removed_knobs(self, capsys):
-        # the frequency grid, the small-window profile and the config file are gone
-        for knob in (["--m-points", "1024"], ["--fast"], ["--config", "x.cfg"]):
+        # the frequency grid, the small-window profile, the config file and the section norm's
+        # tolerance are gone
+        for knob in (["--m-points", "1024"], ["--fast"], ["--config", "x.cfg"], ["--tol", "1e-8"]):
             code, out, err = run(capsys, *knob, "norm", "--a", "1", "--c", "0.5")
             assert code == EXIT_INVALID_CONFIG and not out and "usage: pwlab" in err
-
-    def test_tolerance_must_certify(self, capsys):
-        for tol in ("nan", "inf", "2", "1", "0", "-1e-3"):
-            code, _, err = run(capsys, "--tol", tol, "norm", "--a", "1", "--c", "0.5")
-            assert code == EXIT_INVALID_CONFIG
-            assert "tol" in err
 
     def test_nonfinite_shadow_delta(self, capsys):
         for delta in ("nan", "inf", "-inf"):

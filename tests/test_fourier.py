@@ -186,13 +186,17 @@ class TestWeightedComposition:
             assert abs(lhs - rhs) < 1e-4 * abs(lhs)
 
     def test_adjoint_identity_symbol_is_conjugate_weight(self):
+        # c = 1, and the reflection c = -1 with F reversed: the grid maps onto itself, so the
+        # output is the conjugate weight times F's values bit for bit, on odd and even grids
         rng = np.random.default_rng(SEED + 9)
         a = 1.0
-        F = pwlab.to_l2(pwlab.rough_probe(a, 8, rng), 512)
         d = 0.3 + 0.25j
-        out = pwlab.weighted_compose_adjoint(AffineSymbol(1.0, d), F)
-        expected = _grid_exp(-1j * np.conj(d), a, F.m_points, 0, F.m_points) * F.values
-        assert np.max(np.abs(out.values - expected)) == 0.0
+        for m in (512, 65, 4096):
+            F = pwlab.to_l2(pwlab.rough_probe(a, 8, rng), m)
+            weight = _grid_exp(-1j * np.conj(d), a, m, 0, m)
+            for c, values in ((1.0, F.values), (-1.0, F.values[::-1])):
+                out = pwlab.weighted_compose_adjoint(AffineSymbol(c, d), F)
+                np.testing.assert_array_equal(out.values, weight * values)
 
     def test_data_helper(self):
         # the weight and its support live in weighted_compose_apply alone:

@@ -165,6 +165,7 @@ INPUT_CHECKS = [
     ("to_l2 one point", lambda: pwlab.to_l2(pwlab.node_function(1.0, 0), 1), ValueError,
      "grid points must be an integer >= 2"),
     ("node outside the window", lambda: pwlab.node_function(1.0, 4, -5), ValueError, "node must be an integer >= -4"),
+    ("node past the window", lambda: pwlab.node_function(1.0, 4, 5), ValueError, "node must be an integer <= 4"),
     ("smooth probe half width", lambda: pwlab.smooth_probe(1.0, -1, np.random.default_rng(SEED)), ValueError,
      "window half width must be an integer >= 0"),
     ("rough probe half width", lambda: pwlab.rough_probe(1.0, 2.5, np.random.default_rng(SEED)), ValueError,
@@ -200,6 +201,13 @@ class TestInputChecks:
         with pytest.raises(kind, match=message):
             call()
 
+    def test_expansivity_cap_missed(self, monkeypatch):
+        # favourable tails of 2 put the doubling bound at n = 0, so the cap is 1; a unit
+        # orbit of (0.5, 0.01i) is near sqrt 2 at n = 1 and cannot reach 2 within it
+        monkeypatch.setattr(dynamics, "_favourable_tails", lambda f, imd: (np.array([2.0]), np.array([0.0])))
+        with pytest.raises(PwLabError, match="no doubling within the cap 1 "):
+            pwlab.expansivity_certificate(AffineSymbol(0.5, 0.01j), 1.0, pwlab.node_function(1.0, 4))
+
     def test_accepted_edge_inputs(self):
         # a complex slope with zero imaginary part is the real slope
         phi = AffineSymbol(complex(0.5, 0.0), 1j)
@@ -232,8 +240,6 @@ COUNTS = {
     "compactness_witness n_max": ("witness horizon", 1, 3, lambda n: pwlab.compactness_witness(AffineSymbol(0.5, 1j), 1.0, n)),
     "boundary_samples count": ("boundary count", 1, 3,
                                lambda n: pwlab.spectrum_closed_form(AffineSymbol(0.5, 0.0), 1.0).boundary_samples(n)),
-    "max_boundary_modulus count": ("boundary count", 1, 3,
-                                   lambda n: pwlab.spectrum_closed_form(AffineSymbol(1.0, 1j), 1.0).max_boundary_modulus(n)),
     "orbit_norms n_max": ("orbit horizon", 0, 3, lambda n: pwlab.orbit_norms(AffineSymbol(0.5, 0.3), 1.0, NODE, n)),
     "orbit_norms_fourier n_max": ("orbit horizon", 0, 3, lambda n: pwlab.orbit_norms_fourier(AffineSymbol(0.5, 0.3), F64, n)),
     "cesaro_averages n_max": ("orbit horizon", 1, 3, lambda n: pwlab.cesaro_averages(AffineSymbol(0.5, 0.3), 1.0, NODE, n)),

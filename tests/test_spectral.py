@@ -1,5 +1,6 @@
 """Finite sections, norm estimates, spectra, and operator-theoretic witnesses."""
 
+import inspect
 import math
 import warnings
 
@@ -137,8 +138,8 @@ class TestSections:
             for (c, d), widths in [(s, (64, 128)) for s in plateau] + [(s, (32,)) for s in slow]:
                 for n in widths:
                     phi = AffineSymbol(c, d)
-                    got = _largest_singular_value(pwlab.build_matrix(phi, a, n).entries, 1e-10, 0)
-                    ref = _largest_singular_value(direct_section(phi, a, n), 1e-10, 0)
+                    got = _largest_singular_value(pwlab.build_matrix(phi, a, n).entries)
+                    ref = _largest_singular_value(direct_section(phi, a, n))
                     assert (got.steps, got.certificate) == (ref.steps, ref.certificate), (a, c, d, n)
                     assert abs(got.value / ref.value - 1.0) <= 1e-12
 
@@ -210,7 +211,7 @@ class TestNormEstimate:
             (AffineSymbol(-0.5, 0.3 + 250j), 1.0),
         ]:
             T = pwlab.build_matrix(phi, a, 32)
-            est = pwlab.operator_norm_estimate(T, seed=SEED)
+            est = pwlab.operator_norm_estimate(T)
             assert abs(est - svd_norm(T.entries)) < 1e-5 * svd_norm(T.entries)
 
     def test_against_lapack_on_random_matrices(self):
@@ -218,13 +219,13 @@ class TestNormEstimate:
         for _ in range(5):
             entries = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
             T = OperatorMatrix(entries)
-            est = pwlab.operator_norm_estimate(T, seed=SEED)
+            est = pwlab.operator_norm_estimate(T)
             assert abs(est - svd_norm(entries)) < 1e-8 * svd_norm(entries)
             # the iteration runs on an exactly rescaled section, so powers of
             # two pass through bit for bit, even where A*(A v) would underflow
             for k in (-600, 400):
                 tiny_or_huge = OperatorMatrix(entries * 2.0**k)
-                assert pwlab.operator_norm_estimate(tiny_or_huge, seed=SEED) == est * 2.0**k
+                assert pwlab.operator_norm_estimate(tiny_or_huge) == est * 2.0**k
 
     def test_nonfinite_section_raises(self):
         # +inf in a real part, NaN in a real or an imaginary part alone, -inf in
@@ -243,7 +244,7 @@ class TestNormEstimate:
         a = 1.0
         prev = 0.0
         for n in (16, 32, 64, 128):
-            est = pwlab.operator_norm_estimate(pwlab.build_matrix(phi, a, n), seed=SEED)
+            est = pwlab.operator_norm_estimate(pwlab.build_matrix(phi, a, n))
             assert est >= prev - 1e-5 * max(prev, 1.0)
             assert est <= closed_norm(phi, a) * (1.0 + 1e-9)
             prev = est
@@ -262,7 +263,7 @@ class TestNormEstimate:
         ):
             closed = pwlab.norm_closed(phi, a)
             assert abs(closed - closed_norm(phi, a)) < 1e-14
-            est = pwlab.operator_norm_estimate(pwlab.build_matrix(phi, a, 128), seed=SEED)
+            est = pwlab.operator_norm_estimate(pwlab.build_matrix(phi, a, 128))
             assert est <= closed * (1.0 + 1e-9)
             assert est >= closed * 0.97
 
@@ -271,9 +272,9 @@ class TestNormEstimate:
         # six digits, where power iteration needed 8-10k steps
         for a, c, d in [(math.pi, 0.25, 0.0), (1.0, 0.5, 0.7)]:
             T = pwlab.build_matrix(AffineSymbol(c, d), a, 128)
-            record = _largest_singular_value(T.entries, 1e-10, SEED)
+            record = _largest_singular_value(T.entries)
             assert abs(record.value - svd_norm(T.entries)) < 1e-5 * svd_norm(T.entries)
-            assert record.value == pwlab.operator_norm_estimate(T, seed=SEED)
+            assert record.value == pwlab.operator_norm_estimate(T)
             assert max(record.steps) <= 64
             assert record.certificate == "residual"
             assert record.residual <= 1e-5
@@ -285,13 +286,12 @@ class TestNormEstimate:
         # equality is safe across BLAS kernels: over this sweep the closest
         # stopping comparison ends 1e-4 relative from its threshold, and the
         # two products differ by rounding, about 1e-15 relative
-        tol = 1e-10
         for entries in oracle_sweep():
-            record = _largest_singular_value(entries, tol, SEED)
-            value, steps, certificate, _ = dense_gram_norm(entries, tol, SEED)
+            record = _largest_singular_value(entries)
+            value, steps, certificate, _ = dense_gram_norm(entries)
             assert record.steps == steps and record.certificate == certificate
             assert abs(record.value - value) <= 1e-13 * value
-            assert record.residual <= math.sqrt(tol)
+            assert record.residual <= math.sqrt(spectral._TOL)
 
     def test_top_ritz_solve_matches_dense_eigh(self, monkeypatch):
         # the O(k) top-Ritz solve against a dense eigh of the whole tridiagonal
@@ -301,7 +301,6 @@ class TestNormEstimate:
         # np.linalg.norm, so it holds the step's own arithmetic to rounding
         # as well; the bench's plateau families (c = +-1/2, d in {i, 1+i},
         # N in {64, 128}, a drawn from [0.9, 1.1]) run it at the timed sizes
-        tol = 1e-10
         rng = np.random.default_rng(SEED)
         sections = oracle_sweep() + [
             pwlab.build_matrix(AffineSymbol(c, d), 1.0, 128).entries
@@ -314,14 +313,14 @@ class TestNormEstimate:
             for n in (64, 128)
             for _ in range(2)
         ]
-        records = [_largest_singular_value(entries, tol, SEED) for entries in sections]
+        records = [_largest_singular_value(entries) for entries in sections]
         monkeypatch.setattr(spectral, "_lanczos", dense_ritz_lanczos)
         for entries, record in zip(sections, records):
-            reference = _largest_singular_value(entries, tol, SEED)
+            reference = _largest_singular_value(entries)
             assert record.steps == reference.steps
             assert record.certificate == reference.certificate
             assert abs(record.value - reference.value) <= 1e-14 * reference.value
-            assert record.residual <= math.sqrt(tol)
+            assert record.residual <= math.sqrt(spectral._TOL)
 
     def test_deflation_edge(self, monkeypatch):
         # (-1, 0.3+250i, N = 1): the first start's third Ritz value meets the
@@ -334,33 +333,34 @@ class TestNormEstimate:
 
         monkeypatch.setattr(spectral, "_top_ritz", recorded)
         entries = pwlab.build_matrix(AffineSymbol(-1.0, 0.3 + 250j), 1.0, 1).entries
-        record = _largest_singular_value(entries, 1e-10, SEED)
+        record = _largest_singular_value(entries)
         assert ritz[2] == (ritz[1][0], 0.0)
         assert record.certificate == "invariant" and record.steps == (3, 3)
         assert abs(record.value - svd_norm(entries)) <= 1e-14 * svd_norm(entries)
 
-    def test_invariant_certificate(self):
-        # a Krylov space as wide as the section is invariant, whatever tol asks
+    def test_invariant_certificate(self, monkeypatch):
+        # a Krylov space as wide as the section is invariant, whatever tolerance is asked
+        monkeypatch.setattr(spectral, "_TOL", 1e-30)
         rng = np.random.default_rng(SEED)
         entries = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        record = _largest_singular_value(entries, 1e-30, SEED)
+        record = _largest_singular_value(entries)
         assert record.certificate == "invariant" and record.steps == (3, 3)
         assert abs(record.value - svd_norm(entries)) < 1e-13 * svd_norm(entries)
-        # tol = 1e-30 asks for more than rounding gives, so (1, i) at N = 48 certifies
+        # _TOL = 1e-30 asks for more than rounding gives, so (1, i) at N = 48 certifies
         # by some test within the section's 97 steps, at its LAPACK norm
         entries = pwlab.build_matrix(AffineSymbol(1.0, 1j), 1.0, 48).entries
-        record = _largest_singular_value(entries, 1e-30, SEED)
+        record = _largest_singular_value(entries)
         assert record.certificate in ("residual", "invariant") and max(record.steps) <= 97
         assert abs(record.value - svd_norm(entries)) <= 1e-14 * svd_norm(entries)
         # exact breakdown on the first step
-        zero = _largest_singular_value(np.zeros((5, 5), dtype=complex), 1e-10, SEED)
+        zero = _largest_singular_value(np.zeros((5, 5), dtype=complex))
         assert zero.value == 0.0 and zero.certificate == "invariant" and zero.steps == (1, 1)
 
-    def test_tolerance_must_certify(self):
-        entries = pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 4).entries
-        for tol in (math.nan, math.inf, 2.0, 1.0, 0.0, -1e-10):
-            with pytest.raises(ValueError, match="tol must be finite"):
-                _largest_singular_value(entries, tol, SEED)
+    def test_section_norm_takes_no_settings(self):
+        # the tolerance is spectral._TOL and the starts come from DEFAULT_SEED: no caller sets either
+        for fn in (pwlab.operator_norm_estimate, pwlab.spectral_radius_estimate,
+                   spectral._largest_singular_value, spectral._lanczos):
+            assert not {"tol", "seed"} & set(inspect.signature(fn).parameters), fn.__name__
 
 
 class TestTopRitz:
@@ -406,13 +406,11 @@ class TestSectionEdges:
                             with pytest.raises(pwlab.OverflowGuardError):
                                 pwlab.build_matrix(phi, 1.0, n)
                         else:
-                            value = pwlab.operator_norm_estimate(
-                                pwlab.build_matrix(phi, 1.0, n), seed=SEED
-                            )
+                            value = pwlab.operator_norm_estimate(pwlab.build_matrix(phi, 1.0, n))
                             assert math.isfinite(value)
                             assert value <= pwlab.norm_closed(phi, 1.0) * (1.0 + 1e-9)
                         try:
-                            roots = pwlab.spectral_radius_estimate(phi, 1.0, n, 3, seed=SEED)
+                            roots = pwlab.spectral_radius_estimate(phi, 1.0, n, 3)
                         except pwlab.PwLabError:
                             continue
                         for k, root in enumerate(roots, 1):
@@ -460,7 +458,7 @@ class TestSpectralRadius:
     def test_root_norm_sequence_in_bracket(self):
         phi = AffineSymbol(0.5, 1j)
         a = 1.0
-        s = pwlab.spectral_radius_estimate(phi, a, 96, 6, seed=SEED)
+        s = pwlab.spectral_radius_estimate(phi, a, 96, 6)
         assert s.shape == (6,)
         lo = pwlab.spectral_radius_closed(phi, a)
         for n in range(1, 7):
@@ -500,11 +498,9 @@ class TestSpectralRadius:
         # power of the n=1 section
         phi = AffineSymbol(0.5, 1.0)
         a = 1.0
-        s = pwlab.spectral_radius_estimate(phi, a, 48, 3, seed=SEED)
+        s = pwlab.spectral_radius_estimate(phi, a, 48, 3)
         for n in (1, 2, 3):
-            direct = pwlab.operator_norm_estimate(
-                pwlab.build_matrix(phi.iterate(n), a, 48), seed=SEED
-            ) ** (1.0 / n)
+            direct = pwlab.operator_norm_estimate(pwlab.build_matrix(phi.iterate(n), a, 48)) ** (1.0 / n)
             assert abs(s[n - 1] - direct) < 1e-9
 
 
@@ -538,7 +534,7 @@ class TestSpectrumDescriptor:
         assert desc.contains(np.exp(1j * d * a))  # endpoint included
         assert not desc.contains(np.exp(1j * d * 1.2))  # off the parameter range
         assert not desc.contains(0.0)
-        assert abs(desc.max_boundary_modulus(4097) - math.exp(0.5 * a)) < 1e-6
+        assert abs(desc.max_boundary_modulus() - math.exp(0.5 * a)) < 1e-15
 
     def test_real_translation_arc_is_unit_circle_arc(self):
         desc = pwlab.spectrum_closed_form(AffineSymbol(1.0, 2.0), 1.0)
@@ -553,18 +549,18 @@ class TestSpectrumDescriptor:
             for count in (0, -3):
                 with pytest.raises(ValueError, match="boundary count"):
                     desc.boundary_samples(count)
-                with pytest.raises(ValueError, match="boundary count"):
-                    desc.max_boundary_modulus(count)
 
     def test_max_modulus_matches_closed_radius(self):
         a = 1.0
         for phi in (
             AffineSymbol(-1.0, 3.0 + 2j),
             AffineSymbol(0.5, 1.0 + 1j),
+            # the arc's largest modulus e^{a |Im d|} sits at t = -a for Im d > 0, at t = a for Im d < 0
             AffineSymbol(1.0, 1j),
+            AffineSymbol(1.0, -1j),
         ):
             desc = pwlab.spectrum_closed_form(phi, a)
-            gap = abs(desc.max_boundary_modulus(1025) - pwlab.spectral_radius_closed(phi, a))
+            gap = abs(desc.max_boundary_modulus() - pwlab.spectral_radius_closed(phi, a))
             assert gap <= 1e-12
 
 
