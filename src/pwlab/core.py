@@ -42,29 +42,43 @@ import bisect
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 # Guard: matrix entries and kernel inner products grow like e^{a |Im d|};
 # reject exponents beyond this before exp() can overflow or drown precision.
+# A squared quantity takes e^600, which leaves e^(log DBL_MAX - 600) ~ e^109.8
+# for the factor pi/(a |c|) (sum|v|)^2 that multiplies it in a closed pairing.
 OVERFLOW_EXPONENT = 300.0
+
+# Largest a |Re z| a sinc kernel evaluates: 2^511, half of 2^512 = sqrt(2^max_exp),
+# where _cardinal's complex route overflows its squares (a Re(z - x_k))^2.
+_REAL_RANGE = 2.0 ** (sys.float_info.max_exp // 2 - 1)
 
 # The one seed of the package's pinned draws: the acceptance checks, the
 # section norm's two Lanczos starts and pwlab's default --seed for probes.
 DEFAULT_SEED = 0x50572024
 
-# Largest window half width compose_apply, KernelPoint.to_pw and the probes
-# build (and boundary count).  A window holds 2N+1 complex samples, and its
-# grid, targets and samples take a few such arrays, so this caps them at tens
-# of megabytes (a smooth probe's six pulses, 0.5 GiB); the widest window in use
-# (C12's grown chain, N = 8192) is 128 times smaller.  A grown window N/|c|
-# passes it for |c| < N / 2^20, long before its arrays stop fitting in memory.
-_MAX_HALF_WIDTH = 1 << 20
-
 # Entries per block of the cardinal-series kernel (a few real 8-byte
 # temporaries each), whatever the window width or the number of targets.
 _BLOCK_ENTRIES = 1 << 18
+
+# The one memory budget: every guard of an allocation (_guard_size, _count)
+# passes its entry count and its call's peak bytes per entry, measured with
+# tracemalloc on numpy 2.4, and raises before allocating where they pass
+# _MAX_BYTES less _WORKSPACE.  _WORKSPACE is what a call takes at any size:
+# the blocks of _cardinal and _coset_sum peak at about 7.2 MiB (29 bytes a
+# block entry), and 64 bytes a block entry also covers the few arrays of one
+# entry per row that the counts leave out.
+_MAX_BYTES = 1 << 30
+_WORKSPACE = 64 * _BLOCK_ENTRIES
+
+# The one cap on work, for counts that loop rather than allocate: the radius and
+# witness horizons (one section or kernel pair per n, 8 bytes of output each) and
+# the doubling-time bound of expansivity_certificate.
+_MAX_HORIZON = 1 << 22
 
 # Most products (of two samples) that _convolve sums directly, over all the
 # rows of one call; past it the FFT, whose calls cost about 10 us each whatever
@@ -147,22 +161,30 @@ def _guard_exponent(value: float, what: str, limit: float = OVERFLOW_EXPONENT) -
     return value
 
 
-def _guard_size(size, what: str, limit: int = _MAX_HALF_WIDTH) -> None:
-    """Raise OverflowGuardError where a size (half width, count or entries) passes limit, before it is allocated."""
-    if size > limit:
-        raise OverflowGuardError(f"{what} {size:.3g} > {limit}")
+def _guard_size(size, what: str, per_entry: int | None = None) -> None:
+    """Raise OverflowGuardError, before anything is allocated, where size passes its cap.
+
+    With per_entry, size entries of per_entry bytes each may not pass the memory
+    budget _MAX_BYTES less _WORKSPACE, and the message gives the bytes; without,
+    size counts steps of work and may not pass _MAX_HORIZON.
+    """
+    if per_entry is None and size > _MAX_HORIZON:
+        raise OverflowGuardError(f"{what} {size:.3g} > {_MAX_HORIZON}")
+    if per_entry is not None and size * per_entry > _MAX_BYTES - _WORKSPACE:
+        raise OverflowGuardError(f"{what} {size:.3g}: {size * per_entry + _WORKSPACE:.3g} bytes > budget {_MAX_BYTES}")
 
 
-def _count(value, what: str, least: int = 0, limit: int | None = _MAX_HALF_WIDTH) -> int:
+def _count(value, what: str, least: int = 0, per_entry: int | None = None, work: bool = False) -> int:
     """value as an int: the package's one check of a count (half width, horizon, grid size, order, index).
 
     ValueError naming what unless value is an integer (numbers.Integral) >= least;
-    OverflowGuardError past limit (_guard_size), never where limit is None.
+    OverflowGuardError (_guard_size) past the memory budget at per_entry bytes
+    per unit of value, or, for a count of work, past _MAX_HORIZON.
     """
     if not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    if limit is not None:
-        _guard_size(value, what, limit)
+    if per_entry is not None or work:
+        _guard_size(value, what, per_entry)
     return int(value)
 
 
@@ -177,17 +199,17 @@ def _guard_points(a: float, z, what: str) -> None:
 
     Each kernel guards its own targets (_cardinal, _coset_sum, kernel_eval,
     kernel_norm_sq); no caller guards for it.  a |Im z| passes
-    _guard_exponent under the name what.  a |Re z| may not pass 2^511, half
-    of where _cardinal's complex route overflows its squares (a Re(z -
-    x_k))^2, so a window's nodes fit in the margin; its real route squares
-    nothing.  A NaN point raises ValueError; an infinite one fails the guard.
+    _guard_exponent under the name what.  a |Re z| may not pass _REAL_RANGE =
+    2^511, half of where _cardinal's complex route overflows its squares, so a
+    window's nodes fit in the margin; its real route squares nothing.  A NaN
+    point raises ValueError; an infinite one fails the guard.
     """
     re, im = np.abs(z.real).max(initial=0.0), np.abs(z.imag).max(initial=0.0)
     if math.isnan(re) or math.isnan(im):
         raise ValueError("evaluation points must not be NaN")
     a = float(a)
     _guard_exponent(a * float(im), what)
-    _guard_exponent(a * float(re), "evaluation range a |Re z|", 2.0**511)
+    _guard_exponent(a * float(re), "evaluation range a |Re z|", _REAL_RANGE)
 
 
 def _sinc(u):
@@ -244,7 +266,7 @@ class AffineSymbol:
 
     def iterate(self, n: int) -> "AffineSymbol":
         """The n-fold composition phi o ... o phi, in closed form (_iterate_parts)."""
-        return AffineSymbol(*_iterate_parts(self.c, self.d, _count(n, "iterate order", limit=None)))
+        return AffineSymbol(*_iterate_parts(self.c, self.d, _count(n, "iterate order")))
 
     def fixed_point(self) -> complex:
         """alpha = d/(1-c), defined only when c != 1."""
@@ -277,7 +299,7 @@ def _iterate_table(c: float, d: complex, orders) -> tuple[list, list]:
 def grid(a: float, half_width: int) -> np.ndarray:
     """Sampling nodes x_n = n pi / a for n = -half_width .. half_width."""
     _bandwidth(a)
-    n = _count(half_width, "window half width", limit=None)
+    n = _count(half_width, "window half width")
     return np.arange(-n, n + 1) * (math.pi / a)
 
 
@@ -330,7 +352,8 @@ class KernelPoint:
         return kernel_norm_sq(self.a, self.w)
 
     def to_pw(self, half_width: int) -> PwFunction:
-        return PwFunction(self.a, kernel_eval(self.a, self.w, grid(self.a, _count(half_width, "window half width"))))
+        n = _count(half_width, "window half width", per_entry=2 * 73)  # 73 bytes a sample at the peak
+        return PwFunction(self.a, kernel_eval(self.a, self.w, grid(self.a, n)))
 
 
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
@@ -481,8 +504,9 @@ def compose_apply(
     Default target window equals the input window; grow=True widens it to
     ceil(N/|c|) so that the image of the input nodes stays inside (the
     symbol contracts the plane by c, so the function's mass spreads by 1/c).
-    An explicit half_width passes _count; a target window past
-    _MAX_HALF_WIDTH raises OverflowGuardError.
+    An explicit half_width passes _count.  The wider of the two windows
+    passes the memory budget at 192 bytes a sample (_guard_size): either route
+    peaks below 170 (c = 1, whose one coset runs an FFT as long as both windows).
 
     Every float slope is a dyadic rational c = p/q in lowest terms.  With n
     = q m + r the targets a phi(x_n) = pi p m + theta_r, theta_r = a phi(x_r),
@@ -496,12 +520,11 @@ def compose_apply(
     than the cardinal series go through pw_eval unchanged; each route guards
     its own targets.
     """
-    if half_width is None:
-        n_out = f.half_width / abs(phi.c) if grow else f.half_width
-        _guard_size(n_out, "target window half width")
-        n_out = math.ceil(n_out)
-    else:
+    n_out = f.half_width / abs(phi.c) if grow else f.half_width
+    if half_width is not None:
         n_out = _count(half_width, "target window half width")
+    _guard_size(max(n_out, f.half_width), "target window half width", 2 * 192)
+    n_out = math.ceil(n_out)
     out = _coset_sum(phi, f, n_out)
     if out is None:
         out = pw_eval(f, phi(grid(f.a, n_out)))
@@ -649,7 +672,9 @@ def _pairings(a, v, w, ratio, shift):
       with conj(w) reversed (_convolve), read backwards;
     * otherwise: g at the stacked points ratio_j x_n + s_j of the nodes with
       v_n != 0 alone (a zero sample's term is exactly zero), in one call:
-      J nnz(v) (2 N_w + 1) entries for J shifts and w's half width N_w.
+      J nnz(v) (2 N_w + 1) entries for J shifts and w's half width N_w.  The
+      J (nnz(v) + 1) points and per-shift arrays pass the memory budget at 64
+      bytes each (_guard_size; about 48 a point and 41 a shift at the peak).
 
     Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)).  _cardinal
     guards the points it evaluates (a |Im z| = a |Im s_j| on row j for any
@@ -659,6 +684,7 @@ def _pairings(a, v, w, ratio, shift):
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
         return _cardinal(a, np.conj(shift), _convolve(v, np.conj(w[::-1]))[::-1])
     nz = np.flatnonzero(v)
+    _guard_size(shift.size * (nz.size + 1), "pairing points", 64)
     points = np.multiply.outer(ratio, grid(a, v.size // 2)[nz]) + shift[:, None]
     return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v[nz]
 
@@ -672,21 +698,23 @@ def _rounding_bound(a, c, y, v):
 
 
 def _guard_square(square, a, c, y, v):
-    """Raise OverflowGuardError where a closed-pairing square ||C_phi f||^2 of a nonzero f is <= 0.
+    """Raise OverflowGuardError where a closed-pairing square ||C_phi f||^2 of a nonzero f is <= 0 or not finite.
 
     square, c and y = Im d are one pairing's, or arrays over an orbit's n = 1,
     2, ... whose first lost n the message names.  A square rounds to O(B)
     (_rounding_bound), so one <= 0 has lost every digit; the message ends with B.
+    One that is not finite overflowed the float range, which the exponent guards
+    leave to the samples' scale sum|v|.
     """
-    lost = np.flatnonzero(np.less_equal(square, 0.0))
+    lost = np.flatnonzero(np.less_equal(square, 0.0) | ~np.isfinite(square))
     if lost.size and np.any(v):
         n = int(lost[0])
-        bound = _rounding_bound(a, np.ravel(c)[n], np.ravel(y)[n], v)
+        with np.errstate(over="ignore"):  # a square past the float range has its bound past it too
+            bound = _rounding_bound(a, np.ravel(c)[n], np.ravel(y)[n], v)
         at, sub, power = (f" at n = {n + 1}", "_n", "^n") if np.ndim(square) else ("", "", "")
         raise OverflowGuardError(
-            f"squared norm{at} rounds to {float(np.ravel(square)[n])!r} <= 0; its rounding bound "
-            f"B{sub} = eps pi/(a |c{power}|) (sum|v|)^2 e^(2a |Im d{sub}|) is {bound:.3e}"
-        )
+            f"squared norm{at} rounds to {float(np.ravel(square)[n])!r}, outside (0, inf); its rounding bound "
+            f"B{sub} = eps pi/(a |c{power}|) (sum|v|)^2 e^(2a |Im d{sub}|) is {bound:.3e}")
 
 
 def composed_norm(phi: AffineSymbol, f: PwFunction) -> float:

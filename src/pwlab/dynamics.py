@@ -35,18 +35,6 @@ from .core import (
 )
 from .fourier import L2Function, to_l2
 
-# Size caps, each near 1 GiB at its peak.  _orbit_parts' (c^n, d_n) table of
-# Python floats and complexes takes about 192 bytes a row: 0.75 GiB at 2^22
-# rows (an orbit of |c| = 1 and real d never trips the range guard).  The
-# pseudotrajectory gram with _lower_pairings' lag table takes about 88 bytes
-# an entry (complex d): 0.7 GiB at 2^23 entries, n_max <= 2895, and 0.9 GiB
-# with shadowing_divergence's second table.  orbit_norms_fourier's weights
-# hold two float arrays of (n_max + 1) x M entries: 1 GiB at 2^26.
-# cesaro_lower_envelope builds _orbit_parts' table too, under the horizon cap.
-_MAX_HORIZON = 1 << 22
-_MAX_GRAM_ENTRIES = 1 << 23
-_MAX_WEIGHT_ENTRIES = 1 << 26
-
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
@@ -68,14 +56,16 @@ def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, n
     ||C_{phi^[n]} f||^2 carries e^(2 a |Im d_n|) times the prefactor 1/|c^n|,
     so their sum gets twice the range; each kernel that evaluates e^(2 a |Im
     d_n|) guards that exponent itself.  The row n_max (_iterate_table's bits)
-    is guarded first, then _MAX_HORIZON, so a horizon past either builds no table.
+    is guarded first, then the table's bytes, so a horizon past either builds no
+    table: its Python floats and complexes and the orbit's row arrays peak at
+    80-97 bytes a row (tracemalloc, numpy 2.4), counted at 128 against the budget.
     """
-    n_max = _count(n_max, "orbit horizon", limit=None)
+    n_max = _count(n_max, "orbit horizon")
     what, limit = "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT
     # in the table's bits (np.log, not math.log), so this raises only where the table's guard would
     (cn,), (dn,) = _iterate_table(phi.c, phi.d, (n_max,))
     _guard_exponent(2.0 * a * abs(dn.imag) - float(np.log(max(abs(cn), math.ulp(0.0)))), what, limit)
-    _guard_size(n_max, "orbit horizon", _MAX_HORIZON)
+    _guard_size(n_max + 1, "orbit horizon", 128)
     c, d = _iterate_table(phi.c, phi.d, range(n_max + 1))
     c, y = np.abs(c), np.imag(d)
     # a c^n that underflowed to 0 counts as the least float, whose -log (744) fails the guard too
@@ -109,12 +99,15 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
     Transformed, C_{phi^[n]} is (1/|c^n|) e^{i d_n t / c^n} F(t / c^n) on
     |t| < |c^n| a, so s = t / c^n gives ||C_{phi^[n]} f||^2 = |c|^{-n}
     integral_{-a}^{a} |F(s)|^2 e^{-2 Im(d_n) s} ds: one (n_max + 1) x M matrix
-    of weights e^{-2 Im(d_n) t_j}, at most _MAX_WEIGHT_ENTRIES, guarded at 2 a |Im d_n|,
-    against |F|^2 dt on F's midpoint grid.  Real d has weight 1, exact to rounding (|F|^2
-    is a trigonometric polynomial of degree below M); complex d errs by O(h^2), h = 2a/M.
+    of weights e^{-2 Im(d_n) t_j}, guarded at 2 a |Im d_n|, against |F|^2 dt on
+    F's midpoint grid.  Real d has weight 1, exact to rounding (|F|^2 is a
+    trigonometric polynomial of degree below M); complex d errs by O(h^2), h = 2a/M.
+    At the peak two float arrays of weights take 16 bytes an entry and the six
+    row arrays beside them 48 bytes a row, so the memory budget counts
+    (n_max + 1)(M + 3) entries of 16 bytes.
     """
     c, y = _orbit_parts(phi, F.a, n_max)
-    _guard_size(c.size * F.m_points, "orbit weight entries", _MAX_WEIGHT_ENTRIES)
+    _guard_size(c.size * (F.m_points + 3), "orbit weight entries", 16)
     _guard_exponent(2.0 * F.a * float(np.abs(y).max()), "orbit exponent 2 a |Im d_n|")
     weights = np.exp(-2.0 * np.outer(y, F.grid()))
     squares = weights @ (np.abs(F.values) ** 2 * (2.0 * F.a / F.m_points)) / c
@@ -293,7 +286,7 @@ def expansivity_certificate(
     if f.is_zero():
         raise ValueError("expansivity needs a nonzero vector")
     _same_bandwidth(f.a, a)
-    horizon = _count(horizon, "orbit horizon", limit=None)
+    horizon = _count(horizon, "orbit horizon")
     unit = scaled(f, 1.0 / f.norm())
     report = classify(phi, a)
     if not report.positively_expansive:
@@ -317,7 +310,7 @@ def expansivity_certificate(
         delta = float(tails[k])
     # a bound past the orbit horizon (inf: no favourable mass, or a rate that underflowed) traces nothing
     first = math.log(2.0 / delta) / rate if delta * rate > 0.0 else math.inf
-    _guard_size(first, "doubling-time bound", _MAX_HORIZON)
+    _guard_size(first, "doubling-time bound")
     cap = math.ceil(first) + 1
     hits = np.flatnonzero(orbit_norms(phi, a, unit, cap).norms >= 2.0)
     if hits.size == 0:
@@ -337,7 +330,7 @@ def cesaro_averages(
     phi: AffineSymbol, a: float, f: PwFunction, n_max: int
 ) -> np.ndarray:
     """A_n = (1/n) sum_{j=1..n} ||C_phi^j f|| for n = 1..n_max."""
-    n_max = _count(n_max, "orbit horizon", least=1, limit=None)
+    n_max = _count(n_max, "orbit horizon", least=1)
     trace = orbit_norms(phi, a, f, n_max)
     return np.cumsum(trace.norms[1:]) / np.arange(1, n_max + 1)
 
@@ -350,7 +343,7 @@ def cesaro_lower_envelope(phi: AffineSymbol, f: PwFunction, n_max: int) -> np.nd
     scales with f.  _orbit_parts' table passes the squared orbit norms' guard,
     so the envelope admits the horizons cesaro_averages admits.
     """
-    n_max = _count(n_max, "orbit horizon", least=1, limit=_MAX_HORIZON)
+    n_max = _count(n_max, "orbit horizon", least=1, per_entry=128)  # _orbit_parts' table
     if abs(phi.c) >= 1.0:
         raise ValueError("the envelope needs a strictly contracting symbol, 0<|c|<1")
     c, y = _orbit_parts(phi, f.a, n_max)
@@ -427,7 +420,7 @@ class Pseudotrajectory:
         return np.concatenate(([0.0], np.diagonal(cum)))
 
     def term_norm(self, n: int) -> float:
-        if _count(n, "term index", limit=None) > self.n_max + 1:
+        if _count(n, "term index") > self.n_max + 1:
             raise ValueError("term index outside 0..n_max+1")
         return self.coefficient * math.sqrt(max(self._block_sums()[n], 0.0))
 
@@ -438,13 +431,13 @@ class Pseudotrajectory:
         1..n+1, so their difference is -coefficient C_phi seed for every n;
         its norm is (delta / step_norm) times the root of gram[0, 0], step_norm.
         """
-        if _count(n, "defect index", limit=None) > self.n_max:
+        if _count(n, "defect index") > self.n_max:
             raise ValueError("defect index outside 0..n_max")
         return self.coefficient * math.sqrt(max(self.gram[0, 0].real, 0.0))
 
     def value_at_fixed_point(self, n: int) -> complex:
         """f_n(alpha) = n * coefficient * f(alpha): every iterate fixes alpha."""
-        return _count(n, "term index", limit=None) * self.coefficient * self.seed_at_fixed_point
+        return _count(n, "term index") * self.coefficient * self.seed_at_fixed_point
 
 
 def build_pseudotrajectory(
@@ -452,19 +445,22 @@ def build_pseudotrajectory(
 ) -> Pseudotrajectory:
     """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
 
-    The gram (at most _MAX_GRAM_ENTRIES) is _lower_pairings(f, f) below the diagonal and its
+    The gram is _lower_pairings(f, f) below the diagonal and its
     conjugate transpose on and above it, rounding as Pseudotrajectory states.  Its diagonal holds
     the orbit's squares ||C_phi^n f||^2, n = 1..n_max+1, which pass the range
     guard of orbit_norms (_orbit_parts) before any pairing and its
     _guard_square after; step_norm = ||C_phi f|| is the root of gram[0, 0].
+    The gram's (n_max + 1)^2 entries pass the memory budget at 80 bytes each:
+    they peak at 71 where the lag table has a row per n (complex d, |c| near 1).
+    _pairings guards its points, which grow with the seed's nonzero samples.
     """
     if phi.c == 1.0:
         raise ValueError("pseudotrajectory construction needs a fixed point (c != 1)")
     if not 0.0 < delta < math.inf:  # NaN fails both comparisons
         raise ValueError("delta must be positive and finite")
     _same_bandwidth(f.a, a)
-    n_max = _count(n_max, "pseudotrajectory horizon", limit=None)
-    _guard_size((n_max + 1) ** 2, "pseudotrajectory gram entries", _MAX_GRAM_ENTRIES)
+    n_max = _count(n_max, "pseudotrajectory horizon")
+    _guard_size((n_max + 1) ** 2, "pseudotrajectory gram entries", 80)
     f_alpha = _value_off_zero(f, phi.fixed_point(), "seed vanishes at fixed point")
     c, y = _orbit_parts(phi, a, n_max + 1)
     low = _lower_pairings(phi, f, f, n_max + 1)
@@ -503,7 +499,7 @@ def shadowing_divergence(
     of f and g.  f(alpha) is the pseudotrajectory's own.
     """
     _same_bandwidth(g.a, P.a)
-    n_max = _count(P.n_max if n_max is None else n_max, "divergence horizon", least=1, limit=None)
+    n_max = _count(P.n_max if n_max is None else n_max, "divergence horizon", least=1)
     if n_max > P.n_max:
         raise ValueError("n_max outside 1..P.n_max")
     alpha = P.phi.fixed_point()

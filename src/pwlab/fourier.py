@@ -40,15 +40,9 @@ import numpy as np
 from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _count, _guard_exponent,
                    _same_bandwidth)
 
-# Most grid points to_l2 builds: its zero-padded samples, their FFT and the
-# scaled copy that L2Function keeps take about 48 bytes a point at the peak,
-# 0.75 GiB at 2^24.  The widest grid in use, _favourable_tails' 2N+1 at
-# N = 2^20, is 8 times smaller.
-_MAX_GRID_POINTS = 1 << 24
-
 
 def l2_grid(a: float, m_points: int) -> np.ndarray:
-    m = _count(m_points, "grid points", least=1, limit=None)
+    m = _count(m_points, "grid points", least=1)
     return -a + (np.arange(m) + 0.5) * (2.0 * a / m)
 
 
@@ -100,17 +94,17 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     On the midpoint grid the exponential sums are a DFT up to the twiddle
     (_twiddle), so the evaluation runs through an FFT.  A grid of
     M < 2N+1 points would fold distinct nodes onto one frequency and raises
-    AliasingError; one past _MAX_GRID_POINTS raises OverflowGuardError.
+    AliasingError.  The grid passes the memory budget at 64 bytes a point, the
+    peak of its zero-padded samples, their FFT, the scaled copy that
+    L2Function keeps and the twiddle of 2N+1 = M samples (49 bytes with few).
     """
-    m = _count(m_points, "grid points", least=2, limit=_MAX_GRID_POINTS)
+    m = _count(m_points, "grid points", least=2, per_entry=64)
     if m < f.samples.size:
         raise AliasingError(f"m_points {m} < 2N+1 = {f.samples.size} would alias the samples")
-    a = f.a
     n = np.arange(-f.half_width, f.half_width + 1)
     g = np.zeros(m, dtype=np.complex128)
     g[n % m] = f.samples * _twiddle(n, m)  # M >= 2N+1: the indices n % M are distinct
-    scale = math.sqrt(math.pi / a) / math.sqrt(2.0 * a)
-    return L2Function(a, scale * np.fft.fft(g))
+    return L2Function(f.a, math.sqrt(math.pi / f.a) / math.sqrt(2.0 * f.a) * np.fft.fft(g))
 
 
 def _coefficients(F: L2Function, k_max: int) -> np.ndarray:
@@ -162,7 +156,7 @@ def from_l2(F: L2Function, half_width: int) -> PwFunction:
     A window of 2N+1 > M nodes would read frequencies that the grid folds onto
     others and raises AliasingError, to_l2's rule mirrored, before any allocation.
     """
-    n = _count(half_width, "window half width", limit=None)  # the grid bounds the window
+    n = _count(half_width, "window half width")  # the grid bounds the window
     if 2 * n + 1 > F.m_points:
         raise AliasingError(f"2N+1 = {2 * n + 1} > m_points {F.m_points} would alias the coefficients")
     return PwFunction(F.a, math.sqrt(F.a / math.pi) * _coefficients(F, n))

@@ -50,7 +50,7 @@ def smooth_probe(
         raise ValueError("band must lie in (0, 1]")
     if not (0.0 <= spread < math.inf):
         raise ValueError(f"spread must be nonnegative and finite, got {spread!r}")
-    half_width = _count(half_width, "window half width")
+    half_width = _count(half_width, "window half width", per_entry=2 * 256)  # 248 bytes a sample at the peak
     x = grid(a, half_width)
     coeffs = rng.standard_normal(_PULSE_COUNT) + 1j * rng.standard_normal(_PULSE_COUNT)
     centers = rng.uniform(-spread * half_width, spread * half_width, size=_PULSE_COUNT) * (math.pi / a)
@@ -59,15 +59,15 @@ def smooth_probe(
 
 def rough_probe(a: float, half_width: int, rng: np.random.Generator) -> PwFunction:
     """Full-band probe: iid complex normal node samples."""
-    n = 2 * _count(half_width, "window half width") + 1
+    n = 2 * _count(half_width, "window half width", per_entry=2 * 33) + 1  # 33 bytes a sample at the peak
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PwFunction(a, samples)
 
 
 def node_function(a: float, half_width: int, node: int = 0) -> PwFunction:
     """The cardinal function at node x_node: samples are the indicator of the node."""
-    half_width = _count(half_width, "window half width")
-    if _count(node, "node", least=-half_width, limit=None) > half_width:
+    half_width = _count(half_width, "window half width", per_entry=2 * 33)  # 33 bytes a sample at the peak
+    if _count(node, "node", least=-half_width) > half_width:
         raise ValueError(f"node must be an integer <= {half_width}, got {node!r}")
     samples = np.zeros(2 * half_width + 1, dtype=np.complex128)
     samples[node + half_width] = 1.0

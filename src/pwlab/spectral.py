@@ -39,18 +39,9 @@ from .core import (
     _sinc,
 )
 
-# Largest section build_matrix allocates: (2N+1)^2 complex entries, 1 GiB at
-# 2^26, so N <= 4095.  The widest section in use (N = 512) is 64 times smaller.
-_MAX_SECTION_ENTRIES = 1 << 26
-
 # Lanczos tolerance of the section norm: a start stops once its explicit residual
 # ||Hy - theta y|| / theta is at most sqrt(_TOL) = 1e-5.
 _TOL = 1e-10
-
-# spectral_radius_estimate and compactness_witness hold one float per n and
-# build one section or kernel pair per n, so their horizons take the window
-# cap core._MAX_HALF_WIDTH = 2^20: 8 MiB of output, and the witness's node
-# kernels x_1..x_N are those of a window of half width N.
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,14 +80,13 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     for a gather of one window per row; where they would hold over half the section (every
     q > N) each row is its own class.  A node class (delta_r = 0) holds sin 0 = 0 off
     sinc(0) = 1, so identity and reflection sections are exact.  Summing no cardinal series,
-    the route stays independent of the closed forms C1..C3 hold it against.  Past
-    _MAX_SECTION_ENTRIES entries it raises OverflowGuardError before allocating.
+    the route stays independent of the closed forms C1..C3 hold it against.  The
+    (2N+1)^2 entries pass the memory budget, before any allocation, at their peak
+    bytes: 16 each on the coset route, 32 where each row is its own class.
     """
-    half_width = _count(half_width, "section half width", least=1, limit=None)
+    half_width = _count(half_width, "section half width", least=1)
     _bandwidth(a)
     size = 2 * half_width + 1
-    _guard_size(size * size, f"section of {size} x {size}: entries", _MAX_SECTION_ENTRIES)
-    _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
     table, row, start = _section_kernels(phi, a, half_width)
     if row is not None:  # the windows of every table row: sliding_window_view's, without its checks
         shape, strides = (len(table), table.shape[1] - size + 1, size), table.strides + table.strides[1:]
@@ -118,6 +108,8 @@ def _section_kernels(phi: AffineSymbol, a: float, half_width: int):
     h = (q - 1) // 2
     # in Python integers, so a huge p is never multiplied into an index
     coset = 2 * q * (abs(p) * ((half_width + h) // q - (h - half_width) // q) + n.size) <= n.size**2
+    _guard_size(n.size**2, f"section of {n.size} x {n.size}: entries", 16 if coset else 32)
+    _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
     r, shift = (np.arange(-h, q - h), p * ((n + h) // q)) if coset else (n, np.zeros_like(n))
     z = phi(r * (math.pi / a))
     mu = np.rint(z.real * (a / math.pi))
@@ -339,7 +331,7 @@ def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
     Gelfand every n gives an upper edge for the spectral radius.
     """
     _bandwidth(a)
-    n = _count(n, "norm power n", least=1, limit=None)
+    n = _count(n, "norm power n", least=1)
     d_n = _iterate_parts(phi.c, phi.d, n)[1]
     expo = _guard_exponent(a * abs(d_n.imag) / n, "norm exponent")
     return 1.0 / math.sqrt(abs(phi.c)) * math.exp(expo)
@@ -360,7 +352,7 @@ def spectral_radius_estimate(phi: AffineSymbol, a: float, half_width: int, n_max
     matrix powers: the n-th matrix is the section of the n-th operator, not
     the n-th power of a section.
     """
-    n_max = _count(n_max, "radius horizon", least=1)
+    n_max = _count(n_max, "radius horizon", least=1, work=True)
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         section = build_matrix(phi.iterate(n), a, half_width)
@@ -383,7 +375,7 @@ class SpectrumDescriptor:
     d: complex | None = None
 
     def boundary_samples(self, count: int = 512) -> np.ndarray:
-        count = _count(count, "boundary count", least=1)
+        count = _count(count, "boundary count", least=1, per_entry=40)  # 40 bytes a sample at the peak
         if self.kind == "two-point-set":
             return np.array([-1.0 + 0.0j, 1.0 + 0.0j])
         if self.kind == "closed-disk":
@@ -443,7 +435,7 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     composition operator on PW_a is compact.
     """
     _bandwidth(a)
-    n_max = _count(n_max, "witness horizon", least=1)
+    n_max = _count(n_max, "witness horizon", least=1, work=True)
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         point = KernelPoint(a, n * math.pi / a)

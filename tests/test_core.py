@@ -565,13 +565,14 @@ class TestComposition:
         assert pwlab.compose_apply(phi, f, half_width=7).half_width == 7
 
     def test_grown_window_is_bounded(self):
-        # N/|c| past the window limit raises before any allocation
+        # N/|c| past the memory budget raises before any allocation, as does an explicit window
+        # of as many samples as the budget has bytes
         f = pwlab.node_function(1.0, 8)
         for c in (1e-300, -1e-300, 1e-9, -1e-9, 5e-324):
             with pytest.raises(pwlab.OverflowGuardError):
                 pwlab.compose_apply(AffineSymbol(c, 0.0), f, grow=True)
-        with pytest.raises(pwlab.OverflowGuardError):
-            pwlab.compose_apply(AffineSymbol(0.5, 0.0), f, half_width=1 << 21)
+        with pytest.raises(pwlab.OverflowGuardError, match="target window half width"):
+            pwlab.compose_apply(AffineSymbol(0.5, 0.0), f, half_width=pwlab.core._MAX_BYTES)
 
     def test_half_width_must_be_a_nonnegative_integer(self):
         f = pwlab.node_function(1.0, 8)

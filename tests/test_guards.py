@@ -1,16 +1,21 @@
 """Range guards at the edge: every core, Fourier and dynamics entry point returns finite values or raises a typed error.
 
-Size caps: a window, count, horizon, grid or matrix past its cap raises before it is allocated.
+Size caps: a window, count, horizon, grid or matrix past the memory budget raises before it is allocated.
+
+Memory budget: at the largest size the budget admits, each guarded entry point peaks within it.
 
 Input checks: each public check that no other test reaches raises its own type and message.
 
 Counts: every integer argument of the public API passes core._count, and no module checks one by hand.
 
-edge_sweep is importable on its own (tests on the path), so a wider sweep can
-run outside pytest with numpy's RuntimeWarnings turned into errors.
+edge_sweep and budget_sweep are importable on their own (tests on the path), so
+wider sweeps can run outside pytest with numpy's RuntimeWarnings turned into errors.
 """
 
 import ast
+import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,7 @@ import pytest
 
 import pwlab
 import pwlab.cli
-from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError, dynamics, fourier
+from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError, core, dynamics, fourier
 from pwlab.cli import EXIT_INVALID_CONFIG
 
 SEED = pwlab.DEFAULT_SEED
@@ -60,12 +65,12 @@ def edge_sweep(half_width, seed=SEED + 90, n=4):
     """Every entry point on the edge grid at one window half width; returns (calls, typed errors).
 
     c in {+-1, +-1/2, 1/4, 0.9, 1e-3} (compose_apply's coset route and its
-    fallback), a Im d on either side of the kernel limit 300 and of the
-    orbit's 150 (2 a |Im d_n| <= 300), and one a |Re d| past 2^511; orbits
-    run to n.  A call passes if it returns finite numbers or raises a
-    PwLabError; anything else (a plain ValueError other than a seed that
-    vanishes at its fixed point, a non-finite value, or a RuntimeWarning where
-    warnings are errors) fails.
+    fallback), a Im d within 0.01 on either side of the kernel limit
+    OVERFLOW_EXPONENT = 300 and of the orbit's 150 (2 a |Im d_n| <= 300), and
+    one a |Re d| at twice core._REAL_RANGE = 2^511; orbits run to n.  A call
+    passes if it returns finite numbers or raises a PwLabError; anything else
+    (a plain ValueError other than a seed that vanishes at its fixed point, a
+    non-finite value, or a RuntimeWarning where warnings are errors) fails.
     """
     a = 1.3
     rng = np.random.default_rng(seed)
@@ -73,10 +78,11 @@ def edge_sweep(half_width, seed=SEED + 90, n=4):
     g = pwlab.rough_probe(a, half_width, rng)
     g = pwlab.scaled(g, 0.04 / g.norm())
     F = pwlab.to_l2(f, max(64, 4 * half_width))
-    edges = [0.3 + 1j * sign * e / a for e in (149.99, 150.01, 299.99, 300.01) for sign in (1.0, -1.0)]
+    limit = pwlab.OVERFLOW_EXPONENT
+    edges = [0.3 + 1j * sign * (e + step) / a for e in (limit / 2, limit) for step in (-0.01, 0.01) for sign in (1.0, -1.0)]
     calls = raised = 0
     for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9, 1e-3):
-        for d in [0.3] + edges + [2.0**512 / a]:
+        for d in [0.3] + edges + [2.0 * core._REAL_RANGE / a]:
             for name, call in _entry_points(AffineSymbol(c, d), a, f, g, F, n):
                 calls += 1
                 try:
@@ -103,6 +109,114 @@ class TestEdgeSweep:
         # both outcomes occur: the grid straddles every guard
         assert 0 < raised < calls
 
+    def test_limits_follow_the_float_format(self):
+        # a square takes e^(2 OVERFLOW_EXPONENT) = e^600, which leaves e^109.8 of the float range for the
+        # factor pi/(a |c|) (sum|v|)^2 of a closed pairing; the real range is 2^511, half of sqrt(2^max_exp)
+        assert 109.7 < math.log(sys.float_info.max) - 2.0 * pwlab.OVERFLOW_EXPONENT < 109.8
+        assert core._REAL_RANGE == 2.0**511
+
+
+def _budget_calls():
+    """(what, make) for each memory-guarded entry point: make(size) builds the inputs and returns the call at size.
+
+    The orbit's callers (cesaro_averages, expansivity_certificate) share orbit_norms' guard.
+    Each entry point runs at its most expensive route per entry: compose_apply's one FFT at c = 1 on a
+    window as wide as the target, its cosets on a grown window and its cardinal series at c = 0.9; a
+    lag table with a row per n (Im d_n distinct at c = 0.999) for the gram and, on a rough seed, for
+    the pairing points; and the section's cosets and its row-per-class route.
+    """
+    a = 1.0
+    rng = np.random.default_rng(SEED)
+    node, rough = pwlab.node_function(a, 4), pwlab.rough_probe(a, 64, rng)
+    slow = AffineSymbol(0.999, 0.3 + 1e-3j)
+    return [
+        ("window half width", lambda n: lambda: pwlab.rough_probe(a, n, rng)),
+        ("window half width", lambda n: lambda: pwlab.node_function(a, n)),
+        ("window half width", lambda n: lambda: pwlab.smooth_probe(a, n, rng)),
+        ("window half width", lambda n: lambda: pwlab.KernelPoint(a, 0.3 + 0.2j).to_pw(n)),
+        ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
+            pwlab.compose_apply(AffineSymbol(1.0, 0.3 + 0.2j), f)),
+        ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
+            pwlab.compose_apply(AffineSymbol(-0.5, 0.3 + 0.2j), f, grow=True)),
+        ("target window half width", lambda n: lambda: pwlab.compose_apply(AffineSymbol(0.9, 0.3 + 0.2j), node, n)),
+        ("boundary count", lambda n: lambda: pwlab.spectrum_closed_form(AffineSymbol(0.5, 1j), a).boundary_samples(n)),
+        ("boundary count", lambda n: lambda: pwlab.spectrum_closed_form(AffineSymbol(1.0, 1j), a).boundary_samples(n)),
+        ("grid points", lambda n: lambda f=pwlab.rough_probe(a, (n - 1) // 2, rng): pwlab.to_l2(f, n)),
+        ("orbit horizon", lambda n: lambda: pwlab.orbit_norms(AffineSymbol(-1.0, 0.3 + 1e-3j), a, node, n)),
+        ("orbit horizon", lambda n: lambda: pwlab.cesaro_lower_envelope(AffineSymbol(1.0 - 2.0**-20, 0.3), node, n)),
+        ("orbit weight entries", lambda n: lambda F=pwlab.to_l2(node, 64):
+            pwlab.orbit_norms_fourier(AffineSymbol(-1.0, 0.3 + 1e-3j), F, n)),
+        ("pseudotrajectory gram entries", lambda n: lambda: pwlab.build_pseudotrajectory(slow, a, node, 0.1, n)),
+        ("pairing points", lambda n: lambda: pwlab.build_pseudotrajectory(slow, a, rough, 0.1, n)),
+        ("section of", lambda n: lambda: pwlab.build_matrix(AffineSymbol(0.5, 0.3 + 0.2j), a, n)),
+        ("section of", lambda n: lambda: pwlab.build_matrix(AffineSymbol(0.9, 0.3 + 0.2j), a, n)),
+    ]
+
+
+def _traced(call):
+    """(peak bytes traced while call() runs, the OverflowGuardError it raised or None)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        call()
+        err = None
+    except OverflowGuardError as exc:
+        err = exc
+    peak = tracemalloc.get_traced_memory()[1] - base
+    if started:
+        tracemalloc.stop()
+    return peak, err
+
+
+def _largest_admitted(make):
+    """The largest size whose call passes the memory guard, by doubling and then bisection."""
+    def admitted(n):
+        try:
+            make(n)()
+        except OverflowGuardError:
+            return False
+        return True
+
+    lo, hi = 1, 2
+    while admitted(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+def budget_sweep(budget):
+    """Every memory-guarded entry point at the largest size a budget of budget bytes admits and one past it.
+
+    core._MAX_BYTES is budget for the sweep.  The first call peaks (tracemalloc) within the
+    budget; the second raises OverflowGuardError naming what, having traced less than an
+    eighth of it.  Returns (what, size, peak) for each entry point.
+    """
+    saved, core._MAX_BYTES = core._MAX_BYTES, budget
+    rows = []
+    try:
+        for what, make in _budget_calls():
+            n = _largest_admitted(make)
+            peak, err = _traced(make(n))
+            assert err is None and peak <= budget, (what, n, peak, budget)
+            past, err = _traced(make(n + 1))
+            assert err is not None and str(err).startswith(what) and past < budget / 8, (what, n, past, err)
+            rows.append((what, n, peak))
+    finally:
+        core._MAX_BYTES = saved
+    return rows
+
+
+class TestBudget:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_each_guard_holds_its_peak_within_the_budget(self):
+        # the workspace and 4 MiB: wide enough that every call's entries, not only its blocks, count
+        budget_sweep(core._WORKSPACE + (4 << 20))
+
 
 class TestSizeCaps:
     def test_sizes_past_their_caps_raise_before_allocating(self):
@@ -123,9 +237,10 @@ class TestSizeCaps:
                 lambda c=c: pwlab.spectrum_closed_form(AffineSymbol(c, 1j), 1.0).boundary_samples(huge)
                 for c in (-1.0, 0.5, 1.0)
             ],
+            # a horizon, grid or window of as many entries as the budget has bytes passes it
             "orbit horizon": [
                 lambda: pwlab.orbit_norms(phi, 1.0, f, huge),
-                lambda: pwlab.orbit_norms(phi, 1.0, f, dynamics._MAX_HORIZON + 1),
+                lambda: pwlab.orbit_norms(phi, 1.0, f, core._MAX_BYTES),
                 lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 64), huge),
                 lambda: pwlab.cesaro_averages(phi, 1.0, f, huge),
                 # the horizon cap fires before the range guard that c^n = 0 would trip
@@ -133,16 +248,17 @@ class TestSizeCaps:
             ],
             "radius horizon": [lambda: pwlab.spectral_radius_estimate(AffineSymbol(0.5, 1j), 1.0, 4, huge)],
             "witness horizon": [lambda: pwlab.compactness_witness(AffineSymbol(0.5, 1j), 1.0, huge)],
-            # (n_max + 1)^2 = 2897^2 just passes 2^23; at (0.5, 0) the cap fires before the range guard
+            # at (0.5, 0) the budget fires before the range guard
             "pseudotrajectory gram entries": [
-                lambda: pwlab.build_pseudotrajectory(phi, 1.0, f, 0.1, 2896),
+                lambda: pwlab.build_pseudotrajectory(phi, 1.0, f, 0.1, math.isqrt(core._MAX_BYTES)),
                 lambda: pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.0), 1.0, f, 0.1, huge),
             ],
-            # 1025 x 2^16 weights just pass 2^26
-            "orbit weight entries": [lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 1 << 16), 1024)],
+            "orbit weight entries": [
+                lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 1 << 16), core._MAX_BYTES >> 16),
+            ],
             "grid points": [
                 lambda: pwlab.to_l2(f, huge),
-                lambda: pwlab.to_l2(f, fourier._MAX_GRID_POINTS + 1),
+                lambda: pwlab.to_l2(f, core._MAX_BYTES),
             ],
         }
         for what, calls in cases.items():
@@ -176,6 +292,10 @@ INPUT_CHECKS = [
      "window half width must be an integer >= 0"),
     ("section half width", lambda: pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 0), ValueError,
      "section half width must be an integer >= 1"),
+    # the exponent guards pass, but the square of samples of 1e200 is past the float range
+    ("composed norm overflow", lambda: pwlab.composed_norm(
+        AffineSymbol(0.5, 0.3), pwlab.scaled(pwlab.node_function(1.0, 4), 1e200)), OverflowGuardError,
+     "squared norm rounds to inf, outside"),
     # every entry is in range, but the norm 3e308 of the 3 x 3 matrix of 1e308 is not
     ("section norm overflow", lambda: pwlab.operator_norm_estimate(pwlab.OperatorMatrix(np.full((3, 3), 1e308))),
      OverflowGuardError, "passes the float range"),

@@ -195,7 +195,7 @@ class TestSections:
     def test_build_guard(self):
         with pytest.raises(pwlab.OverflowGuardError):
             pwlab.build_matrix(AffineSymbol(1.0, 400j), 1.0, 8)
-        # (2N+1)^2 complex entries past 2^26 raise before anything is allocated
+        # (2N+1)^2 complex entries past the memory budget raise before anything is allocated
         with pytest.raises(pwlab.OverflowGuardError, match="section of"):
             pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 2**20)
 
