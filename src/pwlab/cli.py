@@ -203,10 +203,7 @@ def cmd_shadow(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     # the acceptance battery always runs at its pinned configurations
     results = run_all()
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.check_id} {status} {r.title}: {r.detail}")
+    lines = [f"{r.check_id} {'PASS' if r.passed else 'FAIL'} {r.title}: {r.detail}" for r in results]
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} checks passed")
     sys.stdout.write("\n".join(lines) + "\n")

@@ -174,16 +174,16 @@ def _guard_size(size, what: str, per_entry: int | None = None) -> None:
         raise OverflowGuardError(f"{what} {size:.3g}: {size * per_entry + _WORKSPACE:.3g} bytes > budget {_MAX_BYTES}")
 
 
-def _count(value, what: str, least: int = 0, per_entry: int | None = None, work: bool = False) -> int:
+def _count(value, what: str, least: int = 0, per_entry: int | None = None) -> int:
     """value as an int: the package's one check of a count (half width, horizon, grid size, order, index).
 
     ValueError naming what unless value is an integer (numbers.Integral) >= least;
-    OverflowGuardError (_guard_size) past the memory budget at per_entry bytes
-    per unit of value, or, for a count of work, past _MAX_HORIZON.
+    with per_entry, OverflowGuardError (_guard_size) past the memory budget at
+    per_entry bytes per unit of value.  A count of work passes _guard_size itself.
     """
     if not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    if per_entry is not None or work:
+    if per_entry is not None:
         _guard_size(value, what, per_entry)
     return int(value)
 

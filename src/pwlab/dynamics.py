@@ -50,22 +50,26 @@ class OrbitTrace:
         object.__setattr__(self, "norms", v)
 
 
+# _orbit_parts' table of Python floats and complexes and the orbit's row arrays
+# peak at 80-97 bytes a row (tracemalloc, numpy 2.4); the memory budget counts 128.
+_ORBIT_ROW_BYTES = 128
+
+
 def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(|c^n|, Im d_n) for n = 0..n_max, once the squared orbit norms pass their guard.
 
     ||C_{phi^[n]} f||^2 carries e^(2 a |Im d_n|) times the prefactor 1/|c^n|,
     so their sum gets twice the range; each kernel that evaluates e^(2 a |Im
     d_n|) guards that exponent itself.  The row n_max (_iterate_table's bits)
-    is guarded first, then the table's bytes, so a horizon past either builds no
-    table: its Python floats and complexes and the orbit's row arrays peak at
-    80-97 bytes a row (tracemalloc, numpy 2.4), counted at 128 against the budget.
+    is guarded first, then the table's bytes (_ORBIT_ROW_BYTES a row), so a
+    horizon past either builds no table.
     """
     n_max = _count(n_max, "orbit horizon")
     what, limit = "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT
     # in the table's bits (np.log, not math.log), so this raises only where the table's guard would
     (cn,), (dn,) = _iterate_table(phi.c, phi.d, (n_max,))
     _guard_exponent(2.0 * a * abs(dn.imag) - float(np.log(max(abs(cn), math.ulp(0.0)))), what, limit)
-    _guard_size(n_max + 1, "orbit horizon", 128)
+    _guard_size(n_max + 1, "orbit horizon", _ORBIT_ROW_BYTES)
     c, d = _iterate_table(phi.c, phi.d, range(n_max + 1))
     c, y = np.abs(c), np.imag(d)
     # a c^n that underflowed to 0 counts as the least float, whose -log (744) fails the guard too
@@ -343,7 +347,8 @@ def cesaro_lower_envelope(phi: AffineSymbol, f: PwFunction, n_max: int) -> np.nd
     scales with f.  _orbit_parts' table passes the squared orbit norms' guard,
     so the envelope admits the horizons cesaro_averages admits.
     """
-    n_max = _count(n_max, "orbit horizon", least=1, per_entry=128)  # _orbit_parts' table
+    n_max = _count(n_max, "orbit horizon", least=1)
+    _guard_size(n_max + 1, "orbit horizon", _ORBIT_ROW_BYTES)  # _orbit_parts' table, before its range guard
     if abs(phi.c) >= 1.0:
         raise ValueError("the envelope needs a strictly contracting symbol, 0<|c|<1")
     c, y = _orbit_parts(phi, f.a, n_max)

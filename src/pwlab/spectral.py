@@ -86,10 +86,9 @@ def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix
     """
     half_width = _count(half_width, "section half width", least=1)
     _bandwidth(a)
-    size = 2 * half_width + 1
     table, row, start = _section_kernels(phi, a, half_width)
     if row is not None:  # the windows of every table row: sliding_window_view's, without its checks
-        shape, strides = (len(table), table.shape[1] - size + 1, size), table.strides + table.strides[1:]
+        shape, strides = (len(table), table.shape[1] - len(row) + 1, len(row)), table.strides + table.strides[1:]
         table = np.ndarray(shape, complex, table, 0, strides)[row, start]
     table.setflags(write=False)
     return OperatorMatrix(table)
@@ -103,13 +102,13 @@ def _section_kernels(phi: AffineSymbol, a: float, half_width: int):
     section outweigh the direct route's two section-sized arrays: each row is its own
     class, and the table is the section.
     """
-    n = np.arange(-half_width, half_width + 1)
-    p, q = phi.c.as_integer_ratio()
+    (p, q), size = phi.c.as_integer_ratio(), 2 * half_width + 1
     h = (q - 1) // 2
-    # in Python integers, so a huge p is never multiplied into an index
-    coset = 2 * q * (abs(p) * ((half_width + h) // q - (h - half_width) // q) + n.size) <= n.size**2
-    _guard_size(n.size**2, f"section of {n.size} x {n.size}: entries", 16 if coset else 32)
+    # in Python integers, so a huge p is never multiplied into an index, and before any array
+    coset = 2 * q * (abs(p) * ((half_width + h) // q - (h - half_width) // q) + size) <= size**2
+    _guard_size(size**2, f"section of {size} x {size}: entries", 16 if coset else 32)
     _guard_exponent(a * abs(phi.d.imag), "entry magnitude exponent")
+    n = np.arange(-half_width, half_width + 1)
     r, shift = (np.arange(-h, q - h), p * ((n + h) // q)) if coset else (n, np.zeros_like(n))
     z = phi(r * (math.pi / a))
     mu = np.rint(z.real * (a / math.pi))
@@ -352,7 +351,8 @@ def spectral_radius_estimate(phi: AffineSymbol, a: float, half_width: int, n_max
     matrix powers: the n-th matrix is the section of the n-th operator, not
     the n-th power of a section.
     """
-    n_max = _count(n_max, "radius horizon", least=1, work=True)
+    n_max = _count(n_max, "radius horizon", least=1)
+    _guard_size(n_max, "radius horizon")  # a cap on work: one section per n
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         section = build_matrix(phi.iterate(n), a, half_width)
@@ -435,7 +435,8 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     composition operator on PW_a is compact.
     """
     _bandwidth(a)
-    n_max = _count(n_max, "witness horizon", least=1, work=True)
+    n_max = _count(n_max, "witness horizon", least=1)
+    _guard_size(n_max, "witness horizon")  # a cap on work: one kernel pair per n
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         point = KernelPoint(a, n * math.pi / a)

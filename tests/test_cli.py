@@ -351,6 +351,7 @@ class TestExitCodes:
         cases = [
             (["--half-width", huge, "orbit", "--a", "1", "--c", "0.5", "--probe", "rough"], "window half width"),
             (["--half-width", huge, "kernel", "--a", "1", "--w", "0"], "window half width"),
+            (["--half-width", huge, "norm", "--a", "1", "--c", "0.5"], "section of"),
             (["spectrum", "--a", "1", "--c", "0.5", "--boundary-count", huge], "boundary count"),
             (["--n-max", huge, "orbit", "--a", "1", "--c", "-1", "--d", "0.3"], "orbit horizon"),
             (["--n-max", "100000", "shadow", "--a", "1", "--c", "-1", "--d", "0.3"],

@@ -256,6 +256,11 @@ class TestSizeCaps:
             "orbit weight entries": [
                 lambda: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 1 << 16), core._MAX_BYTES >> 16),
             ],
+            # the budget is checked in Python integers, before the section's index arrays exist
+            "section of": [
+                lambda: pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, huge),
+                lambda: pwlab.build_matrix(AffineSymbol(0.9, 0.3), 1.0, huge),
+            ],
             "grid points": [
                 lambda: pwlab.to_l2(f, huge),
                 lambda: pwlab.to_l2(f, core._MAX_BYTES),
