@@ -57,6 +57,10 @@ OVERFLOW_EXPONENT = 300.0
 # where _cardinal's complex route overflows its squares (a Re(z - x_k))^2.
 _REAL_RANGE = 2.0 ** (sys.float_info.max_exp // 2 - 1)
 
+# Largest node spacing pi/a (every norm's and pairing's Parseval factor): 2^128, so an orbit's
+# pi/(a |c^n|), with 1/|c^n| <= e^600 by the squared orbit guard, stays below 2^994.
+_SPACING_RANGE = 2.0 ** (sys.float_info.max_exp // 8)
+
 # The one seed of the package's pinned draws: the acceptance checks, the
 # section norm's two Lanczos starts and pwlab's default --seed for probes.
 DEFAULT_SEED = 0x50572024
@@ -140,10 +144,12 @@ class AliasingError(PwLabError, ValueError):
 
 
 def _bandwidth(a) -> float:
-    """a as a float, or ValueError unless 0 < a < inf: the one check of PW_a's bandwidth."""
+    """The one bandwidth check: a as a float, ValueError unless 0 < a < inf, OverflowGuardError
+    where pi/a passes _SPACING_RANGE."""
     a = float(a)
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"bandwidth must be positive and finite, got {a!r}")
+    _guard_exponent(math.pi / a, "node spacing pi/a", _SPACING_RANGE)
     return a
 
 
@@ -265,19 +271,15 @@ class AffineSymbol:
         return self.c * np.asarray(z) + self.d
 
     def iterate(self, n: int) -> "AffineSymbol":
-        """The n-fold composition phi o ... o phi, in closed form (_iterate_parts)."""
-        return AffineSymbol(*_iterate_parts(self.c, self.d, _count(n, "iterate order")))
+        """The n-fold composition phi o ... o phi: the row (c^n, d_n) of _iterate_table, in its bits."""
+        (cn,), (dn,) = _iterate_table(self.c, self.d, (_count(n, "iterate order"),))
+        return AffineSymbol(cn, dn)
 
     def fixed_point(self) -> complex:
         """alpha = d/(1-c), defined only when c != 1."""
         if self.c == 1.0:
             raise ValueError("translation symbols (c = 1) have no fixed point")
         return self.d / (1.0 - self.c)
-
-
-def _iterate_parts(c: float, d: complex, n: int) -> tuple[float, complex]:
-    """(c^n, d_n) of the n-fold composition of z -> c z + d, n >= 0: one row of _iterate_table."""
-    return tuple(column[0] for column in _iterate_table(c, d, (n,)))
 
 
 def _iterate_table(c: float, d: complex, orders) -> tuple[list, list]:
@@ -334,8 +336,14 @@ class PwFunction:
         return grid(self.a, self.half_width)
 
     def norm(self) -> float:
-        # Parseval on the node samples
-        return math.sqrt(math.pi / self.a) * float(np.linalg.norm(self.samples))
+        """Parseval, sqrt(pi/a) ||v||, or OverflowGuardError past the float range; where a nonzero v's
+        sum of squares leaves the normal range, it is summed again on v over its largest part."""
+        with np.errstate(over="ignore"):
+            root = float(np.linalg.norm(self.samples))
+        if not math.sqrt(sys.float_info.min) <= root < math.inf and self.samples.any():
+            top = float(np.abs(self.samples.view(float)).max())
+            root = top * float(np.linalg.norm(self.samples / top))
+        return _guard_exponent(math.sqrt(math.pi / self.a) * root, "norm", sys.float_info.max)
 
     def is_zero(self) -> bool:
         return not np.any(self.samples)
@@ -347,9 +355,6 @@ class KernelPoint:
 
     a: float
     w: complex
-
-    def norm_sq(self) -> float:
-        return kernel_norm_sq(self.a, self.w)
 
     def to_pw(self, half_width: int) -> PwFunction:
         n = _count(half_width, "window half width", per_entry=2 * 73)  # 73 bytes a sample at the peak

@@ -399,14 +399,15 @@ def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> 
 class Pseudotrajectory:
     """f_n = coefficient * sum_{j=1..n} C_phi^j f, coefficient = delta/||C_phi f||.
 
-    Terms are sums of the exact iterate images of the seed, so norms,
-    defects, and pairings all go through the closed pairing form; nothing is
-    ever resampled onto a window.  ||f_n||^2 is
-    coefficient^2 times the sum of the leading n x n block of Re gram.
-    Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2 *
-    e^(a |Im s|)) with v the seed's samples (see _lower_pairings for s).
-    The seed's value at the fixed point, summed once for the vanishing
-    check of build_pseudotrajectory, is kept for every later use.
+    The fields hold everything the construction states.  C_phi f_n - f_{n+1}
+    = -coefficient C_phi f for every n, so each defect is coefficient *
+    step_norm, delta within two roundings; every iterate fixes alpha, so
+    f_n(alpha) = n * coefficient * seed_at_fixed_point; and ||f_n||^2 is
+    coefficient^2 times the sum of the leading n x n block of Re gram.  Terms
+    are sums of the exact iterate images of the seed, so norms and pairings
+    go through the closed pairing form; nothing is ever resampled onto a
+    window.  Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2
+    * e^(a |Im s|)) with v the seed's samples (see _lower_pairings for s).
     """
 
     phi: AffineSymbol
@@ -424,34 +425,15 @@ class Pseudotrajectory:
         cum = np.cumsum(np.cumsum(self.gram.real, axis=0), axis=1)
         return np.concatenate(([0.0], np.diagonal(cum)))
 
-    def term_norm(self, n: int) -> float:
-        if _count(n, "term index") > self.n_max + 1:
-            raise ValueError("term index outside 0..n_max+1")
-        return self.coefficient * math.sqrt(max(self._block_sums()[n], 0.0))
-
-    def defect(self, n: int) -> float:
-        """||C_phi f_n - f_{n+1}|| = coefficient ||C_phi seed||: delta within two roundings.
-
-        C_phi f_n carries the coefficient on iterates 2..n+1 and f_{n+1} on
-        1..n+1, so their difference is -coefficient C_phi seed for every n;
-        its norm is (delta / step_norm) times the root of gram[0, 0], step_norm.
-        """
-        if _count(n, "defect index") > self.n_max:
-            raise ValueError("defect index outside 0..n_max")
-        return self.coefficient * math.sqrt(max(self.gram[0, 0].real, 0.0))
-
-    def value_at_fixed_point(self, n: int) -> complex:
-        """f_n(alpha) = n * coefficient * f(alpha): every iterate fixes alpha."""
-        return _count(n, "term index") * self.coefficient * self.seed_at_fixed_point
-
 
 def build_pseudotrajectory(
     phi: AffineSymbol, a: float, f: PwFunction, delta: float, n_max: int
 ) -> Pseudotrajectory:
     """The delta-pseudotrajectory of the seed f, with gram[j, k] = <C_{phi^[j+1]} f, C_{phi^[k+1]} f>.
 
-    The gram is _lower_pairings(f, f) below the diagonal and its
-    conjugate transpose on and above it, rounding as Pseudotrajectory states.  Its diagonal holds
+    Every step misses by delta by construction (see Pseudotrajectory).  The gram is
+    _lower_pairings(f, f) below the diagonal and its conjugate transpose on and
+    above it, rounding as Pseudotrajectory states.  Its diagonal holds
     the orbit's squares ||C_phi^n f||^2, n = 1..n_max+1, which pass the range
     guard of orbit_norms (_orbit_parts) before any pairing and its
     _guard_square after; step_norm = ||C_phi f|| is the root of gram[0, 0].

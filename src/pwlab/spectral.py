@@ -29,14 +29,14 @@ import numpy as np
 from .core import (
     DEFAULT_SEED,
     AffineSymbol,
-    KernelPoint,
     OverflowGuardError,
     _bandwidth,
     _count,
     _guard_exponent,
     _guard_size,
-    _iterate_parts,
+    _iterate_table,
     _sinc,
+    kernel_norm_sq,
 )
 
 # Lanczos tolerance of the section norm: a start stops once its explicit residual
@@ -331,7 +331,7 @@ def norm_closed(phi: AffineSymbol, a: float, n: int = 1) -> float:
     """
     _bandwidth(a)
     n = _count(n, "norm power n", least=1)
-    d_n = _iterate_parts(phi.c, phi.d, n)[1]
+    _, (d_n,) = _iterate_table(phi.c, phi.d, (n,))
     expo = _guard_exponent(a * abs(d_n.imag) / n, "norm exponent")
     return 1.0 / math.sqrt(abs(phi.c)) * math.exp(expo)
 
@@ -439,7 +439,6 @@ def compactness_witness(phi: AffineSymbol, a: float, n_max: int) -> np.ndarray:
     _guard_size(n_max, "witness horizon")  # a cap on work: one kernel pair per n
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
-        point = KernelPoint(a, n * math.pi / a)
-        image = KernelPoint(a, phi(point.w))
-        out[n - 1] = image.norm_sq() / point.norm_sq()
+        w = n * math.pi / a
+        out[n - 1] = kernel_norm_sq(a, phi(w)) / kernel_norm_sq(a, w)
     return out

@@ -1,7 +1,8 @@
-"""Demo scripts: each imports against the current API and exposes main().
+"""Demo scripts: each runs its main() against the current API.
 
-Every demo keeps its work under ``if __name__ == "__main__"``, so importing
-one only resolves its imports; a name removed from pwlab fails here.
+Every demo keeps its work under ``if __name__ == "__main__"``, so loading one
+only resolves its imports; main() then runs the whole script in process, with
+its asserts, so a name or member removed from pwlab fails here.
 """
 
 import importlib.util
@@ -17,8 +18,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_imports(path):
+def test_demo_imports(path, capsys):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    module.main()
+    assert capsys.readouterr().out

@@ -551,17 +551,25 @@ class TestPseudotrajectory:
         )
 
     def test_defect_is_delta_at_every_step(self):
+        # ||C_phi f_n - f_{n+1}|| as the gram's quadratic form: C_phi f_n carries the
+        # coefficient on iterates 2..n+1 and f_{n+1} on 1..n+1
         P = self.build()
-        defects = np.array([P.defect(n) for n in range(P.n_max + 1)])
-        assert np.max(np.abs(defects - 0.1)) < 1e-9
+        for n in range(P.n_max + 1):
+            push = np.zeros(P.n_max + 1, dtype=np.complex128)
+            push[1 : n + 1] = P.coefficient
+            defect = math.sqrt(max(gram_form(P, push - term_coefficients(P, n + 1)), 0.0))
+            assert abs(defect - P.delta) < 1e-9, n
 
     def test_terms_grow_and_value_at_fixed_point_is_linear(self):
+        # every iterate fixes alpha, so each term adds coefficient f(alpha) there:
+        # f_n(alpha) = n delta f(alpha) / ||C_phi f||
         P = self.build()
-        f_alpha = pwlab.pw_eval(P.seed, 0.0)
-        for n in (1, 5, 17, 30):
-            expected = n * P.delta * f_alpha / P.step_norm
-            assert abs(P.value_at_fixed_point(n) - expected) < 1e-10 * max(1.0, abs(expected))
-        norms = [P.term_norm(n) for n in range(1, P.n_max + 1)]
+        alpha = P.phi.fixed_point()
+        assert P.seed_at_fixed_point == pwlab.pw_eval(P.seed, alpha)
+        assert P.coefficient == P.delta / P.step_norm
+        for j in range(1, P.n_max + 1):
+            assert P.phi.iterate(j)(alpha) == alpha
+        norms = [math.sqrt(gram_form(P, term_coefficients(P, n))) for n in range(1, P.n_max + 1)]
         assert all(b > a for a, b in zip(norms, norms[1:]))
 
     def test_term_samples_reproduce_fixed_point_value(self):
@@ -569,16 +577,17 @@ class TestPseudotrajectory:
         P = self.build(n_max=12)
         parts = [pwlab.compose_apply(P.phi.iterate(j), P.seed, half_width=256) for j in range(1, 8)]
         g = pwlab.lincomb([P.coefficient] * 7, parts)
-        assert abs(pwlab.pw_eval(g, 0.0) - P.value_at_fixed_point(7)) < 1e-8
+        assert abs(pwlab.pw_eval(g, 0.0) - 7 * P.coefficient * P.seed_at_fixed_point) < 1e-8
 
     def test_zero_term(self):
+        # f_0 is the empty sum: its block sum, which ||f_n||^2 reads, is exactly 0
         P = self.build(n_max=5)
-        assert P.term_norm(0) == 0.0
-        assert P.value_at_fixed_point(0) == 0.0
+        assert P._block_sums()[0] == 0.0
 
     def test_block_sums_match_the_quadratic_form(self):
-        # term_norm and defect against Re(x* gram x) with x the coefficient
-        # vector of f_n, and of C_phi f_n - f_{n+1}, written out
+        # ||f_n|| from the block sums and the defect coefficient * step_norm against
+        # Re(x* gram x) with x the coefficient vector of f_n, and of C_phi f_n - f_{n+1},
+        # written out; the defect's form is delta
         rng = np.random.default_rng(SEED + 20)
         eps = np.finfo(float).eps
         for c in (0.5, -0.5, 0.25, -1.0, 0.9):
@@ -587,13 +596,15 @@ class TestPseudotrajectory:
                 P = pwlab.build_pseudotrajectory(AffineSymbol(c, d), 1.3, f, 0.1, 20)
                 for n in range(P.n_max + 2):
                     ref = math.sqrt(max(gram_form(P, term_coefficients(P, n)), 0.0))
-                    assert abs(P.term_norm(n) - ref) <= 8 * eps * ref, (c, d, n)
+                    term = P.coefficient * math.sqrt(max(P._block_sums()[n], 0.0))
+                    assert abs(term - ref) <= 8 * eps * ref, (c, d, n)
                 for n in range(P.n_max + 1):
                     push = np.zeros(P.n_max + 1, dtype=np.complex128)
                     push[1 : n + 1] = P.coefficient
                     x = push - term_coefficients(P, n + 1)
                     ref = math.sqrt(max(gram_form(P, x), 0.0))
-                    assert abs(P.defect(n) - ref) <= 8 * eps * ref, (c, d, n)
+                    assert abs(P.coefficient * P.step_norm - ref) <= 8 * eps * ref, (c, d, n)
+                    assert abs(P.delta - ref) <= 10 * eps * ref, (c, d, n)
 
     def test_step_norm_is_read_from_the_gram(self):
         # ||C_phi f|| is the root of gram[0, 0], so the defect is delta within two
@@ -606,21 +617,12 @@ class TestPseudotrajectory:
             phi = AffineSymbol(c, d)
             P = pwlab.build_pseudotrajectory(phi, 1.3, f, 0.1, 8)
             assert P.step_norm == math.sqrt(P.gram[0, 0].real)
-            assert abs(P.defect(0) - 0.1) <= 2 * eps * 0.1, (c, d)
+            assert abs(P.coefficient * P.step_norm - 0.1) <= 2 * eps * 0.1, (c, d)
             square = pwlab.orbit_norms(phi, 1.3, f, 1).norms[1] ** 2
             bound = _rounding_bound(1.3, c, complex(d).imag, f.samples)
             assert abs(P.step_norm**2 - square) <= 2 * bound, (c, d)
         with pytest.raises(OverflowGuardError, match="squared orbit norm exponent"):
             pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), 1.3, f, 0.1, 900)
-
-    def test_index_validation(self):
-        P = self.build(n_max=5)
-        with pytest.raises(ValueError):
-            P.defect(6)
-        with pytest.raises(ValueError):
-            P.term_norm(8)
-        with pytest.raises(ValueError):
-            P.value_at_fixed_point(-1)
 
     def test_construction_rejections(self):
         f = pwlab.node_function(math.pi, 8, 0)
@@ -662,7 +664,7 @@ class TestShadowingDivergence:
         zero = pwlab.PwFunction(math.pi, np.zeros(17))
         D, L = pwlab.shadowing_divergence(P, zero)
         assert D.shape == L.shape == (15,)
-        terms = np.array([P.term_norm(n) for n in range(1, 16)])
+        terms = np.array([math.sqrt(gram_form(P, term_coefficients(P, n))) for n in range(1, 16)])
         np.testing.assert_allclose(D, terms, rtol=1e-10)
         assert np.all(D >= L - 1e-8)
 

@@ -171,21 +171,47 @@ def _traced(call):
     return peak, err
 
 
-def _largest_admitted(make):
-    """The largest size whose call passes the memory guard, by doubling and then bisection."""
+class _Admitted(Exception):
+    """Raised in place of the rest of a call once its named memory guard has passed."""
+
+
+def _largest_admitted(what, make):
+    """The largest size whose call passes the memory guard named what, by doubling and then bisection.
+
+    Each probe stops where that guard passes: the real core._guard_size, wrapped
+    in every module that binds it, raises _Admitted after a memory guard whose
+    name starts with what returns.  A probe that raises OverflowGuardError
+    first is refused.
+    """
+    real = core._guard_size
+
+    def guard(size, name, per_entry=None):
+        real(size, name, per_entry)
+        if per_entry is not None and name.startswith(what):
+            raise _Admitted
+
     def admitted(n):
         try:
             make(n)()
         except OverflowGuardError:
             return False
+        except _Admitted:
+            pass
         return True
 
-    lo, hi = 1, 2
-    while admitted(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    modules = [m for name, m in sys.modules.items() if name.startswith("pwlab") and getattr(m, "_guard_size", None) is real]
+    for module in modules:
+        module._guard_size = guard
+    try:
+        lo, hi = 1, 2
+        while admitted(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    finally:
+        for module in modules:
+            module._guard_size = real
     return lo
 
 
@@ -200,7 +226,7 @@ def budget_sweep(budget):
     rows = []
     try:
         for what, make in _budget_calls():
-            n = _largest_admitted(make)
+            n = _largest_admitted(what, make)
             peak, err = _traced(make(n))
             assert err is None and peak <= budget, (what, n, peak, budget)
             past, err = _traced(make(n + 1))
@@ -301,6 +327,18 @@ INPUT_CHECKS = [
     ("composed norm overflow", lambda: pwlab.composed_norm(
         AffineSymbol(0.5, 0.3), pwlab.scaled(pwlab.node_function(1.0, 4), 1e200)), OverflowGuardError,
      "squared norm rounds to inf, outside"),
+    # pi/a past 2^128 (core._SPACING_RANGE): a bandwidth of 1e-308 is refused where it is given,
+    # before a norm, grid or pairing forms pi/a = inf
+    ("tiny bandwidth norm", lambda: pwlab.PwFunction(1e-308, np.ones(9)).norm(), OverflowGuardError,
+     "node spacing pi/a inf > 3.40282e"),
+    ("tiny bandwidth orbit", lambda: pwlab.orbit_norms(
+        AffineSymbol(0.5, 0.3), 1e-308, pwlab.rough_probe(1e-308, 4, np.random.default_rng(0)), 3), OverflowGuardError,
+     "node spacing pi/a"),
+    ("tiny bandwidth composed norm", lambda: pwlab.composed_norm(
+        AffineSymbol(0.5, 0.3), pwlab.rough_probe(1e-308, 4, np.random.default_rng(0))), OverflowGuardError,
+     "node spacing pi/a"),
+    ("norm past the float range", lambda: pwlab.PwFunction(1.0, np.full(9, 1e308)).norm(), OverflowGuardError,
+     "norm inf > "),
     # every entry is in range, but the norm 3e308 of the 3 x 3 matrix of 1e308 is not
     ("section norm overflow", lambda: pwlab.operator_norm_estimate(pwlab.OperatorMatrix(np.full((3, 3), 1e308))),
      OverflowGuardError, "passes the float range"),
@@ -332,6 +370,20 @@ class TestInputChecks:
         monkeypatch.setattr(dynamics, "_favourable_tails", lambda f, imd: (np.array([2.0]), np.array([0.0])))
         with pytest.raises(PwLabError, match="no doubling within the cap 1 "):
             pwlab.expansivity_certificate(AffineSymbol(0.5, 0.01j), 1.0, pwlab.node_function(1.0, 4))
+
+    def test_norm_outside_the_normal_range_of_its_squares(self):
+        # 9 samples of 1e300 have a sum of squares past the float range and of 1e-200 one below it,
+        # yet both norms, 3 sqrt(pi) times the sample, are normal floats; the smallest bandwidth
+        # admitted, pi/a = 2^128, keeps every norm and grid finite
+        for sample in (1e300, 1e-200, 1e300 - 1e300j):
+            norm = pwlab.PwFunction(1.0, np.full(9, sample)).norm()
+            expected = 3.0 * math.sqrt(math.pi) * abs(sample)
+            assert abs(norm - expected) <= 4 * np.finfo(float).eps * expected, sample
+        a = math.pi / 2.0**128
+        f = pwlab.PwFunction(a, np.ones(9))
+        assert f.norm() == 3.0 * 2.0**64 and np.all(np.isfinite(f.grid()))
+        with pytest.raises(OverflowGuardError, match="node spacing"):
+            pwlab.grid(math.nextafter(a, 0.0), 4)
 
     def test_accepted_edge_inputs(self):
         # a complex slope with zero imaginary part is the real slope
@@ -375,9 +427,6 @@ COUNTS = {
     "build_pseudotrajectory n_max": ("pseudotrajectory horizon", 0, 3,
                                      lambda n: pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), 1.0, NODE, 0.1, n)),
     "shadowing_divergence n_max": ("divergence horizon", 1, 3, lambda n: pwlab.shadowing_divergence(P, NODE, n)),
-    "term_norm n": ("term index", 0, 2, P.term_norm),
-    "defect n": ("defect index", 0, 2, P.defect),
-    "value_at_fixed_point n": ("term index", 0, 2, P.value_at_fixed_point),
     "smooth_probe half_width": ("window half width", 0, 3,
                                 lambda n: pwlab.smooth_probe(1.0, n, np.random.default_rng(SEED))),
     "rough_probe half_width": ("window half width", 0, 3, lambda n: pwlab.rough_probe(1.0, n, np.random.default_rng(SEED))),
