@@ -61,6 +61,10 @@ _REAL_RANGE = 2.0 ** (sys.float_info.max_exp // 2 - 1)
 # pi/(a |c^n|), with 1/|c^n| <= e^600 by the squared orbit guard, stays below 2^994.
 _SPACING_RANGE = 2.0 ** (sys.float_info.max_exp // 8)
 
+# Largest closed-pairing factor pi/(a |c1|): 2^1023, the largest power of two in the float
+# range, so the factor is finite (an orbit's pi/(a |c^n|) stays below 2^994: _SPACING_RANGE).
+_PAIRING_RANGE = 2.0 ** (sys.float_info.max_exp - 1)
+
 # The one seed of the package's pinned draws: the acceptance checks, the
 # section norm's two Lanczos starts and pwlab's default --seed for probes.
 DEFAULT_SEED = 0x50572024
@@ -658,10 +662,12 @@ def composed_inner_product(
     swap = (abs(phi1.c), phi1.c) < (abs(phi2.c), phi2.c)
     if swap:
         phi1, f, phi2, g = phi2, g, phi1, f
+    # in Python floats: a |c1| that underflows to 0 gives an infinite factor, which the guard refuses
+    scale = f.a * abs(phi1.c)
+    factor = _guard_exponent(math.pi / scale if scale else math.inf, "pairing factor pi/(a |c1|)", _PAIRING_RANGE)
     ratio = phi2.c / phi1.c
     shift = phi2.d - ratio * phi1.d.conjugate()
-    val = complex(_pairings(f.a, f.samples, g.samples, ratio, np.array([shift]))[0])
-    val *= math.pi / (f.a * abs(phi1.c))
+    val = complex(_pairings(f.a, f.samples, g.samples, ratio, np.array([shift]))[0]) * factor
     return val.conjugate() if swap else val
 
 

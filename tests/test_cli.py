@@ -21,6 +21,8 @@ from pwlab.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_OK,
     EXIT_OVERFLOW,
+    _dumps,
+    _pairs,
     main,
     parse_complex,
 )
@@ -63,6 +65,12 @@ class TestSubcommands:
         # the samples are k_w on the grid, and their decimals parse back to the same doubles
         samples = np.array([complex(re, im) for re, im in rec["function"]["samples"]])
         np.testing.assert_array_equal(samples, pwlab.kernel_eval(1.0, 1j, pwlab.grid(1.0, 48)))
+
+    def test_json_round_trip_is_exact(self):
+        # full-mantissa samples parse back to the same doubles
+        f = pwlab.rough_probe(1.5, 12, np.random.default_rng(pwlab.DEFAULT_SEED))
+        back = np.array([complex(re, im) for re, im in json.loads(_dumps(_pairs(f.samples)))])
+        np.testing.assert_array_equal(back, f.samples)
 
     # one argv per JSON writer
     RECORDS = [

@@ -359,16 +359,53 @@ def _straddle(cosets):
     return n, n + 1
 
 
+def _direct(f, z):
+    """direct_eval at the 1-d z, in chunks of about 2^20 entries, so wide windows fit in memory."""
+    chunks = np.array_split(z, 1 + z.size * f.samples.size // (1 << 20))
+    return np.concatenate([direct_eval(f.a, f.samples, part) for part in chunks])
+
+
+def _check_cardinal(f, z, fsum_points=3):
+    """pw_eval at the 1-d z within _kernel_budget of direct_eval (fsum_eval at fsum_points of them); returns the largest share."""
+    got = pwlab.pw_eval(f, z)
+    use = np.abs(got - _direct(f, z)) / _kernel_budget(f, z)
+    assert np.all(use <= 1.0)
+    for j in np.linspace(0, z.size - 1, fsum_points).astype(int):
+        assert abs(got[j] - fsum_eval(f.a, f.samples, z[j])) <= _kernel_budget(f, z[j])
+    return float(np.max(use, initial=0.0))
+
+
+def cardinal_sums(half_width, seed=SEED):
+    """pw_eval on rough probes of N = half_width, at a = 1.3 and a drawn a; returns the largest gap as a share of the budget.
+
+    Targets: 1 to 39 nodes past either end of the window, 1e4 and -3e5 nodes
+    out, 4000 real ones over |Re z| <= 1.2 N pi/a (many blocks), 200 half-node
+    ties, 200 within 1e-5 pi/a of a node (the sinc's Taylor fill) and 200 node
+    hits, real, shifted by 0.5i and by a normal Im z per target, all held to
+    _check_cardinal, and the targets outside the window alone too, so fsum_eval
+    sees N + 1, -(N + 1) and -3e5 nodes out.  Node hits return the samples bit
+    for bit.
+    """
+    n, worst = half_width, 0.0
+    for a in (1.3, float(np.random.default_rng(seed).uniform(0.5, 3.0))):
+        f = pwlab.rough_probe(a, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        h = math.pi / a
+        x = rng.uniform(-1.2, 1.2, 4000) * (n * h)
+        ties = (rng.integers(-n - 200, n + 200, 200) + 0.5) * h
+        hits = rng.integers(0, f.samples.size, 200)
+        near = (rng.integers(-n, n + 1, 200) + rng.uniform(-1e-5, 1e-5, 200)) * h
+        k = np.concatenate([np.arange(n + 1, n + 40), -np.arange(n + 1, n + 40), [1e4, -3e5]])
+        out = (k + rng.uniform(-0.5, 0.5, k.size)) * h
+        z = np.concatenate([out, x, ties, near, f.grid()[hits]])
+        for shift in (0.0, 0.5j, 1j * rng.normal(size=z.size)):
+            worst = max(worst, _check_cardinal(f, z + shift), _check_cardinal(f, (z + shift)[: out.size]))
+        assert pwlab.pw_eval(f, z[-hits.size :]).tobytes() == f.samples[hits].tobytes()
+    return worst
+
+
 class TestCardinalKernel:
     """pw_eval's one-sine kernel against the oracles' plain and compensated sums."""
-
-    def check(self, f, z, fsum_points=3):
-        got = pwlab.pw_eval(f, z)
-        ref = direct_eval(f.a, f.samples, z)
-        assert np.all(np.abs(got - ref) <= _kernel_budget(f, z))
-        for j in np.linspace(0, z.size - 1, fsum_points).astype(int):
-            ref_j = fsum_eval(f.a, f.samples, z[j])
-            assert abs(got[j] - ref_j) <= _kernel_budget(f, z[j])
 
     def test_sweep_over_symbols(self):
         # targets phi(x_n) on the grown window, so |m| runs past N
@@ -380,18 +417,12 @@ class TestCardinalKernel:
                     a = float(rng.uniform(0.5, 3.0))
                     f = pwlab.rough_probe(a, int(n), rng)
                     z = AffineSymbol(c, d)(pwlab.grid(a, math.ceil(n / abs(c)) + 3))
-                    self.check(f, z)
+                    _check_cardinal(f, z)
 
     def test_targets_outside_window(self):
-        rng = np.random.default_rng(SEED + 41)
+        # with targets in the window, ties, near-nodes and hits, real and complex, at a = 1.3 and a drawn a
         for n in (0, 1, 7, 60):
-            a = float(rng.uniform(0.5, 3.0))
-            f = pwlab.rough_probe(a, n, rng)
-            k = np.concatenate([np.arange(n + 1, n + 40), -np.arange(n + 1, n + 40), [1e4, -3e5]])
-            z = (k + rng.uniform(-0.5, 0.5, k.size)) * (math.pi / a) + 1j * rng.normal(size=k.size)
-            self.check(f, z)
-            # real targets with every nearest node outside the window: no inf column
-            self.check(f, z.real)
+            cardinal_sums(n, SEED + 41)
 
     def test_half_node_ties(self):
         # a = pi puts the nodes on the integers, so k + 1/2 is an exact tie
@@ -400,7 +431,7 @@ class TestCardinalKernel:
         k = np.arange(-16, 16) + 0.5
         assert np.all(k * (f.a / math.pi) == k)
         for y in (0.0, 0.7, -2.0):
-            self.check(f, k + 1j * y)
+            _check_cardinal(f, k + 1j * y)
 
     def test_window_wider_than_a_block(self):
         # every block holds a single row
@@ -408,7 +439,7 @@ class TestCardinalKernel:
         rng = np.random.default_rng(SEED + 43)
         f = PwFunction(1.0, rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1))
         z = np.array([0.3, -n * math.pi + 0.2j, 17.5 * math.pi - 1j, (n + 2) * math.pi])
-        self.check(f, z, fsum_points=0)
+        _check_cardinal(f, z, fsum_points=0)
         assert pwlab.pw_eval(f, 5.0 * math.pi) == f.samples[n + 5]
 
     def test_real_and_complex_blocks_alternate(self, monkeypatch):
@@ -592,27 +623,50 @@ class TestComposition:
         )
 
 
+SLOPES = (1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 0.125)
+
+
+def coset_sums(half_width, seed=SEED):
+    """compose_apply on rough probes at N = half_width against direct_eval, within _kernel_budget.
+
+    Every c in SLOPES and d in {0, 0.3, i, 1 + i, the node pi/a}, a drawn from
+    (0.5, 3) per symbol, and (-1/2, 0.3 + 0.4i) at a = 1.3 (two cosets of
+    (2N + 1)^2 terms, past the direct-sum bound at N = 1024), on the grown
+    window and the windows N // 2, N + 5 and 3N + 7, each on both convolution
+    engines (ENGINES, patched onto core._DIRECT_TERMS).  The windows' targets nest,
+    so one direct_eval serves them all.  Returns the largest gap as a share of
+    the budget.
+    """
+    rng = np.random.default_rng(seed)
+    cases = [(AffineSymbol(-0.5, 0.3 + 0.4j), pwlab.rough_probe(1.3, half_width, np.random.default_rng(seed)))]
+    for c in SLOPES:
+        for d in (0.0, 0.3, 1j, 1.0 + 1j, "node"):
+            a = float(rng.uniform(0.5, 3.0))
+            cases.append((AffineSymbol(c, math.pi / a if d == "node" else d), pwlab.rough_probe(a, half_width, rng)))
+    widths = (None, half_width // 2, half_width + 5, 3 * half_width + 7)
+    worst = 0.0
+    for phi, f in cases:
+        top = max(3 * half_width + 7, math.ceil(half_width / abs(phi.c)))
+        z = phi(pwlab.grid(f.a, top))
+        ref, budget = _direct(f, z), _kernel_budget(f, z)
+        for terms in ENGINES.values():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pwlab.core, "_DIRECT_TERMS", terms)
+                for width in widths:
+                    g = pwlab.compose_apply(phi, f, grow=width is None, half_width=width)
+                    w = g.half_width
+                    gap = np.abs(g.samples - ref[top - w : top + w + 1]) / budget[top - w : top + w + 1]
+                    assert np.all(gap <= 1.0), (phi, f.a, width, terms)
+                    worst = max(worst, float(np.max(gap)))
+    return worst
+
+
 class TestRationalSlopes:
     """compose_apply's coset convolutions for c = p/q against the plain cardinal sum."""
 
-    SLOPES = (1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 0.125)
-
-    def test_sweep_matches_direct_series(self, monkeypatch):
-        # every case on both convolution engines, to the same budget
-        for engine, terms in ENGINES.items():
-            monkeypatch.setattr(pwlab.core, "_DIRECT_TERMS", terms)
-            rng = np.random.default_rng(SEED + 60)
-            for c in self.SLOPES:
-                for d in (0.0, 0.3, 1j, 1.0 + 1j, "node"):
-                    for n in (0, 1, 8, 64):
-                        a = float(rng.uniform(0.5, 3.0))
-                        phi = AffineSymbol(c, math.pi / a if d == "node" else d)
-                        f = pwlab.rough_probe(a, n, rng)
-                        for width in (None, n // 2, n + 5, 3 * n + 7):
-                            g = pwlab.compose_apply(phi, f, grow=width is None, half_width=width)
-                            z = phi(g.grid())
-                            budget = _kernel_budget(f, z)
-                            assert np.all(np.abs(g.samples - direct_eval(a, f.samples, z)) <= budget), engine
+    def test_sweep_matches_direct_series(self):
+        for n in (0, 1, 8, 64):
+            coset_sums(n, SEED + 60)
 
     def test_engine_rule_straddles_the_bound(self, monkeypatch):
         # at the fitted _DIRECT_TERMS: c = 1 convolves one coset of (2N + 1)^2
@@ -633,7 +687,7 @@ class TestRationalSlopes:
         # the sweep above must exercise the convolutions, not the fallback
         rng = np.random.default_rng(SEED + 61)
         f = pwlab.rough_probe(1.0, 64, rng)
-        for c in self.SLOPES:
+        for c in SLOPES:
             phi = AffineSymbol(c, 0.3 + 0.2j)
             assert pwlab.core._coset_sum(phi, f, math.ceil(64 / abs(c))) is not None
 

@@ -12,11 +12,51 @@ from pwlab import AdmissibilityError, AffineSymbol, BandwidthMismatchError, Over
 from pwlab import dynamics
 from pwlab.core import _rounding_bound
 from pwlab.dynamics import _lower_pairings
-from pwlab.verify import _fourier_orbit
+from pwlab.verify import _GRID_C, _GRID_D, _envelope_shortfall, _fourier_orbit
 
 from oracles import dense_pairing, full_cross_divergence, gram_form, term_coefficients
 
 SEED = pwlab.DEFAULT_SEED
+
+
+def orbit_routes(half_width, seed=SEED):
+    """orbit_norms against the Fourier route for n <= 40, on probes of N = half_width; returns the largest gaps.
+
+    For each c in {+-1, +-1/2, 1/4}: a smooth probe at a = pi and a rough one
+    at a = 1, drawn in turn from one generator, and the first rough draw of a
+    fresh one.  At d = 0.3 the weight is 1, so the Fourier sum is Parseval on
+    |F|^2, exact to rounding (8 eps relative) on any grid that holds the
+    samples: 2N + 1 and 4096 points.  At d = 0.3 + 0.5i, and at (1, i),
+    _fourier_orbit stays within the Richardson slack C8 and C9 hold it to.
+    Where the closed route's square at n rounds to <= 0 (c = 1 on PW_pi), the
+    Fourier route must put the true square under the rounding bound B_n the
+    error names, and the two routes still agree before n.  The gaps are the
+    real-d one as a share of 8 eps and the complex-d one as a share of the slack.
+    """
+    rng = np.random.default_rng(seed)
+    first = pwlab.rough_probe(1.0, half_width, np.random.default_rng(seed))
+    real = cplx = 0.0
+    for c in (1.0, -1.0, 0.5, -0.5, 0.25):
+        for f in [pwlab.smooth_probe(math.pi, half_width, rng), pwlab.rough_probe(1.0, half_width, rng), first]:
+            exact = pwlab.orbit_norms(AffineSymbol(c, 0.3), f.a, f, 40).norms
+            for m_points in (2 * half_width + 1, 4096):
+                tr = pwlab.orbit_norms_fourier(AffineSymbol(c, 0.3), pwlab.to_l2(f, m_points), 40)
+                real = max(real, float(np.max(np.abs(tr.norms / exact - 1.0))) / (8 * np.finfo(float).eps))
+                assert real <= 1.0, (c, f.a, m_points)
+            for phi in [AffineSymbol(c, 0.3 + 0.5j)] + [AffineSymbol(1.0, 1j)] * (c == 1.0):
+                norms, slack = _fourier_orbit(phi, f, 40)
+                horizon = 40
+                while True:
+                    try:
+                        exact = pwlab.orbit_norms(phi, f.a, f, horizon).norms
+                        break
+                    except OverflowGuardError as err:
+                        horizon = int(re.search(r"at n = (\d+) ", str(err)).group(1))
+                        assert norms[horizon] ** 2 <= float(str(err).rsplit(" ", 1)[1]), (phi, f.a, horizon)
+                        horizon -= 1
+                cplx = max(cplx, float(np.max(np.abs(norms[: exact.size] - exact) / slack[: exact.size])))
+                assert cplx <= 1.0, (phi, f.a)
+    return real, cplx
 
 
 class TestOrbitNorms:
@@ -63,34 +103,10 @@ class TestOrbitNorms:
         np.testing.assert_allclose(tr.norms[1::2], tr.norms[1], rtol=1e-10)
 
     def test_matches_fourier_route(self):
-        # real d: weight 1, so the Fourier sum is Parseval on |F|^2, exact to
-        # rounding on any grid that holds the samples; complex d: within the
-        # Richardson slack C8 and C9 hold the route to
-        rng = np.random.default_rng(SEED + 3)
-        eps = np.finfo(float).eps
-        for c in (1.0, -1.0, 0.5, -0.5, 0.25):
-            for a, probe in ((math.pi, pwlab.smooth_probe), (1.0, pwlab.rough_probe)):
-                f = probe(a, 32, rng)
-                exact = pwlab.orbit_norms(AffineSymbol(c, 0.3), a, f, 30).norms
-                for m_points in (65, 4096):
-                    tr = pwlab.orbit_norms_fourier(AffineSymbol(c, 0.3), pwlab.to_l2(f, m_points), 30)
-                    assert np.max(np.abs(tr.norms / exact - 1.0)) <= 8 * eps, (c, a, m_points)
-                phi = AffineSymbol(c, 0.3 + 0.5j)
-                norms, slack = _fourier_orbit(phi, f, 30)
-                try:
-                    exact = pwlab.orbit_norms(phi, a, f, 30).norms
-                except OverflowGuardError as err:
-                    # the closed route's square at n rounded to <= 0 (c = 1 on
-                    # PW_pi): the Fourier route must put the true square under
-                    # the rounding bound B_n the error names, and the two routes
-                    # still agree before n
-                    n = int(re.search(r"at n = (\d+) ", str(err)).group(1))
-                    assert norms[n] ** 2 <= float(str(err).rsplit(" ", 1)[1]), (c, a, n)
-                    exact = pwlab.orbit_norms(phi, a, f, n - 1).norms
-                assert np.all(np.abs(norms[: exact.size] - exact) <= slack[: exact.size]), (c, a)
+        orbit_routes(32, SEED + 3)
         # the Richardson step removes the midpoint rule's h^2 error: under a
         # hundredth of the raw M = 4096 gap is left
-        f = pwlab.rough_probe(1.0, 64, rng)
+        f = pwlab.rough_probe(1.0, 64, np.random.default_rng(SEED + 3))
         phi = AffineSymbol(1.0, 1j)
         exact = pwlab.orbit_norms(phi, 1.0, f, 40).norms
         raw = pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 4096), 40).norms
@@ -322,6 +338,54 @@ class TestClassify:
             assert flags["cesaro_bounded"] is False
 
 
+def _first_doubling(phi, f):
+    """Assert that phi's certificate on f (a = 1) reads n_star, within its cap, as the unit orbit's first n at 2."""
+    cert = pwlab.expansivity_certificate(phi, 1.0, f)
+    norms = pwlab.orbit_norms(phi, 1.0, pwlab.scaled(f, 1.0 / f.norm()), cert.cap).norms
+    assert cert.expansive is True and 1 <= cert.n_star <= cert.cap, (phi, cert)
+    assert cert.n_star == int(np.flatnonzero(norms >= 2.0)[0]), (phi, cert)
+
+
+def expansivity_sweep(half_width):
+    """The expansivity certificates at a = 1 on probes of N = half_width; returns the largest envelope shortfall.
+
+    On C8's 20-symbol grid with a rough probe: the flag follows classify; an
+    expansive orbit first reaches 2 at n_star within the search cap (a norm of
+    exactly 2 is decided by rounding, hence the 1e-12 on both sides); a bounded
+    sup stays under the exact norm; a contracting symbol's Cesaro means stay on
+    or above cesaro_lower_envelope for n <= 40, within C9's rounding band
+    (verify._envelope_shortfall).  At c = 1 with |Im d| in {0.01, 0.05}, where
+    the cap comes from the favourable Fourier tail wherever the probe's mass
+    sits, 20 seeded rough probes double within it, and n_star is the first
+    doubling of orbit_norms(cap) (_first_doubling).  The range guard at (0.5,
+    200i) is typed.
+    """
+    f = pwlab.rough_probe(1.0, half_width, np.random.default_rng(SEED))
+    unit = pwlab.scaled(f, 1.0 / f.norm())
+    worst = -math.inf
+    for c in _GRID_C:
+        for d in _GRID_D:
+            phi = AffineSymbol(c, d)
+            cert = pwlab.expansivity_certificate(phi, 1.0, f, horizon=40)
+            assert cert.expansive == pwlab.classify(phi, 1.0).positively_expansive, phi
+            if cert.expansive:
+                norms = pwlab.orbit_norms(phi, 1.0, unit, cert.n_star).norms
+                assert 1 <= cert.n_star <= cert.cap and norms[-1] >= 2.0 * (1.0 - 1e-12), phi
+                assert np.all(norms[:-1] < 2.0 * (1.0 + 1e-12)), phi
+            else:
+                assert cert.sup_norm <= pwlab.norm_closed(phi, 1.0) * (1.0 + 1e-9), phi
+            if abs(c) < 1.0:
+                _, shortfall = _envelope_shortfall(phi, f, pwlab.cesaro_averages(phi, 1.0, f, 40))
+                assert shortfall <= 1.0, phi
+                worst = max(worst, shortfall)
+    for d in (0.01j, -0.01j, -0.05j):
+        for s in range(20):
+            _first_doubling(AffineSymbol(1.0, d), pwlab.rough_probe(1.0, half_width, np.random.default_rng(s)))
+    with pytest.raises(OverflowGuardError):
+        pwlab.expansivity_certificate(AffineSymbol(0.5, 200j), 1.0, f)
+    return worst
+
+
 class TestExpansivity:
     def test_contracting_symbol_certificate(self):
         rng = np.random.default_rng(SEED + 9)
@@ -345,13 +409,8 @@ class TestExpansivity:
         # 2N+1 = 4097 samples: the level set is read on 2N+1 points, not a 4096-point
         # grid that would alias them
         f = pwlab.smooth_probe(1.0, 2048, np.random.default_rng(SEED))
-        unit = pwlab.scaled(f, 1.0 / f.norm())
         for d in (0.5j, 1j):
-            phi = AffineSymbol(1.0, d)
-            cert = pwlab.expansivity_certificate(phi, 1.0, f)
-            assert cert.expansive is True
-            norms = pwlab.orbit_norms(phi, 1.0, unit, cert.cap).norms
-            assert cert.n_star == int(np.flatnonzero(norms >= 2.0)[0]), d
+            _first_doubling(AffineSymbol(1.0, d), f)
 
     def test_bounded_symbols_report_sup(self):
         rng = np.random.default_rng(SEED + 11)
@@ -398,16 +457,7 @@ class TestExpansivity:
             assert np.all(norms >= cert.delta * abs(phi.c) ** (-n / 2.0) * (1.0 - 1e-9)), phi
 
     def test_translation_with_small_imaginary_part_certifies(self):
-        # the cap comes from the favourable Fourier tail, wherever the probe's
-        # mass sits, so rough probes double within it at |Im d| = 0.01
-        for d in (0.01j, -0.01j):
-            phi = AffineSymbol(1.0, d)
-            for s in range(20):
-                f = pwlab.rough_probe(1.0, 32, np.random.default_rng(s))
-                cert = pwlab.expansivity_certificate(phi, 1.0, f)
-                norms = pwlab.orbit_norms(phi, 1.0, pwlab.scaled(f, 1.0 / f.norm()), cert.cap).norms
-                assert 1 <= cert.n_star <= cert.cap
-                assert cert.n_star == int(np.flatnonzero(norms >= 2.0)[0]), (d, s)
+        expansivity_sweep(32)
 
     def test_zero_vector_rejected(self):
         zero = pwlab.PwFunction(1.0, np.zeros(9))
@@ -657,6 +707,67 @@ class TestPseudotrajectory:
                 assert Q.gram.tobytes() == (P.gram * 2.0 ** (2 * e)).tobytes(), (c, d, e)
 
 
+def shadowing_against_pairings(half_width, seed=SEED):
+    """shadowing_divergence against oracles.full_cross_divergence; returns the largest D^2 gap as a share of its bound.
+
+    The oracle takes every cross pairing from its own composed_inner_product
+    (no lag table, row per Im d_j, lag or power of |c|).  Two families of (a,
+    seed f, candidate g, n, n_max), each drawn from its own generator at seed,
+    g rough and scaled to norm 0.04: at a = 1.3, c in {+-1/2, 1/4, -1, 0.9} and
+    d in {0, 0.3, 0.2 + 0.1i, -0.3 + 0.4i}, rough f and g on C10's windows 8 /
+    64 at its n = 30, unequal windows and n_max < n; at a = pi, c = +-1/2 and d
+    in {0.3, 0.2 + 0.1i}, n = n_max = 20 and one g at N = half_width for a
+    rough seed f at N, the node seed at 0 and a seed with three nonzero samples
+    (nodes -40, 3 and 77 at N = 128, scaled with N), so the pairings' sparse
+    sums run at that width too.  Every case: L is bit-identical; D within 1e-13
+    relative; and |D_n^2 - D_ref^2| within the pairing bound 4 kappa sum_j B_nj (B_nj =
+    eps |c|^-j pi/a sum|v| sum|w| e^(a |Im s_nj|)), plus the gram block's
+    summation order and one rounding of D^2.
+    """
+    eps = np.finfo(float).eps
+    n = half_width
+    three = np.zeros(2 * n + 1, dtype=np.complex128)
+    three[n + np.array([-40, 3, 77]) * n // 128] = [1.0, 1j] @ np.random.default_rng(seed + 1).standard_normal((2, 3))
+    # (phi, f, g, horizon, n_max); each family draws from its own generator at seed
+    cases, rng = [], np.random.default_rng(seed)
+    for c in (0.5, -0.5, 0.25, -1.0, 0.9):
+        for d in (0.0, 0.3, 0.2 + 0.1j, -0.3 + 0.4j):
+            for nf, ng, horizon, n_max in ((8, 64, 30, 30), (32, 8, 20, 15), (16, 16, 12, 12), (8, 32, 5, 3)):
+                cases.append((AffineSymbol(c, d), pwlab.rough_probe(1.3, nf, rng), pwlab.rough_probe(1.3, ng, rng), horizon, n_max))
+    rng = np.random.default_rng(seed)
+    for c in (0.5, -0.5):
+        for d in (0.3, 0.2 + 0.1j):
+            rough = pwlab.rough_probe(math.pi, n, rng)
+            g = pwlab.rough_probe(math.pi, n, rng)
+            for f in (rough, pwlab.node_function(math.pi, n, 0), pwlab.PwFunction(math.pi, three)):
+                cases.append((AffineSymbol(c, d), f, g, 20, 20))
+    worst = 0.0
+    for phi, f, g, horizon, n_max in cases:
+        a, c, case = f.a, phi.c, (phi, f.a, f.half_width, g.half_width, horizon, n_max)
+        g = pwlab.scaled(g, 0.04 / g.norm())
+        P = pwlab.build_pseudotrajectory(phi, a, f, 0.1, horizon)
+        D, L = pwlab.shadowing_divergence(P, g, n_max)
+        D_ref, L_ref = full_cross_divergence(P, g, n_max)
+        assert np.array_equal(L, L_ref), case
+        np.testing.assert_allclose(D, D_ref, rtol=1e-13, atol=0.0, err_msg=str(case))
+        # B_ij = eps |c|^-j pi/a sum|v| sum|w| e^(a |Im s_ij|), s_ij = d_i - c^(i-j) conj(d_j), j <= i
+        im = np.array([phi.iterate(k).d.imag for k in range(n_max + 1)])
+        i = np.arange(1, n_max + 1)[:, None]
+        j = np.arange(1, n_max + 1)
+        im_s = im[i] + c ** np.maximum(i - j, 0) * im[j]
+        B = np.where(j <= i, eps * abs(c) ** -j.astype(float) * math.pi / a * np.sum(np.abs(f.samples))
+                     * np.sum(np.abs(g.samples)) * np.exp(a * np.abs(im_s)), 0.0)
+        # D^2 = ||C^n g||^2 - 2 kappa sum_j Re M_nj + ||f_n||^2: both sides pair every M_nj
+        # within B_nj, sum the same gram block in two orders, and round D^2 once
+        block = np.cumsum(np.cumsum(np.abs(P.gram[:n_max, :n_max]), axis=0), axis=1).diagonal()
+        allowed = (4.0 * P.coefficient * B.sum(axis=1) + 4.0 * n_max * eps * P.coefficient**2 * block
+                   + 4.0 * eps * D_ref**2)
+        use = float(np.max(np.abs(D**2 - D_ref**2) / allowed))
+        assert use <= 1.0, case
+        worst = max(worst, use)
+    return worst
+
+
 class TestShadowingDivergence:
     def test_zero_candidate_gives_term_norms(self):
         f = pwlab.node_function(math.pi, 8, 0)
@@ -718,22 +829,7 @@ class TestShadowingDivergence:
             assert np.max(np.abs(steps - steps[0])) < 1e-12 * steps[0]
 
     def test_matches_full_cross_oracle(self):
-        # the one-table divergence against both lag tables and the full cross
-        # row: L is bit-identical, D moves in its last digits at most
-        rng = np.random.default_rng(SEED + 19)
-        for c in (0.5, -0.5, 0.25, -1.0, 0.9):
-            for d in (0.0, 0.3, 0.2 + 0.1j, -0.3 + 0.4j):
-                # C10's windows 8 / 64 at its n = 30, unequal windows, n_max < P.n_max
-                for nf, ng, n, n_max in ((8, 64, 30, 30), (32, 8, 20, 15), (16, 16, 12, 12),
-                                         (8, 32, 5, 3)):
-                    f = pwlab.rough_probe(1.3, nf, rng)
-                    g = pwlab.rough_probe(1.3, ng, rng)
-                    g = pwlab.scaled(g, 0.04 / g.norm())
-                    P = pwlab.build_pseudotrajectory(AffineSymbol(c, d), 1.3, f, 0.1, n)
-                    D, L = pwlab.shadowing_divergence(P, g, n_max)
-                    D_ref, L_ref = full_cross_divergence(P, g, n_max)
-                    assert np.array_equal(L, L_ref), (c, d, nf, ng, n, n_max)
-                    np.testing.assert_allclose(D, D_ref, rtol=1e-13, atol=0.0)
+        shadowing_against_pairings(16, SEED + 19)
 
     def test_candidate_validation(self):
         f = pwlab.node_function(math.pi, 8, 0)

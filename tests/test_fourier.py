@@ -116,6 +116,41 @@ class TestTransform:
         assert np.max(np.abs(F.values - expected)) < 1e-12
 
 
+def large_weight_pairings(m_points, seed=SEED):
+    """The weighted compositions of two unit smooth probes (a = 1, N = 16) on an m_points grid, at large a |Im d|.
+
+    At (0.25, 100i) and (-0.25, -100i) a |Im d| = 100 bounds both weights,
+    though a |Im d|/|c| = 400: <WF, G> = <F, W*G> within 1e-4 relative.  At
+    (c, 0.3 + 299i) for c in {+-1, 1/2, 1/4}, one below OVERFLOW_EXPONENT, just
+    inside the weight guard: within 4x the midpoint rule's relative error
+    (a |Im d|/|c| 2a/M)^2/24, as the two midpoint sums discretize one integral
+    at rates a |Im d|/|c| and a |Im d| per unit t.  Every composition returns
+    finite values, and _grid_exp's weights stay within twice
+    oracles.exp_rounding_bound of np.exp.  Returns the largest pairing gap as
+    a share of its bound and the largest weight gap as a share of 2x the bound.
+    """
+    a = 1.0
+    rng = np.random.default_rng(seed)
+    F, G = (pwlab.to_l2(unit_smooth(a, 16, rng), m_points) for _ in range(2))
+    t = F.grid()
+    worst = [0.0, 0.0]
+    # (symbol, allowed relative gap), None for 4x the rule
+    cases = [(AffineSymbol(0.25, 100j), 1e-4), (AffineSymbol(-0.25, -100j), 1e-4)]
+    cases += [(AffineSymbol(c, 0.3 + 1j * (pwlab.OVERFLOW_EXPONENT - 1.0) / a), None) for c in (1.0, -1.0, 0.5, 0.25)]
+    for phi, allowed in cases:
+        WF, WsG = pwlab.weighted_compose_apply(phi, F), pwlab.weighted_compose_adjoint(phi, G)
+        assert np.all(np.isfinite(WF.values)) and np.all(np.isfinite(WsG.values)), phi
+        lhs, rhs = WF.inner(G), F.inner(WsG)
+        allowed = allowed or 4.0 * (a * abs(phi.d.imag) / abs(phi.c) * 2.0 * a / m_points) ** 2 / 24.0
+        worst[0] = max(worst[0], abs(lhs - rhs) / (allowed * abs(lhs)))
+        run = np.flatnonzero(np.abs(t) < abs(phi.c) * a)
+        for w, lo, count in ((1j * phi.d / phi.c, run[0], run.size), (-1j * np.conj(phi.d), 0, m_points)):
+            gap = np.max(np.abs(_grid_exp(w, a, m_points, lo, count) / np.exp(w * t[lo : lo + count]) - 1.0))
+            worst[1] = max(worst[1], gap / (2.0 * exp_rounding_bound(w, a)))
+        assert max(worst) <= 1.0, (phi, worst)
+    return worst
+
+
 class TestWeightedComposition:
     def test_support_is_exact(self):
         rng = np.random.default_rng(SEED + 4)
@@ -170,20 +205,7 @@ class TestWeightedComposition:
             assert abs(lhs - rhs) < 1e-6
 
     def test_adjoint_pairing_at_large_weight_exponent(self):
-        # a |Im d| = 100 bounds both weights, though a |Im d|/|c| = 400
-        rng = np.random.default_rng(SEED + 11)
-        a = 1.0
-        m = 32768
-        F = pwlab.to_l2(unit_smooth(a, 16, rng), m)
-        G = pwlab.to_l2(unit_smooth(a, 16, rng), m)
-        for phi in (AffineSymbol(0.25, 100j), AffineSymbol(-0.25, -100j)):
-            WF = pwlab.weighted_compose_apply(phi, F)
-            WsG = pwlab.weighted_compose_adjoint(phi, G)
-            assert np.all(np.isfinite(WF.values)) and np.all(np.isfinite(WsG.values))
-            lhs, rhs = WF.inner(G), F.inner(WsG)
-            # the two midpoint sums discretize one integral at rates 400 and 100
-            # per unit t: the rule's relative error (400 * 2a/M)^2/24 is 2.5e-5
-            assert abs(lhs - rhs) < 1e-4 * abs(lhs)
+        large_weight_pairings(32768, SEED + 11)
 
     def test_adjoint_identity_symbol_is_conjugate_weight(self):
         # c = 1, and the reflection c = -1 with F reversed: the grid maps onto itself, so the
@@ -299,6 +321,62 @@ def _off_grid_errors(c, f, m):
             float(np.max(np.abs(adjoint - dense_transform(f.a, f.samples, c * t)))))
 
 
+def off_grid_values(m_points, seed=SEED):
+    """F(t/c) and F(c t) off the grid at d = 0 on m_points points; returns the largest gap as a share of its bound.
+
+    Rough probes at a = 1.3, drawn for N = 64, M/4 - 1, 0, 1 and 32 in turn, those below M/4.
+    For |c| = 1/q, q in {2, 4, 8}, with 2q | M the apply reads F(t/c) on its
+    support run, the midpoints with |t| < |c| a, from one M/q-point FFT
+    (_subgrid_values); on other grids _subgrid_length is None.  Those values,
+    and |c| times weighted_compose_apply's run, stay within _values_at's
+    chirp-z bound of the chirp-z on the same F: eps times the phase bound, 9 pi
+    M/16 for |c| >= 1/4 and pi M/(16|c|) below, times sum|coef|.  At 64 seeded
+    spots (or all, on a shorter run) the apply stays within the dense-sum
+    tolerance 1e-12 _transform_scale of oracles.dense_transform, and so do the
+    chirp-z's own values: the apply's run at c in {0.9, 1/3} and the adjoint's
+    whole grid at c in {0.5, -0.3}.
+    """
+    m = m_points
+    eps = np.finfo(float).eps
+    rng, spot_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    worst = 0.0
+    for n in dict.fromkeys(n for n in (64, m // 4 - 1, 0, 1, 32) if n < m // 4):
+        f = pwlab.rough_probe(1.3, n, rng)
+        F = pwlab.to_l2(f, m)
+        t = F.grid()
+        tol = 1e-12 * _transform_scale(f)
+        bound = eps * float(np.sum(np.abs(_coefficients(F, m // 4))))
+        for c in (0.5, -0.5, 0.25, -0.25, 0.125):
+            count = _subgrid_length(c, m)
+            if m % int(2 / abs(c)):
+                assert count is None, (m, c)
+                continue
+            lo = (m - count) // 2
+            assert count == m * abs(c) and np.all(np.abs(t[lo : lo + count]) < abs(c) * F.a)
+            assert abs(t[lo - 1]) > abs(c) * F.a and abs(t[lo + count]) > abs(c) * F.a
+            chirp = _values_at(F, t[lo] / c, 2.0 * F.a / (m * c), count)
+            phases = 9.0 * math.pi * m / 16.0 if abs(c) >= 0.25 else math.pi * m / (16.0 * abs(c))
+            run = abs(c) * pwlab.weighted_compose_apply(AffineSymbol(c, 0.0), F).values[lo : lo + count]
+            for values in (_subgrid_values(F, count)[:: 1 if c > 0 else -1], run):
+                worst = max(worst, float(np.max(np.abs(values - chirp))) / (phases * bound))
+            spots = rng.choice(count, min(64, count), replace=False)
+            gap = np.abs(run[spots] - dense_transform(f.a, f.samples, t[lo + spots] / c))
+            worst = max(worst, float(np.max(gap)) / tol)
+            assert worst <= 1.0, (m, n, c)
+        for kind, c in (("apply", 0.9), ("apply", 1.0 / 3.0), ("adjoint", 0.5), ("adjoint", -0.3)):
+            phi = AffineSymbol(c, 0.0)
+            if kind == "apply":
+                run = np.flatnonzero(np.abs(t) < abs(c) * f.a)
+                got, points = abs(c) * pwlab.weighted_compose_apply(phi, F).values[run], t[run] / c
+            else:
+                got, points = pwlab.weighted_compose_adjoint(phi, F).values, c * t
+            spots = spot_rng.choice(got.size, min(64, got.size), replace=False)
+            gap = np.abs(got[spots] - dense_transform(f.a, f.samples, points[spots]))
+            worst = max(worst, float(np.max(gap, initial=0.0)) / tol)
+            assert worst <= 1.0, (m, n, kind, c)
+    return worst
+
+
 class TestOffGridValues:
     """F(t/c) and F(c t) off the grid, against the dense defining sum."""
 
@@ -341,30 +419,8 @@ class TestOffGridValues:
             assert np.max(np.abs(applied - ref)) < 1e-12 * _transform_scale(f), n
 
     def test_subgrid_route_within_chirp_bound(self):
-        # for |c| = 1/q with 2q | M the apply reads F(t/c) from one M/q-point FFT;
-        # on the same F it agrees with _values_at's chirp-z within that route's
-        # documented bound: eps times its phase bound, 9 pi M / 16 for |c| >= 1/4
-        # and pi M / (16 |c|) below, times sum_n |coef_n|
-        rng = np.random.default_rng(SEED + 42)
-        eps = np.finfo(float).eps
         for m in (8, 64, 512, 4096):
-            for c in (0.5, -0.5, 0.25, -0.25, 0.125):
-                count = _subgrid_length(c, m)
-                if m % int(2 / abs(c)):
-                    assert count is None
-                    continue
-                assert count == m * abs(c)
-                for n in (0, 1, min(32, m // 4 - 1)):
-                    F = pwlab.to_l2(pwlab.rough_probe(1.3, n, rng), m)
-                    t = F.grid()
-                    lo = (m - count) // 2
-                    chirp = _values_at(F, t[lo] / c, 2.0 * F.a / (m * c), count)
-                    phases = 9.0 * math.pi * m / 16.0 if abs(c) >= 0.25 else math.pi * m / (16.0 * abs(c))
-                    bound = eps * phases * float(np.sum(np.abs(_coefficients(F, m // 4))))
-                    sub = _subgrid_values(F, count)[:: 1 if c > 0 else -1]
-                    assert np.max(np.abs(sub - chirp)) <= bound, (m, c, n)
-                    assert np.all(np.abs(t[lo : lo + count]) < abs(c) * F.a)
-                    assert abs(t[lo - 1]) > abs(c) * F.a and abs(t[lo + count]) > abs(c) * F.a
+            off_grid_values(m, SEED + 42)
 
     def test_other_slopes_and_grids_keep_the_chirp(self, monkeypatch):
         # the sub-grid needs |c| = 1/q, q a power of two, with 2q | M; every

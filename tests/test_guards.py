@@ -298,6 +298,9 @@ class TestSizeCaps:
                     call()
 
 
+TINY = pwlab.rough_probe(1e-30, 4, np.random.default_rng(0))
+ONE = pwlab.rough_probe(1.0, 4, np.random.default_rng(0))
+
 # (id, call, type, message): a call is a function or a pwlab command line; a
 # command line's "type" is its exit code, and its message is read on stderr
 INPUT_CHECKS = [
@@ -337,6 +340,18 @@ INPUT_CHECKS = [
     ("tiny bandwidth composed norm", lambda: pwlab.composed_norm(
         AffineSymbol(0.5, 0.3), pwlab.rough_probe(1e-308, 4, np.random.default_rng(0))), OverflowGuardError,
      "node spacing pi/a"),
+    # a |c1| underflows to 0 (a = 1e-30, c = 1e-300) or pi/(a |c1|) past the float range (c = 5e-324):
+    # the closed pairing's factor is refused before it is formed
+    ("pairing factor underflow", lambda: pwlab.composed_inner_product(
+        AffineSymbol(1e-300, 0.0), TINY, AffineSymbol(1e-300, 0.0), TINY), OverflowGuardError,
+     r"pairing factor pi/\(a \|c1\|\) inf > 8\.98847e\+307"),
+    ("pairing factor underflow norm", lambda: pwlab.composed_norm(AffineSymbol(1e-300, 0.0), TINY),
+     OverflowGuardError, r"pairing factor pi/\(a \|c1\|\) inf"),
+    ("pairing factor overflow", lambda: pwlab.composed_inner_product(
+        AffineSymbol(5e-324, 0.0), ONE, AffineSymbol(5e-324, 0.0), ONE), OverflowGuardError,
+     r"pairing factor pi/\(a \|c1\|\) inf"),
+    ("pairing factor overflow norm", lambda: pwlab.composed_norm(AffineSymbol(5e-324, 0.0), ONE),
+     OverflowGuardError, r"pairing factor pi/\(a \|c1\|\) inf"),
     ("norm past the float range", lambda: pwlab.PwFunction(1.0, np.full(9, 1e308)).norm(), OverflowGuardError,
      "norm inf > "),
     # every entry is in range, but the norm 3e308 of the 3 x 3 matrix of 1e308 is not

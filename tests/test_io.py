@@ -3,27 +3,13 @@
 import json
 import math
 
-import numpy as np
-
-import pwlab
-from pwlab.cli import EXIT_OK, _dumps, _pairs, main
-
-SEED = pwlab.DEFAULT_SEED
+from pwlab.cli import EXIT_OK, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     assert code == EXIT_OK, argv
     return capsys.readouterr().out
-
-
-class TestPwRecords:
-    def test_json_round_trip_is_exact(self):
-        # full-mantissa samples parse back to the same doubles
-        rng = np.random.default_rng(SEED)
-        f = pwlab.rough_probe(1.5, 12, rng)
-        back = np.array([complex(re, im) for re, im in json.loads(_dumps(_pairs(f.samples)))])
-        np.testing.assert_array_equal(back, f.samples)
 
 
 class TestDescriptorsAndReports:

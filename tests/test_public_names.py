@@ -1,12 +1,15 @@
-"""The package's public names that the benchmark and the demos read.
+"""The package's public names that the benchmark and the demos read, and the test helpers CI imports.
 
 The import block of pwlab/__init__.py is the one list of public names.  The
 benchmark reads them as ``pw.<name>`` or ``pwlab.<name>`` and the demos
 import them with ``from pwlab import ...``; a name dropped from the package
-fails here before it breaks either.
+fails here before it breaks either.  The workflow's wide checks import
+width-taking functions from the test modules, so a renamed one fails here too.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pwlab
@@ -40,4 +43,15 @@ def test_names_read_by_bench_and_demos_are_public():
     assert {"build_matrix", "operator_norm_estimate", "PwLabError", "verify"} <= bench
     assert "AffineSymbol" in demos
     missing = sorted(name for name in bench | demos if not hasattr(pwlab, name))
+    assert not missing, missing
+
+
+def test_workflow_imports_resolve(monkeypatch):
+    # every "from X import a, b" line of the workflow's run blocks, with tests/ on the path as in CI
+    monkeypatch.syspath_prepend(str(ROOT / "tests"))
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    found = [(module, name.strip()) for module, names in re.findall(r"^\s*from ([\w.]+) import ([\w, ]+)$", text, re.M)
+             for name in names.split(",")]
+    assert len(found) >= 10, found
+    missing = [f"{module}.{name}" for module, name in found if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing

@@ -66,6 +66,34 @@ class CountedRows(list):
         return super().__iter__()
 
 
+def section_entries(half_width):
+    """build_matrix at N = half_width against direct_section (row chunks), within section_rounding_bound.
+
+    The coset kernels for p != +-1, q near N and 2N, and q > 2N (every row its
+    own class): at a = 1 every c in {+-1, +-1/2, 1/4, -3/4, 3/8, 1/64, 127/128,
+    0.9, 2^-12, 1e-3} and d in {0, 0.7, i, 1 + i, 0.3 + 250i}; at a = 1.3,
+    c in {1/2, -3/4, 0.9, 2^-12} and d = 0.3 + 0.4i, where the identity and the
+    reflection are exactly I and the anti-identity.  Returns the largest gap as
+    a share of the bound.
+    """
+    cases = [(1.0, c, d) for c in (1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 0.375, 1 / 64, 127 / 128, 0.9, 2.0**-12, 1e-3)
+             for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j)]
+    cases += [(1.3, c, 0.3 + 0.4j) for c in (0.5, -0.75, 0.9, 2.0**-12)]
+    worst = 0.0
+    for a, c, d in cases:
+        phi = AffineSymbol(c, d)
+        T = pwlab.build_matrix(phi, a, half_width).entries
+        for rows in np.array_split(np.arange(-half_width, half_width + 1), 1 + (2 * half_width + 1) ** 2 // (1 << 20)):
+            ref = direct_section(phi, a, half_width, rows)
+            use = np.abs(T[rows + half_width] - ref) / section_rounding_bound(phi, a, half_width, ref, rows)
+            assert np.all(use <= 1.0), (a, c, d, half_width)
+            worst = max(worst, float(np.max(use)))
+    eye = np.eye(2 * half_width + 1)
+    for c, ref in ((1.0, eye), (-1.0, eye[::-1])):
+        np.testing.assert_array_equal(pwlab.build_matrix(AffineSymbol(c, 0.0), 1.3, half_width).entries, ref)
+    return worst
+
+
 class TestSections:
     def test_identity_section(self):
         T = pwlab.build_matrix(AffineSymbol(1.0, 0.0), 1.3, 20).entries
@@ -100,15 +128,8 @@ class TestSections:
                 assert abs(T[64 + n, 64 + m] - complex(mp.sin(u) / u)) < 1e-14
 
     def test_entries_match_direct_section(self):
-        # the coset kernels against the per-entry formula, within the rounding
-        # bound of two such formulas, for p != +-1, q near N and 2N, and q > 2N
-        for c in (1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 0.375, 1 / 64, 127 / 128, 0.9, 2.0**-12, 1e-3):
-            for d in (0.0, 0.7, 1j, 1.0 + 1j, 0.3 + 250j):
-                for n in (1, 2, 16, 64, 128):
-                    phi = AffineSymbol(c, d)
-                    ref = direct_section(phi, 1.0, n)
-                    gap = np.abs(pwlab.build_matrix(phi, 1.0, n).entries - ref)
-                    assert np.all(gap <= section_rounding_bound(phi, 1.0, n, ref)), (c, d, n)
+        for n in (1, 2, 16, 64, 128):
+            section_entries(n)
 
     def test_kernel_table_never_exceeds_the_section(self):
         # the q class rows hold at most half the section's entries, or the table is the section
