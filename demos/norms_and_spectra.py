@@ -55,10 +55,8 @@ def main():
                    (AffineSymbol(0.5, 1.0), 1.0),
                    (AffineSymbol(1.0, 1.0j), 1.0)):
         desc = spectrum_closed_form(phi, a)
-        probe = 1.0 + 0.0j
         print(f"  c={phi.c:+.1f} d={phi.d!s:>10}  kind {desc.kind:<16}"
-              f"  max boundary modulus {desc.max_boundary_modulus():.6f}"
-              f"  contains 1: {desc.contains(probe)}")
+              f"  max boundary modulus {desc.max_boundary_modulus():.6f}")
 
     print("== non-compactness witness ==")
     # kernels along the real axis: images keep constant norm, no vanishing subsequence

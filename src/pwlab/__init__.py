@@ -25,7 +25,6 @@ from .core import (
     inner_product,
     kernel_eval,
     kernel_norm_sq,
-    lincomb,
     pw_eval,
     reproduce,
     scaled,

@@ -305,7 +305,7 @@ def _iterate_table(c: float, d: complex, orders) -> tuple[list, list]:
 def grid(a: float, half_width: int) -> np.ndarray:
     """Sampling nodes x_n = n pi / a for n = -half_width .. half_width."""
     _bandwidth(a)
-    n = _count(half_width, "window half width")
+    n = _count(half_width, "window half width", per_entry=2 * 16)  # 16 bytes a node at the peak
     return np.arange(-n, n + 1) * (math.pi / a)
 
 
@@ -476,24 +476,6 @@ def inner_product(f: PwFunction, g: PwFunction) -> complex:
 
 def scaled(f: PwFunction, factor: complex) -> PwFunction:
     return PwFunction(f.a, factor * f.samples)
-
-
-def lincomb(coeffs, funcs) -> PwFunction:
-    """sum_j coeffs[j] * funcs[j], windows zero-padded to the widest one."""
-    funcs = list(funcs)
-    coeffs = list(coeffs)
-    if not funcs:
-        raise ValueError("need at least one function")
-    if len(coeffs) != len(funcs):
-        raise ValueError("coefficient and function counts differ")
-    a = funcs[0].a
-    for g in funcs:
-        _same_bandwidth(a, g.a)
-    n_out = max(g.half_width for g in funcs)
-    acc = np.zeros(2 * n_out + 1, dtype=np.complex128)
-    for cf, g in zip(coeffs, funcs):
-        acc[n_out - g.half_width : n_out + g.half_width + 1] += cf * g.samples
-    return PwFunction(a, acc)
 
 
 def reproduce(f: PwFunction, w: complex) -> complex:

@@ -15,7 +15,8 @@ multiplication by e^{-i d t} and break the two-path commuting square.
 
 Grid model: uniform midpoints t_j = -a + (j + 1/2) (2a/M), so the open-interval
 support cutoff never lands on a sample and round trips with the node samples
-are exact once M exceeds twice the node count.
+|n| <= N are exact once M >= 2N+1, the bound below which to_l2 and from_l2
+raise AliasingError.
 
 Weights: the grid is an arithmetic progression, so e^{w t} on any contiguous
 run of it is the outer product of two short exponential tables (_grid_exp),
@@ -111,7 +112,8 @@ def _coefficients(F: L2Function, k_max: int) -> np.ndarray:
     """Expansion coefficients of F in eps_n, |n| <= k_max, by midpoint sums.
 
     Exact (up to rounding) whenever F is a trigonometric polynomial of degree
-    below M - k_max, in particular for any to_l2 image with node count < M/2.
+    below M - k_max, in particular for any to_l2 image of half width N read at
+    k_max = N, as M >= 2N+1 gives.
     The midpoint sums reduce to an inverse FFT with the conjugate twiddle,
     read unscaled (norm="forward"): at power-of-two M the same bits as ifft * M.
     """

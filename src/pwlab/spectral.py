@@ -374,7 +374,7 @@ class SpectrumDescriptor:
     radius: float | None = None
     d: complex | None = None
 
-    def boundary_samples(self, count: int = 512) -> np.ndarray:
+    def boundary_samples(self, count: int) -> np.ndarray:
         count = _count(count, "boundary count", least=1, per_entry=40)  # 40 bytes a sample at the peak
         if self.kind == "two-point-set":
             return np.array([-1.0 + 0.0j, 1.0 + 0.0j])
@@ -387,32 +387,6 @@ class SpectrumDescriptor:
     def max_boundary_modulus(self) -> float:
         """Largest |lambda| over 1025 boundary samples; an arc's run from t = -a to t = a."""
         return float(np.max(np.abs(self.boundary_samples(1025))))
-
-    def contains(self, lam: complex) -> bool:
-        """lam lies within 1e-9 of the spectrum."""
-        lam = complex(lam)
-        if self.kind == "two-point-set":
-            return min(abs(lam - 1.0), abs(lam + 1.0)) <= 1e-9
-        if self.kind == "closed-disk":
-            return abs(lam) <= self.radius + 1e-9
-        return self._arc_distance(lam) <= 1e-9
-
-    def _arc_distance(self, lam: complex) -> float:
-        # coarse scan then ternary refinement of the smooth distance t -> |lam - e^{idt}|
-        t = np.linspace(-self.a, self.a, 2049)
-        dist = np.abs(lam - np.exp(1j * self.d * t))
-        j = int(np.argmin(dist))
-        lo = t[max(j - 1, 0)]
-        hi = t[min(j + 1, t.size - 1)]
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if abs(lam - np.exp(1j * self.d * m1)) <= abs(lam - np.exp(1j * self.d * m2)):
-                hi = m2
-            else:
-                lo = m1
-        mid = 0.5 * (lo + hi)
-        return float(min(dist[j], abs(lam - np.exp(1j * self.d * mid))))
 
 
 def spectrum_closed_form(phi: AffineSymbol, a: float) -> SpectrumDescriptor:

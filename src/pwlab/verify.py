@@ -24,7 +24,6 @@ from .core import (
     _rounding_bound,
     compose_apply,
     inner_product,
-    lincomb,
     pw_eval,
     reproduce,
     scaled,
@@ -64,10 +63,6 @@ class CheckResult:
     detail: str
 
 
-def _result(check_id: str, title: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(check_id=check_id, title=title, passed=bool(passed), detail=detail)
-
-
 def _section_norms(cases) -> tuple[bool, str]:
     """(passed, detail): each (a, phi) section norm at N=128 against norm_closed, within 3%."""
     devs = [abs(operator_norm_estimate(build_matrix(phi, a, 128)) / norm_closed(phi, a) - 1.0)
@@ -79,13 +74,13 @@ def _section_norms(cases) -> tuple[bool, str]:
 def check_norm_equality() -> CheckResult:
     """C1: for real d the section norm matches 1/sqrt|c| within 3% at N=128."""
     cases = [(math.pi, AffineSymbol(0.25, 0.0)), (1.0, AffineSymbol(0.5, 0.7))]
-    return _result("C1", "norm equality for real translation part", *_section_norms(cases))
+    return CheckResult("C1", "norm equality for real translation part", *_section_norms(cases))
 
 
 def check_translation_norm() -> CheckResult:
     """C2: translation sections reach e^{|Im d| a} within 3% at N=128."""
     cases = [(1.0, AffineSymbol(1.0, 1j)), (math.pi, AffineSymbol(1.0, 0.5j))]
-    return _result("C2", "translation norm e^{|Im d| a}", *_section_norms(cases))
+    return CheckResult("C2", "translation norm e^{|Im d| a}", *_section_norms(cases))
 
 
 def check_radius_convergence() -> CheckResult:
@@ -109,10 +104,10 @@ def check_radius_convergence() -> CheckResult:
         if not (lo * 0.97 <= s[n - 1] <= hi * 1.03):
             ok_bracket = False
         worst = max(worst, lo * 0.97 - s[n - 1], s[n - 1] - hi * 1.03)
-    final_err = abs(s[11] - lo)
+    final_err = float(abs(s[11] - lo))
     passed = ok_bracket and final_err <= 0.07
     detail = f"bracket margin {-worst:.2e}, |s_12 - sqrt2| = {final_err:.3f} (allowed 0.07)"
-    return _result("C3", "spectral radius via root-norms", passed, detail)
+    return CheckResult("C3", "spectral radius via root-norms", passed, detail)
 
 
 def check_spectrum_trichotomy() -> CheckResult:
@@ -131,7 +126,7 @@ def check_spectrum_trichotomy() -> CheckResult:
     sq = float(np.linalg.norm(T @ T - np.eye(T.shape[0])))
     passed = worst <= 1e-12 and sq <= 1e-8
     detail = f"modulus gap {worst:.2e} (allowed 1e-12), ||T^2 - I|| = {sq:.2e} (allowed 1e-08)"
-    return _result("C4", "spectrum trichotomy consistency", passed, detail)
+    return CheckResult("C4", "spectrum trichotomy consistency", passed, detail)
 
 
 def check_noncompactness_witness() -> CheckResult:
@@ -144,7 +139,7 @@ def check_noncompactness_witness() -> CheckResult:
     dev_r = float(np.max(np.abs(w_real - 1.0)))
     passed = dev_c <= 1e-10 and dev_r <= 1e-10
     detail = f"dev to sinh(2)/2: {dev_c:.2e}, dev to 1: {dev_r:.2e} (allowed 1e-10)"
-    return _result("C5", "non-compactness witness constant", passed, detail)
+    return CheckResult("C5", "non-compactness witness constant", passed, detail)
 
 
 def _isometry_check(c: float, a: float, seed: int) -> float:
@@ -170,7 +165,7 @@ def check_isometry() -> CheckResult:
     dev2 = _isometry_check(0.9, 1.0, seed=DEFAULT_SEED + 1)
     passed = dev1 < 1e-6 and dev2 < 1e-6
     detail = f"max deviations {dev1:.2e}, {dev2:.2e} (allowed 1e-06)"
-    return _result("C6", "scaled isometry of pure scalings", passed, detail)
+    return CheckResult("C6", "scaled isometry of pure scalings", passed, detail)
 
 
 def check_commuting_square() -> CheckResult:
@@ -191,7 +186,7 @@ def check_commuting_square() -> CheckResult:
                 worst = max(worst, diff)
     passed = worst < 1e-6
     detail = f"max discrepancy {worst:.2e} over 400 squares (allowed 1e-06)"
-    return _result("C7", "two-path equivalence (commuting square)", passed, detail)
+    return CheckResult("C7", "two-path equivalence (commuting square)", passed, detail)
 
 
 def _fourier_orbit(phi: AffineSymbol, f: PwFunction, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,18 +227,18 @@ def check_expansivity_dichotomy() -> CheckResult:
             mismatches += cert.expansive != classify(phi, a).positively_expansive
             norms, slack = _fourier_orbit(phi, scaled(f, 1.0 / f.norm()), cert.n_star or 40)
             if cert.expansive:
-                conflicts += np.any(norms[:-1] >= 2.0 + slack[:-1]) or norms[-1] < 2.0 - slack[-1]
+                conflicts += bool(np.any(norms[:-1] >= 2.0 + slack[:-1]) or norms[-1] < 2.0 - slack[-1])
             else:
                 bound = norm_closed(phi, a)
                 worst_rel = max(worst_rel, (cert.sup_norm - bound) / bound)
-                sup_gap = max(sup_gap, abs(np.max(norms) - cert.sup_norm) / np.max(slack))
+                sup_gap = max(sup_gap, float(abs(np.max(norms) - cert.sup_norm) / np.max(slack)))
     passed = mismatches == 0 and worst_rel <= 1e-6 and conflicts == 0 and sup_gap <= 1.0
     detail = (
         f"{mismatches} classifier mismatches, bounded-orbit excess {worst_rel:.2e} "
         f"(allowed 1e-06); Fourier route: {conflicts} doubling-time conflicts, "
         f"sup gap {sup_gap:.2e} of its slack (allowed 1)"
     )
-    return _result("C8", "expansivity dichotomy", passed, detail)
+    return CheckResult("C8", "expansivity dichotomy", passed, detail)
 
 
 def _envelope_shortfall(phi: AffineSymbol, f: PwFunction, averages: np.ndarray) -> tuple[np.ndarray, float]:
@@ -295,7 +290,7 @@ def check_cesaro_dichotomy() -> CheckResult:
         f"band (allowed 1)); Fourier route: average gap {slack_gap:.2e} of its slack (allowed 1), "
         f"witness max A_n/||f|| = {peak_f:.3g}"
     )
-    return _result("C9", "absolute Cesaro boundedness dichotomy", passed, detail)
+    return CheckResult("C9", "absolute Cesaro boundedness dichotomy", passed, detail)
 
 
 def check_shadowing_divergence() -> CheckResult:
@@ -312,13 +307,13 @@ def check_shadowing_divergence() -> CheckResult:
         g = scaled(g, 0.04 / g.norm())
         D, L = shadowing_divergence(P, g, 30)
         min_margin = min(min_margin, float(np.min(D - L)))
-        worst_ratio_err = max(worst_ratio_err, abs(L[29] / L[14] / 2.0 - 1.0))
+        worst_ratio_err = max(worst_ratio_err, float(abs(L[29] / L[14] / 2.0 - 1.0)))
     passed = min_margin >= -1e-8 and worst_ratio_err <= 0.05
     detail = (
         f"min(D_n - L_n) = {min_margin:.2e} (allowed -1e-08), worst |L30/L15 - 2|/2 = "
         f"{worst_ratio_err:.2e} (allowed 5e-02)"
     )
-    return _result("C10", "shadowing divergence certificate", passed, detail)
+    return CheckResult("C10", "shadowing divergence certificate", passed, detail)
 
 
 def check_li_yorke() -> CheckResult:
@@ -339,7 +334,7 @@ def check_li_yorke() -> CheckResult:
                     irregular += 1
     passed = irregular == 0
     detail = f"{irregular} irregular vectors over 1000 orbits (needs 0)"
-    return _result("C11", "Li-Yorke falsification suite", passed, detail)
+    return CheckResult("C11", "Li-Yorke falsification suite", passed, detail)
 
 
 def _simpson(values: np.ndarray, step: float) -> float:
@@ -402,9 +397,7 @@ def check_core_properties() -> CheckResult:
         for n in range(1, 9):
             chain = compose_apply(phi, chain, grow=True)
             direct = compose_apply(phi.iterate(n), f, half_width=chain.half_width)
-            rel = (
-                lincomb([1.0, -1.0], [chain, direct]).norm() / direct.norm()
-            ) / n
+            rel = PwFunction(f.a, chain.samples - direct.samples).norm() / direct.norm() / n
             worst_semi = max(worst_semi, rel)
     if worst_semi > 1e-9:
         failures.append(f"semigroup relative error {worst_semi:.2e} per step")
@@ -415,7 +408,7 @@ def check_core_properties() -> CheckResult:
     for _ in range(5):
         f = smooth_probe(1.0, 64, rng)
         back = compose_apply(phi_r, compose_apply(phi_r, f))
-        worst_inv = max(worst_inv, lincomb([1.0, -1.0], [back, f]).norm() / f.norm())
+        worst_inv = max(worst_inv, PwFunction(f.a, back.samples - f.samples).norm() / f.norm())
     if worst_inv > 1e-10:
         failures.append(f"involution residual {worst_inv:.2e}")
 
@@ -425,7 +418,7 @@ def check_core_properties() -> CheckResult:
         f"{worst_real:.1e}/{worst_cplx:.1e}, semigroup {worst_semi:.1e}, "
         f"involution {worst_inv:.1e}"
     )
-    return _result("C12", "core sampling-model property suite", passed, detail)
+    return CheckResult("C12", "core sampling-model property suite", passed, detail)
 
 
 _CHECKS = tuple(fn for name, fn in globals().items() if name.startswith("check_"))

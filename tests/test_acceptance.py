@@ -66,7 +66,8 @@ def result_of(check):
 def report(result):
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.check_id} {status} {result.title}: {result.detail}")
-    assert result.passed, f"{result.check_id} {result.title}: {result.detail}"
+    # a Python bool, not numpy's: pwlab verify --out writes it to JSON
+    assert result.passed is True, f"{result.check_id} {result.title}: {result.detail}"
 
 
 def test_c01_norm_equality():

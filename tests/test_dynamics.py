@@ -626,7 +626,7 @@ class TestPseudotrajectory:
         # f_7 materialized on a window from the iterate images of the seed
         P = self.build(n_max=12)
         parts = [pwlab.compose_apply(P.phi.iterate(j), P.seed, half_width=256) for j in range(1, 8)]
-        g = pwlab.lincomb([P.coefficient] * 7, parts)
+        g = pwlab.PwFunction(P.seed.a, sum(P.coefficient * part.samples for part in parts))
         assert abs(pwlab.pw_eval(g, 0.0) - 7 * P.coefficient * P.seed_at_fixed_point) < 1e-8
 
     def test_zero_term(self):

@@ -134,6 +134,7 @@ def _budget_calls():
         ("window half width", lambda n: lambda: pwlab.node_function(a, n)),
         ("window half width", lambda n: lambda: pwlab.smooth_probe(a, n, rng)),
         ("window half width", lambda n: lambda: pwlab.KernelPoint(a, 0.3 + 0.2j).to_pw(n)),
+        ("window half width", lambda n: lambda: pwlab.grid(a, n)),
         ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
             pwlab.compose_apply(AffineSymbol(1.0, 0.3 + 0.2j), f)),
         ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
@@ -258,6 +259,7 @@ class TestSizeCaps:
                 lambda: pwlab.rough_probe(1.0, huge, rng),
                 lambda: pwlab.node_function(1.0, huge),
                 lambda: pwlab.KernelPoint(1.0, 1j).to_pw(huge),
+                lambda: pwlab.grid(1.0, huge),
             ],
             "boundary count": [
                 lambda c=c: pwlab.spectrum_closed_form(AffineSymbol(c, 1j), 1.0).boundary_samples(huge)
@@ -467,7 +469,6 @@ class TestCounts:
         calls = [
             lambda: pwlab.inner_product(f, g),
             lambda: pwlab.composed_inner_product(phi, f, phi, g),
-            lambda: pwlab.lincomb([1.0, 1.0], [f, g]),
             lambda: pwlab.to_l2(f, 16).inner(pwlab.to_l2(g, 16)),
             lambda: pwlab.orbit_norms(phi, 2.0, f, 3),
             lambda: pwlab.expansivity_certificate(phi, 2.0, f),
