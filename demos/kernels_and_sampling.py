@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from pwlab import (
-    KernelPoint,
     PwFunction,
     inner_product,
     kernel_eval,
@@ -56,7 +55,7 @@ def main():
 
     print("== reproducing property ==")
     for w in (0.3, 1.2 + 0.4j):
-        point = KernelPoint(a, w).to_pw(f.half_width)
+        point = PwFunction(a, kernel_eval(a, w, f.grid()))
         paired = inner_product(f, point)
         value = pw_eval(f, w)
         print(f"  w={w!s:>10}  <f, k_w> = {paired:+.10f}  f(w) = {value:+.10f}")

@@ -14,12 +14,13 @@ import numpy as np
 
 from pwlab import (
     AffineSymbol,
-    KernelPoint,
     PwFunction,
     cesaro_averages,
     cesaro_lower_envelope,
     classify,
     expansivity_certificate,
+    grid,
+    kernel_eval,
     orbit_norms,
     rough_probe,
     smooth_probe,
@@ -45,7 +46,7 @@ def main():
     header = "  c      d        " + "  ".join(f"{f[:9]:>9}" for f in flags)
     print(header)
     for phi in symbols:
-        report = classify(phi, A)
+        report = classify(phi)
         row = "  ".join(f"{str(report.flags()[f]):>9}" for f in flags)
         print(f"  {phi.c:+.1f}  {phi.d!s:>8}  {row}")
 
@@ -76,7 +77,7 @@ def main():
     g = rough_probe(A, half_width=48, rng=rng)
     bounded = cesaro_averages(AffineSymbol(-1.0, 1.0 + 1.0j), A, g, n_max=40)
     print(f"  reflection:  max_n A_n / ||g|| = {bounded.max() / g.norm():.6f}")
-    seedling = KernelPoint(math.pi, 1.0).to_pw(8)
+    seedling = PwFunction(math.pi, kernel_eval(math.pi, 1.0, grid(math.pi, 8)))
     crossing = cesaro_averages(AffineSymbol(0.5, 0.0), math.pi, seedling, n_max=40)
     envelope = cesaro_lower_envelope(AffineSymbol(0.5, 0.0), seedling, n_max=40)
     print(f"  contraction: A_40 / ||f|| = {crossing[-1] / seedling.norm():.3e}"

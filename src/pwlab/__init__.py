@@ -14,7 +14,6 @@ from .core import (
     AffineSymbol,
     AliasingError,
     BandwidthMismatchError,
-    KernelPoint,
     OverflowGuardError,
     PwFunction,
     PwLabError,

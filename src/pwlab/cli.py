@@ -38,9 +38,12 @@ import numpy as np
 from .core import (
     DEFAULT_SEED,
     AffineSymbol,
-    KernelPoint,
     OverflowGuardError,
+    PwFunction,
     PwLabError,
+    _bandwidth,
+    grid,
+    kernel_eval,
     kernel_norm_sq,
     scaled,
 )
@@ -111,8 +114,7 @@ def _make_probe(args: argparse.Namespace):
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    point = KernelPoint(args.a, args.w)
-    f = point.to_pw(args.half_width)
+    f = PwFunction(args.a, kernel_eval(args.a, args.w, grid(args.a, args.half_width)))
     record = {
         "a": args.a,
         "w": [args.w.real, args.w.imag],
@@ -158,11 +160,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    report = classify(AffineSymbol(args.c, args.d), args.a)
+    phi = AffineSymbol(args.c, args.d)
+    report = classify(phi)
     record = {
-        "a": report.a,
-        "c": report.phi.c,
-        "d": [report.phi.d.real, report.phi.d.imag],
+        "a": _bandwidth(args.a),
+        "c": phi.c,
+        "d": [phi.d.real, phi.d.imag],
         "flags": report.flags(),
         "justifications": dict(report.justifications),
     }
@@ -290,8 +293,6 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad arguments, 0 on --help
         return EXIT_INVALID_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.half_width < 1 or args.n_max < 1:
-            raise ValueError("half_width, n_max must be positive")
         return args.func(args)
     except OverflowGuardError as exc:
         print(f"overflow guard: {exc}", file=sys.stderr)

@@ -340,33 +340,41 @@ class PwFunction:
         return grid(self.a, self.half_width)
 
     def norm(self) -> float:
-        """Parseval, sqrt(pi/a) ||v||, or OverflowGuardError past the float range; where a nonzero v's
-        sum of squares leaves the normal range, it is summed again on v over its largest part."""
-        with np.errstate(over="ignore"):
-            root = float(np.linalg.norm(self.samples))
-        if not math.sqrt(sys.float_info.min) <= root < math.inf and self.samples.any():
-            top = float(np.abs(self.samples.view(float)).max())
-            root = top * float(np.linalg.norm(self.samples / top))
-        return _guard_exponent(math.sqrt(math.pi / self.a) * root, "norm", sys.float_info.max)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.samples)
+        """Parseval, sqrt(pi/a) ||v||, with _norm's range rule."""
+        return _norm(self.samples, math.pi / self.a)
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """The reproducing kernel k_w of PW_a, kept symbolically as (a, w)."""
+def _norm(v, weight: float) -> float:
+    """sqrt(weight) ||v||, or OverflowGuardError past the float range (PwFunction's and L2Function's norm); where
+    a nonzero v's sum of squares leaves the normal range, it is summed again on v over its largest part."""
+    with np.errstate(over="ignore"):
+        root = float(np.linalg.norm(v))
+    if not math.sqrt(sys.float_info.min) <= root < math.inf and v.any():
+        top = float(np.abs(v.view(float)).max())
+        root = top * float(np.linalg.norm(v / top))
+    return _guard_exponent(math.sqrt(weight) * root, "norm", sys.float_info.max)
 
-    a: float
-    w: complex
 
-    def to_pw(self, half_width: int) -> PwFunction:
-        n = _count(half_width, "window half width", per_entry=2 * 73)  # 73 bytes a sample at the peak
-        return PwFunction(self.a, kernel_eval(self.a, self.w, grid(self.a, n)))
+def _in_range(form, v, w) -> complex:
+    """form(v, w), a sum linear in v and conjugate-linear in w, or OverflowGuardError past the float range; a value
+    that is not finite is formed again on v / 2^i and w / 2^j, i and j the binary exponents of max|v| and max|w|,
+    and scaled back by 2^(i + j), exactly, so products that cancel exactly give 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = form(v, w)
+    if cmath.isfinite(val):
+        return val
+    i, j = (math.frexp(float(np.abs(x.view(float)).max()))[1] for x in (v, w))
+    val = form(np.ldexp(v.view(float), -i).view(complex), np.ldexp(w.view(float), -j).view(complex))
+    top = max(abs(val.real), abs(val.imag))
+    if not cmath.isfinite(val) or top and math.frexp(top)[1] + i + j > sys.float_info.max_exp:
+        raise OverflowGuardError(f"inner product {val!r} x 2^{i + j} passes the float range")
+    return complex(math.ldexp(val.real, i + j), math.ldexp(val.imag, i + j))
 
 
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
-    """k_w(z) = (a/pi) sinc(a (z - conj(w))) with sinc(u) = sin(u)/u."""
+    """k_w(z) = (a/pi) sinc(a (z - conj(w))) with sinc(u) = sin(u)/u; before anything is allocated, the points pass
+    the memory budget at 73 bytes each, the peak of PwFunction(a, kernel_eval(a, w, grid(a, N))) with its grid."""
+    _guard_size(np.size(z), "kernel points", 73)
     _bandwidth(a)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or inf - inf fails the guard below
         diff = np.asarray(z, dtype=np.complex128) - np.conj(w)
@@ -463,15 +471,11 @@ def _cardinal(a, z, v):
 
 
 def inner_product(f: PwFunction, g: PwFunction) -> complex:
-    """<f, g> = (pi/a) sum_n f(x_n) conj(g(x_n)), windows zero-padded to match."""
+    """<f, g> = (pi/a) sum_n f(x_n) conj(g(x_n)), windows zero-padded to match, with _in_range's range rule."""
     _same_bandwidth(f.a, g.a)
-    nf, ng = f.half_width, g.half_width
-    v, w = f.samples, g.samples
-    if nf < ng:
-        v = np.pad(v, ng - nf)
-    elif ng < nf:
-        w = np.pad(w, nf - ng)
-    return (math.pi / f.a) * complex(np.sum(v * np.conj(w)))
+    n = max(f.half_width, g.half_width)
+    v, w = (np.pad(h.samples, n - h.half_width) for h in (f, g))
+    return _in_range(lambda v, w: (math.pi / f.a) * complex(np.sum(v * np.conj(w))), v, w)
 
 
 def scaled(f: PwFunction, factor: complex) -> PwFunction:
@@ -480,8 +484,7 @@ def scaled(f: PwFunction, factor: complex) -> PwFunction:
 
 def reproduce(f: PwFunction, w: complex) -> complex:
     """f(w) recovered as <f, k_w>, a code path independent of pw_eval."""
-    kp = KernelPoint(f.a, w).to_pw(f.half_width)
-    return inner_product(f, kp)
+    return inner_product(f, PwFunction(f.a, kernel_eval(f.a, w, f.grid())))
 
 
 def compose_apply(
@@ -637,19 +640,24 @@ def composed_inner_product(
     one ratio and one shift: equal slopes take its Toeplitz route, unequal
     ones its direct route: nnz(v) (2 N_w + 1) entries, N_w the half width of
     g, guarded at the zeta_n with v_n != 0.  It rounds to O(eps * pi/(a |c1|)
-    * sum|v| * sum|w| * e^(a |Im s|)) with v, w the sample vectors.  Used wherever
-    windowed re-sampling would lose mass (orbit norms, defect checks, adjoint pairings).
+    * sum|v| * sum|w| * e^(a |Im s|)) with v, w the sample vectors, past the float range by
+    _in_range.  Used wherever windowed re-sampling would lose mass (orbit norms, defect checks, adjoint pairings).
     """
     _same_bandwidth(f.a, g.a)
+    return _in_range(lambda v, w: _closed_pairing(f.a, phi1, v, phi2, w), f.samples, g.samples)
+
+
+def _closed_pairing(a, phi1, v, phi2, w) -> complex:
+    """composed_inner_product's value on the samples v of f and w of g, with no range rule."""
     swap = (abs(phi1.c), phi1.c) < (abs(phi2.c), phi2.c)
     if swap:
-        phi1, f, phi2, g = phi2, g, phi1, f
+        phi1, v, phi2, w = phi2, w, phi1, v
     # in Python floats: a |c1| that underflows to 0 gives an infinite factor, which the guard refuses
-    scale = f.a * abs(phi1.c)
+    scale = a * abs(phi1.c)
     factor = _guard_exponent(math.pi / scale if scale else math.inf, "pairing factor pi/(a |c1|)", _PAIRING_RANGE)
     ratio = phi2.c / phi1.c
     shift = phi2.d - ratio * phi1.d.conjugate()
-    val = complex(_pairings(f.a, f.samples, g.samples, ratio, np.array([shift]))[0]) * factor
+    val = complex(_pairings(a, v, w, ratio, np.array([shift]))[0]) * factor
     return val.conjugate() if swap else val
 
 
@@ -712,6 +720,6 @@ def _guard_square(square, a, c, y, v):
 
 def composed_norm(phi: AffineSymbol, f: PwFunction) -> float:
     """||C_phi f|| via the closed pairing form; a square lost to rounding raises (_guard_square)."""
-    square = composed_inner_product(phi, f, phi, f).real
+    square = _closed_pairing(f.a, phi, f.samples, phi, f.samples).real
     _guard_square(square, f.a, phi.c, phi.d.imag, f.samples)
     return math.sqrt(max(square, 0.0))

@@ -21,7 +21,6 @@ from .core import (
     AffineSymbol,
     PwFunction,
     PwLabError,
-    _bandwidth,
     _count,
     _guard_exponent,
     _guard_size,
@@ -122,8 +121,6 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
 class PropertyReport:
     """Operator-theoretic and dynamical flags for one symbol, with reasons."""
 
-    phi: AffineSymbol
-    a: float
     normal: bool
     unitary: bool
     invertible: bool
@@ -139,9 +136,8 @@ class PropertyReport:
         return {name: getattr(self, name) for name, _ in self.justifications}
 
 
-def classify(phi: AffineSymbol, a: float) -> PropertyReport:
-    """Pure table lookup on (c, Im d); every numerical experiment must agree with it."""
-    _bandwidth(a)
+def classify(phi: AffineSymbol) -> PropertyReport:
+    """Pure table lookup on (c, Im d), the same in every PW_a; every numerical experiment must agree with it."""
     c, d = phi.c, phi.d
     imd = d.imag
     expansive = abs(c) < 1.0 or (c == 1.0 and imd != 0.0)
@@ -216,8 +212,6 @@ def classify(phi: AffineSymbol, a: float) -> PropertyReport:
         ),
     }
     return PropertyReport(
-        phi=phi,
-        a=a,
         normal=normal,
         unitary=unitary,
         invertible=invertible,
@@ -287,13 +281,12 @@ def expansivity_certificate(
     Non-expansive symbols: sup_n ||C_phi^n f|| over the horizon, at 1
     (unitary) or below e^{|Im d| a} (period-2 reflection case).
     """
-    if f.is_zero():
+    if not f.samples.any():
         raise ValueError("expansivity needs a nonzero vector")
     _same_bandwidth(f.a, a)
     horizon = _count(horizon, "orbit horizon")
     unit = scaled(f, 1.0 / f.norm())
-    report = classify(phi, a)
-    if not report.positively_expansive:
+    if not classify(phi).positively_expansive:
         trace = orbit_norms(phi, a, unit, horizon)
         return ExpansivityCertificate(
             expansive=False,

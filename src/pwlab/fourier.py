@@ -38,13 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _count, _guard_exponent,
-                   _same_bandwidth)
-
-
-def l2_grid(a: float, m_points: int) -> np.ndarray:
-    m = _count(m_points, "grid points", least=1)
-    return -a + (np.arange(m) + 0.5) * (2.0 * a / m)
+from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _count, _guard_exponent, _in_range,
+                   _norm, _same_bandwidth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +65,19 @@ class L2Function:
         return self.values.size
 
     def grid(self) -> np.ndarray:
-        return l2_grid(self.a, self.m_points)
+        return -self.a + (np.arange(self.m_points) + 0.5) * (2.0 * self.a / self.m_points)
 
     def norm(self) -> float:
-        dt = 2.0 * self.a / self.m_points
-        return math.sqrt(dt) * float(np.linalg.norm(self.values))
+        """sqrt(dt) ||values||, dt = 2a/M, with core._norm's range rule (PwFunction.norm's)."""
+        return _norm(self.values, 2.0 * self.a / self.m_points)
 
     def inner(self, other: "L2Function") -> complex:
+        """dt sum_j F(t_j) conj(G(t_j)), with core._in_range's range rule."""
         _same_bandwidth(self.a, other.a)
         if self.m_points != other.m_points:
             raise ValueError("inner product needs matching grids")
         dt = 2.0 * self.a / self.m_points
-        return dt * complex(np.sum(self.values * np.conj(other.values)))
+        return _in_range(lambda v, w: dt * complex(np.sum(v * np.conj(w))), self.values, other.values)
 
 
 def _twiddle(n, m: int) -> np.ndarray:

@@ -19,11 +19,12 @@ import numpy as np
 from .core import (
     DEFAULT_SEED,
     AffineSymbol,
-    KernelPoint,
     PwFunction,
     _rounding_bound,
     compose_apply,
+    grid,
     inner_product,
+    kernel_eval,
     pw_eval,
     reproduce,
     scaled,
@@ -224,7 +225,7 @@ def check_expansivity_dichotomy() -> CheckResult:
             phi = AffineSymbol(c, d)
             f = rough_probe(a, 64, rng)
             cert = expansivity_certificate(phi, a, f, horizon=40)
-            mismatches += cert.expansive != classify(phi, a).positively_expansive
+            mismatches += cert.expansive != classify(phi).positively_expansive
             norms, slack = _fourier_orbit(phi, scaled(f, 1.0 / f.norm()), cert.n_star or 40)
             if cert.expansive:
                 conflicts += bool(np.any(norms[:-1] >= 2.0 + slack[:-1]) or norms[-1] < 2.0 - slack[-1])
@@ -268,7 +269,7 @@ def check_cesaro_dichotomy() -> CheckResult:
     a = 1.0
     rng = np.random.default_rng(DEFAULT_SEED)
     bounded = [AffineSymbol(-1.0, d) for d in _GRID_D] + [AffineSymbol(1.0, 0.0), AffineSymbol(1.0, 1.0)]
-    witness = KernelPoint(math.pi, 1.0).to_pw(8)
+    witness = PwFunction(math.pi, kernel_eval(math.pi, 1.0, grid(math.pi, 8)))
     phi_w = AffineSymbol(0.5, 0.0)
     n = np.arange(1, 41)
     worst_rel = slack_gap = 0.0

@@ -75,7 +75,7 @@ def exp_rounding_bound(w, a):
     """(6 + 9 |w| a) eps: the relative error allowed to e^{w t_j} on a midpoint grid of [-a, a].
 
     A grid point t_j is formed from h = 2a/M and at most six more roundings of
-    quantities no larger than 2a: l2_grid's (j + 1/2) h and -a + that, or
+    quantities no larger than 2a: L2Function.grid's (j + 1/2) h and -a + that, or
     _grid_exp's (lo + 1/2) h, -a + that, b R h, their sum and its tail's r h.
     With eps/2 per rounding that moves t_j by at most 7 eps a, and the
     products with w (head and tail) add 1.5 eps |w| a.  Each exp errs by about

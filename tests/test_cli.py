@@ -332,6 +332,19 @@ class TestExitCodes:
         assert code == EXIT_OVERFLOW
         assert "section of" in err
 
+    def test_zero_counts(self, capsys):
+        # each subcommand's own count rule (core._count) decides a 0: a one-node kernel and
+        # the n = 0 orbit row are records; a section, a Cesaro mean and a divergence need n >= 1
+        code, out, _ = run(capsys, "--half-width", "0", "kernel", "--a", "1", "--w", "0")
+        assert code == EXIT_OK and json.loads(out)["function"]["N"] == 0
+        code, out, _ = run(capsys, "--n-max", "0", "orbit", "--a", "1", "--c", "0.5")
+        assert code == EXIT_OK and [line.split(",")[0] for line in out.splitlines()] == ["n", "0"]
+        for argv, what in ((["--half-width", "0", "norm"], "section half width"),
+                           (["--n-max", "0", "cesaro"], "orbit horizon"),
+                           (["--n-max", "0", "shadow"], "divergence horizon")):
+            code, out, err = run(capsys, *argv, "--a", "1", "--c", "0.5")
+            assert code == EXIT_INVALID_CONFIG and not out and f"{what} must be an integer >= 1" in err, argv
+
     def test_removed_knobs(self, capsys):
         # the frequency grid, the small-window profile, the config file and the section norm's
         # tolerance are gone

@@ -11,7 +11,6 @@ from pwlab import (
     AdmissibilityError,
     AffineSymbol,
     BandwidthMismatchError,
-    KernelPoint,
     OverflowGuardError,
     PwFunction,
     PwLabError,
@@ -115,7 +114,7 @@ class TestGridAndFunction:
 
     def test_bandwidth_outside_zero_inf_rejected(self):
         # one check of a in core: the grid, the kernels and every closed form
-        # raise it, build_matrix calls it, and the probes and to_pw reach it through grid
+        # raise it, build_matrix calls it, and the probes and kernel windows reach it through grid
         phi, rng = AffineSymbol(0.5, 1j), np.random.default_rng(SEED)
         calls = [
             lambda a: pwlab.grid(a, 3),
@@ -124,11 +123,10 @@ class TestGridAndFunction:
             lambda a: pwlab.norm_closed(phi, a),
             lambda a: pwlab.spectral_radius_closed(phi, a),
             lambda a: pwlab.spectrum_closed_form(AffineSymbol(1.0, 1j), a),
-            lambda a: pwlab.classify(phi, a),
             lambda a: pwlab.compactness_witness(phi, a, 3),
             lambda a: pwlab.build_matrix(AffineSymbol(0.5, 0.3), a, 4),
             lambda a: pwlab.smooth_probe(a, 4, rng),
-            lambda a: pwlab.KernelPoint(a, 1.0).to_pw(3),
+            lambda a: PwFunction(a, pwlab.kernel_eval(a, 1.0, pwlab.grid(a, 3))),
         ]
         for call in calls:
             for a in (0.0, -1.0, math.nan, math.inf):
@@ -148,10 +146,6 @@ class TestGridAndFunction:
         f = pwlab.rough_probe(2.0, 16, rng)
         expected = math.sqrt(math.pi / 2.0 * float(np.sum(np.abs(f.samples) ** 2)))
         assert abs(f.norm() - expected) < 1e-13 * expected
-
-    def test_is_zero(self):
-        assert PwFunction(1.0, np.zeros(3)).is_zero()
-        assert not PwFunction(1.0, np.array([0.0, 1e-30, 0.0])).is_zero()
 
 
 class TestKernels:
@@ -181,7 +175,7 @@ class TestKernels:
 
     def test_kernel_point_to_pw_on_lattice_is_node_indicator(self):
         # a node kernel samples to the indicator of its own node
-        f = KernelPoint(math.pi, 3.0).to_pw(8)
+        f = PwFunction(math.pi, pwlab.kernel_eval(math.pi, 3.0, pwlab.grid(math.pi, 8)))
         expected = np.zeros(17)
         expected[8 + 3] = 1.0
         np.testing.assert_allclose(f.samples, expected, atol=1e-15)
@@ -999,9 +993,9 @@ class TestComposedProducts:
         a = math.pi
         phi = AffineSymbol(0.5, 0.25 + 0.1j)
         ident = AffineSymbol(1.0, 0.0)
-        f = KernelPoint(a, 2.0).to_pw(12)
+        f = PwFunction(a, pwlab.kernel_eval(a, 2.0, pwlab.grid(a, 12)))
         for v_node in (-3, 0, 5):
-            g = KernelPoint(a, float(v_node)).to_pw(12)
+            g = PwFunction(a, pwlab.kernel_eval(a, float(v_node), pwlab.grid(a, 12)))
             got = pwlab.composed_inner_product(phi, f, ident, g)
             ref = pwlab.kernel_eval(a, 2.0, phi(float(v_node)))
             assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))

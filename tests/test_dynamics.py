@@ -291,7 +291,7 @@ class TestClassify:
 
     def test_flag_table(self):
         for (c, d), expected in self.EXPECTED.items():
-            report = pwlab.classify(AffineSymbol(c, d), 1.0)
+            report = pwlab.classify(AffineSymbol(c, d))
             flags = report.flags()
             for key, value in expected.items():
                 assert flags[key] == value, (c, d, key)
@@ -302,7 +302,7 @@ class TestClassify:
             assert flags["shadowing"] is False
 
     def test_justifications_are_self_contained(self):
-        report = pwlab.classify(AffineSymbol(-1.0, 1j), 2.0)
+        report = pwlab.classify(AffineSymbol(-1.0, 1j))
         texts = dict(report.justifications)
         # a flag added without a reason, or a reason without its flag field, fails here
         bools = {f.name for f in dataclasses.fields(report) if f.type in (bool, "bool")}
@@ -317,7 +317,7 @@ class TestClassify:
         # |c| = 1 contracts nothing: C*C and CC* are the multiplications by e^{-2 Im(d) t}
         # and e^{2 Im(d) t}, which the Fourier picture's apply and adjoint norms show
         phi = AffineSymbol(-1.0, 0.3 + 0.5j)
-        report = pwlab.classify(phi, 1.0)
+        report = pwlab.classify(phi)
         reason = dict(report.justifications)["normal"]
         assert report.normal is False
         assert "contracts" not in reason
@@ -329,13 +329,6 @@ class TestClassify:
             expected = float(np.sum(mass * np.exp(sign * 2.0 * phi.d.imag * t)))
             assert abs(op(phi, F).norm() ** 2 / expected - 1.0) < 1e-12
         assert abs(pwlab.weighted_compose_apply(phi, F).norm() - pwlab.weighted_compose_adjoint(phi, F).norm()) > 1e-3
-
-    def test_bandwidth_independence_of_most_flags(self):
-        # only norms depend on a; the flag table must not
-        for a in (0.5, 1.0, math.pi):
-            flags = pwlab.classify(AffineSymbol(0.5, 1j), a).flags()
-            assert flags["positively_expansive"] is True
-            assert flags["cesaro_bounded"] is False
 
 
 def _first_doubling(phi, f):
@@ -367,7 +360,7 @@ def expansivity_sweep(half_width):
         for d in _GRID_D:
             phi = AffineSymbol(c, d)
             cert = pwlab.expansivity_certificate(phi, 1.0, f, horizon=40)
-            assert cert.expansive == pwlab.classify(phi, 1.0).positively_expansive, phi
+            assert cert.expansive == pwlab.classify(phi).positively_expansive, phi
             if cert.expansive:
                 norms = pwlab.orbit_norms(phi, 1.0, unit, cert.n_star).norms
                 assert 1 <= cert.n_star <= cert.cap and norms[-1] >= 2.0 * (1.0 - 1e-12), phi
@@ -437,7 +430,7 @@ class TestExpansivity:
         monkeypatch.setattr(dynamics, "orbit_norms", lambda *args: calls.append(args[3]) or orbit(*args))
         monkeypatch.setattr(dynamics, "pw_eval", lambda *args, **kw: calls.append("pw_eval"))
         for phi, f in self._grid_cases():
-            if not pwlab.classify(phi, 1.0).positively_expansive:
+            if not pwlab.classify(phi).positively_expansive:
                 continue
             calls.clear()
             cert = pwlab.expansivity_certificate(phi, 1.0, f)

@@ -24,7 +24,7 @@ def unit_smooth(a, half_width, rng):
 class TestGridAndContainer:
     def test_midpoint_grid(self):
         a, m = 2.0, 8
-        t = fourier.l2_grid(a, m)
+        t = L2Function(a, np.zeros(m)).grid()
         assert t.size == m
         step = 2.0 * a / m
         np.testing.assert_allclose(t, -a + (np.arange(m) + 0.5) * step)
@@ -252,6 +252,7 @@ class TestGridExp:
             for count in (1, 2, 3, 63, 64, 65, 4095, 4096, 4097):
                 m, lo = 2 * count + 3, count // 3 + 1
                 h = 2 * mp.mpf(a) / m
+                t = -a + (np.arange(lo, lo + count) + 0.5) * (2.0 * a / m)  # the midpoints L2Function.grid forms
                 for w in ws:
                     # e^{w t_j} by 40-digit steps e^{w h} from t_lo, one point after another
                     z, step, exact = mp.exp(mp.mpc(w) * ((lo + mp.mpf(0.5)) * h - a)), mp.exp(mp.mpc(w) * h), []
@@ -260,7 +261,7 @@ class TestGridExp:
                         z *= step
                     exact = np.array(exact)
                     bound = exp_rounding_bound(w, a)
-                    for got in (_grid_exp(w, a, m, lo, count), np.exp(w * fourier.l2_grid(a, m)[lo : lo + count])):
+                    for got in (_grid_exp(w, a, m, lo, count), np.exp(w * t)):
                         assert got.shape == (count,)
                         assert np.max(np.abs(got / exact - 1.0)) <= bound, (count, w)
 

@@ -23,7 +23,7 @@ import pytest
 
 import pwlab
 import pwlab.cli
-from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError, core, dynamics, fourier
+from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError, core, dynamics
 from pwlab.cli import EXIT_INVALID_CONFIG
 
 SEED = pwlab.DEFAULT_SEED
@@ -133,7 +133,7 @@ def _budget_calls():
         ("window half width", lambda n: lambda: pwlab.rough_probe(a, n, rng)),
         ("window half width", lambda n: lambda: pwlab.node_function(a, n)),
         ("window half width", lambda n: lambda: pwlab.smooth_probe(a, n, rng)),
-        ("window half width", lambda n: lambda: pwlab.KernelPoint(a, 0.3 + 0.2j).to_pw(n)),
+        ("kernel points", lambda n: lambda z=pwlab.grid(a, n): pwlab.PwFunction(a, pwlab.kernel_eval(a, 0.3 + 0.2j, z))),
         ("window half width", lambda n: lambda: pwlab.grid(a, n)),
         ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
             pwlab.compose_apply(AffineSymbol(1.0, 0.3 + 0.2j), f)),
@@ -258,9 +258,11 @@ class TestSizeCaps:
                 lambda: pwlab.smooth_probe(1.0, huge, rng),
                 lambda: pwlab.rough_probe(1.0, huge, rng),
                 lambda: pwlab.node_function(1.0, huge),
-                lambda: pwlab.KernelPoint(1.0, 1j).to_pw(huge),
+                lambda: pwlab.PwFunction(1.0, pwlab.kernel_eval(1.0, 1j, pwlab.grid(1.0, huge))),
                 lambda: pwlab.grid(1.0, huge),
             ],
+            # a view of one float: kernel_eval counts the points before it converts them
+            "kernel points": [lambda: pwlab.kernel_eval(1.0, 1j, np.broadcast_to(0.0, (huge,)))],
             "boundary count": [
                 lambda c=c: pwlab.spectrum_closed_form(AffineSymbol(c, 1j), 1.0).boundary_samples(huge)
                 for c in (-1.0, 0.5, 1.0)
@@ -302,6 +304,7 @@ class TestSizeCaps:
 
 TINY = pwlab.rough_probe(1e-30, 4, np.random.default_rng(0))
 ONE = pwlab.rough_probe(1.0, 4, np.random.default_rng(0))
+HUGE = pwlab.PwFunction(1.0, np.full(5, 1e200))
 
 # (id, call, type, message): a call is a function or a pwlab command line; a
 # command line's "type" is its exit code, and its message is read on stderr
@@ -324,10 +327,17 @@ INPUT_CHECKS = [
      "window half width must be an integer >= 0"),
     ("node function half width", lambda: pwlab.node_function(1.0, -1), ValueError,
      "window half width must be an integer >= 0"),
-    ("kernel window half width", lambda: pwlab.KernelPoint(1.0, 0.5).to_pw(-1), ValueError,
+    ("kernel window half width", lambda: pwlab.PwFunction(1.0, pwlab.kernel_eval(1.0, 0.5, pwlab.grid(1.0, -1))), ValueError,
      "window half width must be an integer >= 0"),
     ("section half width", lambda: pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 0), ValueError,
      "section half width must be an integer >= 1"),
+    # each used to return inf or NaN: the sum of products of samples of 1e200 is past the float range
+    ("inner product overflow", lambda: pwlab.inner_product(HUGE, HUGE), OverflowGuardError,
+     r"inner product .* x 2\^1330 passes the float range"),
+    ("composed inner product overflow", lambda: pwlab.composed_inner_product(
+        AffineSymbol(0.5, 0.0), HUGE, AffineSymbol(0.5, 0.0), HUGE), OverflowGuardError, "passes the float range"),
+    ("L2 inner product overflow", lambda: pwlab.to_l2(HUGE, 16).inner(pwlab.to_l2(HUGE, 16)), OverflowGuardError,
+     "passes the float range"),
     # the exponent guards pass, but the square of samples of 1e200 is past the float range
     ("composed norm overflow", lambda: pwlab.composed_norm(
         AffineSymbol(0.5, 0.3), pwlab.scaled(pwlab.node_function(1.0, 4), 1e200)), OverflowGuardError,
@@ -365,8 +375,8 @@ INPUT_CHECKS = [
      "witness horizon must be an integer >= 1"),
     ("cli seed literal", ["--seed", "0xZZ", "classify", "--a", "1", "--c", "0.5", "--d", "0"], EXIT_INVALID_CONFIG,
      "cannot parse integer '0xZZ'"),
-    ("cli half width", ["--half-width", "0", "kernel", "--a", "1", "--w", "0"], EXIT_INVALID_CONFIG,
-     "half_width, n_max must be positive"),
+    ("cli half width", ["--half-width", "-1", "kernel", "--a", "1", "--w", "0"], EXIT_INVALID_CONFIG,
+     "window half width must be an integer >= 0"),
 ]
 
 
@@ -390,17 +400,29 @@ class TestInputChecks:
 
     def test_norm_outside_the_normal_range_of_its_squares(self):
         # 9 samples of 1e300 have a sum of squares past the float range and of 1e-200 one below it,
-        # yet both norms, 3 sqrt(pi) times the sample, are normal floats; the smallest bandwidth
-        # admitted, pi/a = 2^128, keeps every norm and grid finite
-        for sample in (1e300, 1e-200, 1e300 - 1e300j):
-            norm = pwlab.PwFunction(1.0, np.full(9, sample)).norm()
+        # yet both norms, 3 sqrt(pi) times the sample, are normal floats, and so are their Fourier
+        # images' (the L2 norm used to read 0.0 or inf); the smallest bandwidth admitted,
+        # pi/a = 2^128, keeps every norm and grid finite
+        for sample in (1e300, 1e-200, 1e200, 1e300 - 1e300j):
+            f = pwlab.PwFunction(1.0, np.full(9, sample))
             expected = 3.0 * math.sqrt(math.pi) * abs(sample)
-            assert abs(norm - expected) <= 4 * np.finfo(float).eps * expected, sample
+            for norm in (f.norm(), pwlab.to_l2(f, 16).norm()):
+                assert abs(norm - expected) <= 4 * np.finfo(float).eps * expected, sample
         a = math.pi / 2.0**128
         f = pwlab.PwFunction(a, np.ones(9))
         assert f.norm() == 3.0 * 2.0**64 and np.all(np.isfinite(f.grid()))
         with pytest.raises(OverflowGuardError, match="node spacing"):
             pwlab.grid(math.nextafter(a, 0.0), 4)
+
+    def test_inner_products_past_the_float_range(self):
+        # products of 2^1030 overflow, yet they cancel and leave pi 2^980, in range; a value
+        # in range on the plain sum keeps its bits
+        f = pwlab.PwFunction(1.0, np.full(3, 2.0**1000))
+        g = pwlab.PwFunction(1.0, np.array([2.0**30, -(2.0**30), 2.0**-20]))
+        ident = AffineSymbol(1.0, 0.0)
+        assert pwlab.inner_product(f, g) == pwlab.composed_inner_product(ident, f, ident, g) == math.pi * 2.0**980
+        g = pwlab.rough_probe(1.0, 4, np.random.default_rng(1))
+        assert pwlab.inner_product(ONE, g) == math.pi * complex(np.sum(ONE.samples * np.conj(g.samples)))
 
     def test_accepted_edge_inputs(self):
         # a complex slope with zero imaginary part is the real slope
@@ -418,11 +440,9 @@ NODE = pwlab.node_function(1.0, 4)
 # (what, least, an accepted value, call): every count of the public API, as core._count names it
 COUNTS = {
     "grid half_width": ("window half width", 0, 3, lambda n: pwlab.grid(1.0, n)),
-    "to_pw half_width": ("window half width", 0, 3, lambda n: pwlab.KernelPoint(1.0, 0.5).to_pw(n)),
     "compose_apply half_width": ("target window half width", 0, 3,
                                  lambda n: pwlab.compose_apply(AffineSymbol(0.5, 0.3), NODE, half_width=n)),
     "iterate n": ("iterate order", 0, 3, lambda n: AffineSymbol(0.5, 0.3).iterate(n)),
-    "l2_grid m_points": ("grid points", 1, 8, lambda n: fourier.l2_grid(1.0, n)),
     "to_l2 m_points": ("grid points", 2, 16, lambda n: pwlab.to_l2(NODE, n)),
     "from_l2 half_width": ("window half width", 0, 3, lambda n: pwlab.from_l2(F64, n)),
     "build_matrix half_width": ("section half width", 1, 3, lambda n: pwlab.build_matrix(AffineSymbol(0.5, 0.3), 1.0, n)),
@@ -480,8 +500,8 @@ class TestCounts:
                 call()
 
     def test_count_rule_is_single(self):
-        # no module tests a count's integrality or lower bound by hand: core._count does, and
-        # the CLI for its own command line (outside input); a new hand-written check fails here
+        # no module tests a count's integrality or lower bound by hand: core._count does, for the
+        # command line too; a new hand-written check fails here
         names = {"half_width", "n_max", "horizon", "count", "m_points", "node", "n"}
 
         def name(node):
@@ -506,4 +526,4 @@ class TestCounts:
                         and name(node.comparators[0]) in names)
                     if integral or int_test or lower:
                         found.add((path.stem, fn.name))
-        assert found == {("core", "_count"), ("cli", "main")}
+        assert found == {("core", "_count")}

@@ -597,7 +597,7 @@ class TestWitnesses:
             (AffineSymbol(1.0, 2.0), "invertible: "),
             (AffineSymbol(-1.0, 1j), "invertible: "),
         ):
-            report = pwlab.classify(phi, 1.0)
+            report = pwlab.classify(phi)
             assert report.closed_range is True
             assert dict(report.justifications)["closed_range"].startswith(reason)
 
