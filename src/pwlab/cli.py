@@ -42,6 +42,7 @@ from .core import (
     PwFunction,
     PwLabError,
     _bandwidth,
+    _guard_size,
     grid,
     kernel_eval,
     kernel_norm_sq,
@@ -114,6 +115,7 @@ def _make_probe(args: argparse.Namespace):
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    _guard_size(2 * args.half_width + 1, "kernel points", 73)  # kernel_eval's budget, before grid builds the points
     f = PwFunction(args.a, kernel_eval(args.a, args.w, grid(args.a, args.half_width)))
     record = {
         "a": args.a,

@@ -430,8 +430,11 @@ def _cardinal(a, z, v):
     block itself.
     """
     _guard_points(a, z, "evaluation exponent a |Im z|")
+    # 48 bytes a sample at the peak (tracemalloc): past _BLOCK_ENTRIES samples a block is one row, and between
+    # two complex blocks the nodes (8), the signed samples (16) and three rows (24) are live
+    _guard_size(v.size, "cardinal series samples", 48)
     n = v.size // 2
-    x = grid(a, n)
+    x = np.arange(-n, n + 1) * (math.pi / a)  # grid(a, n) without its checks: a is a PwFunction's bandwidth
     # (-1)^k v_k as real columns (re, im); k = j - n is odd where j and n differ in parity
     w = v.copy()
     w[1 - n % 2 :: 2] *= -1.0

@@ -12,6 +12,7 @@ on (c, Im d); the orbit machinery certifies each entry numerically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .core import (
     OVERFLOW_EXPONENT,
     AffineSymbol,
+    OverflowGuardError,
     PwFunction,
     PwLabError,
     _count,
@@ -113,8 +115,23 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
     _guard_size(c.size * (F.m_points + 3), "orbit weight entries", 16)
     _guard_exponent(2.0 * F.a * float(np.abs(y).max()), "orbit exponent 2 a |Im d_n|")
     weights = np.exp(-2.0 * np.outer(y, F.grid()))
-    squares = weights @ (np.abs(F.values) ** 2 * (2.0 * F.a / F.m_points)) / c
-    return OrbitTrace(np.sqrt(squares))
+    return OrbitTrace(_fourier_roots(F.values, 2.0 * F.a / F.m_points, lambda cells: weights @ cells / c))
+
+
+def _fourier_roots(values, dt: float, sums) -> np.ndarray:
+    """sqrt(sums(cells)) for the cells |F(t_j)|^2 dt of Fourier-side values F(t_j) and a sum sums linear in them.
+
+    core._norm's range rule: the cells are formed on |F| / 2^e, e the binary exponent of max|F|, and the roots
+    scaled back by 2^e.  Both scalings are exact, so no square overflows or underflows, a result in range keeps its
+    bits, and a root past the float range raises OverflowGuardError.
+    """
+    mag = np.abs(values)
+    e = math.frexp(float(mag.max()))[1]
+    roots = np.sqrt(sums(np.ldexp(mag, -e) ** 2 * dt))
+    top = float(roots.max())
+    if math.frexp(top)[1] + e > sys.float_info.max_exp:
+        raise OverflowGuardError(f"Fourier-side root {top!r} x 2^{e} passes the float range")
+    return np.ldexp(roots, e)
 
 
 @dataclass(frozen=True)
@@ -137,92 +154,69 @@ class PropertyReport:
 
 
 def classify(phi: AffineSymbol) -> PropertyReport:
-    """Pure table lookup on (c, Im d), the same in every PW_a; every numerical experiment must agree with it."""
-    c, d = phi.c, phi.d
-    imd = d.imag
-    expansive = abs(c) < 1.0 or (c == 1.0 and imd != 0.0)
-    cesaro = c == -1.0 or (c == 1.0 and imd == 0.0)
-    normal = c == 1.0 or (c == -1.0 and imd == 0.0)
-    invertible = abs(c) == 1.0
-    unitary = c == 1.0 and imd == 0.0
-    just = {
+    """Pure table lookup on the symbol's class, the same in every PW_a; every numerical experiment must agree with it.
+
+    The five classes: 0 < |c| < 1 (any d), and c = 1 or c = -1, each with real or complex d.  The table maps each
+    property, in the report's order, to one (flag, reason) pair, chosen by one branch on the class.
+    """
+    c, real = phi.c, phi.d.imag == 0.0
+    contracting = abs(c) < 1.0
+    table = {
         "normal": (
-            "c=1 transforms to a pure multiplication by e^{i d t}, which commutes "
-            "with its adjoint" if c == 1.0 else
-            "c=-1, d real: the operator is self-inverse (applying it twice gives the "
-            "identity) and isometric, hence normal" if normal else
-            "c=-1, d not real: C*C and CC* multiply the transform by e^{-2 Im(d) t} "
-            "and e^{2 Im(d) t}, which differ, so they cannot agree" if c == -1.0 else
-            "the scaling part strictly contracts the band, so C*C and CC* act on "
-            "different supports and cannot agree"
+            (True, "c=1 transforms to a pure multiplication by e^{i d t}, which commutes with its adjoint")
+            if c == 1.0 else
+            (False, "the scaling part strictly contracts the band, so C*C and CC* act on different supports and "
+             "cannot agree") if contracting else
+            (True, "c=-1, d real: the operator is self-inverse (applying it twice gives the identity) and "
+             "isometric, hence normal") if real else
+            (False, "c=-1, d not real: C*C and CC* multiply the transform by e^{-2 Im(d) t} and e^{2 Im(d) t}, "
+             "which differ, so they cannot agree")
         ),
         "unitary": (
-            "translation with real d is multiplication by the unimodular e^{i d t} "
-            "in the transformed picture: isometric and onto" if unitary else
-            "reflection with real d is isometric and invertible as well; the flag "
-            "follows the translation-group convention and reports false for c=-1"
-            if c == -1.0 and imd == 0.0 else
-            "the norm of the operator or of its inverse image exceeds 1, so it "
-            "cannot be unitary"
+            (True, "translation with real d is multiplication by the unimodular e^{i d t} in the transformed "
+             "picture: isometric and onto") if c == 1.0 and real else
+            (False, "reflection with real d is isometric and invertible as well; the flag follows the "
+             "translation-group convention and reports false for c=-1") if c == -1.0 and real else
+            (False, "the norm of the operator or of its inverse image exceeds 1, so it cannot be unitary")
         ),
         "invertible": (
-            "|c|=1: the inverse symbol z -> (z - d)/c is again admissible"
-            if invertible else
-            "0<|c|<1: the inverse symbol would have slope 1/c with |1/c| > 1, which "
-            "does not map the space into itself; the range is a proper closed subspace"
+            (False, "0<|c|<1: the inverse symbol would have slope 1/c with |1/c| > 1, which does not map the "
+             "space into itself; the range is a proper closed subspace") if contracting else
+            (True, "|c|=1: the inverse symbol z -> (z - d)/c is again admissible")
         ),
-        "compact": (
-            "the normalized node kernels go weakly to zero while their adjoint "
-            "images keep the constant length sinh(2 a Im d)/(2 a Im d) >= 1, so no "
-            "compactness for any admissible symbol"
-        ),
+        "compact": (False, "the normalized node kernels go weakly to zero while their adjoint images keep the "
+                    "constant length sinh(2 a Im d)/(2 a Im d) >= 1, so no compactness for any admissible symbol"),
         "closed_range": (
-            "invertible: the inverse symbol z -> (z - d)/c is admissible "
-            "(|1/c| = 1), and invertible operators have closed range" if invertible else
-            "bounded below: ||C_phi f|| = |c|^{-1/2} ||f(. + d)|| >= "
-            "|c|^{-1/2} e^{-|Im d| a} ||f||, a positive multiple of an isometry "
-            "composed with an invertible multiplication, hence closed range"
+            (True, "bounded below: ||C_phi f|| = |c|^{-1/2} ||f(. + d)|| >= |c|^{-1/2} e^{-|Im d| a} ||f||, a "
+             "positive multiple of an isometry composed with an invertible multiplication, hence closed range")
+            if contracting else
+            (True, "invertible: the inverse symbol z -> (z - d)/c is admissible (|1/c| = 1), and invertible "
+             "operators have closed range")
         ),
-        "li_yorke": (
-            "no orbit can have liminf 0 and limsup infinity: for |c| < 1 every "
-            "nonzero orbit grows at least like |c|^{-n/2} (bounded below), and for "
-            "|c| = 1 an orbit with liminf 0 forces the spectral density to vanish "
-            "where the weight is >= 1, making the orbit nonincreasing"
-        ),
+        "li_yorke": (False, "no orbit can have liminf 0 and limsup infinity: for |c| < 1 every nonzero orbit grows "
+                     "at least like |c|^{-n/2} (bounded below), and for |c| = 1 an orbit with liminf 0 forces the "
+                     "spectral density to vanish where the weight is >= 1, making the orbit nonincreasing"),
         "positively_expansive": (
-            "unit vectors double: orbits grow at rate |c|^{-n/2}" if abs(c) < 1.0 else
-            "unit vectors double: the weight e^{-2 Im(d) n t} diverges exponentially "
-            "on a set of positive spectral measure" if expansive else
-            "no unit vector ever doubles: c=1 with real d is unitary (orbit norms "
-            "constant)" if unitary else
-            "no unit vector ever doubles: c=-1 orbits have period 2 with sup norm "
-            "at most e^{|Im d| a}"
+            (True, "unit vectors double: orbits grow at rate |c|^{-n/2}") if contracting else
+            (False, "no unit vector ever doubles: c=-1 orbits have period 2 with sup norm at most e^{|Im d| a}")
+            if c == -1.0 else
+            (False, "no unit vector ever doubles: c=1 with real d is unitary (orbit norms constant)") if real else
+            (True, "unit vectors double: the weight e^{-2 Im(d) n t} diverges exponentially on a set of positive "
+             "spectral measure")
         ),
         "cesaro_bounded": (
-            "orbit norms alternate between ||f|| and ||C_phi f|| <= e^{|Im d| a}||f||, "
-            "so every Cesaro mean is bounded by e^{|Im d| a}||f||" if c == -1.0 else
-            "unitary orbit: all means equal ||f||" if cesaro else
-            "means grow without bound: the n-th orbit norm alone exceeds any fixed "
-            "multiple of n (rate e^{|Im d| a n} for c=1, |c|^{-n/2} otherwise)"
+            (True, "orbit norms alternate between ||f|| and ||C_phi f|| <= e^{|Im d| a}||f||, so every Cesaro "
+             "mean is bounded by e^{|Im d| a}||f||") if c == -1.0 else
+            (True, "unitary orbit: all means equal ||f||") if c == 1.0 and real else
+            (False, "means grow without bound: the n-th orbit norm alone exceeds any fixed multiple of n (rate "
+             "e^{|Im d| a n} for c=1, |c|^{-n/2} otherwise)")
         ),
-        "shadowing": (
-            "for every delta there is an explicit delta-pseudotrajectory whose "
-            "terms grow linearly at a reproducing-kernel functional while every "
-            "true orbit stays bounded there, so no orbit shadows it"
-        ),
+        "shadowing": (False, "for every delta there is an explicit delta-pseudotrajectory whose terms grow linearly "
+                      "at a reproducing-kernel functional while every true orbit stays bounded there, so no orbit "
+                      "shadows it"),
     }
-    return PropertyReport(
-        normal=normal,
-        unitary=unitary,
-        invertible=invertible,
-        compact=False,
-        closed_range=True,
-        li_yorke=False,
-        positively_expansive=expansive,
-        cesaro_bounded=cesaro,
-        shadowing=False,
-        justifications=tuple(just.items()),
-    )
+    flags, reasons = zip(*table.values())
+    return PropertyReport(*flags, justifications=tuple(zip(table, reasons)))
 
 
 def _value_off_zero(f: PwFunction, z: complex, what: str) -> complex:
@@ -244,8 +238,8 @@ def _favourable_tails(f: PwFunction, imd: float) -> tuple[np.ndarray, np.ndarray
     """
     F = to_l2(f, max(4096, f.samples.size))
     m = F.m_points
-    cells = np.abs(F.values[:: 1 if imd > 0.0 else -1][: m // 2]) ** 2 * (2.0 * f.a / m)
-    return np.sqrt(np.cumsum(cells)), f.a * (m - 2.0 * np.arange(1, m // 2 + 1)) / m
+    tails = _fourier_roots(F.values[:: 1 if imd > 0.0 else -1][: m // 2], 2.0 * f.a / m, np.cumsum)
+    return tails, f.a * (m - 2.0 * np.arange(1, m // 2 + 1)) / m
 
 
 @dataclass(frozen=True)

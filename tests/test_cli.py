@@ -371,7 +371,8 @@ class TestExitCodes:
         huge = str(10**15)
         cases = [
             (["--half-width", huge, "orbit", "--a", "1", "--c", "0.5", "--probe", "rough"], "window half width"),
-            (["--half-width", huge, "kernel", "--a", "1", "--w", "0"], "window half width"),
+            # the kernel's 2N + 1 points pass kernel_eval's budget before grid builds them
+            (["--half-width", huge, "kernel", "--a", "1", "--w", "0"], "kernel points"),
             (["--half-width", huge, "norm", "--a", "1", "--c", "0.5"], "section of"),
             (["spectrum", "--a", "1", "--c", "0.5", "--boundary-count", huge], "boundary count"),
             (["--n-max", huge, "orbit", "--a", "1", "--c", "-1", "--d", "0.3"], "orbit horizon"),

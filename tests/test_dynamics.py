@@ -304,14 +304,38 @@ class TestClassify:
     def test_justifications_are_self_contained(self):
         report = pwlab.classify(AffineSymbol(-1.0, 1j))
         texts = dict(report.justifications)
-        # a flag added without a reason, or a reason without its flag field, fails here
-        bools = {f.name for f in dataclasses.fields(report) if f.type in (bool, "bool")}
-        assert set(report.flags()) == set(texts) == bools and len(bools) == 9
+        # a flag added without a reason, a reason without its flag field, or a reason out of the
+        # fields' order (classify fills the fields by position) fails here
+        bools = [f.name for f in dataclasses.fields(report) if f.type in (bool, "bool")]
+        assert list(report.flags()) == list(texts) == bools and len(bools) == 9
         for flag in report.flags():
             text = texts[flag]
             assert isinstance(text, str) and len(text) > 10
         with pytest.raises(KeyError):
             texts["bounded"]
+
+    # one symbol per class: 0 < |c| < 1, c = 1 with real and with complex d, c = -1 with real and with complex d
+    CLASSES = [(0.5, 0.7), (1.0, 2.0), (1.0, 1j), (-1.0, 0.0), (-1.0, 1.0 + 1j)]
+    # for each class-dependent reason, a phrase per class that the reasons of the other classes lack
+    PHRASES = {
+        "normal": ("strictly contracts", "c=1 transforms", "c=1 transforms", "self-inverse", "d not real"),
+        "unitary": ("exceeds 1", "translation with real d", "exceeds 1", "reflection with real d", "exceeds 1"),
+        "invertible": ("0<|c|<1", "|c|=1", "|c|=1", "|c|=1", "|c|=1"),
+        "closed_range": ("bounded below", "invertible operators", "invertible operators", "invertible operators",
+                         "invertible operators"),
+        "positively_expansive": ("orbits grow at rate", "c=1 with real d is unitary", "diverges exponentially",
+                                 "period 2", "period 2"),
+        "cesaro_bounded": ("grow without bound", "unitary orbit", "grow without bound", "alternate", "alternate"),
+    }
+
+    def test_reasons_follow_the_class(self):
+        # a reason moved to another class (the real-d unitary reasons of c = 1 and c = -1 swapped,
+        # say) fails here, though every flag stays
+        reasons = [dict(pwlab.classify(AffineSymbol(c, d)).justifications) for c, d in self.CLASSES]
+        for name, phrases in self.PHRASES.items():
+            for phrase in phrases:
+                for reason, own in zip(reasons, phrases):
+                    assert (phrase in reason[name]) == (phrase == own), (name, phrase, reason[name])
 
     def test_reflection_with_complex_d_is_not_normal_by_its_weights(self):
         # |c| = 1 contracts nothing: C*C and CC* are the multiplications by e^{-2 Im(d) t}

@@ -135,6 +135,9 @@ def _budget_calls():
         ("window half width", lambda n: lambda: pwlab.smooth_probe(a, n, rng)),
         ("kernel points", lambda n: lambda z=pwlab.grid(a, n): pwlab.PwFunction(a, pwlab.kernel_eval(a, 0.3 + 0.2j, z))),
         ("window half width", lambda n: lambda: pwlab.grid(a, n)),
+        # complex targets in two blocks: past core._BLOCK_ENTRIES samples a block is one row
+        ("cardinal series samples", lambda n: lambda f=pwlab.PwFunction(a, np.ones(2 * n + 1)):
+            pwlab.pw_eval(f, np.array([0.3, 1.7]) + 0.2j)),
         ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
             pwlab.compose_apply(AffineSymbol(1.0, 0.3 + 0.2j), f)),
         ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
@@ -244,6 +247,18 @@ class TestBudget:
         # the workspace and 4 MiB: wide enough that every call's entries, not only its blocks, count
         budget_sweep(core._WORKSPACE + (4 << 20))
 
+    def test_kernel_command_refuses_before_its_grid(self, monkeypatch, capsys):
+        # one past kernel_eval's 73 bytes a point under CI's 256 MiB budget: pwlab kernel used to
+        # build the grid (about a fifth of the budget) before kernel_eval refused its points
+        budget = 256 << 20
+        monkeypatch.setattr(core, "_MAX_BYTES", budget)
+        n = ((budget - core._WORKSPACE) // 73 - 1) // 2 + 1
+        argv, codes = ["--half-width", str(n), "kernel", "--a", "1", "--w", "0"], []
+        peak, _ = _traced(lambda: codes.append(pwlab.cli.main(argv)))
+        assert codes == [pwlab.cli.EXIT_OVERFLOW] and capsys.readouterr().err.startswith(
+            f"overflow guard: kernel points {2 * n + 1:.3g}")
+        assert peak < budget / 8, peak / budget
+
 
 class TestSizeCaps:
     def test_sizes_past_their_caps_raise_before_allocating(self):
@@ -338,6 +353,10 @@ INPUT_CHECKS = [
         AffineSymbol(0.5, 0.0), HUGE, AffineSymbol(0.5, 0.0), HUGE), OverflowGuardError, "passes the float range"),
     ("L2 inner product overflow", lambda: pwlab.to_l2(HUGE, 16).inner(pwlab.to_l2(HUGE, 16)), OverflowGuardError,
      "passes the float range"),
+    # ||C_phi^5 f|| = 2^(5/2) ||f|| = 2.2e308: the squares of |F| stay in range on |F| / 2^e, the root does not
+    ("Fourier orbit overflow", lambda: pwlab.orbit_norms_fourier(
+        AffineSymbol(0.5, 0.0), pwlab.to_l2(pwlab.PwFunction(1.0, np.full(5, 1e307)), 64), 5), OverflowGuardError,
+     r"Fourier-side root .* x 2\^\d+ passes the float range"),
     # the exponent guards pass, but the square of samples of 1e200 is past the float range
     ("composed norm overflow", lambda: pwlab.composed_norm(
         AffineSymbol(0.5, 0.3), pwlab.scaled(pwlab.node_function(1.0, 4), 1e200)), OverflowGuardError,
@@ -413,6 +432,22 @@ class TestInputChecks:
         assert f.norm() == 3.0 * 2.0**64 and np.all(np.isfinite(f.grid()))
         with pytest.raises(OverflowGuardError, match="node spacing"):
             pwlab.grid(math.nextafter(a, 0.0), 4)
+
+    def test_fourier_squares_outside_the_normal_range(self):
+        # samples of 1e200 used to square |F| past the float range (OrbitTrace's plain ValueError, an
+        # envelope of inf) and of 1e-200 to underflow it to exact zeros; both now scale the unit
+        # result, and a result in range keeps the bits of the plain sum of squares
+        phi = AffineSymbol(0.5, 1j)
+        unit = pwlab.PwFunction(1.0, np.ones(5))
+        F = pwlab.to_l2(unit, 64)
+        c, y = dynamics._orbit_parts(phi, 1.0, 3)
+        plain = np.sqrt(np.exp(-2.0 * np.outer(y, F.grid())) @ (np.abs(F.values) ** 2 * (2.0 / 64)) / c)
+        assert pwlab.orbit_norms_fourier(phi, F, 3).norms.tobytes() == plain.tobytes()
+        for trace in (lambda f: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, 64), 3).norms,
+                      lambda f: pwlab.cesaro_lower_envelope(phi, f, 3)):
+            for scale in (1e200, 1e-200):
+                out = trace(pwlab.PwFunction(1.0, np.full(5, scale)))
+                assert np.all(np.abs(out / (trace(unit) * scale) - 1.0) <= 4 * np.finfo(float).eps), scale
 
     def test_inner_products_past_the_float_range(self):
         # products of 2^1030 overflow, yet they cancel and leave pi 2^980, in range; a value
