@@ -33,6 +33,19 @@ direct sum in one C call per row while its products stay within
 _DIRECT_TERMS, else one FFT at the least 5-smooth length that holds the
 outputs read.  Short ones skip the FFT's fixed cost of a few calls of about
 10 us each.
+
+Each sinc kernel has an operator half and a probe half.  The operator half
+is what the targets and the window alone decide: _cardinal_table's guards,
+nearest nodes, signed reciprocals and sines, and _coset_sum's route, gathers
+and coset kernels.  The probe half contracts it with the samples.  The orbit
+traces (key: the symbol, a, the horizon and N) and compose_apply (key: the
+symbol, a, N and the target window) fetch their operator halves from one
+cache, _table, keyed on the bits of c, d and a, so 0.0 and -0.0 stay apart.
+A key's first call builds its table for itself alone, its second keeps it,
+read-only, and later calls read it.  The tables hold at
+most _TABLE_BYTES in all, the least recently used going first, and a table
+past that is built per call, block by block.  A kept table gives the bits
+of a freshly built one, and nothing in it depends on the samples.
 """
 
 from __future__ import annotations
@@ -40,8 +53,10 @@ from __future__ import annotations
 import array
 import bisect
 import cmath
+import collections
 import math
 import numbers
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -78,10 +93,35 @@ _BLOCK_ENTRIES = 1 << 18
 # tracemalloc on numpy 2.4, and raises before allocating where they pass
 # _MAX_BYTES less _WORKSPACE.  _WORKSPACE is what a call takes at any size:
 # the blocks of _cardinal and _coset_sum peak at about 7.2 MiB (29 bytes a
-# block entry), and 64 bytes a block entry also covers the few arrays of one
-# entry per row that the counts leave out.
+# block entry), the cache of operator tables holds at most _TABLE_BYTES (8
+# bytes a block entry), and the rest of the 64 bytes a block entry covers the
+# few arrays of one entry per row that the counts leave out.
 _MAX_BYTES = 1 << 30
 _WORKSPACE = 64 * _BLOCK_ENTRIES
+_TABLE_BYTES = 8 * _BLOCK_ENTRIES
+
+
+class _Tables(collections.OrderedDict):
+    """The one cache of operator tables (_table): key -> (table, its bytes), least recently used first."""
+
+    held = 0  # the bytes of all the tables
+
+    def keep(self, key, table, size: int) -> None:
+        """Hold table at key in place of what it held, the least recently used going first, so that held stays
+        within _TABLE_BYTES; a table past _TABLE_BYTES itself is not held."""
+        old = self.pop(key, None)
+        if old is not None:
+            self.held -= old[1]
+        if size <= _TABLE_BYTES:
+            while self.held + size > _TABLE_BYTES:
+                self.held -= self.popitem(last=False)[1][1]
+            self[key] = table, size
+            self.held += size
+
+
+_TABLES = _Tables()
+_SEEN = object()  # the mark _table holds for a key seen once
+_SEEN_BYTES = 512  # a mark: its key and entry (about 200 bytes by sys.getsizeof) and the links of its place
 
 # The one cap on work, for counts that loop rather than allocate: the radius and
 # witness horizons (one section or kernel pair per n, 8 bytes of output each) and
@@ -202,6 +242,56 @@ def _same_bandwidth(a: float, b: float) -> None:
     """BandwidthMismatchError unless two operands live in the same PW_a."""
     if a != b:
         raise BandwidthMismatchError(f"bandwidths differ: {a} vs {b}")
+
+
+def _bits(phi: AffineSymbol, a: float) -> bytes:
+    """The bits of c, d and a, for a table key: 0.0 and -0.0 differ, as they may in what the tables compute."""
+    return struct.pack("4d", phi.c, phi.d.real, phi.d.imag, a)
+
+
+def _table(key, nbytes: int, build):
+    """The operator half of a sinc kernel at key, from the one cache of such tables, or built for this call.
+
+    nbytes bounds the bytes of the table's arrays before they are built.
+    build(False) builds the table for this call alone, and may build its
+    blocks as they are read: so does a table past _TABLE_BYTES, at every call,
+    and a key's first call, which leaves a mark of the key.  A second call
+    while the mark is held builds the table whole by build(True), makes its
+    arrays read-only and counts its objects' bytes (_freeze) and keeps it
+    (_Tables.keep), and later calls fetch it.  So a key that no call asks for
+    again costs its mark alone.  A call raises whatever build raises.
+    """
+    if nbytes > _TABLE_BYTES:
+        return build(False)
+    tables = _TABLES
+    entry = tables.get(key)
+    if entry is None:
+        table = build(False)
+        tables.keep(key, _SEEN, _SEEN_BYTES)
+    elif entry[0] is _SEEN:
+        table = build(True)
+        tables.keep(key, table, _freeze((key, table)))
+    else:
+        tables.move_to_end(key)
+        table = entry[0]
+    return table
+
+
+def _freeze(table) -> int:
+    """Make the arrays of a table (nested tuples) read-only; return the bytes of its objects (sys.getsizeof, and
+    the data a view holds)."""
+    size, items = 0, [table]
+    while items:
+        item = items.pop()
+        size += sys.getsizeof(item)
+        kind = type(item)
+        if kind is tuple:
+            items.extend(item)
+        elif kind is np.ndarray:
+            item.setflags(write=False)
+            if item.base is not None:
+                size += item.nbytes
+    return size
 
 
 def _guard_points(a: float, z, what: str) -> None:
@@ -346,13 +436,18 @@ class PwFunction:
 
 def _norm(v, weight: float) -> float:
     """sqrt(weight) ||v||, or OverflowGuardError past the float range (PwFunction's and L2Function's norm); where
-    a nonzero v's sum of squares leaves the normal range, it is summed again on v over its largest part."""
+    a nonzero v's sum of squares leaves the normal range, it is summed again on v over its largest part; where
+    ||v|| itself passes the float range, sqrt(weight) scales that part's norm first, so a weight below 1 brings
+    the norm back in range."""
     with np.errstate(over="ignore"):
         root = float(np.linalg.norm(v))
-    if not math.sqrt(sys.float_info.min) <= root < math.inf and v.any():
-        top = float(np.abs(v.view(float)).max())
-        root = top * float(np.linalg.norm(v / top))
-    return _guard_exponent(math.sqrt(weight) * root, "norm", sys.float_info.max)
+    if math.sqrt(sys.float_info.min) <= root < math.inf or not v.any():
+        return _guard_exponent(math.sqrt(weight) * root, "norm", sys.float_info.max)
+    top = float(np.abs(v.view(float)).max())
+    part = float(np.linalg.norm(v / top))
+    root = top * part
+    return _guard_exponent(math.sqrt(weight) * root if root < math.inf else top * (math.sqrt(weight) * part), "norm",
+                           sys.float_info.max)
 
 
 def _in_range(form, v, w) -> complex:
@@ -402,15 +497,17 @@ def pw_eval(f: PwFunction, z):
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
-def _cardinal(a, z, v):
+def _cardinal(a, z, v, table=None):
     """sum_k v_k sinc(a (z_j - x_k)) over the window |k| <= N of v, for each z_j.
 
     The one O(len(z) len(v)) sinc-sum kernel of the package: pw_eval (and so
     compose_apply's fallback and probes.spectral_pulse) and both routes of
-    _pairings (every closed pairing) sum through it, and it guards its own
-    targets first (_guard_points).  With m the node nearest Re z (m = rint(a
-    Re z / pi)) and delta = a (z - x_m), formed as a difference so that node
-    hits give delta = 0 exactly, every term shares one sine:
+    _pairings (every closed pairing) sum through it.  table is its operator
+    half at z for v's window (_cardinal_table, whose guards run first), and z
+    is not read beside it; without one it is built here, block by block.
+    With m the node nearest Re z (m = rint(a Re z / pi)) and delta = a (z -
+    x_m), formed as a difference so that node hits give delta = 0 exactly,
+    every term shares one sine:
 
         sinc(a (z - x_k)) = (-1)^(m-k) sin(delta) / (a (z - x_k)).
 
@@ -425,52 +522,81 @@ def _cardinal(a, z, v):
     alone (all real-d orbits) is the samples, zero off the window.  On either
     route the result rounds to O(eps * sum_k |v_k| * e^(a |Im z_j|)).  The fixed cost
     per call is kept small for the many short calls of the closed pairings:
-    (-1)^k v_k negates every other sample of one copy, (-1)^m negates the
-    sines in place, and a call whose targets fit one block returns that
-    block itself.
+    (-1)^k v_k negates every other sample of one copy, and a call whose
+    targets fit one block returns that block itself.
     """
-    _guard_points(a, z, "evaluation exponent a |Im z|")
-    # 48 bytes a sample at the peak (tracemalloc): past _BLOCK_ENTRIES samples a block is one row, and between
-    # two complex blocks the nodes (8), the signed samples (16) and three rows (24) are live
-    _guard_size(v.size, "cardinal series samples", 48)
     n = v.size // 2
-    x = np.arange(-n, n + 1) * (math.pi / a)  # grid(a, n) without its checks: a is a PwFunction's bandwidth
+    size, blocks = _cardinal_table(a, z, n, False) if table is None else table
     # (-1)^k v_k as real columns (re, im); k = j - n is odd where j and n differ in parity
     w = v.copy()
     w[1 - n % 2 :: 2] *= -1.0
     w = w.view(float).reshape(-1, 2)
-    out = np.zeros(z.size, dtype=np.complex128)
-    rows = max(1, _BLOCK_ENTRIES // x.size)
-    for lo in range(0, z.size, rows):
-        z_blk = z[lo : lo + rows]
-        m = np.rint(z_blk.real * (a / math.pi))
-        delta = a * (z_blk - m * (math.pi / a))
-        i = np.flatnonzero(np.abs(m) <= n)
-        col = (m[i] + n).astype(np.intp)
-        if not delta.any():  # node hits only: the stored samples, zero off the window
+    out = np.zeros(size, dtype=np.complex128)
+    for lo, i, col, dx, inv, iy, sine, centre in blocks:
+        if dx is None:  # node hits only: the stored samples, zero off the window
             out[lo + i] = v[col]
             continue
-        y = a * z_blk.imag
-        dx = a * (z_blk.real[:, None] - x)
-        if y.any():
-            inv = dx * dx
-            inv += (y * y)[:, None]
-            inv[i, col] = np.inf
-            np.reciprocal(inv, out=inv)
-            dx *= inv
-            far = (dx @ w).view(complex)[:, 0] - 1j * y * (inv @ w).view(complex)[:, 0]
-        else:  # real targets: 1/x itself, one product
-            dx[i, col] = np.inf
-            np.reciprocal(dx, out=dx)
-            far = (dx @ w).view(complex)[:, 0]
-        sine = np.sin(delta)
-        sine[m % 2 == 1] *= -1.0
+        far = (dx @ w).view(complex)[:, 0]
+        if inv is not None:
+            far = far - iy * (inv @ w).view(complex)[:, 0]
+        del dx, inv  # a block built as it is read then frees its reciprocals before the next one is built
         blk = sine * far
-        blk[i] += v[col] * _sinc(delta[i])
-        if rows >= z.size:  # a single block is the result
+        blk[i] += v[col] * centre
+        if blk.size == size:  # a single block is the result
             return blk
-        out[lo : lo + rows] = blk
+        out[lo : lo + blk.size] = blk
     return out
+
+
+def _cardinal_table(a, z, n, keep, sample_bytes=48):
+    """_cardinal's operator half at the targets z for the window |k| <= n: its guards, then its blocks.
+
+    _guard_points guards the targets, and the 2n + 1 samples pass the memory
+    budget at sample_bytes each: 48 covers pw_eval's peak (tracemalloc), where
+    past _BLOCK_ENTRIES samples a block is one row, and while a complex block
+    is built the nodes (8), the signed samples (16) and its two rows (16) are
+    live.  The table is (the number of targets, its blocks); a block is (its
+    first row, the rows i whose node m lies in the window, their columns, then
+    None for a block of node hits alone, or its scaled reciprocals x / (x^2 +
+    y^2) or 1/x, 1/(x^2 + y^2) or None on the real route, i y or None, the
+    sines (-1)^m sin(delta), and sinc(delta) at the rows i).  A single block
+    is built now; more are built now with keep, else each as it is read.
+    """
+    _guard_points(a, z, "evaluation exponent a |Im z|")
+    _guard_size(2 * n + 1, "cardinal series samples", sample_bytes)
+    x = np.arange(-n, n + 1) * (math.pi / a)  # grid(a, n) without its checks: a is a PwFunction's bandwidth
+    rows = max(1, _BLOCK_ENTRIES // x.size)
+    if rows >= z.size:  # one block, built now: nothing to resume
+        return z.size, (_cardinal_block(a, z, x, 0),)
+    blocks = (_cardinal_block(a, z[lo : lo + rows], x, lo) for lo in range(0, z.size, rows))
+    return z.size, tuple(blocks) if keep else blocks
+
+
+def _cardinal_block(a, z, x, lo):
+    """One block of _cardinal_table: the targets z from row lo on, against the window's nodes x."""
+    n = x.size // 2
+    m = np.rint(z.real * (a / math.pi))
+    delta = a * (z - m * (math.pi / a))
+    i = np.flatnonzero(np.abs(m) <= n)
+    col = (m[i] + n).astype(np.intp)
+    if not delta.any():
+        return lo, i, col, None, None, None, None, None
+    y = a * z.imag
+    dx = a * (z.real[:, None] - x)
+    inv = iy = None
+    if y.any():
+        inv = dx * dx
+        inv += (y * y)[:, None]
+        inv[i, col] = np.inf
+        np.reciprocal(inv, out=inv)
+        dx *= inv
+        iy = 1j * y
+    else:  # real targets: 1/x itself, one product
+        dx[i, col] = np.inf
+        np.reciprocal(dx, out=dx)
+    sine = np.sin(delta)
+    sine[m % 2 == 1] *= -1.0
+    return lo, i, col, dx, inv, iy, sine, _sinc(delta[i])
 
 
 def inner_product(f: PwFunction, g: PwFunction) -> complex:
@@ -579,8 +705,40 @@ def _coset_sum(phi, f, n_out):
     cosets) * nfft log2 nfft, nfft = _fft_length(S + 2N + 1) the FFT length
     of a block, reaches the (2N + 1)(2 n_out + 1) entries of the cardinal
     series.  The q targets phi(x_r) pass _guard_points once formed.
+
+    All but the convolutions is the operator half (_coset_table): the route,
+    the gathers and the kernels, fetched by _table under the key (phi, a, N,
+    n_out), so that from a key's second call on the applies of one operator
+    to many probes share it.
     """
     a, v, n = f.a, f.samples, f.half_width
+    p, q = phi.c.as_integer_ratio()
+    # the table's arrays: at most q kernels of S + 2N + 1 complex entries, S <= |p| (2 n_out // q + 1), three
+    # 8-byte indices for each of the q (m_hi - m_lo + 1) <= 2 n_out + 2q gathered targets, and one for each coset
+    nbytes = 16 * q * (abs(p) * (2 * n_out // q + 1) + 2 * n + 1) + 24 * (2 * n_out + 3 * q)
+    key = ("coset", _bits(phi, a), n, n_out)
+    table = _table(key, nbytes, lambda keep: _coset_table(phi, a, n, n_out, keep))
+    if table is None:
+        return None
+    m_size, start, gather, kernels = table
+    out = np.zeros((q, m_size), dtype=np.complex128)
+    if gather is not None:
+        row, col, k = gather
+        out[row, col] = v[k]
+    for r, ker in kernels:
+        # s = p m runs over the 'valid' outputs s_lo .. s_lo + S at stride p
+        out[r] = _convolve(ker, v, valid=True)[:, ::p]
+    return out.T.ravel()[start : start + 2 * n_out + 1]
+
+
+def _coset_table(phi, a, n, n_out, keep):
+    """_coset_sum's operator half for the window |k| <= n, or None for the cardinal series' route.
+
+    The table is (the number of m, the place of output -n_out in the cosets'
+    rows read column by column, the gather (coset rows, their columns, the
+    sample indices) or None, and the kernel blocks (the cosets r, their kernel
+    rows)).  keep builds every block now; otherwise each is built as it is read.
+    """
     p, q = phi.c.as_integer_ratio()
     if q > 2 * n_out + 1:
         return None
@@ -595,16 +753,17 @@ def _coset_sum(phi, f, n_out):
     if phi.d.imag == 0.0:
         delta = delta.real
     conv = np.flatnonzero(delta)
-    if _FFT_COST * conv.size * nfft * math.log2(nfft) >= v.size * (2 * n_out + 1):
+    if _FFT_COST * conv.size * nfft * math.log2(nfft) >= (2 * n + 1) * (2 * n_out + 1):
         return None
     m = np.arange(m_lo, m_hi + 1)
-    out = np.zeros((q, m.size), dtype=np.complex128)
+    gather = None
     if conv.size < q:
         hit = np.flatnonzero(delta == 0)
         k = p * m + mu[hit, None]
         inside = np.abs(k) <= n
         row, col = np.nonzero(inside)
-        out[hit[row], col] = v[(k[inside] + n).astype(np.intp)]
+        gather = hit[row], col, (k[inside] + n).astype(np.intp)
+    kernels = ()
     if conv.size:
         j = np.arange(s_lo - n, s_lo - n + size)
         # (-1)^(j + mu_r) sin(delta_r): the sines take (-1)^mu_r, the odd j negate their columns
@@ -612,15 +771,16 @@ def _coset_sum(phi, f, n_out):
         sine[mu % 2 == 1] *= -1.0
         odd = (s_lo - n + 1) % 2
         rows = max(1, _BLOCK_ENTRIES // size)
-        for lo in range(0, conv.size, rows):
-            r = conv[lo : lo + rows]
-            ker = np.reciprocal(np.pi * (j + mu[r, None]) + delta[r, None])
-            ker[:, odd::2] *= -1.0
-            ker *= sine[r, None]
-            # s = p m runs over the 'valid' outputs s_lo .. s_lo + S at stride p
-            out[r] = _convolve(ker, v, valid=True)[:, ::p]
-    start = -n_out - q * m_lo
-    return out.T.ravel()[start : start + 2 * n_out + 1]
+        kernels = (_coset_kernels(conv[lo : lo + rows], j, mu, delta, sine, odd) for lo in range(0, conv.size, rows))
+    return m.size, -n_out - q * m_lo, gather, tuple(kernels) if keep else kernels
+
+
+def _coset_kernels(r, j, mu, delta, sine, odd):
+    """(r, the kernel rows K_r(j) of the cosets r): one block of _coset_table."""
+    ker = np.reciprocal(np.pi * (j + mu[r, None]) + delta[r, None])
+    ker[:, odd::2] *= -1.0
+    ker *= sine[r, None]
+    return r, ker
 
 
 def composed_inner_product(
@@ -664,7 +824,7 @@ def _closed_pairing(a, phi1, v, phi2, w) -> complex:
     return val.conjugate() if swap else val
 
 
-def _pairings(a, v, w, ratio, shift):
+def _pairings(a, v, w, ratio, shift, table=None):
     """sum_n v_n conj(g(ratio_j x_n + shift_j)) for each j, g the cardinal series of w.
 
     x_n are the nodes of v's window; ratio is one float or an array like the
@@ -683,14 +843,26 @@ def _pairings(a, v, w, ratio, shift):
     Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)).  _cardinal
     guards the points it evaluates (a |Im z| = a |Im s_j| on row j for any
     nonzero v, a |Re z| at those nodes alone); all-zero v gives exact zeros.
+    The Toeplitz route builds its operator half (_toeplitz_table), and so
+    guards the cross-correlation's samples, before it correlates; table is
+    that half when the caller holds it (orbit_norms).
     """
     # a single ratio is a Python float: compare it without numpy's overhead
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
-        return _cardinal(a, np.conj(shift), _convolve(v, np.conj(w[::-1]))[::-1])
+        if table is None:
+            table = _toeplitz_table(a, shift, (v.size + w.size) // 2 - 1, False)
+        return _cardinal(a, None, _convolve(v, np.conj(w[::-1]))[::-1], table)
     nz = np.flatnonzero(v)
     _guard_size(shift.size * (nz.size + 1), "pairing points", 64)
     points = np.multiply.outer(ratio, grid(a, v.size // 2)[nz]) + shift[:, None]
     return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v[nz]
+
+
+def _toeplitz_table(a, shift, n, keep):
+    """_pairings' Toeplitz route's operator half: _cardinal_table at the points conj(shift_j) for the cross-correlation
+    of half width n, whose samples pass the memory budget at 80 bytes each (about 56 at the peak, tracemalloc: the
+    FFT output that holds them (16), the signed copy (16), the nodes (8) and one row's two reciprocals (16))."""
+    return _cardinal_table(a, np.conj(shift), n, keep, 80)
 
 
 def _rounding_bound(a, c, y, v):

@@ -23,6 +23,7 @@ from .core import (
     OverflowGuardError,
     PwFunction,
     PwLabError,
+    _bits,
     _count,
     _guard_exponent,
     _guard_size,
@@ -30,6 +31,8 @@ from .core import (
     _iterate_table,
     _pairings,
     _same_bandwidth,
+    _table,
+    _toeplitz_table,
     kernel_norm_sq,
     pw_eval,
     scaled,
@@ -39,15 +42,22 @@ from .fourier import L2Function, to_l2
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """Norms ||C_phi^n f|| for n = 0..n_max."""
+    """Norms ||C_phi^n f|| for n = 0..n_max, stored read-only.
+
+    An array that is already read-only, C-contiguous and owns its data (as
+    orbit_norms' are) is kept as it is; any other is copied, so a caller that
+    keeps a writeable array or view cannot change the trace.
+    """
 
     norms: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.norms, dtype=float).copy()
-        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)) or np.any(v < 0):
+        v = np.asarray(self.norms, dtype=float)
+        if v.flags.writeable or not (v.flags.owndata and v.flags.c_contiguous):
+            v = v.copy()
+            v.setflags(write=False)
+        if v.ndim != 1 or v.size == 0 or not (np.isfinite(v).all() and (v >= 0.0).all()):
             raise ValueError("norms must be a finite nonnegative sequence")
-        v.setflags(write=False)
         object.__setattr__(self, "norms", v)
 
 
@@ -90,12 +100,33 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     ||C_{phi^[n]} f||^2 rounds to O(B_n) (core._rounding_bound), and
     _guard_square raises at the first n whose square rounds to <= 0, as
     composed_norm does.
+
+    Everything but the samples' autocorrelation and its contraction is the
+    operator half (_orbit_table): the table of (c^n, d_n) with its guards, the
+    factors pi/(a |c^n|) and _pairings' table at the points, fetched by
+    core._table under the key (phi, a, n_max, N), so that from a key's second
+    call on the traces of one operator over many probes share it.
     """
     _same_bandwidth(f.a, a)
+    n_max, n = _count(n_max, "orbit horizon"), f.half_width
+    key = ("orbit", _bits(phi, f.a), n_max, n)
+    # the table's arrays: |c^n|, Im d_n and the factors (8 bytes a row each), the shifts (16), and the sinc table's
+    # two reciprocals (8 bytes each a sample and row), its node rows and columns, i Im z, sines and sinc(delta) (64)
+    c, y, factor, shift, table = _table(key, n_max * (16 * (4 * n + 1) + 104),
+                                        lambda keep: _orbit_table(phi, a, n_max, n, keep))
+    squares = factor * _pairings(a, f.samples, f.samples, 1.0, shift, table).real
+    _guard_square(squares, a, c, y, f.samples)
+    norms = np.concatenate(([f.norm()], np.sqrt(squares)))
+    norms.setflags(write=False)
+    return OrbitTrace(norms)
+
+
+def _orbit_table(phi: AffineSymbol, a: float, n_max: int, n: int, keep: bool) -> tuple:
+    """orbit_norms' operator half for a window |k| <= n: (|c^n|, Im d_n, pi/(a |c^n|), 2i Im d_n, _pairings' table)
+    for n = 1..n_max, the table at the autocorrelation's 4n + 1 samples (core._toeplitz_table)."""
     c, y = _orbit_parts(phi, a, n_max)
-    squares = (math.pi / (a * c[1:])) * _pairings(a, f.samples, f.samples, 1.0, 2j * y[1:]).real
-    _guard_square(squares, a, c[1:], y[1:], f.samples)
-    return OrbitTrace(np.concatenate(([f.norm()], np.sqrt(squares))))
+    shift = 2j * y[1:]
+    return c[1:], y[1:], math.pi / (a * c[1:]), shift, _toeplitz_table(a, shift, 2 * n, keep)
 
 
 def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTrace:

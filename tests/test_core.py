@@ -828,6 +828,59 @@ class TestConvolution:
             assert _convolve(ker, w, valid=True).tobytes() == rows.tobytes()
 
 
+class TestOperatorTables:
+    """core._table: the orbit traces' and the coset applies' operator halves, cold, warm and past the byte limit."""
+
+    @pytest.mark.parametrize("block_rows", [None, 8], ids=["one block", "blocks of 8 rows"])
+    def test_cold_warm_and_per_call_tables_agree(self, monkeypatch, block_rows):
+        # every call runs on an empty cache (cold: a table for the call alone), again (the table
+        # is built whole and kept), a third time on the kept table (warm), and with every table past
+        # the byte limit; all four give the same bytes.  d = 0j and d = -0j key apart, and an orbit
+        # of 20 x 8193 sinc entries is past the limit itself
+        rng = np.random.default_rng(SEED + 95)
+        f, wide = pwlab.rough_probe(1.0, 24, rng), pwlab.rough_probe(1.0, 2048, rng)
+        if block_rows:  # the orbit tables of f hold two blocks, the wide one twenty
+            monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", block_rows * (4 * 24 + 1))
+        calls = [lambda: pwlab.orbit_norms(AffineSymbol(0.5, 0.3 + 0.2j), 1.0, wide, 20).norms]
+        for c in (1.0, -1.0, 0.5, -0.5, 0.25):
+            for d in (0j, complex(0.0, -0.0), 0.3, 1j, 1.0 - 1j):
+                phi = AffineSymbol(c, d)
+                calls += [
+                    lambda phi=phi: pwlab.orbit_norms(phi, 1.0, f, 12).norms,
+                    lambda phi=phi: pwlab.cesaro_averages(phi, 1.0, f, 11),
+                    lambda phi=phi: pwlab.compose_apply(phi, f, grow=True).samples,
+                    lambda phi=phi: pwlab.compose_apply(phi, f, 40).samples,
+                ]
+        tables = pwlab.core._Tables()
+        monkeypatch.setattr(pwlab.core, "_TABLES", tables)
+        cold = [call().tobytes() for call in calls]
+        # a mark for each call but the wide orbit's, whose table is past the limit: d = 0j and -0j key apart
+        assert len(tables) == len(calls) - 1 and all(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert [call().tobytes() for call in calls] == cold
+        assert len(tables) == len(calls) - 1 and not any(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert tables.held == sum(size for _, size in tables.values()) <= pwlab.core._TABLE_BYTES
+        assert [call().tobytes() for call in calls] == cold
+        monkeypatch.setattr(pwlab.core, "_TABLE_BYTES", 0)
+        monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+        assert [call().tobytes() for call in calls] == cold
+        assert not pwlab.core._TABLES
+
+    def test_least_recently_used_table_goes_first(self, monkeypatch):
+        # under a limit of two orbit tables, a fetch keeps its table and the other one goes
+        f = pwlab.node_function(1.0, 8)
+        phis = [AffineSymbol(0.5, d) for d in (1j, 2j, 3j)]
+        tables = pwlab.core._Tables()
+        monkeypatch.setattr(pwlab.core, "_TABLES", tables)
+        for _ in range(2):
+            pwlab.orbit_norms(phis[0], 1.0, f, 4)
+        (_, size), = tables.values()
+        monkeypatch.setattr(pwlab.core, "_TABLE_BYTES", 2 * size)
+        for phi in (phis[1], phis[1], phis[0], phis[2], phis[2]):
+            pwlab.orbit_norms(phi, 1.0, f, 4)
+        keys = [("orbit", pwlab.core._bits(phi, 1.0), 4, 8) for phi in phis]
+        assert list(tables) == [keys[0], keys[2]] and tables.held == 2 * size
+
+
 class TestComposedProducts:
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(SEED + 12)

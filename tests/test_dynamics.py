@@ -87,6 +87,20 @@ class TestOrbitNorms:
                     averages = np.cumsum(norms[1:]) / np.arange(1, n_max + 1)
                     assert pwlab.cesaro_averages(phi, a, f, n_max).tobytes() == averages.tobytes()
 
+    def test_trace_keeps_a_read_only_array_and_copies_others(self):
+        # orbit_norms hands OrbitTrace a read-only array of its own, which is kept; a
+        # writeable array or a view is copied, and the finiteness and sign check still runs
+        f = pwlab.rough_probe(1.0, 8, np.random.default_rng(SEED + 3))
+        norms = pwlab.orbit_norms(AffineSymbol(0.5, 1j), 1.0, f, 5).norms
+        assert not norms.flags.writeable and pwlab.OrbitTrace(norms).norms is norms
+        for given in (np.array([1.0, 2.0]), np.arange(6.0)[::2], np.ones(4)[1:]):
+            trace = pwlab.OrbitTrace(given)
+            assert trace.norms is not given and not trace.norms.flags.writeable
+            assert trace.norms.tobytes() == given.tobytes()
+        for bad in ([], [1.0, -1.0], [1.0, math.nan], [[1.0]]):
+            with pytest.raises(ValueError, match="finite nonnegative"):
+                pwlab.OrbitTrace(np.array(bad))
+
     def test_pure_scaling_growth_is_exact(self):
         rng = np.random.default_rng(SEED + 1)
         f = pwlab.rough_probe(2.0, 24, rng)
@@ -202,7 +216,10 @@ class TestOrbitNorms:
     def test_horizon_past_range_fails_before_the_table(self, monkeypatch):
         # the row n_max is guarded before the (c^n, d_n) table is built, so a
         # horizon past range raises after one iterate, not n_max + 1 of them;
-        # inside range the table follows the guarded row, one row per n
+        # inside range the table follows the guarded row, one row per n.  The
+        # orbit's operator tables start empty, so warm ones left by an earlier
+        # call cannot skip the build counted here
+        monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
         f = pwlab.node_function(1.0, 4)
         F = pwlab.to_l2(f, 64)
         table, rows = dynamics._iterate_table, []

@@ -138,6 +138,9 @@ def _budget_calls():
         # complex targets in two blocks: past core._BLOCK_ENTRIES samples a block is one row
         ("cardinal series samples", lambda n: lambda f=pwlab.PwFunction(a, np.ones(2 * n + 1)):
             pwlab.pw_eval(f, np.array([0.3, 1.7]) + 0.2j)),
+        # the orbit's autocorrelation: 4N + 1 series samples, guarded before it is formed
+        ("cardinal series samples", lambda n: lambda f=pwlab.PwFunction(a, np.ones(2 * n + 1)):
+            pwlab.orbit_norms(AffineSymbol(0.5, 0.3 + 0.2j), a, f, 3)),
         ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
             pwlab.compose_apply(AffineSymbol(1.0, 0.3 + 0.2j), f)),
         ("target window half width", lambda n: lambda f=pwlab.rough_probe(a, n, rng):
@@ -427,6 +430,12 @@ class TestInputChecks:
             expected = 3.0 * math.sqrt(math.pi) * abs(sample)
             for norm in (f.norm(), pwlab.to_l2(f, 16).norm()):
                 assert abs(norm - expected) <= 4 * np.finfo(float).eps * expected, sample
+        # ||v|| = sqrt(5) 1e307 passes the float range, yet both norms are in range: the Fourier
+        # side's weight dt = 2a/M < 1 scales the rescaled root before it leaves the range
+        f = pwlab.PwFunction(1.0, np.full(5, 1e307))
+        expected = math.sqrt(5.0 * math.pi) * 1e307
+        for norm in (f.norm(), pwlab.to_l2(f, 64).norm()):
+            assert abs(norm - expected) <= 4 * np.finfo(float).eps * expected
         a = math.pi / 2.0**128
         f = pwlab.PwFunction(a, np.ones(9))
         assert f.norm() == 3.0 * 2.0**64 and np.all(np.isfinite(f.grid()))
