@@ -259,10 +259,14 @@ def _table(key, nbytes: int, build):
     while the mark is held builds the table whole by build(True), makes its
     arrays read-only and counts its objects' bytes (_freeze) and keeps it
     (_Tables.keep), and later calls fetch it.  So a key that no call asks for
-    again costs its mark alone.  A call raises whatever build raises.
+    again costs its mark alone.  The key held is key with _BLOCK_ENTRIES
+    appended, so a table cut into blocks at one size is never fetched at
+    another, whose blocks would sum in another order.  A call raises whatever
+    build raises.
     """
     if nbytes > _TABLE_BYTES:
         return build(False)
+    key += (_BLOCK_ENTRIES,)  # the block size the table's blocks were cut at
     tables = _TABLES
     entry = tables.get(key)
     if entry is None:
@@ -843,19 +847,32 @@ def _pairings(a, v, w, ratio, shift, table=None):
     Each entry rounds to O(eps * sum|v| * sum|w| * e^(a |Im s_j|)).  _cardinal
     guards the points it evaluates (a |Im z| = a |Im s_j| on row j for any
     nonzero v, a |Re z| at those nodes alone); all-zero v gives exact zeros.
-    The Toeplitz route builds its operator half (_toeplitz_table), and so
-    guards the cross-correlation's samples, before it correlates; table is
-    that half when the caller holds it (orbit_norms).
+    Either route builds its operator half (_pairing_table), and so guards
+    its points or the cross-correlation's samples, before it contracts; table
+    is that half when the caller holds it (orbit_norms, a pseudotrajectory's
+    lag table), and ratio is not read beside it.
+    """
+    nz, table = _pairing_table(a, v, w.size // 2, ratio, shift, False) if table is None else table
+    if nz is None:
+        return _cardinal(a, None, _convolve(v, np.conj(w[::-1]))[::-1], table)
+    return np.conj(_cardinal(a, None, w, table).reshape(shift.size, -1)) @ v[nz]
+
+
+def _pairing_table(a, v, n, ratio, shift, keep):
+    """_pairings' operator half for v's window and nonzero nodes against a window |k| <= n of w.
+
+    On the Toeplitz route (None, _toeplitz_table); on the direct route (the
+    indices of v's nonzero samples, _cardinal_table at their points ratio_j
+    x_m + s_j), after the points pass the memory budget.  keep as for
+    _cardinal_table.
     """
     # a single ratio is a Python float: compare it without numpy's overhead
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
-        if table is None:
-            table = _toeplitz_table(a, shift, (v.size + w.size) // 2 - 1, False)
-        return _cardinal(a, None, _convolve(v, np.conj(w[::-1]))[::-1], table)
+        return None, _toeplitz_table(a, shift, v.size // 2 + n, keep)
     nz = np.flatnonzero(v)
     _guard_size(shift.size * (nz.size + 1), "pairing points", 64)
     points = np.multiply.outer(ratio, grid(a, v.size // 2)[nz]) + shift[:, None]
-    return np.conj(_cardinal(a, points.ravel(), w).reshape(shift.size, -1)) @ v[nz]
+    return nz, _cardinal_table(a, points.ravel(), n, keep)
 
 
 def _toeplitz_table(a, shift, n, keep):

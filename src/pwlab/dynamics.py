@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +23,17 @@ from .core import (
     OverflowGuardError,
     PwFunction,
     PwLabError,
+    _TABLE_BYTES,
     _bits,
+    _cardinal,
+    _cardinal_table,
     _count,
+    _freeze,
     _guard_exponent,
     _guard_size,
     _guard_square,
     _iterate_table,
+    _pairing_table,
     _pairings,
     _same_bandwidth,
     _table,
@@ -66,22 +71,25 @@ class OrbitTrace:
 _ORBIT_ROW_BYTES = 128
 
 
-def _orbit_parts(phi: AffineSymbol, a: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_parts(phi: AffineSymbol, a: float, n_max: int, iterates=None) -> tuple[np.ndarray, np.ndarray]:
     """(|c^n|, Im d_n) for n = 0..n_max, once the squared orbit norms pass their guard.
 
     ||C_{phi^[n]} f||^2 carries e^(2 a |Im d_n|) times the prefactor 1/|c^n|,
     so their sum gets twice the range; each kernel that evaluates e^(2 a |Im
     d_n|) guards that exponent itself.  The row n_max (_iterate_table's bits)
     is guarded first, then the table's bytes (_ORBIT_ROW_BYTES a row), so a
-    horizon past either builds no table.
+    horizon past either builds no table.  iterates is the table (c^n, d_n),
+    n = 0..n_max, where the caller has built it (build_pseudotrajectory, whose
+    gram guard bounds the horizon first), read in place of both
+    _iterate_table calls.
     """
     n_max = _count(n_max, "orbit horizon")
     what, limit = "squared orbit norm exponent", 2.0 * OVERFLOW_EXPONENT
     # in the table's bits (np.log, not math.log), so this raises only where the table's guard would
-    (cn,), (dn,) = _iterate_table(phi.c, phi.d, (n_max,))
+    (cn,), (dn,) = _iterate_table(phi.c, phi.d, (n_max,)) if iterates is None else (iterates[0][-1:], iterates[1][-1:])
     _guard_exponent(2.0 * a * abs(dn.imag) - float(np.log(max(abs(cn), math.ulp(0.0)))), what, limit)
     _guard_size(n_max + 1, "orbit horizon", _ORBIT_ROW_BYTES)
-    c, d = _iterate_table(phi.c, phi.d, range(n_max + 1))
+    c, d = iterates or _iterate_table(phi.c, phi.d, range(n_max + 1))
     c, y = np.abs(c), np.imag(d)
     # a c^n that underflowed to 0 counts as the least float, whose -log (744) fails the guard too
     _guard_exponent(np.max(2.0 * a * np.abs(y) - np.log(np.maximum(c, math.ulp(0.0)))), what, limit)
@@ -126,7 +134,7 @@ def _orbit_table(phi: AffineSymbol, a: float, n_max: int, n: int, keep: bool) ->
     for n = 1..n_max, the table at the autocorrelation's 4n + 1 samples (core._toeplitz_table)."""
     c, y = _orbit_parts(phi, a, n_max)
     shift = 2j * y[1:]
-    return c[1:], y[1:], math.pi / (a * c[1:]), shift, _toeplitz_table(a, shift, 2 * n, keep)
+    return c[1:], y[1:], math.pi / (a * c[1:]), shift, (None, _toeplitz_table(a, shift, 2 * n, keep))
 
 
 def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTrace:
@@ -250,9 +258,10 @@ def classify(phi: AffineSymbol) -> PropertyReport:
     return PropertyReport(*flags, justifications=tuple(zip(table, reasons)))
 
 
-def _value_off_zero(f: PwFunction, z: complex, what: str) -> complex:
-    """f(z), or ValueError(what) where |f(z)| is within pw_eval's rounding bound eps sum|v| e^(a |Im z|)."""
-    val = pw_eval(f, z)
+def _value_off_zero(f: PwFunction, z: complex, table, what: str) -> complex:
+    """f(z) from table, _cardinal_table at z alone for f's window, or ValueError(what) where |f(z)| is within
+    pw_eval's rounding bound eps sum|v| e^(a |Im z|)."""
+    val = complex(_cardinal(f.a, None, f.samples, table)[0])
     if abs(val) <= math.ulp(1.0) * float(np.sum(np.abs(f.samples))) * math.exp(f.a * abs(complex(z).imag)):
         raise ValueError(what)
     return val
@@ -395,9 +404,28 @@ def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> 
     width of g, guarded at the points with v_m != 0.  M holds the
     conjugate, the diagonal at lag 0.  Entries round to O(eps * |c|^{-j} *
     pi/a * sum|v| * sum|w| * e^(a |Im s|)) with w the samples of g, the
-    per-pair bound of composed_inner_product.
+    per-pair bound of composed_inner_product.  The operator half
+    (_lag_table) is built for this call alone and contracted with v and w
+    (_lag_pairings).
     """
-    c_k, d_k = _iterate_table(phi.c, phi.d, range(n + 1))
+    half, _ = _lag_table(f.a, _iterate_table(phi.c, phi.d, range(n + 1)), f.samples, n, g.half_width)
+    return _lag_pairings(phi.c, f.a, half, f.samples, g.samples, n)
+
+
+def _lag_table(a: float, iterates, v: np.ndarray, n: int, n_w: int, room: int = 0) -> tuple:
+    """_lower_pairings' operator half for n lags, the samples v of f and g's window |k| <= n_w; and whether it is whole.
+
+    iterates is _iterate_table's (c^k, d_k) for k = 0..n.  The half is the
+    layout (the row l of each j = 1..n, the table's shape, the J pairs (l, k)
+    and their shifts s) and _pairings' operator half at the points c^k x_m + s
+    of v's nonzero nodes (_pairing_table).  Its bytes are bounded before the
+    sinc table is built, at 16 a sinc entry, 72 a point, 32 a pair, 8 a lag
+    and 4 KiB for the objects; where the bound fits within room the half is
+    built whole and read-only (_freeze), else for one contraction.  n = 1
+    takes the Toeplitz route, which the bound does not cover: its callers
+    give it no room.
+    """
+    c_k, d_k = iterates
     seen = {}  # Im d_j -> (its row, the first j with it)
     level = np.array([seen.setdefault(d_k[j].imag, (len(seen), j))[0] for j in range(1, n + 1)])
     im = np.array(list(seen))
@@ -406,11 +434,25 @@ def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> 
     ratio = np.array(c_k[:n])[k]
     shift = np.array(d_k[:n])[k]
     shift.imag += 2.0 * ratio * im[row]
-    table = np.zeros((im.size, n), dtype=np.complex128)
-    table[row, k] = (math.pi / f.a) * _pairings(f.a, f.samples, g.samples, ratio, shift)
+    whole = k.size * (np.count_nonzero(v) * (16 * (2 * n_w + 1) + 72) + 32) + 8 * n + 4096 <= room
+    half = level, (im.size, n), row, k, shift, _pairing_table(a, v, n_w, ratio, shift, whole)
+    if whole:
+        _freeze(half)
+    return half, whole
+
+
+def _lag_pairings(c: float, a: float, half: tuple, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """_lower_pairings' n x n matrix from its operator half (_lag_table, for n lags or more) and the samples v and w.
+
+    The contraction sums every pair of the half; the matrix reads the pairs
+    of the first n lags.
+    """
+    level, shape, row, k, shift, pairing = half
+    table = np.zeros(shape, dtype=np.complex128)
+    table[row, k] = (math.pi / a) * _pairings(a, v, w, None, shift, pairing)
     j = np.arange(1, n + 1)
     lag = np.maximum(j[:, None] - j, 0)
-    return np.tril(abs(phi.c) ** -j * np.conj(table[level[j - 1], lag]))
+    return np.tril(abs(c) ** -j * np.conj(table[level[j - 1], lag]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,6 +468,13 @@ class Pseudotrajectory:
     go through the closed pairing form; nothing is ever resampled onto a
     window.  Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2
     * e^(a |Im s|)) with v the seed's samples (see _lower_pairings for s).
+
+    Beside them it keeps, read-only, the two operator halves the gram and
+    f(alpha) were contracted from, for shadowing_divergence to contract a
+    candidate on the seed's window with: the lag table of n_max + 1 lags
+    (_lag_table) and _cardinal_table at alpha alone.  They are kept where
+    n_max >= 1 and they fit within core._TABLE_BYTES together, and are None
+    otherwise.
     """
 
     phi: AffineSymbol
@@ -437,6 +486,8 @@ class Pseudotrajectory:
     coefficient: float
     gram: np.ndarray  # gram[j, k] = <C_phi^{j+1} seed, C_phi^{k+1} seed>
     seed_at_fixed_point: complex  # f(alpha), alpha the fixed point of phi
+    _lags: tuple | None = field(default=None, repr=False)
+    _at_alpha: tuple | None = field(default=None, repr=False)
 
     def _block_sums(self) -> np.ndarray:
         """sums[n] = sum of the leading n x n block of Re gram, n = 0..n_max+1."""
@@ -455,8 +506,15 @@ def build_pseudotrajectory(
     the orbit's squares ||C_phi^n f||^2, n = 1..n_max+1, which pass the range
     guard of orbit_norms (_orbit_parts) before any pairing and its
     _guard_square after; step_norm = ||C_phi f|| is the root of gram[0, 0].
+    One table (c^n, d_n), n = 0..n_max+1, feeds the guard and the lag table,
+    and f(alpha) is read from its own one-target table; both operator halves
+    are kept as Pseudotrajectory states.
     The gram's (n_max + 1)^2 entries pass the memory budget at 80 bytes each:
     they peak at 71 where the lag table has a row per n (complex d, |c| near 1).
+    The kept halves hold at most core._TABLE_BYTES = 2 MiB beside them, within
+    _WORKSPACE: a table that small is one block, which _cardinal_table builds
+    whole kept or not, so they add to what a pseudotrajectory holds and not to
+    the build's peak.
     _pairings guards its points, which grow with the seed's nonzero samples.
     """
     if phi.c == 1.0:
@@ -466,9 +524,15 @@ def build_pseudotrajectory(
     _same_bandwidth(f.a, a)
     n_max = _count(n_max, "pseudotrajectory horizon")
     _guard_size((n_max + 1) ** 2, "pseudotrajectory gram entries", 80)
-    f_alpha = _value_off_zero(f, phi.fixed_point(), "seed vanishes at fixed point")
-    c, y = _orbit_parts(phi, a, n_max + 1)
-    low = _lower_pairings(phi, f, f, n_max + 1)
+    alpha = phi.fixed_point()
+    at_alpha = _cardinal_table(a, np.array([alpha]), f.half_width, False)
+    f_alpha = _value_off_zero(f, alpha, at_alpha, "seed vanishes at fixed point")
+    iterates = _iterate_table(phi.c, phi.d, range(n_max + 2))
+    c, y = _orbit_parts(phi, a, n_max + 1, iterates)
+    # a horizon 0 leaves no divergence to contract the halves for (n_max >= 1 there)
+    room = _TABLE_BYTES - _freeze(at_alpha) if n_max else 0
+    lags, kept = _lag_table(a, iterates, f.samples, n_max + 1, f.half_width, room)
+    low = _lag_pairings(phi.c, a, lags, f.samples, f.samples, n_max + 1)
     gram = np.where(np.tri(n_max + 1, k=-1, dtype=bool), low, low.conj().T)
     _guard_square(gram.diagonal().real, a, c[1:], y[1:], f.samples)
     step_norm = math.sqrt(gram[0, 0].real)
@@ -483,6 +547,8 @@ def build_pseudotrajectory(
         coefficient=coefficient,
         gram=gram,
         seed_at_fixed_point=f_alpha,
+        _lags=lags if kept else None,
+        _at_alpha=at_alpha if kept else None,
     )
 
 
@@ -501,7 +567,10 @@ def shadowing_divergence(
     g, C_{phi^[j]} f>, f the seed, for j <= n alone: one row sum of the lag
     table of f against g (_lower_pairings), rounding to O(eps *
     |c|^{-j} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the samples
-    of f and g.  f(alpha) is the pseudotrajectory's own.
+    of f and g.  f(alpha) is the pseudotrajectory's own.  A g on the seed's
+    window is contracted with the halves P keeps, where it keeps them: the
+    lag table's first n_max lags and the table at alpha for g(alpha), which
+    the build has guarded.  Any other g builds both halves for this call.
     """
     _same_bandwidth(g.a, P.a)
     n_max = _count(P.n_max if n_max is None else n_max, "divergence horizon", least=1)
@@ -509,9 +578,14 @@ def shadowing_divergence(
         raise ValueError("n_max outside 1..P.n_max")
     alpha = P.phi.fixed_point()
     f_alpha = P.seed_at_fixed_point
-    g_alpha = pw_eval(g, alpha)
+    kept = P._lags is not None and g.half_width == P.seed.half_width
+    g_alpha = complex(_cardinal(P.a, None, g.samples, P._at_alpha)[0]) if kept else pw_eval(g, alpha)
     k_alpha = math.sqrt(kernel_norm_sq(P.a, alpha))
-    mixed = P.coefficient * _lower_pairings(P.phi, g, P.seed, n_max).sum(axis=1).real
+    if kept:
+        low = _lag_pairings(P.phi.c, P.a, P._lags, P.seed.samples, g.samples, n_max)
+    else:
+        low = _lower_pairings(P.phi, g, P.seed, n_max)
+    mixed = P.coefficient * low.sum(axis=1).real
     gn_sq = orbit_norms(P.phi, P.a, g, n_max).norms[1:] ** 2
     fn_sq = P.coefficient**2 * P._block_sums()[1 : n_max + 1]
     n = np.arange(1, n_max + 1)

@@ -877,8 +877,30 @@ class TestOperatorTables:
         monkeypatch.setattr(pwlab.core, "_TABLE_BYTES", 2 * size)
         for phi in (phis[1], phis[1], phis[0], phis[2], phis[2]):
             pwlab.orbit_norms(phi, 1.0, f, 4)
-        keys = [("orbit", pwlab.core._bits(phi, 1.0), 4, 8) for phi in phis]
+        keys = [("orbit", pwlab.core._bits(phi, 1.0), 4, 8, pwlab.core._BLOCK_ENTRIES) for phi in phis]
         assert list(tables) == [keys[0], keys[2]] and tables.held == 2 * size
+
+    def test_block_size_keys_apart(self, monkeypatch):
+        # a table is cut into blocks of _BLOCK_ENTRIES, whose size may move a sum's last bits, so a
+        # table kept at one size is not fetched at another: with the tables warm at the default size,
+        # calls under blocks of 8 rows leave marks of their own and give a cold build's bytes there
+        rng = np.random.default_rng(SEED + 48)
+        f = pwlab.rough_probe(1.0, 24, rng)
+        calls = [lambda: pwlab.orbit_norms(AffineSymbol(0.5, 0.3 + 0.2j), 1.0, f, 40).norms,
+                 lambda: pwlab.compose_apply(AffineSymbol(-0.5, 1j), f, 40).samples]
+        default, small = pwlab.core._BLOCK_ENTRIES, 8 * (4 * 24 + 1)
+        monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+        monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", small)
+        cold = [call().tobytes() for call in calls]
+        tables = pwlab.core._Tables()
+        monkeypatch.setattr(pwlab.core, "_TABLES", tables)
+        monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", default)
+        for _ in range(2):
+            for call in calls:
+                call()
+        monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", small)
+        assert [call().tobytes() for call in calls] == cold
+        assert len(tables) == 2 * len(calls)
 
 
 class TestComposedProducts:

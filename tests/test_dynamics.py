@@ -741,22 +741,36 @@ class TestPseudotrajectory:
                 assert Q.gram.tobytes() == (P.gram * 2.0 ** (2 * e)).tobytes(), (c, d, e)
 
 
+def _arrays(table):
+    """The arrays of a table of nested tuples."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    return [x for item in table for x in _arrays(item)] if isinstance(table, tuple) else []
+
+
 def shadowing_against_pairings(half_width, seed=SEED):
-    """shadowing_divergence against oracles.full_cross_divergence; returns the largest D^2 gap as a share of its bound.
+    """shadowing_divergence against oracles.full_cross_divergence.
+
+    Returns the largest D^2 gap as a share of its bound, and how many cases at
+    N = half_width contracted g with the halves the pseudotrajectory kept and
+    how many rebuilt them.
 
     The oracle takes every cross pairing from its own composed_inner_product
     (no lag table, row per Im d_j, lag or power of |c|).  Two families of (a,
     seed f, candidate g, n, n_max), each drawn from its own generator at seed,
     g rough and scaled to norm 0.04: at a = 1.3, c in {+-1/2, 1/4, -1, 0.9} and
     d in {0, 0.3, 0.2 + 0.1i, -0.3 + 0.4i}, rough f and g on C10's windows 8 /
-    64 at its n = 30, unequal windows and n_max < n; at a = pi, c = +-1/2 and d
+    64 at its n = 30, unequal windows, n_max < n and equal windows with n_max
+    = n and n_max < n (the kept halves' route); at a = pi, c = +-1/2 and d
     in {0.3, 0.2 + 0.1i}, n = n_max = 20 and one g at N = half_width for a
     rough seed f at N, the node seed at 0 and a seed with three nonzero samples
     (nodes -40, 3 and 77 at N = 128, scaled with N), so the pairings' sparse
     sums run at that width too.  Every case: L is bit-identical; D within 1e-13
     relative; and |D_n^2 - D_ref^2| within the pairing bound 4 kappa sum_j B_nj (B_nj =
     eps |c|^-j pi/a sum|v| sum|w| e^(a |Im s_nj|)), plus the gram block's
-    summation order and one rounding of D^2.
+    summation order and one rounding of D^2.  The first family keeps its
+    halves, read-only and within core._TABLE_BYTES, and a g on the seed's
+    window takes them: exactly the equal-window cases.
     """
     eps = np.finfo(float).eps
     n = half_width
@@ -766,20 +780,31 @@ def shadowing_against_pairings(half_width, seed=SEED):
     cases, rng = [], np.random.default_rng(seed)
     for c in (0.5, -0.5, 0.25, -1.0, 0.9):
         for d in (0.0, 0.3, 0.2 + 0.1j, -0.3 + 0.4j):
-            for nf, ng, horizon, n_max in ((8, 64, 30, 30), (32, 8, 20, 15), (16, 16, 12, 12), (8, 32, 5, 3)):
-                cases.append((AffineSymbol(c, d), pwlab.rough_probe(1.3, nf, rng), pwlab.rough_probe(1.3, ng, rng), horizon, n_max))
+            for nf, ng, horizon, n_max in ((8, 64, 30, 30), (32, 8, 20, 15), (16, 16, 12, 12), (8, 32, 5, 3),
+                                           (16, 16, 12, 7)):
+                cases.append((AffineSymbol(c, d), pwlab.rough_probe(1.3, nf, rng), pwlab.rough_probe(1.3, ng, rng),
+                              horizon, n_max, False))
     rng = np.random.default_rng(seed)
     for c in (0.5, -0.5):
         for d in (0.3, 0.2 + 0.1j):
             rough = pwlab.rough_probe(math.pi, n, rng)
             g = pwlab.rough_probe(math.pi, n, rng)
             for f in (rough, pwlab.node_function(math.pi, n, 0), pwlab.PwFunction(math.pi, three)):
-                cases.append((AffineSymbol(c, d), f, g, 20, 20))
-    worst = 0.0
-    for phi, f, g, horizon, n_max in cases:
+                cases.append((AffineSymbol(c, d), f, g, 20, 20, True))
+    worst, routes = 0.0, {True: 0, False: 0}
+    for phi, f, g, horizon, n_max, wide in cases:
         a, c, case = f.a, phi.c, (phi, f.a, f.half_width, g.half_width, horizon, n_max)
         g = pwlab.scaled(g, 0.04 / g.norm())
         P = pwlab.build_pseudotrajectory(phi, a, f, 0.1, horizon)
+        kept = P._lags is not None and g.half_width == f.half_width
+        if P._lags is not None:
+            halves = (P._lags, P._at_alpha)
+            assert not any(x.flags.writeable for x in _arrays(halves)), case
+            assert pwlab.core._freeze(halves) <= pwlab.core._TABLE_BYTES, case
+        if wide:
+            routes[kept] += 1
+        else:
+            assert kept == (f.half_width == g.half_width), case
         D, L = pwlab.shadowing_divergence(P, g, n_max)
         D_ref, L_ref = full_cross_divergence(P, g, n_max)
         assert np.array_equal(L, L_ref), case
@@ -799,7 +824,7 @@ def shadowing_against_pairings(half_width, seed=SEED):
         use = float(np.max(np.abs(D**2 - D_ref**2) / allowed))
         assert use <= 1.0, case
         worst = max(worst, use)
-    return worst
+    return worst, routes[True], routes[False]
 
 
 class TestShadowingDivergence:
@@ -863,7 +888,29 @@ class TestShadowingDivergence:
             assert np.max(np.abs(steps - steps[0])) < 1e-12 * steps[0]
 
     def test_matches_full_cross_oracle(self):
-        shadowing_against_pairings(16, SEED + 19)
+        # at N = 16 the halves fit but for the rough seed's at complex d (231 lag pairs of 33 points)
+        _, kept, rebuilt = shadowing_against_pairings(16, SEED + 19)
+        assert (kept, rebuilt) == (10, 2)
+
+    def test_one_iterate_table_per_build(self, monkeypatch):
+        # build_pseudotrajectory works out one (c^n, d_n) table, n = 0..n_max+1, for the orbit guard and the
+        # lag table, and a g on the seed's window reads the kept lag table: on a fresh symbol only g's orbit
+        # trace builds more (its guarded row, then its table).  A g on another window builds its own lag table
+        monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+        table, rows = dynamics._iterate_table, []
+
+        def counted(c, d, orders):
+            rows.append(len(orders))
+            return table(c, d, orders)
+
+        monkeypatch.setattr(dynamics, "_iterate_table", counted)
+        rng = np.random.default_rng(SEED + 48)
+        f = pwlab.node_function(math.pi, 32, 0)
+        for d, half_width, built in ((0.1234, 32, [14, 1, 13]), (-0.2345, 16, [14, 13, 1, 13])):
+            P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, d), math.pi, f, 0.1, 12)
+            pwlab.shadowing_divergence(P, pwlab.rough_probe(math.pi, half_width, rng), 12)
+            assert rows == built, (d, half_width)
+            rows.clear()
 
     def test_candidate_validation(self):
         f = pwlab.node_function(math.pi, 8, 0)
