@@ -45,7 +45,9 @@ A key's first call builds its table for itself alone, its second keeps it,
 read-only, and later calls read it.  The tables hold at
 most _TABLE_BYTES in all, the least recently used going first, and a table
 past that is built per call, block by block.  A kept table gives the bits
-of a freshly built one, and nothing in it depends on the samples.
+of a freshly built one, and nothing in it depends on the samples.  The
+Fourier transport (fourier) keeps its twiddles and weights in the same
+cache, under keys of its own and in arrays of its own.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ def _bits(phi: AffineSymbol, a: float) -> bytes:
 
 
 def _table(key, nbytes: int, build):
-    """The operator half of a sinc kernel at key, from the one cache of such tables, or built for this call.
+    """The operator half of a kernel at key (a sinc kernel's here, the Fourier transport's in fourier), from the one
+    cache of such tables, or built for this call.
 
     nbytes bounds the bytes of the table's arrays before they are built.
     build(False) builds the table for this call alone, and may build its
@@ -574,6 +577,22 @@ def _cardinal_table(a, z, n, keep, sample_bytes=48):
         return z.size, (_cardinal_block(a, z, x, 0),)
     blocks = (_cardinal_block(a, z[lo : lo + rows], x, lo) for lo in range(0, z.size, rows))
     return z.size, tuple(blocks) if keep else blocks
+
+
+def _cardinal_prefix(table, size):
+    """A _cardinal_table table built whole (keep), cut to its first size targets: views of its blocks' rows."""
+    blocks = []
+    for lo, i, col, dx, inv, iy, sine, centre in table[1]:
+        if lo >= size:
+            break
+        r = size - lo
+        t = np.searchsorted(i, r)  # the rows i, ascending, that stay
+        if dx is not None:  # else a block of node hits alone
+            dx, sine, centre = dx[:r], sine[:r], centre[:t]
+            if inv is not None:  # a complex block
+                inv, iy = inv[:r], iy[:r]
+        blocks.append((lo, i[:t], col[:t], dx, inv, iy, sine, centre))
+    return size, tuple(blocks)
 
 
 def _cardinal_block(a, z, x, lo):

@@ -29,6 +29,13 @@ with 2q | M, the apply's support run maps onto the M/q-point midpoint grid,
 where F is one 2M/q-point FFT of the folded coefficients (_subgrid_values).
 Every other apply and every adjoint takes _values_at's chirp-z, a
 convolution by core._convolve, which picks its engine and FFT length.
+
+Operator halves: what the grid and the symbol alone decide is fetched from
+core._table, the one cache of the sinc kernels' halves, in arrays of this
+module's own.  The twiddles are one table per M, read by slices (_twiddle);
+the apply keeps its route, support run and weight (_apply_table) and the
+adjoint its weight, keyed on the bits of c, d and a and on M.  A kept table
+gives the bits of a fresh one, so the outputs do not depend on the cache.
 """
 
 from __future__ import annotations
@@ -38,25 +45,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _convolve, _count, _guard_exponent, _in_range,
-                   _norm, _same_bandwidth)
+from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _bits, _convolve, _count, _guard_exponent,
+                   _in_range, _norm, _same_bandwidth, _table)
 
 
 @dataclass(frozen=True, eq=False)
 class L2Function:
-    """Midpoint samples of a function on [-a, a]."""
+    """Midpoint samples of a function on [-a, a], stored read-only.
+
+    An array that is already read-only, C-contiguous and owns its data (as
+    to_l2's and the weighted maps' are) is kept as it is; any other is
+    copied, so a caller that keeps a writeable array or view cannot change F.
+    """
 
     a: float
     values: np.ndarray
 
     def __post_init__(self):
         a = _bandwidth(self.a)
-        vals = np.asarray(self.values, dtype=np.complex128).copy()
+        vals = np.asarray(self.values, dtype=np.complex128)
+        if vals.flags.writeable or not (vals.flags.owndata and vals.flags.c_contiguous):
+            vals = vals.copy()
+            vals.setflags(write=False)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        vals.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "values", vals)
 
@@ -65,7 +79,7 @@ class L2Function:
         return self.values.size
 
     def grid(self) -> np.ndarray:
-        return -self.a + (np.arange(self.m_points) + 0.5) * (2.0 * self.a / self.m_points)
+        return _grid(self.a, self.m_points)
 
     def norm(self) -> float:
         """sqrt(dt) ||values||, dt = 2a/M, with core._norm's range rule (PwFunction.norm's)."""
@@ -80,9 +94,36 @@ class L2Function:
         return _in_range(lambda v, w: dt * complex(np.sum(v * np.conj(w))), self.values, other.values)
 
 
-def _twiddle(n, m: int) -> np.ndarray:
-    """(-1)^n e^{-i n pi / M}: times it, the exponential sums at frequencies n on the midpoint grid are a DFT."""
-    return np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
+def _grid(a: float, m: int) -> np.ndarray:
+    """The M midpoints t_j = -a + (j + 1/2) 2a/M of [-a, a]."""
+    return -a + (np.arange(m) + 0.5) * (2.0 * a / m)
+
+
+def _l2(a: float, values: np.ndarray) -> L2Function:
+    """L2Function on values, an array this module has just made, read-only so that it is kept uncopied."""
+    values.setflags(write=False)
+    return L2Function(a, values)
+
+
+def _twiddle(m: int, k: int) -> np.ndarray:
+    """(-1)^n e^{-i n pi / M} for |n| <= k <= M // 2: times it, the exponential sums at frequencies n on the midpoint
+    grid are a DFT.
+
+    The twiddles depend on M alone, so they are a slice of one table per M,
+    over |n| <= M // 2, from core._table under ("twiddle", M): a grid's first call
+    computes its own slice alone, as does every call on a grid whose table
+    (16 (M + 1) bytes) is past _TABLE_BYTES, M >= 2^17.  An entry has the same
+    bits whichever slice it is computed in.
+    """
+
+    def build(keep):
+        half = m // 2 if keep else k
+        n = np.arange(-half, half + 1)
+        return np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
+
+    table = _table(("twiddle", m), 16 * (m + 1), build)
+    centre = table.size // 2
+    return table[centre - k : centre + k + 1]
 
 
 def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
@@ -91,21 +132,25 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     On the midpoint grid the exponential sums are a DFT up to the twiddle
     (_twiddle), so the evaluation runs through an FFT.  A grid of
     M < 2N+1 points would fold distinct nodes onto one frequency and raises
-    AliasingError.  The grid passes the memory budget at 64 bytes a point, the
-    peak of its zero-padded samples, their FFT, the scaled copy that
-    L2Function keeps and the twiddle of 2N+1 = M samples (49 bytes with few).
+    AliasingError.  The grid passes the memory budget at 64 bytes a point,
+    above the peak of its zero-padded samples, their FFT, the scaled array
+    that L2Function keeps and the twiddle of 2N+1 = M samples (about 48
+    bytes a point there, by tracemalloc; a kept twiddle table counts in
+    core._TABLE_BYTES).
     """
     m = _count(m_points, "grid points", least=2, per_entry=64)
     if m < f.samples.size:
         raise AliasingError(f"m_points {m} < 2N+1 = {f.samples.size} would alias the samples")
-    n = np.arange(-f.half_width, f.half_width + 1)
+    n = f.half_width
+    t = f.samples * _twiddle(m, n)
     g = np.zeros(m, dtype=np.complex128)
-    g[n % m] = f.samples * _twiddle(n, m)  # M >= 2N+1: the indices n % M are distinct
-    return L2Function(f.a, math.sqrt(math.pi / f.a) / math.sqrt(2.0 * f.a) * np.fft.fft(g))
+    g[: n + 1], g[m - n :] = t[n:], t[:n]  # frequency k at k mod M: M >= 2N+1 keeps them apart
+    del t  # the FFT's peak holds g, its transform and the scaled array alone
+    return _l2(f.a, math.sqrt(math.pi / f.a) / math.sqrt(2.0 * f.a) * np.fft.fft(g))
 
 
 def _coefficients(F: L2Function, k_max: int) -> np.ndarray:
-    """Expansion coefficients of F in eps_n, |n| <= k_max, by midpoint sums.
+    """Expansion coefficients of F in eps_n, |n| <= k_max <= M // 2, by midpoint sums.
 
     Exact (up to rounding) whenever F is a trigonometric polynomial of degree
     below M - k_max, in particular for any to_l2 image of half width N read at
@@ -116,8 +161,8 @@ def _coefficients(F: L2Function, k_max: int) -> np.ndarray:
     a, m = F.a, F.m_points
     dt = 2.0 * a / m
     spectrum = np.fft.ifft(F.values, norm="forward")
-    n = np.arange(-k_max, k_max + 1)
-    return (dt / math.sqrt(2.0 * a)) * np.conj(_twiddle(n, m)) * spectrum[n % m]
+    folded = np.concatenate((spectrum[m - k_max :], spectrum[: k_max + 1]))  # n = -k_max..k_max at n mod M
+    return (dt / math.sqrt(2.0 * a)) * np.conj(_twiddle(m, k_max)) * folded
 
 
 def _values_at(F: L2Function, s0: float, h: float, count: int) -> np.ndarray:
@@ -172,6 +217,8 @@ def _grid_exp(w: complex, a: float, m: int, lo: int, count: int) -> np.ndarray:
     (fewer than R, none for count <= 2) lie within (R - 1) h <= (count - 1) h / 2
     of it, so their exponent is at most twice the largest on the run: under
     the callers' guard on a |Im d|, 2 a |Im d| <= 600, inside double range.
+    The weighted maps keep the weights they take from here (core._table),
+    so a symbol's second call on a grid computes it and later calls read it.
     """
     h = 2.0 * a / m
     r = 1 << (count.bit_length() // 2)
@@ -209,6 +256,29 @@ def _subgrid_values(F: L2Function, count: int) -> np.ndarray:
     return np.roll(spectrum[1::2], -(count // 2)) / math.sqrt(2.0 * F.a)
 
 
+def _apply_table(phi: AffineSymbol, a: float, m: int) -> tuple:
+    """weighted_compose_apply's operator half on the M-point grid: (lo, count, s0, the weight e^{i d t / c} there).
+
+    The support run is the count grid points from lo on.  s0 is None on the
+    c = +-1 and sub-grid routes, else the chirp-z's first point t_lo / c; an
+    empty run is (0, 0, None, None).
+    """
+    c = phi.c
+    s0 = None
+    if abs(c) == 1.0:
+        lo, count = 0, m
+    elif count := _subgrid_length(c, m):
+        lo = (m - count) // 2
+    else:
+        t = _grid(a, m)
+        run = np.flatnonzero(np.abs(t) < abs(c) * a)  # one contiguous run of grid points
+        if not run.size:
+            return 0, 0, None, None
+        lo, count = run[0], run.size
+        s0 = t[lo] / c
+    return lo, count, s0, _grid_exp(1j * phi.d / c, a, m, lo, count)
+
+
 def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:
     """Apply the transformed operator on the grid.
 
@@ -221,35 +291,33 @@ def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:
     O(eps log M) of sum_n |coef_n|; any other slope or grid takes F(t/c) from
     _values_at's chirp-z on the one contiguous run of grid points inside the
     support.  The weight comes from _grid_exp on that run, within O(eps (1 +
-    |d| a / |c|)) of the exact exponential, as np.exp is.
+    |d| a / |c|)) of the exact exponential, as np.exp is.  The route, the run
+    and the weight are the operator half (_apply_table), fetched by
+    core._table under the bits of c, d and a and M.
     """
     # e^{i d t / c} is evaluated only on |t| < |c| a, so it stays within e^{a |Im d|}
     _guard_exponent(abs(phi.d.imag) * F.a, "weight exponent")
-    a, c, d, m = F.a, phi.c, phi.d, F.m_points
-    w = 1j * d / c
+    a, c, m = F.a, phi.c, F.m_points
+    # nbytes: at most 16 a grid point for the weight, and 16 for the rest of the table
+    lo, count, s0, weight = _table(("apply", _bits(phi, a), m), 16 * (m + 1), lambda keep: _apply_table(phi, a, m))
     if abs(c) == 1.0:  # t/c is the grid itself, reversed for c = -1
-        return L2Function(a, _grid_exp(w, a, m, 0, m) * F.values[:: int(c)])
+        return _l2(a, weight * F.values[:: int(c)])
     out = np.zeros(m, dtype=np.complex128)
-    count = _subgrid_length(c, m)
     if count:
-        lo = (m - count) // 2
-        inner = _subgrid_values(F, count)[:: 1 if c > 0 else -1]
-    else:
-        t = F.grid()
-        run = np.flatnonzero(np.abs(t) < abs(c) * a)  # one contiguous run of grid points
-        if not run.size:
-            return L2Function(a, out)
-        lo, count = run[0], run.size
-        inner = _values_at(F, t[lo] / c, 2.0 * a / (m * c), count)
-    out[lo : lo + count] = _grid_exp(w, a, m, lo, count) * inner / abs(c)
-    return L2Function(a, out)
+        if s0 is None:
+            inner = _subgrid_values(F, count)[:: 1 if c > 0 else -1]
+        else:
+            inner = _values_at(F, s0, 2.0 * a / (m * c), count)
+        out[lo : lo + count] = weight * inner / abs(c)
+    return _l2(a, out)
 
 
 def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
     """The adjoint in the transformed picture: conj(e^{i d t}) F(c t).
 
     The weight e^{-i conj(d) t} comes from _grid_exp on the whole grid, within
-    O(eps (1 + |d| a)) of the exact exponential, as np.exp is.
+    O(eps (1 + |d| a)) of the exact exponential, as np.exp is, and is fetched
+    by core._table under the bits of c, d and a and M.
     """
     # e^{-i conj(d) t} on |t| < a stays within e^{a |Im d|}
     _guard_exponent(abs(phi.d.imag) * F.a, "weight exponent")
@@ -258,4 +326,5 @@ def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
         inner = F.values[:: int(c)]
     else:
         inner = _values_at(F, c * (-a + 0.5 * (2.0 * a / m)), 2.0 * a * c / m, m)
-    return L2Function(a, _grid_exp(-1j * np.conj(d), a, m, 0, m) * inner)
+    weight = _table(("adjoint", _bits(phi, a), m), 16 * (m + 1), lambda keep: _grid_exp(-1j * np.conj(d), a, m, 0, m))
+    return _l2(a, weight * inner)

@@ -41,6 +41,29 @@ class TestGridAndContainer:
             with pytest.raises(ValueError, match="finite"):
                 L2Function(1.0, [bad, 1, 2, 3, 4, 5, 6, 7])
 
+    def test_keeps_a_read_only_array_and_copies_others(self):
+        # to_l2 and both weighted maps (every route) hand L2Function a read-only array of their
+        # own, which is kept; a writeable array or a view is copied, and the checks still run
+        F = pwlab.to_l2(pwlab.rough_probe(1.0, 8, np.random.default_rng(SEED + 5)), 64)
+        made = [F] + [
+            weighted(AffineSymbol(c, 1j), F)
+            for weighted in (pwlab.weighted_compose_apply, pwlab.weighted_compose_adjoint)
+            for c in (1.0, -1.0, 0.5, 0.9, 1e-3)
+        ]
+        for G in made:
+            assert not G.values.flags.writeable and L2Function(G.a, G.values).values is G.values
+        frozen = np.ones(6, dtype=np.complex128)
+        frozen.setflags(write=False)
+        for given in (np.ones(4, dtype=np.complex128), np.arange(8.0, dtype=np.complex128)[::2],
+                      np.ones(5, dtype=np.complex128)[1:], frozen[1:], np.arange(4.0)):
+            G = L2Function(1.0, given)
+            assert G.values is not given and not G.values.flags.writeable
+            assert G.values.tobytes() == given.astype(np.complex128).tobytes()
+        for bad in (frozen.reshape(2, 3), np.array([1.0, np.nan], dtype=np.complex128)):
+            bad.setflags(write=False)
+            with pytest.raises(ValueError):
+                L2Function(1.0, bad)
+
     def test_inner_needs_matching_grids(self):
         F = L2Function(1.0, np.ones(8))
         with pytest.raises(ValueError):
@@ -484,3 +507,65 @@ class TestMultiplicationNorm:
             pwlab.weighted_compose_apply(
                 AffineSymbol(0.5, 400j), L2Function(1.0, np.ones(64))
             )
+
+
+class TestFourierTables:
+    """core._table's Fourier halves: a grid's twiddles and a symbol's weights, cold, warm and past the byte limit."""
+
+    def test_cold_warm_and_per_call_tables_agree(self, monkeypatch):
+        # every call runs on an empty cache (cold: the twiddles' slice and the weight for the call
+        # alone), again (its tables are built whole and kept) and a third time on the kept tables
+        # (warm); then all of them in turn on one cache, twice, where the tables of the wide grids
+        # push each other out, and with every table past the byte limit: all give the same bytes
+        rng = np.random.default_rng(SEED + 49)
+        calls, keys = [], set()
+        for m in (65, 4096, 4097, 8192):
+            f = pwlab.rough_probe(1.0, 24, rng)
+            F = pwlab.to_l2(f, m)
+            calls += [lambda f=f, m=m: pwlab.to_l2(f, m).values, lambda F=F: pwlab.from_l2(F, 24).samples]
+            for c in (1.0, -1.0, 0.5, -0.5, 0.25, 0.9, 1 / 3):
+                for d in (0j, complex(0.0, -0.0), 0.3, 1.0 - 1j):
+                    phi = AffineSymbol(c, d)
+                    calls += [lambda phi=phi, F=F: pwlab.weighted_compose_apply(phi, F).values,
+                              lambda phi=phi, F=F: pwlab.weighted_compose_adjoint(phi, F).values]
+                    keys |= {(kind, core._bits(phi, 1.0), m, core._BLOCK_ENTRIES) for kind in ("apply", "adjoint")}
+        cold = []
+        for call in calls:
+            tables = core._Tables()
+            monkeypatch.setattr(core, "_TABLES", tables)
+            cold.append(call().tobytes())
+            assert call().tobytes() == cold[-1] == call().tobytes()
+            assert tables.held == sum(size for _, size in tables.values()) <= core._TABLE_BYTES
+        tables = core._Tables()
+        monkeypatch.setattr(core, "_TABLES", tables)
+        assert [call().tobytes() for call in calls] == cold
+        # a key for each weight, d = 0j and -0j apart, and for each grid's twiddles
+        assert len(keys) == 4 * 7 * 4 * 2 and set(tables) == keys | {("twiddle", m, core._BLOCK_ENTRIES) for m in
+                                                                    (65, 4096, 4097, 8192)}
+        assert [call().tobytes() for call in calls] == cold
+        assert 0 < tables.held == sum(size for _, size in tables.values()) <= core._TABLE_BYTES
+        monkeypatch.setattr(core, "_TABLE_BYTES", 0)
+        monkeypatch.setattr(core, "_TABLES", core._Tables())
+        assert [call().tobytes() for call in calls] == cold
+        assert not core._TABLES
+
+    def test_twiddles_are_one_table_per_grid(self, monkeypatch):
+        # a grid's first call computes the slice it reads, its second the whole table over
+        # |n| <= M // 2, and later calls slice the kept one; a grid of 2^17 points or more, whose
+        # table is past the byte limit, keeps nothing and computes the slice it reads at every call
+        tables = core._Tables()
+        monkeypatch.setattr(core, "_TABLES", tables)
+        f = pwlab.rough_probe(1.0, 24, np.random.default_rng(SEED + 50))
+        for m in (4096, 4097):
+            sizes = [fourier._twiddle(m, 24).base.size for _ in range(3)]
+            assert sizes == [49, 2 * (m // 2) + 1, 2 * (m // 2) + 1]
+            assert fourier._twiddle(m, m // 4).tobytes() == fourier._twiddle(m, m // 2)[m // 4 : -(m // 4)].tobytes()
+        held = dict(tables)
+        for m in (1 << 17, (1 << 17) + 1):
+            for _ in range(3):
+                assert fourier._twiddle(m, 24).base.size == 49
+                F = pwlab.to_l2(f, m)
+                pwlab.from_l2(F, 24)
+                pwlab.weighted_compose_apply(AffineSymbol(-1.0, 1j), F)
+                pwlab.weighted_compose_adjoint(AffineSymbol(1.0, 1j), F)
+        assert dict(tables) == held
