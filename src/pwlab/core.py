@@ -579,22 +579,6 @@ def _cardinal_table(a, z, n, keep, sample_bytes=48):
     return z.size, tuple(blocks) if keep else blocks
 
 
-def _cardinal_prefix(table, size):
-    """A _cardinal_table table built whole (keep), cut to its first size targets: views of its blocks' rows."""
-    blocks = []
-    for lo, i, col, dx, inv, iy, sine, centre in table[1]:
-        if lo >= size:
-            break
-        r = size - lo
-        t = np.searchsorted(i, r)  # the rows i, ascending, that stay
-        if dx is not None:  # else a block of node hits alone
-            dx, sine, centre = dx[:r], sine[:r], centre[:t]
-            if inv is not None:  # a complex block
-                inv, iy = inv[:r], iy[:r]
-        blocks.append((lo, i[:t], col[:t], dx, inv, iy, sine, centre))
-    return size, tuple(blocks)
-
-
 def _cardinal_block(a, z, x, lo):
     """One block of _cardinal_table: the targets z from row lo on, against the window's nodes x."""
     n = x.size // 2

@@ -26,7 +26,6 @@ from .core import (
     _TABLE_BYTES,
     _bits,
     _cardinal,
-    _cardinal_prefix,
     _cardinal_table,
     _count,
     _freeze,
@@ -51,8 +50,9 @@ class OrbitTrace:
     """Norms ||C_phi^n f|| for n = 0..n_max, stored read-only.
 
     An array that is already read-only, C-contiguous and owns its data (as
-    orbit_norms' are) is kept as it is; any other is copied, so a caller that
-    keeps a writeable array or view cannot change the trace.
+    orbit_norms' are) is kept as it is, so its owner must not write it again
+    (through a view taken before, or by setflags); any other is copied, so a
+    caller that keeps a writeable array or view cannot change the trace.
     """
 
     norms: np.ndarray
@@ -417,31 +417,26 @@ def _lag_table(a: float, iterates, v: np.ndarray, n: int, n_w: int, room: int = 
     """_lower_pairings' operator half for n lags, the samples v of f and g's window |k| <= n_w; and whether it is whole.
 
     iterates is _iterate_table's (c^k, d_k) for k = 0..n.  The half is the
-    layout (the row l of each j = 1..n, the number of rows, the J pairs (l, k)
-    with their shifts s, and ends) and _pairings' operator half at the points
-    c^k x_m + s of v's nonzero nodes (_pairing_table).  The pairs run in the
-    order of the first horizon that reads them, the first j of row l plus k,
-    so the ends[n'] pairs of a horizon n' <= n lead the table.  Its bytes are
-    bounded before the sinc table is built, at 16 a sinc entry, 72 a point, 32
-    a pair, 16 a lag and 4 KiB for the objects; where the bound fits within
-    room the half is built whole and read-only (_freeze), else for one
-    contraction.  n = 1 takes the Toeplitz route, which the bound does not
-    cover: its callers give it no room.
+    layout (the row l of each j = 1..n, the table's shape, the J pairs (l, k)
+    and their shifts s) and _pairings' operator half at the points c^k x_m + s
+    of v's nonzero nodes (_pairing_table).  Its bytes are bounded before the
+    sinc table is built, at 16 a sinc entry, 72 a point, 32 a pair, 8 a lag
+    and 4 KiB for the objects; where the bound fits within room the half is
+    built whole and read-only (_freeze), else for one contraction.  n = 1
+    takes the Toeplitz route, which the bound does not cover: its callers
+    give it no room.
     """
     c_k, d_k = iterates
     seen = {}  # Im d_j -> (its row, the first j with it)
     level = np.array([seen.setdefault(d_k[j].imag, (len(seen), j))[0] for j in range(1, n + 1)])
     im = np.array(list(seen))
     first = np.array([j for _, j in seen.values()])
-    # the pairs by the first horizon h + 1 that reads them, row l's from its lag k = h + 1 - first_l on
-    k, row = np.nonzero(np.arange(1, n + 1)[:, None] >= first)
-    ends = np.searchsorted(k, np.arange(n + 1))  # k holds h here: horizon j reads the first ends[j] pairs
-    k -= first[row] - 1
+    row, k = np.nonzero(np.arange(n) <= n - first[:, None])
     ratio = np.array(c_k[:n])[k]
     shift = np.array(d_k[:n])[k]
     shift.imag += 2.0 * ratio * im[row]
-    whole = k.size * (np.count_nonzero(v) * (16 * (2 * n_w + 1) + 72) + 32) + 16 * n + 4096 <= room
-    half = level, im.size, ends, row, k, shift, _pairing_table(a, v, n_w, ratio, shift, whole)
+    whole = k.size * (np.count_nonzero(v) * (16 * (2 * n_w + 1) + 72) + 32) + 8 * n + 4096 <= room
+    half = level, (im.size, n), row, k, shift, _pairing_table(a, v, n_w, ratio, shift, whole)
     if whole:
         _freeze(half)
     return half, whole
@@ -450,22 +445,15 @@ def _lag_table(a: float, iterates, v: np.ndarray, n: int, n_w: int, room: int = 
 def _lag_pairings(c: float, a: float, half: tuple, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """_lower_pairings' n x n matrix from its operator half (_lag_table, for n lags or more) and the samples v and w.
 
-    The contraction sums the pairs of the first n lags alone, which lead the
-    half (a half for more lags is cut to them: _cardinal_prefix), so for n >= 2
-    it gives the bits of a half built for n lags (one lag takes the Toeplitz
-    route there).
+    The contraction sums every pair of the half; the matrix reads the pairs
+    of the first n lags, and its upper triangle reads a zero column.
     """
-    level, rows, ends, row, k, shift, pairing = half
-    count = int(ends[n])
-    if count < k.size:  # a half for more lags takes the direct route, as c != 1
-        nz, cardinal = pairing
-        row, k, shift = row[:count], k[:count], shift[:count]
-        pairing = nz, _cardinal_prefix(cardinal, count * nz.size)
-    table = np.zeros((rows, n + 1), dtype=np.complex128)  # lags 0..n-1, and a zero column n
+    level, (rows, lags), row, k, shift, pairing = half
+    table = np.zeros((rows, lags + 1), dtype=np.complex128)
     table[row, k] = (math.pi / a) * _pairings(a, v, w, None, shift, pairing)
     j = np.arange(1, n + 1)
     lag = j[:, None] - j
-    lag[lag < 0] = n  # above the diagonal: the zero column
+    lag[lag < 0] = lags  # above the diagonal: the zero column
     return abs(c) ** -j * np.conj(table[level[j - 1], lag])
 
 

@@ -33,9 +33,10 @@ convolution by core._convolve, which picks its engine and FFT length.
 Operator halves: what the grid and the symbol alone decide is fetched from
 core._table, the one cache of the sinc kernels' halves, in arrays of this
 module's own.  The twiddles are one table per M, read by slices (_twiddle);
-the apply keeps its route, support run and weight (_apply_table) and the
-adjoint its weight, keyed on the bits of c, d and a and on M.  A kept table
-gives the bits of a fresh one, so the outputs do not depend on the cache.
+the apply keeps its route, support run and weight (_apply_table), keyed on
+the bits of c, d and a and on M.  The adjoint, which no caller of the
+package runs, computes its weight per call.  A kept table gives the bits of
+a fresh one, so the outputs do not depend on the cache.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ class L2Function:
     """Midpoint samples of a function on [-a, a], stored read-only.
 
     An array that is already read-only, C-contiguous and owns its data (as
-    to_l2's and the weighted maps' are) is kept as it is; any other is
-    copied, so a caller that keeps a writeable array or view cannot change F.
+    to_l2's and the weighted maps' are) is kept as it is, so its owner must
+    not write it again (through a view taken before, or by setflags); any
+    other is copied, so a caller that keeps a writeable array or view cannot
+    change F.
     """
 
     a: float
@@ -217,7 +220,7 @@ def _grid_exp(w: complex, a: float, m: int, lo: int, count: int) -> np.ndarray:
     (fewer than R, none for count <= 2) lie within (R - 1) h <= (count - 1) h / 2
     of it, so their exponent is at most twice the largest on the run: under
     the callers' guard on a |Im d|, 2 a |Im d| <= 600, inside double range.
-    The weighted maps keep the weights they take from here (core._table),
+    weighted_compose_apply keeps the weights it takes from here (core._table),
     so a symbol's second call on a grid computes it and later calls read it.
     """
     h = 2.0 * a / m
@@ -316,8 +319,7 @@ def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
     """The adjoint in the transformed picture: conj(e^{i d t}) F(c t).
 
     The weight e^{-i conj(d) t} comes from _grid_exp on the whole grid, within
-    O(eps (1 + |d| a)) of the exact exponential, as np.exp is, and is fetched
-    by core._table under the bits of c, d and a and M.
+    O(eps (1 + |d| a)) of the exact exponential, as np.exp is.
     """
     # e^{-i conj(d) t} on |t| < a stays within e^{a |Im d|}
     _guard_exponent(abs(phi.d.imag) * F.a, "weight exponent")
@@ -326,5 +328,4 @@ def weighted_compose_adjoint(phi: AffineSymbol, F: L2Function) -> L2Function:
         inner = F.values[:: int(c)]
     else:
         inner = _values_at(F, c * (-a + 0.5 * (2.0 * a / m)), 2.0 * a * c / m, m)
-    weight = _table(("adjoint", _bits(phi, a), m), 16 * (m + 1), lambda keep: _grid_exp(-1j * np.conj(d), a, m, 0, m))
-    return _l2(a, weight * inner)
+    return _l2(a, _grid_exp(-1j * np.conj(d), a, m, 0, m) * inner)

@@ -50,9 +50,10 @@ class OperatorMatrix:
 
     entries is square with an odd side 2N+1, stored read-only and
     C-contiguous.  An array that is already read-only, C-contiguous and owns
-    its data (as build_matrix's are) is kept as it is; any other is copied,
-    so a caller that keeps a writeable array or view cannot change the
-    section.
+    its data (as build_matrix's are) is kept as it is, so its owner must not
+    write it again (through a view taken before, or by setflags); any other
+    is copied, so a caller that keeps a writeable array or view cannot change
+    the section.
     """
 
     entries: np.ndarray

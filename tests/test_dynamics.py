@@ -912,30 +912,6 @@ class TestShadowingDivergence:
             assert rows == built, (d, half_width)
             rows.clear()
 
-    def test_kept_route_contracts_the_pairs_it_reads(self, monkeypatch):
-        # a pseudotrajectory keeps the lag pairs of n_max + 1 = 13 lags (13 at real d, 91 where every
-        # Im d_j differs); a divergence over n lags contracts those of the first n alone (n, and
-        # n (n + 1) / 2), which lead the kept half, and from n = 2 on (n = 1 takes the Toeplitz route
-        # when built) gives the bits of a half built for n lags
-        contracted, pairings = [], dynamics._pairings
-
-        def counted(a, v, w, ratio, shift, table=None):
-            contracted.append(shift.size)
-            return pairings(a, v, w, ratio, shift, table)
-
-        monkeypatch.setattr(dynamics, "_pairings", counted)
-        rng = np.random.default_rng(SEED + 49)
-        f, g = pwlab.rough_probe(1.3, 16, rng), pwlab.rough_probe(1.3, 16, rng)
-        for d, pairs in ((0.3, lambda n: n), (0.2 + 0.1j, lambda n: n * (n + 1) // 2)):
-            P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, d), 1.3, f, 0.1, 12)
-            assert P._lags is not None and P._lags[3].size == pairs(13)
-            for n in range(1, 13):
-                contracted.clear()
-                kept = dynamics._lag_pairings(0.5, 1.3, P._lags, f.samples, g.samples, n)
-                assert contracted == [pairs(n)], (d, n)
-                if n > 1:
-                    assert kept.tobytes() == dynamics._lower_pairings(P.phi, g, f, n).tobytes(), (d, n)
-
     def test_candidate_validation(self):
         f = pwlab.node_function(math.pi, 8, 0)
         P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.0), math.pi, f, 0.1, 5)
