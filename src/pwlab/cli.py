@@ -12,7 +12,11 @@ CSV under an n,norm or n,average header; shadow writes space-separated DAT
 columns n D_n L_n with no header.
 
 Determinism contract: with the same arguments, every subcommand writes
-byte-identical output, ending in a newline on every platform.  Output goes
+byte-identical output, ending in a newline on every platform.  One known
+exception: norm's residual, and at times the last digit of its estimate,
+depend on the BLAS thread count (OPENBLAS_NUM_THREADS 1 and 2 differ), as
+the section norm's vector-matrix products split their sums across threads;
+with the thread count fixed the contract holds.  Output goes
 to the --out path when given, else to stdout.  An existing --out file is
 overwritten in place from offset 0 and then trimmed, so it holds the bytes
 stdout would get; a target that is not a regular file (/dev/null, a FIFO)

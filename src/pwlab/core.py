@@ -41,13 +41,16 @@ and coset kernels.  The probe half contracts it with the samples.  The orbit
 traces (key: the symbol, a, the horizon and N) and compose_apply (key: the
 symbol, a, N and the target window) fetch their operator halves from one
 cache, _table, keyed on the bits of c, d and a, so 0.0 and -0.0 stay apart.
-A key's first call builds its table for itself alone, its second keeps it,
-read-only, and later calls read it.  The tables hold at
-most _TABLE_BYTES in all, the least recently used going first, and a table
-past that is built per call, block by block.  A kept table gives the bits
-of a freshly built one, and nothing in it depends on the samples.  The
-Fourier transport (fourier) keeps its twiddles and weights in the same
-cache, under keys of its own and in arrays of its own.
+Every table takes one form, chosen from its size alone: one that fits a
+block (_BLOCK_ENTRIES entries) is built whole at once, a larger one block by
+block as it is read.  A key's first call builds its table for itself and
+leaves a mark of the key; its second keeps the table, read-only, where
+_freeze counts it within _TABLE_BYTES, and later calls read it.  A table
+built as it is read counts as unbounded, so it is never kept.  The tables
+hold at most _TABLE_BYTES in all, the least recently used going first.  A
+kept table gives the bits of a freshly built one, and nothing in it depends
+on the samples.  The Fourier transport (fourier) keeps its twiddles and
+weights in the same cache, under keys of its own and in arrays of its own.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ import math
 import numbers
 import struct
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,32 +255,28 @@ def _bits(phi: AffineSymbol, a: float) -> bytes:
     return struct.pack("4d", phi.c, phi.d.real, phi.d.imag, a)
 
 
-def _table(key, nbytes: int, build):
+def _table(key, build):
     """The operator half of a kernel at key (a sinc kernel's here, the Fourier transport's in fourier), from the one
-    cache of such tables, or built for this call.
+    cache of such tables, or built by build() for this call.
 
-    nbytes bounds the bytes of the table's arrays before they are built.
-    build(False) builds the table for this call alone, and may build its
-    blocks as they are read: so does a table past _TABLE_BYTES, at every call,
-    and a key's first call, which leaves a mark of the key.  A second call
-    while the mark is held builds the table whole by build(True), makes its
-    arrays read-only and counts its objects' bytes (_freeze) and keeps it
-    (_Tables.keep), and later calls fetch it.  So a key that no call asks for
-    again costs its mark alone.  The key held is key with _BLOCK_ENTRIES
+    A key's first call builds the table and leaves a mark of the key.  A
+    second call while the mark is held builds it again, makes its arrays
+    read-only, counts its bytes (_freeze) and keeps it where they fit
+    (_Tables.keep); later calls fetch it.  A table built block by block as it
+    is read counts as unbounded and is never kept.  So a key that no call asks
+    for again costs its mark alone.  The key held is key with _BLOCK_ENTRIES
     appended, so a table cut into blocks at one size is never fetched at
     another, whose blocks would sum in another order.  A call raises whatever
     build raises.
     """
-    if nbytes > _TABLE_BYTES:
-        return build(False)
     key += (_BLOCK_ENTRIES,)  # the block size the table's blocks were cut at
     tables = _TABLES
     entry = tables.get(key)
     if entry is None:
-        table = build(False)
+        table = build()
         tables.keep(key, _SEEN, _SEEN_BYTES)
     elif entry[0] is _SEEN:
-        table = build(True)
+        table = build()
         tables.keep(key, table, _freeze((key, table)))
     else:
         tables.move_to_end(key)
@@ -284,14 +284,16 @@ def _table(key, nbytes: int, build):
     return table
 
 
-def _freeze(table) -> int:
+def _freeze(table) -> float:
     """Make the arrays of a table (nested tuples) read-only; return the bytes of its objects (sys.getsizeof, and
-    the data a view holds)."""
+    the data a view holds), or inf for a table that builds its blocks as they are read."""
     size, items = 0, [table]
     while items:
         item = items.pop()
         size += sys.getsizeof(item)
         kind = type(item)
+        if kind is types.GeneratorType:
+            return math.inf
         if kind is tuple:
             items.extend(item)
         elif kind is np.ndarray:
@@ -533,7 +535,7 @@ def _cardinal(a, z, v, table=None):
     targets fit one block returns that block itself.
     """
     n = v.size // 2
-    size, blocks = _cardinal_table(a, z, n, False) if table is None else table
+    size, blocks = _cardinal_table(a, z, n) if table is None else table
     # (-1)^k v_k as real columns (re, im); k = j - n is odd where j and n differ in parity
     w = v.copy()
     w[1 - n % 2 :: 2] *= -1.0
@@ -555,7 +557,7 @@ def _cardinal(a, z, v, table=None):
     return out
 
 
-def _cardinal_table(a, z, n, keep, sample_bytes=48):
+def _cardinal_table(a, z, n, sample_bytes=48):
     """_cardinal's operator half at the targets z for the window |k| <= n: its guards, then its blocks.
 
     _guard_points guards the targets, and the 2n + 1 samples pass the memory
@@ -567,7 +569,7 @@ def _cardinal_table(a, z, n, keep, sample_bytes=48):
     None for a block of node hits alone, or its scaled reciprocals x / (x^2 +
     y^2) or 1/x, 1/(x^2 + y^2) or None on the real route, i y or None, the
     sines (-1)^m sin(delta), and sinc(delta) at the rows i).  A single block
-    is built now; more are built now with keep, else each as it is read.
+    is built now; more are built each as it is read.
     """
     _guard_points(a, z, "evaluation exponent a |Im z|")
     _guard_size(2 * n + 1, "cardinal series samples", sample_bytes)
@@ -575,8 +577,7 @@ def _cardinal_table(a, z, n, keep, sample_bytes=48):
     rows = max(1, _BLOCK_ENTRIES // x.size)
     if rows >= z.size:  # one block, built now: nothing to resume
         return z.size, (_cardinal_block(a, z, x, 0),)
-    blocks = (_cardinal_block(a, z[lo : lo + rows], x, lo) for lo in range(0, z.size, rows))
-    return z.size, tuple(blocks) if keep else blocks
+    return z.size, (_cardinal_block(a, z[lo : lo + rows], x, lo) for lo in range(0, z.size, rows))
 
 
 def _cardinal_block(a, z, x, lo):
@@ -720,11 +721,7 @@ def _coset_sum(phi, f, n_out):
     """
     a, v, n = f.a, f.samples, f.half_width
     p, q = phi.c.as_integer_ratio()
-    # the table's arrays: at most q kernels of S + 2N + 1 complex entries, S <= |p| (2 n_out // q + 1), three
-    # 8-byte indices for each of the q (m_hi - m_lo + 1) <= 2 n_out + 2q gathered targets, and one for each coset
-    nbytes = 16 * q * (abs(p) * (2 * n_out // q + 1) + 2 * n + 1) + 24 * (2 * n_out + 3 * q)
-    key = ("coset", _bits(phi, a), n, n_out)
-    table = _table(key, nbytes, lambda keep: _coset_table(phi, a, n, n_out, keep))
+    table = _table(("coset", _bits(phi, a), n, n_out), lambda: _coset_table(phi, a, n, n_out))
     if table is None:
         return None
     m_size, start, gather, kernels = table
@@ -738,13 +735,13 @@ def _coset_sum(phi, f, n_out):
     return out.T.ravel()[start : start + 2 * n_out + 1]
 
 
-def _coset_table(phi, a, n, n_out, keep):
+def _coset_table(phi, a, n, n_out):
     """_coset_sum's operator half for the window |k| <= n, or None for the cardinal series' route.
 
     The table is (the number of m, the place of output -n_out in the cosets'
     rows read column by column, the gather (coset rows, their columns, the
     sample indices) or None, and the kernel blocks (the cosets r, their kernel
-    rows)).  keep builds every block now; otherwise each is built as it is read.
+    rows)).  A single block is built now; more are built each as it is read.
     """
     p, q = phi.c.as_integer_ratio()
     if q > 2 * n_out + 1:
@@ -779,7 +776,9 @@ def _coset_table(phi, a, n, n_out, keep):
         odd = (s_lo - n + 1) % 2
         rows = max(1, _BLOCK_ENTRIES // size)
         kernels = (_coset_kernels(conv[lo : lo + rows], j, mu, delta, sine, odd) for lo in range(0, conv.size, rows))
-    return m.size, -n_out - q * m_lo, gather, tuple(kernels) if keep else kernels
+        if rows >= conv.size:  # one block, built now: nothing to resume
+            kernels = tuple(kernels)
+    return m.size, -n_out - q * m_lo, gather, kernels
 
 
 def _coset_kernels(r, j, mu, delta, sine, odd):
@@ -855,34 +854,33 @@ def _pairings(a, v, w, ratio, shift, table=None):
     is that half when the caller holds it (orbit_norms, a pseudotrajectory's
     lag table), and ratio is not read beside it.
     """
-    nz, table = _pairing_table(a, v, w.size // 2, ratio, shift, False) if table is None else table
+    nz, table = _pairing_table(a, v, w.size // 2, ratio, shift) if table is None else table
     if nz is None:
         return _cardinal(a, None, _convolve(v, np.conj(w[::-1]))[::-1], table)
     return np.conj(_cardinal(a, None, w, table).reshape(shift.size, -1)) @ v[nz]
 
 
-def _pairing_table(a, v, n, ratio, shift, keep):
+def _pairing_table(a, v, n, ratio, shift):
     """_pairings' operator half for v's window and nonzero nodes against a window |k| <= n of w.
 
     On the Toeplitz route (None, _toeplitz_table); on the direct route (the
     indices of v's nonzero samples, _cardinal_table at their points ratio_j
-    x_m + s_j), after the points pass the memory budget.  keep as for
-    _cardinal_table.
+    x_m + s_j), after the points pass the memory budget.
     """
     # a single ratio is a Python float: compare it without numpy's overhead
     if (ratio == 1.0) if isinstance(ratio, float) else np.all(ratio == 1.0):
-        return None, _toeplitz_table(a, shift, v.size // 2 + n, keep)
+        return None, _toeplitz_table(a, shift, v.size // 2 + n)
     nz = np.flatnonzero(v)
     _guard_size(shift.size * (nz.size + 1), "pairing points", 64)
     points = np.multiply.outer(ratio, grid(a, v.size // 2)[nz]) + shift[:, None]
-    return nz, _cardinal_table(a, points.ravel(), n, keep)
+    return nz, _cardinal_table(a, points.ravel(), n)
 
 
-def _toeplitz_table(a, shift, n, keep):
+def _toeplitz_table(a, shift, n):
     """_pairings' Toeplitz route's operator half: _cardinal_table at the points conj(shift_j) for the cross-correlation
     of half width n, whose samples pass the memory budget at 80 bytes each (about 56 at the peak, tracemalloc: the
     FFT output that holds them (16), the signed copy (16), the nodes (8) and one row's two reciprocals (16))."""
-    return _cardinal_table(a, np.conj(shift), n, keep, 80)
+    return _cardinal_table(a, np.conj(shift), n, 80)
 
 
 def _rounding_bound(a, c, y, v):

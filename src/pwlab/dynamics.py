@@ -118,11 +118,7 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     """
     _same_bandwidth(f.a, a)
     n_max, n = _count(n_max, "orbit horizon"), f.half_width
-    key = ("orbit", _bits(phi, f.a), n_max, n)
-    # the table's arrays: |c^n|, Im d_n and the factors (8 bytes a row each), the shifts (16), and the sinc table's
-    # two reciprocals (8 bytes each a sample and row), its node rows and columns, i Im z, sines and sinc(delta) (64)
-    c, y, factor, shift, table = _table(key, n_max * (16 * (4 * n + 1) + 104),
-                                        lambda keep: _orbit_table(phi, a, n_max, n, keep))
+    c, y, factor, shift, table = _table(("orbit", _bits(phi, f.a), n_max, n), lambda: _orbit_table(phi, a, n_max, n))
     squares = factor * _pairings(a, f.samples, f.samples, 1.0, shift, table).real
     _guard_square(squares, a, c, y, f.samples)
     norms = np.concatenate(([f.norm()], np.sqrt(squares)))
@@ -130,12 +126,12 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     return OrbitTrace(norms)
 
 
-def _orbit_table(phi: AffineSymbol, a: float, n_max: int, n: int, keep: bool) -> tuple:
+def _orbit_table(phi: AffineSymbol, a: float, n_max: int, n: int) -> tuple:
     """orbit_norms' operator half for a window |k| <= n: (|c^n|, Im d_n, pi/(a |c^n|), 2i Im d_n, _pairings' table)
     for n = 1..n_max, the table at the autocorrelation's 4n + 1 samples (core._toeplitz_table)."""
     c, y = _orbit_parts(phi, a, n_max)
     shift = 2j * y[1:]
-    return c[1:], y[1:], math.pi / (a * c[1:]), shift, (None, _toeplitz_table(a, shift, 2 * n, keep))
+    return c[1:], y[1:], math.pi / (a * c[1:]), shift, (None, _toeplitz_table(a, shift, 2 * n))
 
 
 def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTrace:
@@ -409,22 +405,18 @@ def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> 
     (_lag_table) is built for this call alone and contracted with v and w
     (_lag_pairings).
     """
-    half, _ = _lag_table(f.a, _iterate_table(phi.c, phi.d, range(n + 1)), f.samples, n, g.half_width)
+    half = _lag_table(f.a, _iterate_table(phi.c, phi.d, range(n + 1)), f.samples, n, g.half_width)
     return _lag_pairings(phi.c, f.a, half, f.samples, g.samples, n)
 
 
-def _lag_table(a: float, iterates, v: np.ndarray, n: int, n_w: int, room: int = 0) -> tuple:
-    """_lower_pairings' operator half for n lags, the samples v of f and g's window |k| <= n_w; and whether it is whole.
+def _lag_table(a: float, iterates, v: np.ndarray, n: int, n_w: int) -> tuple:
+    """_lower_pairings' operator half for n lags, the samples v of f and g's window |k| <= n_w.
 
     iterates is _iterate_table's (c^k, d_k) for k = 0..n.  The half is the
     layout (the row l of each j = 1..n, the table's shape, the J pairs (l, k)
     and their shifts s) and _pairings' operator half at the points c^k x_m + s
-    of v's nonzero nodes (_pairing_table).  Its bytes are bounded before the
-    sinc table is built, at 16 a sinc entry, 72 a point, 32 a pair, 8 a lag
-    and 4 KiB for the objects; where the bound fits within room the half is
-    built whole and read-only (_freeze), else for one contraction.  n = 1
-    takes the Toeplitz route, which the bound does not cover: its callers
-    give it no room.
+    of v's nonzero nodes (_pairing_table), in core's one form: whole where it
+    fits one block, else built block by block as it is read.
     """
     c_k, d_k = iterates
     seen = {}  # Im d_j -> (its row, the first j with it)
@@ -435,11 +427,7 @@ def _lag_table(a: float, iterates, v: np.ndarray, n: int, n_w: int, room: int = 
     ratio = np.array(c_k[:n])[k]
     shift = np.array(d_k[:n])[k]
     shift.imag += 2.0 * ratio * im[row]
-    whole = k.size * (np.count_nonzero(v) * (16 * (2 * n_w + 1) + 72) + 32) + 8 * n + 4096 <= room
-    half = level, (im.size, n), row, k, shift, _pairing_table(a, v, n_w, ratio, shift, whole)
-    if whole:
-        _freeze(half)
-    return half, whole
+    return level, (im.size, n), row, k, shift, _pairing_table(a, v, n_w, ratio, shift)
 
 
 def _lag_pairings(c: float, a: float, half: tuple, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -470,13 +458,16 @@ class Pseudotrajectory:
     go through the closed pairing form; nothing is ever resampled onto a
     window.  Gram entries round to O(eps * |c|^{-min(i,j)} * pi/a * (sum|v|)^2
     * e^(a |Im s|)) with v the seed's samples (see _lower_pairings for s).
+    The gram is read-only, like the seed's samples, so the pseudotrajectory
+    cannot change once built.
 
     Beside them it keeps, read-only, the two operator halves the gram and
     f(alpha) were contracted from, for shadowing_divergence to contract a
     candidate on the seed's window with: the lag table of n_max + 1 lags
     (_lag_table) and _cardinal_table at alpha alone.  They are kept where
-    n_max >= 1 and they fit within core._TABLE_BYTES together, and are None
-    otherwise.
+    n_max >= 1 and core._freeze counts them within core._TABLE_BYTES
+    together, core._table's rule, so a lag table built block by block is
+    never kept; they are None otherwise.
     """
 
     phi: AffineSymbol
@@ -514,9 +505,9 @@ def build_pseudotrajectory(
     The gram's (n_max + 1)^2 entries pass the memory budget at 80 bytes each:
     they peak at 71 where the lag table has a row per n (complex d, |c| near 1).
     The kept halves hold at most core._TABLE_BYTES = 2 MiB beside them, within
-    _WORKSPACE: a table that small is one block, which _cardinal_table builds
-    whole kept or not, so they add to what a pseudotrajectory holds and not to
-    the build's peak.
+    _WORKSPACE.  They are built in the same form whether kept or not (one
+    block whole, more block by block), so keeping them adds to what a
+    pseudotrajectory holds and not to the build's peak.
     _pairings guards its points, which grow with the seed's nonzero samples.
     """
     if phi.c == 1.0:
@@ -527,15 +518,16 @@ def build_pseudotrajectory(
     n_max = _count(n_max, "pseudotrajectory horizon")
     _guard_size((n_max + 1) ** 2, "pseudotrajectory gram entries", 80)
     alpha = phi.fixed_point()
-    at_alpha = _cardinal_table(a, np.array([alpha]), f.half_width, False)
+    at_alpha = _cardinal_table(a, np.array([alpha]), f.half_width)
     f_alpha = _value_off_zero(f, alpha, at_alpha, "seed vanishes at fixed point")
     iterates = _iterate_table(phi.c, phi.d, range(n_max + 2))
     c, y = _orbit_parts(phi, a, n_max + 1, iterates)
+    lags = _lag_table(a, iterates, f.samples, n_max + 1, f.half_width)
     # a horizon 0 leaves no divergence to contract the halves for (n_max >= 1 there)
-    room = _TABLE_BYTES - _freeze(at_alpha) if n_max else 0
-    lags, kept = _lag_table(a, iterates, f.samples, n_max + 1, f.half_width, room)
+    kept = n_max >= 1 and _freeze((lags, at_alpha)) <= _TABLE_BYTES
     low = _lag_pairings(phi.c, a, lags, f.samples, f.samples, n_max + 1)
     gram = np.where(np.tri(n_max + 1, k=-1, dtype=bool), low, low.conj().T)
+    gram.setflags(write=False)
     _guard_square(gram.diagonal().real, a, c[1:], y[1:], f.samples)
     step_norm = math.sqrt(gram[0, 0].real)
     coefficient = delta / step_norm

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _bits, _convolve, _count, _guard_exponent,
-                   _in_range, _norm, _same_bandwidth, _table)
+from .core import (AffineSymbol, AliasingError, PwFunction, _TABLE_BYTES, _bandwidth, _bits, _convolve, _count,
+                   _guard_exponent, _in_range, _norm, _same_bandwidth, _table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +113,17 @@ def _twiddle(m: int, k: int) -> np.ndarray:
     grid are a DFT.
 
     The twiddles depend on M alone, so they are a slice of one table per M,
-    over |n| <= M // 2, from core._table under ("twiddle", M): a grid's first call
-    computes its own slice alone, as does every call on a grid whose table
-    (16 (M + 1) bytes) is past _TABLE_BYTES, M >= 2^17.  An entry has the same
-    bits whichever slice it is computed in.
+    over |n| <= M // 2, from core._table under ("twiddle", M).  A grid whose
+    table (16 (M + 1) bytes) is past _TABLE_BYTES, M >= 2^17, goes past the
+    cache and computes its own slice alone at every call.  An entry has the
+    same bits whichever slice it is computed in.
     """
 
-    def build(keep):
-        half = m // 2 if keep else k
+    def build(half):
         n = np.arange(-half, half + 1)
         return np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
 
-    table = _table(("twiddle", m), 16 * (m + 1), build)
+    table = build(k) if 16 * (m + 1) > _TABLE_BYTES else _table(("twiddle", m), lambda: build(m // 2))
     centre = table.size // 2
     return table[centre - k : centre + k + 1]
 
@@ -301,8 +300,7 @@ def weighted_compose_apply(phi: AffineSymbol, F: L2Function) -> L2Function:
     # e^{i d t / c} is evaluated only on |t| < |c| a, so it stays within e^{a |Im d|}
     _guard_exponent(abs(phi.d.imag) * F.a, "weight exponent")
     a, c, m = F.a, phi.c, F.m_points
-    # nbytes: at most 16 a grid point for the weight, and 16 for the rest of the table
-    lo, count, s0, weight = _table(("apply", _bits(phi, a), m), 16 * (m + 1), lambda keep: _apply_table(phi, a, m))
+    lo, count, s0, weight = _table(("apply", _bits(phi, a), m), lambda: _apply_table(phi, a, m))
     if abs(c) == 1.0:  # t/c is the grid itself, reversed for c = -1
         return _l2(a, weight * F.values[:: int(c)])
     out = np.zeros(m, dtype=np.complex128)

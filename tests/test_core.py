@@ -833,13 +833,16 @@ class TestOperatorTables:
 
     @pytest.mark.parametrize("block_rows", [None, 8], ids=["one block", "blocks of 8 rows"])
     def test_cold_warm_and_per_call_tables_agree(self, monkeypatch, block_rows):
-        # every call runs on an empty cache (cold: a table for the call alone), again (the table
-        # is built whole and kept), a third time on the kept table (warm), and with every table past
-        # the byte limit; all four give the same bytes.  d = 0j and d = -0j key apart, and an orbit
-        # of 20 x 8193 sinc entries is past the limit itself
+        # every call runs on an empty cache (cold: a table for the call alone and a mark of its key),
+        # again (the table is kept where it fits), a third time (warm) and with every table past the
+        # byte limit; all four give the same bytes.  d = 0j and d = -0j key apart.  The wide orbit's
+        # table, 20 x 8193 sinc entries in one block, is past the limit itself; under blocks of 8 rows
+        # the orbit tables of f hold two blocks or more (the wide one twenty), are built as they are
+        # read and are never kept.  A table that is not kept loses its mark to its second call and
+        # leaves a new one at its third
         rng = np.random.default_rng(SEED + 95)
         f, wide = pwlab.rough_probe(1.0, 24, rng), pwlab.rough_probe(1.0, 2048, rng)
-        if block_rows:  # the orbit tables of f hold two blocks, the wide one twenty
+        if block_rows:
             monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", block_rows * (4 * 24 + 1))
         calls = [lambda: pwlab.orbit_norms(AffineSymbol(0.5, 0.3 + 0.2j), 1.0, wide, 20).norms]
         for c in (1.0, -1.0, 0.5, -0.5, 0.25):
@@ -851,19 +854,59 @@ class TestOperatorTables:
                     lambda phi=phi: pwlab.compose_apply(phi, f, grow=True).samples,
                     lambda phi=phi: pwlab.compose_apply(phi, f, 40).samples,
                 ]
+        never = 1 + (2 * 25 if block_rows else 0)  # the wide orbit, and under blocks of 8 rows every orbit of f
         tables = pwlab.core._Tables()
         monkeypatch.setattr(pwlab.core, "_TABLES", tables)
         cold = [call().tobytes() for call in calls]
-        # a mark for each call but the wide orbit's, whose table is past the limit: d = 0j and -0j key apart
-        assert len(tables) == len(calls) - 1 and all(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert len(tables) == len(calls) and all(table is pwlab.core._SEEN for table, _ in tables.values())
         assert [call().tobytes() for call in calls] == cold
-        assert len(tables) == len(calls) - 1 and not any(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert len(tables) == len(calls) - never and not any(table is pwlab.core._SEEN for table, _ in tables.values())
         assert tables.held == sum(size for _, size in tables.values()) <= pwlab.core._TABLE_BYTES
         assert [call().tobytes() for call in calls] == cold
+        assert len(tables) == len(calls) and sum(table is pwlab.core._SEEN for table, _ in tables.values()) == never
         monkeypatch.setattr(pwlab.core, "_TABLE_BYTES", 0)
         monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
         assert [call().tobytes() for call in calls] == cold
         assert not pwlab.core._TABLES
+
+    def test_tables_of_more_than_one_block_are_never_kept(self, monkeypatch):
+        # one form per table, from its size alone: under blocks of 100 entries an orbit's, a coset
+        # apply's and a lag table each hold more than one block, built as they are read, which
+        # _freeze counts as unbounded.  The orbit and the apply leave a mark, are never held and
+        # give their first call's bytes at every call; a pseudotrajectory keeps no halves and
+        # gives the same divergence at every build.  At the default size all of them are kept
+        rng = np.random.default_rng(SEED + 96)
+        f, g = pwlab.rough_probe(1.0, 24, rng), pwlab.rough_probe(1.0, 24, rng)
+        orbit, coset = AffineSymbol(0.5, 0.3 + 0.2j), AffineSymbol(0.25, 1j)
+        calls = [lambda: pwlab.orbit_norms(orbit, 1.0, f, 12).norms,
+                 lambda: pwlab.compose_apply(coset, f, 40).samples]
+
+        def shadow():
+            P = pwlab.build_pseudotrajectory(orbit, 1.0, f, 0.1, 6)
+            D, L = pwlab.shadowing_divergence(P, g)
+            return P, D.tobytes() + L.tobytes()
+
+        default = pwlab.core._BLOCK_ENTRIES
+        monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", 100)
+        iterates = pwlab.core._iterate_table(orbit.c, orbit.d, range(8))
+        halves = [pwlab.dynamics._orbit_table(orbit, 1.0, 12, 24), pwlab.core._coset_table(coset, 1.0, 24, 40),
+                  pwlab.dynamics._lag_table(1.0, iterates, f.samples, 7, 24)]
+        assert all(pwlab.core._freeze(half) == math.inf for half in halves)
+        tables = pwlab.core._Tables()
+        monkeypatch.setattr(pwlab.core, "_TABLES", tables)
+        cold = [call().tobytes() for call in calls]
+        assert len(tables) == len(calls) and all(table is pwlab.core._SEEN for table, _ in tables.values())
+        P, divergence = shadow()
+        assert P._lags is None and P._at_alpha is None
+        for _ in range(3):
+            assert [call().tobytes() for call in calls] == cold and shadow()[1] == divergence
+            assert all(table is pwlab.core._SEEN for table, _ in tables.values())
+        monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", default)
+        for call in calls + calls:
+            call()
+        kept = [table for key, (table, _) in tables.items() if key[-1] == default]
+        assert len(kept) == len(calls) and pwlab.core._SEEN not in kept
+        assert shadow()[0]._lags is not None
 
     def test_least_recently_used_table_goes_first(self, monkeypatch):
         # under a limit of two orbit tables, a fetch keeps its table and the other one goes

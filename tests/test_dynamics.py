@@ -708,6 +708,17 @@ class TestPseudotrajectory:
         with pytest.raises(OverflowGuardError, match="squared orbit norm exponent"):
             pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), 1.3, f, 0.1, 900)
 
+    def test_gram_is_read_only(self):
+        # every divergence D reads the gram's block sums, so a write to it raises and D stays the build's
+        f = pwlab.node_function(math.pi, 8, 0)
+        P = pwlab.build_pseudotrajectory(AffineSymbol(0.5, 0.3), math.pi, f, 0.1, 10)
+        g = pwlab.scaled(pwlab.rough_probe(math.pi, 8, np.random.default_rng(SEED + 97)), 0.04)
+        D = pwlab.shadowing_divergence(P, g)[0].tobytes()
+        assert not P.gram.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            P.gram[:] = 0.0
+        assert pwlab.shadowing_divergence(P, g)[0].tobytes() == D
+
     def test_construction_rejections(self):
         f = pwlab.node_function(math.pi, 8, 0)
         with pytest.raises(ValueError):
