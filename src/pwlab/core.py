@@ -43,10 +43,11 @@ symbol, a, N and the target window) fetch their operator halves from one
 cache, _table, keyed on the bits of c, d and a, so 0.0 and -0.0 stay apart.
 Every table takes one form, chosen from its size alone: one that fits a
 block (_BLOCK_ENTRIES entries) is built whole at once, a larger one block by
-block as it is read.  A key's first call builds its table for itself and
-leaves a mark of the key; its second keeps the table, read-only, where
-_freeze counts it within _TABLE_BYTES, and later calls read it.  A table
-built as it is read counts as unbounded, so it is never kept.  The tables
+block as it is read.  A key's first call builds for itself and leaves a
+mark of the key; its second keeps the table, read-only, where _freeze counts
+it within _TABLE_BYTES, and later calls read it.  A key whose table does
+not fit (one built as it is read counts as unbounded) is marked as never
+kept, and its later calls build for themselves with no count.  The tables
 hold at most _TABLE_BYTES in all, the least recently used going first.  A
 kept table gives the bits of a freshly built one, and nothing in it depends
 on the samples.  The Fourier transport (fourier) keeps its twiddles and
@@ -127,6 +128,7 @@ class _Tables(collections.OrderedDict):
 
 _TABLES = _Tables()
 _SEEN = object()  # the mark _table holds for a key seen once
+_NEVER = object()  # the mark _table holds for a key whose table _freeze counts past _TABLE_BYTES
 _SEEN_BYTES = 512  # a mark: its key and entry (about 200 bytes by sys.getsizeof) and the links of its place
 
 # The one cap on work, for counts that loop rather than allocate: the radius and
@@ -255,29 +257,35 @@ def _bits(phi: AffineSymbol, a: float) -> bytes:
     return struct.pack("4d", phi.c, phi.d.real, phi.d.imag, a)
 
 
-def _table(key, build):
+def _table(key, build, once=None):
     """The operator half of a kernel at key (a sinc kernel's here, the Fourier transport's in fourier), from the one
-    cache of such tables, or built by build() for this call.
+    cache of such tables, or built for this call by once() (build() where once is None).
 
-    A key's first call builds the table and leaves a mark of the key.  A
-    second call while the mark is held builds it again, makes its arrays
-    read-only, counts its bytes (_freeze) and keeps it where they fit
-    (_Tables.keep); later calls fetch it.  A table built block by block as it
-    is read counts as unbounded and is never kept.  So a key that no call asks
-    for again costs its mark alone.  The key held is key with _BLOCK_ENTRIES
-    appended, so a table cut into blocks at one size is never fetched at
-    another, whose blocks would sum in another order.  A call raises whatever
-    build raises.
+    A key's first call builds for itself and leaves a mark of the key.  A
+    second call while the mark is held builds the table by build(), makes its
+    arrays read-only, counts its bytes (_freeze) and keeps it where they fit
+    within _TABLE_BYTES; later calls fetch it.  Where they do not (a table
+    built block by block as it is read counts as unbounded), the key is
+    marked as never kept, and its later calls build for themselves with no
+    count.  So a key that no call asks for again costs its mark alone, and no
+    key builds by build() more than once while it is held.  The key held is
+    key with _BLOCK_ENTRIES appended, so a table cut into blocks at one size
+    is never fetched at another, whose blocks would sum in another order.  A
+    call raises whatever build or once raises.
     """
     key += (_BLOCK_ENTRIES,)  # the block size the table's blocks were cut at
     tables = _TABLES
     entry = tables.get(key)
-    if entry is None:
-        table = build()
-        tables.keep(key, _SEEN, _SEEN_BYTES)
+    if entry is None or entry[0] is _NEVER:
+        table = (once or build)()
+        tables.keep(key, _SEEN if entry is None else _NEVER, _SEEN_BYTES)
     elif entry[0] is _SEEN:
         table = build()
-        tables.keep(key, table, _freeze((key, table)))
+        size = _freeze((key, table))
+        if size <= _TABLE_BYTES:
+            tables.keep(key, table, size)
+        else:
+            tables.keep(key, _NEVER, _SEEN_BYTES)
     else:
         tables.move_to_end(key)
         table = entry[0]
@@ -445,18 +453,21 @@ class PwFunction:
 
 def _norm(v, weight: float) -> float:
     """sqrt(weight) ||v||, or OverflowGuardError past the float range (PwFunction's and L2Function's norm); where
-    a nonzero v's sum of squares leaves the normal range, it is summed again on v over its largest part; where
-    ||v|| itself passes the float range, sqrt(weight) scales that part's norm first, so a weight below 1 brings
-    the norm back in range."""
+    a nonzero v's sum of squares leaves the normal range, it is summed again on v / 2^i, i the binary exponent of
+    its largest real or imaginary part, exactly, and sqrt(weight) times that norm is scaled back by 2^i, so a
+    weight below 1 brings a norm past the float range back in range, and subnormal samples give their norm to
+    subnormal rounding."""
     with np.errstate(over="ignore"):
         root = float(np.linalg.norm(v))
     if math.sqrt(sys.float_info.min) <= root < math.inf or not v.any():
         return _guard_exponent(math.sqrt(weight) * root, "norm", sys.float_info.max)
-    top = float(np.abs(v.view(float)).max())
-    part = float(np.linalg.norm(v / top))
-    root = top * part
-    return _guard_exponent(math.sqrt(weight) * root if root < math.inf else top * (math.sqrt(weight) * part), "norm",
-                           sys.float_info.max)
+    i = math.frexp(float(np.abs(v.view(float)).max()))[1]
+    part = math.sqrt(weight) * float(np.linalg.norm(np.ldexp(v.view(float), -i)))
+    try:
+        root = math.ldexp(part, i)
+    except OverflowError:
+        root = math.inf
+    return _guard_exponent(root, "norm", sys.float_info.max)
 
 
 def _in_range(form, v, w) -> complex:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineSymbol, AliasingError, PwFunction, _TABLE_BYTES, _bandwidth, _bits, _convolve, _count,
+from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _bits, _convolve, _count,
                    _guard_exponent, _in_range, _norm, _same_bandwidth, _table)
 
 
@@ -113,17 +113,19 @@ def _twiddle(m: int, k: int) -> np.ndarray:
     grid are a DFT.
 
     The twiddles depend on M alone, so they are a slice of one table per M,
-    over |n| <= M // 2, from core._table under ("twiddle", M).  A grid whose
-    table (16 (M + 1) bytes) is past _TABLE_BYTES, M >= 2^17, goes past the
-    cache and computes its own slice alone at every call.  An entry has the
-    same bits whichever slice it is computed in.
+    over |n| <= M // 2, from core._table under ("twiddle", M).  A grid's
+    first call computes its own slice alone; its second computes the whole
+    table, which is kept where _freeze counts it within _TABLE_BYTES (M below
+    about 2^17), and otherwise marks the grid as never kept, so that its later
+    calls compute their own slices alone again.  An entry has the same bits
+    whichever slice it is computed in.
     """
 
     def build(half):
         n = np.arange(-half, half + 1)
         return np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
 
-    table = build(k) if 16 * (m + 1) > _TABLE_BYTES else _table(("twiddle", m), lambda: build(m // 2))
+    table = _table(("twiddle", m), lambda: build(m // 2), lambda: build(k))
     centre = table.size // 2
     return table[centre - k : centre + k + 1]
 

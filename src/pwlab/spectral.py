@@ -9,19 +9,22 @@ reorthogonalization (two products with the basis as stored, no conjugated
 copy of it) and O(k) scalar work: the top Ritz pair of the k x k tridiagonal
 comes from a Newton solve on its LDL^T pivots, and a dense eigensolver runs
 only where a certificate is tested.
-The iteration runs on the section scaled by a power of two, read from its
-largest real or imaginary part, so no |entry| is formed; build_matrix reads
-each row as a window of one of q short sinc kernels (c = p/q; each row its own
-kernel where q > N) and hands its entries over read-only, so OperatorMatrix
-keeps them without a second copy.  Spectra and spectral radii are never read
-off truncated matrices (truncation spectra of non-normal operators are
-polluted); they come from the exact trichotomy on (c, d), and the finite
-sections serve as the independent cross-check of the norm and radius formulas.
+The iteration scales its vectors, never the section, by a power of two read
+from the section's largest real or imaginary part (no |entry| is formed), and
+both starts share one basis grown by doubling rows, so a norm allocates
+nothing section-sized; build_matrix reads each row as a window of one of q
+short sinc kernels (c = p/q; each row its own kernel where q > N) and hands
+its entries over read-only, so OperatorMatrix keeps them without a second
+copy.  Spectra and spectral radii are never read off truncated matrices
+(truncation spectra of non-normal operators are polluted); they come from the
+exact trichotomy on (c, d), and the finite sections serve as the independent
+cross-check of the norm and radius formulas.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,57 +215,72 @@ def _top_ritz(rows: list, theta: float, s2: float) -> tuple[float, float]:
         x = step
 
 
-def _lanczos(h, q: np.ndarray):
-    """Top eigenpair of the Hermitian map v -> h(v) by fully reorthogonalized Lanczos.
+def _lanczos(h, q: np.ndarray, basis: np.ndarray):
+    """Top eigenpair of the Hermitian map v -> h(v, out) by fully reorthogonalized Lanczos.
 
-    Returns (theta, residual, steps, certificate), residual the explicit
-    relative residual ||h y - theta y|| / theta of the Ritz vector y.  The
-    Krylov space reaches the dimension of q at the latest, where it is
-    invariant, so some certificate always fires.  A step costs one
-    h (two products with the section in _largest_singular_value), the
-    reorthogonalization and O(k) scalar work.  The Gram-Schmidt coefficients
-    B* w are read as conj(B conj(w)), two products with the basis B as
-    stored, and the next row is written in place, so a step copies no part
-    of the basis.  The top Ritz value theta_k and s_k, the last entry of its
-    eigenvector, come from _top_ritz on the alpha_i and beta_i kept as Python
-    floats.  The tridiagonal is formed, and one eigh gives the Ritz vector y,
-    only where a certificate is tested.  From the third step on, a step
-    whose estimate beta_k |s_k| passes sqrt(_TOL) theta is checked by the
-    explicit residual, which certifies an eigenvalue of h within sqrt(_TOL)
-    theta of theta; a start that no residual test certifies runs on to the
-    invariant space.
+    Returns (theta, residual, steps, certificate, basis), residual the
+    explicit relative residual ||h y - theta y|| / theta of the Ritz vector y.
+    The Krylov space reaches the dimension of q at the latest, where it is
+    invariant, so some certificate always fires.  The Krylov vectors are the
+    rows of basis, which starts with one row or more of q's size and is
+    grown by doubling its rows as steps are taken (to q.size at most); the
+    basis returned serves the next start.  A step costs one h (two products
+    with the section in _largest_singular_value), the reorthogonalization
+    and O(k) scalar work, and allocates nothing but where the basis grows:
+    h writes into a vector of the step's own, and the Gram-Schmidt
+    coefficients B* w are read as conj(B conj(w)), two products with the
+    basis B as stored, into another.  The top Ritz value theta_k and s_k,
+    the last entry of its eigenvector, come from _top_ritz on the alpha_i and
+    beta_i kept as Python floats.  The tridiagonal is formed, and one eigh
+    gives the Ritz vector y, only where a certificate is tested.  From the
+    third step on, a step whose estimate beta_k |s_k| passes sqrt(_TOL) theta
+    is checked by the explicit residual, which certifies an eigenvalue of h
+    within sqrt(_TOL) theta of theta; a start that no residual test
+    certifies runs on to the invariant space.
     """
     dim = q.size
     res_tol = math.sqrt(_TOL)
-    basis = np.empty((dim, dim), dtype=np.complex128)
     basis[0] = q
+    w, tmp, coef = np.empty(dim, complex), np.empty(dim, complex), np.empty(dim, complex)
     rows, betas = [], []
     theta = s2 = beta = 0.0
 
     def explicit(theta):
-        tri = np.diag([alpha for alpha, _ in rows]) + np.diag(betas, 1) + np.diag(betas, -1)
-        y = np.linalg.eigh(tri)[1][:, -1] @ basis[: len(rows)]
-        return float(np.linalg.norm(h(y) - theta * y)) / max(theta, 1e-300)
+        k = len(rows)
+        tri = np.zeros((k, k))
+        tri.flat[:: k + 1] = [alpha for alpha, _ in rows]
+        tri.flat[1 :: k + 1] = tri.flat[k :: k + 1] = betas
+        y = np.linalg.eigh(tri)[1][:, -1] @ basis[:k]
+        hy = h(y, tmp)
+        y *= theta
+        hy -= y
+        return float(np.linalg.norm(hy)) / max(theta, 1e-300)
 
     for k in range(dim):
-        w = h(basis[k])
-        alpha = float(np.vdot(basis[k], w).real)
+        row = basis[k]
+        h(row, w)
+        alpha = float(np.vdot(row, w).real)
         rows.append((alpha, beta * beta))
         # the three-term recurrence, then one more Gram-Schmidt pass against the basis
-        w -= alpha * basis[k]
+        w -= np.multiply(row, alpha, tmp)
         if k:
-            w -= beta * basis[k - 1]
-        done = basis[: k + 1]
-        w -= np.dot(np.dot(done, w.conj()).conj(), done)
+            w -= np.multiply(basis[k - 1], beta, tmp)
+        done, c = basis[: k + 1], coef[: k + 1]
+        np.conjugate(np.dot(done, np.conjugate(w, tmp), c), c)
+        w -= np.dot(c, done, tmp)
         beta = math.sqrt(np.vdot(w, w).real)
         theta, s2 = _top_ritz(rows, theta, s2)
         if beta == 0.0 or k + 1 == dim:
-            return theta, explicit(theta), k + 1, "invariant"
+            return theta, explicit(theta), k + 1, "invariant", basis
         if k >= 2 and beta * math.sqrt(s2) <= res_tol * max(abs(theta), 1e-300):
             residual = explicit(theta)
             if residual <= res_tol:
-                return theta, residual, k + 1, "residual"
-        np.divide(w, beta, out=basis[k + 1])
+                return theta, residual, k + 1, "residual", basis
+        if k + 1 == len(basis):
+            grown = np.empty((min(2 * len(basis), dim), dim), complex)
+            grown[: k + 1] = basis
+            basis = grown
+        np.divide(w, beta, basis[k + 1])
         betas.append(beta)
 
 
@@ -273,26 +291,50 @@ def _largest_singular_value(mat: np.ndarray) -> NormEstimate:
     the space is invariant, so each start certifies.  A second random start
     guards against an unlucky first vector sitting near an invariant
     subspace below the top.  Both starts are drawn from DEFAULT_SEED, so a
-    section always takes the same steps to the same value.
+    section always takes the same steps to the same value, and they share
+    one basis (_lanczos).
     """
-    # work on 2^-e A with max(|Re|, |Im|) over its entries in [1/2, 1), so max|entry| in
-    # [1/2, sqrt 2): two reductions over the float view read e, with no |entry| pass, and the
-    # scaling is exact, so every result in range keeps its bits.  A unit v has |Av| < sqrt(2) dim
-    # and |A*(Av)| < 2 dim^2, and A*u = conj(conj(u) A) copies no matrix.  A NaN makes both
-    # reductions NaN, so the test below does not depend on the argument order of a max
+    # H = s^2 A*A with s = 2^-e, max(|Re|, |Im|) over the entries in [2^(e-1), 2^e): two
+    # reductions over the float view read e, with no |entry| pass.  The section is never scaled:
+    # H v = conj(conj(s (A (s v))) A), with A*u = conj(conj(u) A) copying no matrix, and each
+    # product is the scaled section's bit for bit wherever s v and s A(s v) stay normal, as they
+    # do for every section build_matrix admits.  sA has every entry below sqrt 2 in modulus, so a
+    # unit v has |A(s v)| < sqrt(2) dim and |H v| < 2 dim^2.  The iteration is the same, bit for
+    # bit, on 4^k H wherever nothing leaves the normal range, so where 0 <= e < max_exp / 8 -
+    # bit_length(dim) (A*A below 2^256, the squares of its vectors below 2^512, and the
+    # tridiagonal inside the range LAPACK's eigh leaves unscaled) s = 1 and both multiplications
+    # go.  Elsewhere e is raised to at least bit_length(dim) + 1 - max_exp, so that s and
+    # |s A(s v)| < 2^-e sqrt(2) dim stay finite for any finite section, however small its
+    # entries.  A NaN makes both reductions NaN, so the test below does not depend on the
+    # argument order of a max
     parts = mat.view(float)
     hi, lo = float(parts.max(initial=0.0)), float(parts.min(initial=0.0))
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise OverflowGuardError("section entries are not finite")
+    dim, top_exp = mat.shape[1], sys.float_info.max_exp
     e = math.frexp(max(hi, -lo))[1]
-    mat = np.ldexp(parts, -e).view(complex)
+    e = 0 if 0 <= e < top_exp // 8 - dim.bit_length() else max(e, dim.bit_length() + 1 - top_exp)
+    s = math.ldexp(1.0, -e)
+    x, u = np.empty(dim, complex), np.empty(mat.shape[0], complex)
+    xf, uf = x.view(float), u.view(float)
+
+    def h(v, out):
+        if e:
+            np.multiply(v.view(float), s, xf)
+            np.matmul(mat, x, u)
+            np.multiply(uf, s, uf)
+        else:
+            np.matmul(mat, v, u)
+        np.matmul(np.conjugate(u, u), mat, out)
+        return np.conjugate(out, out)
+
     rng = np.random.default_rng(DEFAULT_SEED)
-    dim = mat.shape[1]
+    basis = np.empty((1, dim), complex)
     runs = []
     for _ in range(2):
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         q /= np.linalg.norm(q)
-        theta, residual, steps, certificate = _lanczos(lambda v: ((mat @ v).conj() @ mat).conj(), q)
+        theta, residual, steps, certificate, basis = _lanczos(h, q, basis)
         runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
     top, residual, _, certificate = max(runs)
     gap = abs(runs[0][0] - runs[1][0]) / top if top > 0.0 else 0.0
@@ -312,11 +354,20 @@ def operator_norm_estimate(T: OperatorMatrix) -> float:
     certificate, reached on sections whose top singular values form a flat
     cluster); sections with a separated top converge far tighter.  The Krylov
     dimension per start is at most the section's size.  The iteration runs on
-    the section scaled by the power of two that brings its largest real or
-    imaginary part into [1/2, 1), so A v and A*(A v) stay in range for every
-    section build_matrix admits; non-finite entries or a norm past the float range
-    raise OverflowGuardError.  The steps, certificate and residual behind
-    the value are in _largest_singular_value's NormEstimate.
+    s^2 A*A, s the power of two that brings the section's largest real or
+    imaginary part into [1/2, 1): it multiplies the Krylov vector by s before
+    A v and A v by s before A*, so the section is never copied and the
+    products are the scaled section's, bit for bit, for every section
+    build_matrix admits, and finite for any finite section.  Where A*A
+    itself stays far inside the float range (entries from 1/2 up to about
+    2^(128 - log2 of the size)) the steps are the same on it, bit for bit,
+    and s = 1 spares the two multiplications.  Non-finite entries or a norm
+    past the float range raise OverflowGuardError.  The memory beyond the
+    section is the shared basis (a power of two of rows at least the steps
+    taken, and half that again while it grows) and a few vectors: under a
+    quarter of the section's bytes for (1/2, 0.3 + 0.4i) at N = 256 to 1024.
+    The steps, certificate and residual behind the value are in
+    _largest_singular_value's NormEstimate.
     """
     return _largest_singular_value(np.asarray(T.entries)).value
 

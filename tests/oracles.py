@@ -224,24 +224,27 @@ def dense_gram_norm(entries):
     h = 0.5 * (h + h.conj().T)
     rng = np.random.default_rng(DEFAULT_SEED)
     dim = h.shape[0]
+    basis = np.empty((1, dim), dtype=np.complex128)
     runs = []
     for _ in range(2):
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         q /= np.linalg.norm(q)
-        theta, residual, steps, certificate = _lanczos(lambda v: h @ v, q)
+        theta, residual, steps, certificate, basis = _lanczos(lambda v, out: np.matmul(h, v, out=out), q, basis)
         runs.append((math.sqrt(max(theta, 0.0)), residual, steps, certificate))
     top, residual, _, certificate = max(runs)
     return math.ldexp(top, e), (runs[0][2], runs[1][2]), certificate, residual
 
 
-def dense_ritz_lanczos(h, q):
+def dense_ritz_lanczos(h, q, shared):
     """spectral._lanczos with a dense eigh of the whole tridiagonal at every step.
 
     The reference for the O(k) top-Ritz solve (spectral._top_ritz): the
     same recurrence, reorthogonalization and certificates at spectral._TOL,
     but theta_k and s_k read off np.linalg.eigh of the (k+1) x (k+1)
-    tridiagonal, kept in an O(dim^2) array.  Returns (theta, residual,
-    steps, certificate).
+    tridiagonal, kept in an O(dim^2) array, and a (dim x dim) basis of its
+    own.  h(v, out) writes into out, as _lanczos's does.  Returns (theta,
+    residual, steps, certificate, shared), shared the caller's basis,
+    untouched.
     """
     from pwlab import spectral
 
@@ -253,10 +256,10 @@ def dense_ritz_lanczos(h, q):
 
     def explicit(k, s, theta):
         y = s @ basis[: k + 1]
-        return float(np.linalg.norm(h(y) - theta * y)) / max(theta, 1e-300)
+        return float(np.linalg.norm(h(y, np.empty(dim, dtype=np.complex128)) - theta * y)) / max(theta, 1e-300)
 
     for k in range(dim):
-        w = h(basis[k])
+        w = h(basis[k], np.empty(dim, dtype=np.complex128))
         tri[k, k] = float(np.vdot(basis[k], w).real)
         # the three-term recurrence, then one more Gram-Schmidt pass against the basis
         w -= tri[k, k] * basis[k]
@@ -267,11 +270,11 @@ def dense_ritz_lanczos(h, q):
         vals, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
         theta, s = float(vals[-1]), vecs[:, -1]
         if beta == 0.0 or k + 1 == dim:
-            return theta, explicit(k, s, theta), k + 1, "invariant"
+            return theta, explicit(k, s, theta), k + 1, "invariant", shared
         if k >= 2 and beta * abs(s[-1]) <= res_tol * max(abs(theta), 1e-300):
             residual = explicit(k, s, theta)
             if residual <= res_tol:
-                return theta, residual, k + 1, "residual"
+                return theta, residual, k + 1, "residual", shared
         basis[k + 1] = w / beta
         tri[k + 1, k] = tri[k, k + 1] = beta
 

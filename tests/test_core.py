@@ -838,8 +838,8 @@ class TestOperatorTables:
         # byte limit; all four give the same bytes.  d = 0j and d = -0j key apart.  The wide orbit's
         # table, 20 x 8193 sinc entries in one block, is past the limit itself; under blocks of 8 rows
         # the orbit tables of f hold two blocks or more (the wide one twenty), are built as they are
-        # read and are never kept.  A table that is not kept loses its mark to its second call and
-        # leaves a new one at its third
+        # read and are never kept.  A table that is not kept leaves its key marked as never kept at
+        # its second call, and the third call finds the cache as the second left it
         rng = np.random.default_rng(SEED + 95)
         f, wide = pwlab.rough_probe(1.0, 24, rng), pwlab.rough_probe(1.0, 2048, rng)
         if block_rows:
@@ -860,10 +860,12 @@ class TestOperatorTables:
         cold = [call().tobytes() for call in calls]
         assert len(tables) == len(calls) and all(table is pwlab.core._SEEN for table, _ in tables.values())
         assert [call().tobytes() for call in calls] == cold
-        assert len(tables) == len(calls) - never and not any(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert len(tables) == len(calls) and not any(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert sum(table is pwlab.core._NEVER for table, _ in tables.values()) == never
         assert tables.held == sum(size for _, size in tables.values()) <= pwlab.core._TABLE_BYTES
+        warm = dict(tables)
         assert [call().tobytes() for call in calls] == cold
-        assert len(tables) == len(calls) and sum(table is pwlab.core._SEEN for table, _ in tables.values()) == never
+        assert dict(tables) == warm
         monkeypatch.setattr(pwlab.core, "_TABLE_BYTES", 0)
         monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
         assert [call().tobytes() for call in calls] == cold
@@ -900,13 +902,41 @@ class TestOperatorTables:
         assert P._lags is None and P._at_alpha is None
         for _ in range(3):
             assert [call().tobytes() for call in calls] == cold and shadow()[1] == divergence
-            assert all(table is pwlab.core._SEEN for table, _ in tables.values())
+            assert all(table is pwlab.core._NEVER for table, _ in tables.values())
         monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", default)
         for call in calls + calls:
             call()
         kept = [table for key, (table, _) in tables.items() if key[-1] == default]
         assert len(kept) == len(calls) and pwlab.core._SEEN not in kept
         assert shadow()[0]._lags is not None
+
+    def test_a_key_that_is_not_kept_stays_marked(self, monkeypatch):
+        # six calls of an orbit and a coset apply whose tables hold more than one block (under blocks
+        # of 100 entries), and of a grid whose twiddle table passes the byte limit: the key is seen,
+        # then marked as never kept, and stays so; _table counts each table once, at its second call.
+        # The grid's first call computes its 49-entry slice alone, its second the whole table that
+        # _freeze refuses, and the rest their slices alone again
+        rng = np.random.default_rng(SEED + 97)
+        f = pwlab.rough_probe(1.0, 24, rng)
+        m = (1 << 17) - 1
+        calls = {"orbit": lambda: pwlab.orbit_norms(AffineSymbol(0.5, 0.3 + 0.2j), 1.0, f, 12),
+                 "coset": lambda: pwlab.compose_apply(AffineSymbol(0.25, 1j), f, 40),
+                 "twiddle": lambda: pwlab.fourier._twiddle(m, 24).base.size}
+        counted, freeze = [], pwlab.core._freeze
+        monkeypatch.setattr(pwlab.core, "_freeze", lambda table: counted.append(table[0][0]) or freeze(table))
+        monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", 100)
+        tables = pwlab.core._Tables()
+        monkeypatch.setattr(pwlab.core, "_TABLES", tables)
+        for kind, call in calls.items():
+            marks, built = [], []
+            for _ in range(6):
+                built.append(call())
+                (key,) = [key for key in tables if key[0] == kind]
+                marks.append(tables[key][0])
+            assert marks == [pwlab.core._SEEN] + 5 * [pwlab.core._NEVER], kind
+            if kind == "twiddle":
+                assert built == [49, 2 * (m // 2) + 1, 49, 49, 49, 49]
+        assert counted == list(calls) and tables.held == len(calls) * pwlab.core._SEEN_BYTES
 
     def test_least_recently_used_table_goes_first(self, monkeypatch):
         # under a limit of two orbit tables, a fetch keeps its table and the other one goes

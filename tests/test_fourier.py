@@ -551,28 +551,32 @@ class TestFourierTables:
         assert not core._TABLES
 
     def test_twiddles_are_one_table_per_grid(self, monkeypatch):
-        # a grid's calls each compute the whole table over |n| <= M // 2 until its second keeps it
-        # (the first leaves a mark), and later calls slice the kept one; a grid of 2^17 points or
-        # more, whose table is past the byte limit, goes past the cache and computes the slice it
-        # reads at every call.  Its applies' weights, 2 MiB or more, are marked and never kept
+        # a grid's first call computes the slice it reads alone and leaves a mark; its second computes
+        # the whole table over |n| <= M // 2 and keeps it, and later calls slice the kept one.  A grid
+        # of 2^17 points or more, whose table _freeze counts past the byte limit, computes the whole
+        # table at its second call alone, is marked as never kept and computes the slice it reads at
+        # every other call.  Its applies' weights, 2 MiB or more, are marked and never kept
         tables = core._Tables()
         monkeypatch.setattr(core, "_TABLES", tables)
         f = pwlab.rough_probe(1.0, 24, np.random.default_rng(SEED + 50))
         for m in (4096, 4097):
             key = ("twiddle", m, core._BLOCK_ENTRIES)
             first = fourier._twiddle(m, 24)
-            assert first.base.size == 2 * (m // 2) + 1 and tables[key][0] is core._SEEN
+            assert first.base.size == 49 and tables[key][0] is core._SEEN
             second = fourier._twiddle(m, 24)
+            assert second.base.size == 2 * (m // 2) + 1
             assert tables[key][0] is second.base is fourier._twiddle(m, 24).base
             assert first.tobytes() == second.tobytes()
             assert fourier._twiddle(m, m // 4).tobytes() == fourier._twiddle(m, m // 2)[m // 4 : -(m // 4)].tobytes()
         held = dict(tables)
         for m in (1 << 17, (1 << 17) + 1):
+            sizes = [fourier._twiddle(m, 24).base.size for _ in range(3)]
+            assert sizes == [49, 2 * (m // 2) + 1, 49]
+            assert tables[("twiddle", m, core._BLOCK_ENTRIES)][0] is core._NEVER
             for _ in range(3):
-                assert fourier._twiddle(m, 24).base.size == 49
                 F = pwlab.to_l2(f, m)
                 pwlab.from_l2(F, 24)
                 pwlab.weighted_compose_apply(AffineSymbol(-1.0, 1j), F)
                 pwlab.weighted_compose_adjoint(AffineSymbol(1.0, 1j), F)
         assert {key: tables[key] for key in held} == held
-        assert all(key[0] == "apply" and table is core._SEEN for key, (table, _) in tables.items() if key not in held)
+        assert all(table is core._NEVER for key, (table, _) in tables.items() if key not in held)

@@ -442,6 +442,16 @@ class TestInputChecks:
         with pytest.raises(OverflowGuardError, match="node spacing"):
             pwlab.grid(math.nextafter(a, 0.0), 4)
 
+    def test_norm_of_subnormal_samples(self):
+        # the rescaled sum used to divide by the largest part, 2e-320, whose complex reciprocal
+        # overflows: the norm read NaN, and the Fourier image's raised "norm inf".  Both now sum on
+        # the samples times 2^1062, exactly, and land within the subnormal rounding 2^-1074 of
+        # sqrt(pi/a) ||v||
+        f = pwlab.PwFunction(1.0, [1e-320, 2e-320, 0])
+        expected = math.sqrt(math.pi) * math.hypot(math.ldexp(1e-320, 1074), math.ldexp(2e-320, 1074))
+        for norm in (f.norm(), pwlab.to_l2(f, 16).norm()):
+            assert math.isfinite(norm) and abs(math.ldexp(norm, 1074) - expected) <= 1.0
+
     def test_fourier_squares_outside_the_normal_range(self):
         # samples of 1e200 used to square |F| past the float range (OrbitTrace's plain ValueError, an
         # envelope of inf) and of 1e-200 to underflow it to exact zeros; both now scale the unit

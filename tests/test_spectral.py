@@ -1,7 +1,9 @@
 """Finite sections, norm estimates, spectra, and operator-theoretic witnesses."""
 
+import dataclasses
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -221,6 +223,27 @@ class TestSections:
             pwlab.build_matrix(AffineSymbol(0.5, 0.0), 1.0, 2**20)
 
 
+def norm_peak_share(half_width):
+    """Peak bytes operator_norm_estimate traces beyond the (0.5, 0.3 + 0.4i) section at half_width, a = 1, as a
+    share of the section's own bytes; a norm of the 3 x 3 section runs first, so that the modules numpy imports
+    on first use do not count."""
+    phi = AffineSymbol(0.5, 0.3 + 0.4j)
+    pwlab.operator_norm_estimate(pwlab.build_matrix(phi, 1.0, 1))
+    T = pwlab.build_matrix(phi, 1.0, half_width)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pwlab.operator_norm_estimate(T)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak / T.entries.nbytes
+
+
 class TestNormEstimate:
     def test_against_lapack_on_sections(self):
         for phi, a in [
@@ -247,6 +270,41 @@ class TestNormEstimate:
             for k in (-600, 400):
                 tiny_or_huge = OperatorMatrix(entries * 2.0**k)
                 assert pwlab.operator_norm_estimate(tiny_or_huge) == est * 2.0**k
+
+    def test_power_of_two_scaling_passes_through_every_field(self):
+        # the iteration scales its Krylov vectors, not the section, by the power of two read from
+        # the entries, or runs on A*A itself where that stays far inside the range, so 2^k A takes
+        # the same steps to the same certificate, residual and start gap as A, with a value 2^k
+        # times A's, bit for bit, whichever of the two forms each side takes; the sections reach
+        # entries near e^250 2^300
+        sections = [pwlab.build_matrix(AffineSymbol(c, d), 1.0, n).entries
+                    for c, d in ((0.5, 0.3 + 0.4j), (-0.5, 1.0 + 1j), (0.25, 0.0), (1.0, 0.3 + 250j))
+                    for n in (2, 32)]
+        rng = np.random.default_rng(SEED + 1)
+        sections.append(rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17)))
+        for entries in sections:
+            record = _largest_singular_value(entries)
+            for k in (-40, 0, 40, 300):
+                scaled = _largest_singular_value(np.ldexp(entries.view(float), k).view(complex))
+                assert scaled == dataclasses.replace(record, value=math.ldexp(record.value, k)), k
+
+    def test_entries_at_the_ends_of_the_float_range(self):
+        # all-equal 3 x 3 matrices, norm 3 x: near the top of the range the value is exact (1e308,
+        # whose norm passes the range, is in test_guards' table); subnormal entries, whose scale
+        # 2^-e is past the float range, still give a finite value within subnormal rounding
+        for x in (1e300, 1e307):
+            assert pwlab.operator_norm_estimate(OperatorMatrix(np.full((3, 3), x))) == 3.0 * x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in (1e-310, 5e-324):
+                value = pwlab.operator_norm_estimate(OperatorMatrix(np.full((3, 3), x)))
+                assert abs(math.ldexp(value, 1074) - 3.0 * math.ldexp(x, 1074)) <= 1.0
+
+    def test_norm_allocates_nothing_section_sized(self):
+        # no scaled copy of the section, and one basis for both starts grown by doubling rows: at
+        # N = 256 (58 steps a start, so 64 rows of 513) the norm traces at most a quarter of the
+        # section's bytes beyond it, where a copy and a square basis a start traced twice them
+        assert norm_peak_share(256) <= 0.25
 
     def test_nonfinite_section_raises(self):
         # +inf in a real part, NaN in a real or an imaginary part alone, -inf in
