@@ -38,9 +38,11 @@ Each sinc kernel has an operator half and a probe half.  The operator half
 is what the targets and the window alone decide: _cardinal_table's guards,
 nearest nodes, signed reciprocals and sines, and _coset_sum's route, gathers
 and coset kernels.  The probe half contracts it with the samples.  The orbit
-traces (key: the symbol, a, the horizon and N) and compose_apply (key: the
-symbol, a, N and the target window) fetch their operator halves from one
-cache, _table, keyed on the bits of c, d and a, so 0.0 and -0.0 stay apart.
+traces (key: c, Im d, a, the horizon and N), compose_apply (key: the symbol,
+a, N and the target window) and the pseudotrajectories (key: the symbol, a,
+the horizon, N and the seed's nonzero nodes) fetch their operator halves from
+one cache, _table.  A key holds what its table reads and no more: the bits of
+the floats (so 0.0 and -0.0 stay apart) and the counts.
 Every table takes one form, chosen from its size alone: one that fits a
 block (_BLOCK_ENTRIES entries) is built whole at once, a larger one block by
 block as it is read.  A key's first call builds for itself and leaves a
@@ -52,6 +54,8 @@ hold at most _TABLE_BYTES in all, the least recently used going first.  A
 kept table gives the bits of a freshly built one, and nothing in it depends
 on the samples.  The Fourier transport (fourier) keeps its twiddles and
 weights in the same cache, under keys of its own and in arrays of its own.
+_Tables counts its traffic: keys seen a first and a second time, hits, keys
+marked as never kept and evictions.
 """
 
 from __future__ import annotations
@@ -112,6 +116,9 @@ class _Tables(collections.OrderedDict):
     """The one cache of operator tables (_table): key -> (table, its bytes), least recently used first."""
 
     held = 0  # the bytes of all the tables
+    # its traffic (_table): keys seen a first and a second time, calls that fetch a kept table, keys marked as
+    # never kept, and entries (tables or marks) that went to make room
+    first = second = hits = never = evicted = 0
 
     def keep(self, key, table, size: int) -> None:
         """Hold table at key in place of what it held, the least recently used going first, so that held stays
@@ -122,6 +129,7 @@ class _Tables(collections.OrderedDict):
         if size <= _TABLE_BYTES:
             while self.held + size > _TABLE_BYTES:
                 self.held -= self.popitem(last=False)[1][1]
+                self.evicted += 1
             self[key] = table, size
             self.held += size
 
@@ -278,15 +286,19 @@ def _table(key, build, once=None):
     entry = tables.get(key)
     if entry is None or entry[0] is _NEVER:
         table = (once or build)()
+        tables.first += entry is None
         tables.keep(key, _SEEN if entry is None else _NEVER, _SEEN_BYTES)
     elif entry[0] is _SEEN:
         table = build()
         size = _freeze((key, table))
+        tables.second += 1
         if size <= _TABLE_BYTES:
             tables.keep(key, table, size)
         else:
+            tables.never += 1
             tables.keep(key, _NEVER, _SEEN_BYTES)
     else:
+        tables.hits += 1
         tables.move_to_end(key)
         table = entry[0]
     return table
@@ -511,9 +523,21 @@ def pw_eval(f: PwFunction, z):
 
     f(z) = sum_k v_k sinc(a (z - x_k)), guarded and summed by _cardinal.  Node
     hits return the stored samples exactly; the rest rounds to O(eps * sum_k
-    |v_k| * e^(a |Im z|)).
+    |v_k| * e^(a |Im z|)).  A sum that is not finite is formed again on v / 2^i,
+    i the binary exponent of the samples' largest real or imaginary part, and
+    scaled back by 2^i, exactly (_in_range's rule), or OverflowGuardError where
+    a value passes the float range.
     """
-    out = _cardinal(f.a, np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel(), f.samples)
+    a, v, points = f.a, f.samples, np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _cardinal(a, points, v)
+    if not np.isfinite(out).all():
+        i = math.frexp(float(np.abs(v.view(float)).max()))[1]
+        out = _cardinal(a, points, np.ldexp(v.view(float), -i).view(complex)).view(float)
+        top = float(np.abs(out).max())
+        if not math.isfinite(top) or top and math.frexp(top)[1] + i > sys.float_info.max_exp:
+            raise OverflowGuardError(f"cardinal series value {top!r} x 2^{i} passes the float range")
+        out = np.ldexp(out, i).view(complex)
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -793,10 +817,25 @@ def _coset_table(phi, a, n, n_out):
 
 
 def _coset_kernels(r, j, mu, delta, sine, odd):
-    """(r, the kernel rows K_r(j) of the cosets r): one block of _coset_table."""
-    ker = np.reciprocal(np.pi * (j + mu[r, None]) + delta[r, None])
+    """(r, the kernel rows K_r(j) of the cosets r): one block of _coset_table.
+
+    The reciprocal passes the float range at j = -mu_r alone, where |delta_r| <
+    1/DBL_MAX (a subnormal delta_r): K_r(-mu_r) = sinc(delta_r) rounds to 1
+    there, and every other entry keeps its bits.
+    """
+    den = np.pi * (j + mu[r, None]) + delta[r, None]
+    over = None
+    if np.abs(delta[r]).min() < sys.float_info.min:
+        with np.errstate(over="ignore"):
+            ker = np.reciprocal(den)
+        over = np.isinf(ker)
+        ker[over] = 0.0
+    else:
+        ker = np.reciprocal(den)
     ker[:, odd::2] *= -1.0
     ker *= sine[r, None]
+    if over is not None:
+        ker[over] = 1.0
     return r, ker
 
 

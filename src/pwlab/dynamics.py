@@ -12,6 +12,7 @@ on (c, Im d); the orbit machinery certifies each entry numerically.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -113,12 +114,20 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
     Everything but the samples' autocorrelation and its contraction is the
     operator half (_orbit_table): the table of (c^n, d_n) with its guards, the
     factors pi/(a |c^n|) and _pairings' table at the points, fetched by
-    core._table under the key (phi, a, n_max, N), so that from a key's second
-    call on the traces of one operator over many probes share it.
+    core._table under the key (the bits of c, Im d and a, n_max, N): the half
+    reads d through Im d_n alone, so that from a key's second call on the
+    traces of one slope and one Im d, whatever the real part of d, share it.
+    Re d only decides whether some d_n passes the float range, which a build
+    refuses (core._iterate_table); every call checks that on the half's largest
+    factor of Re d in O(1), and where it fails builds the guarded table, which
+    raises as a build does.
     """
     _same_bandwidth(f.a, a)
     n_max, n = _count(n_max, "orbit horizon"), f.half_width
-    c, y, factor, shift, table = _table(("orbit", _bits(phi, f.a), n_max, n), lambda: _orbit_table(phi, a, n_max, n))
+    key = ("orbit", struct.pack("3d", phi.c, phi.d.imag, f.a), n_max, n)
+    c, y, factor, shift, table, reach, span = _table(key, lambda: _orbit_table(phi, a, n_max, n))
+    if not math.isfinite(phi.d.real * reach / span):
+        _orbit_parts(phi, a, n_max)  # raises _iterate_table's AdmissibilityError, in a build's order
     squares = factor * _pairings(a, f.samples, f.samples, 1.0, shift, table).real
     _guard_square(squares, a, c, y, f.samples)
     norms = np.concatenate(([f.norm()], np.sqrt(squares)))
@@ -128,10 +137,23 @@ def orbit_norms(phi: AffineSymbol, a: float, f: PwFunction, n_max: int) -> Orbit
 
 def _orbit_table(phi: AffineSymbol, a: float, n_max: int, n: int) -> tuple:
     """orbit_norms' operator half for a window |k| <= n: (|c^n|, Im d_n, pi/(a |c^n|), 2i Im d_n, _pairings' table)
-    for n = 1..n_max, the table at the autocorrelation's 4n + 1 samples (core._toeplitz_table)."""
+    for n = 1..n_max, the table at the autocorrelation's 4n + 1 samples (core._toeplitz_table), then (reach, span).
+
+    Nothing in it reads Re d but the sign of an Im d_n that is 0, which no
+    trace of a nonzero f reads.  Re d_n is Re d (1 - c^n) / (1 - c) in
+    _iterate_table's rounding (complex products and quotients by a real round
+    the real part alone), or n Re d at c = 1, so every Re d_n is finite iff Re d
+    reach / span is: reach is the largest 1 - c^n (n_max at c = 1), span is 1 - c
+    (1 at c = 1), and rounding is monotone.  The largest 1 - c^n is at the least
+    c^n, which for c < 0 is c itself.
+    """
     c, y = _orbit_parts(phi, a, n_max)
     shift = 2j * y[1:]
-    return c[1:], y[1:], math.pi / (a * c[1:]), shift, (None, _toeplitz_table(a, shift, 2 * n))
+    if phi.c == 1.0:
+        reach, span = float(n_max), 1.0
+    else:
+        reach, span = 1.0 - (phi.c if phi.c < 0.0 < n_max else float(c.min())), 1.0 - phi.c
+    return c[1:], y[1:], math.pi / (a * c[1:]), shift, (None, _toeplitz_table(a, shift, 2 * n)), reach, span
 
 
 def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTrace:
@@ -369,7 +391,8 @@ def cesaro_lower_envelope(phi: AffineSymbol, f: PwFunction, n_max: int) -> np.nd
     n envelope_n is _favourable_tails' bound on ||C_phi^n f|| <= n A_n, at the
     cell edge tau whose bound is largest at n_max; real d has m = ||f||, and m
     scales with f.  _orbit_parts' table passes the squared orbit norms' guard,
-    so the envelope admits the horizons cesaro_averages admits.
+    so the envelope admits the horizons cesaro_averages admits; an envelope
+    past the float range (m near it) raises OverflowGuardError at its first n.
     """
     n_max = _count(n_max, "orbit horizon", least=1)
     _guard_size(n_max + 1, "orbit horizon", _ORBIT_ROW_BYTES)  # _orbit_parts' table, before its range guard
@@ -382,7 +405,12 @@ def cesaro_lower_envelope(phi: AffineSymbol, f: PwFunction, n_max: int) -> np.nd
         k = int(np.argmax(tails * np.exp(abs(y[-1]) * (edges - f.a))))  # the largest bound at n_max
         m, tau = float(tails[k]), float(edges[k])
     n = np.arange(1, n_max + 1)
-    return m * np.exp(np.abs(y[1:]) * tau) / np.sqrt(c[1:]) / n
+    with np.errstate(over="ignore"):  # the guard bounds the exponential and 1/sqrt|c^n|: only m can carry it past
+        envelope = m * np.exp(np.abs(y[1:]) * tau) / np.sqrt(c[1:]) / n
+    lost = np.flatnonzero(~np.isfinite(envelope))
+    if lost.size:
+        raise OverflowGuardError(f"Cesaro envelope at n = {int(lost[0]) + 1} passes the float range (m = {m!r})")
+    return envelope
 
 
 def _lower_pairings(phi: AffineSymbol, g: PwFunction, f: PwFunction, n: int) -> np.ndarray:
@@ -461,13 +489,14 @@ class Pseudotrajectory:
     The gram is read-only, like the seed's samples, so the pseudotrajectory
     cannot change once built.
 
-    Beside them it keeps, read-only, the two operator halves the gram and
+    Beside them it holds, read-only, the two operator halves the gram and
     f(alpha) were contracted from, for shadowing_divergence to contract a
     candidate on the seed's window with: the lag table of n_max + 1 lags
-    (_lag_table) and _cardinal_table at alpha alone.  They are kept where
-    n_max >= 1 and core._freeze counts them within core._TABLE_BYTES
-    together, core._table's rule, so a lag table built block by block is
-    never kept; they are None otherwise.
+    (_lag_table) and _cardinal_table at alpha alone.  It holds them where
+    n_max >= 1 and they fit within core._TABLE_BYTES, core._table's rule: a
+    pair core._table keeps has passed that count, and a pair built for the
+    build is held where core._freeze counts it within the limit, so a lag
+    table built block by block is never held.  They are None otherwise.
     """
 
     phi: AffineSymbol
@@ -499,14 +528,19 @@ def build_pseudotrajectory(
     the orbit's squares ||C_phi^n f||^2, n = 1..n_max+1, which pass the range
     guard of orbit_norms (_orbit_parts) before any pairing and its
     _guard_square after; step_norm = ||C_phi f|| is the root of gram[0, 0].
-    One table (c^n, d_n), n = 0..n_max+1, feeds the guard and the lag table,
-    and f(alpha) is read from its own one-target table; both operator halves
-    are kept as Pseudotrajectory states.
+    The operator halves (the one-target table at alpha, the guarded |c^n| and
+    Im d_n and the lag table, from one table (c^n, d_n), n = 0..n_max+1) read
+    the seed's samples only through their nonzero nodes, so core._table keeps
+    them under the key (the bits of c, d and a, n_max, N and the seed's nonzero
+    nodes): from a key's second build on, a build of one symbol and one seed
+    pattern contracts the kept halves and builds nothing, and it raises where a
+    build does, in its order: the guard at alpha, then a seed that vanishes
+    there, then the orbit guard.  Pseudotrajectory states which halves it holds.
     The gram's (n_max + 1)^2 entries pass the memory budget at 80 bytes each:
     they peak at 71 where the lag table has a row per n (complex d, |c| near 1).
-    The kept halves hold at most core._TABLE_BYTES = 2 MiB beside them, within
-    _WORKSPACE.  They are built in the same form whether kept or not (one
-    block whole, more block by block), so keeping them adds to what a
+    The held halves hold at most core._TABLE_BYTES = 2 MiB beside them, within
+    _WORKSPACE.  They are built in the same form whether held or not (one
+    block whole, more block by block), so holding them adds to what a
     pseudotrajectory holds and not to the build's peak.
     _pairings guards its points, which grow with the seed's nonzero samples.
     """
@@ -518,17 +552,25 @@ def build_pseudotrajectory(
     n_max = _count(n_max, "pseudotrajectory horizon")
     _guard_size((n_max + 1) ** 2, "pseudotrajectory gram entries", 80)
     alpha = phi.fixed_point()
-    at_alpha = _cardinal_table(a, np.array([alpha]), f.half_width)
-    f_alpha = _value_off_zero(f, alpha, at_alpha, "seed vanishes at fixed point")
-    iterates = _iterate_table(phi.c, phi.d, range(n_max + 2))
-    c, y = _orbit_parts(phi, a, n_max + 1, iterates)
-    lags = _lag_table(a, iterates, f.samples, n_max + 1, f.half_width)
+    built = []  # f(alpha), where this call builds the halves
+
+    def halves():
+        at_alpha = _cardinal_table(a, np.array([alpha]), f.half_width)
+        built.append(_value_off_zero(f, alpha, at_alpha, "seed vanishes at fixed point"))
+        iterates = _iterate_table(phi.c, phi.d, range(n_max + 2))
+        c, y = _orbit_parts(phi, a, n_max + 1, iterates)
+        return at_alpha, c[1:], y[1:], _lag_table(a, iterates, f.samples, n_max + 1, f.half_width)
+
+    key = ("pseudotrajectory", _bits(phi, a), n_max, f.half_width, np.packbits(f.samples != 0).tobytes())
+    table = _table(key, halves)
+    at_alpha, c, y, lags = table
+    f_alpha = built[0] if built else _value_off_zero(f, alpha, at_alpha, "seed vanishes at fixed point")
     # a horizon 0 leaves no divergence to contract the halves for (n_max >= 1 there)
-    kept = n_max >= 1 and _freeze((lags, at_alpha)) <= _TABLE_BYTES
+    held = n_max >= 1 and (not built or _freeze((lags, at_alpha)) <= _TABLE_BYTES)
     low = _lag_pairings(phi.c, a, lags, f.samples, f.samples, n_max + 1)
     gram = np.where(np.tri(n_max + 1, k=-1, dtype=bool), low, low.conj().T)
     gram.setflags(write=False)
-    _guard_square(gram.diagonal().real, a, c[1:], y[1:], f.samples)
+    _guard_square(gram.diagonal().real, a, c, y, f.samples)
     step_norm = math.sqrt(gram[0, 0].real)
     coefficient = delta / step_norm
     return Pseudotrajectory(
@@ -541,8 +583,8 @@ def build_pseudotrajectory(
         coefficient=coefficient,
         gram=gram,
         seed_at_fixed_point=f_alpha,
-        _lags=lags if kept else None,
-        _at_alpha=at_alpha if kept else None,
+        _lags=lags if held else None,
+        _at_alpha=at_alpha if held else None,
     )
 
 
@@ -562,9 +604,11 @@ def shadowing_divergence(
     table of f against g (_lower_pairings), rounding to O(eps *
     |c|^{-j} * pi/a * sum|v| * sum|w| * e^(a |Im s|)) with v, w the samples
     of f and g.  f(alpha) is the pseudotrajectory's own.  A g on the seed's
-    window is contracted with the halves P keeps, where it keeps them: the
+    window is contracted with the halves P holds, where it holds them: the
     lag table's first n_max lags and the table at alpha for g(alpha), which
     the build has guarded.  Any other g builds both halves for this call.
+    g's orbit trace is orbit_norms', whose table keys on Im d alone, so the
+    pseudotrajectories of one slope and one Im d share it.
     """
     _same_bandwidth(g.a, P.a)
     n_max = _count(P.n_max if n_max is None else n_max, "divergence horizon", least=1)

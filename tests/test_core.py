@@ -1,6 +1,7 @@
 """Sampling-model core: symbols, kernels, evaluation, products, composition."""
 
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -835,11 +836,15 @@ class TestOperatorTables:
     def test_cold_warm_and_per_call_tables_agree(self, monkeypatch, block_rows):
         # every call runs on an empty cache (cold: a table for the call alone and a mark of its key),
         # again (the table is kept where it fits), a third time (warm) and with every table past the
-        # byte limit; all four give the same bytes.  d = 0j and d = -0j key apart.  The wide orbit's
+        # byte limit; all four give the same bytes.  d = 0j and d = -0j key apart.  The orbit traces
+        # (and so the Cesaro means) key on Im d, not d: d = 0.3 shares d = 0j's two keys (Im d = +0.0),
+        # so its cold calls are those keys' second sightings and keep their tables.  The wide orbit's
         # table, 20 x 8193 sinc entries in one block, is past the limit itself; under blocks of 8 rows
         # the orbit tables of f hold two blocks or more (the wide one twenty), are built as they are
         # read and are never kept.  A table that is not kept leaves its key marked as never kept at
-        # its second call, and the third call finds the cache as the second left it
+        # its second call, and the third call finds the cache as the second left it.  The cache's
+        # counters add up: each key is seen once and twice, and every other call on a key it keeps
+        # is a hit
         rng = np.random.default_rng(SEED + 95)
         f, wide = pwlab.rough_probe(1.0, 24, rng), pwlab.rough_probe(1.0, 2048, rng)
         if block_rows:
@@ -854,18 +859,32 @@ class TestOperatorTables:
                     lambda phi=phi: pwlab.compose_apply(phi, f, grow=True).samples,
                     lambda phi=phi: pwlab.compose_apply(phi, f, 40).samples,
                 ]
-        never = 1 + (2 * 25 if block_rows else 0)  # the wide orbit, and under blocks of 8 rows every orbit of f
+        shared = 2 * 5  # the orbit and Cesaro calls at d = 0.3, one pair a slope
+        keys = len(calls) - shared
+        orbits = 2 * 4 * 5  # the orbit and Cesaro keys of f: four Im d a slope
+        never = 1 + (orbits if block_rows else 0)  # the wide orbit, and under blocks of 8 rows every orbit of f
         tables = pwlab.core._Tables()
         monkeypatch.setattr(pwlab.core, "_TABLES", tables)
         cold = [call().tobytes() for call in calls]
-        assert len(tables) == len(calls) and all(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert len(tables) == keys and sum(table is pwlab.core._SEEN for table, _ in tables.values()) == keys - shared
+        held = [table for table, _ in tables.values() if table is not pwlab.core._SEEN]
+        assert len(held) == shared
+        assert all(table is pwlab.core._NEVER for table in held) if block_rows else pwlab.core._NEVER not in held
+        assert (tables.first, tables.second, tables.hits) == (keys, shared, 0)
+        assert tables.never == (shared if block_rows else 0) and tables.evicted == 0
         assert [call().tobytes() for call in calls] == cold
-        assert len(tables) == len(calls) and not any(table is pwlab.core._SEEN for table, _ in tables.values())
-        assert sum(table is pwlab.core._NEVER for table, _ in tables.values()) == never
+        assert len(tables) == keys and not any(table is pwlab.core._SEEN for table, _ in tables.values())
+        assert sum(table is pwlab.core._NEVER for table, _ in tables.values()) == never == tables.never
         assert tables.held == sum(size for _, size in tables.values()) <= pwlab.core._TABLE_BYTES
+        # the second pass: each key kept at the first is hit twice (its d = 0j and d = 0.3 calls)
+        assert (tables.first, tables.second) == (keys, keys) and tables.evicted == 0
+        assert tables.hits == (0 if block_rows else 2 * shared)
         warm = dict(tables)
         assert [call().tobytes() for call in calls] == cold
         assert dict(tables) == warm
+        # the third pass hits every kept key at each of its calls
+        assert (tables.first, tables.second, tables.never) == (keys, keys, never) and tables.evicted == 0
+        assert tables.hits == (0 if block_rows else 2 * shared) + len(calls) - never - (shared if block_rows else 0)
         monkeypatch.setattr(pwlab.core, "_TABLE_BYTES", 0)
         monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
         assert [call().tobytes() for call in calls] == cold
@@ -950,8 +969,10 @@ class TestOperatorTables:
         monkeypatch.setattr(pwlab.core, "_TABLE_BYTES", 2 * size)
         for phi in (phis[1], phis[1], phis[0], phis[2], phis[2]):
             pwlab.orbit_norms(phi, 1.0, f, 4)
-        keys = [("orbit", pwlab.core._bits(phi, 1.0), 4, 8, pwlab.core._BLOCK_ENTRIES) for phi in phis]
+        # the orbit traces key on c, Im d and a
+        keys = [("orbit", struct.pack("3d", phi.c, phi.d.imag, 1.0), 4, 8, pwlab.core._BLOCK_ENTRIES) for phi in phis]
         assert list(tables) == [keys[0], keys[2]] and tables.held == 2 * size
+        assert tables.evicted == 1  # phis[1]'s table, at phis[2]'s mark
 
     def test_block_size_keys_apart(self, monkeypatch):
         # a table is cut into blocks of _BLOCK_ENTRIES, whose size may move a sum's last bits, so a

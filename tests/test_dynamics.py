@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,73 @@ class TestOrbitNorms:
         for bad in ([], [1.0, -1.0], [1.0, math.nan], [[1.0]]):
             with pytest.raises(ValueError, match="finite nonnegative"):
                 pwlab.OrbitTrace(np.array(bad))
+
+    def test_trace_tables_key_on_im_d(self, monkeypatch):
+        # the operator half reads d through Im d_n alone, so it keys on (c, Im d, a): for one key, d with
+        # Re d of both signs (and -0.0), d = +-0 +-0i and Im d = +-5e-324 give a fresh build's bytes cold
+        # (the first d builds for itself, the second keeps the table, the rest fetch it), warm, and with
+        # no table kept; +0.0 and -0.0 in Im d key apart, and one key holds every Re d
+        rng = np.random.default_rng(SEED + 4)
+        probes = [pwlab.rough_probe(1.0, 12, rng), pwlab.node_function(1.0, 12, 5), pwlab.PwFunction(1.0, np.zeros(25))]
+        res = (0.0, -0.0, 0.3, -0.3, 7.5, -1e300)
+        symbols = [AffineSymbol(c, complex(re, im)) for c in (1.0, -1.0, 0.5, -0.5, 0.25)
+                   for im in (0.0, -0.0, 5e-324, -5e-324, -0.7) for re in res]
+        calls = [lambda phi=phi, f=f: pwlab.orbit_norms(phi, 1.0, f, 9).norms for phi in symbols for f in probes]
+        with monkeypatch.context() as fresh:
+            fresh.setattr(pwlab.core, "_TABLE_BYTES", 0)
+            fresh.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+            ref = [call().tobytes() for call in calls]
+            assert not pwlab.core._TABLES
+        tables = pwlab.core._Tables()
+        monkeypatch.setattr(pwlab.core, "_TABLES", tables)
+        for _ in range(2):
+            assert [call().tobytes() for call in calls] == ref
+        assert len(tables) == len(symbols) // len(res) and pwlab.core._SEEN not in [t for t, _ in tables.values()]
+        assert (tables.first, tables.second) == (len(tables), len(tables))
+
+    def test_real_part_past_range_raises_on_a_kept_table(self, monkeypatch):
+        # a d whose Re d_n passes the float range raises _iterate_table's AdmissibilityError, with a fresh
+        # build's message, though a table under its key (c, Im d, a) is kept; the check reads the table's
+        # largest factor of Re d, so it holds to the last bit on either side of the edge, and a fetch that
+        # passes it builds no iterate table
+        f = pwlab.rough_probe(1.0, 4, np.random.default_rng(SEED + 5))
+        monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+
+        def outcome(phi, n_max):
+            try:
+                return pwlab.orbit_norms(phi, 1.0, f, n_max).norms.tobytes()
+            except AdmissibilityError as err:
+                return str(err)
+
+        for c in (0.5, -0.5, 1.0, -1.0, 0.999, 1.0 - 2.0**-52, 0.25):
+            for im, n_max in ((0.0, 1), (1.0, 7), (-0.0, 40)):
+                for _ in range(2):  # keep the key's table
+                    pwlab.orbit_norms(AffineSymbol(c, complex(0.0, im)), 1.0, f, n_max)
+                # the largest Re d whose d_n are all finite, by bisection on _iterate_table itself
+                def finite(re):
+                    try:
+                        return bool(pwlab.core._iterate_table(c, complex(re, im), range(n_max + 1)))
+                    except AdmissibilityError:
+                        return False
+
+                lo, hi = 0.0, sys.float_info.max
+                if finite(hi):  # (0.5, n_max = 1): d_1 = d
+                    lo = hi
+                while lo != hi and math.nextafter(lo, hi) != hi:
+                    mid = lo + (hi - lo) / 2
+                    lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+                for re in (lo, -lo, hi, -hi, sys.float_info.max):
+                    phi = AffineSymbol(c, complex(re, im))
+                    kept = outcome(phi, n_max)
+                    with monkeypatch.context() as fresh:
+                        fresh.setattr(pwlab.core, "_TABLE_BYTES", 0)
+                        fresh.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+                        assert kept == outcome(phi, n_max), (c, re, im, n_max)
+                    assert isinstance(kept, str) == (abs(re) > lo), (c, re, im, n_max)
+        table, rows = dynamics._iterate_table, []
+        monkeypatch.setattr(dynamics, "_iterate_table", lambda *args: rows.append(args) or table(*args))
+        pwlab.orbit_norms(AffineSymbol(0.5, complex(-3.0, 1.0)), 1.0, f, 7)
+        assert rows == []
 
     def test_pure_scaling_growth_is_exact(self):
         rng = np.random.default_rng(SEED + 1)
@@ -730,6 +798,72 @@ class TestPseudotrajectory:
         # seed vanishing at the fixed point alpha = 3 (a lattice node)
         with pytest.raises(ValueError):
             pwlab.build_pseudotrajectory(AffineSymbol(0.5, 1.5), math.pi, f, 0.1, 5)
+
+    def test_halves_come_from_the_table_cache(self, monkeypatch):
+        # the halves key on the symbol, a, n_max, N and the seed's nonzero nodes: a seed of the same pattern
+        # with other values fetches them from a key's second build on, with the bytes of a build with no
+        # table kept; P holds them read-only, the cache's own arrays on a hit, and a hit walks no table
+        # (_freeze) and builds no iterate table.  A build that builds them counts them (_freeze) once
+        rng = np.random.default_rng(SEED + 76)
+        phi = AffineSymbol(0.5, 0.2 + 0.1j)
+        seeds = [pwlab.PwFunction(math.pi, np.where(np.arange(25) % 3 == 0, rng.standard_normal(25), 0.0))
+                 for _ in range(4)]
+        g = pwlab.scaled(pwlab.rough_probe(math.pi, 12, rng), 0.04)
+
+        def outputs(f):
+            P = pwlab.build_pseudotrajectory(phi, math.pi, f, 0.1, 9)
+            D, L = pwlab.shadowing_divergence(P, g)
+            return P, P.gram.tobytes() + D.tobytes() + L.tobytes() + repr(P.seed_at_fixed_point).encode()
+
+        with monkeypatch.context() as fresh:
+            fresh.setattr(pwlab.core, "_TABLE_BYTES", 0)
+            fresh.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+            ref = [outputs(f)[1] for f in seeds]
+        tables = pwlab.core._Tables()
+        monkeypatch.setattr(pwlab.core, "_TABLES", tables)
+        walks, freeze = [], pwlab.core._freeze
+        monkeypatch.setattr(pwlab.core, "_freeze", lambda table: walks.append(table) or freeze(table))
+        monkeypatch.setattr(dynamics, "_freeze", pwlab.core._freeze)
+        iterate, rows = dynamics._iterate_table, []
+        monkeypatch.setattr(dynamics, "_iterate_table", lambda *args: rows.append(args) or iterate(*args))
+        built = []
+        for f, expected in zip(seeds, ref):
+            walks.clear(), rows.clear()
+            P, got = outputs(f)
+            assert got == expected
+            built.append((len(walks), len(rows)))
+            halves = (P._lags, P._at_alpha)
+            assert P._lags is not None and not any(x.flags.writeable for x in _arrays(halves))
+        # the first build counts its halves for P; the second keeps them (the cache's count and P's) and
+        # g's orbit table; each builds one (c^n, d_n) table for its halves and g's orbit trace two (its
+        # guarded row, then its table).  Later builds walk nothing and build no iterates
+        assert built == [(1, 3), (3, 3), (0, 0), (0, 0)]
+        (key,) = [key for key in tables if key[0] == "pseudotrajectory"]
+        assert tables[key][0][3] is P._lags and tables[key][0][0] is P._at_alpha
+
+    def test_rejections_keep_their_order_on_a_kept_key(self, monkeypatch):
+        # the guard at alpha, then a seed that vanishes there, then the orbit guard, on a key's first build;
+        # on a key whose halves are kept only the vanishing check reads the seed's values, so a seed of the
+        # kept pattern that vanishes at alpha = 1/2 (v_0 = -v_1, midway between the nodes) still raises
+        monkeypatch.setattr(pwlab.core, "_TABLES", pwlab.core._Tables())
+        node, third = pwlab.node_function(math.pi, 8, 0), pwlab.node_function(math.pi, 8, 3)
+        cases = [(AffineSymbol(0.5, 200j), node, 5, "evaluation exponent"),  # all three fail
+                 (AffineSymbol(0.5, 1.5), node, 900, "seed vanishes"),  # alpha = 3, whose sample is 0
+                 (AffineSymbol(0.5, 1.5), third, 900, "squared orbit norm exponent")]
+        for phi, f, n_max, message in cases:
+            for _ in range(2):
+                with pytest.raises((OverflowGuardError, ValueError), match=message):
+                    pwlab.build_pseudotrajectory(phi, math.pi, f, 0.1, n_max)
+        phi = AffineSymbol(0.5, 0.25)
+        pair = np.zeros(17)
+        pair[8:10] = 1.0
+        for _ in range(2):
+            pwlab.build_pseudotrajectory(phi, math.pi, pwlab.PwFunction(math.pi, pair), 0.1, 5)
+        hits = pwlab.core._TABLES.hits
+        pair[9] = -1.0
+        with pytest.raises(ValueError, match="seed vanishes"):
+            pwlab.build_pseudotrajectory(phi, math.pi, pwlab.PwFunction(math.pi, pair), 0.1, 5)
+        assert pwlab.core._TABLES.hits == hits + 1
 
     def test_vanishing_check_is_scale_free(self):
         # |f(alpha)| is held against pw_eval's rounding bound eps sum|v| e^(a |Im alpha|),

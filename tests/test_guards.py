@@ -26,6 +26,8 @@ import pwlab.cli
 from pwlab import AdmissibilityError, AffineSymbol, OverflowGuardError, PwLabError, core, dynamics
 from pwlab.cli import EXIT_INVALID_CONFIG
 
+from oracles import where_sinc
+
 SEED = pwlab.DEFAULT_SEED
 
 
@@ -477,6 +479,55 @@ class TestInputChecks:
         assert pwlab.inner_product(f, g) == pwlab.composed_inner_product(ident, f, ident, g) == math.pi * 2.0**980
         g = pwlab.rough_probe(1.0, 4, np.random.default_rng(1))
         assert pwlab.inner_product(ONE, g) == math.pi * complex(np.sum(ONE.samples * np.conj(g.samples)))
+
+    def test_envelope_past_the_float_range(self):
+        # m = 1.3e306 carries the envelope at (0.999, 0.3 + 0.4i) past the float range from n = 5 on,
+        # where it read inf; a seed at 1e300 stays in range, and its envelope is the unit seed's times 1e300
+        phi = AffineSymbol(0.999, 0.3 + 0.4j)
+        with pytest.raises(OverflowGuardError, match="envelope at n = 5 passes the float range"):
+            pwlab.cesaro_lower_envelope(phi, pwlab.PwFunction(math.pi, [0, 1e307, 0]), 12)
+        env = pwlab.cesaro_lower_envelope(phi, pwlab.PwFunction(math.pi, [0, 1e300, 0]), 12)
+        unit = pwlab.cesaro_lower_envelope(phi, pwlab.PwFunction(math.pi, [0, 1.0, 0]), 12)
+        assert np.all(np.abs(env / (unit * 1e300) - 1.0) <= 4 * np.finfo(float).eps)
+
+    def test_coset_kernel_at_a_subnormal_offset(self):
+        # d = 5e-324 (real or imaginary) makes delta_r subnormal for the coset r = 0, where the kernel's
+        # reciprocal 1/delta_r overflowed: a RuntimeWarning under the warning filter, else samples of inf
+        # ("samples must be finite").  That entry is sinc(delta_r) = 1; the result is the direct sinc sum
+        # to rounding, and a kernel with no subnormal offset keeps its bits
+        x = pwlab.grid(1.0, 4)
+        for c in (0.5, -1.0, 0.25):
+            for d in (5e-324j, -5e-324j, 5e-324, complex(5e-324, 5e-324)):
+                phi = AffineSymbol(c, d)
+                for f in (pwlab.PwFunction(1.0, np.ones(9)), pwlab.rough_probe(1.0, 4, np.random.default_rng(SEED + 9))):
+                    got = pwlab.compose_apply(phi, f).samples
+                    ref = where_sinc(1.0 * (phi(x)[:, None] - x)) @ f.samples
+                    assert np.all(np.abs(got - ref) <= 1e-14 * np.sum(np.abs(f.samples))), (c, d)
+        j, mu, delta = np.arange(-6, 7), np.array([0.0, 1.0]), np.array([0.3, -0.2j])
+        sine = np.sin(delta) * [1.0, -1.0]
+        plain = np.reciprocal(np.pi * (j + mu[:, None]) + delta[:, None])
+        plain[:, 1::2] *= -1.0
+        plain *= sine[:, None]
+        assert core._coset_kernels(np.arange(2), j, mu, delta, sine, 1)[1].tobytes() == plain.tobytes()
+
+    def test_cardinal_series_past_the_float_range(self):
+        # samples of 1e300 at a = 1e3 and Im z = -0.2 carry e^200: the value passes the float range,
+        # where the sum read -inf + inf i.  Samples of 1.5e308 whose far terms all share one sign overflow
+        # the plain sum (inf + nan i), though near node 0 their sine takes them back into range: the sum
+        # formed on the samples / 2^1024 and scaled back exactly is the direct sinc sum's to rounding.  A
+        # sum in range keeps its bits
+        with pytest.raises(OverflowGuardError, match="cardinal series value .* passes the float range"):
+            pwlab.pw_eval(pwlab.PwFunction(1e3, 1e300 * np.ones(5)), 3 - 0.2j)
+        k = np.arange(-8, 9)
+        v = (-1.0) ** k * -np.sign(k) * 1.5e308
+        v[8] = 1.0
+        z = np.array([1e-3, -2e-3 + 1e-3j, 0.5])
+        got = pwlab.pw_eval(pwlab.PwFunction(1.0, v), z)
+        scaled = np.ldexp(v, -1024)
+        ref = where_sinc(z[:, None] - pwlab.grid(1.0, 8)) @ scaled
+        assert np.all(np.abs(np.ldexp(got.view(float), -1024).view(complex) - ref) <= 1e-15 * np.sum(np.abs(scaled)))
+        g = pwlab.rough_probe(1.0, 4, np.random.default_rng(SEED + 10))
+        assert np.array_equal(pwlab.pw_eval(g, z), core._cardinal(1.0, z, g.samples))
 
     def test_accepted_edge_inputs(self):
         # a complex slope with zero imaginary part is the real slope
