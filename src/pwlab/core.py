@@ -52,8 +52,9 @@ not fit (one built as it is read counts as unbounded) is marked as never
 kept, and its later calls build for themselves with no count.  The tables
 hold at most _TABLE_BYTES in all, the least recently used going first.  A
 kept table gives the bits of a freshly built one, and nothing in it depends
-on the samples.  The Fourier transport (fourier) keeps its twiddles and
-weights in the same cache, under keys of its own and in arrays of its own.
+on the samples.  The Fourier transport (fourier) keeps its twiddles (one
+key per slice read) and weights in the same cache, under keys of its own and
+in arrays of its own.
 _Tables counts its traffic: keys seen a first and a second time, hits, keys
 marked as never kept and evictions.
 """
@@ -265,27 +266,28 @@ def _bits(phi: AffineSymbol, a: float) -> bytes:
     return struct.pack("4d", phi.c, phi.d.real, phi.d.imag, a)
 
 
-def _table(key, build, once=None):
+def _table(key, build):
     """The operator half of a kernel at key (a sinc kernel's here, the Fourier transport's in fourier), from the one
-    cache of such tables, or built for this call by once() (build() where once is None).
+    cache of such tables, or built for this call by build().
 
-    A key's first call builds for itself and leaves a mark of the key.  A
-    second call while the mark is held builds the table by build(), makes its
-    arrays read-only, counts its bytes (_freeze) and keeps it where they fit
-    within _TABLE_BYTES; later calls fetch it.  Where they do not (a table
-    built block by block as it is read counts as unbounded), the key is
-    marked as never kept, and its later calls build for themselves with no
-    count.  So a key that no call asks for again costs its mark alone, and no
-    key builds by build() more than once while it is held.  The key held is
-    key with _BLOCK_ENTRIES appended, so a table cut into blocks at one size
-    is never fetched at another, whose blocks would sum in another order.  A
-    call raises whatever build or once raises.
+    A key holds what its table reads: a call that reads a part of a table
+    keys that part (fourier's twiddles key each slice).  A key's first call
+    builds for itself and leaves a mark of the key.  A second call while the
+    mark is held builds the table, makes its arrays read-only, counts its
+    bytes (_freeze) and keeps it where they fit within _TABLE_BYTES; later
+    calls fetch it.  Where they do not (a table built block by block as it is
+    read counts as unbounded), the key is marked as never kept, and its later
+    calls build for themselves with no count.  So a key that no call asks for
+    again costs its mark alone, and no key is counted more than once while it
+    is held.  The key held is key with _BLOCK_ENTRIES appended, so a table cut
+    into blocks at one size is never fetched at another, whose blocks would
+    sum in another order.  A call raises whatever build raises.
     """
     key += (_BLOCK_ENTRIES,)  # the block size the table's blocks were cut at
     tables = _TABLES
     entry = tables.get(key)
     if entry is None or entry[0] is _NEVER:
-        table = (once or build)()
+        table = build()
         tables.first += entry is None
         tables.keep(key, _SEEN if entry is None else _NEVER, _SEEN_BYTES)
     elif entry[0] is _SEEN:
@@ -321,6 +323,21 @@ def _freeze(table) -> float:
             if item.base is not None:
                 size += item.nbytes
     return size
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """x itself where it is read-only, C-contiguous and owns its data, else a read-only copy of it: how OrbitTrace,
+    L2Function and OperatorMatrix store their arrays.
+
+    An array kept as it is (as the package's own builders hand over) must not
+    be written again by its owner, through a view taken before or by
+    setflags; any other is copied, so a caller that keeps a writeable array or
+    view cannot change the value that holds it.
+    """
+    if x.flags.writeable or not (x.flags.owndata and x.flags.c_contiguous):
+        x = x.copy()
+        x.setflags(write=False)
+    return x
 
 
 def _guard_points(a: float, z, what: str) -> None:
@@ -464,38 +481,47 @@ class PwFunction:
 
 
 def _norm(v, weight: float) -> float:
-    """sqrt(weight) ||v||, or OverflowGuardError past the float range (PwFunction's and L2Function's norm); where
-    a nonzero v's sum of squares leaves the normal range, it is summed again on v / 2^i, i the binary exponent of
-    its largest real or imaginary part, exactly, and sqrt(weight) times that norm is scaled back by 2^i, so a
-    weight below 1 brings a norm past the float range back in range, and subnormal samples give their norm to
-    subnormal rounding."""
+    """sqrt(weight) ||v||, or OverflowGuardError past the float range (PwFunction's and L2Function's norm); where a
+    nonzero v's root leaves [sqrt(DBL_MIN), inf), it is formed by _rescaled, so a weight below 1 brings a norm past
+    the float range back in range, and subnormal samples give their norm to subnormal rounding."""
     with np.errstate(over="ignore"):
         root = float(np.linalg.norm(v))
     if math.sqrt(sys.float_info.min) <= root < math.inf or not v.any():
         return _guard_exponent(math.sqrt(weight) * root, "norm", sys.float_info.max)
-    i = math.frexp(float(np.abs(v.view(float)).max()))[1]
-    part = math.sqrt(weight) * float(np.linalg.norm(np.ldexp(v.view(float), -i)))
-    try:
-        root = math.ldexp(part, i)
-    except OverflowError:
-        root = math.inf
-    return _guard_exponent(root, "norm", sys.float_info.max)
+    return _rescaled(lambda v: math.sqrt(weight) * float(np.linalg.norm(v)), (v,), "norm")
 
 
 def _in_range(form, v, w) -> complex:
     """form(v, w), a sum linear in v and conjugate-linear in w, or OverflowGuardError past the float range; a value
-    that is not finite is formed again on v / 2^i and w / 2^j, i and j the binary exponents of max|v| and max|w|,
-    and scaled back by 2^(i + j), exactly, so products that cancel exactly give 0."""
+    that is not finite is formed by _rescaled, so products that cancel exactly give 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         val = form(v, w)
-    if cmath.isfinite(val):
-        return val
-    i, j = (math.frexp(float(np.abs(x.view(float)).max()))[1] for x in (v, w))
-    val = form(np.ldexp(v.view(float), -i).view(complex), np.ldexp(w.view(float), -j).view(complex))
-    top = max(abs(val.real), abs(val.imag))
-    if not cmath.isfinite(val) or top and math.frexp(top)[1] + i + j > sys.float_info.max_exp:
-        raise OverflowGuardError(f"inner product {val!r} x 2^{i + j} passes the float range")
-    return complex(math.ldexp(val.real, i + j), math.ldexp(val.imag, i + j))
+    return val if cmath.isfinite(val) else _rescaled(form, (v, w), "inner product")
+
+
+def _rescaled(form, arrays, what):
+    """form(*arrays) formed again on each x / 2^i, i the binary exponent of x's largest real or imaginary part, and
+    scaled back by 2^e, e = sum i, exactly: the package's one range rule.
+
+    form is linear (or conjugate-linear) in each array and gives a float, a
+    complex or an array.  Every scaling is exact, so a value keeps the plain
+    form's bits wherever that form stays normal throughout.  Each site calls
+    it on its own trigger on the plain value (_norm, _in_range, pw_eval), or
+    always (dynamics' Fourier-side roots).  A value whose largest part top is
+    not finite, or passes the float range once scaled back, raises
+    OverflowGuardError("{what} {top!r} x 2^{e} passes the float range").
+    """
+    exps = [math.frexp(float(np.abs(x.view(float)).max(initial=0.0)))[1] for x in arrays]
+    val = form(*(np.ldexp(x.view(float), -i).view(x.dtype) for x, i in zip(arrays, exps)))
+    e = sum(exps)
+    top = float(np.abs(np.atleast_1d(val).view(float)).max(initial=0.0))
+    if not math.isfinite(top) or top and math.frexp(top)[1] + e > sys.float_info.max_exp:
+        raise OverflowGuardError(f"{what} {top!r} x 2^{e} passes the float range")
+    if isinstance(val, np.ndarray):
+        return np.ldexp(val.view(float), e).view(val.dtype)
+    if isinstance(val, complex):
+        return complex(math.ldexp(val.real, e), math.ldexp(val.imag, e))
+    return math.ldexp(val, e)
 
 
 def kernel_eval(a: float, w: complex, z) -> complex | np.ndarray:
@@ -523,21 +549,14 @@ def pw_eval(f: PwFunction, z):
 
     f(z) = sum_k v_k sinc(a (z - x_k)), guarded and summed by _cardinal.  Node
     hits return the stored samples exactly; the rest rounds to O(eps * sum_k
-    |v_k| * e^(a |Im z|)).  A sum that is not finite is formed again on v / 2^i,
-    i the binary exponent of the samples' largest real or imaginary part, and
-    scaled back by 2^i, exactly (_in_range's rule), or OverflowGuardError where
-    a value passes the float range.
+    |v_k| * e^(a |Im z|)).  A sum that is not finite is formed by _rescaled, or
+    OverflowGuardError where a value passes the float range.
     """
     a, v, points = f.a, f.samples, np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         out = _cardinal(a, points, v)
     if not np.isfinite(out).all():
-        i = math.frexp(float(np.abs(v.view(float)).max()))[1]
-        out = _cardinal(a, points, np.ldexp(v.view(float), -i).view(complex)).view(float)
-        top = float(np.abs(out).max())
-        if not math.isfinite(top) or top and math.frexp(top)[1] + i > sys.float_info.max_exp:
-            raise OverflowGuardError(f"cardinal series value {top!r} x 2^{i} passes the float range")
-        out = np.ldexp(out, i).view(complex)
+        out = _rescaled(lambda v: _cardinal(a, points, v), (v,), "cardinal series value")
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,8 @@ from .core import (
     _iterate_table,
     _pairing_table,
     _pairings,
+    _read_only,
+    _rescaled,
     _same_bandwidth,
     _table,
     _toeplitz_table,
@@ -48,21 +49,12 @@ from .fourier import L2Function, to_l2
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """Norms ||C_phi^n f|| for n = 0..n_max, stored read-only.
-
-    An array that is already read-only, C-contiguous and owns its data (as
-    orbit_norms' are) is kept as it is, so its owner must not write it again
-    (through a view taken before, or by setflags); any other is copied, so a
-    caller that keeps a writeable array or view cannot change the trace.
-    """
+    """Norms ||C_phi^n f|| for n = 0..n_max, stored read-only (core._read_only)."""
 
     norms: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.norms, dtype=float)
-        if v.flags.writeable or not (v.flags.owndata and v.flags.c_contiguous):
-            v = v.copy()
-            v.setflags(write=False)
+        v = _read_only(np.asarray(self.norms, dtype=float))
         if v.ndim != 1 or v.size == 0 or not (np.isfinite(v).all() and (v >= 0.0).all()):
             raise ValueError("norms must be a finite nonnegative sequence")
         object.__setattr__(self, "norms", v)
@@ -179,17 +171,10 @@ def orbit_norms_fourier(phi: AffineSymbol, F: L2Function, n_max: int) -> OrbitTr
 def _fourier_roots(values, dt: float, sums) -> np.ndarray:
     """sqrt(sums(cells)) for the cells |F(t_j)|^2 dt of Fourier-side values F(t_j) and a sum sums linear in them.
 
-    core._norm's range rule: the cells are formed on |F| / 2^e, e the binary exponent of max|F|, and the roots
-    scaled back by 2^e.  Both scalings are exact, so no square overflows or underflows, a result in range keeps its
-    bits, and a root past the float range raises OverflowGuardError.
+    Always formed by core._rescaled on |F|, so no square overflows or underflows, a result in range keeps its bits,
+    and a root past the float range raises OverflowGuardError.
     """
-    mag = np.abs(values)
-    e = math.frexp(float(mag.max()))[1]
-    roots = np.sqrt(sums(np.ldexp(mag, -e) ** 2 * dt))
-    top = float(roots.max())
-    if math.frexp(top)[1] + e > sys.float_info.max_exp:
-        raise OverflowGuardError(f"Fourier-side root {top!r} x 2^{e} passes the float range")
-    return np.ldexp(roots, e)
+    return _rescaled(lambda mag: np.sqrt(sums(mag ** 2 * dt)), (np.abs(values),), "Fourier-side root")
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,12 @@ convolution by core._convolve, which picks its engine and FFT length.
 
 Operator halves: what the grid and the symbol alone decide is fetched from
 core._table, the one cache of the sinc kernels' halves, in arrays of this
-module's own.  The twiddles are one table per M, read by slices (_twiddle);
-the apply keeps its route, support run and weight (_apply_table), keyed on
-the bits of c, d and a and on M.  The adjoint, which no caller of the
-package runs, computes its weight per call.  A kept table gives the bits of
-a fresh one, so the outputs do not depend on the cache.
+module's own.  The twiddles are keyed on M and the slice |n| <= k a call
+reads (_twiddle); the apply keeps its route, support run and weight
+(_apply_table), keyed on the bits of c, d and a and on M.  The adjoint,
+which no caller of the package runs, computes its weight per call.  A kept
+table gives the bits of a fresh one, so the outputs do not depend on the
+cache.
 """
 
 from __future__ import annotations
@@ -47,29 +48,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AffineSymbol, AliasingError, PwFunction, _bandwidth, _bits, _convolve, _count,
-                   _guard_exponent, _in_range, _norm, _same_bandwidth, _table)
+                   _guard_exponent, _in_range, _norm, _read_only, _same_bandwidth, _table)
 
 
 @dataclass(frozen=True, eq=False)
 class L2Function:
-    """Midpoint samples of a function on [-a, a], stored read-only.
-
-    An array that is already read-only, C-contiguous and owns its data (as
-    to_l2's and the weighted maps' are) is kept as it is, so its owner must
-    not write it again (through a view taken before, or by setflags); any
-    other is copied, so a caller that keeps a writeable array or view cannot
-    change F.
-    """
+    """Midpoint samples of a function on [-a, a], stored read-only (core._read_only)."""
 
     a: float
     values: np.ndarray
 
     def __post_init__(self):
         a = _bandwidth(self.a)
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.flags.writeable or not (vals.flags.owndata and vals.flags.c_contiguous):
-            vals = vals.copy()
-            vals.setflags(write=False)
+        vals = _read_only(np.asarray(self.values, dtype=np.complex128))
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(vals)):
@@ -85,11 +76,11 @@ class L2Function:
         return _grid(self.a, self.m_points)
 
     def norm(self) -> float:
-        """sqrt(dt) ||values||, dt = 2a/M, with core._norm's range rule (PwFunction.norm's)."""
+        """sqrt(dt) ||values||, dt = 2a/M, past the float range by core._rescaled (core._norm)."""
         return _norm(self.values, 2.0 * self.a / self.m_points)
 
     def inner(self, other: "L2Function") -> complex:
-        """dt sum_j F(t_j) conj(G(t_j)), with core._in_range's range rule."""
+        """dt sum_j F(t_j) conj(G(t_j)), past the float range by core._rescaled (core._in_range)."""
         _same_bandwidth(self.a, other.a)
         if self.m_points != other.m_points:
             raise ValueError("inner product needs matching grids")
@@ -112,22 +103,17 @@ def _twiddle(m: int, k: int) -> np.ndarray:
     """(-1)^n e^{-i n pi / M} for |n| <= k <= M // 2: times it, the exponential sums at frequencies n on the midpoint
     grid are a DFT.
 
-    The twiddles depend on M alone, so they are a slice of one table per M,
-    over |n| <= M // 2, from core._table under ("twiddle", M).  A grid's
-    first call computes its own slice alone; its second computes the whole
-    table, which is kept where _freeze counts it within _TABLE_BYTES (M below
-    about 2^17), and otherwise marks the grid as never kept, so that its later
-    calls compute their own slices alone again.  An entry has the same bits
-    whichever slice it is computed in.
+    The 2k + 1 entries a call reads come from core._table under ("twiddle",
+    M, k), so a slice is kept, like any table, from its second call on where
+    it fits within _TABLE_BYTES (k below about 2^16).  Each entry is computed
+    on its own, so it has the same bits in every slice.
     """
 
-    def build(half):
-        n = np.arange(-half, half + 1)
+    def build():
+        n = np.arange(-k, k + 1)
         return np.where(n % 2, -1.0, 1.0) * np.exp(-1j * n * (math.pi / m))
 
-    table = _table(("twiddle", m), lambda: build(m // 2), lambda: build(k))
-    centre = table.size // 2
-    return table[centre - k : centre + k + 1]
+    return _table(("twiddle", m, k), build)
 
 
 def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
@@ -139,7 +125,7 @@ def to_l2(f: PwFunction, m_points: int = 4096) -> L2Function:
     AliasingError.  The grid passes the memory budget at 64 bytes a point,
     above the peak of its zero-padded samples, their FFT, the scaled array
     that L2Function keeps and the twiddle of 2N+1 = M samples (about 48
-    bytes a point there, by tracemalloc; a kept twiddle table counts in
+    bytes a point there, by tracemalloc; a kept twiddle slice counts in
     core._TABLE_BYTES).
     """
     m = _count(m_points, "grid points", least=2, per_entry=64)

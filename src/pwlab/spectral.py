@@ -38,6 +38,7 @@ from .core import (
     _guard_exponent,
     _guard_size,
     _iterate_table,
+    _read_only,
     _sinc,
     kernel_norm_sq,
 )
@@ -52,11 +53,7 @@ class OperatorMatrix:
     """Section T[n, m] = <C_phi e_m, e_n> = sinc(a(phi(x_n) - x_m)), |n|,|m| <= N.
 
     entries is square with an odd side 2N+1, stored read-only and
-    C-contiguous.  An array that is already read-only, C-contiguous and owns
-    its data (as build_matrix's are) is kept as it is, so its owner must not
-    write it again (through a view taken before, or by setflags); any other
-    is copied, so a caller that keeps a writeable array or view cannot change
-    the section.
+    C-contiguous (core._read_only).
     """
 
     entries: np.ndarray
@@ -65,10 +62,7 @@ class OperatorMatrix:
         e = np.asarray(self.entries, dtype=np.complex128)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] % 2 == 0:
             raise ValueError(f"entries must be square with an odd side, got shape {e.shape}")
-        if e.flags.writeable or not (e.flags.owndata and e.flags.c_contiguous):
-            e = e.copy()
-            e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _read_only(e))
 
 
 def build_matrix(phi: AffineSymbol, a: float, half_width: int) -> OperatorMatrix:

@@ -931,16 +931,15 @@ class TestOperatorTables:
 
     def test_a_key_that_is_not_kept_stays_marked(self, monkeypatch):
         # six calls of an orbit and a coset apply whose tables hold more than one block (under blocks
-        # of 100 entries), and of a grid whose twiddle table passes the byte limit: the key is seen,
-        # then marked as never kept, and stays so; _table counts each table once, at its second call.
-        # The grid's first call computes its 49-entry slice alone, its second the whole table that
-        # _freeze refuses, and the rest their slices alone again
+        # of 100 entries), and of a twiddle slice of 2^17 + 1 entries that passes the byte limit: the
+        # key is seen, then marked as never kept, and stays so; _table counts each table once, at its
+        # second call.  Every call computes the whole slice
         rng = np.random.default_rng(SEED + 97)
         f = pwlab.rough_probe(1.0, 24, rng)
-        m = (1 << 17) - 1
+        m = 1 << 18
         calls = {"orbit": lambda: pwlab.orbit_norms(AffineSymbol(0.5, 0.3 + 0.2j), 1.0, f, 12),
                  "coset": lambda: pwlab.compose_apply(AffineSymbol(0.25, 1j), f, 40),
-                 "twiddle": lambda: pwlab.fourier._twiddle(m, 24).base.size}
+                 "twiddle": lambda: pwlab.fourier._twiddle(m, m // 4).size}
         counted, freeze = [], pwlab.core._freeze
         monkeypatch.setattr(pwlab.core, "_freeze", lambda table: counted.append(table[0][0]) or freeze(table))
         monkeypatch.setattr(pwlab.core, "_BLOCK_ENTRIES", 100)
@@ -954,7 +953,7 @@ class TestOperatorTables:
                 marks.append(tables[key][0])
             assert marks == [pwlab.core._SEEN] + 5 * [pwlab.core._NEVER], kind
             if kind == "twiddle":
-                assert built == [49, 2 * (m // 2) + 1, 49, 49, 49, 49]
+                assert built == 6 * [m // 2 + 1]
         assert counted == list(calls) and tables.held == len(calls) * pwlab.core._SEEN_BYTES
 
     def test_least_recently_used_table_goes_first(self, monkeypatch):

@@ -513,8 +513,8 @@ class TestFourierTables:
     """core._table's Fourier halves: a grid's twiddles and an apply's weight, cold, warm and past the byte limit."""
 
     def test_cold_warm_and_per_call_tables_agree(self, monkeypatch):
-        # every call runs on an empty cache (cold: the twiddles' slice and the weight for the call
-        # alone), again (its tables are built whole and kept) and a third time on the kept tables
+        # every call runs on an empty cache (cold: the twiddle slices and the weight for the call
+        # alone), again (its tables are built again and kept) and a third time on the kept tables
         # (warm); then all of them in turn on one cache, twice, where the tables of the wide grids
         # push each other out, and with every table past the byte limit: all give the same bytes
         rng = np.random.default_rng(SEED + 49)
@@ -539,10 +539,10 @@ class TestFourierTables:
         tables = core._Tables()
         monkeypatch.setattr(core, "_TABLES", tables)
         assert [call().tobytes() for call in calls] == cold
-        # a key for each apply's weight, d = 0j and -0j apart, and for each grid's twiddles; the
-        # adjoint keeps nothing
-        assert len(keys) == 4 * 7 * 4 and set(tables) == keys | {("twiddle", m, core._BLOCK_ENTRIES) for m in
-                                                                    (65, 4096, 4097, 8192)}
+        # a key for each apply's weight, d = 0j and -0j apart, and for each twiddle slice read: |n| <= N
+        # by to_l2 and from_l2, |n| <= M // 4 by the off-grid routes; the adjoint keeps nothing
+        assert len(keys) == 4 * 7 * 4 and set(tables) == keys | {
+            ("twiddle", m, k, core._BLOCK_ENTRIES) for m in (65, 4096, 4097, 8192) for k in (24, m // 4)}
         assert [call().tobytes() for call in calls] == cold
         assert 0 < tables.held == sum(size for _, size in tables.values()) <= core._TABLE_BYTES
         monkeypatch.setattr(core, "_TABLE_BYTES", 0)
@@ -550,33 +550,35 @@ class TestFourierTables:
         assert [call().tobytes() for call in calls] == cold
         assert not core._TABLES
 
-    def test_twiddles_are_one_table_per_grid(self, monkeypatch):
-        # a grid's first call computes the slice it reads alone and leaves a mark; its second computes
-        # the whole table over |n| <= M // 2 and keeps it, and later calls slice the kept one.  A grid
-        # of 2^17 points or more, whose table _freeze counts past the byte limit, computes the whole
-        # table at its second call alone, is marked as never kept and computes the slice it reads at
-        # every other call.  Its applies' weights, 2 MiB or more, are marked and never kept
+    def test_twiddles_are_one_table_per_slice(self, monkeypatch):
+        # a call keys the slice |n| <= k it reads: the slice's first call computes it and leaves a mark,
+        # its second computes it again and keeps it, and later calls fetch the kept one.  An entry has
+        # the same bits in every slice.  A slice of 2^17 + 1 entries, which _freeze counts past the byte
+        # limit, is marked as never kept at its second call and computed at every call, while the 49
+        # entries its grid's transforms read are kept.  Its applies' weights, 2 MiB or more, are
+        # marked and never kept
         tables = core._Tables()
         monkeypatch.setattr(core, "_TABLES", tables)
         f = pwlab.rough_probe(1.0, 24, np.random.default_rng(SEED + 50))
         for m in (4096, 4097):
-            key = ("twiddle", m, core._BLOCK_ENTRIES)
+            key = ("twiddle", m, 24, core._BLOCK_ENTRIES)
             first = fourier._twiddle(m, 24)
-            assert first.base.size == 49 and tables[key][0] is core._SEEN
+            assert first.size == 49 and tables[key][0] is core._SEEN
             second = fourier._twiddle(m, 24)
-            assert second.base.size == 2 * (m // 2) + 1
-            assert tables[key][0] is second.base is fourier._twiddle(m, 24).base
+            assert tables[key][0] is second is fourier._twiddle(m, 24)
             assert first.tobytes() == second.tobytes()
             assert fourier._twiddle(m, m // 4).tobytes() == fourier._twiddle(m, m // 2)[m // 4 : -(m // 4)].tobytes()
-        held = dict(tables)
+        held, never = dict(tables), set()
         for m in (1 << 17, (1 << 17) + 1):
-            sizes = [fourier._twiddle(m, 24).base.size for _ in range(3)]
-            assert sizes == [49, 2 * (m // 2) + 1, 49]
-            assert tables[("twiddle", m, core._BLOCK_ENTRIES)][0] is core._NEVER
+            wide = [fourier._twiddle(m, m // 2) for _ in range(3)]
+            assert len({id(x) for x in wide}) == 3 and len({x.tobytes() for x in wide}) == 1
             for _ in range(3):
                 F = pwlab.to_l2(f, m)
                 pwlab.from_l2(F, 24)
                 pwlab.weighted_compose_apply(AffineSymbol(-1.0, 1j), F)
                 pwlab.weighted_compose_adjoint(AffineSymbol(1.0, 1j), F)
+            assert tables[("twiddle", m, 24, core._BLOCK_ENTRIES)][0].size == 49
+            never |= {("twiddle", m, m // 2, core._BLOCK_ENTRIES),
+                      ("apply", core._bits(AffineSymbol(-1.0, 1j), 1.0), m, core._BLOCK_ENTRIES)}
         assert {key: tables[key] for key in held} == held
-        assert all(table is core._NEVER for key, (table, _) in tables.items() if key not in held)
+        assert {key for key, (table, _) in tables.items() if table is core._NEVER} == never

@@ -1,5 +1,7 @@
 """Range guards at the edge: every core, Fourier and dynamics entry point returns finite values or raises a typed error.
 
+Range rule: every site of core._rescaled scales with its probes, bit for bit, or raises in the rule's one message.
+
 Size caps: a window, count, horizon, grid or matrix past the memory budget raises before it is allocated.
 
 Memory budget: at the largest size the budget admits, each guarded entry point peaks within it.
@@ -8,12 +10,13 @@ Input checks: each public check that no other test reaches raises its own type a
 
 Counts: every integer argument of the public API passes core._count, and no module checks one by hand.
 
-edge_sweep and budget_sweep are importable on their own (tests on the path), so
+edge_sweep, range_rule_sweep and budget_sweep are importable on their own (tests on the path), so
 wider sweeps can run outside pytest with numpy's RuntimeWarnings turned into errors.
 """
 
 import ast
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -103,6 +106,57 @@ def edge_sweep(half_width, seed=SEED + 90, n=4):
     return calls, raised
 
 
+def range_rule_sweep(half_width, seed=SEED + 91, n=4):
+    """Every site of core._rescaled's range rule on rough probes scaled by 2^k; returns (pairs, raised).
+
+    Each site is homogeneous in each probe, so at 2^k f and 2^k g its value is 2^(k
+    degree) times the unit probes', degree 2 for the bilinear forms and 1 for
+    the rest.  Each (site, k), k = +-300 for the bilinear forms and +-600 for
+    the rest, returns that value bit for bit wherever it is a normal float, or,
+    where it passes DBL_MAX, raises OverflowGuardError in the rule's one
+    message form, "... x 2^e passes the float range".  At 2^-600 the norms'
+    roots fall below sqrt(DBL_MIN), onto their rescaled route; a pairing at
+    the slope 2^-100 and the shift 299i/a, just inside the exponent guard,
+    carries 2^600 past DBL_MAX.
+    """
+    a = 1.3
+    rng = np.random.default_rng(seed)
+    f, g = pwlab.rough_probe(a, half_width, rng), pwlab.rough_probe(a, half_width, rng)
+    m = max(64, 4 * half_width)
+    phi, tiny = AffineSymbol(0.5, 0.3 + 0.2j), AffineSymbol(2.0**-100, 0.3 + 0.2j)
+    # the pair's shift s = d2 - (c2/c1) conj(d1) is 299i/a
+    far = AffineSymbol(2.0**-101, 0.5 * tiny.d.conjugate() + 299j / a)
+    z = np.append(phi(f.grid()), 299j / a)
+    sites = [
+        ("PwFunction.norm", 1, lambda f, g: f.norm()),
+        ("L2Function.norm", 1, lambda f, g: pwlab.to_l2(f, m).norm()),
+        ("inner_product", 2, lambda f, g: pwlab.inner_product(f, g)),
+        ("L2Function.inner", 2, lambda f, g: pwlab.to_l2(f, m).inner(pwlab.to_l2(g, m))),
+        ("composed_inner_product", 2, lambda f, g: pwlab.composed_inner_product(tiny, f, far, g)),
+        ("pw_eval", 1, lambda f, g: pwlab.pw_eval(f, z)),
+        ("orbit_norms_fourier", 1, lambda f, g: pwlab.orbit_norms_fourier(phi, pwlab.to_l2(f, m), n).norms),
+        ("cesaro_lower_envelope", 1, lambda f, g: pwlab.cesaro_lower_envelope(phi, f, n)),
+    ]
+    pairs = raised = 0
+    for name, degree, call in sites:
+        mant, exp = np.frexp(np.atleast_1d(call(f, g)).view(float))
+        for k in (300, -300) if degree == 2 else (600, -600):
+            pairs += 1
+            shifted = exp + k * degree
+            past = (mant != 0.0) & (shifted > sys.float_info.max_exp)
+            try:
+                out = np.atleast_1d(call(pwlab.scaled(f, 2.0**k), pwlab.scaled(g, 2.0**k))).view(float)
+            except OverflowGuardError as err:
+                assert past.any() and re.search(r" x 2\^-?\d+ passes the float range$", str(err)), (name, k, err)
+                raised += 1
+                continue
+            assert not past.any(), (name, k, half_width)
+            # the normal floats and the zeros, whose ldexp is exact
+            exact = (mant == 0.0) | (shifted >= sys.float_info.min_exp)
+            assert out[exact].tobytes() == np.ldexp(mant[exact], shifted[exact]).tobytes(), (name, k, half_width)
+    return pairs, raised
+
+
 class TestEdgeSweep:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("half_width", [1, 64])
@@ -110,6 +164,13 @@ class TestEdgeSweep:
         calls, raised = edge_sweep(half_width)
         # both outcomes occur: the grid straddles every guard
         assert 0 < raised < calls
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("half_width", [1, 64])
+    def test_range_rule_scales_or_raises(self, half_width):
+        pairs, raised = range_rule_sweep(half_width)
+        # eight sites at two scales each; the tiny-slope pairing at 2^300 passes DBL_MAX
+        assert pairs == 16 and 0 < raised < pairs
 
     def test_limits_follow_the_float_format(self):
         # a square takes e^(2 OVERFLOW_EXPONENT) = e^600, which leaves e^109.8 of the float range for the
@@ -389,7 +450,7 @@ INPUT_CHECKS = [
     ("pairing factor overflow norm", lambda: pwlab.composed_norm(AffineSymbol(5e-324, 0.0), ONE),
      OverflowGuardError, r"pairing factor pi/\(a \|c1\|\) inf"),
     ("norm past the float range", lambda: pwlab.PwFunction(1.0, np.full(9, 1e308)).norm(), OverflowGuardError,
-     "norm inf > "),
+     r"norm .* x 2\^1024 passes the float range"),
     # every entry is in range, but the norm 3e308 of the 3 x 3 matrix of 1e308 is not
     ("section norm overflow", lambda: pwlab.operator_norm_estimate(pwlab.OperatorMatrix(np.full((3, 3), 1e308))),
      OverflowGuardError, "passes the float range"),
@@ -477,6 +538,8 @@ class TestInputChecks:
         g = pwlab.PwFunction(1.0, np.array([2.0**30, -(2.0**30), 2.0**-20]))
         ident = AffineSymbol(1.0, 0.0)
         assert pwlab.inner_product(f, g) == pwlab.composed_inner_product(ident, f, ident, g) == math.pi * 2.0**980
+        # the same values on a 3-point grid of [-1, 1], dt = 2/3
+        assert pwlab.L2Function(1.0, f.samples).inner(pwlab.L2Function(1.0, g.samples)) == 2.0 / 3.0 * 2.0**980
         g = pwlab.rough_probe(1.0, 4, np.random.default_rng(1))
         assert pwlab.inner_product(ONE, g) == math.pi * complex(np.sum(ONE.samples * np.conj(g.samples)))
 
